@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Callable, Iterable
 
 from . import families as fam
@@ -271,21 +270,8 @@ def check_property_for_theorem(name: str, g: Graph, p: fam.FamilyParams,
     if name == "t4.3":
         return mf.hamiltonian_cycle(g, limits.hamilton)
     if name == "t4.5":
-        return _kfc_fast(g, p.k, limits)
+        return mf.is_k_factor_critical(g, p.k, limits.exhaustive)
     raise UsageError(f"unknown theorem {name!r}")
-
-
-def _kfc_fast(g: Graph, k: int,
-              limits: Limits) -> tuple[bool, mf.Certificate | None]:
-    # definitional scan is cheap; the dual-route checker runs only when a
-    # certificate is needed
-    memo: dict[int, int] = {}
-    full = g.full_mask()
-    if g.n % 2 == k % 2 and all(
-            mf._has_pm_mask(g.adj, full ^ sum(1 << v for v in comb), memo)
-            for comb in combinations(range(g.n), k)):
-        return True, None
-    return mf.is_k_factor_critical(g, k, limits.exhaustive)
 
 
 def oracle_property_for_theorem(name: str, g: Graph, p: fam.FamilyParams,
@@ -305,7 +291,7 @@ def oracle_property_for_theorem(name: str, g: Graph, p: fam.FamilyParams,
     if name == "t4.3":
         return mf.hamiltonian_cycle(g, limits.hamilton)[0]
     if name == "t4.5":
-        return mf.is_k_factor_critical(g, p.k, limits.exhaustive)[0]
+        return mf.kfc_violating_set(g, p.k, limits.exhaustive) is None
     raise UsageError(f"unknown theorem {name!r}")
 
 
@@ -618,14 +604,24 @@ def _verify_lemma(lemma: str, p: fam.FamilyParams, tol: float) -> Report:
 # -- cross-check mode ------------------------------------------------------
 
 
+def _search_result(cert: mf.Certificate | None
+                   ) -> tuple[bool, mf.Certificate | None]:
+    return cert is None, cert
+
+
 def _compare_on_graph(g: Graph, limits: Limits,
                       ks_ext=(1, 2), ks_factor=(1, 2, 3)) -> list[str]:
     """All applicable oracle equivalences on one graph; returns mismatch
-    descriptions (empty when everything agrees)."""
+    descriptions (empty when everything agrees).
+
+    The exhaustive violating-set searches run here on every graph, against
+    the routes that decide in the library: the definitional scan, and for
+    bipartite graphs also the surplus route."""
     issues = []
     if g.n % 2 == 0 and g.n >= 2 and is_connected(g):
         for k in ks_ext:
-            chen = mf.is_k_extendable_chen(g, k, limits.exhaustive)
+            chen = _search_result(
+                mf.chen_violating_set(g, k, limits.exhaustive))
             defn = mf.is_k_extendable_definitional(g, k,
                                                    limits.general_matching)
             if chen[0] != defn[0]:
@@ -642,7 +638,10 @@ def _compare_on_graph(g: Graph, limits: Limits,
             and gb.n >= 2:
         if is_connected(gb) and gb.n % 2 == 0:
             for k in ks_ext:
-                plum = mf.is_k_extendable_plummer(gb, k, limits.exhaustive)
+                plum = _search_result(
+                    mf.plummer_violating_subset(gb, k, limits.exhaustive))
+                # enum_limit=0 leaves the surplus route alone
+                surplus = mf.is_k_extendable_plummer(gb, k, enum_limit=0)
                 defn = mf.is_k_extendable_definitional(
                     gb, k, limits.general_matching)
                 if plum[0] != defn[0]:
@@ -650,6 +649,11 @@ def _compare_on_graph(g: Graph, limits: Limits,
                         f"plummer!=definitional k={k}: {plum[0]} vs "
                         f"{defn[0]} on {graph6_encode(g)}; certificates "
                         f"{_cert_str(plum[1])} | {_cert_str(defn[1])}")
+                if plum[0] != surplus[0]:
+                    issues.append(
+                        f"plummer!=surplus k={k}: {plum[0]} vs "
+                        f"{surplus[0]} on {graph6_encode(g)}; certificates "
+                        f"{_cert_str(plum[1])} | {_cert_str(surplus[1])}")
         for k in ks_factor:
             ore = mf.has_f_factor_ore(gb, mf.FactorSpec.constant(gb.n, k),
                                       limits.exhaustive)

@@ -3,6 +3,17 @@ construction, perfect-matching decomposition and Hamilton-cycle search.
 
 Every negative verdict carries a certificate that re-validates against the
 host graph by an independent recomputation (see ``validate_certificate``).
+
+The extendability and factor-criticality checkers decide, then certify.
+One fast exact route gives the verdict: the definitional scan (every
+size-k matching, or every k-set deletion, leaves a perfect matching) for
+``is_k_extendable_chen`` and ``is_k_factor_critical``, and the surplus
+route for ``is_k_extendable_plummer``. The exhaustive violating-set search
+(``chen_violating_set``, ``plummer_violating_subset``, ``kfc_violating_set``)
+runs only on a negative, to find the certificate. The searches are public
+so that ``cross-check`` and the tests can run them as an independent
+oracle against the deciding routes.
+
 Violating-set certificates are excess-maximal: among all witnesses the one
 with the largest violation is returned, ties broken by the
 lexicographically least vertex list.
@@ -53,12 +64,6 @@ class Matching:
     @property
     def size(self) -> int:
         return len(self.edges)
-
-    def vertex_mask(self) -> int:
-        m = 0
-        for u, v in self.edges:
-            m |= (1 << u) | (1 << v)
-        return m
 
     def validate(self, g: Graph) -> None:
         seen = 0
@@ -302,6 +307,26 @@ def _no_k_matching_certificate(g: Graph, k: int,
     })
 
 
+def _require_enumerable(g: Graph, limit: int) -> None:
+    if g.n > limit:
+        raise GraphError(f"criterion enumeration limited to n <= {limit}")
+
+
+def _first_failing_k_matching(
+        g: Graph, k: int) -> tuple[tuple[int, int], ...] | None:
+    """The lex-first size-k matching whose removal leaves no perfect
+    matching, or None; all perfect-matching tests share one memo."""
+    memo: dict[int, int] = {}
+    full = g.full_mask()
+    for m_edges in iter_k_matchings(g, k):
+        used = 0
+        for u, v in m_edges:
+            used |= (1 << u) | (1 << v)
+        if not _has_pm_mask(g.adj, full ^ used, memo):
+            return m_edges
+    return None
+
+
 def is_k_extendable_definitional(
         g: Graph, k: int,
         limit: int = GENERAL_MATCHING_LIMIT) -> tuple[bool, Certificate | None]:
@@ -312,30 +337,25 @@ def is_k_extendable_definitional(
         raise GraphError(f"definitional check limited to n <= {limit}")
     if max_matching(g, limit).size < k:
         return False, _no_k_matching_certificate(g, k, limit)
-    memo: dict[int, int] = {}
-    full = g.full_mask()
-    for m_edges in iter_k_matchings(g, k):
-        used = 0
-        for u, v in m_edges:
-            used |= (1 << u) | (1 << v)
-        if not _has_pm_mask(g.adj, full ^ used, memo):
-            return False, Certificate("FailingMatching", {
-                "k": k,
-                "matching": [list(e) for e in m_edges],
-            })
-    return True, None
+    m_edges = _first_failing_k_matching(g, k)
+    if m_edges is None:
+        return True, None
+    return False, Certificate("FailingMatching", {
+        "k": k,
+        "matching": [list(e) for e in m_edges],
+    })
 
 
-def is_k_extendable_chen(
-        g: Graph, k: int,
-        limit: int = EXHAUSTIVE_LIMIT) -> tuple[bool, Certificate | None]:
-    """Odd-component criterion over all vertex sets spanning k disjoint
-    edges; exhaustive, order <= ``limit``."""
+def chen_violating_set(g: Graph, k: int,
+                       limit: int = EXHAUSTIVE_LIMIT) -> Certificate | None:
+    """Odd-component criterion, exhaustive over all vertex sets spanning k
+    disjoint edges (order <= ``limit``): the excess-maximal, lex-least set
+    S with o(G-S) > |S|-2k, or None when G is k-extendable. A graph without
+    a size-k matching gets a ``no-size-k-matching`` certificate."""
     _require_extendable_input(g, k)
-    if g.n > limit:
-        raise GraphError(f"criterion enumeration limited to n <= {limit}")
+    _require_enumerable(g, limit)
     if max_matching(g, min(g.n, GENERAL_MATCHING_LIMIT)).size < k:
-        return False, _no_k_matching_certificate(g, k, GENERAL_MATCHING_LIMIT)
+        return _no_k_matching_certificate(g, k, GENERAL_MATCHING_LIMIT)
     n = g.n
     adj = g.adj
     full = g.full_mask()
@@ -356,18 +376,38 @@ def is_k_extendable_chen(
         key = (-excess, tuple(bits(mask)))
         if best_key is None or key < best_key:
             best_key = key
-            best = (mask, o, excess)
+            best = (mask, o)
     if best is None:
-        return True, None
-    mask, o, _ = best
+        return None
+    mask, o = best
     witness = _k_disjoint_edges(adj, mask, k)
-    return False, Certificate("ViolatingSetS", {
+    return Certificate("ViolatingSetS", {
         "criterion": "extendability",
         "k": k,
         "set": list(bits(mask)),
         "odd_components": o,
         "witness_edges": [sorted(e) for e in witness],
     })
+
+
+def is_k_extendable_chen(
+        g: Graph, k: int,
+        limit: int = EXHAUSTIVE_LIMIT) -> tuple[bool, Certificate | None]:
+    """k-extendability of a connected graph of even order <= ``limit``.
+
+    The definitional scan decides: a size-k matching exists and every one
+    leaves a perfect matching. Only a negative runs the exhaustive
+    ``chen_violating_set`` search, whose certificate is returned."""
+    _require_extendable_input(g, k)
+    _require_enumerable(g, limit)
+    if (max_matching(g, min(g.n, GENERAL_MATCHING_LIMIT)).size >= k
+            and _first_failing_k_matching(g, k) is None):
+        return True, None
+    cert = chen_violating_set(g, k, limit)
+    if cert is None:
+        raise RuntimeError(
+            "internal: definitional scan and odd-component criterion disagree")
+    return False, cert
 
 
 def _neighborhood_mask(adj: Sequence[int], x_mask: int) -> int:
@@ -377,14 +417,65 @@ def _neighborhood_mask(adj: Sequence[int], x_mask: int) -> int:
     return out
 
 
-def _plummer_enumerate(g: Graph, a_verts: list[int], k: int):
+def _plummer_decided(g: Graph,
+                     k: int) -> tuple[bool, Certificate | None] | None:
+    """Validate the input and settle the cases that need no criterion:
+    unbalanced sides (an immediate negative with a size certificate) and
+    k >= |A|, where the only size-k matchings are perfect. None otherwise."""
+    if g.sides is None:
+        raise GraphError("criterion needs a bipartition")
+    if k < 1:
+        raise GraphError(
+            "k must be >= 1; use has_perfect_matching for the base case")
+    a_verts = g.side_vertices(SIDE_A)
+    b_verts = g.side_vertices(SIDE_B)
+    if len(a_verts) != len(b_verts):
+        larger = a_verts if len(a_verts) > len(b_verts) else b_verts
+        return False, Certificate("ViolatingSubsetX", {
+            "criterion": "extendability",
+            "k": k,
+            "reason": "unbalanced-sides",
+            "side_sizes": [len(a_verts), len(b_verts)],
+            "subset": larger,
+            "neighborhood": list(bits(_neighborhood_mask(g.adj,
+                                                         mask_of(larger)))),
+        })
     q = len(a_verts)
+    if q == 0:
+        raise GraphError("empty graph")
+    if k >= q:
+        mm = max_matching_bipartite(g)
+        if k == q and mm.size == q:
+            return True, None
+        return False, Certificate("FailingMatching", {
+            "reason": "no-size-k-matching",
+            "k": k,
+            "max_matching": [list(e) for e in mm.edges],
+        })
+    return None
+
+
+def plummer_violating_subset(
+        g: Graph, k: int,
+        enum_limit: int = EXHAUSTIVE_LIMIT) -> Certificate | None:
+    """Neighborhood-surplus criterion for bipartite graphs, exhaustive over
+    the subsets X of side A (|A| <= ``enum_limit``) with |X| <= |A|-k: the
+    excess-maximal, lex-least X with |N(X)| < |X|+k, or None when G is
+    k-extendable. Unbalanced sides and k >= |A| are settled as in
+    ``is_k_extendable_plummer``."""
+    decided = _plummer_decided(g, k)
+    if decided is not None:
+        return decided[1]
+    a_verts = g.side_vertices(SIDE_A)
+    q = len(a_verts)
+    if q > enum_limit:
+        raise GraphError(
+            f"criterion enumeration limited to |A| <= {enum_limit}")
     best_key = None
     best = None
     for r in range(1, q - k + 1):
         for comb in combinations(a_verts, r):
-            x_mask = mask_of(comb)
-            nbh = _neighborhood_mask(g.adj, x_mask)
+            nbh = _neighborhood_mask(g.adj, mask_of(comb))
             excess = (r + k) - nbh.bit_count()
             if excess <= 0:
                 continue
@@ -393,9 +484,9 @@ def _plummer_enumerate(g: Graph, a_verts: list[int], k: int):
                 best_key = key
                 best = (comb, nbh)
     if best is None:
-        return True, None
+        return None
     comb, nbh = best
-    return False, Certificate("ViolatingSubsetX", {
+    return Certificate("ViolatingSubsetX", {
         "criterion": "extendability",
         "k": k,
         "subset": list(comb),
@@ -430,7 +521,10 @@ def _plummer_surplus(g: Graph, a_verts: list[int], b_verts: list[int],
             bad = _replicated_hall_failure(adj, a_pool, a, k)
             if bad is not None:
                 nbh = _neighborhood_mask(adj, mask_of(bad))
-                assert nbh.bit_count() < len(bad) + k
+                if nbh.bit_count() >= len(bad) + k:
+                    raise RuntimeError(
+                        "internal: replicated Hall failure is not a "
+                        "violating subset")
                 return False, Certificate("ViolatingSubsetX", {
                     "criterion": "extendability",
                     "k": k,
@@ -473,51 +567,27 @@ def _replicated_hall_failure(adj: Sequence[int], a_pool: list[int],
 def is_k_extendable_plummer(
         g: Graph, k: int,
         enum_limit: int = EXHAUSTIVE_LIMIT) -> tuple[bool, Certificate | None]:
-    """Neighborhood-surplus criterion for bipartite graphs.
+    """k-extendability of a bipartite graph by the neighborhood-surplus
+    criterion.
 
-    Runs the polynomial surplus route always and the subset enumeration when
-    side A has at most ``enum_limit`` vertices; the two must agree.
-    Unbalanced sides yield an immediate negative with a size certificate.
+    The polynomial surplus route decides. On a negative with side A of at
+    most ``enum_limit`` vertices, the exhaustive ``plummer_violating_subset``
+    search supplies the excess-maximal certificate; above that size the
+    surplus route's own certificate is returned. Unbalanced sides yield an
+    immediate negative with a size certificate.
     """
-    if g.sides is None:
-        raise GraphError("criterion needs a bipartition")
-    if k < 1:
-        raise GraphError(
-            "k must be >= 1; use has_perfect_matching for the base case")
+    decided = _plummer_decided(g, k)
+    if decided is not None:
+        return decided
     a_verts = g.side_vertices(SIDE_A)
-    b_verts = g.side_vertices(SIDE_B)
-    if len(a_verts) != len(b_verts):
-        larger = a_verts if len(a_verts) > len(b_verts) else b_verts
-        return False, Certificate("ViolatingSubsetX", {
-            "criterion": "extendability",
-            "k": k,
-            "reason": "unbalanced-sides",
-            "side_sizes": [len(a_verts), len(b_verts)],
-            "subset": larger,
-            "neighborhood": sorted(neigh for v in larger
-                                   for neigh in bits(g.adj[v])),
-        })
-    q = len(a_verts)
-    if q == 0:
-        raise GraphError("empty graph")
-    if k >= q:
-        # only perfect matchings are size-k matchings here (or none exist)
-        mm = max_matching_bipartite(g)
-        if k == q and mm.size == q:
-            return True, None
-        return False, Certificate("FailingMatching", {
-            "reason": "no-size-k-matching",
-            "k": k,
-            "max_matching": [list(e) for e in mm.edges],
-        })
-    verdict_s, cert_s = _plummer_surplus(g, a_verts, b_verts, k)
-    if q <= enum_limit:
-        verdict_e, cert_e = _plummer_enumerate(g, a_verts, k)
-        if verdict_e != verdict_s:
-            raise RuntimeError(
-                "internal: surplus and enumeration routes disagree")
-        return verdict_e, cert_e
-    return verdict_s, cert_s
+    verdict, cert = _plummer_surplus(g, a_verts, g.side_vertices(SIDE_B), k)
+    if verdict or len(a_verts) > enum_limit:
+        return verdict, cert
+    cert = plummer_violating_subset(g, k, enum_limit)
+    if cert is None:
+        raise RuntimeError(
+            "internal: surplus and enumeration routes disagree")
+    return False, cert
 
 
 # -- bipartite f-factors -------------------------------------------------
@@ -758,18 +828,23 @@ def decompose_edge_disjoint_pms(h: Graph) -> list[Matching]:
 # -- factor criticality --------------------------------------------------
 
 
-def is_k_factor_critical(
-        g: Graph, k: int,
-        limit: int = EXHAUSTIVE_LIMIT) -> tuple[bool, Certificate | None]:
-    """Odd-component criterion over all sets of size >= k, cross-checked
-    against the definition (each size-k deletion leaves a perfect matching)."""
+def _require_kfc_input(g: Graph, k: int, limit: int) -> None:
     if k < 1:
         raise GraphError(
             "k must be >= 1; use has_perfect_matching for the base case")
-    if g.n > limit:
-        raise GraphError(f"criterion enumeration limited to n <= {limit}")
+    _require_enumerable(g, limit)
     if k > g.n:
         raise GraphError("k exceeds the order")
+
+
+def kfc_violating_set(g: Graph, k: int,
+                      limit: int = EXHAUSTIVE_LIMIT) -> Certificate | None:
+    """Odd-component criterion for k-factor-criticality, exhaustive over all
+    sets of size >= k (order <= ``limit``): the excess-maximal, lex-least
+    S with o(G-S) > |S|-k, or None when G is k-factor-critical. An odd
+    n-k needs no special case: every k-set S then leaves an odd component,
+    so o(G-S) > 0 = |S|-k."""
+    _require_kfc_input(g, k, limit)
     n = g.n
     adj = g.adj
     full = g.full_mask()
@@ -789,28 +864,37 @@ def is_k_factor_critical(
         if best_key is None or key < best_key:
             best_key = key
             best = (mask, o)
-    # definitional route for the cross-check
-    memo: dict[int, int] = {}
-    definitional = all(
-        _has_pm_mask(adj, full ^ mask_of(comb), memo)
-        for comb in combinations(range(n), k))
-    criterion = best is None and g.n % 2 == k % 2
-    if criterion != definitional:
-        raise RuntimeError(
-            "internal: criterion and definitional routes disagree")
-    if criterion:
-        return True, None
     if best is None:
-        # parity mismatch; any size-k deletion leaves an odd component
-        mask = mask_of(range(k))
-        best = (mask, _odd_components(adj, full & ~mask))
+        return None
     mask, o = best
-    return False, Certificate("ViolatingSetS", {
+    return Certificate("ViolatingSetS", {
         "criterion": "factor-critical",
         "k": k,
         "set": list(bits(mask)),
         "odd_components": o,
     })
+
+
+def is_k_factor_critical(
+        g: Graph, k: int,
+        limit: int = EXHAUSTIVE_LIMIT) -> tuple[bool, Certificate | None]:
+    """k-factor-criticality of a graph of order <= ``limit``.
+
+    The definition decides: n-k is even and every size-k deletion leaves a
+    perfect matching. Only a negative runs the exhaustive
+    ``kfc_violating_set`` search, whose certificate is returned."""
+    _require_kfc_input(g, k, limit)
+    memo: dict[int, int] = {}
+    full = g.full_mask()
+    if g.n % 2 == k % 2 and all(
+            _has_pm_mask(g.adj, full ^ mask_of(comb), memo)
+            for comb in combinations(range(g.n), k)):
+        return True, None
+    cert = kfc_violating_set(g, k, limit)
+    if cert is None:
+        raise RuntimeError(
+            "internal: criterion and definitional routes disagree")
+    return False, cert
 
 
 # -- Hamilton cycles -----------------------------------------------------

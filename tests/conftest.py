@@ -3,6 +3,8 @@
 The oracles here deliberately use different algorithms from the library
 (plain recursion over edge lists, no memoization, no bit tricks beyond
 vertex masks) so that test expectations are computed independently.
+The reference checkers at the end are the exception: they keep the
+library's earlier always-exhaustive checkers as a differential baseline.
 """
 from __future__ import annotations
 
@@ -11,7 +13,9 @@ from itertools import combinations
 
 import pytest
 
-from specmatch.graph import Graph, from_edges
+from specmatch import matchfactor as mf
+from specmatch.graph import (Graph, GraphError, SIDE_A, SIDE_B, bits,
+                             from_edges, mask_of)
 
 
 def brute_max_matching_size(g: Graph) -> int:
@@ -85,3 +89,167 @@ def seeded_random_graph(seed: int, n: int, p: float) -> Graph:
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+# -- reference checkers ----------------------------------------------------
+# The always-exhaustive checkers the library ran before it decided each
+# verdict with one fast route: every call runs the full excess-maximal
+# search, and Plummer and factor-criticality also run their second route and
+# require agreement. Differential tests hold the library's verdicts and
+# certificates to these. The one deliberate change is the unbalanced-sides
+# neighborhood, which is the set N(larger side), not a multiset.
+
+
+def ref_is_k_extendable_chen(g: Graph, k: int,
+                             limit: int = mf.EXHAUSTIVE_LIMIT):
+    mf._require_extendable_input(g, k)
+    if g.n > limit:
+        raise GraphError(f"criterion enumeration limited to n <= {limit}")
+    if mf.max_matching(g, min(g.n, mf.GENERAL_MATCHING_LIMIT)).size < k:
+        return False, mf._no_k_matching_certificate(
+            g, k, mf.GENERAL_MATCHING_LIMIT)
+    n = g.n
+    adj = g.adj
+    full = g.full_mask()
+    best_key = None
+    best = None
+    for mask in range(1, 1 << n):
+        size = mask.bit_count()
+        if size < 2 * k or n - size <= size - 2 * k:
+            continue
+        o = mf._odd_components(adj, full & ~mask)
+        excess = o - (size - 2 * k)
+        if excess <= 0:
+            continue
+        if mf._k_disjoint_edges(adj, mask, k) is None:
+            continue
+        key = (-excess, tuple(bits(mask)))
+        if best_key is None or key < best_key:
+            best_key = key
+            best = (mask, o)
+    if best is None:
+        return True, None
+    mask, o = best
+    witness = mf._k_disjoint_edges(adj, mask, k)
+    return False, mf.Certificate("ViolatingSetS", {
+        "criterion": "extendability",
+        "k": k,
+        "set": list(bits(mask)),
+        "odd_components": o,
+        "witness_edges": [sorted(e) for e in witness],
+    })
+
+
+def _ref_plummer_enumerate(g: Graph, a_verts: list[int], k: int):
+    q = len(a_verts)
+    best_key = None
+    best = None
+    for r in range(1, q - k + 1):
+        for comb in combinations(a_verts, r):
+            nbh = mf._neighborhood_mask(g.adj, mask_of(comb))
+            excess = (r + k) - nbh.bit_count()
+            if excess <= 0:
+                continue
+            key = (-excess, comb)
+            if best_key is None or key < best_key:
+                best_key = key
+                best = (comb, nbh)
+    if best is None:
+        return True, None
+    comb, nbh = best
+    return False, mf.Certificate("ViolatingSubsetX", {
+        "criterion": "extendability",
+        "k": k,
+        "subset": list(comb),
+        "neighborhood": list(bits(nbh)),
+    })
+
+
+def ref_is_k_extendable_plummer(g: Graph, k: int,
+                                enum_limit: int = mf.EXHAUSTIVE_LIMIT):
+    if g.sides is None:
+        raise GraphError("criterion needs a bipartition")
+    if k < 1:
+        raise GraphError(
+            "k must be >= 1; use has_perfect_matching for the base case")
+    a_verts = g.side_vertices(SIDE_A)
+    b_verts = g.side_vertices(SIDE_B)
+    if len(a_verts) != len(b_verts):
+        larger = a_verts if len(a_verts) > len(b_verts) else b_verts
+        return False, mf.Certificate("ViolatingSubsetX", {
+            "criterion": "extendability",
+            "k": k,
+            "reason": "unbalanced-sides",
+            "side_sizes": [len(a_verts), len(b_verts)],
+            "subset": larger,
+            "neighborhood": sorted({w for v in larger
+                                    for w in bits(g.adj[v])}),
+        })
+    q = len(a_verts)
+    if q == 0:
+        raise GraphError("empty graph")
+    if k >= q:
+        mm = mf.max_matching_bipartite(g)
+        if k == q and mm.size == q:
+            return True, None
+        return False, mf.Certificate("FailingMatching", {
+            "reason": "no-size-k-matching",
+            "k": k,
+            "max_matching": [list(e) for e in mm.edges],
+        })
+    verdict_s, cert_s = mf._plummer_surplus(g, a_verts, b_verts, k)
+    if q <= enum_limit:
+        verdict_e, cert_e = _ref_plummer_enumerate(g, a_verts, k)
+        if verdict_e != verdict_s:
+            raise RuntimeError(
+                "internal: surplus and enumeration routes disagree")
+        return verdict_e, cert_e
+    return verdict_s, cert_s
+
+
+def ref_is_k_factor_critical(g: Graph, k: int,
+                             limit: int = mf.EXHAUSTIVE_LIMIT):
+    if k < 1:
+        raise GraphError(
+            "k must be >= 1; use has_perfect_matching for the base case")
+    if g.n > limit:
+        raise GraphError(f"criterion enumeration limited to n <= {limit}")
+    if k > g.n:
+        raise GraphError("k exceeds the order")
+    n = g.n
+    adj = g.adj
+    full = g.full_mask()
+    best_key = None
+    best = None
+    for mask in range(1 << n):
+        size = mask.bit_count()
+        if size < k or n - size <= size - k:
+            continue
+        o = mf._odd_components(adj, full & ~mask)
+        excess = o - (size - k)
+        if excess <= 0:
+            continue
+        key = (-excess, tuple(bits(mask)))
+        if best_key is None or key < best_key:
+            best_key = key
+            best = (mask, o)
+    memo: dict[int, int] = {}
+    definitional = all(
+        mf._has_pm_mask(adj, full ^ mask_of(comb), memo)
+        for comb in combinations(range(n), k))
+    criterion = best is None and n % 2 == k % 2
+    if criterion != definitional:
+        raise RuntimeError(
+            "internal: criterion and definitional routes disagree")
+    if criterion:
+        return True, None
+    if best is None:
+        mask = mask_of(range(k))
+        best = (mask, mf._odd_components(adj, full & ~mask))
+    mask, o = best
+    return False, mf.Certificate("ViolatingSetS", {
+        "criterion": "factor-critical",
+        "k": k,
+        "set": list(bits(mask)),
+        "odd_components": o,
+    })

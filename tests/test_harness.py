@@ -5,8 +5,11 @@ import sys
 import pytest
 
 from specmatch.graph import (complete, complete_bipartite, cycle,
-                             graph6_decode, graph6_encode, path)
-from specmatch.families import FamilyParams, extremal_kfactor
+                             graph6_decode, graph6_encode, infer_bipartition,
+                             path)
+from specmatch.families import (FamilyParams, construct_family,
+                                extremal_kfactor)
+from specmatch.matchfactor import Certificate, validate_certificate
 from specmatch.harness import (Limits, UsageError, cmd_check, cmd_construct,
                                cmd_cross_check, cmd_rho, cmd_scan,
                                cmd_verify, render_csv, render_json)
@@ -163,6 +166,32 @@ class TestVerify:
                 payload = json.loads(row["certificate"])
                 assert payload["kind"] in ("ViolatingSubsetX",
                                            "FailingMatching")
+
+    def test_t12_finding_is_certified(self):
+        # Unresolved finding, pinned as found: at (n, k, delta) = (60, 2, 3)
+        # the overlay extremal graph plus the single edge (4, 25) keeps
+        # minimum degree 3, exceeds the threshold and is still not
+        # 2-extendable, so t1.2 as formalized here has a certified
+        # counterexample.
+        p = FamilyParams(n=60, k=2, delta=3)
+        report = cmd_verify("t1.2", p, samples=5, seed=0)
+        assert report.exit_code() == 1
+        assert report.summary["counterexample-candidate"] == 1
+        row = report.rows[-1]
+        g = graph6_decode(row["graph"])
+        extremal = construct_family("kext-bipartite", p)
+        assert set(g.edges()) - set(extremal.edges()) == {(4, 25)}
+        assert set(extremal.edges()) <= set(g.edges())
+        assert min(g.degrees()) == 3
+        assert row["rho"] == pytest.approx(26.8715345782, abs=1e-9)
+        assert row["rho_star"] == pytest.approx(26.8671048703, abs=1e-9)
+        assert row["rho"] > row["rho_star"]
+        assert row["verdict"] is False and row["extremal"] is False
+        cert = Certificate(**json.loads(row["certificate"]))
+        assert cert.kind == "ViolatingSubsetX"
+        assert len(cert.payload["subset"]) == 25
+        assert len(cert.payload["neighborhood"]) == 24
+        assert validate_certificate(infer_bipartition(g), cert)
 
 
 class TestCrossCheck:

@@ -8,6 +8,7 @@ from specmatch.graph import (GraphError, SIDE_A, SIDE_B, complete,
                              empty, from_edges, infer_bipartition, join,
                              remove_star)
 from specmatch.matchfactor import (Certificate, FactorSpec,
+                                   chen_violating_set,
                                    connected_k_factor_search,
                                    decompose_edge_disjoint_pms,
                                    find_k_factor_flow, hamiltonian_cycle,
@@ -15,17 +16,21 @@ from specmatch.matchfactor import (Certificate, FactorSpec,
                                    is_k_extendable_chen,
                                    is_k_extendable_definitional,
                                    is_k_extendable_plummer,
-                                   is_k_factor_critical,
+                                   is_k_factor_critical, kfc_violating_set,
                                    max_matching_bipartite,
                                    max_matching_general,
+                                   plummer_violating_subset,
                                    validate_certificate)
-from specmatch.families import (extremal_kext_bipartite,
+from specmatch.families import (FamilyParams, extremal_kext_bipartite,
                                 extremal_kext_general, extremal_kfactor,
                                 extremal_kfc)
-from specmatch.harness import random_bipartite, rng_for
+from specmatch.harness import (P_SWEEP, THEOREMS, random_bipartite,
+                               random_graph, rng_for, sample_for_theorem)
 
 from conftest import (brute_is_k_extendable, brute_max_matching_size,
-                      petersen, seeded_random_graph)
+                      petersen, ref_is_k_extendable_chen,
+                      ref_is_k_extendable_plummer, ref_is_k_factor_critical,
+                      seeded_random_graph)
 
 
 def random_balanced_bipartite(seed: int, half: int, p: float):
@@ -145,11 +150,18 @@ class TestPlummer:
         assert is_k_extendable_plummer(cycle(8), 1)[0]
 
     def test_unbalanced_sides(self):
-        g = complete_bipartite(3, 5)
-        ok, cert = is_k_extendable_plummer(g, 1)
-        assert not ok
-        assert cert.payload["reason"] == "unbalanced-sides"
-        assert validate_certificate(g, cert)
+        for g in (complete_bipartite(3, 5), complete_bipartite(2, 3),
+                  remove_star(complete_bipartite(4, 2), 0, 1)):
+            ok, cert = is_k_extendable_plummer(g, 1)
+            assert not ok
+            assert cert.payload["reason"] == "unbalanced-sides"
+            assert validate_certificate(g, cert)
+            # N(larger side) as a set, recomputed here
+            larger = cert.payload["subset"]
+            assert cert.payload["neighborhood"] == sorted(
+                {w for v in larger for w in g.neighbors(v)})
+        _, cert = is_k_extendable_plummer(complete_bipartite(2, 3), 1)
+        assert cert.payload["neighborhood"] == [0, 1]
 
     def test_k_equals_side_size(self):
         # the only size-q matchings are perfect; existence decides
@@ -286,6 +298,97 @@ class TestFactorCritical:
         ok, cert = is_k_factor_critical(complete(6), 1)
         assert not ok
         assert validate_certificate(complete(6), cert)
+
+
+def _outcome(fn, g, k):
+    """(verdict, certificate JSON) of a checker, or the error it raised."""
+    try:
+        ok, cert = fn(g, k)
+    except GraphError as exc:
+        return "GraphError", str(exc)
+    return ok, cert.to_json() if cert is not None else None
+
+
+def _search_outcome(search, g, k):
+    def as_checker(h, j):
+        cert = search(h, j)
+        return cert is None, cert
+    return _outcome(as_checker, g, k)
+
+
+def _all_graphs(max_n: int):
+    for n in range(1, max_n + 1):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            yield from_edges(n, [e for i, e in enumerate(pairs)
+                                 if (mask >> i) & 1])
+
+
+class TestDecideThenCertify:
+    """The checkers decide with one fast route and search only to certify a
+    negative; verdicts, certificates and errors must match the reference
+    always-exhaustive checkers, and so must the public searches."""
+
+    ROUTES = (
+        (is_k_extendable_chen, chen_violating_set, ref_is_k_extendable_chen),
+        (is_k_factor_critical, kfc_violating_set, ref_is_k_factor_critical),
+    )
+    PLUMMER = (is_k_extendable_plummer, plummer_violating_subset,
+               ref_is_k_extendable_plummer)
+
+    def assert_same(self, routes, g, ks):
+        for k in ks:
+            for checker, search, reference in routes:
+                expected = _outcome(reference, g, k)
+                assert _outcome(checker, g, k) == expected, (checker, k)
+                assert _search_outcome(search, g, k) == expected, (search, k)
+
+    def assert_all_routes(self, g, ks):
+        self.assert_same(self.ROUTES, g, ks)
+        gb = infer_bipartition(g)
+        if gb is not None:
+            self.assert_same((self.PLUMMER,), gb, ks)
+
+    def test_all_graphs_up_to_five_vertices(self):
+        graphs = 0
+        for g in _all_graphs(5):
+            self.assert_all_routes(g, (1, 2, 3))
+            graphs += 1
+        assert graphs == 1 + 2 + 8 + 64 + 1024
+
+    def test_seeded_random_graphs(self):
+        for i, n in enumerate(tuple(range(6, 17)) * 2):
+            g = random_graph(rng_for(11, i), n, P_SWEEP[i % len(P_SWEEP)])
+            self.assert_all_routes(g, (1, 2))
+
+    def test_seeded_random_bipartite(self):
+        negatives = 0
+        for i, half in enumerate((3, 4, 5, 6, 7, 8) * 2):
+            g = random_bipartite(rng_for(12, i), half, half,
+                                 P_SWEEP[i % len(P_SWEEP)])
+            self.assert_same((self.PLUMMER,), g, (1, 2))
+            negatives += not is_k_extendable_plummer(g, 1)[0]
+            if half <= 6:
+                self.assert_same(self.ROUTES[:1], g, (1, 2))
+        assert 0 < negatives < 12
+
+    def test_near_extremal_samples(self):
+        p = FamilyParams(n=10, k=1, delta=2)
+        spec = THEOREMS["t1.1"]
+        extremal = extremal_kext_general(10, 1, 2)
+        for i in range(12):
+            g = sample_for_theorem(spec, p, extremal, rng_for(13, i), i)
+            self.assert_all_routes(g, (1, 2))
+
+    def test_extremal_families(self):
+        for n, k, d in ((10, 1, 2), (12, 1, 3), (16, 2, 4)):
+            self.assert_same(self.ROUTES[:1], extremal_kext_general(n, k, d),
+                             (k,))
+        for n, k, s in ((10, 1, 1), (12, 1, 2), (16, 2, 2), (18, 3, 1)):
+            self.assert_same((self.PLUMMER,),
+                             extremal_kext_bipartite(n, k, s), (k,))
+        for n, k, d in ((15, 1, 2), (10, 2, 2), (12, 2, 2), (13, 3, 3)):
+            self.assert_same(self.ROUTES[1:], extremal_kfc(n, k, d), (k,))
 
 
 class TestHamilton:
