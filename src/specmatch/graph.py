@@ -53,11 +53,10 @@ class Graph:
             raise GraphError("negative order")
         if len(self.adj) != n:
             raise GraphError("adjacency length != order")
-        full = (1 << n) - 1
         upper = 0
         total = 0
         for v, row in enumerate(self.adj):
-            if row & ~full:
+            if row >> n:
                 raise GraphError(f"vertex {v}: neighbor out of range")
             if (row >> v) & 1:
                 raise GraphError(f"self-loop at {v}")
@@ -279,29 +278,38 @@ def _check_vertex_set(g: Graph, s: Iterable[int]) -> int:
     return m
 
 
-def component_masks(g: Graph, alive: int | None = None) -> list[int]:
-    """Connected components (as bitmasks) of the subgraph induced on ``alive``."""
-    rest = g.full_mask() if alive is None else alive
+def row_components(adj: Sequence[int], alive: int) -> list[int]:
+    """Connected components (as bitmasks) of the subgraph that the adjacency
+    rows ``adj`` induce on ``alive``, lowest vertex first."""
     comps = []
+    rest = alive
     while rest:
-        comp = rest & -rest
-        frontier = comp
+        comp = frontier = rest & -rest
         while frontier:
             nxt = 0
-            for v in bits(frontier):
-                nxt |= g.adj[v]
-            nxt &= rest & ~comp
-            comp |= nxt
-            frontier = nxt
+            while frontier:
+                b = frontier & -frontier
+                nxt |= adj[b.bit_length() - 1]
+                frontier ^= b
+            frontier = nxt & rest & ~comp
+            comp |= frontier
         comps.append(comp)
         rest &= ~comp
     return comps
 
 
+def rows_connected(adj: Sequence[int]) -> bool:
+    """Whether the graph with adjacency rows ``adj`` is connected."""
+    return len(adj) <= 1 or len(row_components(adj, (1 << len(adj)) - 1)) == 1
+
+
+def component_masks(g: Graph, alive: int | None = None) -> list[int]:
+    """Connected components (as bitmasks) of the subgraph induced on ``alive``."""
+    return row_components(g.adj, g.full_mask() if alive is None else alive)
+
+
 def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    return len(component_masks(g)) == 1
+    return rows_connected(g.adj)
 
 
 def odd_component_count(g: Graph, s: Iterable[int]) -> int:

@@ -17,7 +17,7 @@ from . import matchfactor as mf
 from . import spectra as sp
 from .graph import (Graph, GraphError, SIDE_A, SIDE_B, bits, complete,
                     disjoint_union, empty, graph6_decode, graph6_encode,
-                    infer_bipartition, is_connected, join)
+                    infer_bipartition, is_connected, join, rows_connected)
 
 P_SWEEP = (0.3, 0.5, 0.7, 0.9)
 SAMPLE_ATTEMPTS = 60
@@ -106,18 +106,20 @@ def rng_for(seed: int, index: int) -> random.Random:
     return random.Random(((seed * 0x9E3779B97F4A7C15) ^ index) & (2**63 - 1))
 
 
-def random_graph(rng: random.Random, n: int, p: float) -> Graph:
+def random_rows(rng: random.Random, n: int, p: float) -> list[int]:
+    """Adjacency rows of a G(n, p) draw."""
     adj = [0] * n
     for u in range(n):
         for v in range(u + 1, n):
             if rng.random() < p:
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
-    return Graph(n, tuple(adj))
+    return adj
 
 
-def random_bipartite(rng: random.Random, p_side: int, q_side: int,
-                     prob: float) -> Graph:
+def random_bipartite_rows(rng: random.Random, p_side: int, q_side: int,
+                          prob: float) -> list[int]:
+    """Adjacency rows of a random bipartite draw, side A first."""
     n = p_side + q_side
     adj = [0] * n
     for a in range(p_side):
@@ -125,8 +127,22 @@ def random_bipartite(rng: random.Random, p_side: int, q_side: int,
             if rng.random() < prob:
                 adj[a] |= 1 << b
                 adj[b] |= 1 << a
-    sides = (SIDE_A,) * p_side + (SIDE_B,) * q_side
-    return Graph(n, tuple(adj), sides)
+    return adj
+
+
+def _sides(p_side: int, q_side: int) -> tuple[int, ...]:
+    return (SIDE_A,) * p_side + (SIDE_B,) * q_side
+
+
+def random_graph(rng: random.Random, n: int, p: float) -> Graph:
+    return Graph(n, tuple(random_rows(rng, n, p)))
+
+
+def random_bipartite(rng: random.Random, p_side: int, q_side: int,
+                     prob: float) -> Graph:
+    return Graph(p_side + q_side,
+                 tuple(random_bipartite_rows(rng, p_side, q_side, prob)),
+                 _sides(p_side, q_side))
 
 
 def random_regular_bipartite(rng: random.Random, half: int,
@@ -167,8 +183,7 @@ def random_regular_bipartite(rng: random.Random, half: int,
             b = match[a]
             adj[a] |= 1 << b
             adj[b] |= 1 << a
-    sides = (SIDE_A,) * half + (SIDE_B,) * half
-    return Graph(2 * half, tuple(adj), sides)
+    return Graph(2 * half, tuple(adj), _sides(half, half))
 
 
 # -- theorem registry ----------------------------------------------------
@@ -295,21 +310,22 @@ def oracle_property_for_theorem(name: str, g: Graph, p: fam.FamilyParams,
     raise UsageError(f"unknown theorem {name!r}")
 
 
-def _in_hypothesis_class(spec: TheoremSpec, g: Graph,
+def _in_hypothesis_class(spec: TheoremSpec, rows: list[int],
                          delta: int | None) -> bool:
-    if spec.requires_connected and not is_connected(g):
+    if delta is not None and min(map(int.bit_count, rows)) != delta:
         return False
-    if delta is not None and min(g.degrees()) != delta:
-        return False
-    return True
+    return not spec.requires_connected or rows_connected(rows)
 
 
-def _perturb(rng: random.Random, base: Graph, edits: int) -> Graph:
-    g = base
+def _perturb(rng: random.Random, base: Graph, edits: int) -> list[int]:
+    """Adjacency rows of ``base`` with ``edits`` random pairs toggled, across
+    the bipartition when ``base`` carries one."""
+    rows = list(base.adj)
+    if base.sides is not None:
+        a_side = base.side_vertices(SIDE_A)
+        b_side = base.side_vertices(SIDE_B)
     for _ in range(edits):
         if base.sides is not None:
-            a_side = base.side_vertices(SIDE_A)
-            b_side = base.side_vertices(SIDE_B)
             u = a_side[rng.randrange(len(a_side))]
             v = b_side[rng.randrange(len(b_side))]
         else:
@@ -317,8 +333,9 @@ def _perturb(rng: random.Random, base: Graph, edits: int) -> Graph:
             v = rng.randrange(base.n)
             while v == u:
                 v = rng.randrange(base.n)
-        g = g.with_edge_toggled(u, v)
-    return g
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
+    return rows
 
 
 def sample_for_theorem(spec: TheoremSpec, p: fam.FamilyParams,
@@ -326,25 +343,30 @@ def sample_for_theorem(spec: TheoremSpec, p: fam.FamilyParams,
                        index: int) -> Graph:
     """One graph from the theorem's hypothesis class: random graphs over an
     edge-probability sweep, alternating with near-extremal perturbations
-    (up to 3 edge edits); rejection until class membership."""
+    (up to 3 edge edits); rejection until class membership, else the
+    extremal graph itself.
+
+    Draws and perturbations are adjacency rows, tested for class membership
+    as rows; rejected ones never become ``Graph`` objects. Only the kept
+    sample is built as a ``Graph``, and it is validated in full like every
+    other."""
     delta = _theorem_delta(THEOREMS[spec.name], p)
     half = p.n // 2
-
-    def random_candidate(prob: float) -> Graph:
-        if spec.bipartite:
-            return random_bipartite(rng, half, half, prob)
-        return random_graph(rng, p.n, prob)
 
     if index % 2 == 0:
         prob = P_SWEEP[(index // 2) % len(P_SWEEP)]
         for _ in range(SAMPLE_ATTEMPTS):
-            g = random_candidate(prob)
-            if _in_hypothesis_class(spec, g, delta):
-                return g
+            if spec.bipartite:
+                rows = random_bipartite_rows(rng, half, half, prob)
+            else:
+                rows = random_rows(rng, p.n, prob)
+            if _in_hypothesis_class(spec, rows, delta):
+                sides = _sides(half, half) if spec.bipartite else None
+                return Graph(len(rows), tuple(rows), sides)
     for _ in range(SAMPLE_ATTEMPTS):
-        g = _perturb(rng, extremal, 1 + rng.randrange(3))
-        if _in_hypothesis_class(spec, g, delta):
-            return g
+        rows = _perturb(rng, extremal, 1 + rng.randrange(3))
+        if _in_hypothesis_class(spec, rows, delta):
+            return Graph(extremal.n, tuple(rows), extremal.sides)
     return extremal
 
 
@@ -629,10 +651,7 @@ def _compare_on_graph(g: Graph, limits: Limits,
                     f"chen!=definitional k={k}: {chen[0]} vs {defn[0]} "
                     f"on {graph6_encode(g)}; certificates "
                     f"{_cert_str(chen[1])} | {_cert_str(defn[1])}")
-            for verdict, cert in (chen, defn):
-                if cert is not None and not mf.validate_certificate(g, cert):
-                    issues.append(f"certificate failed revalidation on "
-                                  f"{graph6_encode(g)}: {_cert_str(cert)}")
+            issues += _failed_revalidations(g, g, (chen, defn))
     gb = infer_bipartition(g)
     if gb is not None and gb.side_mask(SIDE_A).bit_count() * 2 == gb.n \
             and gb.n >= 2:
@@ -654,6 +673,7 @@ def _compare_on_graph(g: Graph, limits: Limits,
                         f"plummer!=surplus k={k}: {plum[0]} vs "
                         f"{surplus[0]} on {graph6_encode(g)}; certificates "
                         f"{_cert_str(plum[1])} | {_cert_str(surplus[1])}")
+                issues += _failed_revalidations(gb, g, (plum, surplus, defn))
         for k in ks_factor:
             ore = mf.has_f_factor_ore(gb, mf.FactorSpec.constant(gb.n, k),
                                       limits.exhaustive)
@@ -663,11 +683,16 @@ def _compare_on_graph(g: Graph, limits: Limits,
                     f"ore!=flow k={k}: {ore[0]} vs {flow[0]} on "
                     f"{graph6_encode(g)}; certificates "
                     f"{_cert_str(ore[1])} | {_cert_str(flow[1])}")
-            for verdict, cert in (ore, flow):
-                if cert is not None and not mf.validate_certificate(gb, cert):
-                    issues.append(f"certificate failed revalidation on "
-                                  f"{graph6_encode(g)}: {_cert_str(cert)}")
+            issues += _failed_revalidations(gb, g, (ore, flow))
     return issues
+
+
+def _failed_revalidations(host: Graph, g: Graph, results) -> list[str]:
+    """One mismatch description per certificate among ``results`` that fails
+    re-validation on ``host`` (``g`` or its bipartite form)."""
+    return [f"certificate failed revalidation on {graph6_encode(g)}: "
+            f"{_cert_str(cert)}" for _, cert in results
+            if cert is not None and not mf.validate_certificate(host, cert)]
 
 
 def _cert_str(cert: mf.Certificate | None) -> str:

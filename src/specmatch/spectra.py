@@ -34,14 +34,14 @@ def default_tol(dim: int) -> float:
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
-    a = np.zeros((g.n, g.n))
-    for v in range(g.n):
-        row = g.adj[v]
-        while row:
-            b = row & -row
-            a[v, b.bit_length() - 1] = 1.0
-            row ^= b
-    return a
+    """Dense 0/1 float64 adjacency matrix: each row's bitset is written out
+    as little-endian bytes and unpacked bit by bit."""
+    n = g.n
+    nb = (n + 7) // 8
+    packed = np.frombuffer(b"".join(row.to_bytes(nb, "little")
+                                    for row in g.adj), dtype=np.uint8)
+    return np.unpackbits(packed.reshape(n, nb), axis=1, count=n,
+                         bitorder="little").astype(float)
 
 
 @dataclass(eq=False)

@@ -3,8 +3,9 @@
 The oracles here deliberately use different algorithms from the library
 (plain recursion over edge lists, no memoization, no bit tricks beyond
 vertex masks) so that test expectations are computed independently.
-The reference checkers at the end are the exception: they keep the
-library's earlier always-exhaustive checkers as a differential baseline.
+The reference checkers and the reference sampler at the end are the
+exception: they keep the library's earlier always-exhaustive checkers and
+its earlier Graph-per-draw sampler as differential baselines.
 """
 from __future__ import annotations
 
@@ -13,9 +14,10 @@ from itertools import combinations
 
 import pytest
 
+from specmatch import harness as hz
 from specmatch import matchfactor as mf
 from specmatch.graph import (Graph, GraphError, SIDE_A, SIDE_B, bits,
-                             from_edges, mask_of)
+                             from_edges, is_connected, mask_of)
 
 
 def brute_max_matching_size(g: Graph) -> int:
@@ -253,3 +255,81 @@ def ref_is_k_factor_critical(g: Graph, k: int,
         "set": list(bits(mask)),
         "odd_components": o,
     })
+
+
+# -- reference sampler -----------------------------------------------------
+# The sampler the library ran before it drew adjacency rows: every draw and
+# every perturbation edit is a validated Graph. The one addition is the exit
+# label returned beside the sample ("draw", "perturb" or "extremal"), so a
+# differential test can show that it reached all three exits.
+
+
+def ref_random_graph(rng: random.Random, n: int, p: float) -> Graph:
+    adj = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    return Graph(n, tuple(adj))
+
+
+def ref_random_bipartite(rng: random.Random, p_side: int, q_side: int,
+                         prob: float) -> Graph:
+    n = p_side + q_side
+    adj = [0] * n
+    for a in range(p_side):
+        for b in range(p_side, n):
+            if rng.random() < prob:
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+    sides = (SIDE_A,) * p_side + (SIDE_B,) * q_side
+    return Graph(n, tuple(adj), sides)
+
+
+def _ref_in_hypothesis_class(spec, g: Graph, delta: int | None) -> bool:
+    if spec.requires_connected and not is_connected(g):
+        return False
+    if delta is not None and min(g.degrees()) != delta:
+        return False
+    return True
+
+
+def _ref_perturb(rng: random.Random, base: Graph, edits: int) -> Graph:
+    g = base
+    for _ in range(edits):
+        if base.sides is not None:
+            a_side = base.side_vertices(SIDE_A)
+            b_side = base.side_vertices(SIDE_B)
+            u = a_side[rng.randrange(len(a_side))]
+            v = b_side[rng.randrange(len(b_side))]
+        else:
+            u = rng.randrange(base.n)
+            v = rng.randrange(base.n)
+            while v == u:
+                v = rng.randrange(base.n)
+        g = g.with_edge_toggled(u, v)
+    return g
+
+
+def ref_sample_for_theorem(spec, p, extremal: Graph, rng: random.Random,
+                           index: int) -> tuple[Graph, str]:
+    delta = hz._theorem_delta(hz.THEOREMS[spec.name], p)
+    half = p.n // 2
+
+    def random_candidate(prob: float) -> Graph:
+        if spec.bipartite:
+            return ref_random_bipartite(rng, half, half, prob)
+        return ref_random_graph(rng, p.n, prob)
+
+    if index % 2 == 0:
+        prob = hz.P_SWEEP[(index // 2) % len(hz.P_SWEEP)]
+        for _ in range(hz.SAMPLE_ATTEMPTS):
+            g = random_candidate(prob)
+            if _ref_in_hypothesis_class(spec, g, delta):
+                return g, "draw"
+    for _ in range(hz.SAMPLE_ATTEMPTS):
+        g = _ref_perturb(rng, extremal, 1 + rng.randrange(3))
+        if _ref_in_hypothesis_class(spec, g, delta):
+            return g, "perturb"
+    return extremal, "extremal"

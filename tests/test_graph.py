@@ -80,6 +80,10 @@ class TestConstructors:
             Graph(2, (2, 1), (SIDE_A, SIDE_A))  # edge inside a side
         with pytest.raises(GraphError):
             from_edges(2, [(0, 5)])
+        for row in (1 << 2, -1):
+            with pytest.raises(GraphError,
+                               match="vertex 0: neighbor out of range"):
+                Graph(2, (row, 0))
 
 
 class TestSizeInvariants:

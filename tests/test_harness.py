@@ -4,15 +4,20 @@ import sys
 
 import pytest
 
+from specmatch import cli
+from specmatch import matchfactor as mf
 from specmatch.graph import (complete, complete_bipartite, cycle,
                              graph6_decode, graph6_encode, infer_bipartition,
                              path)
 from specmatch.families import (FamilyParams, construct_family,
                                 extremal_kfactor)
 from specmatch.matchfactor import Certificate, validate_certificate
-from specmatch.harness import (Limits, UsageError, cmd_check, cmd_construct,
-                               cmd_cross_check, cmd_rho, cmd_scan,
-                               cmd_verify, render_csv, render_json)
+from specmatch.harness import (THEOREMS, Limits, UsageError, cmd_check,
+                               cmd_construct, cmd_cross_check, cmd_rho,
+                               cmd_scan, cmd_verify, render_csv, render_json,
+                               rng_for, sample_for_theorem)
+
+from conftest import ref_sample_for_theorem
 
 CLI = [sys.executable, "-m", "specmatch"]
 
@@ -194,12 +199,64 @@ class TestVerify:
         assert validate_certificate(infer_bipartition(g), cert)
 
 
+class TestSampler:
+    # verify-sample and acceptance parameters of each theorem
+    PARAMS = {
+        "t1.1": FamilyParams(n=10, k=1, delta=2),
+        "t1.2": FamilyParams(n=16, k=1, delta=2),
+        "t1.3": FamilyParams(n=8, k=2),
+        "t4.3": FamilyParams(n=8),
+        "t4.5": FamilyParams(n=15, k=1, delta=2),
+    }
+
+    def test_matches_reference_sampler(self):
+        cases = [(name, p, construct_family(THEOREMS[name].family, p))
+                 for name, p in self.PARAMS.items()]
+        # No perturbation of 1-3 edits keeps these bases in the class
+        # (minimum degree 2 is pinned), so odd indices take the extremal
+        # fallback; the real extremal graphs never reach it.
+        cases += [("t1.1", self.PARAMS["t1.1"], complete(10)),
+                  ("t1.2", self.PARAMS["t1.2"], complete_bipartite(8, 8))]
+        exits = {"draw": 0, "perturb": 0, "extremal": 0}
+        for name, p, base in cases:
+            spec = THEOREMS[name]
+            for seed in (3, 11, 2024):
+                for i in range(200):
+                    expected, how = ref_sample_for_theorem(
+                        spec, p, base, rng_for(seed, i), i)
+                    got = sample_for_theorem(spec, p, base,
+                                             rng_for(seed, i), i)
+                    assert (got.n, got.adj, got.sides) == (
+                        expected.n, expected.adj, expected.sides), \
+                        (name, seed, i, how)
+                    exits[how] += 1
+        assert all(exits.values()), exits
+
+
 class TestCrossCheck:
     def test_small_exhaustive_plus_samples(self):
         report = cmd_cross_check(4, samples=0, seed=1)
         assert report.summary["disagreements"] == 0
         assert report.summary["graphs"] == 2 + 8 + 64
         assert report.exit_code() == 0
+
+    def test_plummer_certificates_revalidated(self, monkeypatch, capsys):
+        search = mf.plummer_violating_subset
+
+        def corrupted(g, k, enum_limit=mf.EXHAUSTIVE_LIMIT):
+            cert = search(g, k, enum_limit)
+            if cert is not None and cert.kind == "ViolatingSubsetX":
+                return Certificate(cert.kind, {**cert.payload, "subset": []})
+            return cert
+
+        monkeypatch.setattr(mf, "plummer_violating_subset", corrupted)
+        code = cli.main(["cross-check", "--n", "4", "--samples", "0",
+                         "--seed", "1"])
+        lines = capsys.readouterr().out.splitlines()
+        rows = [line for line in lines[1:] if not line.startswith("#")]
+        assert code == 1
+        assert rows and all("certificate failed revalidation" in row
+                            and '""subset"":[]' in row for row in rows)
 
 
 class TestRendering:

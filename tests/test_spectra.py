@@ -21,6 +21,26 @@ from conftest import petersen, seeded_random_graph
 GOLDEN = (1 + math.sqrt(5)) / 2
 
 
+class TestAdjacencyMatrix:
+    @staticmethod
+    def per_bit(g):
+        a = np.zeros((g.n, g.n))
+        for v in range(g.n):
+            for u in range(g.n):
+                if (g.adj[v] >> u) & 1:
+                    a[v, u] = 1.0
+        return a
+
+    def test_matches_per_bit_reference(self):
+        for n in (0, 1, 7, 8, 9, 16, 17, 64, 300):
+            for g in (seeded_random_graph(n, n, 0.4), complete(n), empty(n)):
+                a = adjacency_matrix(g)
+                assert a.shape == (n, n)
+                assert a.dtype == np.float64
+                assert a.flags.c_contiguous
+                assert np.array_equal(a, self.per_bit(g))
+
+
 class TestSpectralRadius:
     def test_complete_graphs(self):
         for n in (2, 5, 10, 26):
