@@ -48,6 +48,13 @@ class Report:
     def count(self, category: str) -> None:
         self.summary[category] = self.summary.get(category, 0) + 1
 
+    def flag(self, note: str | None) -> None:
+        """Count a counterexample candidate beside the row categories and
+        say why in a note; no-op for None."""
+        if note:
+            self.notes.append(note)
+            self.count("counterexample-candidate")
+
     def exit_code(self) -> int:
         if self.summary.get("counterexample-candidate", 0) > 0:
             return 1
@@ -291,7 +298,15 @@ def check_property_for_theorem(name: str, g: Graph, p: fam.FamilyParams,
 
 def oracle_property_for_theorem(name: str, g: Graph, p: fam.FamilyParams,
                                 limits: Limits) -> bool:
-    """Independent route used to confirm counterexample candidates."""
+    """Independent route used to confirm counterexample candidates.
+
+    For t1.2 the oracle is the definitional scan on a connected graph of
+    order <= ``limits.general_matching``, else the violating-subset search
+    while |A| <= ``limits.exhaustive``; neither is the surplus route that
+    decides in ``is_k_extendable_plummer``. Only when |A| exceeds
+    ``limits.exhaustive`` (n > 40 at the default limits) does the oracle
+    fall back to that primary route, which then confirms nothing
+    independently."""
     if name == "t1.1":
         return mf.is_k_extendable_definitional(
             g, p.k, limits.general_matching)[0]
@@ -299,6 +314,9 @@ def oracle_property_for_theorem(name: str, g: Graph, p: fam.FamilyParams,
         if is_connected(g) and g.n <= limits.general_matching:
             return mf.is_k_extendable_definitional(
                 g, p.k, limits.general_matching)[0]
+        if g.side_mask(SIDE_A).bit_count() <= limits.exhaustive:
+            return mf.plummer_violating_subset(
+                g, p.k, limits.exhaustive) is None
         return mf.is_k_extendable_plummer(g, p.k, limits.exhaustive)[0]
     if name == "t1.3":
         return mf.has_f_factor_ore(
@@ -423,9 +441,7 @@ def cmd_verify(theorem: str, p: fam.FamilyParams, samples: int, seed: int,
     if holds:
         report.notes.append("extremal graph unexpectedly has the property")
         report.count("counterexample-candidate")
-    if cert is not None and not mf.validate_certificate(extremal, cert):
-        report.notes.append("extremal certificate failed re-validation")
-        report.count("counterexample-candidate")
+    report.flag(_revalidation_note(extremal, cert, "extremal"))
 
     for i in range(samples):
         g = sample_for_theorem(spec, p, extremal, rng_for(seed, i), i)
@@ -455,7 +471,18 @@ def cmd_verify(theorem: str, p: fam.FamilyParams, samples: int, seed: int,
             "extremal": recognized,
         })
         report.count(category)
+        report.flag(_revalidation_note(g, cert_i, f"sample {i}:"))
     return report
+
+
+def _revalidation_note(g: Graph, cert: mf.Certificate | None,
+                       where: str) -> str | None:
+    """The note "<where> certificate failed re-validation" when ``cert``
+    does not re-validate on ``g``, else None. Every certificate that
+    verify, check and scan emit is re-validated here."""
+    if cert is None or mf.validate_certificate(g, cert):
+        return None
+    return f"{where} certificate failed re-validation"
 
 
 def _reverify_candidate(theorem: str, spec: TheoremSpec, g: Graph,
@@ -636,7 +663,7 @@ def _compare_on_graph(g: Graph, limits: Limits,
     """All applicable oracle equivalences on one graph; returns mismatch
     descriptions (empty when everything agrees).
 
-    The exhaustive violating-set searches run here on every graph, against
+    The violating-set searches run here on every graph, against
     the routes that decide in the library: the definitional scan, and for
     bipartite graphs also the surplus route."""
     issues = []
@@ -802,12 +829,14 @@ def cmd_rho(lines: Iterable[str], tol: float = DEFAULT_TOL,
     return report
 
 
-def _check_row(item: tuple[str, Graph, str, int | None, "Limits"]) -> dict:
-    text, g, prop, k, limits = item
+def _check_row(item: tuple[int, str, Graph, str, int | None, "Limits"]
+               ) -> tuple[dict, str | None]:
+    idx, text, g, prop, k, limits = item
     verdict: bool | str
     cert = None
+    host = g
     try:
-        verdict, cert = _check_one(g, prop, k, limits)
+        host, (verdict, cert) = _check_one(g, prop, k, limits)
     except GraphError as exc:
         verdict = f"skipped: {exc}"
     return {
@@ -817,7 +846,7 @@ def _check_row(item: tuple[str, Graph, str, int | None, "Limits"]) -> dict:
         "verdict": verdict,
         "certificate": cert.to_json() if cert else "",
         "extremal": "",
-    }
+    }, _revalidation_note(host, cert, f"line {idx + 1}:")
 
 
 def cmd_check(lines: Iterable[str], prop: str, k: int | None,
@@ -827,57 +856,60 @@ def cmd_check(lines: Iterable[str], prop: str, k: int | None,
     items = []
     for idx, text in read_graph_lines(lines):
         try:
-            items.append((text, graph6_decode(text), prop, k, limits))
+            items.append((idx, text, graph6_decode(text), prop, k, limits))
         except GraphError as exc:
             raise UsageError(f"line {idx + 1}: {exc}") from exc
-    for row in _map_rows(items, _check_row, jobs):
+    for row, bad in _map_rows(items, _check_row, jobs):
         report.rows.append(row)
         report.count("skipped" if isinstance(row["verdict"], str)
                      else "consistent")
+        report.flag(bad)
     return report
 
 
-def _check_one(g: Graph, prop: str, k: int | None,
-               limits: Limits) -> tuple[bool, mf.Certificate | None]:
+def _check_one(g: Graph, prop: str, k: int | None, limits: Limits
+               ) -> tuple[Graph, tuple[bool, mf.Certificate | None]]:
+    """The graph the property is checked on (``g`` or its bipartite form),
+    with the checker's verdict and certificate."""
     if prop == "k-extendable":
         if k is None:
             raise UsageError("property k-extendable needs --k")
         gb = infer_bipartition(g)
         if gb is not None:
-            return mf.is_k_extendable_plummer(gb, k, limits.exhaustive)
-        return mf.is_k_extendable_chen(g, k, limits.exhaustive)
+            return gb, mf.is_k_extendable_plummer(gb, k, limits.exhaustive)
+        return g, mf.is_k_extendable_chen(g, k, limits.exhaustive)
     if prop == "k-factor":
         if k is None:
             raise UsageError("property k-factor needs --k")
         gb = infer_bipartition(g)
         if gb is None:
             raise GraphError("input is not bipartite")
-        return mf.find_k_factor_flow(gb, k)
+        return gb, mf.find_k_factor_flow(gb, k)
     if prop == "k-factor-critical":
         if k is None:
             raise UsageError("property k-factor-critical needs --k")
-        return mf.is_k_factor_critical(g, k, limits.exhaustive)
+        return g, mf.is_k_factor_critical(g, k, limits.exhaustive)
     if prop == "hamiltonian":
         gb = infer_bipartition(g)
         if gb is None:
             raise GraphError("input is not bipartite")
-        return mf.hamiltonian_cycle(gb, limits.hamilton)
+        return gb, mf.hamiltonian_cycle(gb, limits.hamilton)
     raise UsageError(f"unknown property {prop!r}")
 
 
-def _scan_row(item) -> tuple[dict, str, str | None]:
+def _scan_row(item) -> tuple[dict, str, str | None, str | None]:
     idx, text, g, theorem, p, thr, tol, limits = item
     spec = THEOREMS[theorem]
     if g.n != p.n:
         return ({"graph": text, "rho": None, "rho_star": thr.rho_star,
                  "margin": None, "verdict": f"skipped: order {g.n} != {p.n}",
-                 "certificate": "", "extremal": ""}, "skipped", None)
+                 "certificate": "", "extremal": ""}, "skipped", None, None)
     if spec.bipartite:
         gb = infer_bipartition(g)
         if gb is None:
             return ({"graph": text, "rho": None, "rho_star": thr.rho_star,
                      "margin": None, "verdict": "skipped: not bipartite",
-                     "certificate": "", "extremal": ""}, "skipped", None)
+                     "certificate": "", "extremal": ""}, "skipped", None, None)
         g = gb
     rho = sp.rho_dense(g)
     margin = rho - thr.rho_star
@@ -890,7 +922,7 @@ def _scan_row(item) -> tuple[dict, str, str | None]:
         except GraphError as exc:
             return ({"graph": text, "rho": rho, "rho_star": thr.rho_star,
                      "margin": margin, "verdict": f"skipped: {exc}",
-                     "certificate": "", "extremal": ""}, "skipped", None)
+                     "certificate": "", "extremal": ""}, "skipped", None, None)
     category = _classify_row(holds, recognized, margin, tol)
     note = None
     if category == "counterexample-candidate":
@@ -906,7 +938,8 @@ def _scan_row(item) -> tuple[dict, str, str | None]:
         "certificate": cert.to_json() if cert else "",
         "extremal": recognized,
     }
-    return row, category, note
+    return row, category, note, _revalidation_note(g, cert,
+                                                   f"line {idx + 1}:")
 
 
 def cmd_scan(lines: Iterable[str], theorem: str, p: fam.FamilyParams,
@@ -929,11 +962,12 @@ def cmd_scan(lines: Iterable[str], theorem: str, p: fam.FamilyParams,
             malformed += 1
             continue
         items.append((idx, text, g, theorem, p, thr, tol, limits))
-    for row, category, note in _map_rows(items, _scan_row, jobs):
+    for row, category, note, bad in _map_rows(items, _scan_row, jobs):
         report.rows.append(row)
         report.count(category)
         if note:
             report.notes.append(note)
+        report.flag(bad)
     if malformed:
         report.summary["parse-errors"] = malformed
         if malformed == total:

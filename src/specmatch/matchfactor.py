@@ -8,7 +8,7 @@ The extendability and factor-criticality checkers decide, then certify.
 One fast exact route gives the verdict: the definitional scan (every
 size-k matching, or every k-set deletion, leaves a perfect matching) for
 ``is_k_extendable_chen`` and ``is_k_factor_critical``, and the surplus
-route for ``is_k_extendable_plummer``. The exhaustive violating-set search
+route for ``is_k_extendable_plummer``. The violating-set search
 (``chen_violating_set``, ``plummer_violating_subset``, ``kfc_violating_set``)
 runs only on a negative, to find the certificate. The searches are public
 so that ``cross-check`` and the tests can run them as an independent
@@ -16,7 +16,13 @@ oracle against the deciding routes.
 
 Violating-set certificates are excess-maximal: among all witnesses the one
 with the largest violation is returned, ties broken by the
-lexicographically least vertex list.
+lexicographically least vertex list. The three searches share one
+lexicographic branch and bound (``_lex_max_excess``), which visits the
+vertex sets in that tie-break order. It stops as soon as a set reaches an
+upper bound on the excess that one maximum matching gives (the
+Tutte-Berge formula; Konig's theorem for Plummer), and skips the subtrees
+in which no set can beat the best excess found. A positive, or a negative
+whose best excess stays below the bound, is searched to the end.
 """
 from __future__ import annotations
 
@@ -284,6 +290,53 @@ def _odd_components(adj: Sequence[int], alive: int) -> int:
     return cnt
 
 
+# -- excess-maximal violating sets ---------------------------------------
+
+
+def _lex_max_excess(verts: Sequence[int], adj: Sequence[int], excess,
+                    hopeless, ceiling) -> tuple[int, int] | None:
+    """Lexicographic branch and bound: the excess-maximal, lex-least
+    nonempty subset of ``verts`` (ascending), as (mask, neighborhood), or
+    None when no subset has a positive excess.
+
+    A pre-order DFS over ascending vertex tuples, children in ascending
+    order, meets the sets in the lexicographic order of their sorted vertex
+    lists. So the first set met at an excess is the lex-least one at it,
+    and a later set replaces the best only at a strictly greater excess.
+
+    ``excess(mask, size, nbh, best)`` scores a set with neighborhood
+    ``nbh``: its excess when that beats ``best`` and the set is a witness,
+    else any value <= ``best``. ``hopeless(size, nbh, best)`` is true when
+    no proper superset of the set can beat ``best``; its subtree is then
+    skipped. ``ceiling()`` bounds every excess; it is called once, at the
+    first witness, and the search stops when the best excess reaches it."""
+    last = len(verts)
+    best = 0
+    best_set = None
+    stop = None
+    # each entry resumes a level: (next index into verts, the parent's
+    # mask, the size of the sets met there, the parent's neighborhood)
+    stack = [(0, 0, 1, 0)]
+    while stack:
+        i, mask, size, nbh = stack.pop()
+        while i < last:
+            v = verts[i]
+            i += 1
+            m = mask | 1 << v
+            nb = nbh | adj[v]
+            e = excess(m, size, nb, best)
+            if e > best:
+                best, best_set = e, (m, nb)
+                if stop is None:
+                    stop = ceiling()
+                if e >= stop:
+                    return best_set
+            if i < last and not hopeless(size, nb, best):
+                stack.append((i, mask, size, nbh))
+                mask, size, nbh = m, size + 1, nb
+    return best_set
+
+
 # -- k-extendability -----------------------------------------------------
 
 
@@ -297,9 +350,8 @@ def _require_extendable_input(g: Graph, k: int) -> None:
         raise GraphError("extendability checkers need a connected graph")
 
 
-def _no_k_matching_certificate(g: Graph, k: int,
-                               limit: int) -> Certificate:
-    mm = max_matching(g, limit)
+def _no_k_matching_certificate(k: int, mm: Matching) -> Certificate:
+    """Certificate for a graph whose maximum matching ``mm`` is below k."""
     return Certificate("FailingMatching", {
         "reason": "no-size-k-matching",
         "k": k,
@@ -335,8 +387,9 @@ def is_k_extendable_definitional(
     _require_extendable_input(g, k)
     if g.n > limit:
         raise GraphError(f"definitional check limited to n <= {limit}")
-    if max_matching(g, limit).size < k:
-        return False, _no_k_matching_certificate(g, k, limit)
+    mm = max_matching(g, limit)
+    if mm.size < k:
+        return False, _no_k_matching_certificate(k, mm)
     m_edges = _first_failing_k_matching(g, k)
     if m_edges is None:
         return True, None
@@ -346,48 +399,56 @@ def is_k_extendable_definitional(
     })
 
 
-def chen_violating_set(g: Graph, k: int,
-                       limit: int = EXHAUSTIVE_LIMIT) -> Certificate | None:
-    """Odd-component criterion, exhaustive over all vertex sets spanning k
-    disjoint edges (order <= ``limit``): the excess-maximal, lex-least set
-    S with o(G-S) > |S|-2k, or None when G is k-extendable. A graph without
-    a size-k matching gets a ``no-size-k-matching`` certificate."""
-    _require_extendable_input(g, k)
-    _require_enumerable(g, limit)
-    if max_matching(g, min(g.n, GENERAL_MATCHING_LIMIT)).size < k:
-        return _no_k_matching_certificate(g, k, GENERAL_MATCHING_LIMIT)
+def _chen_search(g: Graph, k: int, mm: Matching) -> Certificate | None:
+    """``chen_violating_set`` after its input checks, given a maximum
+    matching ``mm`` of ``g``."""
+    if mm.size < k:
+        return _no_k_matching_certificate(k, mm)
     n = g.n
     adj = g.adj
     full = g.full_mask()
-    best_key = None
-    best = None
-    for mask in range(1, 1 << n):
-        size = mask.bit_count()
-        if size < 2 * k:
-            continue
-        if n - size <= size - 2 * k:
-            continue  # too few leftover vertices for any violation
-        o = _odd_components(adj, full & ~mask)
-        excess = o - (size - 2 * k)
-        if excess <= 0:
-            continue
-        if _k_disjoint_edges(adj, mask, k) is None:
-            continue
-        key = (-excess, tuple(bits(mask)))
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (mask, o)
-    if best is None:
+
+    def excess(mask: int, size: int, nbh: int, best: int) -> int:
+        if size < 2 * k or n - 2 * size + 2 * k <= best:
+            return 0  # o(G-S) <= n-|S| caps the excess
+        e = _odd_components(adj, full ^ mask) - size + 2 * k
+        if e > best and _k_disjoint_edges(adj, mask, k) is None:
+            return 0
+        return e
+
+    found = _lex_max_excess(
+        range(n), adj, excess,
+        lambda size, nbh, best: n - 2 * (size + 1) + 2 * k <= best,
+        lambda: n - 2 * mm.size + 2 * k)
+    if found is None:
         return None
-    mask, o = best
+    mask = found[0]
     witness = _k_disjoint_edges(adj, mask, k)
     return Certificate("ViolatingSetS", {
         "criterion": "extendability",
         "k": k,
         "set": list(bits(mask)),
-        "odd_components": o,
+        "odd_components": _odd_components(adj, full ^ mask),
         "witness_edges": [sorted(e) for e in witness],
     })
+
+
+def chen_violating_set(g: Graph, k: int,
+                       limit: int = EXHAUSTIVE_LIMIT) -> Certificate | None:
+    """Odd-component criterion over the vertex sets S spanning k disjoint
+    edges (order <= ``limit``): the excess-maximal, lex-least S with
+    o(G-S) > |S|-2k, or None when G is k-extendable. A graph without a
+    size-k matching gets a ``no-size-k-matching`` certificate.
+
+    The sets are searched by ``_lex_max_excess``. By the Tutte-Berge
+    formula no excess o(G-S)-|S|+2k exceeds n-2*nu(G)+2k, so the search
+    stops once a set reaches that bound; a subtree is skipped when even
+    its smallest proper superset T, with o(G-T) <= n-|T|, could not beat
+    the best excess found."""
+    _require_extendable_input(g, k)
+    _require_enumerable(g, limit)
+    mm = max_matching(g, min(g.n, GENERAL_MATCHING_LIMIT))
+    return _chen_search(g, k, mm)
 
 
 def is_k_extendable_chen(
@@ -396,14 +457,15 @@ def is_k_extendable_chen(
     """k-extendability of a connected graph of even order <= ``limit``.
 
     The definitional scan decides: a size-k matching exists and every one
-    leaves a perfect matching. Only a negative runs the exhaustive
-    ``chen_violating_set`` search, whose certificate is returned."""
+    leaves a perfect matching. Only a negative runs the
+    ``chen_violating_set`` search, reusing the scan's maximum matching,
+    and its certificate is returned."""
     _require_extendable_input(g, k)
     _require_enumerable(g, limit)
-    if (max_matching(g, min(g.n, GENERAL_MATCHING_LIMIT)).size >= k
-            and _first_failing_k_matching(g, k) is None):
+    mm = max_matching(g, min(g.n, GENERAL_MATCHING_LIMIT))
+    if mm.size >= k and _first_failing_k_matching(g, k) is None:
         return True, None
-    cert = chen_violating_set(g, k, limit)
+    cert = _chen_search(g, k, mm)
     if cert is None:
         raise RuntimeError(
             "internal: definitional scan and odd-component criterion disagree")
@@ -447,22 +509,24 @@ def _plummer_decided(g: Graph,
         mm = max_matching_bipartite(g)
         if k == q and mm.size == q:
             return True, None
-        return False, Certificate("FailingMatching", {
-            "reason": "no-size-k-matching",
-            "k": k,
-            "max_matching": [list(e) for e in mm.edges],
-        })
+        return False, _no_k_matching_certificate(k, mm)
     return None
 
 
 def plummer_violating_subset(
         g: Graph, k: int,
         enum_limit: int = EXHAUSTIVE_LIMIT) -> Certificate | None:
-    """Neighborhood-surplus criterion for bipartite graphs, exhaustive over
-    the subsets X of side A (|A| <= ``enum_limit``) with |X| <= |A|-k: the
+    """Neighborhood-surplus criterion for bipartite graphs, over the
+    subsets X of side A (|A| <= ``enum_limit``) with |X| <= |A|-k: the
     excess-maximal, lex-least X with |N(X)| < |X|+k, or None when G is
     k-extendable. Unbalanced sides and k >= |A| are settled as in
-    ``is_k_extendable_plummer``."""
+    ``is_k_extendable_plummer``.
+
+    The subsets are searched by ``_lex_max_excess``, carrying N(X) down
+    the tree. By Konig's theorem no excess |X|+k-|N(X)| exceeds
+    k+|A|-nu(G), so the search stops once a subset reaches that bound; a
+    subtree is skipped when |X| >= |A|-k or |A|-|N(X)| cannot beat the
+    best excess found."""
     decided = _plummer_decided(g, k)
     if decided is not None:
         return decided[1]
@@ -471,25 +535,18 @@ def plummer_violating_subset(
     if q > enum_limit:
         raise GraphError(
             f"criterion enumeration limited to |A| <= {enum_limit}")
-    best_key = None
-    best = None
-    for r in range(1, q - k + 1):
-        for comb in combinations(a_verts, r):
-            nbh = _neighborhood_mask(g.adj, mask_of(comb))
-            excess = (r + k) - nbh.bit_count()
-            if excess <= 0:
-                continue
-            key = (-excess, comb)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (comb, nbh)
-    if best is None:
+    found = _lex_max_excess(
+        a_verts, g.adj,
+        lambda mask, size, nbh, best: size + k - nbh.bit_count(),
+        lambda size, nbh, best: size >= q - k or q - nbh.bit_count() <= best,
+        lambda: k + q - max_matching_bipartite(g).size)
+    if found is None:
         return None
-    comb, nbh = best
+    mask, nbh = found
     return Certificate("ViolatingSubsetX", {
         "criterion": "extendability",
         "k": k,
-        "subset": list(comb),
+        "subset": list(bits(mask)),
         "neighborhood": list(bits(nbh)),
     })
 
@@ -571,8 +628,8 @@ def is_k_extendable_plummer(
     criterion.
 
     The polynomial surplus route decides. On a negative with side A of at
-    most ``enum_limit`` vertices, the exhaustive ``plummer_violating_subset``
-    search supplies the excess-maximal certificate; above that size the
+    most ``enum_limit`` vertices, the ``plummer_violating_subset`` search
+    supplies the excess-maximal certificate; above that size the
     surplus route's own certificate is returned. Unbalanced sides yield an
     immediate negative with a size certificate.
     """
@@ -839,39 +896,40 @@ def _require_kfc_input(g: Graph, k: int, limit: int) -> None:
 
 def kfc_violating_set(g: Graph, k: int,
                       limit: int = EXHAUSTIVE_LIMIT) -> Certificate | None:
-    """Odd-component criterion for k-factor-criticality, exhaustive over all
-    sets of size >= k (order <= ``limit``): the excess-maximal, lex-least
-    S with o(G-S) > |S|-k, or None when G is k-factor-critical. An odd
-    n-k needs no special case: every k-set S then leaves an odd component,
-    so o(G-S) > 0 = |S|-k."""
+    """Odd-component criterion for k-factor-criticality over the sets of
+    size >= k (order <= ``limit``): the excess-maximal, lex-least S with
+    o(G-S) > |S|-k, or None when G is k-factor-critical. An odd n-k needs
+    no special case: every k-set S then leaves an odd component, so
+    o(G-S) > 0 = |S|-k.
+
+    The sets are searched by ``_lex_max_excess``. By the Tutte-Berge
+    formula no excess o(G-S)-|S|+k exceeds n-2*nu(G)+k, so the search stops
+    once a set reaches that bound; a subtree is skipped when even its
+    smallest proper superset T, with o(G-T) <= n-|T|, could not beat the
+    best excess found."""
     _require_kfc_input(g, k, limit)
     n = g.n
     adj = g.adj
     full = g.full_mask()
-    best_key = None
-    best = None
-    for mask in range(1 << n):
-        size = mask.bit_count()
-        if size < k:
-            continue
-        if n - size <= size - k:
-            continue
-        o = _odd_components(adj, full & ~mask)
-        excess = o - (size - k)
-        if excess <= 0:
-            continue
-        key = (-excess, tuple(bits(mask)))
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (mask, o)
-    if best is None:
+
+    def excess(mask: int, size: int, nbh: int, best: int) -> int:
+        if size < k or n - 2 * size + k <= best:
+            return 0  # o(G-S) <= n-|S| caps the excess
+        return _odd_components(adj, full ^ mask) - size + k
+
+    found = _lex_max_excess(
+        range(n), adj, excess,
+        lambda size, nbh, best: n - 2 * (size + 1) + k <= best,
+        # limit n: the bound adds no order limit of its own
+        lambda: n - 2 * max_matching(g, n).size + k)
+    if found is None:
         return None
-    mask, o = best
+    mask = found[0]
     return Certificate("ViolatingSetS", {
         "criterion": "factor-critical",
         "k": k,
         "set": list(bits(mask)),
-        "odd_components": o,
+        "odd_components": _odd_components(adj, full ^ mask),
     })
 
 
@@ -881,8 +939,8 @@ def is_k_factor_critical(
     """k-factor-criticality of a graph of order <= ``limit``.
 
     The definition decides: n-k is even and every size-k deletion leaves a
-    perfect matching. Only a negative runs the exhaustive
-    ``kfc_violating_set`` search, whose certificate is returned."""
+    perfect matching. Only a negative runs the ``kfc_violating_set``
+    search, whose certificate is returned."""
     _require_kfc_input(g, k, limit)
     memo: dict[int, int] = {}
     full = g.full_mask()

@@ -99,17 +99,24 @@ def rng():
 # search, and Plummer and factor-criticality also run their second route and
 # require agreement. Differential tests hold the library's verdicts and
 # certificates to these. The one deliberate change is the unbalanced-sides
-# neighborhood, which is the set N(larger side), not a multiset.
+# neighborhood, which is the set N(larger side), not a multiset. The Chen
+# and factor-criticality searches are also kept on their own
+# (``ref_chen_violating_set``, ``ref_kfc_violating_set``): the scans of all
+# 2^n vertex sets that the library's searches replaced.
 
 
-def ref_is_k_extendable_chen(g: Graph, k: int,
-                             limit: int = mf.EXHAUSTIVE_LIMIT):
+def ref_chen_violating_set(g: Graph, k: int,
+                           limit: int = mf.EXHAUSTIVE_LIMIT):
     mf._require_extendable_input(g, k)
     if g.n > limit:
         raise GraphError(f"criterion enumeration limited to n <= {limit}")
     if mf.max_matching(g, min(g.n, mf.GENERAL_MATCHING_LIMIT)).size < k:
-        return False, mf._no_k_matching_certificate(
-            g, k, mf.GENERAL_MATCHING_LIMIT)
+        mm = mf.max_matching(g, mf.GENERAL_MATCHING_LIMIT)
+        return mf.Certificate("FailingMatching", {
+            "reason": "no-size-k-matching",
+            "k": k,
+            "max_matching": [list(e) for e in mm.edges],
+        })
     n = g.n
     adj = g.adj
     full = g.full_mask()
@@ -130,16 +137,22 @@ def ref_is_k_extendable_chen(g: Graph, k: int,
             best_key = key
             best = (mask, o)
     if best is None:
-        return True, None
+        return None
     mask, o = best
     witness = mf._k_disjoint_edges(adj, mask, k)
-    return False, mf.Certificate("ViolatingSetS", {
+    return mf.Certificate("ViolatingSetS", {
         "criterion": "extendability",
         "k": k,
         "set": list(bits(mask)),
         "odd_components": o,
         "witness_edges": [sorted(e) for e in witness],
     })
+
+
+def ref_is_k_extendable_chen(g: Graph, k: int,
+                             limit: int = mf.EXHAUSTIVE_LIMIT):
+    cert = ref_chen_violating_set(g, k, limit)
+    return cert is None, cert
 
 
 def _ref_plummer_enumerate(g: Graph, a_verts: list[int], k: int):
@@ -209,8 +222,8 @@ def ref_is_k_extendable_plummer(g: Graph, k: int,
     return verdict_s, cert_s
 
 
-def ref_is_k_factor_critical(g: Graph, k: int,
-                             limit: int = mf.EXHAUSTIVE_LIMIT):
+def ref_kfc_violating_set(g: Graph, k: int,
+                          limit: int = mf.EXHAUSTIVE_LIMIT):
     if k < 1:
         raise GraphError(
             "k must be >= 1; use has_perfect_matching for the base case")
@@ -235,26 +248,42 @@ def ref_is_k_factor_critical(g: Graph, k: int,
         if best_key is None or key < best_key:
             best_key = key
             best = (mask, o)
-    memo: dict[int, int] = {}
-    definitional = all(
-        mf._has_pm_mask(adj, full ^ mask_of(comb), memo)
-        for comb in combinations(range(n), k))
-    criterion = best is None and n % 2 == k % 2
-    if criterion != definitional:
-        raise RuntimeError(
-            "internal: criterion and definitional routes disagree")
-    if criterion:
-        return True, None
     if best is None:
-        mask = mask_of(range(k))
-        best = (mask, mf._odd_components(adj, full & ~mask))
+        return None
     mask, o = best
-    return False, mf.Certificate("ViolatingSetS", {
+    return mf.Certificate("ViolatingSetS", {
         "criterion": "factor-critical",
         "k": k,
         "set": list(bits(mask)),
         "odd_components": o,
     })
+
+
+def ref_is_k_factor_critical(g: Graph, k: int,
+                             limit: int = mf.EXHAUSTIVE_LIMIT):
+    cert = ref_kfc_violating_set(g, k, limit)
+    n = g.n
+    adj = g.adj
+    full = g.full_mask()
+    memo: dict[int, int] = {}
+    definitional = all(
+        mf._has_pm_mask(adj, full ^ mask_of(comb), memo)
+        for comb in combinations(range(n), k))
+    criterion = cert is None and n % 2 == k % 2
+    if criterion != definitional:
+        raise RuntimeError(
+            "internal: criterion and definitional routes disagree")
+    if criterion:
+        return True, None
+    if cert is None:
+        mask = mask_of(range(k))
+        cert = mf.Certificate("ViolatingSetS", {
+            "criterion": "factor-critical",
+            "k": k,
+            "set": list(range(k)),
+            "odd_components": mf._odd_components(adj, full & ~mask),
+        })
+    return False, cert
 
 
 # -- reference sampler -----------------------------------------------------

@@ -5,17 +5,19 @@ import sys
 import pytest
 
 from specmatch import cli
+from specmatch import harness as hz
 from specmatch import matchfactor as mf
 from specmatch.graph import (complete, complete_bipartite, cycle,
-                             graph6_decode, graph6_encode, infer_bipartition,
-                             path)
+                             disjoint_union, from_edges, graph6_decode,
+                             graph6_encode, infer_bipartition, path)
 from specmatch.families import (FamilyParams, construct_family,
-                                extremal_kfactor)
+                                extremal_kext_bipartite, extremal_kfactor)
 from specmatch.matchfactor import Certificate, validate_certificate
 from specmatch.harness import (THEOREMS, Limits, UsageError, cmd_check,
                                cmd_construct, cmd_cross_check, cmd_rho,
-                               cmd_scan, cmd_verify, render_csv, render_json,
-                               rng_for, sample_for_theorem)
+                               cmd_scan, cmd_verify,
+                               oracle_property_for_theorem, render_csv,
+                               render_json, rng_for, sample_for_theorem)
 
 from conftest import ref_sample_for_theorem
 
@@ -197,6 +199,90 @@ class TestVerify:
         assert len(cert.payload["subset"]) == 25
         assert len(cert.payload["neighborhood"]) == 24
         assert validate_certificate(infer_bipartition(g), cert)
+
+
+class TestOracle:
+    def test_t12_oracle_is_not_the_surplus_route(self, monkeypatch):
+        # Disconnected, or connected with 24 < n <= 40: the definitional
+        # scan does not apply, and the oracle must not rerun the surplus
+        # route that gave the primary verdict.
+        graphs = [disjoint_union(complete_bipartite(3, 3),
+                                 complete_bipartite(2, 2)),
+                  extremal_kext_bipartite(26, 1, 2),
+                  complete_bipartite(13, 13)]
+        expected = [mf.is_k_extendable_plummer(g, 1)[0] for g in graphs]
+        assert expected == [False, False, True]
+
+        def primary(*args, **kwargs):
+            raise AssertionError("oracle reran the primary route")
+
+        monkeypatch.setattr(mf, "is_k_extendable_plummer", primary)
+        for g, want in zip(graphs, expected):
+            p = FamilyParams(n=g.n, k=1, delta=1)
+            assert oracle_property_for_theorem("t1.2", g, p, Limits()) is want
+
+
+class TestCertificateRevalidation:
+    """verify's sample rows, check and scan re-validate every certificate
+    they emit; one that fails adds a note and a counterexample candidate,
+    so the exit code is 1."""
+
+    # The t1.2 extremal graph at (10, 1, 1) plus the edge (4, 1): above the
+    # threshold, not recognized, not 1-extendable (a t1.2 counterexample,
+    # see test_t12_finding_is_certified), so every mode certifies it.
+    P12 = FamilyParams(n=10, k=1, delta=1)
+    G12 = extremal_kext_bipartite(10, 1, 1).with_edge_toggled(4, 1)
+    # K_9 plus a pendant vertex: not 1-extendable, certified by Chen
+    PENDANT_K9 = from_edges(10, [(u, v) for u in range(9)
+                                 for v in range(u + 1, 9)] + [(0, 9)])
+
+    @pytest.mark.parametrize("mode", ["verify", "check", "scan"])
+    def test_corrupted_certificate_is_flagged(self, mode, monkeypatch):
+        plummer = mf.plummer_violating_subset
+        chen = mf._chen_search
+
+        def corrupted_subset(g, k, enum_limit=mf.EXHAUSTIVE_LIMIT):
+            cert = plummer(g, k, enum_limit)
+            return Certificate(cert.kind, dict(cert.payload, subset=[]))
+
+        def corrupted_set(g, k, mm):
+            cert = chen(g, k, mm)
+            odd = cert.payload["odd_components"] + 1
+            return Certificate(cert.kind,
+                               dict(cert.payload, odd_components=odd))
+
+        monkeypatch.setattr(mf, "plummer_violating_subset", corrupted_subset)
+        monkeypatch.setattr(mf, "_chen_search", corrupted_set)
+        if mode == "verify":
+            monkeypatch.setattr(hz, "sample_for_theorem",
+                                lambda *args: self.G12)
+            report = cmd_verify("t1.2", self.P12, samples=2, seed=0)
+            wheres = ["sample 0:", "sample 1:"]
+        elif mode == "check":
+            report = cmd_check([graph6_encode(self.G12),
+                                graph6_encode(self.PENDANT_K9)],
+                               "k-extendable", 1)
+            wheres = ["line 1:", "line 2:"]
+            kinds = [json.loads(row["certificate"])["kind"]
+                     for row in report.rows]
+            assert kinds == ["ViolatingSubsetX", "ViolatingSetS"]
+            assert report.summary["counterexample-candidate"] == 2
+        else:
+            report = cmd_scan([graph6_encode(self.G12)], "t1.2", self.P12)
+            wheres = ["line 1:"]
+        for where in wheres:
+            assert f"{where} certificate failed re-validation" in report.notes
+        assert report.exit_code() == 1
+
+    def test_valid_certificates_pass(self):
+        # negatives whose certificates re-validate only on the bipartite
+        # form of the input line
+        lines = [graph6_encode(extremal_kext_bipartite(10, 1, 1)),
+                 graph6_encode(extremal_kfactor(8, 2))]
+        for prop, k in (("k-extendable", 1), ("k-factor", 2)):
+            report = cmd_check(lines, prop, k)
+            assert any(row["verdict"] is False for row in report.rows)
+            assert report.notes == [] and report.exit_code() == 0
 
 
 class TestSampler:

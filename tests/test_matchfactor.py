@@ -1,7 +1,9 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from specmatch.graph import (GraphError, SIDE_A, SIDE_B, complete,
                              complete_bipartite, cycle, disjoint_union,
@@ -28,8 +30,9 @@ from specmatch.harness import (P_SWEEP, THEOREMS, random_bipartite,
                                random_graph, rng_for, sample_for_theorem)
 
 from conftest import (brute_is_k_extendable, brute_max_matching_size,
-                      petersen, ref_is_k_extendable_chen,
-                      ref_is_k_extendable_plummer, ref_is_k_factor_critical,
+                      petersen, ref_chen_violating_set,
+                      ref_is_k_extendable_chen, ref_is_k_extendable_plummer,
+                      ref_is_k_factor_critical, ref_kfc_violating_set,
                       seeded_random_graph)
 
 
@@ -316,12 +319,49 @@ def _search_outcome(search, g, k):
     return _outcome(as_checker, g, k)
 
 
-def _all_graphs(max_n: int):
-    for n in range(1, max_n + 1):
+def _plummer_reference_search(g, k):
+    return ref_is_k_extendable_plummer(g, k)[1]
+
+
+def _all_graphs(max_n: int, min_n: int = 1):
+    for n in range(min_n, max_n + 1):
         pairs = list(combinations(range(n), 2))
         for mask in range(1 << len(pairs)):
             yield from_edges(n, [e for i, e in enumerate(pairs)
                                  if (mask >> i) & 1])
+
+
+def _excess(cert, k: int):
+    """The violation a search certificate shows: o(G-S)-|S|+2k (Chen),
+    o(G-S)-|S|+k (factor-criticality), |X|+k-|N(X)| (Plummer); the reason
+    for the certificates of cases that need no search."""
+    p = cert.payload
+    if cert.kind == "ViolatingSetS":
+        c = 2 * k if p["criterion"] == "extendability" else k
+        return p["odd_components"] - len(p["set"]) + c
+    if cert.kind == "ViolatingSubsetX" and "reason" not in p:
+        return len(p["subset"]) + k - len(p["neighborhood"])
+    return p["reason"]
+
+
+def _search_exit(g, k: int, cert, nu: int) -> str | None:
+    """How a violating-set search on ``g`` (matching number ``nu``) ended:
+    "positive" (no witness; every set was searched or pruned), "stopped"
+    (the certificate reaches the Tutte-Berge or Konig bound, so the search
+    returned there) or "below-bound" (a negative searched to the end);
+    None for the cases settled without a search."""
+    if cert is None:
+        return "positive"
+    excess = _excess(cert, k)
+    if isinstance(excess, str):
+        return None
+    if cert.kind == "ViolatingSetS":
+        extendability = cert.payload["criterion"] == "extendability"
+        bound = g.n - 2 * nu + (2 * k if extendability else k)
+    else:
+        bound = k + len(g.side_vertices(SIDE_A)) - nu
+    assert excess <= bound
+    return "stopped" if excess == bound else "below-bound"
 
 
 class TestDecideThenCertify:
@@ -356,6 +396,42 @@ class TestDecideThenCertify:
             graphs += 1
         assert graphs == 1 + 2 + 8 + 64 + 1024
 
+    def test_all_graphs_on_six_vertices(self):
+        # The searches alone: the checkers take their certificates from
+        # them, and the test above holds the checkers to the references.
+        # Each search must also end both ways: at the matching bound, and
+        # by exhausting the tree (positives, and negatives below the bound).
+        searches = (
+            (chen_violating_set, ref_chen_violating_set, False),
+            (kfc_violating_set, ref_kfc_violating_set, False),
+            (plummer_violating_subset, _plummer_reference_search, True),
+        )
+        exits = {search: Counter() for search, _, _ in searches}
+        graphs = 0
+        for g in _all_graphs(6, min_n=6):
+            graphs += 1
+            gb = infer_bipartition(g)
+            nu = brute_max_matching_size(g)
+            for search, reference, bipartite in searches:
+                host = gb if bipartite else g
+                if host is None:
+                    continue
+                for k in (1, 2, 3):
+                    expected = _search_outcome(reference, host, k)
+                    try:
+                        cert = search(host, k)
+                    except GraphError as exc:
+                        assert expected == ("GraphError", str(exc))
+                        continue
+                    assert expected == (
+                        cert is None, cert.to_json() if cert else None), (
+                        search, k)
+                    exits[search][_search_exit(host, k, cert, nu)] += 1
+        assert graphs == 1 << 15
+        for search, seen in exits.items():
+            assert all(seen[how] for how in
+                       ("positive", "stopped", "below-bound")), (search, seen)
+
     def test_seeded_random_graphs(self):
         for i, n in enumerate(tuple(range(6, 17)) * 2):
             g = random_graph(rng_for(11, i), n, P_SWEEP[i % len(P_SWEEP)])
@@ -363,14 +439,14 @@ class TestDecideThenCertify:
 
     def test_seeded_random_bipartite(self):
         negatives = 0
-        for i, half in enumerate((3, 4, 5, 6, 7, 8) * 2):
+        for i, half in enumerate((3, 4, 5, 6, 7, 8, 9, 10) * 2):
             g = random_bipartite(rng_for(12, i), half, half,
                                  P_SWEEP[i % len(P_SWEEP)])
             self.assert_same((self.PLUMMER,), g, (1, 2))
             negatives += not is_k_extendable_plummer(g, 1)[0]
             if half <= 6:
                 self.assert_same(self.ROUTES[:1], g, (1, 2))
-        assert 0 < negatives < 12
+        assert 0 < negatives < 16
 
     def test_near_extremal_samples(self):
         p = FamilyParams(n=10, k=1, delta=2)
@@ -380,8 +456,16 @@ class TestDecideThenCertify:
             g = sample_for_theorem(spec, p, extremal, rng_for(13, i), i)
             self.assert_all_routes(g, (1, 2))
 
+    def test_t45_samples(self):
+        p = FamilyParams(n=15, k=1, delta=2)
+        spec = THEOREMS["t4.5"]
+        extremal = extremal_kfc(15, 1, 2)
+        for i in range(12):
+            g = sample_for_theorem(spec, p, extremal, rng_for(14, i), i)
+            self.assert_same(self.ROUTES[1:], g, (1, 3))
+
     def test_extremal_families(self):
-        for n, k, d in ((10, 1, 2), (12, 1, 3), (16, 2, 4)):
+        for n, k, d in ((10, 1, 2), (12, 1, 3), (16, 2, 4), (18, 1, 3)):
             self.assert_same(self.ROUTES[:1], extremal_kext_general(n, k, d),
                              (k,))
         for n, k, s in ((10, 1, 1), (12, 1, 2), (16, 2, 2), (18, 3, 1)):
@@ -389,6 +473,52 @@ class TestDecideThenCertify:
                              extremal_kext_bipartite(n, k, s), (k,))
         for n, k, d in ((15, 1, 2), (10, 2, 2), (12, 2, 2), (13, 3, 3)):
             self.assert_same(self.ROUTES[1:], extremal_kfc(n, k, d), (k,))
+
+
+def _relabeled(g, perm):
+    """g with vertex v renamed perm[v], sides carried along."""
+    sides = None
+    if g.sides is not None:
+        sides = [0] * g.n
+        for v in range(g.n):
+            sides[perm[v]] = g.sides[v]
+    return from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()],
+                      sides)
+
+
+def _relabel_invariant(search, g, k):
+    """What relabeling must not change: the error, or the verdict with the
+    certificate's kind and excess (the lex-least set itself may change)."""
+    try:
+        cert = search(g, k)
+    except GraphError as exc:
+        return "GraphError", str(exc)
+    if cert is None:
+        return True, None
+    return False, cert.kind, _excess(cert, k)
+
+
+class TestRelabeling:
+    """Metamorphic: each violating-set search gives the same verdict and
+    the same excess after a relabeling, and its certificate re-validates
+    on the relabeled graph."""
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(st.integers(2, 10), st.integers(0, 123456),
+           st.sampled_from(P_SWEEP), st.integers(1, 3), st.data())
+    def test_searches_under_relabeling(self, n, seed, p, k, data):
+        g = seeded_random_graph(seed, n, p)
+        perm = data.draw(st.permutations(range(n)))
+        gb = infer_bipartition(g)
+        for search, host in ((chen_violating_set, g), (kfc_violating_set, g),
+                             (plummer_violating_subset, gb)):
+            if host is None:
+                continue
+            moved = _relabeled(host, perm)
+            got = _relabel_invariant(search, moved, k)
+            assert got == _relabel_invariant(search, host, k), search
+            if got[0] is False:
+                assert validate_certificate(moved, search(moved, k))
 
 
 class TestHamilton:
