@@ -5,8 +5,7 @@ from .graph import (Graph, GraphError, bipartite_join, complete,
                     complete_bipartite, component_masks, cycle,
                     disjoint_union, edge_counts, empty, from_edges,
                     graph6_decode, graph6_encode, infer_bipartition,
-                    is_connected, isomorphic_small, join, neighborhood,
-                    odd_component_count, path, remove_star)
+                    is_connected, join, remove_star)
 from .spectra import (ConvergenceError, Partition, QuotientMatrix,
                       SpectralResult, SymMatrix, adjacency_matrix,
                       charpoly_quartic, degree_sum_identity, fms_bound,
@@ -14,7 +13,6 @@ from .spectra import (ConvergenceError, Partition, QuotientMatrix,
                       refine_equitable, rho_dense, spectral_radius,
                       sqrt_m_bound)
 from .matchfactor import (Certificate, FactorSpec, Matching,
-                          connected_k_factor_search,
                           decompose_edge_disjoint_pms, find_k_factor_flow,
                           hamiltonian_cycle, has_f_factor_ore,
                           has_perfect_matching, is_k_extendable_chen,

@@ -118,10 +118,6 @@ def _params(cfg: dict) -> FamilyParams:
                         s=cfg["s"])
 
 
-def _limits(cfg: dict) -> hz.Limits:
-    return hz.Limits(exhaustive=cfg["exhaustive_limit"])
-
-
 def run(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     cfg = _resolve(args)
@@ -132,28 +128,30 @@ def run(argv: list[str] | None = None) -> int:
         print(hz.cmd_construct(cfg["family"], _params(cfg)))
         return 0
     if mode == "rho":
-        report = hz.cmd_rho(_read_lines(cfg), tol=cfg["tol"],
-                            jobs=cfg["jobs"])
+        report = hz.cmd_rho(_read_lines(cfg), jobs=cfg["jobs"])
     elif mode == "check":
         if not cfg["property"]:
             raise hz.UsageError("check needs --property")
         report = hz.cmd_check(_read_lines(cfg), cfg["property"], cfg["k"],
-                              limits=_limits(cfg), jobs=cfg["jobs"])
+                              limit=cfg["exhaustive_limit"],
+                              jobs=cfg["jobs"])
     elif mode == "verify":
         if not cfg["theorem"]:
             raise hz.UsageError("verify needs --theorem")
         report = hz.cmd_verify(cfg["theorem"], _params(cfg),
                                samples=cfg["samples"], seed=cfg["seed"],
-                               tol=cfg["tol"], limits=_limits(cfg))
+                               tol=cfg["tol"],
+                               limit=cfg["exhaustive_limit"])
     elif mode == "cross-check":
         max_n = cfg["n"] if cfg["n"] is not None else 6
         report = hz.cmd_cross_check(max_n, samples=cfg["samples"],
-                                    seed=cfg["seed"], limits=_limits(cfg))
+                                    seed=cfg["seed"],
+                                    limit=cfg["exhaustive_limit"])
     elif mode == "scan":
         if not cfg["theorem"]:
             raise hz.UsageError("scan needs --theorem")
         report = hz.cmd_scan(_read_lines(cfg), cfg["theorem"], _params(cfg),
-                             tol=cfg["tol"], limits=_limits(cfg),
+                             tol=cfg["tol"], limit=cfg["exhaustive_limit"],
                              jobs=cfg["jobs"])
     else:
         raise hz.UsageError(f"unknown mode {mode!r}")

@@ -19,8 +19,6 @@ from .spectra import QuotientMatrix
 FAMILIES = ("kext-general", "kext-bipartite", "kfactor-bipartite",
             "kfc-general", "hamilton-bipartite")
 
-DEFAULT_MARGIN_TOL = 1e-8
-
 
 @dataclass(frozen=True)
 class FamilyParams:
@@ -34,7 +32,6 @@ class FamilyParams:
 class Threshold:
     rho_star: float
     quotient: QuotientMatrix
-    margin_tol: float = DEFAULT_MARGIN_TOL
 
 
 def threshold_F(k: int, delta: int) -> int:
@@ -183,12 +180,10 @@ def family_quotient(family: str, p: FamilyParams) -> QuotientMatrix:
     raise GraphError(f"unknown family {family!r}")
 
 
-def threshold_rho(family: str, p: FamilyParams,
-                  margin_tol: float = DEFAULT_MARGIN_TOL) -> Threshold:
+def threshold_rho(family: str, p: FamilyParams) -> Threshold:
     """Spectral threshold of a family from its exact quotient."""
     q = family_quotient(family, p)
-    return Threshold(rho_star=q.largest_eigenvalue(), quotient=q,
-                     margin_tol=margin_tol)
+    return Threshold(rho_star=q.largest_eigenvalue(), quotient=q)
 
 
 # -- structural recognizers ----------------------------------------------

@@ -1,5 +1,5 @@
 """Exact graph representation on bitset adjacency, construction algebra,
-structural queries, graph6 I/O and small-order isomorphism.
+structural queries and graph6 I/O.
 
 Vertices are always 0..n-1. ``adj[v]`` is an int whose bit ``u`` is set iff
 ``u ~ v``. Graphs are immutable; every constructor validates symmetry,
@@ -207,12 +207,6 @@ def cycle(n: int) -> Graph:
     return from_edges(n, edges, sides)
 
 
-def path(n: int) -> Graph:
-    if n < 1:
-        raise GraphError("path needs at least 1 vertex")
-    return from_edges(n, [(v, v + 1) for v in range(n - 1)])
-
-
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     adj = list(g.adj) + [row << g.n for row in h.adj]
     sides = None
@@ -310,20 +304,6 @@ def component_masks(g: Graph, alive: int | None = None) -> list[int]:
 
 def is_connected(g: Graph) -> bool:
     return rows_connected(g.adj)
-
-
-def odd_component_count(g: Graph, s: Iterable[int]) -> int:
-    s_mask = _check_vertex_set(g, s)
-    alive = g.full_mask() & ~s_mask
-    return sum(1 for c in component_masks(g, alive) if c.bit_count() % 2 == 1)
-
-
-def neighborhood(g: Graph, x: Iterable[int]) -> set[int]:
-    x_mask = _check_vertex_set(g, x)
-    out = 0
-    for v in bits(x_mask):
-        out |= g.adj[v]
-    return set(bits(out))
 
 
 def edge_counts(g: Graph, x: Iterable[int], y: Iterable[int]) -> tuple[int, int]:
@@ -457,57 +437,3 @@ def graph6_decode(text: str) -> Graph:
         if pad:
             raise GraphError("nonzero graph6 padding bits")
     return Graph(n, tuple(adj), None)
-
-
-# -- small-order isomorphism -------------------------------------------
-
-ISO_LIMIT = 16
-
-
-def isomorphic_small(g: Graph, h: Graph, limit: int = ISO_LIMIT) -> bool:
-    """Exact isomorphism test by pruned backtracking; order <= ``limit``."""
-    if g.n > limit or h.n > limit:
-        raise GraphError(f"isomorphism test limited to n <= {limit}")
-    if g.n != h.n or g.m != h.m:
-        return False
-    n = g.n
-
-    def invariants(x: Graph) -> list[tuple[int, tuple[int, ...]]]:
-        deg = x.degrees()
-        return [(deg[v], tuple(sorted(deg[u] for u in bits(x.adj[v]))))
-                for v in range(n)]
-
-    gi, hi = invariants(g), invariants(h)
-    if sorted(gi) != sorted(hi):
-        return False
-    # rarest invariant classes first
-    from collections import Counter
-    freq = Counter(gi)
-    order = sorted(range(n), key=lambda v: (freq[gi[v]], -gi[v][0], v))
-    cand = [[w for w in range(n) if hi[w] == gi[v]] for v in order]
-    mapping = [-1] * n
-    used = [False] * n
-
-    def extend(i: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        for w in cand[i]:
-            if used[w]:
-                continue
-            ok = True
-            for j in range(i):
-                u = order[j]
-                if g.has_edge(v, u) != h.has_edge(w, mapping[u]):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used[w] = True
-                if extend(i + 1):
-                    return True
-                used[w] = False
-                mapping[v] = -1
-        return False
-
-    return extend(0)

@@ -1,5 +1,10 @@
 """Report building and experiment orchestration behind the CLI.
 
+``verify`` (on its samples) and ``scan`` (on its input lines) run every
+graph through one pipeline, ``_evaluate``: spectral margin, recognizer,
+checker, classification, re-verification of counterexample candidates and
+certificate re-validation.
+
 Determinism contract: identical configuration (seed included) produces a
 byte-identical report. Per-graph randomness is derived from
 (seed, sample index), so results do not depend on the worker count, and
@@ -10,12 +15,12 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Iterable
 
 from . import families as fam
 from . import matchfactor as mf
 from . import spectra as sp
-from .graph import (Graph, GraphError, SIDE_A, SIDE_B, bits, complete,
+from .graph import (Graph, GraphError, SIDE_A, SIDE_B, complete,
                     disjoint_union, empty, graph6_decode, graph6_encode,
                     infer_bipartition, is_connected, join, rows_connected)
 
@@ -24,9 +29,6 @@ SAMPLE_ATTEMPTS = 60
 DEFAULT_TOL = 1e-8
 LEMMA_MARGIN = 1e-9
 DENSE_STRIDE = 25  # every DENSE_STRIDE-th lemma cell gets a dense recheck
-
-CATEGORY_KEYS = ("consistent", "extremal-hit", "counterexample-candidate",
-                 "borderline", "skipped")
 
 PROPERTY_COLUMNS = ("graph", "rho", "rho_star", "margin", "verdict",
                     "certificate", "extremal")
@@ -200,23 +202,17 @@ def random_regular_bipartite(rng: random.Random, half: int,
 class TheoremSpec:
     name: str
     family: str
-    needs: tuple[str, ...]
     bipartite: bool
     requires_connected: bool
     pins_min_degree: bool
 
 
 THEOREMS = {
-    "t1.1": TheoremSpec("t1.1", "kext-general", ("n", "k", "delta"),
-                        False, True, True),
-    "t1.2": TheoremSpec("t1.2", "kext-bipartite", ("n", "k", "delta"),
-                        True, False, True),
-    "t1.3": TheoremSpec("t1.3", "kfactor-bipartite", ("n", "k"),
-                        True, True, False),
-    "t4.3": TheoremSpec("t4.3", "hamilton-bipartite", ("n",),
-                        True, False, False),
-    "t4.5": TheoremSpec("t4.5", "kfc-general", ("n", "k", "delta"),
-                        False, True, True),
+    "t1.1": TheoremSpec("t1.1", "kext-general", False, True, True),
+    "t1.2": TheoremSpec("t1.2", "kext-bipartite", True, False, True),
+    "t1.3": TheoremSpec("t1.3", "kfactor-bipartite", True, True, False),
+    "t4.3": TheoremSpec("t4.3", "hamilton-bipartite", True, False, False),
+    "t4.5": TheoremSpec("t4.5", "kfc-general", False, True, True),
 }
 
 LEMMAS = ("l2.2", "l2.3", "l2.6")
@@ -273,58 +269,49 @@ def validate_hypotheses(name: str, p: fam.FamilyParams) -> None:
         raise UsageError(f"unknown theorem {name!r}")
 
 
-@dataclass
-class Limits:
-    exhaustive: int = mf.EXHAUSTIVE_LIMIT
-    general_matching: int = mf.GENERAL_MATCHING_LIMIT
-    hamilton: int = mf.HAMILTON_LIMIT
-
-
 def check_property_for_theorem(name: str, g: Graph, p: fam.FamilyParams,
-                               limits: Limits) -> tuple[bool, mf.Certificate | None]:
-    """Primary checker route for the theorem's property."""
+                               limit: int = mf.EXHAUSTIVE_LIMIT
+                               ) -> tuple[bool, mf.Certificate | None]:
+    """Primary checker route for the theorem's property; ``limit`` bounds
+    the exhaustive searches."""
     if name == "t1.1":
-        return mf.is_k_extendable_chen(g, p.k, limits.exhaustive)
+        return mf.is_k_extendable_chen(g, p.k, limit)
     if name == "t1.2":
-        return mf.is_k_extendable_plummer(g, p.k, limits.exhaustive)
+        return mf.is_k_extendable_plummer(g, p.k, limit)
     if name == "t1.3":
         return mf.find_k_factor_flow(g, p.k)
     if name == "t4.3":
-        return mf.hamiltonian_cycle(g, limits.hamilton)
+        return mf.hamiltonian_cycle(g)
     if name == "t4.5":
-        return mf.is_k_factor_critical(g, p.k, limits.exhaustive)
+        return mf.is_k_factor_critical(g, p.k, limit)
     raise UsageError(f"unknown theorem {name!r}")
 
 
 def oracle_property_for_theorem(name: str, g: Graph, p: fam.FamilyParams,
-                                limits: Limits) -> bool:
+                                limit: int = mf.EXHAUSTIVE_LIMIT) -> bool:
     """Independent route used to confirm counterexample candidates.
 
     For t1.2 the oracle is the definitional scan on a connected graph of
-    order <= ``limits.general_matching``, else the violating-subset search
-    while |A| <= ``limits.exhaustive``; neither is the surplus route that
-    decides in ``is_k_extendable_plummer``. Only when |A| exceeds
-    ``limits.exhaustive`` (n > 40 at the default limits) does the oracle
-    fall back to that primary route, which then confirms nothing
-    independently."""
+    order <= ``mf.GENERAL_MATCHING_LIMIT``, else the violating-subset
+    search while |A| <= ``limit``; neither is the surplus route that
+    decides in ``is_k_extendable_plummer``. Only when |A| exceeds ``limit``
+    (n > 40 at the default limit) does the oracle fall back to that primary
+    route, which then confirms nothing independently."""
     if name == "t1.1":
-        return mf.is_k_extendable_definitional(
-            g, p.k, limits.general_matching)[0]
+        return mf.is_k_extendable_definitional(g, p.k)[0]
     if name == "t1.2":
-        if is_connected(g) and g.n <= limits.general_matching:
-            return mf.is_k_extendable_definitional(
-                g, p.k, limits.general_matching)[0]
-        if g.side_mask(SIDE_A).bit_count() <= limits.exhaustive:
-            return mf.plummer_violating_subset(
-                g, p.k, limits.exhaustive) is None
-        return mf.is_k_extendable_plummer(g, p.k, limits.exhaustive)[0]
+        if is_connected(g) and g.n <= mf.GENERAL_MATCHING_LIMIT:
+            return mf.is_k_extendable_definitional(g, p.k)[0]
+        if g.side_mask(SIDE_A).bit_count() <= limit:
+            return mf.plummer_violating_subset(g, p.k, limit) is None
+        return mf.is_k_extendable_plummer(g, p.k, limit)[0]
     if name == "t1.3":
         return mf.has_f_factor_ore(
-            g, mf.FactorSpec.constant(g.n, p.k), limits.exhaustive)[0]
+            g, mf.FactorSpec.constant(g.n, p.k), limit)[0]
     if name == "t4.3":
-        return mf.hamiltonian_cycle(g, limits.hamilton)[0]
+        return mf.hamiltonian_cycle(g)[0]
     if name == "t4.5":
-        return mf.kfc_violating_set(g, p.k, limits.exhaustive) is None
+        return mf.kfc_violating_set(g, p.k, limit) is None
     raise UsageError(f"unknown theorem {name!r}")
 
 
@@ -402,14 +389,69 @@ def _classify_row(holds: bool | None, is_extremal: bool, margin: float,
     return "consistent" if holds else "counterexample-candidate"
 
 
+def _row(graph: str, verdict, rho: float | None = None,
+         rho_star: float | None = None, margin: float | None = None,
+         certificate: str = "", extremal="") -> dict:
+    """One ``PROPERTY_COLUMNS`` row; an unset cell renders empty in CSV and
+    as null (numbers) or "" (text) in JSON."""
+    return {"graph": graph, "rho": rho, "rho_star": rho_star,
+            "margin": margin, "verdict": verdict,
+            "certificate": certificate, "extremal": extremal}
+
+
+def _add_row(report: Report, row: dict, category: str, note: str | None,
+             bad: str | None) -> None:
+    """Append a row with its category, its note (if any) and its failed
+    re-validation (if any)."""
+    report.rows.append(row)
+    report.count(category)
+    if note:
+        report.notes.append(note)
+    report.flag(bad)
+
+
+def _evaluate(item) -> tuple[dict, str, str | None, str | None]:
+    """The one pipeline that verify's samples and scan's lines run: spectral
+    margin, recognizer, checker (only at or above the threshold, and only
+    off the extremal family), classification, re-verification of a
+    counterexample candidate and certificate re-validation.
+
+    ``item`` is (where, text, g, theorem, p, thr, tol, limit); ``where``
+    prefixes both notes. Returns (row, category, note, revalidation note).
+    A checker that cannot take ``g`` skips the row."""
+    where, text, g, theorem, p, thr, tol, limit = item
+    spec = THEOREMS[theorem]
+    rho = sp.rho_dense(g)
+    margin = rho - thr.rho_star
+    recognized = fam.recognize(spec.family, p, g)
+    holds: bool | None = None
+    cert = None
+    if margin >= -tol and not recognized:
+        try:
+            holds, cert = check_property_for_theorem(theorem, g, p, limit)
+        except GraphError as exc:
+            return (_row(text, f"skipped: {exc}", rho, thr.rho_star, margin),
+                    "skipped", None, None)
+    category = _classify_row(holds, recognized, margin, tol)
+    note = None
+    if category == "counterexample-candidate":
+        confirmed, why = _reverify_candidate(theorem, spec, g, p, thr, tol,
+                                             limit)
+        if not confirmed:
+            category = "consistent"
+            note = f"{where} {why}"
+    row = _row(text, "" if holds is None else holds, rho, thr.rho_star,
+               margin, cert.to_json() if cert else "", recognized)
+    return row, category, note, _revalidation_note(g, cert, where)
+
+
 def cmd_verify(theorem: str, p: fam.FamilyParams, samples: int, seed: int,
                tol: float = DEFAULT_TOL,
-               limits: Limits | None = None) -> Report:
+               limit: int = mf.EXHAUSTIVE_LIMIT) -> Report:
     if theorem in LEMMAS:
-        return _verify_lemma(theorem, p, tol)
+        return _verify_lemma(theorem)
     if theorem not in THEOREMS:
         raise UsageError(f"unknown theorem {theorem!r}")
-    limits = limits or Limits()
     spec = THEOREMS[theorem]
     validate_hypotheses(theorem, p)
     report = Report(mode=f"verify {theorem}", columns=PROPERTY_COLUMNS)
@@ -420,18 +462,13 @@ def cmd_verify(theorem: str, p: fam.FamilyParams, samples: int, seed: int,
     extremal = fam.construct_family(spec.family, p)
     thr = fam.threshold_rho(spec.family, p)
     rho_ext = sp.rho_dense(extremal)
-    holds, cert = check_property_for_theorem(theorem, extremal, p, limits)
+    # The extremal row runs the samples' checker at their order first, so
+    # a checker that cannot take this order ends the run here (exit 2).
+    holds, cert = check_property_for_theorem(theorem, extremal, p, limit)
     recognized = fam.recognize(spec.family, p, extremal)
-    row = {
-        "graph": graph6_encode(extremal),
-        "rho": rho_ext,
-        "rho_star": thr.rho_star,
-        "margin": rho_ext - thr.rho_star,
-        "verdict": holds,
-        "certificate": cert.to_json() if cert else "",
-        "extremal": recognized,
-    }
-    report.rows.append(row)
+    report.rows.append(_row(graph6_encode(extremal), holds, rho_ext,
+                            thr.rho_star, rho_ext - thr.rho_star,
+                            cert.to_json() if cert else "", recognized))
     report.count("extremal-hit")
     if abs(rho_ext - thr.rho_star) > tol:
         report.notes.append(
@@ -445,33 +482,8 @@ def cmd_verify(theorem: str, p: fam.FamilyParams, samples: int, seed: int,
 
     for i in range(samples):
         g = sample_for_theorem(spec, p, extremal, rng_for(seed, i), i)
-        rho = sp.rho_dense(g)
-        margin = rho - thr.rho_star
-        recognized = fam.recognize(spec.family, p, g)
-        holds_i: bool | None = None
-        cert_i = None
-        if margin >= -tol and not recognized:
-            holds_i, cert_i = check_property_for_theorem(theorem, g, p,
-                                                         limits)
-        category = _classify_row(holds_i, recognized, margin, tol)
-        if category == "counterexample-candidate":
-            confirmed, note = _reverify_candidate(theorem, spec, g, p, thr,
-                                                  tol, limits)
-            if not confirmed:
-                category = "consistent"
-                if note:
-                    report.notes.append(f"sample {i}: {note}")
-        report.rows.append({
-            "graph": graph6_encode(g),
-            "rho": rho,
-            "rho_star": thr.rho_star,
-            "margin": margin,
-            "verdict": "" if holds_i is None else holds_i,
-            "certificate": cert_i.to_json() if cert_i else "",
-            "extremal": recognized,
-        })
-        report.count(category)
-        report.flag(_revalidation_note(g, cert_i, f"sample {i}:"))
+        _add_row(report, *_evaluate((f"sample {i}:", graph6_encode(g), g,
+                                     theorem, p, thr, tol, limit)))
     return report
 
 
@@ -487,12 +499,12 @@ def _revalidation_note(g: Graph, cert: mf.Certificate | None,
 
 def _reverify_candidate(theorem: str, spec: TheoremSpec, g: Graph,
                         p: fam.FamilyParams, thr: fam.Threshold, tol: float,
-                        limits: Limits) -> tuple[bool, str]:
+                        limit: int) -> tuple[bool, str]:
     tight = tol / 100
     rho = sp.spectral_radius(g, tol=min(tight, sp.default_tol(g.n))).rho
     if rho - thr.rho_star < -tight:
         return False, "candidate dropped: rho below threshold when re-solved"
-    if oracle_property_for_theorem(theorem, g, p, limits):
+    if oracle_property_for_theorem(theorem, g, p, limit):
         return False, "candidate dropped: property holds via oracle route"
     if fam.recognize(spec.family, p, g):
         return False, "candidate dropped: recognized as extremal"
@@ -524,7 +536,7 @@ def _join_clique_graph(s: int, clique_sizes: list[int]) -> Graph:
     return join(complete(s), inner)
 
 
-def _lemma_rows_22(report: Report, tol: float) -> None:
+def _lemma_rows_22(report: Report) -> None:
     cell = 0
     for t in range(2, 5):
         for prt in range(1, 4):
@@ -571,7 +583,7 @@ def _partitions(total: int, parts: int, minimum: int,
     yield from rec(total, parts, cap)
 
 
-def _lemma_rows_23(report: Report, tol: float) -> None:
+def _lemma_rows_23(report: Report) -> None:
     cell = 0
     for k in (1, 2):
         for delta in range(2 * k + 1, 6):
@@ -599,7 +611,7 @@ def _lemma_rows_23(report: Report, tol: float) -> None:
                 cell += 1
 
 
-def _lemma_rows_26(report: Report, tol: float) -> None:
+def _lemma_rows_26(report: Report) -> None:
     for k in range(1, 5):
         for s in range(1, 6):
             for n in range(4 * s + 2 * k + 2, 41):
@@ -625,26 +637,18 @@ def _overlay_or_union(n: int, k: int, s: int) -> Graph:
 
 def _lemma_row(report: Report, label: str, lo: float, hi: float,
                margin: float, ok: bool) -> None:
-    report.rows.append({
-        "graph": label,
-        "rho": lo,
-        "rho_star": hi,
-        "margin": margin,
-        "verdict": ok,
-        "certificate": "",
-        "extremal": "",
-    })
+    report.rows.append(_row(label, ok, lo, hi, margin))
     report.count("consistent" if ok else "counterexample-candidate")
 
 
-def _verify_lemma(lemma: str, p: fam.FamilyParams, tol: float) -> Report:
+def _verify_lemma(lemma: str) -> Report:
     report = Report(mode=f"verify {lemma}", columns=PROPERTY_COLUMNS)
     if lemma == "l2.2":
-        _lemma_rows_22(report, tol)
+        _lemma_rows_22(report)
     elif lemma == "l2.3":
-        _lemma_rows_23(report, tol)
+        _lemma_rows_23(report)
     elif lemma == "l2.6":
-        _lemma_rows_26(report, tol)
+        _lemma_rows_26(report)
     else:
         raise UsageError(f"unknown lemma {lemma!r}")
     return report
@@ -658,7 +662,7 @@ def _search_result(cert: mf.Certificate | None
     return cert is None, cert
 
 
-def _compare_on_graph(g: Graph, limits: Limits,
+def _compare_on_graph(g: Graph, limit: int,
                       ks_ext=(1, 2), ks_factor=(1, 2, 3)) -> list[str]:
     """All applicable oracle equivalences on one graph; returns mismatch
     descriptions (empty when everything agrees).
@@ -669,10 +673,8 @@ def _compare_on_graph(g: Graph, limits: Limits,
     issues = []
     if g.n % 2 == 0 and g.n >= 2 and is_connected(g):
         for k in ks_ext:
-            chen = _search_result(
-                mf.chen_violating_set(g, k, limits.exhaustive))
-            defn = mf.is_k_extendable_definitional(g, k,
-                                                   limits.general_matching)
+            chen = _search_result(mf.chen_violating_set(g, k, limit))
+            defn = mf.is_k_extendable_definitional(g, k)
             if chen[0] != defn[0]:
                 issues.append(
                     f"chen!=definitional k={k}: {chen[0]} vs {defn[0]} "
@@ -685,11 +687,10 @@ def _compare_on_graph(g: Graph, limits: Limits,
         if is_connected(gb) and gb.n % 2 == 0:
             for k in ks_ext:
                 plum = _search_result(
-                    mf.plummer_violating_subset(gb, k, limits.exhaustive))
+                    mf.plummer_violating_subset(gb, k, limit))
                 # enum_limit=0 leaves the surplus route alone
                 surplus = mf.is_k_extendable_plummer(gb, k, enum_limit=0)
-                defn = mf.is_k_extendable_definitional(
-                    gb, k, limits.general_matching)
+                defn = mf.is_k_extendable_definitional(gb, k)
                 if plum[0] != defn[0]:
                     issues.append(
                         f"plummer!=definitional k={k}: {plum[0]} vs "
@@ -703,7 +704,7 @@ def _compare_on_graph(g: Graph, limits: Limits,
                 issues += _failed_revalidations(gb, g, (plum, surplus, defn))
         for k in ks_factor:
             ore = mf.has_f_factor_ore(gb, mf.FactorSpec.constant(gb.n, k),
-                                      limits.exhaustive)
+                                      limit)
             flow = mf.find_k_factor_flow(gb, k)
             if ore[0] != flow[0]:
                 issues.append(
@@ -727,11 +728,10 @@ def _cert_str(cert: mf.Certificate | None) -> str:
 
 
 def cmd_cross_check(max_n: int, samples: int, seed: int,
-                    limits: Limits | None = None,
+                    limit: int = mf.EXHAUSTIVE_LIMIT,
                     bipartite_extra: int = 0) -> Report:
     if max_n > 8:
         raise UsageError("cross-check supports max_n <= 8")
-    limits = limits or Limits()
     report = Report(mode="cross-check", columns=PROPERTY_COLUMNS)
     processed = 0
     issues_total = 0
@@ -739,13 +739,10 @@ def cmd_cross_check(max_n: int, samples: int, seed: int,
     def handle(g: Graph):
         nonlocal processed, issues_total
         processed += 1
-        for issue in _compare_on_graph(g, limits):
+        for issue in _compare_on_graph(g, limit):
             issues_total += 1
-            report.rows.append({
-                "graph": graph6_encode(g), "rho": None, "rho_star": None,
-                "margin": None, "verdict": False, "certificate": issue,
-                "extremal": "",
-            })
+            report.rows.append(_row(graph6_encode(g), False,
+                                    certificate=issue))
 
     for n in range(2, min(max_n, 6) + 1):
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -810,8 +807,7 @@ def _rho_row(item: tuple[str, Graph]) -> dict:
     return row
 
 
-def cmd_rho(lines: Iterable[str], tol: float = DEFAULT_TOL,
-            jobs: int = 1) -> Report:
+def cmd_rho(lines: Iterable[str], jobs: int = 1) -> Report:
     report = Report(mode="rho", columns=RHO_COLUMNS)
     parse_errors = 0
     items = []
@@ -829,45 +825,37 @@ def cmd_rho(lines: Iterable[str], tol: float = DEFAULT_TOL,
     return report
 
 
-def _check_row(item: tuple[int, str, Graph, str, int | None, "Limits"]
-               ) -> tuple[dict, str | None]:
-    idx, text, g, prop, k, limits = item
+def _check_row(item: tuple[int, str, Graph, str, int | None, int]
+               ) -> tuple[dict, str, None, str | None]:
+    idx, text, g, prop, k, limit = item
     verdict: bool | str
     cert = None
     host = g
     try:
-        host, (verdict, cert) = _check_one(g, prop, k, limits)
+        host, (verdict, cert) = _check_one(g, prop, k, limit)
     except GraphError as exc:
         verdict = f"skipped: {exc}"
-    return {
-        "graph": text,
-        "rho": sp.rho_dense(g) if g.n else None,
-        "rho_star": None, "margin": None,
-        "verdict": verdict,
-        "certificate": cert.to_json() if cert else "",
-        "extremal": "",
-    }, _revalidation_note(host, cert, f"line {idx + 1}:")
+    row = _row(text, verdict, sp.rho_dense(g) if g.n else None,
+               certificate=cert.to_json() if cert else "")
+    return (row, "skipped" if isinstance(verdict, str) else "consistent",
+            None, _revalidation_note(host, cert, f"line {idx + 1}:"))
 
 
 def cmd_check(lines: Iterable[str], prop: str, k: int | None,
-              limits: Limits | None = None, jobs: int = 1) -> Report:
-    limits = limits or Limits()
+              limit: int = mf.EXHAUSTIVE_LIMIT, jobs: int = 1) -> Report:
     report = Report(mode=f"check {prop}", columns=PROPERTY_COLUMNS)
     items = []
     for idx, text in read_graph_lines(lines):
         try:
-            items.append((idx, text, graph6_decode(text), prop, k, limits))
+            items.append((idx, text, graph6_decode(text), prop, k, limit))
         except GraphError as exc:
             raise UsageError(f"line {idx + 1}: {exc}") from exc
-    for row, bad in _map_rows(items, _check_row, jobs):
-        report.rows.append(row)
-        report.count("skipped" if isinstance(row["verdict"], str)
-                     else "consistent")
-        report.flag(bad)
+    for result in _map_rows(items, _check_row, jobs):
+        _add_row(report, *result)
     return report
 
 
-def _check_one(g: Graph, prop: str, k: int | None, limits: Limits
+def _check_one(g: Graph, prop: str, k: int | None, limit: int
                ) -> tuple[Graph, tuple[bool, mf.Certificate | None]]:
     """The graph the property is checked on (``g`` or its bipartite form),
     with the checker's verdict and certificate."""
@@ -876,8 +864,8 @@ def _check_one(g: Graph, prop: str, k: int | None, limits: Limits
             raise UsageError("property k-extendable needs --k")
         gb = infer_bipartition(g)
         if gb is not None:
-            return gb, mf.is_k_extendable_plummer(gb, k, limits.exhaustive)
-        return g, mf.is_k_extendable_chen(g, k, limits.exhaustive)
+            return gb, mf.is_k_extendable_plummer(gb, k, limit)
+        return g, mf.is_k_extendable_chen(g, k, limit)
     if prop == "k-factor":
         if k is None:
             raise UsageError("property k-factor needs --k")
@@ -888,66 +876,36 @@ def _check_one(g: Graph, prop: str, k: int | None, limits: Limits
     if prop == "k-factor-critical":
         if k is None:
             raise UsageError("property k-factor-critical needs --k")
-        return g, mf.is_k_factor_critical(g, k, limits.exhaustive)
+        return g, mf.is_k_factor_critical(g, k, limit)
     if prop == "hamiltonian":
         gb = infer_bipartition(g)
         if gb is None:
             raise GraphError("input is not bipartite")
-        return gb, mf.hamiltonian_cycle(gb, limits.hamilton)
+        return gb, mf.hamiltonian_cycle(gb)
     raise UsageError(f"unknown property {prop!r}")
 
 
 def _scan_row(item) -> tuple[dict, str, str | None, str | None]:
-    idx, text, g, theorem, p, thr, tol, limits = item
-    spec = THEOREMS[theorem]
+    """Skip a line of the wrong order, or a non-bipartite line for a
+    bipartite theorem; run ``_evaluate`` on the rest."""
+    idx, text, g, theorem, p, thr, tol, limit = item
     if g.n != p.n:
-        return ({"graph": text, "rho": None, "rho_star": thr.rho_star,
-                 "margin": None, "verdict": f"skipped: order {g.n} != {p.n}",
-                 "certificate": "", "extremal": ""}, "skipped", None, None)
-    if spec.bipartite:
-        gb = infer_bipartition(g)
-        if gb is None:
-            return ({"graph": text, "rho": None, "rho_star": thr.rho_star,
-                     "margin": None, "verdict": "skipped: not bipartite",
-                     "certificate": "", "extremal": ""}, "skipped", None, None)
-        g = gb
-    rho = sp.rho_dense(g)
-    margin = rho - thr.rho_star
-    recognized = fam.recognize(spec.family, p, g)
-    holds: bool | None = None
-    cert = None
-    if margin >= -tol and not recognized:
-        try:
-            holds, cert = check_property_for_theorem(theorem, g, p, limits)
-        except GraphError as exc:
-            return ({"graph": text, "rho": rho, "rho_star": thr.rho_star,
-                     "margin": margin, "verdict": f"skipped: {exc}",
-                     "certificate": "", "extremal": ""}, "skipped", None, None)
-    category = _classify_row(holds, recognized, margin, tol)
-    note = None
-    if category == "counterexample-candidate":
-        confirmed, why = _reverify_candidate(theorem, spec, g, p, thr, tol,
-                                             limits)
-        if not confirmed:
-            category = "consistent"
-            note = f"line {idx + 1}: {why}" if why else None
-    row = {
-        "graph": text, "rho": rho, "rho_star": thr.rho_star,
-        "margin": margin,
-        "verdict": "" if holds is None else holds,
-        "certificate": cert.to_json() if cert else "",
-        "extremal": recognized,
-    }
-    return row, category, note, _revalidation_note(g, cert,
-                                                   f"line {idx + 1}:")
+        return (_row(text, f"skipped: order {g.n} != {p.n}",
+                     rho_star=thr.rho_star), "skipped", None, None)
+    if THEOREMS[theorem].bipartite:
+        g = infer_bipartition(g)
+        if g is None:
+            return (_row(text, "skipped: not bipartite",
+                         rho_star=thr.rho_star), "skipped", None, None)
+    return _evaluate((f"line {idx + 1}:", text, g, theorem, p, thr, tol,
+                      limit))
 
 
 def cmd_scan(lines: Iterable[str], theorem: str, p: fam.FamilyParams,
-             tol: float = DEFAULT_TOL, limits: Limits | None = None,
+             tol: float = DEFAULT_TOL, limit: int = mf.EXHAUSTIVE_LIMIT,
              jobs: int = 1) -> Report:
     if theorem not in THEOREMS:
         raise UsageError(f"scan supports theorems {sorted(THEOREMS)}")
-    limits = limits or Limits()
     validate_hypotheses(theorem, p)
     thr = fam.threshold_rho(THEOREMS[theorem].family, p)
     report = Report(mode=f"scan {theorem}", columns=PROPERTY_COLUMNS)
@@ -961,13 +919,9 @@ def cmd_scan(lines: Iterable[str], theorem: str, p: fam.FamilyParams,
         except GraphError:
             malformed += 1
             continue
-        items.append((idx, text, g, theorem, p, thr, tol, limits))
-    for row, category, note, bad in _map_rows(items, _scan_row, jobs):
-        report.rows.append(row)
-        report.count(category)
-        if note:
-            report.notes.append(note)
-        report.flag(bad)
+        items.append((idx, text, g, theorem, p, thr, tol, limit))
+    for result in _map_rows(items, _scan_row, jobs):
+        _add_row(report, *result)
     if malformed:
         report.summary["parse-errors"] = malformed
         if malformed == total:

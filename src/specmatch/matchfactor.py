@@ -31,18 +31,16 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .graph import (Graph, GraphError, SIDE_A, SIDE_B, bits, component_masks,
-                    is_connected, mask_of)
+from .graph import (Graph, GraphError, SIDE_A, SIDE_B, bits, is_connected,
+                    mask_of)
 
 EXHAUSTIVE_LIMIT = 20
 GENERAL_MATCHING_LIMIT = 24
 HAMILTON_LIMIT = 20
-CONNECTED_FACTOR_LIMIT = 16
-CONNECTED_FACTOR_BUDGET = 500_000
 
 CERTIFICATE_KINDS = frozenset({
-    "ViolatingSetS", "ViolatingSubsetX", "FactorSubgraph",
-    "MatchingList", "HamCycle", "FailingMatching",
+    "ViolatingSetS", "ViolatingSubsetX", "FactorSubgraph", "HamCycle",
+    "FailingMatching",
 })
 
 
@@ -1016,130 +1014,53 @@ def hamiltonian_cycle(
     return False, None
 
 
-# -- connected factor exploration ----------------------------------------
-
-
-def connected_k_factor_search(
-        g: Graph, k: int,
-        limit: int = CONNECTED_FACTOR_LIMIT,
-        budget: int = CONNECTED_FACTOR_BUDGET
-        ) -> tuple[bool | None, Certificate | None]:
-    """Exhaustive (budgeted) search for a connected k-factor.
-
-    Returns (True, factor), (False, certificate-or-None) when the factor
-    space was exhausted, or (None, None) when the node budget ran out.
-    """
-    if k < 1:
-        raise GraphError("search needs k >= 1")
-    if g.n > limit:
-        raise GraphError(f"search limited to n <= {limit}")
-    a_verts, b_verts = _ore_sides(g)
-    if len(a_verts) != len(b_verts):
-        raise GraphError("search needs balanced sides")
-    ok, cert = find_k_factor_flow(g, k)
-    if not ok:
-        return False, cert
-    edges = [tuple(e) for e in cert.payload["edges"]]
-    if _edges_connected(g.n, edges):
-        return True, cert
-    nodes = 0
-    caps = [0] * g.n
-    for b in b_verts:
-        caps[b] = k
-    chosen: list[tuple[int, int]] = []
-    q = len(a_verts)
-
-    class _Found(Exception):
-        pass
-
-    class _Budget(Exception):
-        pass
-
-    def rec(i: int):
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise _Budget
-        if i == q:
-            if _edges_connected(g.n, chosen):
-                raise _Found
-            return
-        a = a_verts[i]
-        avail = [b for b in bits(g.adj[a]) if caps[b] > 0]
-        if len(avail) < k:
-            return
-        remaining_demand = k * (q - i - 1)
-        for comb in combinations(avail, k):
-            total_caps = sum(caps[b] for b in b_verts) - k
-            if total_caps < remaining_demand:
-                return
-            for b in comb:
-                caps[b] -= 1
-                chosen.append((a, b))
-            rec(i + 1)
-            for b in comb:
-                caps[b] += 1
-                chosen.pop()
-
-    try:
-        rec(0)
-    except _Found:
-        return True, Certificate("FactorSubgraph", {
-            "k": k,
-            "edges": [sorted(e) for e in sorted(chosen)],
-        })
-    except _Budget:
-        return None, None
-    return False, None
-
-
-def _edges_connected(n: int, edges: list[tuple[int, int]]) -> bool:
-    if not edges:
-        return n <= 1
-    adj = [0] * n
-    touched = 0
-    for u, v in edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-        touched |= (1 << u) | (1 << v)
-    if touched != (1 << n) - 1:
-        return False
-    comp = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        for v in bits(frontier):
-            nxt |= adj[v]
-        nxt &= ~comp
-        comp |= nxt
-        frontier = nxt
-    return comp == (1 << n) - 1
-
-
 # -- certificate re-validation -------------------------------------------
 
 
+def _vertex_mask(g: Graph, vertices) -> int | None:
+    """The mask of ``vertices`` when they are distinct vertices of ``g``,
+    else None."""
+    mask = 0
+    for v in vertices:
+        if not isinstance(v, int) or not 0 <= v < g.n or (mask >> v) & 1:
+            return None
+        mask |= 1 << v
+    return mask
+
+
 def validate_certificate(g: Graph, cert: Certificate) -> bool:
-    """Recheck a certificate against its host graph from scratch."""
+    """Recheck a certificate against its host graph from scratch. A
+    malformed certificate (missing or mistyped fields, vertices that are
+    repeated or not in ``g``, pairs that are not edges) is False; this never
+    raises."""
+    try:
+        return _certificate_holds(g, cert)
+    except (LookupError, TypeError, ValueError):
+        return False
+
+
+def _certificate_holds(g: Graph, cert: Certificate) -> bool:
     p = cert.payload
     if cert.kind == "ViolatingSetS":
         s = p["set"]
-        if any(not 0 <= v < g.n for v in s):
+        mask = _vertex_mask(g, s)
+        if mask is None:
             return False
-        o = _odd_components(g.adj, g.full_mask() & ~mask_of(s))
+        o = _odd_components(g.adj, g.full_mask() & ~mask)
         if o != p.get("odd_components", o):
             return False
         k = p["k"]
         if p["criterion"] == "extendability":
-            if _k_disjoint_edges(g.adj, mask_of(s), k) is None:
+            if _k_disjoint_edges(g.adj, mask, k) is None:
                 return False
             return o > len(s) - 2 * k
         return len(s) >= k and o > len(s) - k
     if cert.kind == "ViolatingSubsetX":
         x = p["subset"]
-        if not x or any(not 0 <= v < g.n for v in x):
+        x_mask = _vertex_mask(g, x)
+        if not x or x_mask is None:
             return False
-        nbh = _neighborhood_mask(g.adj, mask_of(x))
+        nbh = _neighborhood_mask(g.adj, x_mask)
         if p["criterion"] == "extendability":
             k = p["k"]
             if p.get("reason") == "unbalanced-sides":
@@ -1153,7 +1074,6 @@ def validate_certificate(g: Graph, cert: Certificate) -> bool:
             a, b = _ore_sides(g)
             return (sum(targets[v] for v in a)
                     != sum(targets[v] for v in b))
-        x_mask = mask_of(x)
         lhs = sum(targets[v] for v in x)
         rhs = sum(min(targets[y], (g.adj[y] & x_mask).bit_count())
                   for y in bits(nbh))
@@ -1161,31 +1081,20 @@ def validate_certificate(g: Graph, cert: Certificate) -> bool:
     if cert.kind == "FactorSubgraph":
         k = p["k"]
         deg = [0] * g.n
+        seen: set[tuple[int, int]] = set()
         for u, v in p["edges"]:
-            if not g.has_edge(u, v):
+            if _vertex_mask(g, (u, v)) is None or not g.has_edge(u, v):
                 return False
+            e = (min(u, v), max(u, v))
+            if e in seen:
+                return False
+            seen.add(e)
             deg[u] += 1
             deg[v] += 1
         return all(d == k for d in deg) if k else not p["edges"]
-    if cert.kind == "MatchingList":
-        seen: set[tuple[int, int]] = set()
-        q = g.n // 2
-        for edges in p["matchings"]:
-            cover = 0
-            for u, v in edges:
-                if not g.has_edge(u, v):
-                    return False
-                e = (min(u, v), max(u, v))
-                if e in seen:
-                    return False
-                seen.add(e)
-                cover |= (1 << u) | (1 << v)
-            if cover != g.full_mask() or len(edges) != q:
-                return False
-        return len(seen) == g.m
     if cert.kind == "HamCycle":
         cyc = p["cycle"]
-        if len(cyc) != g.n or len(set(cyc)) != g.n:
+        if len(cyc) != g.n or _vertex_mask(g, cyc) is None:
             return False
         return all(g.has_edge(cyc[i], cyc[(i + 1) % g.n])
                    for i in range(g.n))
@@ -1194,10 +1103,10 @@ def validate_certificate(g: Graph, cert: Certificate) -> bool:
         if p.get("reason") == "no-size-k-matching":
             return max_matching(g).size < k
         edges = [tuple(e) for e in p["matching"]]
-        matching_of(edges).validate(g)
-        if len(edges) != k:
+        used = _vertex_mask(g, [v for e in edges for v in e])
+        if (used is None or len(edges) != k
+                or any(len(e) != 2 or not g.has_edge(*e) for e in edges)):
             return False
-        used = mask_of(v for e in edges for v in e)
         memo: dict[int, int] = {}
         return not _has_pm_mask(g.adj, g.full_mask() ^ used, memo)
     return False

@@ -9,9 +9,9 @@ and cross-checks compare the two.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -188,9 +188,6 @@ class Partition:
     def of(classes: Iterable[Iterable[int]]) -> "Partition":
         return Partition(tuple(frozenset(c) for c in classes))
 
-    def class_sizes(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.classes)
-
 
 def refine_equitable(g: Graph, seed: Partition | None = None) -> Partition:
     """Coarsest equitable refinement of ``seed`` (one class if omitted).
@@ -234,9 +231,6 @@ class QuotientMatrix:
     @property
     def size(self) -> int:
         return len(self.class_sizes)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.entries, dtype=float)
 
     def _symmetrized(self) -> np.ndarray:
         # D B D^{-1} with D = diag(sqrt sizes) is symmetric: the entry

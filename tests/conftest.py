@@ -5,11 +5,13 @@ The oracles here deliberately use different algorithms from the library
 vertex masks) so that test expectations are computed independently.
 The reference checkers and the reference sampler at the end are the
 exception: they keep the library's earlier always-exhaustive checkers and
-its earlier Graph-per-draw sampler as differential baselines.
+its earlier Graph-per-draw sampler as differential baselines. ``path`` and
+``isomorphic_small`` are graph helpers that only the tests use.
 """
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -68,6 +70,12 @@ def brute_is_k_extendable(g: Graph, k: int) -> bool:
     return True
 
 
+def path(n: int) -> Graph:
+    if n < 1:
+        raise GraphError("path needs at least 1 vertex")
+    return from_edges(n, [(v, v + 1) for v in range(n - 1)])
+
+
 def petersen() -> Graph:
     edges = []
     for i in range(5):
@@ -91,6 +99,57 @@ def seeded_random_graph(seed: int, n: int, p: float) -> Graph:
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+ISO_LIMIT = 16
+
+
+def isomorphic_small(g: Graph, h: Graph, limit: int = ISO_LIMIT) -> bool:
+    """Exact isomorphism test by pruned backtracking; order <= ``limit``."""
+    if g.n > limit or h.n > limit:
+        raise GraphError(f"isomorphism test limited to n <= {limit}")
+    if g.n != h.n or g.m != h.m:
+        return False
+    n = g.n
+
+    def invariants(x: Graph) -> list[tuple[int, tuple[int, ...]]]:
+        deg = x.degrees()
+        return [(deg[v], tuple(sorted(deg[u] for u in bits(x.adj[v]))))
+                for v in range(n)]
+
+    gi, hi = invariants(g), invariants(h)
+    if sorted(gi) != sorted(hi):
+        return False
+    # rarest invariant classes first
+    freq = Counter(gi)
+    order = sorted(range(n), key=lambda v: (freq[gi[v]], -gi[v][0], v))
+    cand = [[w for w in range(n) if hi[w] == gi[v]] for v in order]
+    mapping = [-1] * n
+    used = [False] * n
+
+    def extend(i: int) -> bool:
+        if i == n:
+            return True
+        v = order[i]
+        for w in cand[i]:
+            if used[w]:
+                continue
+            ok = True
+            for j in range(i):
+                u = order[j]
+                if g.has_edge(v, u) != h.has_edge(w, mapping[u]):
+                    ok = False
+                    break
+            if ok:
+                mapping[v] = w
+                used[w] = True
+                if extend(i + 1):
+                    return True
+                used[w] = False
+                mapping[v] = -1
+        return False
+
+    return extend(0)
 
 
 # -- reference checkers ----------------------------------------------------

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from specmatch.graph import (GraphError, bits, graph6_decode, graph6_encode,
-                             from_edges, is_connected, isomorphic_small)
+                             from_edges, is_connected)
 from specmatch.spectra import rho_dense
 from specmatch.matchfactor import (find_k_factor_flow, hamiltonian_cycle,
                                    has_f_factor_ore, FactorSpec,
@@ -16,6 +16,8 @@ from specmatch.families import (FamilyParams, construct_family,
                                 extremal_kext_general, extremal_kfactor,
                                 extremal_kfc, family_quotient, recognize,
                                 threshold_F, threshold_rho)
+
+from conftest import isomorphic_small
 
 
 def relabel(g, seed=0):

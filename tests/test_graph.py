@@ -3,16 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specmatch.graph import (Graph, GraphError, SIDE_A, SIDE_B,
-                             bipartite_join, complete, complete_bipartite,
-                             cycle, disjoint_union, edge_counts, empty,
-                             from_edges, graph6_decode, graph6_encode,
-                             infer_bipartition, is_connected,
-                             isomorphic_small, join, neighborhood,
-                             odd_component_count, path, remove_star)
-from specmatch.families import extremal_kext_bipartite, extremal_kfactor
+from specmatch.graph import (Graph, GraphError, SIDE_A, bipartite_join,
+                             complete, complete_bipartite, cycle,
+                             disjoint_union, edge_counts, empty, from_edges,
+                             graph6_decode, graph6_encode, infer_bipartition,
+                             is_connected, join, remove_star)
+from specmatch.families import extremal_kfactor
 
-from conftest import seeded_random_graph
+from conftest import isomorphic_small, path, seeded_random_graph
 
 
 class TestConstructors:
@@ -94,35 +92,8 @@ class TestSizeInvariants:
         h = seeded_random_graph(seed + 1, n2, 0.5)
         assert join(g, h).m == g.m + h.m + g.n * h.n
 
-    @settings(derandomize=True, max_examples=40)
-    @given(st.integers(0, 123456), st.integers(1, 9))
-    def test_odd_component_parity(self, seed, n):
-        g = seeded_random_graph(seed, n, 0.3)
-        rng = random.Random(seed)
-        s = [v for v in range(n) if rng.random() < 0.4]
-        o = odd_component_count(g, s)
-        from specmatch.graph import component_masks, mask_of
-        comps = component_masks(g, g.full_mask() & ~mask_of(s))
-        assert o <= len(comps)
-        if all(c.bit_count() % 2 for c in comps):
-            assert o % 2 == (n - len(s)) % 2
-
 
 class TestQueries:
-    def test_odd_components_examples(self):
-        g = join(complete(2), disjoint_union(complete(7), empty(1)))
-        assert odd_component_count(g, [0, 1]) == 2
-        assert odd_component_count(g, range(10)) == 0
-        assert odd_component_count(complete(4), []) == 0
-
-    def test_neighborhood(self):
-        g = join(complete(1), complete(4))  # vertex 0 dominates
-        assert neighborhood(g, [0]) == {1, 2, 3, 4}
-        assert neighborhood(g, []) == set()
-        overlay = extremal_kext_bipartite(10, 1, 1)
-        # X2 = {4..7} sees exactly Y2 = {8, 9}
-        assert neighborhood(overlay, [4, 5, 6, 7]) == {8, 9}
-
     def test_edge_counts(self):
         g = complete(6)
         inside, cross = edge_counts(g, [0, 1, 2], [3, 4])

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,24 +13,33 @@ from specmatch import harness as hz
 from specmatch import matchfactor as mf
 from specmatch.graph import (complete, complete_bipartite, cycle,
                              disjoint_union, from_edges, graph6_decode,
-                             graph6_encode, infer_bipartition, path)
+                             graph6_encode, infer_bipartition)
 from specmatch.families import (FamilyParams, construct_family,
                                 extremal_kext_bipartite, extremal_kfactor)
 from specmatch.matchfactor import Certificate, validate_certificate
-from specmatch.harness import (THEOREMS, Limits, UsageError, cmd_check,
+from specmatch.harness import (THEOREMS, UsageError, cmd_check,
                                cmd_construct, cmd_cross_check, cmd_rho,
                                cmd_scan, cmd_verify,
                                oracle_property_for_theorem, render_csv,
                                render_json, rng_for, sample_for_theorem)
 
-from conftest import ref_sample_for_theorem
+from conftest import path, ref_sample_for_theorem
 
 CLI = [sys.executable, "-m", "specmatch"]
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def run_cli(args, stdin=""):
     return subprocess.run(CLI + args, input=stdin, capture_output=True,
                           text=True)
+
+
+def run_main(argv):
+    """Exit code and stdout of one in-process CLI call."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
 
 
 class TestConstruct:
@@ -219,7 +232,7 @@ class TestOracle:
         monkeypatch.setattr(mf, "is_k_extendable_plummer", primary)
         for g, want in zip(graphs, expected):
             p = FamilyParams(n=g.n, k=1, delta=1)
-            assert oracle_property_for_theorem("t1.2", g, p, Limits()) is want
+            assert oracle_property_for_theorem("t1.2", g, p) is want
 
 
 class TestCertificateRevalidation:
@@ -343,6 +356,80 @@ class TestCrossCheck:
         assert code == 1
         assert rows and all("certificate failed revalidation" in row
                             and '""subset"":[]' in row for row in rows)
+
+
+    def test_malformed_definitional_certificate(self, monkeypatch, capsys):
+        # a definitional FailingMatching holding a non-edge becomes a
+        # disagreement row, not an error exit
+        definitional = mf.is_k_extendable_definitional
+
+        def corrupted(g, k, limit=mf.GENERAL_MATCHING_LIMIT):
+            ok, cert = definitional(g, k, limit)
+            if cert is not None and "matching" in cert.payload:
+                non_edge = next([u, v] for u in range(g.n)
+                                for v in range(u + 1, g.n)
+                                if not g.has_edge(u, v))
+                cert = Certificate(cert.kind,
+                                   {**cert.payload, "matching": [non_edge]})
+            return ok, cert
+
+        monkeypatch.setattr(mf, "is_k_extendable_definitional", corrupted)
+        code = cli.main(["cross-check", "--n", "4", "--samples", "0",
+                         "--seed", "1"])
+        lines = capsys.readouterr().out.splitlines()
+        rows = [line for line in lines[1:] if not line.startswith("#")]
+        assert code == 1
+        assert rows and all("certificate failed revalidation" in row
+                            and "FailingMatching" in row for row in rows)
+
+
+class TestVerifyScanAgree:
+    """verify's sample rows, fed back to scan as graph6 lines, give the same
+    rows, categories and notes: both run ``_evaluate``. The samples of
+    these theorems are connected, so scan infers the sampler's bipartition
+    and the certificates match too."""
+
+    @pytest.mark.parametrize("theorem, p, checked", [
+        # below the threshold or recognized as extremal: no checker runs
+        ("t1.1", FamilyParams(n=10, k=1, delta=2), 0),
+        ("t1.1", FamilyParams(n=18, k=1, delta=3), 4),
+        ("t1.3", FamilyParams(n=8, k=2), 12),
+        ("t4.5", FamilyParams(n=15, k=1, delta=2), 2),
+    ], ids=["t1.1-n10", "t1.1-n18", "t1.3-n8", "t4.5-n15"])
+    def test_sample_rows_rescanned(self, theorem, p, checked):
+        verify = cmd_verify(theorem, p, samples=80, seed=3)
+        scan = cmd_scan([row["graph"] for row in verify.rows[1:]], theorem, p)
+        assert scan.rows == verify.rows[1:]
+        assert sum(row["verdict"] != "" for row in scan.rows) >= checked
+        categories = dict(verify.summary)
+        categories["extremal-hit"] -= 1
+        assert scan.summary == {key: count for key, count
+                                in categories.items() if count}
+        renamed = [re.sub(r"^sample (\d+):",
+                          lambda m: f"line {int(m[1]) + 1}:", note)
+                   for note in verify.notes if note.startswith("sample ")]
+        assert scan.notes == renamed
+
+
+class TestBenchHooks:
+    def test_tracer_installs(self, monkeypatch):
+        # the benchmark's per-layer trace wraps functions by name; deleting
+        # or renaming one of them must fail here, not only in the benchmark
+        monkeypatch.syspath_prepend(str(BENCH))
+        tracing = pytest.importorskip("tracing")
+        argv = ["verify", "--theorem", "t1.3", "--n", "8", "--k", "2",
+                "--samples", "20", "--seed", "1"]
+        plain = run_main(argv)
+        tracer = tracing.Tracer()
+        try:
+            tracer.install()
+            traced = run_main(argv)
+        finally:
+            tracer.uninstall()
+        assert traced == plain
+        metrics = tracer.metrics(0.0)
+        assert metrics["harness.sample.calls"] == 20
+        assert metrics["harness.pipeline.calls"] == 1
 
 
 class TestRendering:

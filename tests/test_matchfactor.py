@@ -11,7 +11,6 @@ from specmatch.graph import (GraphError, SIDE_A, SIDE_B, complete,
                              remove_star)
 from specmatch.matchfactor import (Certificate, FactorSpec,
                                    chen_violating_set,
-                                   connected_k_factor_search,
                                    decompose_edge_disjoint_pms,
                                    find_k_factor_flow, hamiltonian_cycle,
                                    has_f_factor_ore, has_perfect_matching,
@@ -265,9 +264,6 @@ class TestDecomposition:
             assert not seen & set(m.edges)
             seen |= set(m.edges)
         assert seen == set(h.edges())
-        listing = Certificate("MatchingList", {
-            "matchings": [[list(e) for e in m.edges] for m in pms]})
-        assert validate_certificate(h, listing)
 
     def test_rejects_irregular(self):
         with pytest.raises(GraphError):
@@ -546,32 +542,6 @@ class TestHamilton:
             hamiltonian_cycle(complete_bipartite(11, 11))
 
 
-class TestConnectedFactorSearch:
-    def test_cycle_itself(self):
-        ok, cert = connected_k_factor_search(cycle(8), 2)
-        assert ok
-        assert sorted(tuple(e) for e in cert.payload["edges"]) == sorted(
-            cycle(8).edges())
-
-    def test_no_factor_at_all(self):
-        ok, cert = connected_k_factor_search(extremal_kfactor(8, 2), 2)
-        assert ok is False
-        assert cert is not None and cert.kind == "ViolatingSubsetX"
-
-    def test_k44_has_connected_two_factor(self):
-        ok, cert = connected_k_factor_search(complete_bipartite(4, 4), 2)
-        assert ok
-        assert validate_certificate(complete_bipartite(4, 4), Certificate(
-            "FactorSubgraph", {"k": 2, "edges": cert.payload["edges"]}))
-
-    def test_disconnected_two_factor_only(self):
-        # two disjoint 4-cycles joined by nothing: the unique 2-factor is
-        # the graph itself, which is disconnected
-        g = disjoint_union(cycle(4), cycle(4))
-        ok, _ = connected_k_factor_search(g, 2)
-        assert ok is False
-
-
 class TestChecksAgainstEachOther:
     def test_extendability_monotone_in_k(self):
         for seed in range(40):
@@ -601,3 +571,60 @@ class TestChecksAgainstEachOther:
         _, cert = is_k_extendable_chen(extremal_kext_general(10, 1, 2), 1)
         bad = Certificate(cert.kind, dict(cert.payload, set=[2, 3]))
         assert not validate_certificate(extremal_kext_general(10, 1, 2), bad)
+
+
+C6 = cycle(6)  # bipartition by parity: A = {0, 2, 4}
+
+
+class TestMalformedCertificates:
+    """A certificate that is malformed for its host graph re-validates as
+    False, never as True and never with an exception."""
+
+    CASES = {
+        "set-out-of-range": (C6, "ViolatingSetS", {
+            "criterion": "extendability", "k": 1, "set": [0, 6]}),
+        "set-repeated-vertex": (C6, "ViolatingSetS", {
+            "criterion": "factor-critical", "k": 1, "set": [0, 0]}),
+        "set-mistyped-k": (C6, "ViolatingSetS", {
+            "criterion": "extendability", "k": "1", "set": [0, 1]}),
+        "set-no-criterion": (C6, "ViolatingSetS", {"k": 1, "set": [0, 1]}),
+        # counted twice, [0, 0] would beat |N(X)| = 2
+        "subset-repeated-vertex": (C6, "ViolatingSubsetX", {
+            "criterion": "extendability", "k": 1, "subset": [0, 0],
+            "neighborhood": [1, 5]}),
+        "subset-negative-vertex": (C6, "ViolatingSubsetX", {
+            "criterion": "extendability", "k": 1, "subset": [-1],
+            "neighborhood": []}),
+        "subset-host-without-sides": (C6.drop_bipartition(),
+                                      "ViolatingSubsetX", {
+            "criterion": "extendability", "k": 1, "subset": [0],
+            "neighborhood": [1, 5]}),
+        "subset-short-targets": (C6, "ViolatingSubsetX", {
+            "criterion": "f-factor", "targets": [1], "subset": [0, 2],
+            "neighborhood": [1, 3, 5]}),
+        "factor-repeated-edge": (complete_bipartite(1, 1), "FactorSubgraph", {
+            "k": 2, "edges": [[0, 1], [0, 1]]}),
+        # -1 would alias vertex 5, and (5, 0) is an edge
+        "factor-negative-vertex": (C6, "FactorSubgraph", {
+            "k": 1, "edges": [[-1, 0], [1, 2], [3, 4]]}),
+        "factor-not-a-pair": (C6, "FactorSubgraph", {
+            "k": 1, "edges": [[0, 1, 2]]}),
+        "cycle-negative-vertex": (C6, "HamCycle", {
+            "cycle": [0, 1, 2, 3, 4, -1]}),
+        "cycle-out-of-range": (C6, "HamCycle", {
+            "cycle": [0, 1, 2, 3, 4, 6]}),
+        "cycle-not-a-list": (C6, "HamCycle", {"cycle": 6}),
+        "matching-non-edge": (C6, "FailingMatching", {
+            "k": 1, "matching": [[0, 3]]}),
+        "matching-shared-vertex": (C6, "FailingMatching", {
+            "k": 2, "matching": [[0, 1], [1, 2]]}),
+        "matching-out-of-range": (C6, "FailingMatching", {
+            "k": 1, "matching": [[5, 6]]}),
+        "matching-missing": (C6, "FailingMatching", {"k": 1}),
+        "payload-not-a-dict": (C6, "HamCycle", [0, 1, 2, 3, 4, 5]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_false_never_raises(self, case):
+        g, kind, payload = self.CASES[case]
+        assert validate_certificate(g, Certificate(kind, payload)) is False

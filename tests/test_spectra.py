@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from specmatch.graph import (GraphError, complete, complete_bipartite, cycle,
-                             disjoint_union, empty, path)
+                             disjoint_union, empty)
 from specmatch.spectra import (ConvergenceError, Partition, SymMatrix,
                                adjacency_matrix, charpoly_quartic,
                                degree_sum_identity, fms_bound, full_spectrum,
@@ -16,7 +16,7 @@ from specmatch.spectra import (ConvergenceError, Partition, SymMatrix,
 from specmatch.families import (extremal_kext_bipartite,
                                 extremal_kext_general, extremal_kfactor)
 
-from conftest import petersen, seeded_random_graph
+from conftest import path, petersen, seeded_random_graph
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
