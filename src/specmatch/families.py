@@ -31,7 +31,6 @@ class FamilyParams:
 @dataclass(frozen=True)
 class Threshold:
     rho_star: float
-    quotient: QuotientMatrix
 
 
 def threshold_F(k: int, delta: int) -> int:
@@ -52,6 +51,19 @@ def _require(cond: bool, msg: str) -> None:
 # -- constructors --------------------------------------------------------
 
 
+def _join_family_graph(delta: int, a: int, t: int) -> Graph:
+    """A delta-clique joined to an a-clique plus t isolated vertices, in
+    canonical order."""
+    return join(complete(delta), disjoint_union(complete(a), empty(t)))
+
+
+def _overlay(n: int, k: int, s: int) -> Graph:
+    """K_{s,s+k+1} overlaid on K_{n/2-s,n/2-s-k-1} (X1, Y1, X2, Y2); at
+    s = 0, K_{n/2,n/2-k-1} plus k+1 isolated vertices."""
+    return bipartite_join(complete_bipartite(s, s + k + 1),
+                          complete_bipartite(n // 2 - s, n // 2 - s - k - 1))
+
+
 def extremal_kext_general(n: int, k: int, delta: int) -> Graph:
     """Join of a delta-clique with (clique + independent set): the unique
     spectral maximizer among non-k-extendable graphs of minimum degree
@@ -61,8 +73,7 @@ def extremal_kext_general(n: int, k: int, delta: int) -> Graph:
     _require(delta >= 2 * k, f"delta={delta} violates delta >= 2k={2 * k}")
     a = n - 2 * delta + 2 * k - 1
     _require(a >= 1, f"n-2*delta+2k-1={a} violates >= 1")
-    t = delta - 2 * k + 1
-    return join(complete(delta), disjoint_union(complete(a), empty(t)))
+    return _join_family_graph(delta, a, delta - 2 * k + 1)
 
 
 def extremal_kext_bipartite(n: int, k: int, s: int) -> Graph:
@@ -72,8 +83,7 @@ def extremal_kext_bipartite(n: int, k: int, s: int) -> Graph:
     _require(n % 2 == 0, f"n={n} violates even order")
     q = n // 2 - s - k - 1
     _require(q >= 0, f"n/2-s-k-1={q} violates >= 0")
-    return bipartite_join(complete_bipartite(s, s + k + 1),
-                          complete_bipartite(n // 2 - s, q))
+    return _overlay(n, k, s)
 
 
 def extremal_kfactor(n: int, k: int) -> Graph:
@@ -95,8 +105,7 @@ def extremal_kfc(n: int, k: int, delta: int) -> Graph:
     _require(n >= bound, f"n={n} violates n >= {bound}")
     a = n - 2 * delta + k - 1
     _require(a >= 1, f"n-2*delta+k-1={a} violates >= 1")
-    t = delta - k + 1
-    return join(complete(delta), disjoint_union(complete(a), empty(t)))
+    return _join_family_graph(delta, a, delta - k + 1)
 
 
 def extremal_hamilton(n: int) -> Graph:
@@ -182,8 +191,7 @@ def family_quotient(family: str, p: FamilyParams) -> QuotientMatrix:
 
 def threshold_rho(family: str, p: FamilyParams) -> Threshold:
     """Spectral threshold of a family from its exact quotient."""
-    q = family_quotient(family, p)
-    return Threshold(rho_star=q.largest_eigenvalue(), quotient=q)
+    return Threshold(rho_star=family_quotient(family, p).largest_eigenvalue())
 
 
 # -- structural recognizers ----------------------------------------------

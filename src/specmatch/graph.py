@@ -95,9 +95,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj[u] >> v) & 1)
 
-    def neighbors(self, v: int) -> Iterator[int]:
-        return bits(self.adj[v])
-
     def edges(self) -> list[tuple[int, int]]:
         out = []
         for v in range(self.n):
@@ -139,9 +136,6 @@ class Graph:
 
     def drop_bipartition(self) -> "Graph":
         return Graph(self.n, self.adj, None) if self.sides is not None else self
-
-    def same_adjacency(self, other: "Graph") -> bool:
-        return self.n == other.n and self.adj == other.adj
 
     def induced(self, keep: Iterable[int]) -> "Graph":
         """Induced subgraph on ``keep``, relabeled densely in sorted order."""

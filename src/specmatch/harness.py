@@ -171,25 +171,12 @@ def random_regular_bipartite(rng: random.Random, half: int,
             prefs.append(free)
         order = list(range(half))
         rng.shuffle(order)
-        match = [-1] * (2 * half)
-
-        def augment(a: int, seen: set[int]) -> bool:
-            for b in prefs[a]:
-                if b in seen:
-                    continue
-                seen.add(b)
-                if match[b] == -1 or augment(match[b], seen):
-                    match[b] = a
-                    match[a] = b
-                    return True
-            return False
-
+        owner: dict[int, int] = {}
         for a in order:
-            if not augment(a, set()):
+            if not mf._augment(prefs, owner, a, set()):
                 raise UsageError(
                     "internal: free graph lost its perfect matching")
-        for a in range(half):
-            b = match[a]
+        for b, a in owner.items():
             adj[a] |= 1 << b
             adj[b] |= 1 << a
     return Graph(2 * half, tuple(adj), _sides(half, half))
@@ -291,14 +278,19 @@ def oracle_property_for_theorem(name: str, g: Graph, p: fam.FamilyParams,
                                 limit: int = mf.EXHAUSTIVE_LIMIT) -> bool:
     """Independent route used to confirm counterexample candidates.
 
-    For t1.2 the oracle is the definitional scan on a connected graph of
-    order <= ``mf.GENERAL_MATCHING_LIMIT``, else the violating-subset
-    search while |A| <= ``limit``; neither is the surplus route that
-    decides in ``is_k_extendable_plummer``. Only when |A| exceeds ``limit``
-    (n > 40 at the default limit) does the oracle fall back to that primary
-    route, which then confirms nothing independently."""
+    For t1.1 and t4.5 the oracle is the odd-component criterion
+    (``chen_violating_set``, ``kfc_violating_set``), not the definitional
+    scan that decides in the primary checker. For t1.2 it is the
+    definitional scan on a connected graph of order
+    <= ``mf.GENERAL_MATCHING_LIMIT``, else the violating-subset search
+    while |A| <= ``limit``; neither is the surplus route that decides in
+    ``is_k_extendable_plummer``. Only when |A| exceeds ``limit`` (n > 40 at
+    the default limit) does the oracle fall back to that primary route,
+    which then confirms nothing independently. For t1.3 it is Ore's
+    criterion against the flow route. t4.3 has no independent route yet:
+    its oracle reruns ``hamiltonian_cycle``."""
     if name == "t1.1":
-        return mf.is_k_extendable_definitional(g, p.k)[0]
+        return mf.chen_violating_set(g, p.k, limit) is None
     if name == "t1.2":
         if is_connected(g) and g.n <= mf.GENERAL_MATCHING_LIMIT:
             return mf.is_k_extendable_definitional(g, p.k)[0]
@@ -435,8 +427,7 @@ def _evaluate(item) -> tuple[dict, str, str | None, str | None]:
     category = _classify_row(holds, recognized, margin, tol)
     note = None
     if category == "counterexample-candidate":
-        confirmed, why = _reverify_candidate(theorem, spec, g, p, thr, tol,
-                                             limit)
+        confirmed, why = _reverify_candidate(theorem, g, p, thr, tol, limit)
         if not confirmed:
             category = "consistent"
             note = f"{where} {why}"
@@ -497,8 +488,8 @@ def _revalidation_note(g: Graph, cert: mf.Certificate | None,
     return f"{where} certificate failed re-validation"
 
 
-def _reverify_candidate(theorem: str, spec: TheoremSpec, g: Graph,
-                        p: fam.FamilyParams, thr: fam.Threshold, tol: float,
+def _reverify_candidate(theorem: str, g: Graph, p: fam.FamilyParams,
+                        thr: fam.Threshold, tol: float,
                         limit: int) -> tuple[bool, str]:
     tight = tol / 100
     rho = sp.spectral_radius(g, tol=min(tight, sp.default_tol(g.n))).rho
@@ -506,8 +497,6 @@ def _reverify_candidate(theorem: str, spec: TheoremSpec, g: Graph,
         return False, "candidate dropped: rho below threshold when re-solved"
     if oracle_property_for_theorem(theorem, g, p, limit):
         return False, "candidate dropped: property holds via oracle route"
-    if fam.recognize(spec.family, p, g):
-        return False, "candidate dropped: recognized as extremal"
     return True, ""
 
 
@@ -600,10 +589,10 @@ def _lemma_rows_23(report: Report) -> None:
                 if cell % DENSE_STRIDE == 0:
                     lo_d = sp.rho_dense(_join_clique_graph(
                         2 * k, [delta - 2 * k + 1, n - delta - 1]))
-                    g_hi = join(complete(delta), disjoint_union(
-                        complete(n - 2 * delta + 2 * k - 1),
-                        empty(delta - 2 * k + 1)))
-                    hi_d = sp.rho_dense(g_hi)
+                    # the kext-general member; n may be odd here
+                    hi_d = sp.rho_dense(fam._join_family_graph(
+                        delta, n - 2 * delta + 2 * k - 1,
+                        delta - 2 * k + 1))
                     ok = (ok and abs(lo - lo_d) <= 1e-8
                           and abs(hi - hi_d) <= 1e-8)
                 _lemma_row(report, f"l2.3 k={k} delta={delta} n={n}",
@@ -622,17 +611,11 @@ def _lemma_rows_26(report: Report) -> None:
                 margin = hi - lo
                 g_lo = fam.extremal_kext_bipartite(n, k, s)
                 lo_d = sp.rho_dense(g_lo)
-                hi_d = sp.rho_dense(_overlay_or_union(n, k, s - 1))
+                hi_d = sp.rho_dense(fam._overlay(n, k, s - 1))
                 ok = (margin > LEMMA_MARGIN
                       and abs(lo - lo_d) <= 1e-8 and abs(hi - hi_d) <= 1e-8)
                 _lemma_row(report, f"l2.6 k={k} s={s} n={n}",
                            lo, hi, margin, ok)
-
-
-def _overlay_or_union(n: int, k: int, s: int) -> Graph:
-    from .graph import complete_bipartite, bipartite_join
-    return bipartite_join(complete_bipartite(s, s + k + 1),
-                          complete_bipartite(n // 2 - s, n // 2 - s - k - 1))
 
 
 def _lemma_row(report: Report, label: str, lo: float, hi: float,
@@ -675,11 +658,7 @@ def _compare_on_graph(g: Graph, limit: int,
         for k in ks_ext:
             chen = _search_result(mf.chen_violating_set(g, k, limit))
             defn = mf.is_k_extendable_definitional(g, k)
-            if chen[0] != defn[0]:
-                issues.append(
-                    f"chen!=definitional k={k}: {chen[0]} vs {defn[0]} "
-                    f"on {graph6_encode(g)}; certificates "
-                    f"{_cert_str(chen[1])} | {_cert_str(defn[1])}")
+            issues += _disagreement("chen!=definitional", k, chen, defn, g)
             issues += _failed_revalidations(g, g, (chen, defn))
     gb = infer_bipartition(g)
     if gb is not None and gb.side_mask(SIDE_A).bit_count() * 2 == gb.n \
@@ -691,28 +670,28 @@ def _compare_on_graph(g: Graph, limit: int,
                 # enum_limit=0 leaves the surplus route alone
                 surplus = mf.is_k_extendable_plummer(gb, k, enum_limit=0)
                 defn = mf.is_k_extendable_definitional(gb, k)
-                if plum[0] != defn[0]:
-                    issues.append(
-                        f"plummer!=definitional k={k}: {plum[0]} vs "
-                        f"{defn[0]} on {graph6_encode(g)}; certificates "
-                        f"{_cert_str(plum[1])} | {_cert_str(defn[1])}")
-                if plum[0] != surplus[0]:
-                    issues.append(
-                        f"plummer!=surplus k={k}: {plum[0]} vs "
-                        f"{surplus[0]} on {graph6_encode(g)}; certificates "
-                        f"{_cert_str(plum[1])} | {_cert_str(surplus[1])}")
+                issues += _disagreement("plummer!=definitional", k, plum,
+                                        defn, g)
+                issues += _disagreement("plummer!=surplus", k, plum,
+                                        surplus, g)
                 issues += _failed_revalidations(gb, g, (plum, surplus, defn))
         for k in ks_factor:
             ore = mf.has_f_factor_ore(gb, mf.FactorSpec.constant(gb.n, k),
                                       limit)
             flow = mf.find_k_factor_flow(gb, k)
-            if ore[0] != flow[0]:
-                issues.append(
-                    f"ore!=flow k={k}: {ore[0]} vs {flow[0]} on "
-                    f"{graph6_encode(g)}; certificates "
-                    f"{_cert_str(ore[1])} | {_cert_str(flow[1])}")
+            issues += _disagreement("ore!=flow", k, ore, flow, g)
             issues += _failed_revalidations(gb, g, (ore, flow))
     return issues
+
+
+def _disagreement(routes: str, k: int, first, second, g: Graph) -> list[str]:
+    """The mismatch description when two (verdict, certificate) results on
+    ``g`` disagree, else nothing."""
+    if first[0] == second[0]:
+        return []
+    return [f"{routes} k={k}: {first[0]} vs {second[0]} on "
+            f"{graph6_encode(g)}; certificates {_cert_str(first[1])} | "
+            f"{_cert_str(second[1])}"]
 
 
 def _failed_revalidations(host: Graph, g: Graph, results) -> list[str]:

@@ -16,13 +16,20 @@ oracle against the deciding routes.
 
 Violating-set certificates are excess-maximal: among all witnesses the one
 with the largest violation is returned, ties broken by the
-lexicographically least vertex list. The three searches share one
-lexicographic branch and bound (``_lex_max_excess``), which visits the
-vertex sets in that tie-break order. It stops as soon as a set reaches an
-upper bound on the excess that one maximum matching gives (the
-Tutte-Berge formula; Konig's theorem for Plummer), and skips the subtrees
-in which no set can beat the best excess found. A positive, or a negative
-whose best excess stays below the bound, is searched to the end.
+lexicographically least vertex list. The four searches (the three above
+and Ore's criterion in ``has_f_factor_ore``) run on one lexicographic
+branch and bound (``_lex_max_excess``), which visits the vertex sets in
+that tie-break order; Chen and factor-criticality share the odd-component
+search ``_odd_set_search``. The first three stop as soon as a set reaches
+an upper bound on the excess that one maximum matching gives (the
+Tutte-Berge formula; Konig's theorem for Plummer), and skip the subtrees
+in which no set can beat the best excess found. Ore's search prunes
+nothing, so it stays independent of the flow route it is checked against.
+
+One augmenting-path routine, ``_augment`` (Kuhn), serves every bipartite
+matching: maximum matchings, the surplus route's replicated Hall test and
+``harness.random_regular_bipartite``; each caller keeps its own unit
+order, candidate order and failure policy.
 """
 from __future__ import annotations
 
@@ -32,7 +39,7 @@ from itertools import combinations
 from typing import Iterator, Sequence
 
 from .graph import (Graph, GraphError, SIDE_A, SIDE_B, bits, is_connected,
-                    mask_of)
+                    mask_of, row_components)
 
 EXHAUSTIVE_LIMIT = 20
 GENERAL_MATCHING_LIMIT = 24
@@ -101,28 +108,37 @@ class FactorSpec:
 # -- maximum matchings ---------------------------------------------------
 
 
+def _augment(cands: Sequence[Sequence[int]], owner: dict[int, int],
+             unit: int, seen: set[int]) -> bool:
+    """Kuhn's augmenting path from ``unit``: its candidates are tried in the
+    order ``cands[unit]`` lists them, and a candidate that another unit owns
+    is taken when that unit can move on. On success ``owner`` maps each
+    candidate on the path to its new unit; ``seen`` collects every
+    candidate visited, so on failure the units owning them, with ``unit``,
+    have too few candidates between them (Hall's condition fails)."""
+    for b in cands[unit]:
+        if b in seen:
+            continue
+        seen.add(b)
+        other = owner.get(b)
+        if other is None or _augment(cands, owner, other, seen):
+            owner[b] = unit
+            return True
+    return False
+
+
 def max_matching_bipartite(g: Graph) -> Matching:
-    """Maximum matching of a bipartite graph via augmenting paths."""
+    """Maximum matching of a bipartite graph via augmenting paths from the
+    side-A vertices in ascending order; a vertex without one stays
+    unmatched."""
     if g.sides is None:
         raise GraphError("bipartite matching needs a bipartition")
-    match = [-1] * g.n
-
-    def augment(a: int, seen: set[int]) -> bool:
-        for b in bits(g.adj[a]):
-            if b in seen:
-                continue
-            seen.add(b)
-            if match[b] == -1 or augment(match[b], seen):
-                match[b] = a
-                match[a] = b
-                return True
-        return False
-
+    cands = [list(bits(row)) for row in g.adj]
+    owner: dict[int, int] = {}
     for a in range(g.n):
-        if g.sides[a] == SIDE_A and match[a] == -1:
-            augment(a, set())
-    return matching_of([(a, match[a]) for a in range(g.n)
-                        if g.sides[a] == SIDE_A and match[a] != -1])
+        if g.sides[a] == SIDE_A:
+            _augment(cands, owner, a, set())
+    return matching_of([(a, b) for b, a in owner.items()])
 
 
 def _max_matching_value(adj: Sequence[int], mask: int,
@@ -335,6 +351,48 @@ def _lex_max_excess(verts: Sequence[int], adj: Sequence[int], excess,
     return best_set
 
 
+def _odd_set_search(g: Graph, c: int, nu, spans=None) -> int | None:
+    """Odd-component criterion with offset ``c`` (2k for extendability, k
+    for factor-criticality): the mask of the excess-maximal, lex-least
+    vertex set S with |S| >= c, o(G-S) > |S|-c and, when given,
+    ``spans(S)``; None when there is none.
+
+    The sets are searched by ``_lex_max_excess``. By the Tutte-Berge
+    formula no excess o(G-S)-|S|+c exceeds n-2*nu(G)+c (``nu()`` is the
+    matching number), so the search stops once a set reaches that bound; a
+    subtree is skipped when even its smallest proper superset T, with
+    o(G-T) <= n-|T|, could not beat the best excess found."""
+    n = g.n
+    adj = g.adj
+    full = g.full_mask()
+
+    def excess(mask: int, size: int, nbh: int, best: int) -> int:
+        if size < c or n - 2 * size + c <= best:
+            return 0  # o(G-S) <= n-|S| caps the excess
+        e = _odd_components(adj, full ^ mask) - size + c
+        if e > best and spans is not None and not spans(mask):
+            return 0
+        return e
+
+    found = _lex_max_excess(
+        range(n), adj, excess,
+        lambda size, nbh, best: n - 2 * (size + 1) + c <= best,
+        lambda: n - 2 * nu() + c)
+    return None if found is None else found[0]
+
+
+def _odd_set_certificate(g: Graph, criterion: str, k: int, mask: int,
+                         **extra) -> Certificate:
+    """The ``ViolatingSetS`` for the vertex set ``mask``."""
+    return Certificate("ViolatingSetS", {
+        "criterion": criterion,
+        "k": k,
+        "set": list(bits(mask)),
+        "odd_components": _odd_components(g.adj, g.full_mask() ^ mask),
+        **extra,
+    })
+
+
 # -- k-extendability -----------------------------------------------------
 
 
@@ -357,9 +415,10 @@ def _no_k_matching_certificate(k: int, mm: Matching) -> Certificate:
     })
 
 
-def _require_enumerable(g: Graph, limit: int) -> None:
-    if g.n > limit:
-        raise GraphError(f"criterion enumeration limited to n <= {limit}")
+def _require_enumerable(size: int, limit: int, of: str = "n") -> None:
+    if size > limit:
+        raise GraphError(
+            f"criterion enumeration limited to {of} <= {limit}")
 
 
 def _first_failing_k_matching(
@@ -402,49 +461,26 @@ def _chen_search(g: Graph, k: int, mm: Matching) -> Certificate | None:
     matching ``mm`` of ``g``."""
     if mm.size < k:
         return _no_k_matching_certificate(k, mm)
-    n = g.n
     adj = g.adj
-    full = g.full_mask()
-
-    def excess(mask: int, size: int, nbh: int, best: int) -> int:
-        if size < 2 * k or n - 2 * size + 2 * k <= best:
-            return 0  # o(G-S) <= n-|S| caps the excess
-        e = _odd_components(adj, full ^ mask) - size + 2 * k
-        if e > best and _k_disjoint_edges(adj, mask, k) is None:
-            return 0
-        return e
-
-    found = _lex_max_excess(
-        range(n), adj, excess,
-        lambda size, nbh, best: n - 2 * (size + 1) + 2 * k <= best,
-        lambda: n - 2 * mm.size + 2 * k)
-    if found is None:
+    mask = _odd_set_search(
+        g, 2 * k, lambda: mm.size,
+        lambda s: _k_disjoint_edges(adj, s, k) is not None)
+    if mask is None:
         return None
-    mask = found[0]
     witness = _k_disjoint_edges(adj, mask, k)
-    return Certificate("ViolatingSetS", {
-        "criterion": "extendability",
-        "k": k,
-        "set": list(bits(mask)),
-        "odd_components": _odd_components(adj, full ^ mask),
-        "witness_edges": [sorted(e) for e in witness],
-    })
+    return _odd_set_certificate(g, "extendability", k, mask,
+                                witness_edges=[sorted(e) for e in witness])
 
 
 def chen_violating_set(g: Graph, k: int,
                        limit: int = EXHAUSTIVE_LIMIT) -> Certificate | None:
     """Odd-component criterion over the vertex sets S spanning k disjoint
     edges (order <= ``limit``): the excess-maximal, lex-least S with
-    o(G-S) > |S|-2k, or None when G is k-extendable. A graph without a
-    size-k matching gets a ``no-size-k-matching`` certificate.
-
-    The sets are searched by ``_lex_max_excess``. By the Tutte-Berge
-    formula no excess o(G-S)-|S|+2k exceeds n-2*nu(G)+2k, so the search
-    stops once a set reaches that bound; a subtree is skipped when even
-    its smallest proper superset T, with o(G-T) <= n-|T|, could not beat
-    the best excess found."""
+    o(G-S) > |S|-2k (``_odd_set_search``), or None when G is
+    k-extendable. A graph without a size-k matching gets a
+    ``no-size-k-matching`` certificate."""
     _require_extendable_input(g, k)
-    _require_enumerable(g, limit)
+    _require_enumerable(g.n, limit)
     mm = max_matching(g, min(g.n, GENERAL_MATCHING_LIMIT))
     return _chen_search(g, k, mm)
 
@@ -459,7 +495,7 @@ def is_k_extendable_chen(
     ``chen_violating_set`` search, reusing the scan's maximum matching,
     and its certificate is returned."""
     _require_extendable_input(g, k)
-    _require_enumerable(g, limit)
+    _require_enumerable(g.n, limit)
     mm = max_matching(g, min(g.n, GENERAL_MATCHING_LIMIT))
     if mm.size >= k and _first_failing_k_matching(g, k) is None:
         return True, None
@@ -477,6 +513,20 @@ def _neighborhood_mask(adj: Sequence[int], x_mask: int) -> int:
     return out
 
 
+def _surplus_certificate(adj: Sequence[int], k: int, subset: list[int],
+                         **extra) -> Certificate:
+    """The extendability ``ViolatingSubsetX``: ``subset`` (ascending) with
+    its neighborhood, plus any ``extra`` payload fields."""
+    nbh = _neighborhood_mask(adj, mask_of(subset))
+    return Certificate("ViolatingSubsetX", {
+        "criterion": "extendability",
+        "k": k,
+        "subset": subset,
+        "neighborhood": list(bits(nbh)),
+        **extra,
+    })
+
+
 def _plummer_decided(g: Graph,
                      k: int) -> tuple[bool, Certificate | None] | None:
     """Validate the input and settle the cases that need no criterion:
@@ -491,15 +541,9 @@ def _plummer_decided(g: Graph,
     b_verts = g.side_vertices(SIDE_B)
     if len(a_verts) != len(b_verts):
         larger = a_verts if len(a_verts) > len(b_verts) else b_verts
-        return False, Certificate("ViolatingSubsetX", {
-            "criterion": "extendability",
-            "k": k,
-            "reason": "unbalanced-sides",
-            "side_sizes": [len(a_verts), len(b_verts)],
-            "subset": larger,
-            "neighborhood": list(bits(_neighborhood_mask(g.adj,
-                                                         mask_of(larger)))),
-        })
+        return False, _surplus_certificate(
+            g.adj, k, larger, reason="unbalanced-sides",
+            side_sizes=[len(a_verts), len(b_verts)])
     q = len(a_verts)
     if q == 0:
         raise GraphError("empty graph")
@@ -530,9 +574,7 @@ def plummer_violating_subset(
         return decided[1]
     a_verts = g.side_vertices(SIDE_A)
     q = len(a_verts)
-    if q > enum_limit:
-        raise GraphError(
-            f"criterion enumeration limited to |A| <= {enum_limit}")
+    _require_enumerable(q, enum_limit, "|A|")
     found = _lex_max_excess(
         a_verts, g.adj,
         lambda mask, size, nbh, best: size + k - nbh.bit_count(),
@@ -540,13 +582,7 @@ def plummer_violating_subset(
         lambda: k + q - max_matching_bipartite(g).size)
     if found is None:
         return None
-    mask, nbh = found
-    return Certificate("ViolatingSubsetX", {
-        "criterion": "extendability",
-        "k": k,
-        "subset": list(bits(mask)),
-        "neighborhood": list(bits(nbh)),
-    })
+    return _surplus_certificate(g.adj, k, list(bits(found[0])))
 
 
 def _plummer_surplus(g: Graph, a_verts: list[int], b_verts: list[int],
@@ -555,67 +591,38 @@ def _plummer_surplus(g: Graph, a_verts: list[int], b_verts: list[int],
     every admissible subset of side A, tested by saturating matchings with
     one A-vertex replicated k extra times inside each co-neighborhood."""
     q = len(a_verts)
-    a_mask = mask_of(a_verts)
     adj = g.adj
     for b in b_verts:
         if adj[b].bit_count() <= k:
             pool = [a for a in a_verts if not (adj[b] >> a) & 1]
-            x = pool[:q - k]
-            nbh = _neighborhood_mask(adj, mask_of(x))
-            return False, Certificate("ViolatingSubsetX", {
-                "criterion": "extendability",
-                "k": k,
-                "subset": sorted(x),
-                "neighborhood": list(bits(nbh)),
-            })
+            return False, _surplus_certificate(adj, k, pool[:q - k])
+    nbrs = [list(bits(row)) for row in adj]
     for b in b_verts:
         a_pool = [a for a in a_verts if not (adj[b] >> a) & 1]
-        if not a_pool:
-            continue
         for a in a_pool:
-            bad = _replicated_hall_failure(adj, a_pool, a, k)
+            bad = _replicated_hall_failure(nbrs, a_pool, a, k)
             if bad is not None:
-                nbh = _neighborhood_mask(adj, mask_of(bad))
-                if nbh.bit_count() >= len(bad) + k:
+                cert = _surplus_certificate(adj, k, bad)
+                if len(cert.payload["neighborhood"]) >= len(bad) + k:
                     raise RuntimeError(
                         "internal: replicated Hall failure is not a "
                         "violating subset")
-                return False, Certificate("ViolatingSubsetX", {
-                    "criterion": "extendability",
-                    "k": k,
-                    "subset": sorted(bad),
-                    "neighborhood": list(bits(nbh)),
-                })
+                return False, cert
     return True, None
 
 
-def _replicated_hall_failure(adj: Sequence[int], a_pool: list[int],
+def _replicated_hall_failure(nbrs: Sequence[list[int]], a_pool: list[int],
                              special: int, k: int) -> list[int] | None:
     """Try to match every unit of ``a_pool`` (with ``special`` counted k+1
-    times) to distinct neighbors; on failure return the deficient A-set."""
-    units = [a for a in a_pool] + [special] * k
-    match_b: dict[int, int] = {}  # b vertex -> unit index
-    unit_to_b = [-1] * len(units)
-
-    def augment(i: int, seen: set[int]) -> bool:
-        for b in bits(adj[units[i]]):
-            if b in seen:
-                continue
-            seen.add(b)
-            j = match_b.get(b)
-            if j is None or augment(j, seen):
-                match_b[b] = i
-                unit_to_b[i] = b
-                return True
-        return False
-
+    times) to distinct neighbors; on failure return the deficient A-set,
+    ascending."""
+    units = a_pool + [special] * k
+    cands = [nbrs[a] for a in units]
+    owner: dict[int, int] = {}  # b vertex -> unit index
     for i in range(len(units)):
         seen: set[int] = set()
-        if not augment(i, seen):
-            deficient = {units[i]}
-            for b in seen:
-                deficient.add(units[match_b[b]])
-            return sorted(deficient)
+        if not _augment(cands, owner, i, seen):
+            return sorted({units[i]} | {units[owner[b]] for b in seen})
     return None
 
 
@@ -666,20 +673,43 @@ def _ore_sides(g: Graph) -> tuple[list[int], list[int]]:
     return g.side_vertices(SIDE_A), g.side_vertices(SIDE_B)
 
 
-def _split_y(adj: Sequence[int], x_mask: int, targets,
-             nbh: int) -> tuple[list[int], list[int]]:
+def _deficiency_certificate(adj: Sequence[int], criterion: str, targets,
+                            subset: list[int]) -> Certificate:
+    """The factor ``ViolatingSubsetX``: a side-A set X (ascending) whose
+    demand lhs = sum of f over X exceeds what N(X) can absorb,
+    rhs = sum over y in N(X) of min(f(y), |N(y) & X|). The neighbors with
+    at least f(y) edges into X are ``y_saturated``, the rest
+    ``y_deficient``."""
+    x_mask = mask_of(subset)
+    nbh = _neighborhood_mask(adj, x_mask)
+    rhs = 0
     y1, y2 = [], []
     for y in bits(nbh):
         d_x = (adj[y] & x_mask).bit_count()
+        rhs += min(targets[y], d_x)
         (y1 if d_x >= targets[y] else y2).append(y)
-    return y1, y2
+    return Certificate("ViolatingSubsetX", {
+        "criterion": criterion,
+        "targets": list(targets),
+        "subset": subset,
+        "neighborhood": list(bits(nbh)),
+        "lhs": sum(targets[v] for v in subset),
+        "rhs": rhs,
+        "y_saturated": y1,
+        "y_deficient": y2,
+    })
 
 
 def has_f_factor_ore(g: Graph, f,
                      enum_limit: int = EXHAUSTIVE_LIMIT
                      ) -> tuple[bool, Certificate | None]:
-    """Degree-prescribed spanning subgraph criterion for bipartite graphs,
-    exhaustive over subsets of side A."""
+    """Degree-prescribed spanning subgraph criterion for bipartite graphs
+    (Ore), exhaustive over the subsets X of side A: the excess-maximal,
+    lex-least X with lhs > rhs certifies a negative.
+
+    The subsets are searched by ``_lex_max_excess`` without pruning, and
+    the search stops early only at the trivial bound sum of f over A, so
+    the criterion stays independent of the flow route."""
     targets = _factor_targets(g, f)
     a_verts, b_verts = _ore_sides(g)
     sum_a = sum(targets[v] for v in a_verts)
@@ -694,40 +724,22 @@ def has_f_factor_ore(g: Graph, f,
             "subset": heavier,
             "neighborhood": [],
         })
-    if len(a_verts) > enum_limit:
-        raise GraphError(
-            f"criterion enumeration limited to |A| <= {enum_limit}")
+    _require_enumerable(len(a_verts), enum_limit, "|A|")
     adj = g.adj
-    best_key = None
-    best = None
-    for r in range(1, len(a_verts) + 1):
-        for comb in combinations(a_verts, r):
-            x_mask = mask_of(comb)
-            lhs = sum(targets[v] for v in comb)
-            nbh = _neighborhood_mask(adj, x_mask)
-            rhs = sum(min(targets[y], (adj[y] & x_mask).bit_count())
-                      for y in bits(nbh))
-            excess = lhs - rhs
-            if excess <= 0:
-                continue
-            key = (-excess, comb)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (comb, x_mask, lhs, rhs, nbh)
-    if best is None:
+
+    def excess(mask: int, size: int, nbh: int, best: int) -> int:
+        lhs = sum(targets[v] for v in bits(mask))
+        if lhs <= best:
+            return 0
+        return lhs - sum(min(targets[y], (adj[y] & mask).bit_count())
+                         for y in bits(nbh))
+
+    found = _lex_max_excess(a_verts, adj, excess,
+                            lambda size, nbh, best: False, lambda: sum_a)
+    if found is None:
         return True, None
-    comb, x_mask, lhs, rhs, nbh = best
-    y1, y2 = _split_y(adj, x_mask, targets, nbh)
-    return False, Certificate("ViolatingSubsetX", {
-        "criterion": "f-factor",
-        "targets": list(targets),
-        "subset": list(comb),
-        "neighborhood": list(bits(nbh)),
-        "lhs": lhs,
-        "rhs": rhs,
-        "y_saturated": y1,
-        "y_deficient": y2,
-    })
+    return False, _deficiency_certificate(adj, "f-factor", targets,
+                                          list(bits(found[0])))
 
 
 class _Dinic:
@@ -838,21 +850,7 @@ def find_k_factor_flow(g: Graph, k: int) -> tuple[bool, Certificate | None]:
             "k": k,
             "edges": [list(e) for e in data],
         })
-    x_mask = mask_of(data)
-    nbh = _neighborhood_mask(g.adj, x_mask)
-    lhs = k * len(data)
-    rhs = sum(min(k, (g.adj[y] & x_mask).bit_count()) for y in bits(nbh))
-    y1, y2 = _split_y(g.adj, x_mask, targets, nbh)
-    return False, Certificate("ViolatingSubsetX", {
-        "criterion": "k-factor",
-        "targets": list(targets),
-        "subset": list(data),
-        "neighborhood": list(bits(nbh)),
-        "lhs": lhs,
-        "rhs": rhs,
-        "y_saturated": y1,
-        "y_deficient": y2,
-    })
+    return False, _deficiency_certificate(g.adj, "k-factor", targets, data)
 
 
 def decompose_edge_disjoint_pms(h: Graph) -> list[Matching]:
@@ -887,7 +885,7 @@ def _require_kfc_input(g: Graph, k: int, limit: int) -> None:
     if k < 1:
         raise GraphError(
             "k must be >= 1; use has_perfect_matching for the base case")
-    _require_enumerable(g, limit)
+    _require_enumerable(g.n, limit)
     if k > g.n:
         raise GraphError("k exceeds the order")
 
@@ -896,39 +894,15 @@ def kfc_violating_set(g: Graph, k: int,
                       limit: int = EXHAUSTIVE_LIMIT) -> Certificate | None:
     """Odd-component criterion for k-factor-criticality over the sets of
     size >= k (order <= ``limit``): the excess-maximal, lex-least S with
-    o(G-S) > |S|-k, or None when G is k-factor-critical. An odd n-k needs
-    no special case: every k-set S then leaves an odd component, so
-    o(G-S) > 0 = |S|-k.
-
-    The sets are searched by ``_lex_max_excess``. By the Tutte-Berge
-    formula no excess o(G-S)-|S|+k exceeds n-2*nu(G)+k, so the search stops
-    once a set reaches that bound; a subtree is skipped when even its
-    smallest proper superset T, with o(G-T) <= n-|T|, could not beat the
-    best excess found."""
+    o(G-S) > |S|-k (``_odd_set_search``), or None when G is
+    k-factor-critical. An odd n-k needs no special case: every k-set S then
+    leaves an odd component, so o(G-S) > 0 = |S|-k."""
     _require_kfc_input(g, k, limit)
-    n = g.n
-    adj = g.adj
-    full = g.full_mask()
-
-    def excess(mask: int, size: int, nbh: int, best: int) -> int:
-        if size < k or n - 2 * size + k <= best:
-            return 0  # o(G-S) <= n-|S| caps the excess
-        return _odd_components(adj, full ^ mask) - size + k
-
-    found = _lex_max_excess(
-        range(n), adj, excess,
-        lambda size, nbh, best: n - 2 * (size + 1) + k <= best,
-        # limit n: the bound adds no order limit of its own
-        lambda: n - 2 * max_matching(g, n).size + k)
-    if found is None:
+    # limit n: the bound adds no order limit of its own
+    mask = _odd_set_search(g, k, lambda: max_matching(g, g.n).size)
+    if mask is None:
         return None
-    mask = found[0]
-    return Certificate("ViolatingSetS", {
-        "criterion": "factor-critical",
-        "k": k,
-        "set": list(bits(mask)),
-        "odd_components": _odd_components(adj, full ^ mask),
-    })
+    return _odd_set_certificate(g, "factor-critical", k, mask)
 
 
 def is_k_factor_critical(
@@ -984,17 +958,7 @@ def hamiltonian_cycle(
             if (adj[v] & open_mask).bit_count() < 2:
                 return False
         # unvisited region plus the current endpoint must stay connected
-        region = rest | (1 << current)
-        comp = 1 << current
-        frontier = comp
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= adj[v]
-            nxt &= region & ~comp
-            comp |= nxt
-            frontier = nxt
-        return comp == region
+        return len(row_components(adj, rest | (1 << current))) == 1
 
     def extend(visited: int) -> bool:
         current = path[-1]

@@ -60,10 +60,6 @@ class SymMatrix:
             raise GraphError("matrix must be symmetric")
         self.entries = m
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
 
 @dataclass(eq=False)
 class SpectralResult:
@@ -234,13 +230,19 @@ class QuotientMatrix:
 
     def _symmetrized(self) -> np.ndarray:
         # D B D^{-1} with D = diag(sqrt sizes) is symmetric: the entry
-        # (i,j) equals e(i,j)/sqrt(s_i s_j) with an integer numerator.
+        # (i,j) equals e(i,j)/sqrt(s_i s_j) with an integer numerator
+        # e(i,j) = b_ij s_i, which must equal e(j,i) = b_ji s_j.
         k = self.size
         s = self.class_sizes
+        b = self.entries
         out = np.zeros((k, k))
         for i in range(k):
             for j in range(k):
-                num = self.entries[i][j] * s[i]
+                num = b[i][j] * s[i]
+                if num != b[j][i] * s[j]:
+                    raise GraphError(
+                        f"quotient not symmetrizable at ({i},{j}): "
+                        f"b_ij*s_i={num} != b_ji*s_j={b[j][i] * s[j]}")
                 out[i, j] = num / (math.sqrt(s[i]) * math.sqrt(s[j]))
         return out
 

@@ -4,8 +4,10 @@ The oracles here deliberately use different algorithms from the library
 (plain recursion over edge lists, no memoization, no bit tricks beyond
 vertex masks) so that test expectations are computed independently.
 The reference checkers and the reference sampler at the end are the
-exception: they keep the library's earlier always-exhaustive checkers and
-its earlier Graph-per-draw sampler as differential baselines. ``path`` and
+exception: they keep the library's earlier always-exhaustive checkers, its
+earlier Graph-per-draw sampler, and its earlier matching routines (three
+separate augmenting-path copies and the subset loop of Ore's criterion) as
+differential baselines. ``path`` and
 ``isomorphic_small`` are graph helpers that only the tests use.
 """
 from __future__ import annotations
@@ -271,7 +273,7 @@ def ref_is_k_extendable_plummer(g: Graph, k: int,
             "k": k,
             "max_matching": [list(e) for e in mm.edges],
         })
-    verdict_s, cert_s = mf._plummer_surplus(g, a_verts, b_verts, k)
+    verdict_s, cert_s = ref_plummer_surplus(g, a_verts, b_verts, k)
     if q <= enum_limit:
         verdict_e, cert_e = _ref_plummer_enumerate(g, a_verts, k)
         if verdict_e != verdict_s:
@@ -343,6 +345,181 @@ def ref_is_k_factor_critical(g: Graph, k: int,
             "odd_components": mf._odd_components(adj, full & ~mask),
         })
     return False, cert
+
+
+# -- reference matching routines -------------------------------------------
+# The library's matching routines before one augmenting-path function and
+# one violating-set search served them all: each kept its own copy of Kuhn's
+# augmenting path, and Ore's criterion ranked every subset of side A by its
+# own sort key. Differential tests hold the library's outputs to these.
+
+
+def ref_max_matching_bipartite(g: Graph) -> mf.Matching:
+    if g.sides is None:
+        raise GraphError("bipartite matching needs a bipartition")
+    match = [-1] * g.n
+
+    def augment(a: int, seen: set[int]) -> bool:
+        for b in bits(g.adj[a]):
+            if b in seen:
+                continue
+            seen.add(b)
+            if match[b] == -1 or augment(match[b], seen):
+                match[b] = a
+                match[a] = b
+                return True
+        return False
+
+    for a in range(g.n):
+        if g.sides[a] == SIDE_A and match[a] == -1:
+            augment(a, set())
+    return mf.matching_of([(a, match[a]) for a in range(g.n)
+                           if g.sides[a] == SIDE_A and match[a] != -1])
+
+
+def _ref_subset_certificate(adj, k: int, x) -> mf.Certificate:
+    nbh = mf._neighborhood_mask(adj, mask_of(x))
+    return mf.Certificate("ViolatingSubsetX", {
+        "criterion": "extendability",
+        "k": k,
+        "subset": sorted(x),
+        "neighborhood": list(bits(nbh)),
+    })
+
+
+def ref_plummer_surplus(g: Graph, a_verts: list[int], b_verts: list[int],
+                        k: int):
+    q = len(a_verts)
+    adj = g.adj
+    for b in b_verts:
+        if adj[b].bit_count() <= k:
+            pool = [a for a in a_verts if not (adj[b] >> a) & 1]
+            return False, _ref_subset_certificate(adj, k, pool[:q - k])
+    for b in b_verts:
+        a_pool = [a for a in a_verts if not (adj[b] >> a) & 1]
+        for a in a_pool:
+            bad = _ref_replicated_hall_failure(adj, a_pool, a, k)
+            if bad is not None:
+                return False, _ref_subset_certificate(adj, k, bad)
+    return True, None
+
+
+def _ref_replicated_hall_failure(adj, a_pool: list[int], special: int,
+                                 k: int) -> list[int] | None:
+    units = [a for a in a_pool] + [special] * k
+    match_b: dict[int, int] = {}  # b vertex -> unit index
+
+    def augment(i: int, seen: set[int]) -> bool:
+        for b in bits(adj[units[i]]):
+            if b in seen:
+                continue
+            seen.add(b)
+            j = match_b.get(b)
+            if j is None or augment(j, seen):
+                match_b[b] = i
+                return True
+        return False
+
+    for i in range(len(units)):
+        seen: set[int] = set()
+        if not augment(i, seen):
+            deficient = {units[i]}
+            for b in seen:
+                deficient.add(units[match_b[b]])
+            return sorted(deficient)
+    return None
+
+
+def ref_has_f_factor_ore(g: Graph, f, enum_limit: int = mf.EXHAUSTIVE_LIMIT):
+    targets = mf._factor_targets(g, f)
+    a_verts, b_verts = mf._ore_sides(g)
+    sum_a = sum(targets[v] for v in a_verts)
+    sum_b = sum(targets[v] for v in b_verts)
+    if sum_a != sum_b:
+        heavier = a_verts if sum_a > sum_b else b_verts
+        return False, mf.Certificate("ViolatingSubsetX", {
+            "criterion": "f-factor",
+            "reason": "target-sum-mismatch",
+            "sums": [sum_a, sum_b],
+            "targets": list(targets),
+            "subset": heavier,
+            "neighborhood": [],
+        })
+    if len(a_verts) > enum_limit:
+        raise GraphError(
+            f"criterion enumeration limited to |A| <= {enum_limit}")
+    adj = g.adj
+    best_key = None
+    best = None
+    for r in range(1, len(a_verts) + 1):
+        for comb in combinations(a_verts, r):
+            x_mask = mask_of(comb)
+            lhs = sum(targets[v] for v in comb)
+            nbh = mf._neighborhood_mask(adj, x_mask)
+            rhs = sum(min(targets[y], (adj[y] & x_mask).bit_count())
+                      for y in bits(nbh))
+            excess = lhs - rhs
+            if excess <= 0:
+                continue
+            key = (-excess, comb)
+            if best_key is None or key < best_key:
+                best_key = key
+                best = (comb, x_mask, lhs, rhs, nbh)
+    if best is None:
+        return True, None
+    comb, x_mask, lhs, rhs, nbh = best
+    y1, y2 = [], []
+    for y in bits(nbh):
+        d_x = (adj[y] & x_mask).bit_count()
+        (y1 if d_x >= targets[y] else y2).append(y)
+    return False, mf.Certificate("ViolatingSubsetX", {
+        "criterion": "f-factor",
+        "targets": list(targets),
+        "subset": list(comb),
+        "neighborhood": list(bits(nbh)),
+        "lhs": lhs,
+        "rhs": rhs,
+        "y_saturated": y1,
+        "y_deficient": y2,
+    })
+
+
+def ref_random_regular_bipartite(rng: random.Random, half: int,
+                                 k: int) -> Graph:
+    if k > half:
+        raise hz.UsageError("regular degree exceeds side size")
+    adj = [0] * (2 * half)
+    for _ in range(k):
+        prefs = []
+        for a in range(half):
+            free = [b for b in range(half, 2 * half)
+                    if not (adj[a] >> b) & 1]
+            rng.shuffle(free)
+            prefs.append(free)
+        order = list(range(half))
+        rng.shuffle(order)
+        match = [-1] * (2 * half)
+
+        def augment(a: int, seen: set[int]) -> bool:
+            for b in prefs[a]:
+                if b in seen:
+                    continue
+                seen.add(b)
+                if match[b] == -1 or augment(match[b], seen):
+                    match[b] = a
+                    match[a] = b
+                    return True
+            return False
+
+        for a in order:
+            if not augment(a, set()):
+                raise hz.UsageError(
+                    "internal: free graph lost its perfect matching")
+        for a in range(half):
+            b = match[a]
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+    return Graph(2 * half, tuple(adj), (SIDE_A,) * half + (SIDE_B,) * half)
 
 
 # -- reference sampler -----------------------------------------------------

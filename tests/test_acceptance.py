@@ -9,6 +9,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from specmatch.graph import (SIDE_A, bits, complete, complete_bipartite,
                              from_edges, graph6_encode, is_connected)
@@ -137,6 +138,7 @@ def test_criterion_5_theorem_13():
                f"10000 samples clean, {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_6_oracle_equivalence():
     t0 = time.monotonic()
     report = cmd_cross_check(8, samples=5_000, seed=61803,

@@ -86,7 +86,8 @@ class TestConstructors:
             extremal_kfc(16, 1, 2)  # parity
 
     def test_hamilton(self):
-        assert extremal_hamilton(8).same_adjacency(extremal_kfactor(8, 2))
+        h, f = extremal_hamilton(8), extremal_kfactor(8, 2)
+        assert (h.n, h.adj) == (f.n, f.adj)
         assert extremal_hamilton(8).m == 13
         with pytest.raises(GraphError):
             extremal_hamilton(6)

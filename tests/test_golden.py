@@ -1,0 +1,147 @@
+"""Golden reports: the sha256 of stdout and the exit code of small CLI runs.
+
+The digests were recorded before the matching layer was consolidated (one
+augmenting-path routine, one violating-set search for all four criteria)
+and must not change: every certificate kind and every checker route that
+reaches a report is covered. Graph6 input lines are built from the library's
+constructors and passed with ``--input``.
+"""
+import hashlib
+
+import pytest
+
+from specmatch import cli
+from specmatch.families import (extremal_hamilton, extremal_kext_bipartite,
+                                extremal_kext_general, extremal_kfactor,
+                                extremal_kfc)
+from specmatch.graph import (complete, complete_bipartite, cycle, empty,
+                             from_edges, graph6_encode, remove_star)
+from specmatch.harness import random_bipartite, random_graph, rng_for
+
+
+def _n60_finding():
+    """The pinned t1.2 finding: the (60, 2, 3) overlay plus edge (4, 25);
+    |A| = 30 > 20, so its certificate comes from the surplus route."""
+    g = extremal_kext_bipartite(60, 2, 3)
+    return from_edges(60, g.edges() + [(4, 25)])
+
+
+def _bipartite_draws(seed: int, count: int):
+    return [random_bipartite(rng_for(seed, i), 3 + i % 4, 3 + i % 4,
+                             (0.3, 0.5, 0.7)[i % 3]) for i in range(count)]
+
+
+def _lines():
+    k33_minus_star = remove_star(complete_bipartite(3, 3), 0, 3)
+    return {
+        "ext1": [extremal_kext_general(10, 1, 2), complete(6), cycle(8),
+                 extremal_kext_bipartite(10, 1, 1), complete_bipartite(3, 5),
+                 empty(2)] + _bipartite_draws(31, 8),
+        "ext2": [_n60_finding(), extremal_kext_bipartite(16, 2, 2),
+                 k33_minus_star, complete_bipartite(4, 4)],
+        "ext3": [k33_minus_star, remove_star(complete_bipartite(4, 4), 1, 2)],
+        "surplus": [extremal_kext_bipartite(10, 1, 1),
+                    extremal_kext_bipartite(12, 1, 2),
+                    extremal_kfactor(10, 3)] + _bipartite_draws(32, 12),
+        "factor": [extremal_kfactor(8, 2), complete_bipartite(4, 4),
+                   cycle(8), complete(5)] + _bipartite_draws(33, 8),
+        "kfc": [extremal_kfc(15, 1, 2), complete(5), complete(6), cycle(7)]
+               + [random_graph(rng_for(34, i), 7 + i % 4, 0.5)
+                  for i in range(6)],
+        "ham": [extremal_hamilton(8), cycle(8), complete_bipartite(4, 4),
+                complete(5)] + _bipartite_draws(35, 6),
+        "scan11": [random_graph(rng_for(36, i), 10, 0.5) for i in range(12)]
+                  + [extremal_kext_general(10, 1, 2)],
+        "scan12": [extremal_kext_bipartite(10, 1, 1).drop_bipartition()]
+                  + [random_bipartite(rng_for(37, i), 5, 5, 0.6)
+                     .drop_bipartition() for i in range(10)],
+    }
+
+
+# (argv, input lines or None, sha256 of stdout, exit code)
+GOLDEN = [
+    (["verify", "--theorem", "t1.1", "--n", "10", "--k", "1", "--delta",
+      "2", "--samples", "40", "--seed", "5"], None,
+     "97a2f0529765f62053266f977fce346278f44e09d49db83d4984c0447d8874d1",
+     0),
+    (["verify", "--theorem", "t1.2", "--n", "10", "--k", "1", "--delta",
+      "1", "--samples", "40", "--seed", "2"], None,
+     "d12587b7e860f2cf13216758807ef776fb220dfdf61abc683b84937d3383c560",
+     1),
+    (["verify", "--theorem", "t1.2", "--n", "16", "--k", "1", "--delta",
+      "2", "--samples", "40", "--seed", "5", "--exhaustive-limit", "4"],
+     None,
+     "ea854f60e155c90cdc6103cb1d3bc58683cf80a76949f411737503909ab2a154",
+     1),
+    (["verify", "--theorem", "t1.3", "--n", "8", "--k", "2", "--samples",
+      "40", "--seed", "5", "--format", "json"], None,
+     "9d21ecae33a282e3fed9dd24f61ad3d654c1082a652f5825a2b6c7e5a9db127f",
+     0),
+    (["verify", "--theorem", "t4.3", "--n", "8", "--samples", "20",
+      "--seed", "5"], None,
+     "0c68e271d12622ddf2ae939c1fce12b35df5da20f6dc8187d82d9e2e413c5d75",
+     0),
+    (["verify", "--theorem", "t4.5", "--n", "15", "--k", "1", "--delta",
+      "2", "--samples", "20", "--seed", "5"], None,
+     "ea6d65b1148202d50405b727443dab2aa6758d5b22c684d3cb8101ef8a2ee6ed",
+     0),
+    (["verify", "--theorem", "l2.3", "--n", "40"], None,
+     "2822c5e487c326b9b31d6df02eeedd405e31dd019da28349a1cfa41fdddd4ee3",
+     0),
+    (["verify", "--theorem", "l2.6", "--n", "40"], None,
+     "4eca4a0de66e72c748f76d8eaf89cbbbd37197cbc4f520cb6744c9db02542088",
+     0),
+    (["check", "--property", "k-extendable", "--k", "1"], "ext1",
+     "146a582db013e42607621a18eb2077dfc73c349965125cdc2f69f3a73e83dc12",
+     0),
+    (["check", "--property", "k-extendable", "--k", "2"], "ext2",
+     "9e4c4c5b0807860ff5dcdbc9d90306c1554e8b666c6faea1f1ab8977c0f89b66",
+     0),
+    (["check", "--property", "k-extendable", "--k", "3"], "ext3",
+     "1357d0fc21146558a7e60741be9cbbfb887b73482ad99d33b54f7958b7f99cf5",
+     0),
+    (["check", "--property", "k-extendable", "--k", "1",
+      "--exhaustive-limit", "0"], "surplus",
+     "d19dbffa055b0bf1d98ed9a21519f1095833d605a54b30eaa6b28cccd32fa223",
+     0),
+    (["check", "--property", "k-factor", "--k", "2", "--format", "json"],
+     "factor",
+     "7ea272f0d623a9e1a3e947850d9cbf73490cb056e1ca18dc1100b991957b12a0",
+     0),
+    (["check", "--property", "k-factor-critical", "--k", "1"], "kfc",
+     "f22912491f231347601b2eee91844dffc181919f770962c5d62dd0e901ab619f",
+     0),
+    (["check", "--property", "hamiltonian"], "ham",
+     "87b52a219ece6e91da4b782801a1d9dc31610a613c78a175d5e4de3e1f95da21",
+     0),
+    (["scan", "--theorem", "t1.1", "--n", "10", "--k", "1", "--delta", "2"],
+     "scan11",
+     "90658645eb5e771553e2b1da6d8a1cae78a9e001b889e8abd5dcae67240ea038",
+     0),
+    (["scan", "--theorem", "t1.2", "--n", "10", "--k", "1", "--delta", "1"],
+     "scan12",
+     "bd594a0e019eef0908e8d741641b527fb4f6db9554fc2e74896860d52064e156",
+     1),
+    (["cross-check", "--n", "5", "--samples", "0"], None,
+     "ee0288e37711ff4d4c502b79a01f0c60e711d70be235e4d22da0633665b6bc69",
+     0),
+]
+
+
+@pytest.fixture(scope="module")
+def lines():
+    return {name: "".join(graph6_encode(g) + "\n" for g in graphs)
+            for name, graphs in _lines().items()}
+
+
+@pytest.mark.parametrize("argv, stream, digest, code", GOLDEN,
+                         ids=[" ".join(c[0][:3]) + (f" {c[1]}" if c[1] else "")
+                              for c in GOLDEN])
+def test_report_bytes(argv, stream, digest, code, lines, tmp_path, capsys):
+    if stream is not None:
+        path = tmp_path / f"{stream}.g6"
+        path.write_text(lines[stream], encoding="utf-8")
+        argv = argv + ["--input", str(path)]
+    got = cli.main(argv)
+    out = capsys.readouterr().out
+    assert (hashlib.sha256(out.encode()).hexdigest(), got) == (digest, code)

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -15,23 +16,30 @@ from specmatch.graph import (complete, complete_bipartite, cycle,
                              disjoint_union, from_edges, graph6_decode,
                              graph6_encode, infer_bipartition)
 from specmatch.families import (FamilyParams, construct_family,
-                                extremal_kext_bipartite, extremal_kfactor)
+                                extremal_kext_bipartite,
+                                extremal_kext_general, extremal_kfactor)
 from specmatch.matchfactor import Certificate, validate_certificate
 from specmatch.harness import (THEOREMS, UsageError, cmd_check,
                                cmd_construct, cmd_cross_check, cmd_rho,
                                cmd_scan, cmd_verify,
-                               oracle_property_for_theorem, render_csv,
+                               oracle_property_for_theorem,
+                               random_regular_bipartite, render_csv,
                                render_json, rng_for, sample_for_theorem)
 
-from conftest import path, ref_sample_for_theorem
+from conftest import (path, ref_random_regular_bipartite,
+                      ref_sample_for_theorem)
 
 CLI = [sys.executable, "-m", "specmatch"]
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+SRC = BENCH.parent / "src"
 
 
 def run_cli(args, stdin=""):
+    # the child imports specmatch from this checkout, as pytest does
+    path = os.pathsep.join(filter(None, (str(SRC),
+                                         os.environ.get("PYTHONPATH"))))
     return subprocess.run(CLI + args, input=stdin, capture_output=True,
-                          text=True)
+                          text=True, env={**os.environ, "PYTHONPATH": path})
 
 
 def run_main(argv):
@@ -235,6 +243,22 @@ class TestOracle:
             assert oracle_property_for_theorem("t1.2", g, p) is want
 
 
+    def test_t11_oracle_is_not_the_definitional_scan(self, monkeypatch):
+        # the primary t1.1 checker decides by the definitional scan; the
+        # oracle must confirm by the odd-component criterion instead
+        graphs = [extremal_kext_general(10, 1, 2), complete(6), cycle(8)]
+        expected = [mf.is_k_extendable_chen(g, 1)[0] for g in graphs]
+        assert expected == [False, True, True]
+
+        def scan(*args, **kwargs):
+            raise AssertionError("oracle reran the definitional scan")
+
+        monkeypatch.setattr(mf, "_first_failing_k_matching", scan)
+        for g, want in zip(graphs, expected):
+            p = FamilyParams(n=g.n, k=1, delta=2)
+            assert oracle_property_for_theorem("t1.1", g, p) is want
+
+
 class TestCertificateRevalidation:
     """verify's sample rows, check and scan re-validate every certificate
     they emit; one that fails adds a note and a counterexample candidate,
@@ -330,6 +354,16 @@ class TestSampler:
                         (name, seed, i, how)
                     exits[how] += 1
         assert all(exits.values()), exits
+
+    def test_regular_bipartite_matches_reference(self):
+        # criterion 7 decomposes these graphs: same draws, same graphs
+        for i in range(120):
+            half = 1 + i % 9
+            k = i % (half + 1)
+            got = random_regular_bipartite(rng_for(17, i), half, k)
+            want = ref_random_regular_bipartite(rng_for(17, i), half, k)
+            assert (got.n, got.adj, got.sides) == (want.n, want.adj,
+                                                   want.sides), (half, k)
 
 
 class TestCrossCheck:

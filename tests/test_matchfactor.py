@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 from itertools import combinations
@@ -5,7 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specmatch.graph import (GraphError, SIDE_A, SIDE_B, complete,
+from specmatch.graph import (GraphError, SIDE_A, SIDE_B, bits, complete,
                              complete_bipartite, cycle, disjoint_union,
                              empty, from_edges, infer_bipartition, join,
                              remove_star)
@@ -30,8 +31,9 @@ from specmatch.harness import (P_SWEEP, THEOREMS, random_bipartite,
 
 from conftest import (brute_is_k_extendable, brute_max_matching_size,
                       petersen, ref_chen_violating_set,
-                      ref_is_k_extendable_chen, ref_is_k_extendable_plummer,
-                      ref_is_k_factor_critical, ref_kfc_violating_set,
+                      ref_has_f_factor_ore, ref_is_k_extendable_chen,
+                      ref_is_k_extendable_plummer, ref_is_k_factor_critical,
+                      ref_kfc_violating_set, ref_max_matching_bipartite,
                       seeded_random_graph)
 
 
@@ -161,7 +163,7 @@ class TestPlummer:
             # N(larger side) as a set, recomputed here
             larger = cert.payload["subset"]
             assert cert.payload["neighborhood"] == sorted(
-                {w for v in larger for w in g.neighbors(v)})
+                {w for v in larger for w in bits(g.adj[v])})
         _, cert = is_k_extendable_plummer(complete_bipartite(2, 3), 1)
         assert cert.payload["neighborhood"] == [0, 1]
 
@@ -392,6 +394,7 @@ class TestDecideThenCertify:
             graphs += 1
         assert graphs == 1 + 2 + 8 + 64 + 1024
 
+    @pytest.mark.slow
     def test_all_graphs_on_six_vertices(self):
         # The searches alone: the checkers take their certificates from
         # them, and the test above holds the checkers to the references.
@@ -471,6 +474,67 @@ class TestDecideThenCertify:
             self.assert_same(self.ROUTES[1:], extremal_kfc(n, k, d), (k,))
 
 
+def _balanced_bipartite_graphs(max_half: int):
+    """Every graph on sides {0..h-1} and {h..2h-1}, for h <= max_half."""
+    for h in range(1, max_half + 1):
+        pairs = [(a, b) for a in range(h) for b in range(h, 2 * h)]
+        sides = (SIDE_A,) * h + (SIDE_B,) * h
+        for mask in range(1 << len(pairs)):
+            yield from_edges(2 * h, [e for i, e in enumerate(pairs)
+                                     if (mask >> i) & 1], sides)
+
+
+class TestMatchingReferences:
+    """The one augmenting-path routine and Ore's criterion on the shared
+    violating-set search give exactly the reference copies' outputs:
+    maximum matchings, surplus-route certificates (``enum_limit=0`` leaves
+    the surplus route alone) and Ore certificates, on every balanced
+    bipartite graph with n <= 6 and on seeded draws with halves 3-8."""
+
+    @staticmethod
+    def graphs():
+        yield from _balanced_bipartite_graphs(3)
+        for i in range(240):
+            half = 3 + i % 6
+            yield random_bipartite(rng_for(15, i), half, half,
+                                   P_SWEEP[i % len(P_SWEEP)])
+
+    def test_max_matching_bipartite(self):
+        for g in self.graphs():
+            assert max_matching_bipartite(g) == ref_max_matching_bipartite(g)
+
+    def test_surplus_route(self):
+        def surplus(h, j):
+            return is_k_extendable_plummer(h, j, enum_limit=0)
+
+        def reference(h, j):
+            return ref_is_k_extendable_plummer(h, j, enum_limit=0)
+
+        hall_exits = 0
+        for g in self.graphs():
+            min_b = min(g.degree(b) for b in g.side_vertices(SIDE_B))
+            for k in (1, 2, 3):
+                got = _outcome(surplus, g, k)
+                assert got == _outcome(reference, g, k), k
+                # no side-B vertex of degree <= k: the replicated Hall test
+                # gave the negative
+                hall_exits += (got[0] is False and k < g.n // 2
+                               and min_b > k)
+        assert hall_exits > 20
+
+    def test_ore(self):
+        for i, g in enumerate(self.graphs()):
+            specs = [FactorSpec.constant(g.n, k) for k in (1, 2, 3)]
+            # prescribed degrees with equal side sums
+            rng = random.Random(i)
+            a_targets = [rng.randrange(4) for _ in range(g.n // 2)]
+            specs.append(FactorSpec(tuple(a_targets) + tuple(
+                rng.sample(a_targets, len(a_targets)))))
+            for spec in specs:
+                assert (_outcome(has_f_factor_ore, g, spec)
+                        == _outcome(ref_has_f_factor_ore, g, spec)), spec
+
+
 def _relabeled(g, perm):
     """g with vertex v renamed perm[v], sides carried along."""
     sides = None
@@ -515,6 +579,33 @@ class TestRelabeling:
             assert got == _relabel_invariant(search, host, k), search
             if got[0] is False:
                 assert validate_certificate(moved, search(moved, k))
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.integers(2, 10), st.integers(0, 123456),
+           st.sampled_from(P_SWEEP), st.integers(1, 3), st.data())
+    def test_checkers_under_relabeling(self, n, seed, p, k, data):
+        # the deciding routes: same verdict (or error) and certificate kind,
+        # and every certificate re-validates on the relabeled graph
+        g = seeded_random_graph(seed, n, p)
+        perm = data.draw(st.permutations(range(n)))
+        checkers = [(is_k_extendable_chen, g), (is_k_factor_critical, g)]
+        gb = infer_bipartition(g)
+        if gb is not None:
+            checkers += [(is_k_extendable_plummer, gb),
+                         (find_k_factor_flow, gb),
+                         (lambda h, j: has_f_factor_ore(
+                             h, FactorSpec.constant(h.n, j)), gb)]
+        for checker, host in checkers:
+            moved = _relabeled(host, perm)
+            got = _outcome(checker, moved, k)
+            want = _outcome(checker, host, k)
+            assert got[0] == want[0], checker
+            if got[0] == "GraphError":
+                assert got == want
+            elif got[1] is not None:
+                cert = Certificate(**json.loads(got[1]))
+                assert cert.kind == json.loads(want[1])["kind"]
+                assert validate_certificate(moved, cert), checker
 
 
 class TestHamilton:

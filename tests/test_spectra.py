@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from specmatch.graph import (GraphError, complete, complete_bipartite, cycle,
                              disjoint_union, empty)
-from specmatch.spectra import (ConvergenceError, Partition, SymMatrix,
+from specmatch.spectra import (ConvergenceError, Partition, QuotientMatrix,
+                               SymMatrix,
                                adjacency_matrix, charpoly_quartic,
                                degree_sum_identity, fms_bound, full_spectrum,
                                quartic_largest_root, quotient,
@@ -158,6 +159,12 @@ class TestQuotient:
         g = path(4)
         with pytest.raises(GraphError):
             quotient(g, Partition.of([{0, 1}, {2, 3}]))
+
+    def test_asymmetric_quotient_rejected(self):
+        # b_01 * s_0 = 2 but b_10 * s_1 = 1: no graph has this quotient
+        q = QuotientMatrix(((0, 2), (1, 0)), (1, 1))
+        with pytest.raises(GraphError, match=r"\(0,1\)"):
+            q.largest_eigenvalue()
 
     def test_eigenvalue_containment(self):
         # every quotient eigenvalue appears in the dense spectrum
