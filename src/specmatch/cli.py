@@ -7,6 +7,7 @@ Reports go to stdout, diagnostics to stderr. Exit codes: 0 all consistent,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import harness as hz
@@ -98,6 +99,9 @@ def _resolve(args: argparse.Namespace) -> dict:
         if value is None:
             value = DEFAULTS.get(key)
         resolved[key] = value
+    if not (math.isfinite(resolved["tol"]) and resolved["tol"] > 0):
+        raise hz.UsageError(
+            f"--tol must be a finite number > 0, got {resolved['tol']}")
     return resolved
 
 

@@ -1,19 +1,24 @@
-"""Extremal family constructors, their spectral thresholds and structural
-recognizers.
+"""Extremal family constructors, their spectral thresholds and one
+recognizer for all of them.
 
 Canonical labeling: join/dominating classes come first, then the large
 clique, then the independent class (general families); X1, Y1, X2, Y2 in
 order for the bipartite overlay families. This keeps fixtures stable and
-the recognizers degree-class based.
+fixes the class order of the exact quotients, on which the bytes of rho*
+depend. ``recognize`` ignores the labeling: it compares the twin-class form
+of a graph with the form of the constructed family member, which is an
+exact isomorphism test.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache, reduce
+from itertools import permutations
+from typing import Sequence
 
-from .graph import (Graph, GraphError, SIDE_A, SIDE_B, bits, complete,
-                    complete_bipartite, component_masks, disjoint_union,
-                    empty, infer_bipartition, join, bipartite_join, mask_of,
-                    remove_star)
+from .graph import (Graph, GraphError, complete, complete_bipartite,
+                    disjoint_union, empty, join, bipartite_join, remove_star)
 from .spectra import QuotientMatrix
 
 FAMILIES = ("kext-general", "kext-bipartite", "kfactor-bipartite",
@@ -26,6 +31,12 @@ class FamilyParams:
     k: int | None = None
     delta: int | None = None
     s: int | None = None
+
+    @property
+    def overlay_s(self) -> int | None:
+        """The overlay parameter s of ``kext-bipartite``, which is also
+        t1.2's minimum degree: ``s`` when set, else ``delta``."""
+        return self.s if self.s is not None else self.delta
 
 
 @dataclass(frozen=True)
@@ -51,10 +62,26 @@ def _require(cond: bool, msg: str) -> None:
 # -- constructors --------------------------------------------------------
 
 
-def _join_family_graph(delta: int, a: int, t: int) -> Graph:
-    """A delta-clique joined to an a-clique plus t isolated vertices, in
-    canonical order."""
-    return join(complete(delta), disjoint_union(complete(a), empty(t)))
+def join_cliques(s: int, clique_sizes: Sequence[int]) -> Graph:
+    """An s-clique joined to the disjoint union of cliques of the given
+    sizes, labeled in that order."""
+    return join(complete(s),
+                reduce(disjoint_union, map(complete, clique_sizes), empty(0)))
+
+
+def join_cliques_quotient(s: int,
+                          clique_sizes: Sequence[int]) -> QuotientMatrix:
+    """Exact quotient of ``join_cliques(s, clique_sizes)``: the s-clique,
+    then one class per clique size, largest first; equal-size cliques
+    share a class."""
+    counts = sorted(Counter(clique_sizes).items(), reverse=True)
+    rows = [tuple([s - 1] + [z * mult for z, mult in counts])]
+    for i, (z, _) in enumerate(counts):
+        row = [s] + [0] * len(counts)
+        row[1 + i] = z - 1
+        rows.append(tuple(row))
+    return QuotientMatrix(tuple(rows),
+                          tuple([s] + [z * mult for z, mult in counts]))
 
 
 def _overlay(n: int, k: int, s: int) -> Graph:
@@ -73,7 +100,7 @@ def extremal_kext_general(n: int, k: int, delta: int) -> Graph:
     _require(delta >= 2 * k, f"delta={delta} violates delta >= 2k={2 * k}")
     a = n - 2 * delta + 2 * k - 1
     _require(a >= 1, f"n-2*delta+2k-1={a} violates >= 1")
-    return _join_family_graph(delta, a, delta - 2 * k + 1)
+    return join_cliques(delta, [a] + [1] * (delta - 2 * k + 1))
 
 
 def extremal_kext_bipartite(n: int, k: int, s: int) -> Graph:
@@ -105,7 +132,7 @@ def extremal_kfc(n: int, k: int, delta: int) -> Graph:
     _require(n >= bound, f"n={n} violates n >= {bound}")
     a = n - 2 * delta + k - 1
     _require(a >= 1, f"n-2*delta+k-1={a} violates >= 1")
-    return _join_family_graph(delta, a, delta - k + 1)
+    return join_cliques(delta, [a] + [1] * (delta - k + 1))
 
 
 def extremal_hamilton(n: int) -> Graph:
@@ -120,10 +147,9 @@ def construct_family(family: str, p: FamilyParams) -> Graph:
                  "kext-general needs n, k, delta")
         return extremal_kext_general(p.n, p.k, p.delta)
     if family == "kext-bipartite":
-        s = p.s if p.s is not None else p.delta
-        _require(p.k is not None and s is not None,
+        _require(p.k is not None and p.overlay_s is not None,
                  "kext-bipartite needs n, k and s (or delta)")
-        return extremal_kext_bipartite(p.n, p.k, s)
+        return extremal_kext_bipartite(p.n, p.k, p.overlay_s)
     if family == "kfactor-bipartite":
         _require(p.k is not None, "kfactor-bipartite needs n, k")
         return extremal_kfactor(p.n, p.k)
@@ -139,13 +165,6 @@ def construct_family(family: str, p: FamilyParams) -> Graph:
 # -- exact quotient matrices and thresholds ------------------------------
 
 
-def _join_family_quotient(n: int, delta: int, a: int, t: int) -> QuotientMatrix:
-    rows = ((delta - 1, a, t),
-            (delta, a - 1, 0),
-            (delta, 0, 0))
-    return QuotientMatrix(rows, (delta, a, t))
-
-
 def family_quotient(family: str, p: FamilyParams) -> QuotientMatrix:
     """The small exact quotient matrix of the family member (classes in
     canonical order)."""
@@ -153,14 +172,15 @@ def family_quotient(family: str, p: FamilyParams) -> QuotientMatrix:
         a = p.n - 2 * p.delta + 2 * p.k - 1
         _require(a >= 1 and p.delta >= 2 * p.k and p.k >= 1,
                  "invalid kext-general parameters")
-        return _join_family_quotient(p.n, p.delta, a, p.delta - 2 * p.k + 1)
+        return join_cliques_quotient(p.delta,
+                                     [a] + [1] * (p.delta - 2 * p.k + 1))
     if family == "kfc-general":
         a = p.n - 2 * p.delta + p.k - 1
         _require(a >= 1 and p.delta >= p.k and p.k >= 1,
                  "invalid kfc-general parameters")
-        return _join_family_quotient(p.n, p.delta, a, p.delta - p.k + 1)
+        return join_cliques_quotient(p.delta, [a] + [1] * (p.delta - p.k + 1))
     if family == "kext-bipartite":
-        s = p.s if p.s is not None else p.delta
+        s = p.overlay_s
         half = p.n // 2
         pp = half - s
         q = half - s - p.k - 1
@@ -194,137 +214,64 @@ def threshold_rho(family: str, p: FamilyParams) -> Threshold:
     return Threshold(rho_star=family_quotient(family, p).largest_eigenvalue())
 
 
-# -- structural recognizers ----------------------------------------------
+# -- recognizer ------------------------------------------------------------
 
 
-def _recognize_join_family(g: Graph, n: int, delta: int, a: int,
-                           t: int) -> bool:
-    if g.n != n or n != delta + a + t:
-        return False
-    expected_m = (delta * (delta - 1) // 2 + a * (a - 1) // 2
-                  + delta * (a + t))
-    if g.m != expected_m:
-        return False
-    deg = g.degrees()
-    dominating = [v for v in range(n) if deg[v] == n - 1]
-    if len(dominating) != delta:
-        return False
-    rest = [v for v in range(n) if deg[v] != n - 1]
-    sub = g.induced(rest)
-    comps = component_masks(sub)
-    sizes = sorted(c.bit_count() for c in comps)
-    if sizes != sorted([a] + [1] * t):
-        return False
-    for c in comps:
-        cn = c.bit_count()
-        inside = sum((sub.adj[v] & c).bit_count() for v in bits(c)) // 2
-        if inside != cn * (cn - 1) // 2:
-            return False
-    return True
+def _twin_classes(g: Graph) -> list[tuple[int, bool]]:
+    """The twin classes of ``g`` as (vertex mask, clique) pairs.
+
+    Vertices with equal closed neighborhoods form a clique class. The other
+    vertices, grouped by equal open neighborhoods, form independent classes;
+    a class of one counts as independent. No vertex has twins of both kinds,
+    and a vertex sees all of a class or none of it, so ``g`` is the blow-up
+    of its classes."""
+    closed: dict[int, int] = {}
+    for v, row in enumerate(g.adj):
+        key = row | 1 << v
+        closed[key] = closed.get(key, 0) | 1 << v
+    cliques = [c for c in closed.values() if c & (c - 1)]
+    in_cliques = sum(cliques)  # the masks are disjoint
+    open_rows: dict[int, int] = {}
+    for v, row in enumerate(g.adj):
+        if not in_cliques >> v & 1:
+            open_rows[row] = open_rows.get(row, 0) | 1 << v
+    return ([(c, True) for c in cliques]
+            + [(c, False) for c in open_rows.values()])
 
 
-def _sides_or_inferred(g: Graph) -> Graph | None:
-    return g if g.sides is not None else infer_bipartition(g)
+def _twin_form(g: Graph, classes: list[tuple[int, bool]]) -> tuple:
+    """``g`` up to isomorphism: the least, over orderings of its twin
+    classes, of each class's size, clique flag and adjacency to the classes
+    in that order. Two graphs are isomorphic exactly when their forms are
+    equal."""
+    rows = [g.adj[(c & -c).bit_length() - 1] for c, _ in classes]
+    return min(tuple((classes[i][0].bit_count(), classes[i][1],
+                      tuple(bool(rows[i] & classes[j][0]) for j in order))
+                     for i in order)
+               for order in permutations(range(len(classes))))
 
 
-def _recognize_kext_bipartite(g: Graph, n: int, k: int, s: int) -> bool:
-    half = n // 2
-    pp, q = half - s, half - s - k - 1
-    if g.n != n or q < 0 or s < 1:
-        return False
-    gb = _sides_or_inferred(g)
-    if gb is None:
-        return False
-    if q == 0:
-        # overlay degenerates to K_{s,s+k+1} plus pp isolated vertices
-        isolated = [v for v in range(n) if gb.degree(v) == 0]
-        if len(isolated) != pp:
-            return False
-        core = gb.induced([v for v in range(n) if gb.degree(v) > 0])
-        degs = sorted(core.degrees())
-        if degs != sorted([s + k + 1] * s + [s] * (s + k + 1)):
-            return False
-        return core.m == s * (s + k + 1) and _is_complete_bipartite(core)
-    side_a = gb.side_mask(SIDE_A)
-    side_b = gb.side_mask(SIDE_B)
-    for x_side, y_side in ((side_a, side_b), (side_b, side_a)):
-        if _check_overlay(gb, x_side, y_side, half, k, s, pp, q):
-            return True
-    return False
-
-
-def _check_overlay(g: Graph, x_side: int, y_side: int, half: int, k: int,
-                   s: int, pp: int, q: int) -> bool:
-    if x_side.bit_count() != half or y_side.bit_count() != half:
-        return False
-    x1 = [v for v in bits(x_side) if g.degree(v) == half]
-    x2 = [v for v in bits(x_side) if g.degree(v) == q]
-    y1 = [v for v in bits(y_side) if g.degree(v) == s]
-    y2 = [v for v in bits(y_side) if g.degree(v) == half]
-    if (len(x1), len(x2), len(y1), len(y2)) != (s, pp, s + k + 1, q):
-        return False
-    if len(x1) + len(x2) != half or len(y1) + len(y2) != half:
-        return False
-    y_all = mask_of(y1) | mask_of(y2)
-    y2_mask = mask_of(y2)
-    return (all(g.adj[v] == y_all for v in x1)
-            and all(g.adj[v] == y2_mask for v in x2))
-
-
-def _is_complete_bipartite(g: Graph) -> bool:
-    gb = _sides_or_inferred(g)
-    if gb is None:
-        return False
-    return gb.m == (gb.side_mask(SIDE_A).bit_count()
-                    * gb.side_mask(SIDE_B).bit_count())
-
-
-def _recognize_kfactor(g: Graph, n: int, k: int) -> bool:
-    half = n // 2
-    if g.n != n or not 2 <= k <= half - 1:
-        return False
-    deg = g.degrees()
-    low = [v for v in range(n) if deg[v] == k - 1]
-    if len(low) != 1:
-        return False
-    u = low[0]
-    nu = g.adj[u]
-    if any(deg[v] != half for v in bits(nu)):
-        return False
-    b_rest = [v for v in range(n) if deg[v] == half - 1]
-    if len(b_rest) != half - k + 1:
-        return False
-    b_mask = nu | mask_of(b_rest)
-    if b_mask.bit_count() != half:
-        return False
-    a_rest = [v for v in range(n)
-              if v != u and not (b_mask >> v) & 1]
-    return all(g.adj[v] == b_mask for v in a_rest) and len(a_rest) == half - 1
+@lru_cache(maxsize=256)
+def _family_form(family: str, p: FamilyParams) -> tuple | None:
+    """(n, m, class count, twin form) of the family member, or None when
+    ``construct_family`` rejects ``p``."""
+    try:
+        h = construct_family(family, p)
+    except GraphError:
+        return None
+    classes = _twin_classes(h)
+    return h.n, h.m, len(classes), _twin_form(h, classes)
 
 
 def recognize(family: str, p: FamilyParams, g: Graph) -> bool:
-    """Structural membership test; accepts exactly the family member for
-    the given parameters, under any vertex labeling."""
-    try:
-        if family == "kext-general":
-            a = p.n - 2 * p.delta + 2 * p.k - 1
-            if a < 1 or p.delta < 2 * p.k or p.k < 1 or p.n % 2:
-                return False
-            return _recognize_join_family(g, p.n, p.delta, a,
-                                          p.delta - 2 * p.k + 1)
-        if family == "kfc-general":
-            a = p.n - 2 * p.delta + p.k - 1
-            if a < 1 or p.delta < p.k or p.k < 1:
-                return False
-            return _recognize_join_family(g, p.n, p.delta, a,
-                                          p.delta - p.k + 1)
-        if family == "kext-bipartite":
-            s = p.s if p.s is not None else p.delta
-            return _recognize_kext_bipartite(g, p.n, p.k, s)
-        if family == "kfactor-bipartite":
-            return _recognize_kfactor(g, p.n, p.k)
-        if family == "hamilton-bipartite":
-            return _recognize_kfactor(g, p.n, 2)
-    except GraphError:
+    """True exactly when ``g`` is isomorphic to ``construct_family(family,
+    p)``, under any vertex labeling and whatever bipartition ``g`` carries;
+    False when ``construct_family`` rejects ``p``, so no member exists."""
+    if family not in FAMILIES:
+        raise GraphError(f"unknown family {family!r}")
+    ref = _family_form(family, p)
+    if ref is None or (g.n, g.m) != ref[:2]:
         return False
-    raise GraphError(f"unknown family {family!r}")
+    classes = _twin_classes(g)
+    # members have at most four classes, so at most 4! orderings are tried
+    return len(classes) == ref[2] and _twin_form(g, classes) == ref[3]

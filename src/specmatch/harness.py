@@ -20,9 +20,9 @@ from typing import Iterable
 from . import families as fam
 from . import matchfactor as mf
 from . import spectra as sp
-from .graph import (Graph, GraphError, SIDE_A, SIDE_B, complete,
-                    disjoint_union, empty, graph6_decode, graph6_encode,
-                    infer_bipartition, is_connected, join, rows_connected)
+from .graph import (Graph, GraphError, SIDE_A, SIDE_B, graph6_decode,
+                    graph6_encode, infer_bipartition, is_connected,
+                    rows_connected)
 
 P_SWEEP = (0.3, 0.5, 0.7, 0.9)
 SAMPLE_ATTEMPTS = 60
@@ -33,6 +33,8 @@ DENSE_STRIDE = 25  # every DENSE_STRIDE-th lemma cell gets a dense recheck
 PROPERTY_COLUMNS = ("graph", "rho", "rho_star", "margin", "verdict",
                     "certificate", "extremal")
 RHO_COLUMNS = ("graph", "rho", "fms_bound", "sqrt_m", "identity13")
+# the least k for which ``check`` runs each k-dependent property
+CHECK_MIN_K = {"k-extendable": 1, "k-factor": 0, "k-factor-critical": 1}
 
 
 class UsageError(ValueError):
@@ -208,9 +210,7 @@ LEMMAS = ("l2.2", "l2.3", "l2.6")
 def _theorem_delta(spec: TheoremSpec, p: fam.FamilyParams) -> int | None:
     if not spec.pins_min_degree:
         return None
-    if spec.name == "t1.2":
-        return p.s if p.s is not None else p.delta
-    return p.delta
+    return p.overlay_s if spec.name == "t1.2" else p.delta
 
 
 def validate_hypotheses(name: str, p: fam.FamilyParams) -> None:
@@ -227,7 +227,7 @@ def validate_hypotheses(name: str, p: fam.FamilyParams) -> None:
         f_bound = fam.threshold_F(p.k, p.delta)
         need(p.n >= f_bound, f"n={p.n} < F(k,delta)={f_bound}")
     elif name == "t1.2":
-        s = p.s if p.s is not None else p.delta
+        s = p.overlay_s
         need(p.k is not None and s is not None, "k and delta/s required")
         need(p.n % 2 == 0, f"n={p.n} is odd")
         need(1 <= p.k <= p.n // 2 - 1,
@@ -503,28 +503,6 @@ def _reverify_candidate(theorem: str, g: Graph, p: fam.FamilyParams,
 # -- lemma sweeps ----------------------------------------------------------
 
 
-def _join_clique_quotient(s: int, clique_sizes: list[int]) -> sp.QuotientMatrix:
-    """Exact quotient of (s-clique joined to a disjoint union of cliques);
-    equal-size cliques share a class."""
-    from collections import Counter
-    counts = sorted(Counter(clique_sizes).items(), reverse=True)
-    size_list = [s] + [z * mult for z, mult in counts]
-    rows = []
-    rows.append(tuple([s - 1] + [z * mult for z, mult in counts]))
-    for i, (z, _) in enumerate(counts):
-        row = [s] + [0] * len(counts)
-        row[1 + i] = z - 1
-        rows.append(tuple(row))
-    return sp.QuotientMatrix(tuple(rows), tuple(size_list))
-
-
-def _join_clique_graph(s: int, clique_sizes: list[int]) -> Graph:
-    inner = empty(0)
-    for z in clique_sizes:
-        inner = disjoint_union(inner, complete(z))
-    return join(complete(s), inner)
-
-
 def _lemma_rows_22(report: Report) -> None:
     cell = 0
     for t in range(2, 5):
@@ -533,16 +511,16 @@ def _lemma_rows_22(report: Report) -> None:
                 for n in range(s + t * prt + 1, 41):
                     cap = n - s - prt * (t - 1) - 1
                     for part in _partitions(n - s, t, prt, cap):
-                        lhs = _join_clique_quotient(s, list(part))
+                        lhs = fam.join_cliques_quotient(s, part)
                         rhs_sizes = [n - s - prt * (t - 1)] + [prt] * (t - 1)
-                        rhs = _join_clique_quotient(s, rhs_sizes)
+                        rhs = fam.join_cliques_quotient(s, rhs_sizes)
                         lo = lhs.largest_eigenvalue()
                         hi = rhs.largest_eigenvalue()
                         margin = hi - lo
                         ok = margin > LEMMA_MARGIN
                         if cell % DENSE_STRIDE == 0:
-                            lo_d = sp.rho_dense(_join_clique_graph(s, list(part)))
-                            hi_d = sp.rho_dense(_join_clique_graph(s, rhs_sizes))
+                            lo_d = sp.rho_dense(fam.join_cliques(s, part))
+                            hi_d = sp.rho_dense(fam.join_cliques(s, rhs_sizes))
                             ok = (ok and abs(lo - lo_d) <= 1e-8
                                   and abs(hi - hi_d) <= 1e-8)
                         _lemma_row(report,
@@ -577,7 +555,7 @@ def _lemma_rows_23(report: Report) -> None:
     for k in (1, 2):
         for delta in range(2 * k + 1, 6):
             for n in range(8 * delta - 10 * k + 4, 41):
-                lhs = _join_clique_quotient(
+                lhs = fam.join_cliques_quotient(
                     2 * k, [delta - 2 * k + 1, n - delta - 1])
                 rhs = fam.family_quotient(
                     "kext-general",
@@ -587,12 +565,12 @@ def _lemma_rows_23(report: Report) -> None:
                 margin = hi - lo
                 ok = margin > LEMMA_MARGIN
                 if cell % DENSE_STRIDE == 0:
-                    lo_d = sp.rho_dense(_join_clique_graph(
+                    lo_d = sp.rho_dense(fam.join_cliques(
                         2 * k, [delta - 2 * k + 1, n - delta - 1]))
                     # the kext-general member; n may be odd here
-                    hi_d = sp.rho_dense(fam._join_family_graph(
-                        delta, n - 2 * delta + 2 * k - 1,
-                        delta - 2 * k + 1))
+                    hi_d = sp.rho_dense(fam.join_cliques(
+                        delta, [n - 2 * delta + 2 * k - 1]
+                        + [1] * (delta - 2 * k + 1)))
                     ok = (ok and abs(lo - lo_d) <= 1e-8
                           and abs(hi - hi_d) <= 1e-8)
                 _lemma_row(report, f"l2.3 k={k} delta={delta} n={n}",
@@ -822,6 +800,9 @@ def _check_row(item: tuple[int, str, Graph, str, int | None, int]
 
 def cmd_check(lines: Iterable[str], prop: str, k: int | None,
               limit: int = mf.EXHAUSTIVE_LIMIT, jobs: int = 1) -> Report:
+    if prop in CHECK_MIN_K and (k is None or k < CHECK_MIN_K[prop]):
+        raise UsageError(f"property {prop} needs --k >= {CHECK_MIN_K[prop]}, "
+                         f"got --k {k}")
     report = Report(mode=f"check {prop}", columns=PROPERTY_COLUMNS)
     items = []
     for idx, text in read_graph_lines(lines):
@@ -839,22 +820,16 @@ def _check_one(g: Graph, prop: str, k: int | None, limit: int
     """The graph the property is checked on (``g`` or its bipartite form),
     with the checker's verdict and certificate."""
     if prop == "k-extendable":
-        if k is None:
-            raise UsageError("property k-extendable needs --k")
         gb = infer_bipartition(g)
         if gb is not None:
             return gb, mf.is_k_extendable_plummer(gb, k, limit)
         return g, mf.is_k_extendable_chen(g, k, limit)
     if prop == "k-factor":
-        if k is None:
-            raise UsageError("property k-factor needs --k")
         gb = infer_bipartition(g)
         if gb is None:
             raise GraphError("input is not bipartite")
         return gb, mf.find_k_factor_flow(gb, k)
     if prop == "k-factor-critical":
-        if k is None:
-            raise UsageError("property k-factor-critical needs --k")
         return g, mf.is_k_factor_critical(g, k, limit)
     if prop == "hamiltonian":
         gb = infer_bipartition(g)

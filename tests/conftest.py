@@ -5,9 +5,9 @@ The oracles here deliberately use different algorithms from the library
 vertex masks) so that test expectations are computed independently.
 The reference checkers and the reference sampler at the end are the
 exception: they keep the library's earlier always-exhaustive checkers, its
-earlier Graph-per-draw sampler, and its earlier matching routines (three
-separate augmenting-path copies and the subset loop of Ore's criterion) as
-differential baselines. ``path`` and
+earlier Graph-per-draw sampler, its earlier matching routines (three
+separate augmenting-path copies and the subset loop of Ore's criterion) and
+its earlier per-family recognizers as differential baselines. ``path`` and
 ``isomorphic_small`` are graph helpers that only the tests use.
 """
 from __future__ import annotations
@@ -21,7 +21,8 @@ import pytest
 from specmatch import harness as hz
 from specmatch import matchfactor as mf
 from specmatch.graph import (Graph, GraphError, SIDE_A, SIDE_B, bits,
-                             from_edges, is_connected, mask_of)
+                             component_masks, from_edges, infer_bipartition,
+                             is_connected, mask_of)
 
 
 def brute_max_matching_size(g: Graph) -> int:
@@ -598,3 +599,140 @@ def ref_sample_for_theorem(spec, p, extremal: Graph, rng: random.Random,
         if _ref_in_hypothesis_class(spec, g, delta):
             return g, "perturb"
     return extremal, "extremal"
+
+
+# -- reference recognizers -------------------------------------------------
+# The library's family recognizers before one twin-class isomorphism test
+# replaced them: a degree-class test per family, each behind its own
+# parameter guard. Differential tests hold ``recognize`` to these on every
+# parameter set that ``construct_family`` accepts.
+
+
+def _ref_recognize_join_family(g: Graph, n: int, delta: int, a: int,
+                               t: int) -> bool:
+    if g.n != n or n != delta + a + t:
+        return False
+    expected_m = (delta * (delta - 1) // 2 + a * (a - 1) // 2
+                  + delta * (a + t))
+    if g.m != expected_m:
+        return False
+    deg = g.degrees()
+    dominating = [v for v in range(n) if deg[v] == n - 1]
+    if len(dominating) != delta:
+        return False
+    rest = [v for v in range(n) if deg[v] != n - 1]
+    sub = g.induced(rest)
+    comps = component_masks(sub)
+    sizes = sorted(c.bit_count() for c in comps)
+    if sizes != sorted([a] + [1] * t):
+        return False
+    for c in comps:
+        cn = c.bit_count()
+        inside = sum((sub.adj[v] & c).bit_count() for v in bits(c)) // 2
+        if inside != cn * (cn - 1) // 2:
+            return False
+    return True
+
+
+def _ref_sides_or_inferred(g: Graph) -> Graph | None:
+    return g if g.sides is not None else infer_bipartition(g)
+
+
+def _ref_recognize_kext_bipartite(g: Graph, n: int, k: int, s: int) -> bool:
+    half = n // 2
+    pp, q = half - s, half - s - k - 1
+    if g.n != n or q < 0 or s < 1:
+        return False
+    gb = _ref_sides_or_inferred(g)
+    if gb is None:
+        return False
+    if q == 0:
+        isolated = [v for v in range(n) if gb.degree(v) == 0]
+        if len(isolated) != pp:
+            return False
+        core = gb.induced([v for v in range(n) if gb.degree(v) > 0])
+        degs = sorted(core.degrees())
+        if degs != sorted([s + k + 1] * s + [s] * (s + k + 1)):
+            return False
+        return core.m == s * (s + k + 1) and _ref_is_complete_bipartite(core)
+    side_a = gb.side_mask(SIDE_A)
+    side_b = gb.side_mask(SIDE_B)
+    for x_side, y_side in ((side_a, side_b), (side_b, side_a)):
+        if _ref_check_overlay(gb, x_side, y_side, half, k, s, pp, q):
+            return True
+    return False
+
+
+def _ref_check_overlay(g: Graph, x_side: int, y_side: int, half: int, k: int,
+                       s: int, pp: int, q: int) -> bool:
+    if x_side.bit_count() != half or y_side.bit_count() != half:
+        return False
+    x1 = [v for v in bits(x_side) if g.degree(v) == half]
+    x2 = [v for v in bits(x_side) if g.degree(v) == q]
+    y1 = [v for v in bits(y_side) if g.degree(v) == s]
+    y2 = [v for v in bits(y_side) if g.degree(v) == half]
+    if (len(x1), len(x2), len(y1), len(y2)) != (s, pp, s + k + 1, q):
+        return False
+    if len(x1) + len(x2) != half or len(y1) + len(y2) != half:
+        return False
+    y_all = mask_of(y1) | mask_of(y2)
+    y2_mask = mask_of(y2)
+    return (all(g.adj[v] == y_all for v in x1)
+            and all(g.adj[v] == y2_mask for v in x2))
+
+
+def _ref_is_complete_bipartite(g: Graph) -> bool:
+    gb = _ref_sides_or_inferred(g)
+    if gb is None:
+        return False
+    return gb.m == (gb.side_mask(SIDE_A).bit_count()
+                    * gb.side_mask(SIDE_B).bit_count())
+
+
+def _ref_recognize_kfactor(g: Graph, n: int, k: int) -> bool:
+    half = n // 2
+    if g.n != n or not 2 <= k <= half - 1:
+        return False
+    deg = g.degrees()
+    low = [v for v in range(n) if deg[v] == k - 1]
+    if len(low) != 1:
+        return False
+    u = low[0]
+    nu = g.adj[u]
+    if any(deg[v] != half for v in bits(nu)):
+        return False
+    b_rest = [v for v in range(n) if deg[v] == half - 1]
+    if len(b_rest) != half - k + 1:
+        return False
+    b_mask = nu | mask_of(b_rest)
+    if b_mask.bit_count() != half:
+        return False
+    a_rest = [v for v in range(n)
+              if v != u and not (b_mask >> v) & 1]
+    return all(g.adj[v] == b_mask for v in a_rest) and len(a_rest) == half - 1
+
+
+def ref_recognize(family: str, p, g: Graph) -> bool:
+    try:
+        if family == "kext-general":
+            a = p.n - 2 * p.delta + 2 * p.k - 1
+            if a < 1 or p.delta < 2 * p.k or p.k < 1 or p.n % 2:
+                return False
+            return _ref_recognize_join_family(g, p.n, p.delta, a,
+                                              p.delta - 2 * p.k + 1)
+        if family == "kfc-general":
+            a = p.n - 2 * p.delta + p.k - 1
+            if a < 1 or p.delta < p.k or p.k < 1:
+                return False
+            return _ref_recognize_join_family(g, p.n, p.delta, a,
+                                              p.delta - p.k + 1)
+        if family == "kext-bipartite":
+            s = p.s if p.s is not None else p.delta
+            return _ref_recognize_kext_bipartite(g, p.n, p.k, s)
+        if family == "kfactor-bipartite":
+            return _ref_recognize_kfactor(g, p.n, p.k)
+        if family == "hamilton-bipartite":
+            return _ref_recognize_kfactor(g, p.n, 2)
+    except GraphError:
+        return False
+    raise GraphError(f"unknown family {family!r}")

@@ -1,10 +1,11 @@
 import math
 import random
+from itertools import combinations
 
 import pytest
 
-from specmatch.graph import (GraphError, bits, graph6_decode, graph6_encode,
-                             from_edges, is_connected)
+from specmatch.graph import (Graph, GraphError, graph6_encode, from_edges,
+                             infer_bipartition, is_connected)
 from specmatch.spectra import rho_dense
 from specmatch.matchfactor import (find_k_factor_flow, hamiltonian_cycle,
                                    has_f_factor_ore, FactorSpec,
@@ -16,8 +17,9 @@ from specmatch.families import (FamilyParams, construct_family,
                                 extremal_kext_general, extremal_kfactor,
                                 extremal_kfc, family_quotient, recognize,
                                 threshold_F, threshold_rho)
+from specmatch.harness import THEOREMS, rng_for, sample_for_theorem
 
-from conftest import isomorphic_small
+from conftest import isomorphic_small, ref_recognize
 
 
 def relabel(g, seed=0):
@@ -236,3 +238,127 @@ class TestQuotientShapes:
             refined = quotient(g, refine_equitable(g))
             assert abs(analytic.largest_eigenvalue()
                        - refined.largest_eigenvalue()) <= 1e-10, family
+
+
+def _param_grid(orders):
+    """(family, params, accepted) for every family over small parameters,
+    with only the fields the family reads set (kext-bipartite once through
+    s and once through delta); accepted means ``construct_family`` takes
+    the parameters."""
+    grid = []
+    for n in orders:
+        grid.append(("hamilton-bipartite", FamilyParams(n=n)))
+        for k in range(-1, 6):
+            grid.append(("kfactor-bipartite", FamilyParams(n=n, k=k)))
+            for d in range(-1, 9):
+                grid += [("kext-general", FamilyParams(n=n, k=k, delta=d)),
+                         ("kfc-general", FamilyParams(n=n, k=k, delta=d)),
+                         ("kext-bipartite", FamilyParams(n=n, k=k, s=d)),
+                         ("kext-bipartite",
+                          FamilyParams(n=n, k=k, delta=d))]
+    out = []
+    for family, p in grid:
+        try:
+            construct_family(family, p)
+        except GraphError:
+            out.append((family, p, False))
+        else:
+            out.append((family, p, True))
+    return out
+
+
+def _all_graphs(n):
+    pairs = list(combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        adj = [0] * n
+        for i, (u, v) in enumerate(pairs):
+            if (mask >> i) & 1:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+        yield Graph(n, tuple(adj))
+
+
+def _with_bipartition(g):
+    """g, and g with its inferred bipartition when it has one."""
+    gb = infer_bipartition(g)
+    return (g,) if gb is None else (g, gb)
+
+
+class TestRecognizeReference:
+    """``recognize`` against the per-family recognizers it replaced
+    (``ref_recognize``): the same answer wherever a family member exists,
+    and False wherever none does."""
+
+    def test_every_small_graph(self):
+        grid = _param_grid(range(1, 7))
+        by_order = {}
+        for family, p, accepted in grid:
+            if accepted:
+                by_order.setdefault(p.n, []).append((family, p))
+        assert {f for cases in by_order.values() for f, _ in cases} == {
+            "kext-general", "kext-bipartite", "kfactor-bipartite"}
+        hits = 0
+        for n, cases in by_order.items():
+            for g in _all_graphs(n):
+                for h in _with_bipartition(g):
+                    for family, p in cases:
+                        got = recognize(family, p, h)
+                        assert got == ref_recognize(family, p, h), (
+                            family, p, graph6_encode(h))
+                        hits += got
+        assert hits > 0
+
+    def test_members_exactly_when_constructed(self):
+        grid = _param_grid(range(1, 25))
+        members = {}
+        for family, p, accepted in grid:
+            if accepted:
+                g = construct_family(family, p)
+                members.setdefault(p.n, []).append(g)
+                for h in (g, relabel(g, seed=p.n),
+                          infer_bipartition(relabel(g, seed=p.n))):
+                    if h is not None:
+                        assert recognize(family, p, h), (family, p)
+                        assert ref_recognize(family, p, h), (family, p)
+        assert len(members) > 10
+        # no member: nothing of that order is recognized, not even
+        # another family's member
+        for family, p, accepted in grid:
+            if not accepted:
+                for g in members.get(p.n, []):
+                    assert not recognize(family, p, g), (family, p)
+
+    @pytest.mark.parametrize("theorem, p", [
+        ("t1.1", FamilyParams(n=10, k=1, delta=2)),
+        ("t1.1", FamilyParams(n=18, k=1, delta=3)),
+        ("t1.2", FamilyParams(n=10, k=1, delta=1)),
+        ("t1.2", FamilyParams(n=16, k=1, delta=2)),
+        ("t1.3", FamilyParams(n=8, k=2)),
+        ("t1.3", FamilyParams(n=10, k=3)),
+        ("t4.3", FamilyParams(n=8)),
+        ("t4.3", FamilyParams(n=10)),
+        ("t4.5", FamilyParams(n=15, k=1, delta=2)),
+    ])
+    def test_near_extremal(self, theorem, p):
+        # the extremal graph, a sampler stream, every single toggle and
+        # seeded double toggles of the extremal graph, each also relabeled
+        spec = THEOREMS[theorem]
+        extremal = construct_family(spec.family, p)
+        graphs = [extremal] + [
+            sample_for_theorem(spec, p, extremal, rng_for(11, i), i)
+            for i in range(120)]
+        base = extremal.drop_bipartition()
+        pairs = list(combinations(range(base.n), 2))
+        graphs += [base.with_edge_toggled(u, v) for u, v in pairs]
+        rng = random.Random(len(pairs))
+        for _ in range(200):
+            (a, b), (c, d) = rng.sample(pairs, 2)
+            graphs.append(base.with_edge_toggled(a, b).with_edge_toggled(c, d))
+        hits = 0
+        for i, g in enumerate(graphs):
+            for h in (g,) + _with_bipartition(relabel(g, seed=i)):
+                got = recognize(spec.family, p, h)
+                assert got == ref_recognize(spec.family, p, h), (
+                    graph6_encode(h))
+                hits += got
+        assert 0 < hits < len(graphs)

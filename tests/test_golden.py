@@ -1,12 +1,15 @@
 """Golden reports: the sha256 of stdout and the exit code of small CLI runs.
 
 The digests were recorded before the matching layer was consolidated (one
-augmenting-path routine, one violating-set search for all four criteria)
-and must not change: every certificate kind and every checker route that
-reaches a report is covered. Graph6 input lines are built from the library's
+augmenting-path routine, one violating-set search for all four criteria),
+the three t1.3, t4.3 and t4.5 scans before the per-family recognizers gave
+way to one isomorphism test, and none may change: every certificate kind,
+every checker route and every family's ``extremal-hit`` rows that reach a
+report are covered. Graph6 input lines are built from the library's
 constructors and passed with ``--input``.
 """
 import hashlib
+import random
 
 import pytest
 
@@ -14,8 +17,9 @@ from specmatch import cli
 from specmatch.families import (extremal_hamilton, extremal_kext_bipartite,
                                 extremal_kext_general, extremal_kfactor,
                                 extremal_kfc)
-from specmatch.graph import (complete, complete_bipartite, cycle, empty,
-                             from_edges, graph6_encode, remove_star)
+from specmatch.graph import (complete, complete_bipartite, cycle,
+                             disjoint_union, empty, from_edges, graph6_encode,
+                             join, remove_star)
 from specmatch.harness import random_bipartite, random_graph, rng_for
 
 
@@ -29,6 +33,24 @@ def _n60_finding():
 def _bipartite_draws(seed: int, count: int):
     return [random_bipartite(rng_for(seed, i), 3 + i % 4, 3 + i % 4,
                              (0.3, 0.5, 0.7)[i % 3]) for i in range(count)]
+
+
+def _relabeled(g, seed: int):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _near_extremal(g, other, seed: int):
+    """Three relabelings of the extremal graph ``g``, a relabeled graph of
+    the same order that is not it, then every single toggle of ``g`` (across
+    the sides when ``g`` has them), each relabeled."""
+    toggles = [g.with_edge_toggled(u, v) for u in range(g.n)
+               for v in range(u + 1, g.n)
+               if g.sides is None or g.sides[u] != g.sides[v]]
+    return ([_relabeled(g, seed + i) for i in range(3)]
+            + [_relabeled(h, seed + 3 + i)
+               for i, h in enumerate([other] + toggles)])
 
 
 def _lines():
@@ -55,6 +77,13 @@ def _lines():
         "scan12": [extremal_kext_bipartite(10, 1, 1).drop_bipartition()]
                   + [random_bipartite(rng_for(37, i), 5, 5, 0.6)
                      .drop_bipartition() for i in range(10)],
+        "scan13": _near_extremal(extremal_kfactor(10, 3),
+                                 extremal_kfactor(10, 2), 40),
+        "scan43": _near_extremal(extremal_hamilton(10),
+                                 extremal_kfactor(10, 3), 41),
+        "scan45": _near_extremal(extremal_kfc(15, 1, 2),
+                                 join(complete(3), disjoint_union(
+                                     complete(10), empty(2))), 42),
     }
 
 
@@ -122,6 +151,16 @@ GOLDEN = [
      "scan12",
      "bd594a0e019eef0908e8d741641b527fb4f6db9554fc2e74896860d52064e156",
      1),
+    (["scan", "--theorem", "t1.3", "--n", "10", "--k", "3"], "scan13",
+     "695fcff50fd31b8fd174125c6df9a3cccf49a2c886794aad6b0358ec1d595bb6",
+     0),
+    (["scan", "--theorem", "t4.3", "--n", "10"], "scan43",
+     "acf382125507485c3b49397c0f48472af8244c67a705867feb6a8692b6ec0dc5",
+     0),
+    (["scan", "--theorem", "t4.5", "--n", "15", "--k", "1", "--delta", "2"],
+     "scan45",
+     "6c7f7e7d5401f45884be7e7a40fc028f1e076c9e07ee77c778bf89ac4da504de",
+     0),
     (["cross-check", "--n", "5", "--samples", "0"], None,
      "ee0288e37711ff4d4c502b79a01f0c60e711d70be235e4d22da0633665b6bc69",
      0),

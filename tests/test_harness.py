@@ -484,6 +484,34 @@ class TestRendering:
         assert doc["summary"]["extremal-hit"] >= 1
 
 
+class TestEntryValidation:
+    """Flag values that no run can use exit 2 with a message naming the
+    flag, before any graph is drawn, read or checked."""
+
+    @pytest.mark.parametrize("mode", ["verify", "scan"])
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_tolerance(self, mode, tol, tmp_path, capsys):
+        f = tmp_path / "in.g6"
+        f.write_text(graph6_encode(extremal_kfactor(8, 2)) + "\n")
+        code = cli.main([mode, "--theorem", "t1.3", "--n", "8", "--k", "2",
+                         "--samples", "5", "--tol", tol, "--input", str(f)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "--tol" in captured.err
+
+    @pytest.mark.parametrize("prop, k", [("k-extendable", "0"),
+                                         ("k-factor-critical", "0"),
+                                         ("k-factor", "-1")])
+    def test_check_k(self, prop, k, tmp_path, capsys):
+        f = tmp_path / "in.g6"
+        f.write_text(graph6_encode(complete_bipartite(3, 3)) + "\n")
+        code = cli.main(["check", "--property", prop, "--k", k,
+                         "--input", str(f)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "--k" in captured.err
+
+
 class TestCliEndToEnd:
     def test_pipe_construct_scan(self):
         built = run_cli(["construct", "--family", "kfactor-bipartite",

@@ -23,18 +23,20 @@ from specmatch.matchfactor import (Certificate, FactorSpec,
                                    max_matching_general,
                                    plummer_violating_subset,
                                    validate_certificate)
-from specmatch.families import (FamilyParams, extremal_kext_bipartite,
+from specmatch.families import (FamilyParams, construct_family,
+                                extremal_kext_bipartite,
                                 extremal_kext_general, extremal_kfactor,
-                                extremal_kfc)
+                                extremal_kfc, recognize)
 from specmatch.harness import (P_SWEEP, THEOREMS, random_bipartite,
                                random_graph, rng_for, sample_for_theorem)
+from specmatch.spectra import rho_dense, spectral_radius
 
 from conftest import (brute_is_k_extendable, brute_max_matching_size,
                       petersen, ref_chen_violating_set,
                       ref_has_f_factor_ore, ref_is_k_extendable_chen,
                       ref_is_k_extendable_plummer, ref_is_k_factor_critical,
                       ref_kfc_violating_set, ref_max_matching_bipartite,
-                      seeded_random_graph)
+                      ref_recognize, seeded_random_graph)
 
 
 def random_balanced_bipartite(seed: int, half: int, p: float):
@@ -558,6 +560,18 @@ def _relabel_invariant(search, g, k):
     return False, cert.kind, _excess(cert, k)
 
 
+RECOGNIZE_CASES = [
+    ("kext-general", FamilyParams(n=10, k=1, delta=2)),
+    ("kext-general", FamilyParams(n=16, k=2, delta=4)),
+    ("kext-bipartite", FamilyParams(n=10, k=1, s=1)),
+    ("kext-bipartite", FamilyParams(n=12, k=1, delta=2)),
+    ("kext-bipartite", FamilyParams(n=8, k=1, s=2)),
+    ("kfactor-bipartite", FamilyParams(n=10, k=3)),
+    ("kfc-general", FamilyParams(n=15, k=1, delta=2)),
+    ("hamilton-bipartite", FamilyParams(n=8)),
+]
+
+
 class TestRelabeling:
     """Metamorphic: each violating-set search gives the same verdict and
     the same excess after a relabeling, and its certificate re-validates
@@ -606,6 +620,48 @@ class TestRelabeling:
                 cert = Certificate(**json.loads(got[1]))
                 assert cert.kind == json.loads(want[1])["kind"]
                 assert validate_certificate(moved, cert), checker
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.integers(1, 10), st.integers(0, 123456),
+           st.sampled_from(P_SWEEP), st.data())
+    def test_spectra_and_hamilton_under_relabeling(self, n, seed, p, data):
+        # the same rho from both routes, and the same Hamilton verdict with
+        # a certificate that re-validates on the relabeled graph
+        g = seeded_random_graph(seed, n, p)
+        perm = data.draw(st.permutations(range(n)))
+        moved = _relabeled(g, perm)
+        rho = rho_dense(g)
+        assert abs(rho_dense(moved) - rho) <= 1e-9 * max(1.0, rho)
+        for h in (g, moved):
+            assert abs(spectral_radius(h).rho - rho) <= 1e-8 * max(1.0, rho)
+        gb = infer_bipartition(g)
+        if gb is not None:
+            moved_b = _relabeled(gb, perm)
+            got = _outcome(lambda h, _: hamiltonian_cycle(h), moved_b, 0)
+            want = _outcome(lambda h, _: hamiltonian_cycle(h), gb, 0)
+            assert got[0] == want[0]
+            if got[0] is True:
+                cert = Certificate(**json.loads(got[1]))
+                assert validate_certificate(moved_b, cert)
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(st.sampled_from(RECOGNIZE_CASES), st.integers(0, 2), st.data())
+    def test_recognize_under_relabeling(self, case, edits, data):
+        # a family member, possibly with toggled pairs: the same answer
+        # under any labeling, and the same as the per-family reference
+        family, p = case
+        g = construct_family(family, p).drop_bipartition()
+        for _ in range(edits):
+            u, v = data.draw(st.lists(st.integers(0, g.n - 1), min_size=2,
+                                      max_size=2, unique=True))
+            g = g.with_edge_toggled(u, v)
+        moved = _relabeled(g, data.draw(st.permutations(range(g.n))))
+        want = recognize(family, p, g)
+        assert want or edits
+        for h in (moved, infer_bipartition(moved)):
+            if h is not None:
+                assert recognize(family, p, h) == want
+                assert ref_recognize(family, p, h) == want
 
 
 class TestHamilton:
