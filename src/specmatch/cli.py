@@ -14,6 +14,7 @@ from . import harness as hz
 from .families import FAMILIES, FamilyParams
 from .graph import GraphError
 from .matchfactor import EXHAUSTIVE_LIMIT
+from .spectra import ConvergenceError
 
 DEFAULTS = {
     "samples": 1000,
@@ -27,6 +28,9 @@ DEFAULTS = {
 _INT_KEYS = {"n", "k", "delta", "s", "samples", "seed", "jobs",
              "exhaustive_limit"}
 _FLOAT_KEYS = {"tol"}
+# re-verification asks power iteration for tol/100, which float64 reaches
+# down to about 1e-14 on the family members
+_MIN_TOL = 1e-12
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,9 +103,16 @@ def _resolve(args: argparse.Namespace) -> dict:
         if value is None:
             value = DEFAULTS.get(key)
         resolved[key] = value
-    if not (math.isfinite(resolved["tol"]) and resolved["tol"] > 0):
-        raise hz.UsageError(
-            f"--tol must be a finite number > 0, got {resolved['tol']}")
+    if not (math.isfinite(resolved["tol"]) and resolved["tol"] >= _MIN_TOL):
+        raise hz.UsageError(f"--tol must be a finite number >= {_MIN_TOL}, "
+                            f"got {resolved['tol']}")
+    for key, least in (("samples", 0), ("exhaustive_limit", 0), ("jobs", 1)):
+        if resolved[key] < least:
+            raise hz.UsageError(f"--{key.replace('_', '-')} must be >= "
+                                f"{least}, got {resolved[key]}")
+    n = resolved["n"]
+    if args.mode == "cross-check" and n is not None and not 2 <= n <= 8:
+        raise hz.UsageError(f"cross-check --n must be in 2..8, got {n}")
     return resolved
 
 
@@ -142,7 +153,8 @@ def run(argv: list[str] | None = None) -> int:
     elif mode == "verify":
         if not cfg["theorem"]:
             raise hz.UsageError("verify needs --theorem")
-        report = hz.cmd_verify(cfg["theorem"], _params(cfg),
+        p = None if cfg["theorem"] in hz.LEMMAS else _params(cfg)
+        report = hz.cmd_verify(cfg["theorem"], p,
                                samples=cfg["samples"], seed=cfg["seed"],
                                tol=cfg["tol"],
                                limit=cfg["exhaustive_limit"])
@@ -166,7 +178,7 @@ def run(argv: list[str] | None = None) -> int:
 def main(argv: list[str] | None = None) -> int:
     try:
         return run(argv)
-    except (hz.UsageError, GraphError) as exc:
+    except (hz.UsageError, GraphError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

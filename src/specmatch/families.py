@@ -1,6 +1,11 @@
 """Extremal family constructors, their spectral thresholds and one
 recognizer for all of them.
 
+This module alone decides each family's admissibility (``member_args``),
+sizes (``join_sizes``) and bounds (``_order_bound``); graphs, quotients,
+thresholds and the recognizer all read them, and a theorem adds only its
+least order.
+
 Canonical labeling: join/dominating classes come first, then the large
 clique, then the independent class (general families); X1, Y1, X2, Y2 in
 order for the bipartite overlay families. This keeps fixtures stable and
@@ -20,9 +25,6 @@ from typing import Sequence
 from .graph import (Graph, GraphError, complete, complete_bipartite,
                     disjoint_union, empty, join, bipartite_join, remove_star)
 from .spectra import QuotientMatrix
-
-FAMILIES = ("kext-general", "kext-bipartite", "kfactor-bipartite",
-            "kfc-general", "hamilton-bipartite")
 
 
 @dataclass(frozen=True)
@@ -44,22 +46,80 @@ class Threshold:
     rho_star: float
 
 
-def threshold_F(k: int, delta: int) -> int:
-    """Order threshold for the general extendability theorem."""
-    if k < 1:
-        raise GraphError("k must be >= 1")
-    if delta < 2 * k:
-        raise GraphError("threshold needs delta >= 2k")
-    return max(8 * delta - 10 * k + 4,
-               delta * (delta - 2 * k) ** 2 + delta - 1)
-
-
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise GraphError(msg)
 
 
-# -- constructors --------------------------------------------------------
+def _order_bound(c: int, delta: int) -> int:
+    """max(8*delta-5c+4, delta*(delta-c)^2+delta-1): F(k, delta) at c = 2k,
+    the kfc-general order bound at c = k."""
+    return max(8 * delta - 5 * c + 4, delta * (delta - c) ** 2 + delta - 1)
+
+
+def threshold_F(k: int, delta: int) -> int:
+    """Order threshold for the general extendability theorem."""
+    _require(k >= 1, "k must be >= 1")
+    _require(delta >= 2 * k, "threshold needs delta >= 2k")
+    return _order_bound(2 * k, delta)
+
+
+def join_sizes(n: int, c: int, delta: int) -> list[int]:
+    """Clique sizes under the delta-clique of a join family member: one of
+    n-2*delta+c-1, then delta-c+1 singles; c = 2k (kext) or k (kfc)."""
+    return [n - 2 * delta + c - 1] + [1] * (delta - c + 1)
+
+
+def member_args(family: str, p: FamilyParams) -> tuple:
+    """The arguments of the family's graph and quotient builders at ``p``.
+
+    The one place that decides whether ``family`` has a member at ``p``:
+    raises GraphError naming the first violated condition."""
+    n, k, delta = p.n, p.k, p.delta
+    if family == "kext-general":
+        _require(k is not None and delta is not None,
+                 "kext-general needs n, k, delta")
+        _require(k >= 1, f"k={k} violates k >= 1")
+        _require(n % 2 == 0, f"n={n} violates even order")
+        _require(delta >= 2 * k,
+                 f"delta={delta} violates delta >= 2k={2 * k}")
+        sizes = join_sizes(n, 2 * k, delta)
+        _require(sizes[0] >= 1, f"n-2*delta+2k-1={sizes[0]} violates >= 1")
+        return delta, sizes
+    if family == "kext-bipartite":
+        s = p.overlay_s
+        _require(k is not None and s is not None,
+                 "kext-bipartite needs n, k and s (or delta)")
+        _require(k >= 1, f"k={k} violates k >= 1")
+        _require(s >= 1, f"s={s} violates s >= 1")
+        _require(n % 2 == 0, f"n={n} violates even order")
+        q = n // 2 - s - k - 1
+        _require(q >= 0, f"n/2-s-k-1={q} violates >= 0")
+        return n, k, s
+    if family == "kfactor-bipartite":
+        _require(k is not None, "kfactor-bipartite needs n, k")
+        _require(n % 2 == 0, f"n={n} violates even order")
+        _require(2 <= k <= n // 2 - 1,
+                 f"k={k} violates 2 <= k <= n/2-1={n // 2 - 1}")
+        return n, k
+    if family == "kfc-general":
+        _require(k is not None and delta is not None,
+                 "kfc-general needs n, k, delta")
+        _require(k >= 1, f"k={k} violates k >= 1")
+        _require(n % 2 == k % 2, f"n={n} violates n = k (mod 2) for k={k}")
+        _require(delta >= k, f"delta={delta} violates delta >= k={k}")
+        bound = _order_bound(k, delta)
+        # n >= bound also keeps the large clique nonempty
+        _require(n >= bound, f"n={n} violates n >= {bound}")
+        return delta, join_sizes(n, k, delta)
+    if family == "hamilton-bipartite":
+        # the k = 2 member of kfactor-bipartite
+        _require(n % 2 == 0 and n >= 8, f"n={n} violates even n >= 8")
+        return n, 2
+    raise GraphError(f"unknown family {family!r}")
+
+
+# -- graph and quotient builders -----------------------------------------
 
 
 def join_cliques(s: int, clique_sizes: Sequence[int]) -> Graph:
@@ -91,127 +151,91 @@ def _overlay(n: int, k: int, s: int) -> Graph:
                           complete_bipartite(n // 2 - s, n // 2 - s - k - 1))
 
 
-def extremal_kext_general(n: int, k: int, delta: int) -> Graph:
-    """Join of a delta-clique with (clique + independent set): the unique
-    spectral maximizer among non-k-extendable graphs of minimum degree
-    delta at orders above the threshold."""
-    _require(k >= 1, f"k={k} violates k >= 1")
-    _require(n % 2 == 0, f"n={n} violates even order")
-    _require(delta >= 2 * k, f"delta={delta} violates delta >= 2k={2 * k}")
-    a = n - 2 * delta + 2 * k - 1
-    _require(a >= 1, f"n-2*delta+2k-1={a} violates >= 1")
-    return join_cliques(delta, [a] + [1] * (delta - 2 * k + 1))
+def _overlay_quotient(n: int, k: int, s: int) -> QuotientMatrix:
+    """Exact quotient of ``_overlay(n, k, s)`` for s >= 1; the last class
+    is dropped when it is empty."""
+    half = n // 2
+    q = half - s - k - 1
+    rows = [(0, 0, s + k + 1, q), (0, 0, 0, q),
+            (s, 0, 0, 0), (s, half - s, 0, 0)]
+    c = 4 if q else 3
+    return QuotientMatrix(tuple(r[:c] for r in rows[:c]),
+                          (s, half - s, s + k + 1, q)[:c])
 
 
-def extremal_kext_bipartite(n: int, k: int, s: int) -> Graph:
-    """Bipartite overlay of K_{s,s+k+1} onto K_{n/2-s,n/2-s-k-1}."""
-    _require(k >= 1, f"k={k} violates k >= 1")
-    _require(s >= 1, f"s={s} violates s >= 1")
-    _require(n % 2 == 0, f"n={n} violates even order")
-    q = n // 2 - s - k - 1
-    _require(q >= 0, f"n/2-s-k-1={q} violates >= 0")
-    return _overlay(n, k, s)
-
-
-def extremal_kfactor(n: int, k: int) -> Graph:
-    """Complete balanced bipartite graph minus a star: one vertex of
-    degree k-1, so no k-regular spanning subgraph exists."""
-    _require(n % 2 == 0, f"n={n} violates even order")
-    _require(2 <= k <= n // 2 - 1,
-             f"k={k} violates 2 <= k <= n/2-1={n // 2 - 1}")
+def _minus_star(n: int, k: int) -> Graph:
+    """K_{n/2,n/2} minus a star that leaves vertex 0 with degree k-1."""
     return remove_star(complete_bipartite(n // 2, n // 2),
                        center=0, leaf_count=n // 2 - k + 1)
 
 
-def extremal_kfc(n: int, k: int, delta: int) -> Graph:
-    """Join extremal family for k-factor-criticality."""
-    _require(k >= 1, f"k={k} violates k >= 1")
-    _require(n % 2 == k % 2, f"n={n} violates n = k (mod 2) for k={k}")
-    _require(delta >= k, f"delta={delta} violates delta >= k={k}")
-    bound = max(8 * delta - 5 * k + 4, delta * (delta - k) ** 2 + delta - 1)
-    _require(n >= bound, f"n={n} violates n >= {bound}")
-    a = n - 2 * delta + k - 1
-    _require(a >= 1, f"n-2*delta+k-1={a} violates >= 1")
-    return join_cliques(delta, [a] + [1] * (delta - k + 1))
+def _minus_star_quotient(n: int, k: int) -> QuotientMatrix:
+    """Exact quotient of ``_minus_star(n, k)``."""
+    half = n // 2
+    leaves = half - k + 1
+    rows = ((0, 0, k - 1, 0), (0, 0, k - 1, leaves),
+            (1, half - 1, 0, 0), (0, half - 1, 0, 0))
+    return QuotientMatrix(rows, (1, half - 1, k - 1, leaves))
 
 
-def extremal_hamilton(n: int) -> Graph:
-    """Hamiltonicity extremal graph; identical to the k=2 factor family."""
-    _require(n % 2 == 0 and n >= 8, f"n={n} violates even n >= 8")
-    return extremal_kfactor(n, 2)
+# family -> (graph builder, quotient builder), both taking member_args
+_BUILDERS = {
+    "kext-general": (join_cliques, join_cliques_quotient),
+    "kext-bipartite": (_overlay, _overlay_quotient),
+    "kfactor-bipartite": (_minus_star, _minus_star_quotient),
+    "kfc-general": (join_cliques, join_cliques_quotient),
+    "hamilton-bipartite": (_minus_star, _minus_star_quotient),
+}
+FAMILIES = tuple(_BUILDERS)
 
 
 def construct_family(family: str, p: FamilyParams) -> Graph:
-    if family == "kext-general":
-        _require(p.k is not None and p.delta is not None,
-                 "kext-general needs n, k, delta")
-        return extremal_kext_general(p.n, p.k, p.delta)
-    if family == "kext-bipartite":
-        _require(p.k is not None and p.overlay_s is not None,
-                 "kext-bipartite needs n, k and s (or delta)")
-        return extremal_kext_bipartite(p.n, p.k, p.overlay_s)
-    if family == "kfactor-bipartite":
-        _require(p.k is not None, "kfactor-bipartite needs n, k")
-        return extremal_kfactor(p.n, p.k)
-    if family == "kfc-general":
-        _require(p.k is not None and p.delta is not None,
-                 "kfc-general needs n, k, delta")
-        return extremal_kfc(p.n, p.k, p.delta)
-    if family == "hamilton-bipartite":
-        return extremal_hamilton(p.n)
-    raise GraphError(f"unknown family {family!r}")
-
-
-# -- exact quotient matrices and thresholds ------------------------------
+    """The family member at ``p``; raises GraphError when there is none."""
+    args = member_args(family, p)
+    return _BUILDERS[family][0](*args)
 
 
 def family_quotient(family: str, p: FamilyParams) -> QuotientMatrix:
     """The small exact quotient matrix of the family member (classes in
-    canonical order)."""
-    if family == "kext-general":
-        a = p.n - 2 * p.delta + 2 * p.k - 1
-        _require(a >= 1 and p.delta >= 2 * p.k and p.k >= 1,
-                 "invalid kext-general parameters")
-        return join_cliques_quotient(p.delta,
-                                     [a] + [1] * (p.delta - 2 * p.k + 1))
-    if family == "kfc-general":
-        a = p.n - 2 * p.delta + p.k - 1
-        _require(a >= 1 and p.delta >= p.k and p.k >= 1,
-                 "invalid kfc-general parameters")
-        return join_cliques_quotient(p.delta, [a] + [1] * (p.delta - p.k + 1))
-    if family == "kext-bipartite":
-        s = p.overlay_s
-        half = p.n // 2
-        pp = half - s
-        q = half - s - p.k - 1
-        _require(p.n % 2 == 0 and s >= 1 and q >= 0,
-                 "invalid kext-bipartite parameters")
-        rows = [(0, 0, s + p.k + 1, q),
-                (0, 0, 0, q),
-                (s, 0, 0, 0),
-                (s, pp, 0, 0)]
-        sizes = [s, pp, s + p.k + 1, q]
-        if q == 0:
-            rows = [r[:3] for r in rows[:3]]
-            sizes = sizes[:3]
-        return QuotientMatrix(tuple(tuple(r) for r in rows), tuple(sizes))
-    if family in ("kfactor-bipartite", "hamilton-bipartite"):
-        k = 2 if family == "hamilton-bipartite" else p.k
-        half = p.n // 2
-        _require(p.n % 2 == 0 and 2 <= k <= half - 1,
-                 "invalid kfactor parameters")
-        leaves = half - k + 1
-        rows = ((0, 0, k - 1, 0),
-                (0, 0, k - 1, leaves),
-                (1, half - 1, 0, 0),
-                (0, half - 1, 0, 0))
-        return QuotientMatrix(rows, (1, half - 1, k - 1, leaves))
-    raise GraphError(f"unknown family {family!r}")
+    canonical order); raises exactly when ``construct_family`` does."""
+    args = member_args(family, p)
+    return _BUILDERS[family][1](*args)
 
 
 def threshold_rho(family: str, p: FamilyParams) -> Threshold:
     """Spectral threshold of a family from its exact quotient."""
     return Threshold(rho_star=family_quotient(family, p).largest_eigenvalue())
+
+
+# -- named constructors ----------------------------------------------------
+
+
+def extremal_kext_general(n: int, k: int, delta: int) -> Graph:
+    """Join of a delta-clique with (clique + independent set): the unique
+    spectral maximizer among non-k-extendable graphs of minimum degree
+    delta at orders above the threshold."""
+    return construct_family("kext-general", FamilyParams(n, k, delta))
+
+
+def extremal_kext_bipartite(n: int, k: int, s: int) -> Graph:
+    """Bipartite overlay of K_{s,s+k+1} onto K_{n/2-s,n/2-s-k-1}."""
+    return construct_family("kext-bipartite", FamilyParams(n, k, s=s))
+
+
+def extremal_kfactor(n: int, k: int) -> Graph:
+    """Complete balanced bipartite graph minus a star: one vertex of
+    degree k-1, so no k-regular spanning subgraph exists."""
+    return construct_family("kfactor-bipartite", FamilyParams(n, k))
+
+
+def extremal_kfc(n: int, k: int, delta: int) -> Graph:
+    """Join extremal family for k-factor-criticality."""
+    return construct_family("kfc-general", FamilyParams(n, k, delta))
+
+
+def extremal_hamilton(n: int) -> Graph:
+    """Hamiltonicity extremal graph; identical to the k=2 factor family."""
+    return construct_family("hamilton-bipartite", FamilyParams(n))
 
 
 # -- recognizer ------------------------------------------------------------

@@ -15,7 +15,8 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Iterable
+from functools import lru_cache
+from typing import Callable, Iterable
 
 from . import families as fam
 from . import matchfactor as mf
@@ -194,11 +195,15 @@ class TheoremSpec:
     bipartite: bool
     requires_connected: bool
     pins_min_degree: bool
+    # the least order the theorem needs beyond its family's own conditions
+    least_order: Callable[[fam.FamilyParams], int] | None = None
 
 
 THEOREMS = {
-    "t1.1": TheoremSpec("t1.1", "kext-general", False, True, True),
-    "t1.2": TheoremSpec("t1.2", "kext-bipartite", True, False, True),
+    "t1.1": TheoremSpec("t1.1", "kext-general", False, True, True,
+                        lambda p: fam.threshold_F(p.k, p.delta)),
+    "t1.2": TheoremSpec("t1.2", "kext-bipartite", True, False, True,
+                        lambda p: 4 * p.overlay_s + 2 * p.k + 2),
     "t1.3": TheoremSpec("t1.3", "kfactor-bipartite", True, True, False),
     "t4.3": TheoremSpec("t4.3", "hamilton-bipartite", True, False, False),
     "t4.5": TheoremSpec("t4.5", "kfc-general", False, True, True),
@@ -207,53 +212,22 @@ THEOREMS = {
 LEMMAS = ("l2.2", "l2.3", "l2.6")
 
 
-def _theorem_delta(spec: TheoremSpec, p: fam.FamilyParams) -> int | None:
-    if not spec.pins_min_degree:
-        return None
-    return p.overlay_s if spec.name == "t1.2" else p.delta
-
-
 def validate_hypotheses(name: str, p: fam.FamilyParams) -> None:
-    """Raise UsageError naming the violated hypothesis."""
-    def need(cond: bool, msg: str):
-        if not cond:
-            raise UsageError(f"{name}: hypothesis violated: {msg}")
-
-    if name == "t1.1":
-        need(p.k is not None and p.delta is not None, "k and delta required")
-        need(p.k >= 1, f"k={p.k} < 1")
-        need(p.delta >= 2 * p.k, f"delta={p.delta} < 2k={2 * p.k}")
-        need(p.n % 2 == 0, f"n={p.n} is odd")
-        f_bound = fam.threshold_F(p.k, p.delta)
-        need(p.n >= f_bound, f"n={p.n} < F(k,delta)={f_bound}")
-    elif name == "t1.2":
-        s = p.overlay_s
-        need(p.k is not None and s is not None, "k and delta/s required")
-        need(p.n % 2 == 0, f"n={p.n} is odd")
-        need(1 <= p.k <= p.n // 2 - 1,
-             f"k={p.k} outside 1..n/2-1={p.n // 2 - 1}")
-        need(s >= 1, f"delta={s} < 1")
-        need(p.n // 2 - s - p.k - 1 >= 0,
-             f"n/2-delta-k-1={p.n // 2 - s - p.k - 1} < 0")
-        need(p.n >= 4 * s + 2 * p.k + 2,
-             f"n={p.n} < 4*delta+2k+2={4 * s + 2 * p.k + 2} (verify range)")
-    elif name == "t1.3":
-        need(p.k is not None, "k required")
-        need(p.n % 2 == 0, f"n={p.n} is odd")
-        need(2 <= p.k <= p.n // 2 - 1,
-             f"k={p.k} outside 2..n/2-1={p.n // 2 - 1}")
-    elif name == "t4.3":
-        need(p.n % 2 == 0 and p.n >= 8, f"n={p.n} violates even n >= 8")
-    elif name == "t4.5":
-        need(p.k is not None and p.delta is not None, "k and delta required")
-        need(p.k >= 1, f"k={p.k} < 1")
-        need(p.delta >= p.k, f"delta={p.delta} < k={p.k}")
-        need(p.n % 2 == p.k % 2, f"n={p.n} not congruent to k={p.k} mod 2")
-        bound = max(8 * p.delta - 5 * p.k + 4,
-                    p.delta * (p.delta - p.k) ** 2 + p.delta - 1)
-        need(p.n >= bound, f"n={p.n} < max bound {bound}")
-    else:
-        raise UsageError(f"unknown theorem {name!r}")
+    """Raise UsageError naming the violated hypothesis: either the
+    theorem's family has no member at ``p`` (its conditions are the rest of
+    the theorem's hypotheses), or n is below the theorem's least order."""
+    if name not in THEOREMS:
+        raise UsageError(f"unknown theorem {name!r}; theorems are "
+                         f"{', '.join(THEOREMS)}")
+    spec = THEOREMS[name]
+    try:
+        fam.member_args(spec.family, p)
+    except GraphError as exc:
+        raise UsageError(f"{name}: hypothesis violated: {exc}") from exc
+    least = spec.least_order(p) if spec.least_order else p.n
+    if p.n < least:
+        raise UsageError(f"{name}: hypothesis violated: n={p.n} < "
+                         f"least order {least}")
 
 
 def check_property_for_theorem(name: str, g: Graph, p: fam.FamilyParams,
@@ -307,6 +281,15 @@ def oracle_property_for_theorem(name: str, g: Graph, p: fam.FamilyParams,
     raise UsageError(f"unknown theorem {name!r}")
 
 
+@lru_cache(maxsize=64)
+def _pinned_degree(spec: TheoremSpec, p: fam.FamilyParams) -> int | None:
+    """The minimum degree that the theorem's samples keep: that of its
+    family's member at ``p``; None when the theorem pins none."""
+    if not spec.pins_min_degree:
+        return None
+    return min(fam.construct_family(spec.family, p).degrees())
+
+
 def _in_hypothesis_class(spec: TheoremSpec, rows: list[int],
                          delta: int | None) -> bool:
     if delta is not None and min(map(int.bit_count, rows)) != delta:
@@ -347,7 +330,7 @@ def sample_for_theorem(spec: TheoremSpec, p: fam.FamilyParams,
     as rows; rejected ones never become ``Graph`` objects. Only the kept
     sample is built as a ``Graph``, and it is validated in full like every
     other."""
-    delta = _theorem_delta(THEOREMS[spec.name], p)
+    delta = _pinned_degree(spec, p)
     half = p.n // 2
 
     if index % 2 == 0:
@@ -436,15 +419,15 @@ def _evaluate(item) -> tuple[dict, str, str | None, str | None]:
     return row, category, note, _revalidation_note(g, cert, where)
 
 
-def cmd_verify(theorem: str, p: fam.FamilyParams, samples: int, seed: int,
-               tol: float = DEFAULT_TOL,
+def cmd_verify(theorem: str, p: fam.FamilyParams | None, samples: int,
+               seed: int, tol: float = DEFAULT_TOL,
                limit: int = mf.EXHAUSTIVE_LIMIT) -> Report:
+    """A theorem's report (its extremal row, then ``samples`` samples), or
+    a lemma's sweep, which takes no parameters: ``p`` may be None."""
     if theorem in LEMMAS:
         return _verify_lemma(theorem)
-    if theorem not in THEOREMS:
-        raise UsageError(f"unknown theorem {theorem!r}")
-    spec = THEOREMS[theorem]
     validate_hypotheses(theorem, p)
+    spec = THEOREMS[theorem]
     report = Report(mode=f"verify {theorem}", columns=PROPERTY_COLUMNS)
     if theorem == "t1.1" and p.delta == 2 * p.k:
         report.notes.append(
@@ -503,31 +486,19 @@ def _reverify_candidate(theorem: str, g: Graph, p: fam.FamilyParams,
 # -- lemma sweeps ----------------------------------------------------------
 
 
-def _lemma_rows_22(report: Report) -> None:
-    cell = 0
+def _cells_22() -> Iterable[tuple[str, tuple, tuple]]:
+    """Lemma 2.2: an s-clique joined to t cliques of sizes >= p, against
+    the most unbalanced such sizes."""
     for t in range(2, 5):
         for prt in range(1, 4):
             for s in range(1, 6):
                 for n in range(s + t * prt + 1, 41):
                     cap = n - s - prt * (t - 1) - 1
+                    rhs = (s, [n - s - prt * (t - 1)] + [prt] * (t - 1))
                     for part in _partitions(n - s, t, prt, cap):
-                        lhs = fam.join_cliques_quotient(s, part)
-                        rhs_sizes = [n - s - prt * (t - 1)] + [prt] * (t - 1)
-                        rhs = fam.join_cliques_quotient(s, rhs_sizes)
-                        lo = lhs.largest_eigenvalue()
-                        hi = rhs.largest_eigenvalue()
-                        margin = hi - lo
-                        ok = margin > LEMMA_MARGIN
-                        if cell % DENSE_STRIDE == 0:
-                            lo_d = sp.rho_dense(fam.join_cliques(s, part))
-                            hi_d = sp.rho_dense(fam.join_cliques(s, rhs_sizes))
-                            ok = (ok and abs(lo - lo_d) <= 1e-8
-                                  and abs(hi - hi_d) <= 1e-8)
-                        _lemma_row(report,
-                                   f"l2.2 t={t} p={prt} s={s} n={n} "
-                                   f"parts={'+'.join(map(str, part))}",
-                                   lo, hi, margin, ok)
-                        cell += 1
+                        yield (f"l2.2 t={t} p={prt} s={s} n={n} "
+                               f"parts={'+'.join(map(str, part))}",
+                               (s, part), rhs)
 
 
 def _partitions(total: int, parts: int, minimum: int,
@@ -550,45 +521,42 @@ def _partitions(total: int, parts: int, minimum: int,
     yield from rec(total, parts, cap)
 
 
-def _lemma_rows_23(report: Report) -> None:
-    cell = 0
+def _cells_23() -> Iterable[tuple[str, tuple, tuple]]:
+    """Lemma 2.3: a 2k-clique joined to two cliques, against the join of
+    the kext-general member, built for odd n too."""
     for k in (1, 2):
         for delta in range(2 * k + 1, 6):
             for n in range(8 * delta - 10 * k + 4, 41):
-                lhs = fam.join_cliques_quotient(
-                    2 * k, [delta - 2 * k + 1, n - delta - 1])
-                rhs = fam.family_quotient(
-                    "kext-general",
-                    fam.FamilyParams(n=n, k=k, delta=delta))
-                lo = lhs.largest_eigenvalue()
-                hi = rhs.largest_eigenvalue()
-                margin = hi - lo
-                ok = margin > LEMMA_MARGIN
-                if cell % DENSE_STRIDE == 0:
-                    lo_d = sp.rho_dense(fam.join_cliques(
-                        2 * k, [delta - 2 * k + 1, n - delta - 1]))
-                    # the kext-general member; n may be odd here
-                    hi_d = sp.rho_dense(fam.join_cliques(
-                        delta, [n - 2 * delta + 2 * k - 1]
-                        + [1] * (delta - 2 * k + 1)))
-                    ok = (ok and abs(lo - lo_d) <= 1e-8
-                          and abs(hi - hi_d) <= 1e-8)
-                _lemma_row(report, f"l2.3 k={k} delta={delta} n={n}",
-                           lo, hi, margin, ok)
-                cell += 1
+                yield (f"l2.3 k={k} delta={delta} n={n}",
+                       (2 * k, [delta - 2 * k + 1, n - delta - 1]),
+                       (delta, fam.join_sizes(n, 2 * k, delta)))
+
+
+def _clique_pair_rows(report: Report,
+                      cells: Iterable[tuple[str, tuple, tuple]]) -> None:
+    """One row per (label, lhs, rhs) cell, each side a ``join_cliques``
+    argument pair: the lemma holds when rho(rhs) exceeds rho(lhs). Both
+    come from exact quotients; every DENSE_STRIDE-th cell also checks them
+    against the dense spectra of the graphs."""
+    for cell, (label, lhs, rhs) in enumerate(cells):
+        lo = fam.join_cliques_quotient(*lhs).largest_eigenvalue()
+        hi = fam.join_cliques_quotient(*rhs).largest_eigenvalue()
+        margin = hi - lo
+        ok = margin > LEMMA_MARGIN
+        if cell % DENSE_STRIDE == 0:
+            ok = (ok and abs(lo - sp.rho_dense(fam.join_cliques(*lhs))) <= 1e-8
+                  and abs(hi - sp.rho_dense(fam.join_cliques(*rhs))) <= 1e-8)
+        _lemma_row(report, label, lo, hi, margin, ok)
 
 
 def _lemma_rows_26(report: Report) -> None:
     for k in range(1, 5):
         for s in range(1, 6):
-            for n in range(4 * s + 2 * k + 2, 41):
-                if n % 2:
-                    continue
+            for n in range(4 * s + 2 * k + 2, 41, 2):
                 lo = sp.quartic_largest_root(sp.charpoly_quartic(n, k, s))
                 hi = sp.quartic_largest_root(sp.charpoly_quartic(n, k, s - 1))
                 margin = hi - lo
-                g_lo = fam.extremal_kext_bipartite(n, k, s)
-                lo_d = sp.rho_dense(g_lo)
+                lo_d = sp.rho_dense(fam.extremal_kext_bipartite(n, k, s))
                 hi_d = sp.rho_dense(fam._overlay(n, k, s - 1))
                 ok = (margin > LEMMA_MARGIN
                       and abs(lo - lo_d) <= 1e-8 and abs(hi - hi_d) <= 1e-8)
@@ -604,14 +572,11 @@ def _lemma_row(report: Report, label: str, lo: float, hi: float,
 
 def _verify_lemma(lemma: str) -> Report:
     report = Report(mode=f"verify {lemma}", columns=PROPERTY_COLUMNS)
-    if lemma == "l2.2":
-        _lemma_rows_22(report)
-    elif lemma == "l2.3":
-        _lemma_rows_23(report)
-    elif lemma == "l2.6":
+    if lemma == "l2.6":
         _lemma_rows_26(report)
     else:
-        raise UsageError(f"unknown lemma {lemma!r}")
+        _clique_pair_rows(report,
+                          _cells_22() if lemma == "l2.2" else _cells_23())
     return report
 
 
@@ -687,8 +652,6 @@ def _cert_str(cert: mf.Certificate | None) -> str:
 def cmd_cross_check(max_n: int, samples: int, seed: int,
                     limit: int = mf.EXHAUSTIVE_LIMIT,
                     bipartite_extra: int = 0) -> Report:
-    if max_n > 8:
-        raise UsageError("cross-check supports max_n <= 8")
     report = Report(mode="cross-check", columns=PROPERTY_COLUMNS)
     processed = 0
     issues_total = 0
@@ -858,8 +821,6 @@ def _scan_row(item) -> tuple[dict, str, str | None, str | None]:
 def cmd_scan(lines: Iterable[str], theorem: str, p: fam.FamilyParams,
              tol: float = DEFAULT_TOL, limit: int = mf.EXHAUSTIVE_LIMIT,
              jobs: int = 1) -> Report:
-    if theorem not in THEOREMS:
-        raise UsageError(f"scan supports theorems {sorted(THEOREMS)}")
     validate_hypotheses(theorem, p)
     thr = fam.threshold_rho(THEOREMS[theorem].family, p)
     report = Report(mode=f"scan {theorem}", columns=PROPERTY_COLUMNS)

@@ -7,7 +7,8 @@ The reference checkers and the reference sampler at the end are the
 exception: they keep the library's earlier always-exhaustive checkers, its
 earlier Graph-per-draw sampler, its earlier matching routines (three
 separate augmenting-path copies and the subset loop of Ore's criterion) and
-its earlier per-family recognizers as differential baselines. ``path`` and
+its earlier per-family recognizers, and its earlier per-theorem
+hypotheses as differential baselines. ``path`` and
 ``isomorphic_small`` are graph helpers that only the tests use.
 """
 from __future__ import annotations
@@ -578,9 +579,17 @@ def _ref_perturb(rng: random.Random, base: Graph, edits: int) -> Graph:
     return g
 
 
+def _ref_theorem_delta(spec, p) -> int | None:
+    """The minimum degree a theorem pins: s (else delta) for t1.2, delta
+    for t1.1 and t4.5."""
+    if not spec.pins_min_degree:
+        return None
+    return p.overlay_s if spec.name == "t1.2" else p.delta
+
+
 def ref_sample_for_theorem(spec, p, extremal: Graph, rng: random.Random,
                            index: int) -> tuple[Graph, str]:
-    delta = hz._theorem_delta(hz.THEOREMS[spec.name], p)
+    delta = _ref_theorem_delta(spec, p)
     half = p.n // 2
 
     def random_candidate(prob: float) -> Graph:
@@ -736,3 +745,34 @@ def ref_recognize(family: str, p, g: Graph) -> bool:
     except GraphError:
         return False
     raise GraphError(f"unknown family {family!r}")
+
+
+# -- reference hypotheses --------------------------------------------------
+# The library's theorem hypotheses before they were read from the family
+# definitions: one branch per theorem, each restating its family's
+# conditions. ``validate_hypotheses`` must accept exactly what this accepts.
+
+
+def ref_hypotheses_hold(name: str, p) -> bool:
+    from specmatch.families import threshold_F
+    if name == "t1.1":
+        return (p.k is not None and p.delta is not None and p.k >= 1
+                and p.delta >= 2 * p.k and p.n % 2 == 0
+                and p.n >= threshold_F(p.k, p.delta))
+    if name == "t1.2":
+        s = p.overlay_s
+        return (p.k is not None and s is not None and p.n % 2 == 0
+                and 1 <= p.k <= p.n // 2 - 1 and s >= 1
+                and p.n // 2 - s - p.k - 1 >= 0
+                and p.n >= 4 * s + 2 * p.k + 2)
+    if name == "t1.3":
+        return (p.k is not None and p.n % 2 == 0
+                and 2 <= p.k <= p.n // 2 - 1)
+    if name == "t4.3":
+        return p.n % 2 == 0 and p.n >= 8
+    if name == "t4.5":
+        return (p.k is not None and p.delta is not None and p.k >= 1
+                and p.delta >= p.k and p.n % 2 == p.k % 2
+                and p.n >= max(8 * p.delta - 5 * p.k + 4,
+                               p.delta * (p.delta - p.k) ** 2 + p.delta - 1))
+    raise ValueError(name)

@@ -267,6 +267,36 @@ def _param_grid(orders):
     return out
 
 
+class TestOneOwner:
+    """Only the family definitions decide whether a member exists: the
+    quotient and the threshold raise exactly where the constructor does."""
+
+    def test_quotient_raises_exactly_when_constructor_does(self):
+        grid = _param_grid(range(-2, 60))
+        # fields left unset
+        for family in ("kext-general", "kext-bipartite", "kfactor-bipartite",
+                       "kfc-general"):
+            for n, k, d in ((16, None, 3), (16, 1, None), (16, None, None),
+                            (23, 1, None), (23, None, 3)):
+                p = FamilyParams(n=n, k=k, delta=d)
+                try:
+                    construct_family(family, p)
+                except GraphError:
+                    grid.append((family, p, False))
+                else:
+                    grid.append((family, p, True))
+        assert 0 < sum(accepted for *_, accepted in grid) < len(grid)
+        for family, p, accepted in grid:
+            for route in (family_quotient, threshold_rho):
+                try:
+                    route(family, p)
+                except GraphError:
+                    got = False
+                else:
+                    got = True
+                assert got == accepted, (route.__name__, family, p)
+
+
 def _all_graphs(n):
     pairs = list(combinations(range(n), 2))
     for mask in range(1 << len(pairs)):

@@ -3,7 +3,8 @@
 The digests were recorded before the matching layer was consolidated (one
 augmenting-path routine, one violating-set search for all four criteria),
 the three t1.3, t4.3 and t4.5 scans before the per-family recognizers gave
-way to one isomorphism test, and none may change: every certificate kind,
+way to one isomorphism test, the l2.2 sweep before l2.2 and l2.3 came to
+share one clique-pair evaluator, and none may change: every certificate kind,
 every checker route and every family's ``extremal-hit`` rows that reach a
 report are covered. Graph6 input lines are built from the library's
 constructors and passed with ``--input``.
@@ -165,6 +166,12 @@ GOLDEN = [
      "ee0288e37711ff4d4c502b79a01f0c60e711d70be235e4d22da0633665b6bc69",
      0),
 ]
+# the same, for runs of about 10 s
+SLOW_GOLDEN = [
+    (["verify", "--theorem", "l2.2", "--n", "40"], None,
+     "090c0888ddc8c84f9b2a12d074855d4366ada68153999dc41080113d9c6212c7",
+     0),
+]
 
 
 @pytest.fixture(scope="module")
@@ -173,9 +180,11 @@ def lines():
             for name, graphs in _lines().items()}
 
 
-@pytest.mark.parametrize("argv, stream, digest, code", GOLDEN,
-                         ids=[" ".join(c[0][:3]) + (f" {c[1]}" if c[1] else "")
-                              for c in GOLDEN])
+@pytest.mark.parametrize(
+    "argv, stream, digest, code",
+    GOLDEN + [pytest.param(*c, marks=pytest.mark.slow) for c in SLOW_GOLDEN],
+    ids=[" ".join(c[0][:3]) + (f" {c[1]}" if c[1] else "")
+         for c in GOLDEN + SLOW_GOLDEN])
 def test_report_bytes(argv, stream, digest, code, lines, tmp_path, capsys):
     if stream is not None:
         path = tmp_path / f"{stream}.g6"

@@ -19,6 +19,7 @@ from specmatch.families import (FamilyParams, construct_family,
                                 extremal_kext_bipartite,
                                 extremal_kext_general, extremal_kfactor)
 from specmatch.matchfactor import Certificate, validate_certificate
+from specmatch.spectra import ConvergenceError
 from specmatch.harness import (THEOREMS, UsageError, cmd_check,
                                cmd_construct, cmd_cross_check, cmd_rho,
                                cmd_scan, cmd_verify,
@@ -26,8 +27,8 @@ from specmatch.harness import (THEOREMS, UsageError, cmd_check,
                                random_regular_bipartite, render_csv,
                                render_json, rng_for, sample_for_theorem)
 
-from conftest import (path, ref_random_regular_bipartite,
-                      ref_sample_for_theorem)
+from conftest import (_ref_theorem_delta, path, ref_hypotheses_hold,
+                      ref_random_regular_bipartite, ref_sample_for_theorem)
 
 CLI = [sys.executable, "-m", "specmatch"]
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -222,6 +223,36 @@ class TestVerify:
         assert validate_certificate(infer_bipartition(g), cert)
 
 
+class TestHypotheses:
+    """``validate_hypotheses`` reads the family definitions, plus each
+    theorem's least order, and accepts exactly what the earlier
+    per-theorem chain (``ref_hypotheses_hold``) accepted."""
+
+    def test_matches_reference(self):
+        accepted = 0
+        for name in THEOREMS:
+            for n in range(-2, 50):
+                for k in (None, *range(-1, 7)):
+                    for d in (None, *range(-1, 10)):
+                        for s in (None, 1, 3) if name == "t1.2" else (None,):
+                            p = FamilyParams(n=n, k=k, delta=d, s=s)
+                            try:
+                                hz.validate_hypotheses(name, p)
+                            except UsageError as exc:
+                                assert str(exc).startswith(f"{name}: ")
+                                got = False
+                            else:
+                                got = True
+                            assert got == ref_hypotheses_hold(name, p), (
+                                name, p)
+                            accepted += got
+        assert accepted > 1000
+
+    def test_unknown_theorem(self):
+        with pytest.raises(UsageError, match="unknown theorem"):
+            hz.validate_hypotheses("t9.9", FamilyParams(n=10))
+
+
 class TestOracle:
     def test_t12_oracle_is_not_the_surplus_route(self, monkeypatch):
         # Disconnected, or connected with 24 < n <= 40: the definitional
@@ -354,6 +385,24 @@ class TestSampler:
                         (name, seed, i, how)
                     exits[how] += 1
         assert all(exits.values()), exits
+
+    def test_pinned_degree_is_the_members(self):
+        # the pinned minimum degree is read off the family member: delta
+        # for t1.1 and t4.5, s (else delta) for t1.2
+        checked = 0
+        for name, spec in THEOREMS.items():
+            for n in range(2, 41):
+                for k in range(1, 5):
+                    for d in range(1, 7):
+                        p = FamilyParams(n=n, k=k, delta=d)
+                        try:
+                            hz.validate_hypotheses(name, p)
+                        except UsageError:
+                            continue
+                        assert hz._pinned_degree(spec, p) == \
+                            _ref_theorem_delta(spec, p), (name, p)
+                        checked += 1
+        assert checked > 200
 
     def test_regular_bipartite_matches_reference(self):
         # criterion 7 decomposes these graphs: same draws, same graphs
@@ -489,7 +538,7 @@ class TestEntryValidation:
     flag, before any graph is drawn, read or checked."""
 
     @pytest.mark.parametrize("mode", ["verify", "scan"])
-    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    @pytest.mark.parametrize("tol", ["-1", "nan", "1e-13"])
     def test_tolerance(self, mode, tol, tmp_path, capsys):
         f = tmp_path / "in.g6"
         f.write_text(graph6_encode(extremal_kfactor(8, 2)) + "\n")
@@ -510,6 +559,46 @@ class TestEntryValidation:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "--k" in captured.err
+
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["verify", "--theorem", "t1.3", "--n", "8", "--k", "2",
+          "--samples", "-3"], "--samples"),
+        (["check", "--property", "hamiltonian", "--exhaustive-limit", "-1"],
+         "--exhaustive-limit"),
+        (["rho", "--jobs", "0"], "--jobs"),
+        (["cross-check", "--n", "1"], "--n"),
+        (["cross-check", "--n", "9"], "--n"),
+    ])
+    def test_counts(self, argv, flag, tmp_path, capsys):
+        f = tmp_path / "in.g6"
+        f.write_text(graph6_encode(complete_bipartite(3, 3)) + "\n")
+        code = cli.main(argv + ["--input", str(f)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert flag in captured.err
+
+    def test_counts_from_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("samples=-1\n")
+        code = cli.main(["verify", "--theorem", "t1.3", "--n", "8", "--k",
+                         "2", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2 and "--samples" in captured.err
+
+    def test_convergence_failure_exits_2(self, monkeypatch, capsys):
+        def fail(*_args, **_kwargs):
+            raise ConvergenceError("power iteration did not converge", 4e-16)
+        monkeypatch.setattr(hz, "cmd_rho", fail)
+        code = cli.main(["rho", "--input", os.devnull])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "did not converge" in captured.err
+        assert "best residual 4.000e-16" in captured.err
+
+    def test_lemma_needs_no_order(self):
+        assert run_main(["verify", "--theorem", "l2.3"]) == run_main(
+            ["verify", "--theorem", "l2.3", "--n", "40"])
 
 
 class TestCliEndToEnd:
