@@ -16,18 +16,6 @@ from .graph import GraphError
 from .matchfactor import EXHAUSTIVE_LIMIT
 from .spectra import ConvergenceError
 
-DEFAULTS = {
-    "samples": 1000,
-    "seed": 0,
-    "tol": hz.DEFAULT_TOL,
-    "jobs": 1,
-    "format": "csv",
-    "exhaustive_limit": EXHAUSTIVE_LIMIT,
-}
-
-_INT_KEYS = {"n", "k", "delta", "s", "samples", "seed", "jobs",
-             "exhaustive_limit"}
-_FLOAT_KEYS = {"tol"}
 # re-verification asks power iteration for tol/100, which float64 reaches
 # down to about 1e-14 on the family members
 _MIN_TOL = 1e-12
@@ -43,66 +31,67 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--family", choices=list(FAMILIES))
     parser.add_argument("--theorem",
                         choices=sorted(hz.THEOREMS) + list(hz.LEMMAS))
-    parser.add_argument("--property",
-                        choices=["k-extendable", "k-factor",
-                                 "k-factor-critical", "hamiltonian"])
+    parser.add_argument("--property", choices=list(hz.PROPERTIES))
     parser.add_argument("--n", type=int)
     parser.add_argument("--k", type=int)
     parser.add_argument("--delta", type=int)
     parser.add_argument("--s", type=int)
-    parser.add_argument("--samples", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--tol", type=float)
-    parser.add_argument("--jobs", type=int)
-    parser.add_argument("--format", choices=["csv", "json"])
+    parser.add_argument("--samples", type=int, default=1000)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--tol", type=float, default=hz.DEFAULT_TOL)
+    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--format", choices=["csv", "json"], default="csv")
     parser.add_argument("--config", metavar="PATH")
     parser.add_argument("--exhaustive-limit", type=int,
-                        dest="exhaustive_limit")
+                        dest="exhaustive_limit", default=EXHAUSTIVE_LIMIT)
     parser.add_argument("--input", metavar="PATH",
                         help="graph6 file, one graph per line (default stdin)")
     return parser
 
 
-def _load_config(path: str) -> dict[str, str]:
-    out: dict[str, str] = {}
+def _load_config(path: str, flags: dict[str, argparse.Action]) -> dict:
+    """The key=value lines of a config file, each key a flag's name and each
+    value converted and checked as that flag's own would be."""
     try:
         with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise hz.UsageError(
-                        f"{path}:{lineno}: expected key=value")
-                key, _, value = line.partition("=")
-                out[key.strip().replace("-", "_")] = value.strip()
+            lines = [line.strip() for line in fh]
     except OSError as exc:
         raise hz.UsageError(f"cannot read config {path}: {exc}") from exc
+    out = {}
+    for lineno, line in enumerate(lines, 1):
+        if not line or line.startswith("#"):
+            continue
+        key, eq, text = (part.strip() for part in line.partition("="))
+        key = key.replace("-", "_")
+        where = f"{path}:{lineno}:"
+        if not eq:
+            raise hz.UsageError(f"{where} expected key=value")
+        if key not in flags:
+            raise hz.UsageError(f"{where} unknown key {key!r}")
+        action = flags[key]
+        invalid = f"{where} config value {key}={text!r} is invalid"
+        try:
+            value = action.type(text) if action.type else text
+        except ValueError as exc:
+            raise hz.UsageError(f"{invalid}: {exc}") from exc
+        if action.choices is not None and value not in action.choices:
+            raise hz.UsageError(
+                f"{invalid}; choices are {', '.join(action.choices)}")
+        out[key] = value
     return out
 
 
-def _resolve(args: argparse.Namespace) -> dict:
-    config = _load_config(args.config) if args.config else {}
-    resolved: dict = {}
-    for key in ("family", "theorem", "property", "n", "k", "delta", "s",
-                "samples", "seed", "tol", "jobs", "format",
-                "exhaustive_limit", "input"):
-        value = getattr(args, key, None)
-        if value is None and key in config:
-            raw = config[key]
-            try:
-                if key in _INT_KEYS:
-                    value = int(raw)
-                elif key in _FLOAT_KEYS:
-                    value = float(raw)
-                else:
-                    value = raw
-            except ValueError as exc:
-                raise hz.UsageError(
-                    f"config value {key}={raw!r} is invalid") from exc
-        if value is None:
-            value = DEFAULTS.get(key)
-        resolved[key] = value
+def _resolve(parser: argparse.ArgumentParser, argv: list[str] | None) -> dict:
+    """Each flag's value: from the command line, else from the config file,
+    else its default."""
+    args = parser.parse_args(argv)
+    if args.config:
+        flags = {action.dest: action for action in parser._actions
+                 if action.option_strings
+                 and action.dest not in ("help", "config")}
+        parser.set_defaults(**_load_config(args.config, flags))
+        args = parser.parse_args(argv)
+    resolved = vars(args)
     if not (math.isfinite(resolved["tol"]) and resolved["tol"] >= _MIN_TOL):
         raise hz.UsageError(f"--tol must be a finite number >= {_MIN_TOL}, "
                             f"got {resolved['tol']}")
@@ -134,9 +123,8 @@ def _params(cfg: dict) -> FamilyParams:
 
 
 def run(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = _resolve(args)
-    mode = args.mode
+    cfg = _resolve(build_parser(), argv)
+    mode = cfg["mode"]
     if mode == "construct":
         if not cfg["family"]:
             raise hz.UsageError("construct needs --family")
@@ -153,7 +141,14 @@ def run(argv: list[str] | None = None) -> int:
     elif mode == "verify":
         if not cfg["theorem"]:
             raise hz.UsageError("verify needs --theorem")
-        p = None if cfg["theorem"] in hz.LEMMAS else _params(cfg)
+        if cfg["theorem"] not in hz.LEMMAS:
+            p = _params(cfg)
+        elif cfg["n"] in (None, hz.LEMMA_MAX_N):
+            p = None
+        else:
+            raise hz.UsageError(
+                f"--n on a lemma must be {hz.LEMMA_MAX_N}, the sweeps' upper "
+                f"order, or absent; got {cfg['n']}")
         report = hz.cmd_verify(cfg["theorem"], p,
                                samples=cfg["samples"], seed=cfg["seed"],
                                tol=cfg["tol"],
@@ -163,14 +158,12 @@ def run(argv: list[str] | None = None) -> int:
         report = hz.cmd_cross_check(max_n, samples=cfg["samples"],
                                     seed=cfg["seed"],
                                     limit=cfg["exhaustive_limit"])
-    elif mode == "scan":
+    else:  # scan
         if not cfg["theorem"]:
             raise hz.UsageError("scan needs --theorem")
         report = hz.cmd_scan(_read_lines(cfg), cfg["theorem"], _params(cfg),
                              tol=cfg["tol"], limit=cfg["exhaustive_limit"],
                              jobs=cfg["jobs"])
-    else:
-        raise hz.UsageError(f"unknown mode {mode!r}")
     sys.stdout.write(hz.render(report, cfg["format"]))
     return report.exit_code()
 

@@ -5,6 +5,10 @@ graph through one pipeline, ``_evaluate``: spectral margin, recognizer,
 checker, classification, re-verification of counterexample candidates and
 certificate re-validation.
 
+Each theorem, lemma and property the CLI accepts is one row of
+``THEOREMS``, ``LEMMAS`` or ``PROPERTIES``; theorems and properties run the
+checker routes of ``ROUTES``. Dispatch looks rows up.
+
 Determinism contract: identical configuration (seed included) produces a
 byte-identical report. Per-graph randomness is derived from
 (seed, sample index), so results do not depend on the worker count, and
@@ -30,12 +34,11 @@ SAMPLE_ATTEMPTS = 60
 DEFAULT_TOL = 1e-8
 LEMMA_MARGIN = 1e-9
 DENSE_STRIDE = 25  # every DENSE_STRIDE-th lemma cell gets a dense recheck
+LEMMA_MAX_N = 40  # the upper order of every lemma sweep
 
 PROPERTY_COLUMNS = ("graph", "rho", "rho_star", "margin", "verdict",
                     "certificate", "extremal")
 RHO_COLUMNS = ("graph", "rho", "fms_bound", "sqrt_m", "identity13")
-# the least k for which ``check`` runs each k-dependent property
-CHECK_MIN_K = {"k-extendable": 1, "k-factor": 0, "k-factor-critical": 1}
 
 
 class UsageError(ValueError):
@@ -104,11 +107,8 @@ def render_json(report: Report) -> str:
 
 
 def render(report: Report, fmt: str) -> str:
-    if fmt == "json":
-        return render_json(report)
-    if fmt == "csv":
-        return render_csv(report)
-    raise UsageError(f"unknown format {fmt!r}")
+    """The report as ``fmt``: "json", else CSV."""
+    return render_json(report) if fmt == "json" else render_csv(report)
 
 
 # -- deterministic sampling ----------------------------------------------
@@ -185,31 +185,93 @@ def random_regular_bipartite(rng: random.Random, half: int,
     return Graph(2 * half, tuple(adj), _sides(half, half))
 
 
-# -- theorem registry ----------------------------------------------------
+# -- route, property, theorem and lemma tables ---------------------------
+
+
+@dataclass(frozen=True)
+class Route:
+    """A checker route and the oracle that confirms its counterexample
+    candidates, both called as (g, k, limit); they look ``mf`` functions up
+    at call time, so a patched or traced one runs."""
+    prop: str
+    bipartite: bool
+    check: Callable[..., tuple[bool, mf.Certificate | None]]
+    oracle: Callable[..., bool]
+
+
+def _plummer_oracle(g: Graph, k: int, limit: int) -> bool:
+    """The definitional scan on a connected graph of order
+    <= ``mf.GENERAL_MATCHING_LIMIT``, else the violating-subset search while
+    |A| <= ``limit``; neither is the surplus route that decides in
+    ``is_k_extendable_plummer``. Only when |A| exceeds ``limit`` (n > 40 at
+    the default limit) does it fall back to that primary route, which then
+    confirms nothing independently."""
+    if is_connected(g) and g.n <= mf.GENERAL_MATCHING_LIMIT:
+        return mf.is_k_extendable_definitional(g, k)[0]
+    if g.side_mask(SIDE_A).bit_count() <= limit:
+        return mf.plummer_violating_subset(g, k, limit) is None
+    return mf.is_k_extendable_plummer(g, k, limit)[0]
+
+
+# The chen and kfc oracles are the odd-component criteria, not the
+# definitional scans that decide; flow's is Ore's criterion. hamilton has
+# no independent route yet: its oracle reruns the search.
+ROUTES = {
+    "chen": Route(
+        "k-extendable", False,
+        lambda g, k, limit: mf.is_k_extendable_chen(g, k, limit),
+        lambda g, k, limit: mf.chen_violating_set(g, k, limit) is None),
+    "plummer": Route(
+        "k-extendable", True,
+        lambda g, k, limit: mf.is_k_extendable_plummer(g, k, limit),
+        _plummer_oracle),
+    "flow": Route(
+        "k-factor", True,
+        lambda g, k, limit: mf.find_k_factor_flow(g, k),
+        lambda g, k, limit: mf.has_f_factor_ore(
+            g, mf.FactorSpec.constant(g.n, k), limit)[0]),
+    "hamilton": Route(
+        "hamiltonian", True,
+        lambda g, k, limit: mf.hamiltonian_cycle(g, limit),
+        lambda g, k, limit: mf.hamiltonian_cycle(g, limit)[0]),
+    "kfc": Route(
+        "k-factor-critical", False,
+        lambda g, k, limit: mf.is_k_factor_critical(g, k, limit),
+        lambda g, k, limit: mf.kfc_violating_set(g, k, limit) is None),
+}
+# (property, needs a bipartition) -> its route
+_ROUTE_OF = {(r.prop, r.bipartite): r for r in ROUTES.values()}
+
+# property -> the least --k that ``check`` accepts; None takes no k
+PROPERTIES = {"k-extendable": 1, "k-factor": 0, "k-factor-critical": 1,
+              "hamiltonian": None}
 
 
 @dataclass(frozen=True)
 class TheoremSpec:
     name: str
     family: str
-    bipartite: bool
+    route: str
     requires_connected: bool
     pins_min_degree: bool
     # the least order the theorem needs beyond its family's own conditions
     least_order: Callable[[fam.FamilyParams], int] | None = None
 
+    @property
+    def bipartite(self) -> bool:
+        return ROUTES[self.route].bipartite
+
 
 THEOREMS = {
-    "t1.1": TheoremSpec("t1.1", "kext-general", False, True, True,
+    "t1.1": TheoremSpec("t1.1", "kext-general", "chen", True, True,
                         lambda p: fam.threshold_F(p.k, p.delta)),
-    "t1.2": TheoremSpec("t1.2", "kext-bipartite", True, False, True,
+    "t1.2": TheoremSpec("t1.2", "kext-bipartite", "plummer", False, True,
                         lambda p: 4 * p.overlay_s + 2 * p.k + 2),
-    "t1.3": TheoremSpec("t1.3", "kfactor-bipartite", True, True, False),
-    "t4.3": TheoremSpec("t4.3", "hamilton-bipartite", True, False, False),
-    "t4.5": TheoremSpec("t4.5", "kfc-general", False, True, True),
+    "t1.3": TheoremSpec("t1.3", "kfactor-bipartite", "flow", True, False),
+    "t4.3": TheoremSpec("t4.3", "hamilton-bipartite", "hamilton", False,
+                        False),
+    "t4.5": TheoremSpec("t4.5", "kfc-general", "kfc", True, True),
 }
-
-LEMMAS = ("l2.2", "l2.3", "l2.6")
 
 
 def validate_hypotheses(name: str, p: fam.FamilyParams) -> None:
@@ -233,52 +295,14 @@ def validate_hypotheses(name: str, p: fam.FamilyParams) -> None:
 def check_property_for_theorem(name: str, g: Graph, p: fam.FamilyParams,
                                limit: int = mf.EXHAUSTIVE_LIMIT
                                ) -> tuple[bool, mf.Certificate | None]:
-    """Primary checker route for the theorem's property; ``limit`` bounds
-    the exhaustive searches."""
-    if name == "t1.1":
-        return mf.is_k_extendable_chen(g, p.k, limit)
-    if name == "t1.2":
-        return mf.is_k_extendable_plummer(g, p.k, limit)
-    if name == "t1.3":
-        return mf.find_k_factor_flow(g, p.k)
-    if name == "t4.3":
-        return mf.hamiltonian_cycle(g)
-    if name == "t4.5":
-        return mf.is_k_factor_critical(g, p.k, limit)
-    raise UsageError(f"unknown theorem {name!r}")
+    """The theorem's route; ``limit`` bounds the exhaustive searches."""
+    return ROUTES[THEOREMS[name].route].check(g, p.k, limit)
 
 
 def oracle_property_for_theorem(name: str, g: Graph, p: fam.FamilyParams,
                                 limit: int = mf.EXHAUSTIVE_LIMIT) -> bool:
-    """Independent route used to confirm counterexample candidates.
-
-    For t1.1 and t4.5 the oracle is the odd-component criterion
-    (``chen_violating_set``, ``kfc_violating_set``), not the definitional
-    scan that decides in the primary checker. For t1.2 it is the
-    definitional scan on a connected graph of order
-    <= ``mf.GENERAL_MATCHING_LIMIT``, else the violating-subset search
-    while |A| <= ``limit``; neither is the surplus route that decides in
-    ``is_k_extendable_plummer``. Only when |A| exceeds ``limit`` (n > 40 at
-    the default limit) does the oracle fall back to that primary route,
-    which then confirms nothing independently. For t1.3 it is Ore's
-    criterion against the flow route. t4.3 has no independent route yet:
-    its oracle reruns ``hamiltonian_cycle``."""
-    if name == "t1.1":
-        return mf.chen_violating_set(g, p.k, limit) is None
-    if name == "t1.2":
-        if is_connected(g) and g.n <= mf.GENERAL_MATCHING_LIMIT:
-            return mf.is_k_extendable_definitional(g, p.k)[0]
-        if g.side_mask(SIDE_A).bit_count() <= limit:
-            return mf.plummer_violating_subset(g, p.k, limit) is None
-        return mf.is_k_extendable_plummer(g, p.k, limit)[0]
-    if name == "t1.3":
-        return mf.has_f_factor_ore(
-            g, mf.FactorSpec.constant(g.n, p.k), limit)[0]
-    if name == "t4.3":
-        return mf.hamiltonian_cycle(g)[0]
-    if name == "t4.5":
-        return mf.kfc_violating_set(g, p.k, limit) is None
-    raise UsageError(f"unknown theorem {name!r}")
+    """The oracle of the theorem's route."""
+    return ROUTES[THEOREMS[name].route].oracle(g, p.k, limit)
 
 
 @lru_cache(maxsize=64)
@@ -424,11 +448,12 @@ def cmd_verify(theorem: str, p: fam.FamilyParams | None, samples: int,
                limit: int = mf.EXHAUSTIVE_LIMIT) -> Report:
     """A theorem's report (its extremal row, then ``samples`` samples), or
     a lemma's sweep, which takes no parameters: ``p`` may be None."""
+    report = Report(mode=f"verify {theorem}", columns=PROPERTY_COLUMNS)
     if theorem in LEMMAS:
-        return _verify_lemma(theorem)
+        LEMMAS[theorem](report)
+        return report
     validate_hypotheses(theorem, p)
     spec = THEOREMS[theorem]
-    report = Report(mode=f"verify {theorem}", columns=PROPERTY_COLUMNS)
     if theorem == "t1.1" and p.delta == 2 * p.k:
         report.notes.append(
             "boundary delta=2k accepted; the supporting comparison is "
@@ -445,13 +470,10 @@ def cmd_verify(theorem: str, p: fam.FamilyParams | None, samples: int,
                             cert.to_json() if cert else "", recognized))
     report.count("extremal-hit")
     if abs(rho_ext - thr.rho_star) > tol:
-        report.notes.append(
-            f"tightness violated: |rho - rho_star| = "
-            f"{abs(rho_ext - thr.rho_star):.3e} > tol")
-        report.count("counterexample-candidate")
+        report.flag(f"tightness violated: |rho - rho_star| = "
+                    f"{abs(rho_ext - thr.rho_star):.3e} > tol")
     if holds:
-        report.notes.append("extremal graph unexpectedly has the property")
-        report.count("counterexample-candidate")
+        report.flag("extremal graph unexpectedly has the property")
     report.flag(_revalidation_note(extremal, cert, "extremal"))
 
     for i in range(samples):
@@ -492,7 +514,7 @@ def _cells_22() -> Iterable[tuple[str, tuple, tuple]]:
     for t in range(2, 5):
         for prt in range(1, 4):
             for s in range(1, 6):
-                for n in range(s + t * prt + 1, 41):
+                for n in range(s + t * prt + 1, LEMMA_MAX_N + 1):
                     cap = n - s - prt * (t - 1) - 1
                     rhs = (s, [n - s - prt * (t - 1)] + [prt] * (t - 1))
                     for part in _partitions(n - s, t, prt, cap):
@@ -526,7 +548,7 @@ def _cells_23() -> Iterable[tuple[str, tuple, tuple]]:
     the kext-general member, built for odd n too."""
     for k in (1, 2):
         for delta in range(2 * k + 1, 6):
-            for n in range(8 * delta - 10 * k + 4, 41):
+            for n in range(8 * delta - 10 * k + 4, LEMMA_MAX_N + 1):
                 yield (f"l2.3 k={k} delta={delta} n={n}",
                        (2 * k, [delta - 2 * k + 1, n - delta - 1]),
                        (delta, fam.join_sizes(n, 2 * k, delta)))
@@ -552,7 +574,7 @@ def _clique_pair_rows(report: Report,
 def _lemma_rows_26(report: Report) -> None:
     for k in range(1, 5):
         for s in range(1, 6):
-            for n in range(4 * s + 2 * k + 2, 41, 2):
+            for n in range(4 * s + 2 * k + 2, LEMMA_MAX_N + 1, 2):
                 lo = sp.quartic_largest_root(sp.charpoly_quartic(n, k, s))
                 hi = sp.quartic_largest_root(sp.charpoly_quartic(n, k, s - 1))
                 margin = hi - lo
@@ -570,14 +592,12 @@ def _lemma_row(report: Report, label: str, lo: float, hi: float,
     report.count("consistent" if ok else "counterexample-candidate")
 
 
-def _verify_lemma(lemma: str) -> Report:
-    report = Report(mode=f"verify {lemma}", columns=PROPERTY_COLUMNS)
-    if lemma == "l2.6":
-        _lemma_rows_26(report)
-    else:
-        _clique_pair_rows(report,
-                          _cells_22() if lemma == "l2.2" else _cells_23())
-    return report
+# lemma -> the builder of its sweep's rows
+LEMMAS: dict[str, Callable[[Report], None]] = {
+    "l2.2": lambda report: _clique_pair_rows(report, _cells_22()),
+    "l2.3": lambda report: _clique_pair_rows(report, _cells_23()),
+    "l2.6": _lemma_rows_26,
+}
 
 
 # -- cross-check mode ------------------------------------------------------
@@ -588,8 +608,7 @@ def _search_result(cert: mf.Certificate | None
     return cert is None, cert
 
 
-def _compare_on_graph(g: Graph, limit: int,
-                      ks_ext=(1, 2), ks_factor=(1, 2, 3)) -> list[str]:
+def _compare_on_graph(g: Graph, limit: int) -> list[str]:
     """All applicable oracle equivalences on one graph; returns mismatch
     descriptions (empty when everything agrees).
 
@@ -598,7 +617,7 @@ def _compare_on_graph(g: Graph, limit: int,
     bipartite graphs also the surplus route."""
     issues = []
     if g.n % 2 == 0 and g.n >= 2 and is_connected(g):
-        for k in ks_ext:
+        for k in (1, 2):
             chen = _search_result(mf.chen_violating_set(g, k, limit))
             defn = mf.is_k_extendable_definitional(g, k)
             issues += _disagreement("chen!=definitional", k, chen, defn, g)
@@ -607,7 +626,7 @@ def _compare_on_graph(g: Graph, limit: int,
     if gb is not None and gb.side_mask(SIDE_A).bit_count() * 2 == gb.n \
             and gb.n >= 2:
         if is_connected(gb) and gb.n % 2 == 0:
-            for k in ks_ext:
+            for k in (1, 2):
                 plum = _search_result(
                     mf.plummer_violating_subset(gb, k, limit))
                 # enum_limit=0 leaves the surplus route alone
@@ -618,7 +637,7 @@ def _compare_on_graph(g: Graph, limit: int,
                 issues += _disagreement("plummer!=surplus", k, plum,
                                         surplus, g)
                 issues += _failed_revalidations(gb, g, (plum, surplus, defn))
-        for k in ks_factor:
+        for k in (1, 2, 3):
             ore = mf.has_f_factor_ore(gb, mf.FactorSpec.constant(gb.n, k),
                                       limit)
             flow = mf.find_k_factor_flow(gb, k)
@@ -747,14 +766,22 @@ def cmd_rho(lines: Iterable[str], jobs: int = 1) -> Report:
 
 def _check_row(item: tuple[int, str, Graph, str, int | None, int]
                ) -> tuple[dict, str, None, str | None]:
+    """The property's bipartite route on the bipartite form of the line when
+    it has one, else its general route on the line; a line that no route
+    takes, or that its route cannot take, is skipped."""
     idx, text, g, prop, k, limit = item
-    verdict: bool | str
+    route = _ROUTE_OF.get((prop, True))
+    host = infer_bipartition(g) if route else None
+    if host is None:
+        route, host = _ROUTE_OF.get((prop, False)), g
     cert = None
-    host = g
-    try:
-        host, (verdict, cert) = _check_one(g, prop, k, limit)
-    except GraphError as exc:
-        verdict = f"skipped: {exc}"
+    if route is None:
+        verdict = "skipped: input is not bipartite"
+    else:
+        try:
+            verdict, cert = route.check(host, k, limit)
+        except GraphError as exc:
+            verdict = f"skipped: {exc}"
     row = _row(text, verdict, sp.rho_dense(g) if g.n else None,
                certificate=cert.to_json() if cert else "")
     return (row, "skipped" if isinstance(verdict, str) else "consistent",
@@ -763,8 +790,12 @@ def _check_row(item: tuple[int, str, Graph, str, int | None, int]
 
 def cmd_check(lines: Iterable[str], prop: str, k: int | None,
               limit: int = mf.EXHAUSTIVE_LIMIT, jobs: int = 1) -> Report:
-    if prop in CHECK_MIN_K and (k is None or k < CHECK_MIN_K[prop]):
-        raise UsageError(f"property {prop} needs --k >= {CHECK_MIN_K[prop]}, "
+    if prop not in PROPERTIES:
+        raise UsageError(f"unknown property {prop!r}; properties are "
+                         f"{', '.join(PROPERTIES)}")
+    least = PROPERTIES[prop]
+    if least is not None and (k is None or k < least):
+        raise UsageError(f"property {prop} needs --k >= {least}, "
                          f"got --k {k}")
     report = Report(mode=f"check {prop}", columns=PROPERTY_COLUMNS)
     items = []
@@ -776,30 +807,6 @@ def cmd_check(lines: Iterable[str], prop: str, k: int | None,
     for result in _map_rows(items, _check_row, jobs):
         _add_row(report, *result)
     return report
-
-
-def _check_one(g: Graph, prop: str, k: int | None, limit: int
-               ) -> tuple[Graph, tuple[bool, mf.Certificate | None]]:
-    """The graph the property is checked on (``g`` or its bipartite form),
-    with the checker's verdict and certificate."""
-    if prop == "k-extendable":
-        gb = infer_bipartition(g)
-        if gb is not None:
-            return gb, mf.is_k_extendable_plummer(gb, k, limit)
-        return g, mf.is_k_extendable_chen(g, k, limit)
-    if prop == "k-factor":
-        gb = infer_bipartition(g)
-        if gb is None:
-            raise GraphError("input is not bipartite")
-        return gb, mf.find_k_factor_flow(gb, k)
-    if prop == "k-factor-critical":
-        return g, mf.is_k_factor_critical(g, k, limit)
-    if prop == "hamiltonian":
-        gb = infer_bipartition(g)
-        if gb is None:
-            raise GraphError("input is not bipartite")
-        return gb, mf.hamiltonian_cycle(gb)
-    raise UsageError(f"unknown property {prop!r}")
 
 
 def _scan_row(item) -> tuple[dict, str, str | None, str | None]:

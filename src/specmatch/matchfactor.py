@@ -43,7 +43,6 @@ from .graph import (Graph, GraphError, SIDE_A, SIDE_B, bits, is_connected,
 
 EXHAUSTIVE_LIMIT = 20
 GENERAL_MATCHING_LIMIT = 24
-HAMILTON_LIMIT = 20
 
 CERTIFICATE_KINDS = frozenset({
     "ViolatingSetS", "ViolatingSubsetX", "FactorSubgraph", "HamCycle",
@@ -60,12 +59,9 @@ class Certificate:
         if self.kind not in CERTIFICATE_KINDS:
             raise GraphError(f"unknown certificate kind {self.kind!r}")
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "payload": self.payload}
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
+        return json.dumps({"kind": self.kind, "payload": self.payload},
+                          sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -481,7 +477,7 @@ def chen_violating_set(g: Graph, k: int,
     ``no-size-k-matching`` certificate."""
     _require_extendable_input(g, k)
     _require_enumerable(g.n, limit)
-    mm = max_matching(g, min(g.n, GENERAL_MATCHING_LIMIT))
+    mm = max_matching(g)
     return _chen_search(g, k, mm)
 
 
@@ -496,7 +492,7 @@ def is_k_extendable_chen(
     and its certificate is returned."""
     _require_extendable_input(g, k)
     _require_enumerable(g.n, limit)
-    mm = max_matching(g, min(g.n, GENERAL_MATCHING_LIMIT))
+    mm = max_matching(g)
     if mm.size >= k and _first_failing_k_matching(g, k) is None:
         return True, None
     cert = _chen_search(g, k, mm)
@@ -931,7 +927,8 @@ def is_k_factor_critical(
 
 
 def hamiltonian_cycle(
-        g: Graph, limit: int = HAMILTON_LIMIT) -> tuple[bool, Certificate | None]:
+        g: Graph,
+        limit: int = EXHAUSTIVE_LIMIT) -> tuple[bool, Certificate | None]:
     """Backtracking Hamilton-cycle search on balanced bipartite graphs with
     degree and connectivity pruning."""
     if g.sides is None:

@@ -70,8 +70,8 @@ class SpectralResult:
     matvecs: int
 
 
-def _power_iteration(a: np.ndarray, tol: float,
-                     budget: int) -> tuple[float, np.ndarray, float, int]:
+def _power_iteration(a: np.ndarray,
+                     tol: float) -> tuple[float, np.ndarray, float, int]:
     n = a.shape[0]
     if n == 1:
         return 0.0, np.ones(1), 0.0, 0
@@ -79,7 +79,7 @@ def _power_iteration(a: np.ndarray, tol: float,
     x = np.full(n, 1.0 / math.sqrt(n))
     best = (0.0, x, math.inf)
     matvecs = 0
-    while matvecs < budget:
+    while matvecs < MAX_MATVECS:
         y = a @ x
         matvecs += 1
         z = y + shift * x
@@ -96,12 +96,11 @@ def _power_iteration(a: np.ndarray, tol: float,
                 return rho, x, res, matvecs
         x = x_next
     raise ConvergenceError(
-        f"power iteration exceeded {budget} matrix-vector products",
+        f"power iteration exceeded {MAX_MATVECS} matrix-vector products",
         best[2])
 
 
-def spectral_radius(g: Graph, tol: float | None = None,
-                    budget: int = MAX_MATVECS) -> SpectralResult:
+def spectral_radius(g: Graph, tol: float | None = None) -> SpectralResult:
     """Largest adjacency eigenvalue with its Perron vector.
 
     Disconnected graphs are solved per component; the returned vector is
@@ -118,7 +117,7 @@ def spectral_radius(g: Graph, tol: float | None = None,
     for comp in comps:
         verts = list(bits(comp))
         sub = g.induced(verts)
-        rho, x, res, mv = _power_iteration(adjacency_matrix(sub), tol, budget)
+        rho, x, res, mv = _power_iteration(adjacency_matrix(sub), tol)
         total_matvecs += mv
         if rho > best_rho + tol:
             best_rho = rho

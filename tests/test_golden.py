@@ -71,6 +71,11 @@ def _lines():
         "kfc": [extremal_kfc(15, 1, 2), complete(5), complete(6), cycle(7)]
                + [random_graph(rng_for(34, i), 7 + i % 4, 0.5)
                   for i in range(6)],
+        # bipartite lines only: k-factor-critical has no bipartite route,
+        # so these run its general route on the line as given
+        "kfcbip": [extremal_kfactor(8, 2), complete_bipartite(3, 4), cycle(8),
+                   extremal_hamilton(8), extremal_kext_bipartite(10, 1, 1),
+                   complete_bipartite(11, 11)] + _bipartite_draws(38, 6),
         "ham": [extremal_hamilton(8), cycle(8), complete_bipartite(4, 4),
                 complete(5)] + _bipartite_draws(35, 6),
         "scan11": [random_graph(rng_for(36, i), 10, 0.5) for i in range(12)]
@@ -140,6 +145,9 @@ GOLDEN = [
      0),
     (["check", "--property", "k-factor-critical", "--k", "1"], "kfc",
      "f22912491f231347601b2eee91844dffc181919f770962c5d62dd0e901ab619f",
+     0),
+    (["check", "--property", "k-factor-critical", "--k", "1"], "kfcbip",
+     "0edb1ba0aaf5f2dfb0ab6e9c403bde07f35ba68578dbf862ed17d5bd7aea0584",
      0),
     (["check", "--property", "hamiltonian"], "ham",
      "87b52a219ece6e91da4b782801a1d9dc31610a613c78a175d5e4de3e1f95da21",

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -183,6 +184,27 @@ class TestVerify:
         assert report.exit_code() == 0
         assert all(r["verdict"] is True for r in report.rows)
 
+    def test_theorem_is_one_row(self, monkeypatch):
+        # a theorem over an existing family and route needs only its row
+        row = dataclasses.replace(THEOREMS["t1.2"], name="t1.2c")
+        monkeypatch.setitem(THEOREMS, "t1.2c", row)
+        p = FamilyParams(n=10, k=1, delta=1)
+        copy = cmd_verify("t1.2c", p, samples=20, seed=2)
+        original = cmd_verify("t1.2", p, samples=20, seed=2)
+        assert copy.mode == "verify t1.2c"
+        assert (copy.rows, copy.summary, copy.notes) == (
+            original.rows, original.summary, original.notes)
+        assert copy.summary["counterexample-candidate"] >= 1
+
+    def test_hamilton_search_takes_the_limit(self, capsys):
+        argv = ["verify", "--theorem", "t4.3", "--n", "22", "--samples", "0"]
+        assert cli.main(argv + ["--exhaustive-limit", "22"]) == 0
+        assert "# extremal-hit=1" in capsys.readouterr().out
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "search limited to n <= 20" in captured.err
+
     def test_t12_search_reports_honestly(self):
         # the bipartite-extendability threshold is refutable by near-extremal
         # perturbations; any confirmed row must carry a valid certificate
@@ -251,6 +273,12 @@ class TestHypotheses:
     def test_unknown_theorem(self):
         with pytest.raises(UsageError, match="unknown theorem"):
             hz.validate_hypotheses("t9.9", FamilyParams(n=10))
+
+
+class TestTables:
+    def test_rows_name_existing_rows(self):
+        assert {r.prop for r in hz.ROUTES.values()} == set(hz.PROPERTIES)
+        assert all(spec.route in hz.ROUTES for spec in THEOREMS.values())
 
 
 class TestOracle:
@@ -599,6 +627,47 @@ class TestEntryValidation:
     def test_lemma_needs_no_order(self):
         assert run_main(["verify", "--theorem", "l2.3"]) == run_main(
             ["verify", "--theorem", "l2.3", "--n", "40"])
+
+    @pytest.mark.parametrize("n", ["5", "41"])
+    def test_lemma_rejects_other_orders(self, n, capsys):
+        code = cli.main(["verify", "--theorem", "l2.3", "--n", n])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "--n" in captured.err
+
+    def test_unknown_property(self):
+        with pytest.raises(UsageError, match="unknown property"):
+            cmd_check([], "k-extendible", 1)
+
+    @pytest.mark.parametrize("line, why", [
+        ("sample=3", "unknown key 'sample'"),
+        ("mode=verify", "unknown key 'mode'"),
+        ("config=other.cfg", "unknown key 'config'"),
+        ("property=k-extendible", "property='k-extendible' is invalid"),
+        ("format=xml", "format='xml' is invalid"),
+        ("samples=many", "samples='many' is invalid"),
+        ("samples", "expected key=value"),
+    ])
+    def test_config_values_checked_as_flags(self, line, why, tmp_path,
+                                            capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# comment\n\n{line}\n")
+        code = cli.main(["check", "--property", "k-factor", "--k", "2",
+                         "--config", str(cfg), "--input", os.devnull])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"{cfg}:3: " in captured.err and why in captured.err
+
+    def test_config_values_converted(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("exhaustive-limit=0\nproperty=hamiltonian\n"
+                       "tol=1e-9\n")
+        f = tmp_path / "in.g6"
+        f.write_text(graph6_encode(complete_bipartite(2, 2)) + "\n")
+        code, out = run_main(["check", "--config", str(cfg),
+                              "--input", str(f)])
+        assert code == 0
+        assert "skipped: search limited to n <= 0" in out
 
 
 class TestCliEndToEnd:
