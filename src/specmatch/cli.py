@@ -19,6 +19,9 @@ from .spectra import ConvergenceError
 # re-verification asks power iteration for tol/100, which float64 reaches
 # down to about 1e-14 on the family members
 _MIN_TOL = 1e-12
+# the parameters of a theorem's family and of its samples, which a lemma's
+# fixed sweep has no use for
+_LEMMA_UNREAD = ("k", "delta", "s", "samples", "seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,16 +84,38 @@ def _load_config(path: str, flags: dict[str, argparse.Action]) -> dict:
     return out
 
 
+def _named(parser: argparse.ArgumentParser, argv: list[str] | None) -> set:
+    """The flags that argv names: a parse that starts from a namespace
+    holding a marker for every flag leaves the marker on the others."""
+    unset = object()
+    start = argparse.Namespace(**{action.dest: unset
+                                  for action in parser._actions})
+    return {key for key, value in vars(parser.parse_args(argv, start)).items()
+            if value is not unset}
+
+
 def _resolve(parser: argparse.ArgumentParser, argv: list[str] | None) -> dict:
     """Each flag's value: from the command line, else from the config file,
     else its default."""
     args = parser.parse_args(argv)
+    named = _named(parser, argv)
     if args.config:
         flags = {action.dest: action for action in parser._actions
                  if action.option_strings
                  and action.dest not in ("help", "config")}
-        parser.set_defaults(**_load_config(args.config, flags))
+        from_config = _load_config(args.config, flags)
+        parser.set_defaults(**from_config)
         args = parser.parse_args(argv)
+        named |= from_config.keys()
+    if args.mode == "verify" and args.theorem in hz.LEMMAS:
+        unread, where = _LEMMA_UNREAD, f"verify --theorem {args.theorem}"
+    elif args.mode == "check" and args.property == "hamiltonian":
+        unread, where = ("k",), "check --property hamiltonian"
+    else:
+        unread = ()
+    for key in unread:
+        if key in named:
+            raise hz.UsageError(f"{where} does not read --{key}")
     resolved = vars(args)
     if not (math.isfinite(resolved["tol"]) and resolved["tol"] >= _MIN_TOL):
         raise hz.UsageError(f"--tol must be a finite number >= {_MIN_TOL}, "

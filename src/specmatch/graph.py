@@ -7,6 +7,7 @@ irreflexivity and (when present) the bipartition.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -14,6 +15,10 @@ SIDE_A = 0
 SIDE_B = 1
 
 GRAPH6_MAX_N = 258047  # largest order of the 4-byte long form
+_GRAPH6_BAD_CHAR = re.compile(r"[^?-~]")
+# the graph6 character of code 63 + v as the six bits of v, least
+# significant first, indexed by code
+_GRAPH6_BITS_REVERSED = [""] * 63 + [f"{v:06b}"[::-1] for v in range(64)]
 
 
 class GraphError(ValueError):
@@ -397,37 +402,35 @@ def graph6_decode(text: str) -> Graph:
     s = text.strip()
     if not s:
         raise GraphError("empty graph6 string")
-    vals = []
-    for ch in s:
-        o = ord(ch)
-        if not 63 <= o <= 126:
-            raise GraphError(f"malformed graph6 character {ch!r}")
-        vals.append(o - 63)
-    if vals[0] < 63:
-        n = vals[0]
-        body = vals[1:]
+    bad = _GRAPH6_BAD_CHAR.search(s)
+    if bad:
+        raise GraphError(f"malformed graph6 character {bad.group()!r}")
+    raw = s.encode("ascii")
+    if raw[0] < 126:
+        n = raw[0] - 63
+        body = raw[1:]
     else:
-        if len(vals) >= 2 and vals[1] == 63:
+        if len(raw) >= 2 and raw[1] == 126:
             raise GraphError("graph6 long-long form not supported")
-        if len(vals) < 4:
+        if len(raw) < 4:
             raise GraphError("truncated graph6 header")
-        n = (vals[1] << 12) | (vals[2] << 6) | vals[3]
-        body = vals[4:]
+        n = ((raw[1] - 63) << 12) | ((raw[2] - 63) << 6) | (raw[3] - 63)
+        body = raw[4:]
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
     if len(body) != need:
         raise GraphError(
             f"graph6 bit stream has {len(body)} chars, expected {need}")
+    # bit i of ``stream`` is bit i of the body's bit stream
+    stream = int("".join(map(_GRAPH6_BITS_REVERSED.__getitem__,
+                             reversed(body))) or "0", 2)
+    if stream >> nbits:
+        raise GraphError("nonzero graph6 padding bits")
     adj = [0] * n
-    idx = 0
     for j in range(1, n):
-        for i in range(j):
-            if (body[idx // 6] >> (5 - idx % 6)) & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            idx += 1
-    if need and nbits % 6:
-        pad = body[-1] & ((1 << (6 - nbits % 6)) - 1)
-        if pad:
-            raise GraphError("nonzero graph6 padding bits")
+        col = stream & ((1 << j) - 1)  # the pairs (i, j) with i < j
+        stream >>= j
+        adj[j] = col
+        for i in bits(col):
+            adj[i] |= 1 << j
     return Graph(n, tuple(adj), None)

@@ -761,6 +761,8 @@ def cmd_rho(lines: Iterable[str], jobs: int = 1) -> Report:
         report.count("consistent")
     if parse_errors:
         report.summary["parse-errors"] = parse_errors
+        if not items:
+            raise UsageError("all input lines were malformed")
     return report
 
 

@@ -1,10 +1,15 @@
 """Dense symmetric eigensolving, Perron vectors, equitable partitions,
 quotient matrices and adjacency spectral bounds.
 
-Two independent numeric routes are kept on purpose: ``spectral_radius``
-is a self-contained shifted power iteration (deterministic all-ones start,
-shift = max degree), while ``full_spectrum`` goes through LAPACK. Sweeps
-and cross-checks compare the two.
+Two numeric routes to the spectral radius are kept on purpose.
+``spectral_radius`` is a self-contained shifted power iteration
+(deterministic all-ones start, shift = max degree) that also returns the
+Perron vector and its residual; the ``rho`` mode and the re-solve of a
+counterexample candidate (``harness._reverify_candidate``) use it.
+``rho_dense`` takes the top eigenvalue from LAPACK's ``eigvalsh`` and gives
+the spectral radius everywhere else: in verify, check and scan rows, and
+in the lemma sweeps, which compare it with quotient eigenvalues.
+``full_spectrum`` (all eigenvalues, residual-checked) serves the tests.
 """
 from __future__ import annotations
 
@@ -15,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import Graph, GraphError, bits, component_masks, edge_counts
+from .graph import Graph, GraphError, bits, component_masks, mask_of
 
 MAX_MATVECS = 10 ** 6
 RESIDUAL_CHECK_EVERY = 4
@@ -83,18 +88,18 @@ def _power_iteration(a: np.ndarray,
         y = a @ x
         matvecs += 1
         z = y + shift * x
-        norm = float(np.linalg.norm(z))
+        # the same float as np.linalg.norm(z) for a 1-D float64 array
+        norm = math.sqrt(z.dot(z))
         if norm == 0.0:
             return 0.0, x, 0.0, matvecs  # edgeless component
-        x_next = z / norm
         if matvecs % RESIDUAL_CHECK_EVERY == 0 or matvecs == 1:
             rho = float(x @ y)
-            res = float(np.max(np.abs(y - rho * x)))
+            res = float(np.abs(y - rho * x).max())
             if res < best[2]:
                 best = (rho, x, res)
             if res <= tol:
                 return rho, x, res, matvecs
-        x = x_next
+        x = z / norm
     raise ConvergenceError(
         f"power iteration exceeded {MAX_MATVECS} matrix-vector products",
         best[2])
@@ -116,7 +121,7 @@ def spectral_radius(g: Graph, tol: float | None = None) -> SpectralResult:
     total_matvecs = 0
     for comp in comps:
         verts = list(bits(comp))
-        sub = g.induced(verts)
+        sub = g if len(comps) == 1 else g.induced(verts)
         rho, x, res, mv = _power_iteration(adjacency_matrix(sub), tol)
         total_matvecs += mv
         if rho > best_rho + tol:
@@ -320,10 +325,15 @@ def fms_bound(g: Graph) -> tuple[float, int]:
     if len(component_masks(g)) != 1:
         raise GraphError("bound requires a connected graph")
     deg = g.degrees()
+    # plane b holds the vertices whose degree has bit b set, so a row's
+    # neighbor degree sum is the sum of its popcount in plane b times 2^b
+    planes = [mask_of(u for u in range(g.n) if deg[u] >> b & 1)
+              for b in range(max(deg).bit_length())]
     best_val = -1
     best_v = 0
-    for v in range(g.n):
-        r = sum(deg[u] for u in bits(g.adj[v]))
+    for v, row in enumerate(g.adj):
+        r = sum((row & plane).bit_count() << b
+                for b, plane in enumerate(planes))
         if r > best_val:
             best_val = r
             best_v = v
@@ -335,11 +345,16 @@ def degree_sum_identity(g: Graph, u: int) -> tuple[int, int]:
     d(u) + 2 e(N(u)) + e(N(u), V minus (N(u) + u)); computed independently."""
     if not 0 <= u < g.n:
         raise GraphError("vertex out of range")
-    nbrs = list(bits(g.adj[u]))
-    lhs = sum(g.degree(v) for v in nbrs)
-    rest = [v for v in range(g.n) if v != u and not g.has_edge(u, v)]
-    inside, cross = edge_counts(g, nbrs, rest)
-    rhs = g.degree(u) + 2 * inside + cross
+    adj = g.adj
+    nbrs = adj[u]
+    rest = g.full_mask() & ~nbrs & ~(1 << u)
+    lhs = inside_ends = cross = 0
+    for v in bits(nbrs):
+        row = adj[v]
+        lhs += row.bit_count()
+        inside_ends += (row & nbrs).bit_count()  # both ends of each edge
+        cross += (row & rest).bit_count()
+    rhs = nbrs.bit_count() + 2 * (inside_ends // 2) + cross
     return lhs, rhs
 
 

@@ -6,24 +6,28 @@ vertex masks) so that test expectations are computed independently.
 The reference checkers and the reference sampler at the end are the
 exception: they keep the library's earlier always-exhaustive checkers, its
 earlier Graph-per-draw sampler, its earlier matching routines (three
-separate augmenting-path copies and the subset loop of Ore's criterion) and
-its earlier per-family recognizers, and its earlier per-theorem
-hypotheses as differential baselines. ``path`` and
+separate augmenting-path copies and the subset loop of Ore's criterion),
+its earlier per-family recognizers, its earlier per-theorem hypotheses, and
+its earlier power iteration, identity (13), FMS bound and graph6 decoder as
+differential baselines. ``path`` and
 ``isomorphic_small`` are graph helpers that only the tests use.
 """
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from specmatch import harness as hz
 from specmatch import matchfactor as mf
+from specmatch import spectra as sp
 from specmatch.graph import (Graph, GraphError, SIDE_A, SIDE_B, bits,
-                             component_masks, from_edges, infer_bipartition,
-                             is_connected, mask_of)
+                             component_masks, edge_counts, from_edges,
+                             infer_bipartition, is_connected, mask_of)
 
 
 def brute_max_matching_size(g: Graph) -> int:
@@ -776,3 +780,118 @@ def ref_hypotheses_hold(name: str, p) -> bool:
                 and p.n >= max(8 * p.delta - 5 * p.k + 4,
                                p.delta * (p.delta - p.k) ** 2 + p.delta - 1))
     raise ValueError(name)
+
+
+# -- reference spectra and graph6 decoder ----------------------------------
+# The library's power iteration, identity (13), FMS bound and graph6 decoder
+# before the ``rho`` path was made faster: ``np.linalg.norm`` for the norm,
+# an induced copy of every component, neighbor lists with ``edge_counts``,
+# a generator over each row's neighbors, and a decode loop over single bits.
+# Differential tests hold the library's results to these, float bits and
+# error messages included.
+
+
+def ref_power_iteration(a: np.ndarray, tol: float):
+    n = a.shape[0]
+    if n == 1:
+        return 0.0, np.ones(1), 0.0, 0
+    shift = float(a.sum(axis=1).max())
+    x = np.full(n, 1.0 / math.sqrt(n))
+    best = (0.0, x, math.inf)
+    matvecs = 0
+    while matvecs < sp.MAX_MATVECS:
+        y = a @ x
+        matvecs += 1
+        z = y + shift * x
+        norm = float(np.linalg.norm(z))
+        if norm == 0.0:
+            return 0.0, x, 0.0, matvecs
+        x_next = z / norm
+        if matvecs % sp.RESIDUAL_CHECK_EVERY == 0 or matvecs == 1:
+            rho = float(x @ y)
+            res = float(np.max(np.abs(y - rho * x)))
+            if res < best[2]:
+                best = (rho, x, res)
+            if res <= tol:
+                return rho, x, res, matvecs
+        x = x_next
+    raise sp.ConvergenceError("power iteration exceeded the budget", best[2])
+
+
+def ref_spectral_radius(g: Graph, tol: float | None = None):
+    if tol is None:
+        tol = sp.default_tol(g.n)
+    best_rho = -math.inf
+    best = None
+    total_matvecs = 0
+    for comp in component_masks(g):
+        verts = list(bits(comp))
+        rho, x, res, mv = ref_power_iteration(
+            sp.adjacency_matrix(g.induced(verts)), tol)
+        total_matvecs += mv
+        if rho > best_rho + tol:
+            best_rho = rho
+            best = (verts, x, res)
+    verts, x, res = best
+    perron = np.zeros(g.n)
+    perron[verts] = x
+    return sp.SpectralResult(rho=best_rho, perron=perron, residual=res,
+                             tol=tol, matvecs=total_matvecs)
+
+
+def ref_degree_sum_identity(g: Graph, u: int) -> tuple[int, int]:
+    nbrs = list(bits(g.adj[u]))
+    lhs = sum(g.degree(v) for v in nbrs)
+    rest = [v for v in range(g.n) if v != u and not g.has_edge(u, v)]
+    inside, cross = edge_counts(g, nbrs, rest)
+    return lhs, g.degree(u) + 2 * inside + cross
+
+
+def ref_fms_bound(g: Graph) -> tuple[float, int]:
+    deg = g.degrees()
+    best_val, best_v = -1, 0
+    for v in range(g.n):
+        r = sum(deg[u] for u in bits(g.adj[v]))
+        if r > best_val:
+            best_val, best_v = r, v
+    return math.sqrt(best_val), best_v
+
+
+def ref_graph6_decode(text: str) -> Graph:
+    s = text.strip()
+    if not s:
+        raise GraphError("empty graph6 string")
+    vals = []
+    for ch in s:
+        o = ord(ch)
+        if not 63 <= o <= 126:
+            raise GraphError(f"malformed graph6 character {ch!r}")
+        vals.append(o - 63)
+    if vals[0] < 63:
+        n = vals[0]
+        body = vals[1:]
+    else:
+        if len(vals) >= 2 and vals[1] == 63:
+            raise GraphError("graph6 long-long form not supported")
+        if len(vals) < 4:
+            raise GraphError("truncated graph6 header")
+        n = (vals[1] << 12) | (vals[2] << 6) | vals[3]
+        body = vals[4:]
+    nbits = n * (n - 1) // 2
+    need = (nbits + 5) // 6
+    if len(body) != need:
+        raise GraphError(
+            f"graph6 bit stream has {len(body)} chars, expected {need}")
+    adj = [0] * n
+    idx = 0
+    for j in range(1, n):
+        for i in range(j):
+            if (body[idx // 6] >> (5 - idx % 6)) & 1:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+            idx += 1
+    if need and nbits % 6:
+        pad = body[-1] & ((1 << (6 - nbits % 6)) - 1)
+        if pad:
+            raise GraphError("nonzero graph6 padding bits")
+    return Graph(n, tuple(adj), None)

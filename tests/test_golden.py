@@ -4,9 +4,10 @@ The digests were recorded before the matching layer was consolidated (one
 augmenting-path routine, one violating-set search for all four criteria),
 the three t1.3, t4.3 and t4.5 scans before the per-family recognizers gave
 way to one isomorphism test, the l2.2 sweep before l2.2 and l2.3 came to
-share one clique-pair evaluator, and none may change: every certificate kind,
-every checker route and every family's ``extremal-hit`` rows that reach a
-report are covered. Graph6 input lines are built from the library's
+share one clique-pair evaluator, the two ``rho`` reports before power
+iteration, identity (13) and the graph6 decoder were made faster, and none
+may change: every certificate kind, every checker route and every family's
+``extremal-hit`` rows that reach a report are covered. Graph6 input lines are built from the library's
 constructors and passed with ``--input``.
 """
 import hashlib
@@ -90,6 +91,23 @@ def _lines():
         "scan45": _near_extremal(extremal_kfc(15, 1, 2),
                                  join(complete(3), disjoint_union(
                                      complete(10), empty(2))), 42),
+        # n = 0, 1 and 2, disconnected lines (isolated vertices, tied
+        # components), bipartite lines, long graph6 headers (n >= 63) and
+        # G(n, p) draws at n 12-20, some of them disconnected
+        "rho": [empty(0), empty(1), empty(2), complete(2),
+                disjoint_union(complete(4), empty(3)),
+                disjoint_union(cycle(5), disjoint_union(complete(3),
+                                                        empty(1))),
+                disjoint_union(complete(4), complete(4)),
+                complete_bipartite(3, 5), cycle(8),
+                extremal_kext_bipartite(10, 1, 1), _bipartite_draws(39, 1)[0],
+                random_graph(rng_for(39, 0), 63, 0.1),
+                random_graph(rng_for(39, 1), 64, 0.5),
+                random_graph(rng_for(39, 2), 200, 0.05),
+                random_graph(rng_for(39, 3), 300, 0.02)]
+               + [random_graph(rng_for(40, i), 12 + i % 9,
+                               (0.1, 0.3, 0.5, 0.8)[i % 4])
+                  for i in range(24)],
     }
 
 
@@ -170,6 +188,10 @@ GOLDEN = [
      "scan45",
      "6c7f7e7d5401f45884be7e7a40fc028f1e076c9e07ee77c778bf89ac4da504de",
      0),
+    (["rho"], "rho",
+     "d2d1aa401633129b4e5389536db007ca0fd9cac81742e5ccb16c3b640602f3ad", 0),
+    (["rho", "--format", "json"], "rho",
+     "89df831d41b4f384475e381bef86a18c0bbe18dca9c5fb62945ab3a00bd473f7", 0),
     (["cross-check", "--n", "5", "--samples", "0"], None,
      "ee0288e37711ff4d4c502b79a01f0c60e711d70be235e4d22da0633665b6bc69",
      0),

@@ -10,7 +10,8 @@ from specmatch.graph import (Graph, GraphError, SIDE_A, bipartite_join, bits,
                              is_connected, join, remove_star)
 from specmatch.families import extremal_kfactor
 
-from conftest import isomorphic_small, path, seeded_random_graph
+from conftest import (isomorphic_small, path, ref_graph6_decode,
+                      seeded_random_graph)
 
 
 class TestConstructors:
@@ -164,6 +165,53 @@ class TestGraph6:
             graph6_decode("A" + chr(63 + 0b111111))
         with pytest.raises(GraphError):
             graph6_encode(empty(300000))
+
+
+class TestGraph6AgainstReference:
+    """The word-level decoder returns the per-bit reference decoder's
+    adjacency on every valid line and its GraphError message on every
+    malformed one."""
+
+    @staticmethod
+    def outcome(decode, text):
+        try:
+            g = decode(text)
+        except GraphError as exc:
+            return "error", str(exc)
+        return g.n, g.adj
+
+    @staticmethod
+    def lines():
+        rng = random.Random(11)
+        out = ["", " \n", "?", "@", "A_", "A`", "Bw", "B", "~", "~~", "~?",
+               "~??", "~???", "~?A?", "~~??????", "B\x7f", "B\u00e9", "B w",
+               "Bw\t\n", "  @  ", ">", "\x00"]
+        for n in list(range(31)) + [62, 63, 64, 100, 200, 300]:
+            for p in (0.0, 0.02, 0.3, 1.0):
+                text = graph6_encode(
+                    seeded_random_graph(rng.randrange(1 << 30), n, p))
+                out += [text, text[:-1], text + "?", text + "~"]
+                # the last character with each padding bit set in turn
+                out += [text[:-1] + chr(ord(text[-1]) | 1 << b)
+                        for b in range(6)]
+                for _ in range(4):
+                    pos = rng.randrange(len(text))
+                    out.append(text[:pos] + chr(rng.randrange(30, 131))
+                               + text[pos + 1:])
+        return out
+
+    def test_same_graphs_and_errors(self):
+        kinds = set()
+        for text in self.lines():
+            want = self.outcome(ref_graph6_decode, text)
+            assert self.outcome(graph6_decode, text) == want, repr(text)
+            kinds.add(" ".join(want[1].split()[:3])
+                      if want[0] == "error" else "valid")
+        # valid lines and every error that the decoder raises are exercised
+        assert kinds == {"valid", "empty graph6 string",
+                         "malformed graph6 character",
+                         "graph6 long-long form", "truncated graph6 header",
+                         "graph6 bit stream", "nonzero graph6 padding"}
 
 
 class TestIsomorphism:

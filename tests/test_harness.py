@@ -123,6 +123,15 @@ class TestRho:
         parallel = render_csv(cmd_rho(lines, jobs=3))
         assert serial == parallel
 
+    def test_all_malformed_is_error(self):
+        with pytest.raises(UsageError, match="all input lines were malformed"):
+            cmd_rho(["@@##", "!!"])
+
+    def test_some_malformed_counted(self):
+        report = cmd_rho(["!!bad", graph6_encode(complete(4))])
+        assert report.summary["parse-errors"] == 1
+        assert report.exit_code() == 0
+
 
 class TestScan:
     def test_extremal_hit_and_consistent(self):
@@ -635,6 +644,44 @@ class TestEntryValidation:
         assert code == 2 and captured.out == ""
         assert "--n" in captured.err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--k", "5"), ("--delta", "9"), ("--s", "2"), ("--samples", "3"),
+        ("--seed", "4"), ("--sam", "3")])
+    def test_lemma_rejects_unread_flags(self, flag, value, capsys):
+        code = cli.main(["verify", "--theorem", "l2.3", flag, value])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        named = "--samples" if flag == "--sam" else flag
+        assert captured.err.rstrip().endswith(f"does not read {named}")
+
+    def test_hamiltonian_rejects_k(self, tmp_path, capsys):
+        f = tmp_path / "in.g6"
+        f.write_text(graph6_encode(complete_bipartite(3, 3)) + "\n")
+        code = cli.main(["check", "--property", "hamiltonian", "--k", "7",
+                         "--input", str(f)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.rstrip().endswith("does not read --k")
+
+    def test_unread_flag_from_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=4\n")
+        code = cli.main(["verify", "--theorem", "l2.6", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2 and "does not read --seed" in captured.err
+
+    def test_jobs_and_order_stay_accepted(self, tmp_path):
+        # every benchmark command passes --jobs, and the lemma sweeps --n 40
+        assert run_main(["verify", "--theorem", "l2.3", "--n", "40",
+                         "--jobs", "1"]) == run_main(
+            ["verify", "--theorem", "l2.3"])
+        f = tmp_path / "in.g6"
+        f.write_text(graph6_encode(complete_bipartite(3, 3)) + "\n")
+        code, out = run_main(["check", "--property", "hamiltonian", "--n",
+                              "40", "--jobs", "1", "--input", str(f)])
+        assert code == 0 and out == run_main(
+            ["check", "--property", "hamiltonian", "--input", str(f)])[1]
+
     def test_unknown_property(self):
         with pytest.raises(UsageError, match="unknown property"):
             cmd_check([], "k-extendible", 1)
@@ -703,6 +750,11 @@ class TestCliEndToEnd:
         assert run_cli(["check", "--property", "k-factor"],
                        stdin="!!\n").returncode == 2
         assert run_cli(["rho"], stdin="").returncode == 0
+
+    def test_rho_all_malformed(self):
+        r = run_cli(["rho"], stdin="!!\n")
+        assert r.returncode == 2 and r.stdout == ""
+        assert "all input lines were malformed" in r.stderr
 
     def test_input_file(self, tmp_path):
         f = tmp_path / "graphs.g6"

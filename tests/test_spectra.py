@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from specmatch.graph import (GraphError, complete, complete_bipartite, cycle,
-                             disjoint_union, empty)
+                             disjoint_union, empty, is_connected)
 from specmatch.spectra import (ConvergenceError, Partition, QuotientMatrix,
                                SymMatrix,
                                adjacency_matrix, charpoly_quartic,
@@ -17,7 +17,8 @@ from specmatch.spectra import (ConvergenceError, Partition, QuotientMatrix,
 from specmatch.families import (extremal_kext_bipartite,
                                 extremal_kext_general, extremal_kfactor)
 
-from conftest import path, petersen, seeded_random_graph
+from conftest import (path, petersen, ref_degree_sum_identity,
+                      ref_fms_bound, ref_spectral_radius, seeded_random_graph)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -87,6 +88,61 @@ class TestSpectralRadius:
             if g.m == 0:
                 continue
             assert abs(spectral_radius(g).rho - rho_dense(g)) <= 1e-9
+
+
+def _reference_pool():
+    """n = 1 and 2, disconnected graphs (isolated vertices, tied components,
+    components of different orders), G(n, p) draws at n 1-24 over a range of
+    densities, and long-header orders up to 300."""
+    graphs = [empty(1), empty(2), complete(2), empty(5), petersen(),
+              disjoint_union(complete(3), empty(2)),
+              disjoint_union(complete(4), complete(4)),
+              disjoint_union(empty(3), cycle(5)),
+              disjoint_union(seeded_random_graph(1, 40, 0.2),
+                             seeded_random_graph(2, 30, 0.3))]
+    rng = random.Random(12)
+    graphs += [seeded_random_graph(rng.randrange(1 << 30),
+                                   rng.randrange(1, 25),
+                                   rng.choice((0.05, 0.15, 0.3, 0.6, 0.9)))
+               for _ in range(80)]
+    graphs += [seeded_random_graph(seed, n, p) for seed, n, p in
+               ((3, 63, 0.1), (4, 100, 0.03), (5, 200, 0.3), (6, 300, 0.3),
+                (7, 300, 0.005))]
+    return graphs
+
+
+class TestAgainstReference:
+    """Power iteration, identity (13) and the FMS bound give exactly what
+    the reference copies of their earlier versions give: the same floats
+    bit for bit, the same Perron vector bytes and matvec counts."""
+
+    @pytest.fixture(scope="class")
+    def pool(self):
+        graphs = _reference_pool()
+        assert any(not is_connected(g) for g in graphs)
+        assert max(g.n for g in graphs) == 300
+        return graphs
+
+    @pytest.mark.parametrize("tol", [None, 1e-12])
+    def test_spectral_radius(self, pool, tol):
+        for g in pool:
+            got, want = spectral_radius(g, tol), ref_spectral_radius(g, tol)
+            assert (got.rho, got.residual, got.tol, got.matvecs) == (
+                want.rho, want.residual, want.tol, want.matvecs)
+            assert got.perron.dtype == want.perron.dtype
+            assert got.perron.tobytes() == want.perron.tobytes()
+
+    def test_degree_sum_identity(self, pool):
+        for g in pool:
+            for u in range(g.n):
+                assert degree_sum_identity(g, u) == ref_degree_sum_identity(
+                    g, u)
+
+    def test_fms_bound(self, pool):
+        connected = [g for g in pool if g.n >= 2 and is_connected(g)]
+        assert len(connected) > 40
+        for g in connected:
+            assert fms_bound(g) == ref_fms_bound(g)
 
 
 class TestFullSpectrum:
