@@ -11,7 +11,7 @@ import math
 import sys
 
 from . import harness as hz
-from .families import FAMILIES, FamilyParams
+from .families import FAMILIES, READS, FamilyParams
 from .graph import GraphError
 from .matchfactor import EXHAUSTIVE_LIMIT
 from .spectra import ConvergenceError
@@ -19,9 +19,8 @@ from .spectra import ConvergenceError
 # re-verification asks power iteration for tol/100, which float64 reaches
 # down to about 1e-14 on the family members
 _MIN_TOL = 1e-12
-# the parameters of a theorem's family and of its samples, which a lemma's
-# fixed sweep has no use for
-_LEMMA_UNREAD = ("k", "delta", "s", "samples", "seed")
+# the parameters that a family may read besides n
+_FAMILY_FIELDS = ("k", "delta", "s")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,15 +106,24 @@ def _resolve(parser: argparse.ArgumentParser, argv: list[str] | None) -> dict:
         parser.set_defaults(**from_config)
         args = parser.parse_args(argv)
         named |= from_config.keys()
+    # a lemma's fixed sweep reads no family parameter and draws no samples;
+    # a theorem or a family reads only the parameters of its family
+    unread, family = (), None
     if args.mode == "verify" and args.theorem in hz.LEMMAS:
-        unread, where = _LEMMA_UNREAD, f"verify --theorem {args.theorem}"
+        unread, named_by = _FAMILY_FIELDS + ("samples", "seed"), "theorem"
     elif args.mode == "check" and args.property == "hamiltonian":
-        unread, where = ("k",), "check --property hamiltonian"
-    else:
-        unread = ()
+        unread, named_by = ("k",), "property"
+    elif args.mode in ("verify", "scan") and args.theorem in hz.THEOREMS:
+        family, named_by = hz.THEOREMS[args.theorem].family, "theorem"
+    elif args.mode == "construct" and args.family:
+        family, named_by = args.family, "family"
+    if family:
+        unread = [key for key in _FAMILY_FIELDS if key not in READS[family]]
     for key in unread:
         if key in named:
-            raise hz.UsageError(f"{where} does not read --{key}")
+            raise hz.UsageError(f"{args.mode} --{named_by} "
+                                f"{vars(args)[named_by]} "
+                                f"does not read --{key}")
     resolved = vars(args)
     if not (math.isfinite(resolved["tol"]) and resolved["tol"] >= _MIN_TOL):
         raise hz.UsageError(f"--tol must be a finite number >= {_MIN_TOL}, "

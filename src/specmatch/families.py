@@ -1,29 +1,25 @@
-"""Extremal family constructors, their spectral thresholds and one
+"""Extremal families as blow-ups, their spectral thresholds and one
 recognizer for all of them.
 
-This module alone decides each family's admissibility (``member_args``),
-sizes (``join_sizes``) and bounds (``_order_bound``); graphs, quotients,
-thresholds and the recognizer all read them, and a theorem adds only its
-least order.
-
-Canonical labeling: join/dominating classes come first, then the large
-clique, then the independent class (general families); X1, Y1, X2, Y2 in
-order for the bipartite overlay families. This keeps fixtures stable and
-fixes the class order of the exact quotients, on which the bytes of rho*
-depend. ``recognize`` ignores the labeling: it compares the twin-class form
-of a graph with the form of the constructed family member, which is an
-exact isomorphism test.
+Each family member is one description, a ``BlowUp`` of at most four
+classes, which ``member`` alone gives or refuses; the graph, the exact
+quotient, rho* and the recognizer all read it. It keeps two orders, as
+bytes pin both: the quotient's class order fixes the bits of rho*, the
+label order fixes graph6 output. They differ for the bipartite families:
+the overlay labels X1, Y1, X2, Y2 but its quotient lists X1, X2, Y1, Y2,
+and K_{n/2,n/2} minus a star labels its leaves (the lowest B labels)
+before the kept B vertices but lists them after. ``recognize`` ignores
+both orders: it compares twin-class forms, an exact isomorphism test.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import permutations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .graph import (Graph, GraphError, complete, complete_bipartite,
-                    disjoint_union, empty, join, bipartite_join, remove_star)
+from .graph import SIDE_A, SIDE_B, Graph, GraphError, bits
 from .spectra import QuotientMatrix
 
 
@@ -46,6 +42,54 @@ class Threshold:
     rho_star: float
 
 
+class BlowUp(NamedTuple):
+    """Class i, in quotient order, is ``copies`` disjoint copies of K_z,
+    ``classes[i] = (z, copies)``, completely joined to the classes in the
+    bitmask ``joins[i]``. ``labels`` lists the classes in the order they
+    take vertex labels; ``sides`` gives each class's side, or is None. An
+    empty class takes no vertex and no quotient row."""
+    classes: tuple[tuple[int, int], ...]
+    joins: tuple[int, ...]
+    labels: tuple[int, ...]
+    sides: tuple[int, ...] | None = None
+
+    def masks(self) -> list[int]:
+        """Each class's vertices as a bitmask."""
+        out = [0] * len(self.classes)
+        start = 0
+        for i in self.labels:
+            size = self.classes[i][0] * self.classes[i][1]
+            out[i] = ((1 << size) - 1) << start
+            start += size
+        return out
+
+    def graph(self) -> Graph:
+        """Each class on consecutive labels, the classes in label order."""
+        masks = self.masks()
+        adj: list[int] = []
+        for i in self.labels:
+            z, copies = self.classes[i]
+            joined = sum(masks[j] for j in bits(self.joins[i]))
+            for _ in range(copies):
+                clique = ((1 << z) - 1) << len(adj)
+                adj += [joined | (clique ^ 1 << v)
+                        for v in range(len(adj), len(adj) + z)]
+        sides = None if self.sides is None else tuple(
+            self.sides[i] for i in self.labels for _ in bits(masks[i]))
+        return Graph(len(adj), tuple(adj), sides)
+
+    def quotient(self) -> QuotientMatrix:
+        """Entry (i, j) is class j's size if i and j are joined, z-1 if
+        i = j, else 0."""
+        size = {i: z * copies for i, (z, copies) in enumerate(self.classes)
+                if z * copies}
+        return QuotientMatrix(
+            tuple(tuple(self.classes[i][0] - 1 if i == j
+                        else size[j] if self.joins[i] >> j & 1 else 0
+                        for j in size) for i in size),
+            tuple(size.values()))
+
+
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise GraphError(msg)
@@ -64,14 +108,47 @@ def threshold_F(k: int, delta: int) -> int:
     return _order_bound(2 * k, delta)
 
 
-def join_sizes(n: int, c: int, delta: int) -> list[int]:
+def join_sizes(n: int, c: int, delta: int) -> tuple[int, ...]:
     """Clique sizes under the delta-clique of a join family member: one of
     n-2*delta+c-1, then delta-c+1 singles; c = 2k (kext) or k (kfc)."""
-    return [n - 2 * delta + c - 1] + [1] * (delta - c + 1)
+    return (n - 2 * delta + c - 1,) + (1,) * (delta - c + 1)
 
 
-def member_args(family: str, p: FamilyParams) -> tuple:
-    """The arguments of the family's graph and quotient builders at ``p``.
+def join_cliques(s: int, clique_sizes: Sequence[int]) -> BlowUp:
+    """An s-clique joined to disjoint cliques of the given sizes: the
+    s-clique, then one class per size, largest first. Labels follow
+    ``clique_sizes``; equal sizes take theirs where the size first occurs."""
+    counts = Counter(clique_sizes)
+    order = {z: i for i, z in enumerate(sorted(counts, reverse=True), 1)}
+    return BlowUp(((s, 1),) + tuple((z, counts[z]) for z in order),
+                  (((1 << len(order)) - 1) << 1,) + (1,) * len(order),
+                  (0,) + tuple(order[z] for z in counts))
+
+
+def overlay(n: int, k: int, s: int) -> BlowUp:
+    """K_{s,s+k+1} overlaid on K_{n/2-s,n/2-s-k-1}: X1, X2, Y1, Y2, with
+    X1 joined to Y1 and Y2, X2 to Y2; labeled X1, Y1, X2, Y2. At s = 0,
+    K_{n/2,n/2-k-1} plus k+1 isolated vertices."""
+    half = n // 2
+    return BlowUp(((1, s), (1, half - s), (1, s + k + 1),
+                   (1, half - s - k - 1)),
+                  (0b1100, 0b1000, 0b0001, 0b0011), (0, 2, 1, 3),
+                  (SIDE_A, SIDE_A, SIDE_B, SIDE_B))
+
+
+# family -> the parameters besides n that its member reads
+READS = {
+    "kext-general": ("k", "delta"),
+    "kext-bipartite": ("k", "s", "delta"),
+    "kfactor-bipartite": ("k",),
+    "kfc-general": ("k", "delta"),
+    "hamilton-bipartite": (),
+}
+FAMILIES = tuple(READS)
+
+
+def member(family: str, p: FamilyParams) -> BlowUp:
+    """The family's member at ``p``, read from n and ``READS[family]``.
 
     The one place that decides whether ``family`` has a member at ``p``:
     raises GraphError naming the first violated condition."""
@@ -85,7 +162,7 @@ def member_args(family: str, p: FamilyParams) -> tuple:
                  f"delta={delta} violates delta >= 2k={2 * k}")
         sizes = join_sizes(n, 2 * k, delta)
         _require(sizes[0] >= 1, f"n-2*delta+2k-1={sizes[0]} violates >= 1")
-        return delta, sizes
+        return join_cliques(delta, sizes)
     if family == "kext-bipartite":
         s = p.overlay_s
         _require(k is not None and s is not None,
@@ -95,13 +172,19 @@ def member_args(family: str, p: FamilyParams) -> tuple:
         _require(n % 2 == 0, f"n={n} violates even order")
         q = n // 2 - s - k - 1
         _require(q >= 0, f"n/2-s-k-1={q} violates >= 0")
-        return n, k, s
+        return overlay(n, k, s)
     if family == "kfactor-bipartite":
         _require(k is not None, "kfactor-bipartite needs n, k")
         _require(n % 2 == 0, f"n={n} violates even order")
         _require(2 <= k <= n // 2 - 1,
                  f"k={k} violates 2 <= k <= n/2-1={n // 2 - 1}")
-        return n, k
+        # K_{n/2,n/2} minus the star from vertex 0 to the lowest B labels,
+        # leaving it degree k-1: center, A-rest, kept, leaves
+        half = n // 2
+        return BlowUp(((1, 1), (1, half - 1), (1, k - 1),
+                       (1, half - k + 1)),
+                      (0b0100, 0b1100, 0b0011, 0b0010), (0, 1, 3, 2),
+                      (SIDE_A, SIDE_A, SIDE_B, SIDE_B))
     if family == "kfc-general":
         _require(k is not None and delta is not None,
                  "kfc-general needs n, k, delta")
@@ -111,95 +194,22 @@ def member_args(family: str, p: FamilyParams) -> tuple:
         bound = _order_bound(k, delta)
         # n >= bound also keeps the large clique nonempty
         _require(n >= bound, f"n={n} violates n >= {bound}")
-        return delta, join_sizes(n, k, delta)
+        return join_cliques(delta, join_sizes(n, k, delta))
     if family == "hamilton-bipartite":
-        # the k = 2 member of kfactor-bipartite
         _require(n % 2 == 0 and n >= 8, f"n={n} violates even n >= 8")
-        return n, 2
+        return member("kfactor-bipartite", FamilyParams(n, 2))
     raise GraphError(f"unknown family {family!r}")
-
-
-# -- graph and quotient builders -----------------------------------------
-
-
-def join_cliques(s: int, clique_sizes: Sequence[int]) -> Graph:
-    """An s-clique joined to the disjoint union of cliques of the given
-    sizes, labeled in that order."""
-    return join(complete(s),
-                reduce(disjoint_union, map(complete, clique_sizes), empty(0)))
-
-
-def join_cliques_quotient(s: int,
-                          clique_sizes: Sequence[int]) -> QuotientMatrix:
-    """Exact quotient of ``join_cliques(s, clique_sizes)``: the s-clique,
-    then one class per clique size, largest first; equal-size cliques
-    share a class."""
-    counts = sorted(Counter(clique_sizes).items(), reverse=True)
-    rows = [tuple([s - 1] + [z * mult for z, mult in counts])]
-    for i, (z, _) in enumerate(counts):
-        row = [s] + [0] * len(counts)
-        row[1 + i] = z - 1
-        rows.append(tuple(row))
-    return QuotientMatrix(tuple(rows),
-                          tuple([s] + [z * mult for z, mult in counts]))
-
-
-def _overlay(n: int, k: int, s: int) -> Graph:
-    """K_{s,s+k+1} overlaid on K_{n/2-s,n/2-s-k-1} (X1, Y1, X2, Y2); at
-    s = 0, K_{n/2,n/2-k-1} plus k+1 isolated vertices."""
-    return bipartite_join(complete_bipartite(s, s + k + 1),
-                          complete_bipartite(n // 2 - s, n // 2 - s - k - 1))
-
-
-def _overlay_quotient(n: int, k: int, s: int) -> QuotientMatrix:
-    """Exact quotient of ``_overlay(n, k, s)`` for s >= 1; the last class
-    is dropped when it is empty."""
-    half = n // 2
-    q = half - s - k - 1
-    rows = [(0, 0, s + k + 1, q), (0, 0, 0, q),
-            (s, 0, 0, 0), (s, half - s, 0, 0)]
-    c = 4 if q else 3
-    return QuotientMatrix(tuple(r[:c] for r in rows[:c]),
-                          (s, half - s, s + k + 1, q)[:c])
-
-
-def _minus_star(n: int, k: int) -> Graph:
-    """K_{n/2,n/2} minus a star that leaves vertex 0 with degree k-1."""
-    return remove_star(complete_bipartite(n // 2, n // 2),
-                       center=0, leaf_count=n // 2 - k + 1)
-
-
-def _minus_star_quotient(n: int, k: int) -> QuotientMatrix:
-    """Exact quotient of ``_minus_star(n, k)``."""
-    half = n // 2
-    leaves = half - k + 1
-    rows = ((0, 0, k - 1, 0), (0, 0, k - 1, leaves),
-            (1, half - 1, 0, 0), (0, half - 1, 0, 0))
-    return QuotientMatrix(rows, (1, half - 1, k - 1, leaves))
-
-
-# family -> (graph builder, quotient builder), both taking member_args
-_BUILDERS = {
-    "kext-general": (join_cliques, join_cliques_quotient),
-    "kext-bipartite": (_overlay, _overlay_quotient),
-    "kfactor-bipartite": (_minus_star, _minus_star_quotient),
-    "kfc-general": (join_cliques, join_cliques_quotient),
-    "hamilton-bipartite": (_minus_star, _minus_star_quotient),
-}
-FAMILIES = tuple(_BUILDERS)
 
 
 def construct_family(family: str, p: FamilyParams) -> Graph:
     """The family member at ``p``; raises GraphError when there is none."""
-    args = member_args(family, p)
-    return _BUILDERS[family][0](*args)
+    return member(family, p).graph()
 
 
 def family_quotient(family: str, p: FamilyParams) -> QuotientMatrix:
-    """The small exact quotient matrix of the family member (classes in
-    canonical order); raises exactly when ``construct_family`` does."""
-    args = member_args(family, p)
-    return _BUILDERS[family][1](*args)
+    """The exact quotient of the family member; raises exactly when
+    ``construct_family`` does."""
+    return member(family, p).quotient()
 
 
 def threshold_rho(family: str, p: FamilyParams) -> Threshold:

@@ -283,7 +283,7 @@ def validate_hypotheses(name: str, p: fam.FamilyParams) -> None:
                          f"{', '.join(THEOREMS)}")
     spec = THEOREMS[name]
     try:
-        fam.member_args(spec.family, p)
+        fam.member(spec.family, p)
     except GraphError as exc:
         raise UsageError(f"{name}: hypothesis violated: {exc}") from exc
     least = spec.least_order(p) if spec.least_order else p.n
@@ -516,7 +516,7 @@ def _cells_22() -> Iterable[tuple[str, tuple, tuple]]:
             for s in range(1, 6):
                 for n in range(s + t * prt + 1, LEMMA_MAX_N + 1):
                     cap = n - s - prt * (t - 1) - 1
-                    rhs = (s, [n - s - prt * (t - 1)] + [prt] * (t - 1))
+                    rhs = (s, (n - s - prt * (t - 1),) + (prt,) * (t - 1))
                     for part in _partitions(n - s, t, prt, cap):
                         yield (f"l2.2 t={t} p={prt} s={s} n={n} "
                                f"parts={'+'.join(map(str, part))}",
@@ -558,16 +558,22 @@ def _clique_pair_rows(report: Report,
                       cells: Iterable[tuple[str, tuple, tuple]]) -> None:
     """One row per (label, lhs, rhs) cell, each side a ``join_cliques``
     argument pair: the lemma holds when rho(rhs) exceeds rho(lhs). Both
-    come from exact quotients; every DENSE_STRIDE-th cell also checks them
-    against the dense spectra of the graphs."""
+    come from exact quotients, each distinct rhs (a hashable pair) solved
+    once; every DENSE_STRIDE-th cell also checks them against the dense
+    spectra of the graphs."""
+    rhs_rho: dict[tuple, float] = {}
     for cell, (label, lhs, rhs) in enumerate(cells):
-        lo = fam.join_cliques_quotient(*lhs).largest_eigenvalue()
-        hi = fam.join_cliques_quotient(*rhs).largest_eigenvalue()
+        lo = fam.join_cliques(*lhs).quotient().largest_eigenvalue()
+        if rhs not in rhs_rho:
+            rhs_rho[rhs] = (fam.join_cliques(*rhs).quotient()
+                            .largest_eigenvalue())
+        hi = rhs_rho[rhs]
         margin = hi - lo
         ok = margin > LEMMA_MARGIN
         if cell % DENSE_STRIDE == 0:
-            ok = (ok and abs(lo - sp.rho_dense(fam.join_cliques(*lhs))) <= 1e-8
-                  and abs(hi - sp.rho_dense(fam.join_cliques(*rhs))) <= 1e-8)
+            lo_d, hi_d = (sp.rho_dense(fam.join_cliques(*side).graph())
+                          for side in (lhs, rhs))
+            ok = ok and abs(lo - lo_d) <= 1e-8 and abs(hi - hi_d) <= 1e-8
         _lemma_row(report, label, lo, hi, margin, ok)
 
 
@@ -579,7 +585,7 @@ def _lemma_rows_26(report: Report) -> None:
                 hi = sp.quartic_largest_root(sp.charpoly_quartic(n, k, s - 1))
                 margin = hi - lo
                 lo_d = sp.rho_dense(fam.extremal_kext_bipartite(n, k, s))
-                hi_d = sp.rho_dense(fam._overlay(n, k, s - 1))
+                hi_d = sp.rho_dense(fam.overlay(n, k, s - 1).graph())
                 ok = (margin > LEMMA_MARGIN
                       and abs(lo - lo_d) <= 1e-8 and abs(hi - hi_d) <= 1e-8)
                 _lemma_row(report, f"l2.6 k={k} s={s} n={n}",

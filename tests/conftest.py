@@ -8,8 +8,9 @@ exception: they keep the library's earlier always-exhaustive checkers, its
 earlier Graph-per-draw sampler, its earlier matching routines (three
 separate augmenting-path copies and the subset loop of Ore's criterion),
 its earlier per-family recognizers, its earlier per-theorem hypotheses, and
-its earlier power iteration, identity (13), FMS bound and graph6 decoder as
-differential baselines. ``path`` and
+its earlier power iteration, identity (13), FMS bound and graph6 decoder,
+and its earlier family graph builders and quotients as differential
+baselines. ``path`` and
 ``isomorphic_small`` are graph helpers that only the tests use.
 """
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
+from functools import reduce
 from itertools import combinations
 
 import numpy as np
@@ -25,9 +27,12 @@ import pytest
 from specmatch import harness as hz
 from specmatch import matchfactor as mf
 from specmatch import spectra as sp
-from specmatch.graph import (Graph, GraphError, SIDE_A, SIDE_B, bits,
-                             component_masks, edge_counts, from_edges,
-                             infer_bipartition, is_connected, mask_of)
+from specmatch.graph import (Graph, GraphError, SIDE_A, SIDE_B,
+                             bipartite_join, bits, complete,
+                             complete_bipartite, component_masks,
+                             disjoint_union, edge_counts, empty, from_edges,
+                             infer_bipartition, is_connected, join, mask_of,
+                             remove_star)
 
 
 def brute_max_matching_size(g: Graph) -> int:
@@ -780,6 +785,72 @@ def ref_hypotheses_hold(name: str, p) -> bool:
                 and p.n >= max(8 * p.delta - 5 * p.k + 4,
                                p.delta * (p.delta - p.k) ** 2 + p.delta - 1))
     raise ValueError(name)
+
+
+# -- reference family builders ---------------------------------------------
+# Each family's hand-written graph builder and quotient from before the
+# families became blow-up descriptions, built from the public graph
+# constructors. Differential tests hold every description's graph and
+# quotient to these, labels and class order included.
+
+
+def ref_join_cliques(s: int, clique_sizes) -> Graph:
+    return join(complete(s),
+                reduce(disjoint_union, map(complete, clique_sizes), empty(0)))
+
+
+def ref_join_cliques_quotient(s: int, clique_sizes) -> sp.QuotientMatrix:
+    counts = sorted(Counter(clique_sizes).items(), reverse=True)
+    rows = [tuple([s - 1] + [z * mult for z, mult in counts])]
+    for i, (z, _) in enumerate(counts):
+        row = [s] + [0] * len(counts)
+        row[1 + i] = z - 1
+        rows.append(tuple(row))
+    return sp.QuotientMatrix(tuple(rows),
+                             tuple([s] + [z * mult for z, mult in counts]))
+
+
+def ref_overlay(n: int, k: int, s: int) -> Graph:
+    return bipartite_join(complete_bipartite(s, s + k + 1),
+                          complete_bipartite(n // 2 - s, n // 2 - s - k - 1))
+
+
+def ref_overlay_quotient(n: int, k: int, s: int) -> sp.QuotientMatrix:
+    half = n // 2
+    q = half - s - k - 1
+    rows = [(0, 0, s + k + 1, q), (0, 0, 0, q),
+            (s, 0, 0, 0), (s, half - s, 0, 0)]
+    c = 4 if q else 3
+    return sp.QuotientMatrix(tuple(r[:c] for r in rows[:c]),
+                             (s, half - s, s + k + 1, q)[:c])
+
+
+def ref_minus_star(n: int, k: int) -> Graph:
+    return remove_star(complete_bipartite(n // 2, n // 2),
+                       center=0, leaf_count=n // 2 - k + 1)
+
+
+def ref_minus_star_quotient(n: int, k: int) -> sp.QuotientMatrix:
+    half = n // 2
+    leaves = half - k + 1
+    rows = ((0, 0, k - 1, 0), (0, 0, k - 1, leaves),
+            (1, half - 1, 0, 0), (0, half - 1, 0, 0))
+    return sp.QuotientMatrix(rows, (1, half - 1, k - 1, leaves))
+
+
+def ref_family_member(family: str, p) -> tuple[Graph, sp.QuotientMatrix]:
+    """The graph and quotient of the member at ``p``, which ``family``
+    must accept."""
+    if family in ("kext-general", "kfc-general"):
+        c = 2 * p.k if family == "kext-general" else p.k
+        args = (p.delta, [p.n - 2 * p.delta + c - 1]
+                + [1] * (p.delta - c + 1))
+        return ref_join_cliques(*args), ref_join_cliques_quotient(*args)
+    if family == "kext-bipartite":
+        args = (p.n, p.k, p.s if p.s is not None else p.delta)
+        return ref_overlay(*args), ref_overlay_quotient(*args)
+    args = (p.n, 2 if family == "hamilton-bipartite" else p.k)
+    return ref_minus_star(*args), ref_minus_star_quotient(*args)
 
 
 # -- reference spectra and graph6 decoder ----------------------------------

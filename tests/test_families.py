@@ -4,22 +4,26 @@ from itertools import combinations
 
 import pytest
 
-from specmatch.graph import (Graph, GraphError, graph6_encode, from_edges,
-                             infer_bipartition, is_connected)
-from specmatch.spectra import rho_dense
+from specmatch.graph import (Graph, GraphError, bits, graph6_encode,
+                             from_edges, infer_bipartition, is_connected)
+from specmatch.spectra import Partition, quotient, rho_dense
 from specmatch.matchfactor import (find_k_factor_flow, hamiltonian_cycle,
                                    has_f_factor_ore, FactorSpec,
                                    is_k_extendable_chen,
                                    is_k_extendable_plummer,
                                    is_k_factor_critical)
-from specmatch.families import (FamilyParams, construct_family,
-                                extremal_hamilton, extremal_kext_bipartite,
+from specmatch.families import (FAMILIES, READS, FamilyParams,
+                                construct_family, extremal_hamilton,
+                                extremal_kext_bipartite,
                                 extremal_kext_general, extremal_kfactor,
-                                extremal_kfc, family_quotient, recognize,
-                                threshold_F, threshold_rho)
-from specmatch.harness import THEOREMS, rng_for, sample_for_theorem
+                                extremal_kfc, family_quotient, join_cliques,
+                                member, overlay, recognize, threshold_F,
+                                threshold_rho)
+from specmatch.harness import (LEMMA_MAX_N, THEOREMS, _cells_22, _cells_23,
+                               rng_for, sample_for_theorem)
 
-from conftest import isomorphic_small, ref_recognize
+from conftest import (isomorphic_small, ref_family_member,
+                      ref_join_cliques_quotient, ref_overlay, ref_recognize)
 
 
 def relabel(g, seed=0):
@@ -238,6 +242,11 @@ class TestQuotientShapes:
             refined = quotient(g, refine_equitable(g))
             assert abs(analytic.largest_eigenvalue()
                        - refined.largest_eigenvalue()) <= 1e-10, family
+            # the description's classes are an equitable partition of its
+            # graph, with exactly the description's quotient
+            classes = Partition.of(bits(mask) for mask
+                                   in member(family, p).masks() if mask)
+            assert quotient(g, classes) == analytic, family
 
 
 def _param_grid(orders):
@@ -265,6 +274,78 @@ def _param_grid(orders):
         else:
             out.append((family, p, True))
     return out
+
+
+class TestBlowUpReference:
+    """Each description gives the graph and the quotient of the builders
+    it replaced (``conftest.ref_family_member``), labels, sides and class
+    order included, so rho* keeps its bits."""
+
+    def test_family_members(self):
+        members = 0
+        for family, p, accepted in _param_grid(range(0, 61)):
+            if not accepted:
+                continue
+            g, q = construct_family(family, p), family_quotient(family, p)
+            ref_g, ref_q = ref_family_member(family, p)
+            assert (g.n, g.adj, g.sides) == (ref_g.n, ref_g.adj,
+                                             ref_g.sides), (family, p)
+            assert q == ref_q, (family, p)
+            members += 1
+        assert members == 2670
+
+    def test_lemma_22_23_quotients(self):
+        sides = {(s, tuple(sizes)) for cells in (_cells_22(), _cells_23())
+                 for _, *pair in cells for s, sizes in pair}
+        assert len(sides) > 25_000
+        for s, sizes in sides:
+            assert join_cliques(s, sizes).quotient() == (
+                ref_join_cliques_quotient(s, sizes)), (s, sizes)
+
+    def test_lemma_26_overlays(self):
+        for k in range(1, 5):
+            for s in range(1, 6):
+                for n in range(4 * s + 2 * k + 2, LEMMA_MAX_N + 1, 2):
+                    g, ref = overlay(n, k, s - 1).graph(), ref_overlay(
+                        n, k, s - 1)
+                    assert (g.n, g.adj, g.sides) == (ref.n, ref.adj,
+                                                     ref.sides), (n, k, s)
+
+
+class TestFamilyTable:
+    def test_members_read_only_their_fields(self):
+        # setting the fields a family does not read changes nothing
+        assert set(READS) == set(FAMILIES)
+        junk = {"k": 99, "delta": 99, "s": 99}
+        for family, p, accepted in _param_grid(range(0, 30)):
+            noisy = FamilyParams(p.n, **{f: junk[f] for f in junk
+                                         if f not in READS[family]},
+                                 **{f: getattr(p, f) for f in READS[family]})
+            try:
+                got = member(family, noisy)
+            except GraphError:
+                assert not accepted, (family, p)
+            else:
+                assert accepted and got == member(family, p), (family, p)
+
+    def test_kfc_at_2_is_kext_at_1(self):
+        # both join a delta-clique to the same cliques (c = 2), so wherever
+        # both accept they are one graph with one rho*
+        both = 0
+        for n in range(80):
+            for d in range(12):
+                kfc = FamilyParams(n=n, k=2, delta=d)
+                kext = FamilyParams(n=n, k=1, delta=d)
+                try:
+                    a = construct_family("kfc-general", kfc)
+                    b = construct_family("kext-general", kext)
+                except GraphError:
+                    continue
+                assert (a.n, a.adj) == (b.n, b.adj), (n, d)
+                assert (threshold_rho("kfc-general", kfc).rho_star
+                        == threshold_rho("kext-general", kext).rho_star)
+                both += 1
+        assert both == 108
 
 
 class TestOneOwner:

@@ -670,6 +670,45 @@ class TestEntryValidation:
         captured = capsys.readouterr()
         assert code == 2 and "does not read --seed" in captured.err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["verify", "--theorem", "t4.3", "--n", "8", "--k", "3"], "--k"),
+        (["verify", "--theorem", "t1.3", "--n", "8", "--k", "2", "--delta",
+          "3"], "--delta"),
+        (["verify", "--theorem", "t1.1", "--n", "10", "--k", "1",
+          "--delta", "2", "--s", "1"], "--s"),
+        (["scan", "--theorem", "t4.3", "--n", "8", "--k", "3"], "--k"),
+        (["scan", "--theorem", "t4.5", "--n", "15", "--k", "1", "--delta",
+          "2", "--s", "2"], "--s"),
+        (["construct", "--family", "hamilton-bipartite", "--k", "3"], "--k"),
+        (["construct", "--family", "kfactor-bipartite", "--n", "8", "--k",
+          "2", "--delta", "1"], "--delta"),
+    ])
+    def test_theorem_and_family_reject_unread_flags(self, argv, flag,
+                                                    capsys):
+        code = cli.main(argv + ["--samples", "2", "--input", os.devnull])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.rstrip().endswith(f"does not read {flag}")
+
+    def test_family_unread_flag_from_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k=3\n")
+        code = cli.main(["verify", "--theorem", "t4.3", "--n", "8",
+                         "--samples", "2", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2 and "t4.3 does not read --k" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--theorem", "t1.2", "--n", "10", "--k", "1", "--s", "1"],
+        ["verify", "--theorem", "t1.2", "--n", "10", "--k", "1", "--delta",
+         "1"],
+        ["verify", "--theorem", "t4.3", "--n", "8"],
+        ["construct", "--family", "kext-bipartite", "--n", "10", "--k", "1",
+         "--delta", "1"],
+    ])
+    def test_read_flags_stay_accepted(self, argv):
+        assert run_main(argv + ["--samples", "0"])[0] == 0
+
     def test_jobs_and_order_stay_accepted(self, tmp_path):
         # every benchmark command passes --jobs, and the lemma sweeps --n 40
         assert run_main(["verify", "--theorem", "l2.3", "--n", "40",

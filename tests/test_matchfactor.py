@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from specmatch.graph import (GraphError, SIDE_A, SIDE_B, bits, complete,
                              complete_bipartite, cycle, disjoint_union,
-                             empty, from_edges, infer_bipartition, join,
-                             remove_star)
+                             empty, from_edges, graph6_encode,
+                             infer_bipartition, join, remove_star)
 from specmatch.matchfactor import (Certificate, FactorSpec,
                                    chen_violating_set,
                                    decompose_edge_disjoint_pms,
@@ -27,7 +27,7 @@ from specmatch.families import (FamilyParams, construct_family,
                                 extremal_kext_bipartite,
                                 extremal_kext_general, extremal_kfactor,
                                 extremal_kfc, recognize)
-from specmatch.harness import (P_SWEEP, THEOREMS, random_bipartite,
+from specmatch.harness import (P_SWEEP, ROUTES, THEOREMS, random_bipartite,
                                random_graph, rng_for, sample_for_theorem)
 from specmatch.spectra import rho_dense, spectral_radius
 
@@ -699,6 +699,22 @@ class TestChecksAgainstEachOther:
             if is_k_extendable_chen(g, 2)[0]:
                 assert is_k_extendable_chen(g, 1)[0]
                 assert has_perfect_matching(g)
+
+    def test_2k_factor_critical_is_k_extendable(self):
+        # deleting the 2k ends of any k-matching of a 2k-factor-critical
+        # graph leaves a perfect matching, and such a graph on n >= 2k+2
+        # vertices is connected
+        positives = 0
+        for seed in range(50):
+            for n in (6, 8, 10):
+                for p in (0.7, 0.9):
+                    g = seeded_random_graph(1000 * n + seed, n, p)
+                    for k in (1, 2):
+                        if ROUTES["kfc"].check(g, 2 * k, n)[0]:
+                            assert ROUTES["chen"].check(g, k, n)[0], (
+                                graph6_encode(g), k)
+                            positives += 1
+        assert positives == 386
 
     def test_min_degree_below_k_never_extendable(self):
         # holds for n >= 2k+2 (at n = 2k any k-matching is already perfect)
