@@ -21,6 +21,20 @@ from .spectra import ConvergenceError
 _MIN_TOL = 1e-12
 # the parameters that a family may read besides n
 _FAMILY_FIELDS = ("k", "delta", "s")
+# the flags each mode reads; a mode rejects the others, except --n, --tol
+# and --jobs, which every mode accepts: every benchmark command passes
+# --jobs, and `check --n` and a `check` config setting tol stay accepted
+_MODE_READS = {
+    "construct": ("family",) + _FAMILY_FIELDS,
+    "rho": ("format", "input"),
+    "check": ("property", "k", "exhaustive_limit", "format", "input"),
+    "verify": ("theorem",) + _FAMILY_FIELDS + (
+        "samples", "seed", "exhaustive_limit", "format"),
+    "cross-check": ("samples", "seed", "exhaustive_limit", "format"),
+    "scan": ("theorem",) + _FAMILY_FIELDS + (
+        "exhaustive_limit", "format", "input"),
+}
+_READ_BY_ALL = ("mode", "n", "tol", "jobs", "config")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -135,6 +149,12 @@ def _resolve(parser: argparse.ArgumentParser, argv: list[str] | None) -> dict:
     n = resolved["n"]
     if args.mode == "cross-check" and n is not None and not 2 <= n <= 8:
         raise hz.UsageError(f"cross-check --n must be in 2..8, got {n}")
+    for action in parser._actions:
+        key = action.dest
+        if (key in named and key not in _READ_BY_ALL
+                and key not in _MODE_READS[args.mode]):
+            raise hz.UsageError(f"{args.mode} does not read "
+                                f"{action.option_strings[0]}")
     return resolved
 
 

@@ -23,8 +23,13 @@ that tie-break order; Chen and factor-criticality share the odd-component
 search ``_odd_set_search``. The first three stop as soon as a set reaches
 an upper bound on the excess that one maximum matching gives (the
 Tutte-Berge formula; Konig's theorem for Plummer), and skip the subtrees
-in which no set can beat the best excess found. Ore's search prunes
-nothing, so it stays independent of the flow route it is checked against.
+in which no set can beat the best excess found. ``hopeless(mask, size,
+nbh, best)`` decides the skip from the set itself: for the odd-component
+search it is the Tutte-Berge formula on G-S, so a subtree goes as soon as
+nu(G-S) shows that no superset of S can beat the best excess. Its matching
+numbers come from the memo of the checker's deciding scan. Ore's search
+prunes nothing, so it stays independent of the flow route it is checked
+against.
 
 One augmenting-path routine, ``_augment`` (Kuhn), serves every bipartite
 matching: maximum matchings, the surplus route's replicated Hall test and
@@ -43,6 +48,9 @@ from .graph import (Graph, GraphError, SIDE_A, SIDE_B, bits, is_connected,
 
 EXHAUSTIVE_LIMIT = 20
 GENERAL_MATCHING_LIMIT = 24
+# the odd-set search solves nu(G-S) only for subtrees over at least this
+# many vertices; below it a matching costs more than the sets it prunes
+_SUBTREE_MIN = 5
 
 CERTIFICATE_KINDS = frozenset({
     "ViolatingSetS", "ViolatingSubsetX", "FactorSubgraph", "HamCycle",
@@ -316,10 +324,12 @@ def _lex_max_excess(verts: Sequence[int], adj: Sequence[int], excess,
 
     ``excess(mask, size, nbh, best)`` scores a set with neighborhood
     ``nbh``: its excess when that beats ``best`` and the set is a witness,
-    else any value <= ``best``. ``hopeless(size, nbh, best)`` is true when
-    no proper superset of the set can beat ``best``; its subtree is then
-    skipped. ``ceiling()`` bounds every excess; it is called once, at the
-    first witness, and the search stops when the best excess reaches it."""
+    else any value <= ``best``. ``hopeless(mask, size, nbh, best)`` is true
+    when no proper superset of the set ``mask`` (``size`` vertices) can
+    beat ``best``; its subtree, the sets that add vertices after the
+    set's last one, is then skipped. ``ceiling()`` bounds every excess; it
+    is called once, at the first witness, and the search stops when the
+    best excess reaches it."""
     last = len(verts)
     best = 0
     best_set = None
@@ -341,13 +351,14 @@ def _lex_max_excess(verts: Sequence[int], adj: Sequence[int], excess,
                     stop = ceiling()
                 if e >= stop:
                     return best_set
-            if i < last and not hopeless(size, nb, best):
+            if i < last and not hopeless(m, size, nb, best):
                 stack.append((i, mask, size, nbh))
                 mask, size, nbh = m, size + 1, nb
     return best_set
 
 
-def _odd_set_search(g: Graph, c: int, nu, spans=None) -> int | None:
+def _odd_set_search(g: Graph, c: int, nu, memo: dict[int, int],
+                    spans=None) -> int | None:
     """Odd-component criterion with offset ``c`` (2k for extendability, k
     for factor-criticality): the mask of the excess-maximal, lex-least
     vertex set S with |S| >= c, o(G-S) > |S|-c and, when given,
@@ -355,9 +366,16 @@ def _odd_set_search(g: Graph, c: int, nu, spans=None) -> int | None:
 
     The sets are searched by ``_lex_max_excess``. By the Tutte-Berge
     formula no excess o(G-S)-|S|+c exceeds n-2*nu(G)+c (``nu()`` is the
-    matching number), so the search stops once a set reaches that bound; a
-    subtree is skipped when even its smallest proper superset T, with
-    o(G-T) <= n-|T|, could not beat the best excess found."""
+    matching number), so the search stops once a set reaches that bound.
+    The same formula on H = G-S bounds every set T >= S:
+    o(G-T)-|T|+c <= n-2|S|-2*nu(G-S)+c. A subtree is skipped when that
+    bound, or the bound n-2(|S|+1)+c of its smallest proper superset,
+    cannot beat the best excess found. nu(G-S) is computed only when it
+    can pay: when a near-perfect nu(G-S) would prune (c-|S| plus the
+    parity of n-|S| is at most the best excess) and at least
+    ``_SUBTREE_MIN`` vertices follow the last vertex of S. It comes from
+    ``_max_matching_value`` with ``memo``, which the caller shares with
+    its deciding scan."""
     n = g.n
     adj = g.adj
     full = g.full_mask()
@@ -370,10 +388,17 @@ def _odd_set_search(g: Graph, c: int, nu, spans=None) -> int | None:
             return 0
         return e
 
+    def hopeless(mask: int, size: int, nbh: int, best: int) -> bool:
+        if n - 2 * (size + 1) + c <= best:
+            return True
+        if (c - size + ((n - size) & 1) > best
+                or n - mask.bit_length() < _SUBTREE_MIN):
+            return False
+        rest = _max_matching_value(adj, full ^ mask, memo)
+        return n - 2 * size - 2 * rest + c <= best
+
     found = _lex_max_excess(
-        range(n), adj, excess,
-        lambda size, nbh, best: n - 2 * (size + 1) + c <= best,
-        lambda: n - 2 * nu() + c)
+        range(n), adj, excess, hopeless, lambda: n - 2 * nu() + c)
     return None if found is None else found[0]
 
 
@@ -418,10 +443,10 @@ def _require_enumerable(size: int, limit: int, of: str = "n") -> None:
 
 
 def _first_failing_k_matching(
-        g: Graph, k: int) -> tuple[tuple[int, int], ...] | None:
+        g: Graph, k: int,
+        memo: dict[int, int]) -> tuple[tuple[int, int], ...] | None:
     """The lex-first size-k matching whose removal leaves no perfect
-    matching, or None; all perfect-matching tests share one memo."""
-    memo: dict[int, int] = {}
+    matching, or None; all perfect-matching tests share ``memo``."""
     full = g.full_mask()
     for m_edges in iter_k_matchings(g, k):
         used = 0
@@ -443,7 +468,7 @@ def is_k_extendable_definitional(
     mm = max_matching(g, limit)
     if mm.size < k:
         return False, _no_k_matching_certificate(k, mm)
-    m_edges = _first_failing_k_matching(g, k)
+    m_edges = _first_failing_k_matching(g, k, {})
     if m_edges is None:
         return True, None
     return False, Certificate("FailingMatching", {
@@ -452,14 +477,15 @@ def is_k_extendable_definitional(
     })
 
 
-def _chen_search(g: Graph, k: int, mm: Matching) -> Certificate | None:
+def _chen_search(g: Graph, k: int, mm: Matching,
+                 memo: dict[int, int]) -> Certificate | None:
     """``chen_violating_set`` after its input checks, given a maximum
-    matching ``mm`` of ``g``."""
+    matching ``mm`` of ``g`` and a matching-number memo."""
     if mm.size < k:
         return _no_k_matching_certificate(k, mm)
     adj = g.adj
     mask = _odd_set_search(
-        g, 2 * k, lambda: mm.size,
+        g, 2 * k, lambda: mm.size, memo,
         lambda s: _k_disjoint_edges(adj, s, k) is not None)
     if mask is None:
         return None
@@ -477,8 +503,7 @@ def chen_violating_set(g: Graph, k: int,
     ``no-size-k-matching`` certificate."""
     _require_extendable_input(g, k)
     _require_enumerable(g.n, limit)
-    mm = max_matching(g)
-    return _chen_search(g, k, mm)
+    return _chen_search(g, k, max_matching(g), {})
 
 
 def is_k_extendable_chen(
@@ -488,14 +513,15 @@ def is_k_extendable_chen(
 
     The definitional scan decides: a size-k matching exists and every one
     leaves a perfect matching. Only a negative runs the
-    ``chen_violating_set`` search, reusing the scan's maximum matching,
-    and its certificate is returned."""
+    ``chen_violating_set`` search, reusing the scan's maximum matching and
+    matching-number memo, and its certificate is returned."""
     _require_extendable_input(g, k)
     _require_enumerable(g.n, limit)
     mm = max_matching(g)
-    if mm.size >= k and _first_failing_k_matching(g, k) is None:
+    memo: dict[int, int] = {}
+    if mm.size >= k and _first_failing_k_matching(g, k, memo) is None:
         return True, None
-    cert = _chen_search(g, k, mm)
+    cert = _chen_search(g, k, mm, memo)
     if cert is None:
         raise RuntimeError(
             "internal: definitional scan and odd-component criterion disagree")
@@ -574,7 +600,8 @@ def plummer_violating_subset(
     found = _lex_max_excess(
         a_verts, g.adj,
         lambda mask, size, nbh, best: size + k - nbh.bit_count(),
-        lambda size, nbh, best: size >= q - k or q - nbh.bit_count() <= best,
+        lambda mask, size, nbh, best: (size >= q - k
+                                       or q - nbh.bit_count() <= best),
         lambda: k + q - max_matching_bipartite(g).size)
     if found is None:
         return None
@@ -731,7 +758,8 @@ def has_f_factor_ore(g: Graph, f,
                          for y in bits(nbh))
 
     found = _lex_max_excess(a_verts, adj, excess,
-                            lambda size, nbh, best: False, lambda: sum_a)
+                            lambda mask, size, nbh, best: False,
+                            lambda: sum_a)
     if found is None:
         return True, None
     return False, _deficiency_certificate(adj, "f-factor", targets,
@@ -894,8 +922,14 @@ def kfc_violating_set(g: Graph, k: int,
     k-factor-critical. An odd n-k needs no special case: every k-set S then
     leaves an odd component, so o(G-S) > 0 = |S|-k."""
     _require_kfc_input(g, k, limit)
-    # limit n: the bound adds no order limit of its own
-    mask = _odd_set_search(g, k, lambda: max_matching(g, g.n).size)
+    return _kfc_search(g, k, {})
+
+
+def _kfc_search(g: Graph, k: int, memo: dict[int, int]) -> Certificate | None:
+    """``kfc_violating_set`` after its input checks, given a
+    matching-number memo."""
+    mask = _odd_set_search(
+        g, k, lambda: _max_matching_value(g.adj, g.full_mask(), memo), memo)
     if mask is None:
         return None
     return _odd_set_certificate(g, "factor-critical", k, mask)
@@ -908,7 +942,8 @@ def is_k_factor_critical(
 
     The definition decides: n-k is even and every size-k deletion leaves a
     perfect matching. Only a negative runs the ``kfc_violating_set``
-    search, whose certificate is returned."""
+    search, reusing the deletion tests' matching-number memo, and its
+    certificate is returned."""
     _require_kfc_input(g, k, limit)
     memo: dict[int, int] = {}
     full = g.full_mask()
@@ -916,7 +951,7 @@ def is_k_factor_critical(
             _has_pm_mask(g.adj, full ^ mask_of(comb), memo)
             for comb in combinations(range(g.n), k)):
         return True, None
-    cert = kfc_violating_set(g, k, limit)
+    cert = _kfc_search(g, k, memo)
     if cert is None:
         raise RuntimeError(
             "internal: criterion and definitional routes disagree")

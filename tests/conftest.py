@@ -9,9 +9,10 @@ earlier Graph-per-draw sampler, its earlier matching routines (three
 separate augmenting-path copies and the subset loop of Ore's criterion),
 its earlier per-family recognizers, its earlier per-theorem hypotheses, and
 its earlier power iteration, identity (13), FMS bound and graph6 decoder,
-and its earlier family graph builders and quotients as differential
-baselines. ``path`` and
-``isomorphic_small`` are graph helpers that only the tests use.
+its earlier family graph builders and quotients, and its odd-set search
+before the per-subtree Tutte-Berge bound as differential baselines.
+``path`` and ``isomorphic_small`` are graph helpers that only the tests
+use.
 """
 from __future__ import annotations
 
@@ -356,6 +357,90 @@ def ref_is_k_factor_critical(g: Graph, k: int,
             "odd_components": mf._odd_components(adj, full & ~mask),
         })
     return False, cert
+
+
+# -- reference odd-set search ----------------------------------------------
+# The lexicographic branch and bound and the odd-component search before a
+# subtree could be skipped by the Tutte-Berge bound on G-S: a subtree goes
+# only when its smallest proper superset T, with o(G-T) <= n-|T|, cannot
+# beat the best excess, and the ceiling's matching number is computed on
+# its own. The Chen and factor-criticality searches on top of it
+# (``ref_unpruned_chen_violating_set``, ``ref_unpruned_kfc_violating_set``)
+# are the baseline the pruned searches must match certificate for
+# certificate.
+
+
+def _ref_lex_max_excess(verts, adj, excess, hopeless, ceiling):
+    last = len(verts)
+    best = 0
+    best_set = None
+    stop = None
+    stack = [(0, 0, 1, 0)]
+    while stack:
+        i, mask, size, nbh = stack.pop()
+        while i < last:
+            v = verts[i]
+            i += 1
+            m = mask | 1 << v
+            nb = nbh | adj[v]
+            e = excess(m, size, nb, best)
+            if e > best:
+                best, best_set = e, (m, nb)
+                if stop is None:
+                    stop = ceiling()
+                if e >= stop:
+                    return best_set
+            if i < last and not hopeless(size, nb, best):
+                stack.append((i, mask, size, nbh))
+                mask, size, nbh = m, size + 1, nb
+    return best_set
+
+
+def ref_odd_set_search(g: Graph, c: int, nu, spans=None):
+    n = g.n
+    adj = g.adj
+    full = g.full_mask()
+
+    def excess(mask, size, nbh, best):
+        if size < c or n - 2 * size + c <= best:
+            return 0
+        e = mf._odd_components(adj, full ^ mask) - size + c
+        if e > best and spans is not None and not spans(mask):
+            return 0
+        return e
+
+    found = _ref_lex_max_excess(
+        range(n), adj, excess,
+        lambda size, nbh, best: n - 2 * (size + 1) + c <= best,
+        lambda: n - 2 * nu() + c)
+    return None if found is None else found[0]
+
+
+def ref_unpruned_chen_violating_set(g: Graph, k: int,
+                                    limit: int = mf.EXHAUSTIVE_LIMIT):
+    mf._require_extendable_input(g, k)
+    mf._require_enumerable(g.n, limit)
+    mm = mf.max_matching(g)
+    if mm.size < k:
+        return mf._no_k_matching_certificate(k, mm)
+    adj = g.adj
+    mask = ref_odd_set_search(
+        g, 2 * k, lambda: mm.size,
+        lambda s: mf._k_disjoint_edges(adj, s, k) is not None)
+    if mask is None:
+        return None
+    witness = mf._k_disjoint_edges(adj, mask, k)
+    return mf._odd_set_certificate(g, "extendability", k, mask,
+                                   witness_edges=[sorted(e) for e in witness])
+
+
+def ref_unpruned_kfc_violating_set(g: Graph, k: int,
+                                   limit: int = mf.EXHAUSTIVE_LIMIT):
+    mf._require_kfc_input(g, k, limit)
+    mask = ref_odd_set_search(g, k, lambda: mf.max_matching(g, g.n).size)
+    if mask is None:
+        return None
+    return mf._odd_set_certificate(g, "factor-critical", k, mask)
 
 
 # -- reference matching routines -------------------------------------------

@@ -5,10 +5,13 @@ augmenting-path routine, one violating-set search for all four criteria),
 the three t1.3, t4.3 and t4.5 scans before the per-family recognizers gave
 way to one isomorphism test, the l2.2 sweep before l2.2 and l2.3 came to
 share one clique-pair evaluator, the two ``rho`` reports before power
-iteration, identity (13) and the graph6 decoder were made faster, and none
-may change: every certificate kind, every checker route and every family's
-``extremal-hit`` rows that reach a report are covered. Graph6 input lines are built from the library's
-constructors and passed with ``--input``.
+iteration, identity (13) and the graph6 decoder were made faster, the t1.1
+run at (20, 2, 4) and the ``kfc17`` check before the odd-set searches
+skipped subtrees by the Tutte-Berge bound on G-S, and none may change:
+every certificate kind, every checker route and every family's
+``extremal-hit`` rows that reach a report are covered. Graph6 input lines
+are built from the library's constructors, or decoded from graph6
+literals, and passed with ``--input``.
 """
 import hashlib
 import random
@@ -20,8 +23,8 @@ from specmatch.families import (extremal_hamilton, extremal_kext_bipartite,
                                 extremal_kext_general, extremal_kfactor,
                                 extremal_kfc)
 from specmatch.graph import (complete, complete_bipartite, cycle,
-                             disjoint_union, empty, from_edges, graph6_encode,
-                             join, remove_star)
+                             disjoint_union, empty, from_edges, graph6_decode,
+                             graph6_encode, join, remove_star)
 from specmatch.harness import random_bipartite, random_graph, rng_for
 
 
@@ -74,6 +77,12 @@ def _lines():
                   for i in range(6)],
         # bipartite lines only: k-factor-critical has no bipartite route,
         # so these run its general route on the line as given
+        # the k-factor-critical command of graph6-stream seed 7, round 0;
+        # line 4 (n = 17) and line 7 (n = 15) are certified by one vertex
+        "kfc17": [graph6_decode(line) for line in (
+            "KCF?AxEg?GVe", "L_rTu^Q~Ru\\Sj`", "N|Snyxyym~PRv|~vJ^G",
+            "POQ@@aaL??PEMRCwOBcD?ASW", "KzFYowpyAz^h", "LgJhmh~vDnhZkn",
+            "NIT?@d?NCPGAOBZC_F?", "PYKGB[mfx|wiv`MNOG`a_HEk")],
         "kfcbip": [extremal_kfactor(8, 2), complete_bipartite(3, 4), cycle(8),
                    extremal_hamilton(8), extremal_kext_bipartite(10, 1, 1),
                    complete_bipartite(11, 11)] + _bipartite_draws(38, 6),
@@ -138,6 +147,11 @@ GOLDEN = [
       "2", "--samples", "20", "--seed", "5"], None,
      "ea6d65b1148202d50405b727443dab2aa6758d5b22c684d3cb8101ef8a2ee6ed",
      0),
+    # the extremal row's Chen certificate at n = 20, k = 2
+    (["verify", "--theorem", "t1.1", "--n", "20", "--k", "2", "--delta",
+      "4", "--samples", "0"], None,
+     "6fa9f81fc006ed120bda78a6a2d65eaf5cc2e36aef58e92aa8c4caaff91e5de8",
+     0),
     (["verify", "--theorem", "l2.3", "--n", "40"], None,
      "2822c5e487c326b9b31d6df02eeedd405e31dd019da28349a1cfa41fdddd4ee3",
      0),
@@ -163,6 +177,9 @@ GOLDEN = [
      0),
     (["check", "--property", "k-factor-critical", "--k", "1"], "kfc",
      "f22912491f231347601b2eee91844dffc181919f770962c5d62dd0e901ab619f",
+     0),
+    (["check", "--property", "k-factor-critical", "--k", "1"], "kfc17",
+     "1369f69ddfe9dfa6fa93917b158d427b679edcbd34bc11dfa38b2a95818b0afd",
      0),
     (["check", "--property", "k-factor-critical", "--k", "1"], "kfcbip",
      "0edb1ba0aaf5f2dfb0ab6e9c403bde07f35ba68578dbf862ed17d5bd7aea0584",

@@ -350,8 +350,8 @@ class TestCertificateRevalidation:
             cert = plummer(g, k, enum_limit)
             return Certificate(cert.kind, dict(cert.payload, subset=[]))
 
-        def corrupted_set(g, k, mm):
-            cert = chen(g, k, mm)
+        def corrupted_set(g, k, mm, memo):
+            cert = chen(g, k, mm, memo)
             odd = cert.payload["odd_components"] + 1
             return Certificate(cert.kind,
                                dict(cert.payload, odd_components=odd))
@@ -699,15 +699,57 @@ class TestEntryValidation:
         assert code == 2 and "t4.3 does not read --k" in captured.err
 
     @pytest.mark.parametrize("argv", [
-        ["verify", "--theorem", "t1.2", "--n", "10", "--k", "1", "--s", "1"],
+        ["verify", "--theorem", "t1.2", "--n", "10", "--k", "1", "--s", "1",
+         "--samples", "0"],
         ["verify", "--theorem", "t1.2", "--n", "10", "--k", "1", "--delta",
-         "1"],
-        ["verify", "--theorem", "t4.3", "--n", "8"],
+         "1", "--samples", "0"],
+        ["verify", "--theorem", "t4.3", "--n", "8", "--samples", "0"],
         ["construct", "--family", "kext-bipartite", "--n", "10", "--k", "1",
          "--delta", "1"],
     ])
     def test_read_flags_stay_accepted(self, argv):
-        assert run_main(argv + ["--samples", "0"])[0] == 0
+        assert run_main(argv)[0] == 0
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["verify", "--theorem", "t1.3", "--n", "8", "--k", "2",
+          "--samples", "0", "--family", "kfc-general"], "--family"),
+        (["verify", "--theorem", "t1.3", "--n", "8", "--k", "2",
+          "--samples", "0", "--property", "hamiltonian"], "--property"),
+        (["construct", "--family", "kfactor-bipartite", "--n", "8", "--k",
+          "2", "--samples", "5"], "--samples"),
+        (["construct", "--family", "kfactor-bipartite", "--n", "8", "--k",
+          "2", "--seed", "3"], "--seed"),
+        (["construct", "--family", "kfactor-bipartite", "--n", "8", "--k",
+          "2", "--theorem", "t1.1"], "--theorem"),
+        (["scan", "--theorem", "t1.3", "--n", "8", "--k", "2", "--samples",
+          "7"], "--samples"),
+        (["scan", "--theorem", "t1.3", "--n", "8", "--k", "2", "--seed",
+          "9"], "--seed"),
+        (["rho", "--theorem", "t1.1"], "--theorem"),
+        (["check", "--property", "k-factor", "--k", "2", "--seed", "1"],
+         "--seed"),
+        (["cross-check", "--n", "4", "--k", "1"], "--k"),
+        (["verify", "--theorem", "t1.3", "--n", "8", "--k", "2",
+          "--samples", "0", "--input", os.devnull], "--input"),
+        (["construct", "--family", "kfactor-bipartite", "--n", "8", "--k",
+          "2", "--format", "json"], "--format"),
+        (["rho", "--exhaustive-limit", "3"], "--exhaustive-limit"),
+    ])
+    def test_mode_rejects_unread_flags(self, argv, flag, capsys):
+        code = cli.main(argv + ["--jobs", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.rstrip() == (
+            f"error: {argv[0]} does not read {flag}")
+
+    def test_mode_unread_flag_from_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("samples=4\n")
+        code = cli.main(["construct", "--family", "kfactor-bipartite",
+                         "--n", "8", "--k", "2", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2 and "construct does not read --samples" in (
+            captured.err)
 
     def test_jobs_and_order_stay_accepted(self, tmp_path):
         # every benchmark command passes --jobs, and the lemma sweeps --n 40

@@ -6,9 +6,10 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from specmatch import matchfactor as mf
 from specmatch.graph import (GraphError, SIDE_A, SIDE_B, bits, complete,
                              complete_bipartite, cycle, disjoint_union,
-                             empty, from_edges, graph6_encode,
+                             empty, from_edges, graph6_decode, graph6_encode,
                              infer_bipartition, join, remove_star)
 from specmatch.matchfactor import (Certificate, FactorSpec,
                                    chen_violating_set,
@@ -36,7 +37,8 @@ from conftest import (brute_is_k_extendable, brute_max_matching_size,
                       ref_has_f_factor_ore, ref_is_k_extendable_chen,
                       ref_is_k_extendable_plummer, ref_is_k_factor_critical,
                       ref_kfc_violating_set, ref_max_matching_bipartite,
-                      ref_recognize, seeded_random_graph)
+                      ref_recognize, ref_unpruned_chen_violating_set,
+                      ref_unpruned_kfc_violating_set, seeded_random_graph)
 
 
 def random_balanced_bipartite(seed: int, half: int, p: float):
@@ -474,6 +476,103 @@ class TestDecideThenCertify:
                              extremal_kext_bipartite(n, k, s), (k,))
         for n, k, d in ((15, 1, 2), (10, 2, 2), (12, 2, 2), (13, 3, 3)):
             self.assert_same(self.ROUTES[1:], extremal_kfc(n, k, d), (k,))
+
+
+def _join_members(family: str, max_n: int):
+    """Every member of a join family (kext-general or kfc-general) with
+    n <= ``max_n`` and k <= 3."""
+    for n in range(2, max_n + 1):
+        for k in (1, 2, 3):
+            for delta in range(k, n):
+                try:
+                    yield construct_family(family,
+                                           FamilyParams(n=n, k=k, delta=delta))
+                except GraphError:
+                    pass
+
+
+class TestSubtreeBound:
+    """The Chen and factor-criticality searches skip a subtree when the
+    Tutte-Berge bound on G-S shows that no superset of S beats the best
+    excess. Skipping may only save work: every certificate equals the one
+    the search gives without that bound (``ref_unpruned_*``), and the slow
+    negatives the bound was made for stay cheap, counted in
+    ``_odd_components`` calls rather than in seconds."""
+
+    SEARCHES = (
+        (chen_violating_set, ref_unpruned_chen_violating_set, (1, 2)),
+        (kfc_violating_set, ref_unpruned_kfc_violating_set, (1, 2, 3)),
+    )
+    # graph6-stream seed 7, round 0: n = 17, m = 38, not 1-factor-critical,
+    # certified by the single vertex 4 (two odd components); the search
+    # without the bound makes 58,439 odd-component scans on it
+    KFC_LINE = "POQ@@aaL??PEMRCwOBcD?ASW"
+
+    def assert_same(self, g):
+        for search, reference, ks in self.SEARCHES:
+            for k in ks:
+                assert (_search_outcome(search, g, k)
+                        == _search_outcome(reference, g, k)), (search, k)
+
+    def test_all_graphs_up_to_five_vertices(self):
+        for g in _all_graphs(5):
+            self.assert_same(g)
+
+    @pytest.mark.slow
+    def test_all_graphs_on_six_vertices(self):
+        for g in _all_graphs(6, min_n=6):
+            self.assert_same(g)
+
+    def test_seeded_random_graphs(self):
+        for i, n in enumerate(tuple(range(7, 17)) * 3):
+            self.assert_same(random_graph(rng_for(16, i), n,
+                                          P_SWEEP[i % len(P_SWEEP)]))
+
+    def test_extremal_members(self):
+        members = 0
+        for family, max_n in (("kext-general", 14), ("kfc-general", 17)):
+            for g in _join_members(family, max_n):
+                self.assert_same(g)
+                members += 1
+        assert members == 61
+
+    @staticmethod
+    def count_scans(monkeypatch):
+        calls = [0]
+        scan = mf._odd_components
+
+        def counted(adj, alive):
+            calls[0] += 1
+            return scan(adj, alive)
+
+        monkeypatch.setattr(mf, "_odd_components", counted)
+        return calls
+
+    def test_chen_extremal_n20_work(self, monkeypatch):
+        # best excess 2 at [0, 1, 2, 3] against a Tutte-Berge ceiling of 4:
+        # without the subtree bound the search runs to the end, 615,316
+        # scans
+        g = extremal_kext_general(20, 2, 4)
+        calls = self.count_scans(monkeypatch)
+        cert = chen_violating_set(g, 2)
+        assert cert.payload["set"] == [0, 1, 2, 3]
+        assert _excess(cert, 2) == 2
+        assert calls[0] <= 1000
+        calls[0] = 0
+        assert is_k_extendable_chen(g, 2) == (False, cert)
+        assert calls[0] <= 1000
+
+    def test_kfc_single_vertex_line_work(self, monkeypatch):
+        g = graph6_decode(self.KFC_LINE)
+        assert (g.n, g.m) == (17, 38)
+        calls = self.count_scans(monkeypatch)
+        cert = kfc_violating_set(g, 1)
+        assert (cert.payload["set"], cert.payload["odd_components"]) == (
+            [4], 2)
+        assert calls[0] <= 20
+        calls[0] = 0
+        assert is_k_factor_critical(g, 1) == (False, cert)
+        assert calls[0] <= 20
 
 
 def _balanced_bipartite_graphs(max_half: int):
