@@ -120,7 +120,9 @@ def _lines():
     }
 
 
-# (argv, input lines or None, sha256 of stdout, exit code)
+# (argv, input lines or None, sha256 of stdout, exit code[, id suffix]);
+# the id is argv's first three words and the input's name, and a suffix
+# keeps a later case from renaming an earlier one with the same words
 GOLDEN = [
     (["verify", "--theorem", "t1.1", "--n", "10", "--k", "1", "--delta",
       "2", "--samples", "40", "--seed", "5"], None,
@@ -151,7 +153,7 @@ GOLDEN = [
     (["verify", "--theorem", "t1.1", "--n", "20", "--k", "2", "--delta",
       "4", "--samples", "0"], None,
      "6fa9f81fc006ed120bda78a6a2d65eaf5cc2e36aef58e92aa8c4caaff91e5de8",
-     0),
+     0, "n20"),
     (["verify", "--theorem", "l2.3", "--n", "40"], None,
      "2822c5e487c326b9b31d6df02eeedd405e31dd019da28349a1cfa41fdddd4ee3",
      0),
@@ -229,8 +231,9 @@ def lines():
 
 @pytest.mark.parametrize(
     "argv, stream, digest, code",
-    GOLDEN + [pytest.param(*c, marks=pytest.mark.slow) for c in SLOW_GOLDEN],
-    ids=[" ".join(c[0][:3]) + (f" {c[1]}" if c[1] else "")
+    [c[:4] for c in GOLDEN]
+    + [pytest.param(*c[:4], marks=pytest.mark.slow) for c in SLOW_GOLDEN],
+    ids=[" ".join(c[0][:3]) + "".join(f" {w}" for w in (c[1],) + c[4:] if w)
          for c in GOLDEN + SLOW_GOLDEN])
 def test_report_bytes(argv, stream, digest, code, lines, tmp_path, capsys):
     if stream is not None:
