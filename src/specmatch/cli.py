@@ -3,6 +3,24 @@
 Subcommands: construct | rho | check | verify | cross-check | scan.
 Reports go to stdout, diagnostics to stderr. Exit codes: 0 all consistent,
 1 confirmed counterexample / oracle disagreement, 2 usage or input error.
+
+Each mode reads the flags of its row in ``_MODES``; a flag that argv or the
+config file names outside that row exits 2 ("<mode> does not read --x"):
+
+  construct     --family --n --k --delta --s
+  rho           --format --input
+  check         --property --k --exhaustive-limit --format --input
+  verify        --theorem --n --k --delta --s --samples --seed --tol
+                --exhaustive-limit --format
+  cross-check   --n --samples --seed --exhaustive-limit --format
+  scan          --theorem --n --k --delta --s --tol --exhaustive-limit
+                --format --input
+
+The name a mode needs narrows its row: a lemma reads no family parameter
+and draws no samples, ``--property hamiltonian`` reads no ``--k``, and a
+theorem or family reads only the parameters of its family
+(``families.READS``). ``--config`` and ``--jobs`` are read by every mode:
+every benchmark command passes ``--jobs 1``, verify and cross-check too.
 """
 from __future__ import annotations
 
@@ -21,20 +39,21 @@ from .spectra import ConvergenceError
 _MIN_TOL = 1e-12
 # the parameters that a family may read besides n
 _FAMILY_FIELDS = ("k", "delta", "s")
-# the flags each mode reads; a mode rejects the others, except --n, --tol
-# and --jobs, which every mode accepts: every benchmark command passes
-# --jobs, and `check --n` and a `check` config setting tol stay accepted
-_MODE_READS = {
-    "construct": ("family",) + _FAMILY_FIELDS,
-    "rho": ("format", "input"),
-    "check": ("property", "k", "exhaustive_limit", "format", "input"),
-    "verify": ("theorem",) + _FAMILY_FIELDS + (
-        "samples", "seed", "exhaustive_limit", "format"),
-    "cross-check": ("samples", "seed", "exhaustive_limit", "format"),
-    "scan": ("theorem",) + _FAMILY_FIELDS + (
-        "exhaustive_limit", "format", "input"),
+# mode -> (the flag it needs, the flags it reads)
+_MODES = {
+    "construct": ("family", ("family", "n") + _FAMILY_FIELDS),
+    "rho": (None, ("format", "input")),
+    "check": ("property", ("property", "k", "exhaustive_limit", "format",
+                           "input")),
+    "verify": ("theorem", ("theorem", "n") + _FAMILY_FIELDS + (
+        "samples", "seed", "tol", "exhaustive_limit", "format")),
+    "cross-check": (None, ("n", "samples", "seed", "exhaustive_limit",
+                           "format")),
+    "scan": ("theorem", ("theorem", "n") + _FAMILY_FIELDS + (
+        "tol", "exhaustive_limit", "format", "input")),
 }
-_READ_BY_ALL = ("mode", "n", "tol", "jobs", "config")
+# read by every mode; every benchmark command passes --jobs 1
+_READ_BY_ALL = ("config", "jobs")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,8 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="specmatch",
         description="Spectral thresholds and exact matching/factor checkers "
                     "for (bipartite) graphs.")
-    parser.add_argument("mode", choices=["construct", "rho", "check",
-                                         "verify", "cross-check", "scan"])
+    parser.add_argument("mode", choices=list(_MODES))
     parser.add_argument("--family", choices=list(FAMILIES))
     parser.add_argument("--theorem",
                         choices=sorted(hz.THEOREMS) + list(hz.LEMMAS))
@@ -97,65 +115,59 @@ def _load_config(path: str, flags: dict[str, argparse.Action]) -> dict:
     return out
 
 
-def _named(parser: argparse.ArgumentParser, argv: list[str] | None) -> set:
-    """The flags that argv names: a parse that starts from a namespace
-    holding a marker for every flag leaves the marker on the others."""
-    unset = object()
-    start = argparse.Namespace(**{action.dest: unset
-                                  for action in parser._actions})
-    return {key for key, value in vars(parser.parse_args(argv, start)).items()
-            if value is not unset}
-
-
 def _resolve(parser: argparse.ArgumentParser, argv: list[str] | None) -> dict:
     """Each flag's value: from the command line, else from the config file,
-    else its default."""
-    args = parser.parse_args(argv)
-    named = _named(parser, argv)
-    if args.config:
-        flags = {action.dest: action for action in parser._actions
-                 if action.option_strings
-                 and action.dest not in ("help", "config")}
-        from_config = _load_config(args.config, flags)
-        parser.set_defaults(**from_config)
-        args = parser.parse_args(argv)
-        named |= from_config.keys()
-    # a lemma's fixed sweep reads no family parameter and draws no samples;
-    # a theorem or a family reads only the parameters of its family
-    unread, family = (), None
-    if args.mode == "verify" and args.theorem in hz.LEMMAS:
-        unread, named_by = _FAMILY_FIELDS + ("samples", "seed"), "theorem"
-    elif args.mode == "check" and args.property == "hamiltonian":
-        unread, named_by = ("k",), "property"
-    elif args.mode in ("verify", "scan") and args.theorem in hz.THEOREMS:
-        family, named_by = hz.THEOREMS[args.theorem].family, "theorem"
-    elif args.mode == "construct" and args.family:
-        family, named_by = args.family, "family"
-    if family:
-        unread = [key for key in _FAMILY_FIELDS if key not in READS[family]]
-    for key in unread:
-        if key in named:
-            raise hz.UsageError(f"{args.mode} --{named_by} "
-                                f"{vars(args)[named_by]} "
-                                f"does not read --{key}")
-    resolved = vars(args)
-    if not (math.isfinite(resolved["tol"]) and resolved["tol"] >= _MIN_TOL):
+    else its default. Values are checked first, then the flags named by
+    either source against the mode's row, then the name the mode needs."""
+    flags = {action.dest: action for action in parser._actions
+             if action.option_strings and action.dest != "help"}
+    # argv parsed onto a marker for every flag: the flags it names lose it
+    unset = object()
+    cfg = vars(parser.parse_args(argv, argparse.Namespace(
+        **dict.fromkeys(flags, unset))))
+    from_config = {}
+    if cfg["config"] is not unset:
+        from_config = _load_config(cfg["config"], {
+            key: action for key, action in flags.items() if key != "config"})
+    named = {key for key, value in cfg.items()
+             if value is not unset} | from_config.keys()
+    for key, value in cfg.items():
+        if value is unset:
+            cfg[key] = from_config.get(key, parser.get_default(key))
+    if not (math.isfinite(cfg["tol"]) and cfg["tol"] >= _MIN_TOL):
         raise hz.UsageError(f"--tol must be a finite number >= {_MIN_TOL}, "
-                            f"got {resolved['tol']}")
+                            f"got {cfg['tol']}")
     for key, least in (("samples", 0), ("exhaustive_limit", 0), ("jobs", 1)):
-        if resolved[key] < least:
+        if cfg[key] < least:
             raise hz.UsageError(f"--{key.replace('_', '-')} must be >= "
-                                f"{least}, got {resolved[key]}")
-    n = resolved["n"]
-    if args.mode == "cross-check" and n is not None and not 2 <= n <= 8:
+                                f"{least}, got {cfg[key]}")
+    mode, n = cfg["mode"], cfg["n"]
+    if mode == "cross-check" and n is not None and not 2 <= n <= 8:
         raise hz.UsageError(f"cross-check --n must be in 2..8, got {n}")
-    for action in parser._actions:
-        key = action.dest
-        if (key in named and key not in _READ_BY_ALL
-                and key not in _MODE_READS[args.mode]):
-            raise hz.UsageError(f"{args.mode} does not read "
+    # the name the mode needs narrows its row: a lemma's fixed sweep reads
+    # no family parameter and draws no samples, a property without a least
+    # k reads no k, a theorem or a family only the parameters of its family
+    needs, reads = _MODES[mode]
+    name = cfg[needs] if needs else None
+    family = hz.THEOREMS[name].family if name in hz.THEOREMS else name
+    if mode == "verify" and name in hz.LEMMAS:
+        unread = _FAMILY_FIELDS + ("samples", "seed")
+    elif mode == "check":
+        unread = ("k",) if name and hz.PROPERTIES[name] is None else ()
+    else:
+        unread = tuple(key for key in _FAMILY_FIELDS
+                       if key not in READS.get(family, _FAMILY_FIELDS))
+    for key, action in flags.items():
+        if key in named and key not in _READ_BY_ALL and (
+                key not in reads or key in unread):
+            by = f" --{needs} {name}" if key in unread else ""
+            raise hz.UsageError(f"{mode}{by} does not read "
                                 f"{action.option_strings[0]}")
-    return resolved
+    if family == "kext-bipartite" and {"s", "delta"} <= named:
+        raise hz.UsageError("--s and --delta name one parameter; give one")
+    if needs and not name:
+        raise hz.UsageError(f"{mode} needs --{needs}")
+    return cfg
 
 
 def _read_lines(cfg: dict) -> list[str]:
@@ -179,21 +191,15 @@ def run(argv: list[str] | None = None) -> int:
     cfg = _resolve(build_parser(), argv)
     mode = cfg["mode"]
     if mode == "construct":
-        if not cfg["family"]:
-            raise hz.UsageError("construct needs --family")
         print(hz.cmd_construct(cfg["family"], _params(cfg)))
         return 0
     if mode == "rho":
         report = hz.cmd_rho(_read_lines(cfg), jobs=cfg["jobs"])
     elif mode == "check":
-        if not cfg["property"]:
-            raise hz.UsageError("check needs --property")
         report = hz.cmd_check(_read_lines(cfg), cfg["property"], cfg["k"],
                               limit=cfg["exhaustive_limit"],
                               jobs=cfg["jobs"])
     elif mode == "verify":
-        if not cfg["theorem"]:
-            raise hz.UsageError("verify needs --theorem")
         if cfg["theorem"] not in hz.LEMMAS:
             p = _params(cfg)
         elif cfg["n"] in (None, hz.LEMMA_MAX_N):
@@ -212,8 +218,6 @@ def run(argv: list[str] | None = None) -> int:
                                     seed=cfg["seed"],
                                     limit=cfg["exhaustive_limit"])
     else:  # scan
-        if not cfg["theorem"]:
-            raise hz.UsageError("scan needs --theorem")
         report = hz.cmd_scan(_read_lines(cfg), cfg["theorem"], _params(cfg),
                              tol=cfg["tol"], limit=cfg["exhaustive_limit"],
                              jobs=cfg["jobs"])

@@ -716,12 +716,28 @@ def cmd_cross_check(max_n: int, samples: int, seed: int,
 # -- stream modes ----------------------------------------------------------
 
 
-def read_graph_lines(lines: Iterable[str]) -> list[tuple[int, str]]:
+def _decode_lines(lines: Iterable[str], report: Report,
+                  strict: bool = False) -> list[tuple[int, str, Graph]]:
+    """(index, text, graph) for each nonblank line that decodes as graph6;
+    the index counts every line from 0.
+
+    A malformed line raises UsageError naming it when ``strict``; otherwise
+    it is left out and counted once, under ``parse-errors`` in the report's
+    summary, and UsageError is raised when every nonblank line is
+    malformed."""
     out = []
-    for i, line in enumerate(lines):
-        s = line.strip()
-        if s:
-            out.append((i, s))
+    for idx, line in enumerate(lines):
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            out.append((idx, text, graph6_decode(text)))
+        except GraphError as exc:
+            if strict:
+                raise UsageError(f"line {idx + 1}: {exc}") from exc
+            report.count("parse-errors")
+    if not out and "parse-errors" in report.summary:
+        raise UsageError("all input lines were malformed")
     return out
 
 
@@ -735,8 +751,8 @@ def _map_rows(items: list, worker, jobs: int) -> list:
         return list(pool.map(worker, items, chunksize=chunk))
 
 
-def _rho_row(item: tuple[str, Graph]) -> dict:
-    text, g = item
+def _rho_row(item: tuple[int, str, Graph]) -> dict:
+    _, text, g = item
     res = sp.spectral_radius(g) if g.n >= 1 else None
     row = {"graph": text, "rho": res.rho if res else None,
            "fms_bound": None, "sqrt_m": None, "identity13": ""}
@@ -754,21 +770,10 @@ def _rho_row(item: tuple[str, Graph]) -> dict:
 
 def cmd_rho(lines: Iterable[str], jobs: int = 1) -> Report:
     report = Report(mode="rho", columns=RHO_COLUMNS)
-    parse_errors = 0
-    items = []
-    for idx, text in read_graph_lines(lines):
-        try:
-            items.append((text, graph6_decode(text)))
-        except GraphError:
-            parse_errors += 1
-            report.count("skipped")
+    items = _decode_lines(lines, report)
     report.rows.extend(_map_rows(items, _rho_row, jobs))
     for _ in items:
         report.count("consistent")
-    if parse_errors:
-        report.summary["parse-errors"] = parse_errors
-        if not items:
-            raise UsageError("all input lines were malformed")
     return report
 
 
@@ -806,12 +811,8 @@ def cmd_check(lines: Iterable[str], prop: str, k: int | None,
         raise UsageError(f"property {prop} needs --k >= {least}, "
                          f"got --k {k}")
     report = Report(mode=f"check {prop}", columns=PROPERTY_COLUMNS)
-    items = []
-    for idx, text in read_graph_lines(lines):
-        try:
-            items.append((idx, text, graph6_decode(text), prop, k, limit))
-        except GraphError as exc:
-            raise UsageError(f"line {idx + 1}: {exc}") from exc
+    items = [(idx, text, g, prop, k, limit) for idx, text, g
+             in _decode_lines(lines, report, strict=True)]
     for result in _map_rows(items, _check_row, jobs):
         _add_row(report, *result)
     return report
@@ -839,23 +840,10 @@ def cmd_scan(lines: Iterable[str], theorem: str, p: fam.FamilyParams,
     validate_hypotheses(theorem, p)
     thr = fam.threshold_rho(THEOREMS[theorem].family, p)
     report = Report(mode=f"scan {theorem}", columns=PROPERTY_COLUMNS)
-    malformed = 0
-    total = 0
-    items = []
-    for idx, text in read_graph_lines(lines):
-        total += 1
-        try:
-            g = graph6_decode(text)
-        except GraphError:
-            malformed += 1
-            continue
-        items.append((idx, text, g, theorem, p, thr, tol, limit))
+    items = [(idx, text, g, theorem, p, thr, tol, limit) for idx, text, g
+             in _decode_lines(lines, report)]
     for result in _map_rows(items, _scan_row, jobs):
         _add_row(report, *result)
-    if malformed:
-        report.summary["parse-errors"] = malformed
-        if malformed == total:
-            raise UsageError("all input lines were malformed")
     return report
 
 

@@ -129,7 +129,8 @@ class TestRho:
 
     def test_some_malformed_counted(self):
         report = cmd_rho(["!!bad", graph6_encode(complete(4))])
-        assert report.summary["parse-errors"] == 1
+        # once, under parse-errors only, as scan counts it
+        assert report.summary == {"consistent": 1, "parse-errors": 1}
         assert report.exit_code() == 0
 
 
@@ -570,6 +571,33 @@ class TestRendering:
         assert doc["summary"]["extremal-hit"] >= 1
 
 
+# the flags each mode reads: "+" accepted, "." rejected with "<mode> does
+# not read <flag>"; the columns are the parser's flags in parser order
+FLAG_COLUMNS = ("--family", "--theorem", "--property", "--n", "--k",
+                "--delta", "--s", "--samples", "--seed", "--tol", "--jobs",
+                "--format", "--config", "--exhaustive-limit", "--input")
+FLAG_MATRIX = {
+    #              fam thm prp n  k  dlt s  smp sed tol job fmt cfg lim inp
+    "construct":   "+   .   .   +  +  +   +  .   .   .   +   .   +   .   .",
+    "rho":         ".   .   .   .  .  .   .  .   .   .   +   +   +   .   +",
+    "check":       ".   .   +   .  +  .   .  .   .   .   +   +   +   +   +",
+    "verify":      ".   +   .   +  +  +   +  +   +   +   +   +   +   +   .",
+    "cross-check": ".   .   .   +  .  .   .  +   +   .   +   +   +   +   .",
+    "scan":        ".   +   .   +  +  +   +  .   .   +   +   +   +   +   +",
+}
+# each mode's argv names what it needs by a name that narrows nothing
+FLAG_BASES = {"construct": ["construct", "--family", "kext-bipartite"],
+              "rho": ["rho"], "check": ["check", "--property", "k-factor"],
+              "verify": ["verify", "--theorem", "t1.2"],
+              "cross-check": ["cross-check"],
+              "scan": ["scan", "--theorem", "t1.2"]}
+FLAG_VALUES = {"--family": "kext-bipartite", "--theorem": "t1.2",
+               "--property": "k-factor", "--n": "8", "--k": "1",
+               "--delta": "1", "--s": "1", "--samples": "1", "--seed": "1",
+               "--tol": "1e-6", "--jobs": "1", "--format": "csv",
+               "--exhaustive-limit": "1", "--input": os.devnull}
+
+
 class TestEntryValidation:
     """Flag values that no run can use exit 2 with a message naming the
     flag, before any graph is drawn, read or checked."""
@@ -710,6 +738,43 @@ class TestEntryValidation:
     def test_read_flags_stay_accepted(self, argv):
         assert run_main(argv)[0] == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--theorem", "t1.2", "--n", "16", "--k", "1", "--delta",
+         "2", "--s", "3"],
+        ["scan", "--theorem", "t1.2", "--n", "16", "--k", "1", "--s", "3",
+         "--delta", "2"],
+        ["construct", "--family", "kext-bipartite", "--n", "16", "--k", "1",
+         "--delta", "2", "--s", "3"],
+    ])
+    def test_s_and_delta_name_one_parameter(self, argv, capsys):
+        # t1.2's minimum degree is its overlay's s
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.rstrip() == (
+            "error: --s and --delta name one parameter; give one")
+
+    @pytest.mark.parametrize("mode", list(FLAG_MATRIX))
+    def test_flag_matrix(self, mode, tmp_path):
+        parser = cli.build_parser()
+        flags = tuple(action.option_strings[0] for action in parser._actions
+                      if action.option_strings and action.dest != "help")
+        modes = next(action.choices for action in parser._actions
+                     if action.dest == "mode")
+        assert (FLAG_COLUMNS, list(FLAG_MATRIX)) == (flags, list(modes))
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text("")
+        values = {**FLAG_VALUES, "--config": str(cfg)}
+        got = {}
+        for flag in FLAG_COLUMNS:
+            try:
+                cli._resolve(parser, FLAG_BASES[mode] + [flag, values[flag]])
+                got[flag] = "+"
+            except UsageError as exc:
+                assert str(exc) == f"{mode} does not read {flag}"
+                got[flag] = "."
+        assert got == dict(zip(FLAG_COLUMNS, FLAG_MATRIX[mode].split()))
+
     @pytest.mark.parametrize("argv, flag", [
         (["verify", "--theorem", "t1.3", "--n", "8", "--k", "2",
           "--samples", "0", "--family", "kfc-general"], "--family"),
@@ -751,17 +816,20 @@ class TestEntryValidation:
         assert code == 2 and "construct does not read --samples" in (
             captured.err)
 
-    def test_jobs_and_order_stay_accepted(self, tmp_path):
-        # every benchmark command passes --jobs, and the lemma sweeps --n 40
+    def test_jobs_and_order_stay_accepted(self, tmp_path, capsys):
+        # every benchmark command passes --jobs, and the lemma sweeps --n 40;
+        # a mode that reads no order rejects --n
         assert run_main(["verify", "--theorem", "l2.3", "--n", "40",
                          "--jobs", "1"]) == run_main(
             ["verify", "--theorem", "l2.3"])
         f = tmp_path / "in.g6"
         f.write_text(graph6_encode(complete_bipartite(3, 3)) + "\n")
-        code, out = run_main(["check", "--property", "hamiltonian", "--n",
-                              "40", "--jobs", "1", "--input", str(f)])
-        assert code == 0 and out == run_main(
-            ["check", "--property", "hamiltonian", "--input", str(f)])[1]
+        argv = ["check", "--property", "hamiltonian", "--input", str(f)]
+        assert run_main(argv + ["--jobs", "1"]) == run_main(argv)
+        code = cli.main(argv + ["--n", "40", "--jobs", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.rstrip() == "error: check does not read --n"
 
     def test_unknown_property(self):
         with pytest.raises(UsageError, match="unknown property"):
@@ -788,11 +856,11 @@ class TestEntryValidation:
 
     def test_config_values_converted(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("exhaustive-limit=0\nproperty=hamiltonian\n"
+        cfg.write_text("exhaustive-limit=0\ntheorem=t4.3\nn=8\n"
                        "tol=1e-9\n")
         f = tmp_path / "in.g6"
-        f.write_text(graph6_encode(complete_bipartite(2, 2)) + "\n")
-        code, out = run_main(["check", "--config", str(cfg),
+        f.write_text(graph6_encode(complete_bipartite(4, 4)) + "\n")
+        code, out = run_main(["scan", "--config", str(cfg),
                               "--input", str(f)])
         assert code == 0
         assert "skipped: search limited to n <= 0" in out
