@@ -7,20 +7,23 @@ Reports go to stdout, diagnostics to stderr. Exit codes: 0 all consistent,
 Each mode reads the flags of its row in ``_MODES``; a flag that argv or the
 config file names outside that row exits 2 ("<mode> does not read --x"):
 
-  construct     --family --n --k --delta --s
+  construct     --family --n --k --delta
   rho           --format --input
   check         --property --k --exhaustive-limit --format --input
-  verify        --theorem --n --k --delta --s --samples --seed --tol
+  verify        --theorem --n --k --delta --samples --seed --tol
                 --exhaustive-limit --format
   cross-check   --n --samples --seed --exhaustive-limit --format
-  scan          --theorem --n --k --delta --s --tol --exhaustive-limit
+  scan          --theorem --n --k --delta --tol --exhaustive-limit
                 --format --input
 
-The name a mode needs narrows its row: a lemma reads no family parameter
-and draws no samples, ``--property hamiltonian`` reads no ``--k``, and a
-theorem or family reads only the parameters of its family
-(``families.READS``). ``--config`` and ``--jobs`` are read by every mode:
-every benchmark command passes ``--jobs 1``, verify and cross-check too.
+The name a mode needs narrows its row: a lemma's fixed sweep reads no
+family parameter, sample, tolerance or search limit, ``--property
+hamiltonian`` reads no ``--k``, and a theorem or family reads only the
+parameters of its family (``families.READS``). For kext-bipartite (t1.2)
+``--delta`` is the overlay size s, the member's minimum degree only from
+t1.2's least order 4*delta+2k+2 up. ``--config`` and ``--jobs`` are read by
+every mode: every benchmark command passes ``--jobs 1``, verify and
+cross-check too.
 """
 from __future__ import annotations
 
@@ -34,11 +37,8 @@ from .graph import GraphError
 from .matchfactor import EXHAUSTIVE_LIMIT
 from .spectra import ConvergenceError
 
-# re-verification asks power iteration for tol/100, which float64 reaches
-# down to about 1e-14 on the family members
-_MIN_TOL = 1e-12
 # the parameters that a family may read besides n
-_FAMILY_FIELDS = ("k", "delta", "s")
+_FAMILY_FIELDS = ("k", "delta")
 # mode -> (the flag it needs, the flags it reads)
 _MODES = {
     "construct": ("family", ("family", "n") + _FAMILY_FIELDS),
@@ -69,7 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--n", type=int)
     parser.add_argument("--k", type=int)
     parser.add_argument("--delta", type=int)
-    parser.add_argument("--s", type=int)
     parser.add_argument("--samples", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--tol", type=float, default=hz.DEFAULT_TOL)
@@ -134,8 +133,8 @@ def _resolve(parser: argparse.ArgumentParser, argv: list[str] | None) -> dict:
     for key, value in cfg.items():
         if value is unset:
             cfg[key] = from_config.get(key, parser.get_default(key))
-    if not (math.isfinite(cfg["tol"]) and cfg["tol"] >= _MIN_TOL):
-        raise hz.UsageError(f"--tol must be a finite number >= {_MIN_TOL}, "
+    if not (math.isfinite(cfg["tol"]) and cfg["tol"] >= hz.MIN_TOL):
+        raise hz.UsageError(f"--tol must be a finite number >= {hz.MIN_TOL}, "
                             f"got {cfg['tol']}")
     for key, least in (("samples", 0), ("exhaustive_limit", 0), ("jobs", 1)):
         if cfg[key] < least:
@@ -145,13 +144,15 @@ def _resolve(parser: argparse.ArgumentParser, argv: list[str] | None) -> dict:
     if mode == "cross-check" and n is not None and not 2 <= n <= 8:
         raise hz.UsageError(f"cross-check --n must be in 2..8, got {n}")
     # the name the mode needs narrows its row: a lemma's fixed sweep reads
-    # no family parameter and draws no samples, a property without a least
-    # k reads no k, a theorem or a family only the parameters of its family
+    # no family parameter, sample, tolerance or search limit, a property
+    # without a least k reads no k, a theorem or a family only the
+    # parameters of its family
     needs, reads = _MODES[mode]
     name = cfg[needs] if needs else None
     family = hz.THEOREMS[name].family if name in hz.THEOREMS else name
     if mode == "verify" and name in hz.LEMMAS:
-        unread = _FAMILY_FIELDS + ("samples", "seed")
+        unread = _FAMILY_FIELDS + ("samples", "seed", "tol",
+                                   "exhaustive_limit")
     elif mode == "check":
         unread = ("k",) if name and hz.PROPERTIES[name] is None else ()
     else:
@@ -163,8 +164,6 @@ def _resolve(parser: argparse.ArgumentParser, argv: list[str] | None) -> dict:
             by = f" --{needs} {name}" if key in unread else ""
             raise hz.UsageError(f"{mode}{by} does not read "
                                 f"{action.option_strings[0]}")
-    if family == "kext-bipartite" and {"s", "delta"} <= named:
-        raise hz.UsageError("--s and --delta name one parameter; give one")
     if needs and not name:
         raise hz.UsageError(f"{mode} needs --{needs}")
     return cfg
@@ -183,8 +182,7 @@ def _read_lines(cfg: dict) -> list[str]:
 def _params(cfg: dict) -> FamilyParams:
     if cfg["n"] is None:
         raise hz.UsageError("--n is required")
-    return FamilyParams(n=cfg["n"], k=cfg["k"], delta=cfg["delta"],
-                        s=cfg["s"])
+    return FamilyParams(n=cfg["n"], k=cfg["k"], delta=cfg["delta"])
 
 
 def run(argv: list[str] | None = None) -> int:

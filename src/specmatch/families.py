@@ -28,13 +28,6 @@ class FamilyParams:
     n: int
     k: int | None = None
     delta: int | None = None
-    s: int | None = None
-
-    @property
-    def overlay_s(self) -> int | None:
-        """The overlay parameter s of ``kext-bipartite``, which is also
-        t1.2's minimum degree: ``s`` when set, else ``delta``."""
-        return self.s if self.s is not None else self.delta
 
 
 @dataclass(frozen=True)
@@ -136,10 +129,12 @@ def overlay(n: int, k: int, s: int) -> BlowUp:
                   (SIDE_A, SIDE_A, SIDE_B, SIDE_B))
 
 
-# family -> the parameters besides n that its member reads
+# family -> the parameters besides n that its member reads. kext-bipartite
+# reads delta as its overlay size s, which is the member's minimum degree
+# only from t1.2's least order 4*delta+2k+2 up.
 READS = {
     "kext-general": ("k", "delta"),
-    "kext-bipartite": ("k", "s", "delta"),
+    "kext-bipartite": ("k", "delta"),
     "kfactor-bipartite": ("k",),
     "kfc-general": ("k", "delta"),
     "hamilton-bipartite": (),
@@ -164,15 +159,14 @@ def member(family: str, p: FamilyParams) -> BlowUp:
         _require(sizes[0] >= 1, f"n-2*delta+2k-1={sizes[0]} violates >= 1")
         return join_cliques(delta, sizes)
     if family == "kext-bipartite":
-        s = p.overlay_s
-        _require(k is not None and s is not None,
-                 "kext-bipartite needs n, k and s (or delta)")
+        _require(k is not None and delta is not None,
+                 "kext-bipartite needs n, k, delta")
         _require(k >= 1, f"k={k} violates k >= 1")
-        _require(s >= 1, f"s={s} violates s >= 1")
+        _require(delta >= 1, f"delta={delta} violates delta >= 1")
         _require(n % 2 == 0, f"n={n} violates even order")
-        q = n // 2 - s - k - 1
-        _require(q >= 0, f"n/2-s-k-1={q} violates >= 0")
-        return overlay(n, k, s)
+        q = n // 2 - delta - k - 1
+        _require(q >= 0, f"n/2-delta-k-1={q} violates >= 0")
+        return overlay(n, k, delta)
     if family == "kfactor-bipartite":
         _require(k is not None, "kfactor-bipartite needs n, k")
         _require(n % 2 == 0, f"n={n} violates even order")
@@ -229,7 +223,7 @@ def extremal_kext_general(n: int, k: int, delta: int) -> Graph:
 
 def extremal_kext_bipartite(n: int, k: int, s: int) -> Graph:
     """Bipartite overlay of K_{s,s+k+1} onto K_{n/2-s,n/2-s-k-1}."""
-    return construct_family("kext-bipartite", FamilyParams(n, k, s=s))
+    return construct_family("kext-bipartite", FamilyParams(n, k, delta=s))
 
 
 def extremal_kfactor(n: int, k: int) -> Graph:

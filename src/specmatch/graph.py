@@ -296,9 +296,9 @@ def rows_connected(adj: Sequence[int]) -> bool:
     return len(adj) <= 1 or len(row_components(adj, (1 << len(adj)) - 1)) == 1
 
 
-def component_masks(g: Graph, alive: int | None = None) -> list[int]:
-    """Connected components (as bitmasks) of the subgraph induced on ``alive``."""
-    return row_components(g.adj, g.full_mask() if alive is None else alive)
+def component_masks(g: Graph) -> list[int]:
+    """Connected components of ``g`` as bitmasks."""
+    return row_components(g.adj, g.full_mask())
 
 
 def is_connected(g: Graph) -> bool:

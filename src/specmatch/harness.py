@@ -32,6 +32,9 @@ from .graph import (Graph, GraphError, SIDE_A, SIDE_B, graph6_decode,
 P_SWEEP = (0.3, 0.5, 0.7, 0.9)
 SAMPLE_ATTEMPTS = 60
 DEFAULT_TOL = 1e-8
+# re-verification asks power iteration for tol/100, which float64 reaches
+# down to about 1e-14 on the family members
+MIN_TOL = 1e-12
 LEMMA_MARGIN = 1e-9
 DENSE_STRIDE = 25  # every DENSE_STRIDE-th lemma cell gets a dense recheck
 LEMMA_MAX_N = 40  # the upper order of every lemma sweep
@@ -249,11 +252,9 @@ PROPERTIES = {"k-extendable": 1, "k-factor": 0, "k-factor-critical": 1,
 
 @dataclass(frozen=True)
 class TheoremSpec:
-    name: str
     family: str
     route: str
     requires_connected: bool
-    pins_min_degree: bool
     # the least order the theorem needs beyond its family's own conditions
     least_order: Callable[[fam.FamilyParams], int] | None = None
 
@@ -261,16 +262,21 @@ class TheoremSpec:
     def bipartite(self) -> bool:
         return ROUTES[self.route].bipartite
 
+    @property
+    def pins_min_degree(self) -> bool:
+        """Whether the samples keep the member's minimum degree: exactly
+        when the family reads delta."""
+        return "delta" in fam.READS[self.family]
+
 
 THEOREMS = {
-    "t1.1": TheoremSpec("t1.1", "kext-general", "chen", True, True,
+    "t1.1": TheoremSpec("kext-general", "chen", True,
                         lambda p: fam.threshold_F(p.k, p.delta)),
-    "t1.2": TheoremSpec("t1.2", "kext-bipartite", "plummer", False, True,
-                        lambda p: 4 * p.overlay_s + 2 * p.k + 2),
-    "t1.3": TheoremSpec("t1.3", "kfactor-bipartite", "flow", True, False),
-    "t4.3": TheoremSpec("t4.3", "hamilton-bipartite", "hamilton", False,
-                        False),
-    "t4.5": TheoremSpec("t4.5", "kfc-general", "kfc", True, True),
+    "t1.2": TheoremSpec("kext-bipartite", "plummer", False,
+                        lambda p: 4 * p.delta + 2 * p.k + 2),
+    "t1.3": TheoremSpec("kfactor-bipartite", "flow", True),
+    "t4.3": TheoremSpec("hamilton-bipartite", "hamilton", False),
+    "t4.5": TheoremSpec("kfc-general", "kfc", True),
 }
 
 
@@ -635,8 +641,8 @@ def _compare_on_graph(g: Graph, limit: int) -> list[str]:
             for k in (1, 2):
                 plum = _search_result(
                     mf.plummer_violating_subset(gb, k, limit))
-                # enum_limit=0 leaves the surplus route alone
-                surplus = mf.is_k_extendable_plummer(gb, k, enum_limit=0)
+                # limit=0 leaves the surplus route alone
+                surplus = mf.is_k_extendable_plummer(gb, k, limit=0)
                 defn = mf.is_k_extendable_definitional(gb, k)
                 issues += _disagreement("plummer!=definitional", k, plum,
                                         defn, g)

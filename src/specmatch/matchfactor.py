@@ -185,11 +185,11 @@ def _max_matching_value(adj: Sequence[int], mask: int,
     return best
 
 
-def max_matching_general(g: Graph,
-                         limit: int = GENERAL_MATCHING_LIMIT) -> Matching:
+def max_matching_general(g: Graph) -> Matching:
     """Exact maximum matching of any graph by memoized branch and bound."""
-    if g.n > limit:
-        raise GraphError(f"general matching limited to n <= {limit}")
+    if g.n > GENERAL_MATCHING_LIMIT:
+        raise GraphError(
+            f"general matching limited to n <= {GENERAL_MATCHING_LIMIT}")
     memo: dict[int, int] = {}
     adj = g.adj
     best = _max_matching_value(adj, g.full_mask(), memo)
@@ -217,17 +217,16 @@ def max_matching_general(g: Graph,
     return matching_of(edges)
 
 
-def max_matching(g: Graph, limit: int = GENERAL_MATCHING_LIMIT) -> Matching:
+def max_matching(g: Graph) -> Matching:
     if g.sides is not None:
         return max_matching_bipartite(g)
-    return max_matching_general(g, limit)
+    return max_matching_general(g)
 
 
-def has_perfect_matching(g: Graph,
-                         limit: int = GENERAL_MATCHING_LIMIT) -> bool:
+def has_perfect_matching(g: Graph) -> bool:
     if g.n % 2:
         return False
-    return 2 * max_matching(g, limit).size == g.n
+    return 2 * max_matching(g).size == g.n
 
 
 def _has_pm_mask(adj: Sequence[int], mask: int, memo: dict[int, int]) -> bool:
@@ -458,14 +457,14 @@ def _first_failing_k_matching(
 
 
 def is_k_extendable_definitional(
-        g: Graph, k: int,
-        limit: int = GENERAL_MATCHING_LIMIT) -> tuple[bool, Certificate | None]:
+        g: Graph, k: int) -> tuple[bool, Certificate | None]:
     """Directly: a size-k matching exists and each one extends to a perfect
     matching. The first failing matching (lex order) is certified."""
     _require_extendable_input(g, k)
-    if g.n > limit:
-        raise GraphError(f"definitional check limited to n <= {limit}")
-    mm = max_matching(g, limit)
+    if g.n > GENERAL_MATCHING_LIMIT:
+        raise GraphError(
+            f"definitional check limited to n <= {GENERAL_MATCHING_LIMIT}")
+    mm = max_matching(g)
     if mm.size < k:
         return False, _no_k_matching_certificate(k, mm)
     m_edges = _first_failing_k_matching(g, k, {})
@@ -579,9 +578,9 @@ def _plummer_decided(g: Graph,
 
 def plummer_violating_subset(
         g: Graph, k: int,
-        enum_limit: int = EXHAUSTIVE_LIMIT) -> Certificate | None:
+        limit: int = EXHAUSTIVE_LIMIT) -> Certificate | None:
     """Neighborhood-surplus criterion for bipartite graphs, over the
-    subsets X of side A (|A| <= ``enum_limit``) with |X| <= |A|-k: the
+    subsets X of side A (|A| <= ``limit``) with |X| <= |A|-k: the
     excess-maximal, lex-least X with |N(X)| < |X|+k, or None when G is
     k-extendable. Unbalanced sides and k >= |A| are settled as in
     ``is_k_extendable_plummer``.
@@ -596,7 +595,7 @@ def plummer_violating_subset(
         return decided[1]
     a_verts = g.side_vertices(SIDE_A)
     q = len(a_verts)
-    _require_enumerable(q, enum_limit, "|A|")
+    _require_enumerable(q, limit, "|A|")
     found = _lex_max_excess(
         a_verts, g.adj,
         lambda mask, size, nbh, best: size + k - nbh.bit_count(),
@@ -651,12 +650,12 @@ def _replicated_hall_failure(nbrs: Sequence[list[int]], a_pool: list[int],
 
 def is_k_extendable_plummer(
         g: Graph, k: int,
-        enum_limit: int = EXHAUSTIVE_LIMIT) -> tuple[bool, Certificate | None]:
+        limit: int = EXHAUSTIVE_LIMIT) -> tuple[bool, Certificate | None]:
     """k-extendability of a bipartite graph by the neighborhood-surplus
     criterion.
 
     The polynomial surplus route decides. On a negative with side A of at
-    most ``enum_limit`` vertices, the ``plummer_violating_subset`` search
+    most ``limit`` vertices, the ``plummer_violating_subset`` search
     supplies the excess-maximal certificate; above that size the
     surplus route's own certificate is returned. Unbalanced sides yield an
     immediate negative with a size certificate.
@@ -666,9 +665,9 @@ def is_k_extendable_plummer(
         return decided
     a_verts = g.side_vertices(SIDE_A)
     verdict, cert = _plummer_surplus(g, a_verts, g.side_vertices(SIDE_B), k)
-    if verdict or len(a_verts) > enum_limit:
+    if verdict or len(a_verts) > limit:
         return verdict, cert
-    cert = plummer_violating_subset(g, k, enum_limit)
+    cert = plummer_violating_subset(g, k, limit)
     if cert is None:
         raise RuntimeError(
             "internal: surplus and enumeration routes disagree")
@@ -724,7 +723,7 @@ def _deficiency_certificate(adj: Sequence[int], criterion: str, targets,
 
 
 def has_f_factor_ore(g: Graph, f,
-                     enum_limit: int = EXHAUSTIVE_LIMIT
+                     limit: int = EXHAUSTIVE_LIMIT
                      ) -> tuple[bool, Certificate | None]:
     """Degree-prescribed spanning subgraph criterion for bipartite graphs
     (Ore), exhaustive over the subsets X of side A: the excess-maximal,
@@ -747,7 +746,7 @@ def has_f_factor_ore(g: Graph, f,
             "subset": heavier,
             "neighborhood": [],
         })
-    _require_enumerable(len(a_verts), enum_limit, "|A|")
+    _require_enumerable(len(a_verts), limit, "|A|")
     adj = g.adj
 
     def excess(mask: int, size: int, nbh: int, best: int) -> int:

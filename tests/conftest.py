@@ -183,8 +183,8 @@ def ref_chen_violating_set(g: Graph, k: int,
     mf._require_extendable_input(g, k)
     if g.n > limit:
         raise GraphError(f"criterion enumeration limited to n <= {limit}")
-    if mf.max_matching(g, min(g.n, mf.GENERAL_MATCHING_LIMIT)).size < k:
-        mm = mf.max_matching(g, mf.GENERAL_MATCHING_LIMIT)
+    if mf.max_matching(g).size < k:
+        mm = mf.max_matching(g)
         return mf.Certificate("FailingMatching", {
             "reason": "no-size-k-matching",
             "k": k,
@@ -437,7 +437,7 @@ def ref_unpruned_chen_violating_set(g: Graph, k: int,
 def ref_unpruned_kfc_violating_set(g: Graph, k: int,
                                    limit: int = mf.EXHAUSTIVE_LIMIT):
     mf._require_kfc_input(g, k, limit)
-    mask = ref_odd_set_search(g, k, lambda: mf.max_matching(g, g.n).size)
+    mask = ref_odd_set_search(g, k, lambda: mf.max_matching(g).size)
     if mask is None:
         return None
     return mf._odd_set_certificate(g, "factor-critical", k, mask)
@@ -674,11 +674,10 @@ def _ref_perturb(rng: random.Random, base: Graph, edits: int) -> Graph:
 
 
 def _ref_theorem_delta(spec, p) -> int | None:
-    """The minimum degree a theorem pins: s (else delta) for t1.2, delta
-    for t1.1 and t4.5."""
+    """The minimum degree a theorem pins: delta, for t1.1, t1.2 and t4.5."""
     if not spec.pins_min_degree:
         return None
-    return p.overlay_s if spec.name == "t1.2" else p.delta
+    return p.delta
 
 
 def ref_sample_for_theorem(spec, p, extremal: Graph, rng: random.Random,
@@ -830,8 +829,7 @@ def ref_recognize(family: str, p, g: Graph) -> bool:
             return _ref_recognize_join_family(g, p.n, p.delta, a,
                                               p.delta - p.k + 1)
         if family == "kext-bipartite":
-            s = p.s if p.s is not None else p.delta
-            return _ref_recognize_kext_bipartite(g, p.n, p.k, s)
+            return _ref_recognize_kext_bipartite(g, p.n, p.k, p.delta)
         if family == "kfactor-bipartite":
             return _ref_recognize_kfactor(g, p.n, p.k)
         if family == "hamilton-bipartite":
@@ -854,7 +852,7 @@ def ref_hypotheses_hold(name: str, p) -> bool:
                 and p.delta >= 2 * p.k and p.n % 2 == 0
                 and p.n >= threshold_F(p.k, p.delta))
     if name == "t1.2":
-        s = p.overlay_s
+        s = p.delta
         return (p.k is not None and s is not None and p.n % 2 == 0
                 and 1 <= p.k <= p.n // 2 - 1 and s >= 1
                 and p.n // 2 - s - p.k - 1 >= 0
@@ -932,7 +930,7 @@ def ref_family_member(family: str, p) -> tuple[Graph, sp.QuotientMatrix]:
                 + [1] * (p.delta - c + 1))
         return ref_join_cliques(*args), ref_join_cliques_quotient(*args)
     if family == "kext-bipartite":
-        args = (p.n, p.k, p.s if p.s is not None else p.delta)
+        args = (p.n, p.k, p.delta)
         return ref_overlay(*args), ref_overlay_quotient(*args)
     args = (p.n, 2 if family == "hamilton-bipartite" else p.k)
     return ref_minus_star(*args), ref_minus_star_quotient(*args)

@@ -186,7 +186,7 @@ def _family_grid_instances():
             for n in (4 * s + 2 * k + 2, 60, 120, 200):
                 if n % 2 == 0 and n // 2 - s - k - 1 >= 0:
                     cases.append(("kext-bipartite",
-                                  FamilyParams(n=n, k=k, s=s)))
+                                  FamilyParams(n=n, k=k, delta=s)))
     for k in (2, 3, 7):
         for n in (8, 60, 120, 200):
             if 2 <= k <= n // 2 - 1:

@@ -113,7 +113,7 @@ class TestThresholdRho:
         assert abs(thr.rho_star - want) <= 1e-10
 
     def test_overlay_quartic(self):
-        thr = threshold_rho("kext-bipartite", FamilyParams(n=10, k=1, s=1))
+        thr = threshold_rho("kext-bipartite", FamilyParams(n=10, k=1, delta=1))
         from specmatch.spectra import charpoly_quartic, quartic_largest_root
         want = quartic_largest_root(charpoly_quartic(10, 1, 1))
         assert abs(thr.rho_star - want) <= 1e-10
@@ -122,7 +122,7 @@ class TestThresholdRho:
         cases = [
             ("kext-general", FamilyParams(n=12, k=1, delta=2)),
             ("kext-general", FamilyParams(n=20, k=2, delta=5)),
-            ("kext-bipartite", FamilyParams(n=12, k=1, s=2)),
+            ("kext-bipartite", FamilyParams(n=12, k=1, delta=2)),
             ("kfactor-bipartite", FamilyParams(n=14, k=3)),
             ("kfc-general", FamilyParams(n=23, k=1, delta=3)),
             ("hamilton-bipartite", FamilyParams(n=10)),
@@ -150,8 +150,8 @@ class TestRecognize:
         ("kext-general", FamilyParams(n=10, k=1, delta=2)),
         ("kext-general", FamilyParams(n=12, k=1, delta=3)),
         ("kext-general", FamilyParams(n=16, k=2, delta=4)),
-        ("kext-bipartite", FamilyParams(n=10, k=1, s=1)),
-        ("kext-bipartite", FamilyParams(n=16, k=2, s=2)),
+        ("kext-bipartite", FamilyParams(n=10, k=1, delta=1)),
+        ("kext-bipartite", FamilyParams(n=16, k=2, delta=2)),
         ("kfactor-bipartite", FamilyParams(n=8, k=2)),
         ("kfactor-bipartite", FamilyParams(n=12, k=4)),
         ("kfc-general", FamilyParams(n=15, k=1, delta=2)),
@@ -251,9 +251,8 @@ class TestQuotientShapes:
 
 def _param_grid(orders):
     """(family, params, accepted) for every family over small parameters,
-    with only the fields the family reads set (kext-bipartite once through
-    s and once through delta); accepted means ``construct_family`` takes
-    the parameters."""
+    with only the fields the family reads set; accepted means
+    ``construct_family`` takes the parameters."""
     grid = []
     for n in orders:
         grid.append(("hamilton-bipartite", FamilyParams(n=n)))
@@ -262,7 +261,6 @@ def _param_grid(orders):
             for d in range(-1, 9):
                 grid += [("kext-general", FamilyParams(n=n, k=k, delta=d)),
                          ("kfc-general", FamilyParams(n=n, k=k, delta=d)),
-                         ("kext-bipartite", FamilyParams(n=n, k=k, s=d)),
                          ("kext-bipartite",
                           FamilyParams(n=n, k=k, delta=d))]
     out = []
@@ -292,7 +290,7 @@ class TestBlowUpReference:
                                              ref_g.sides), (family, p)
             assert q == ref_q, (family, p)
             members += 1
-        assert members == 2670
+        assert members == 1770
 
     def test_lemma_22_23_quotients(self):
         sides = {(s, tuple(sizes)) for cells in (_cells_22(), _cells_23())
@@ -316,7 +314,7 @@ class TestFamilyTable:
     def test_members_read_only_their_fields(self):
         # setting the fields a family does not read changes nothing
         assert set(READS) == set(FAMILIES)
-        junk = {"k": 99, "delta": 99, "s": 99}
+        junk = {"k": 99, "delta": 99}
         for family, p, accepted in _param_grid(range(0, 30)):
             noisy = FamilyParams(p.n, **{f: junk[f] for f in junk
                                          if f not in READS[family]},

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -70,6 +69,23 @@ class TestConstruct:
                      "--n", "8", "--k", "4"])
         assert r.returncode == 2
         assert "violates" in r.stderr
+
+    def test_overlay_size_is_delta(self):
+        # below t1.2's least order 4*delta+2k+2 the overlay size is not the
+        # minimum degree: this member has isolated vertices
+        assert run_main(["construct", "--family", "kext-bipartite", "--n",
+                         "10", "--k", "1", "--delta", "3"]) == (
+            0, "IFzfF????\n")
+        assert min(graph6_decode("IFzfF????").degrees()) == 0
+
+    @pytest.mark.parametrize("argv, err", [
+        (["--delta", "0"], "error: delta=0 violates delta >= 1"),
+        ([], "error: kext-bipartite needs n, k, delta"),
+    ])
+    def test_overlay_errors_name_delta(self, argv, err, capsys):
+        code = cli.main(["construct", "--family", "kext-bipartite", "--n",
+                         "10", "--k", "1"] + argv)
+        assert (code, capsys.readouterr().err.rstrip()) == (2, err)
 
 
 class TestCheck:
@@ -196,8 +212,7 @@ class TestVerify:
 
     def test_theorem_is_one_row(self, monkeypatch):
         # a theorem over an existing family and route needs only its row
-        row = dataclasses.replace(THEOREMS["t1.2"], name="t1.2c")
-        monkeypatch.setitem(THEOREMS, "t1.2c", row)
+        monkeypatch.setitem(THEOREMS, "t1.2c", THEOREMS["t1.2"])
         p = FamilyParams(n=10, k=1, delta=1)
         copy = cmd_verify("t1.2c", p, samples=20, seed=2)
         original = cmd_verify("t1.2", p, samples=20, seed=2)
@@ -266,18 +281,16 @@ class TestHypotheses:
             for n in range(-2, 50):
                 for k in (None, *range(-1, 7)):
                     for d in (None, *range(-1, 10)):
-                        for s in (None, 1, 3) if name == "t1.2" else (None,):
-                            p = FamilyParams(n=n, k=k, delta=d, s=s)
-                            try:
-                                hz.validate_hypotheses(name, p)
-                            except UsageError as exc:
-                                assert str(exc).startswith(f"{name}: ")
-                                got = False
-                            else:
-                                got = True
-                            assert got == ref_hypotheses_hold(name, p), (
-                                name, p)
-                            accepted += got
+                        p = FamilyParams(n=n, k=k, delta=d)
+                        try:
+                            hz.validate_hypotheses(name, p)
+                        except UsageError as exc:
+                            assert str(exc).startswith(f"{name}: ")
+                            got = False
+                        else:
+                            got = True
+                        assert got == ref_hypotheses_hold(name, p), (name, p)
+                        accepted += got
         assert accepted > 1000
 
     def test_unknown_theorem(self):
@@ -289,6 +302,12 @@ class TestTables:
     def test_rows_name_existing_rows(self):
         assert {r.prop for r in hz.ROUTES.values()} == set(hz.PROPERTIES)
         assert all(spec.route in hz.ROUTES for spec in THEOREMS.values())
+
+    def test_pins_min_degree(self):
+        assert {name: spec.pins_min_degree for name, spec
+                in THEOREMS.items()} == {"t1.1": True, "t1.2": True,
+                                         "t1.3": False, "t4.3": False,
+                                         "t4.5": True}
 
 
 class TestOracle:
@@ -347,8 +366,8 @@ class TestCertificateRevalidation:
         plummer = mf.plummer_violating_subset
         chen = mf._chen_search
 
-        def corrupted_subset(g, k, enum_limit=mf.EXHAUSTIVE_LIMIT):
-            cert = plummer(g, k, enum_limit)
+        def corrupted_subset(g, k, limit=mf.EXHAUSTIVE_LIMIT):
+            cert = plummer(g, k, limit)
             return Certificate(cert.kind, dict(cert.payload, subset=[]))
 
         def corrupted_set(g, k, mm, memo):
@@ -463,8 +482,8 @@ class TestCrossCheck:
     def test_plummer_certificates_revalidated(self, monkeypatch, capsys):
         search = mf.plummer_violating_subset
 
-        def corrupted(g, k, enum_limit=mf.EXHAUSTIVE_LIMIT):
-            cert = search(g, k, enum_limit)
+        def corrupted(g, k, limit=mf.EXHAUSTIVE_LIMIT):
+            cert = search(g, k, limit)
             if cert is not None and cert.kind == "ViolatingSubsetX":
                 return Certificate(cert.kind, {**cert.payload, "subset": []})
             return cert
@@ -484,8 +503,8 @@ class TestCrossCheck:
         # disagreement row, not an error exit
         definitional = mf.is_k_extendable_definitional
 
-        def corrupted(g, k, limit=mf.GENERAL_MATCHING_LIMIT):
-            ok, cert = definitional(g, k, limit)
+        def corrupted(g, k):
+            ok, cert = definitional(g, k)
             if cert is not None and "matching" in cert.payload:
                 non_edge = next([u, v] for u in range(g.n)
                                 for v in range(u + 1, g.n)
@@ -574,16 +593,16 @@ class TestRendering:
 # the flags each mode reads: "+" accepted, "." rejected with "<mode> does
 # not read <flag>"; the columns are the parser's flags in parser order
 FLAG_COLUMNS = ("--family", "--theorem", "--property", "--n", "--k",
-                "--delta", "--s", "--samples", "--seed", "--tol", "--jobs",
+                "--delta", "--samples", "--seed", "--tol", "--jobs",
                 "--format", "--config", "--exhaustive-limit", "--input")
 FLAG_MATRIX = {
-    #              fam thm prp n  k  dlt s  smp sed tol job fmt cfg lim inp
-    "construct":   "+   .   .   +  +  +   +  .   .   .   +   .   +   .   .",
-    "rho":         ".   .   .   .  .  .   .  .   .   .   +   +   +   .   +",
-    "check":       ".   .   +   .  +  .   .  .   .   .   +   +   +   +   +",
-    "verify":      ".   +   .   +  +  +   +  +   +   +   +   +   +   +   .",
-    "cross-check": ".   .   .   +  .  .   .  +   +   .   +   +   +   +   .",
-    "scan":        ".   +   .   +  +  +   +  .   .   +   +   +   +   +   +",
+    #              fam thm prp n  k  dlt smp sed tol job fmt cfg lim inp
+    "construct":   "+   .   .   +  +  +   .   .   .   +   .   +   .   .",
+    "rho":         ".   .   .   .  .  .   .   .   .   +   +   +   .   +",
+    "check":       ".   .   +   .  +  .   .   .   .   +   +   +   +   +",
+    "verify":      ".   +   .   +  +  +   +   +   +   +   +   +   +   .",
+    "cross-check": ".   .   .   +  .  .   +   +   .   +   +   +   +   .",
+    "scan":        ".   +   .   +  +  +   .   .   +   +   +   +   +   +",
 }
 # each mode's argv names what it needs by a name that narrows nothing
 FLAG_BASES = {"construct": ["construct", "--family", "kext-bipartite"],
@@ -593,7 +612,7 @@ FLAG_BASES = {"construct": ["construct", "--family", "kext-bipartite"],
               "scan": ["scan", "--theorem", "t1.2"]}
 FLAG_VALUES = {"--family": "kext-bipartite", "--theorem": "t1.2",
                "--property": "k-factor", "--n": "8", "--k": "1",
-               "--delta": "1", "--s": "1", "--samples": "1", "--seed": "1",
+               "--delta": "1", "--samples": "1", "--seed": "1",
                "--tol": "1e-6", "--jobs": "1", "--format": "csv",
                "--exhaustive-limit": "1", "--input": os.devnull}
 
@@ -673,14 +692,19 @@ class TestEntryValidation:
         assert "--n" in captured.err
 
     @pytest.mark.parametrize("flag, value", [
-        ("--k", "5"), ("--delta", "9"), ("--s", "2"), ("--samples", "3"),
-        ("--seed", "4"), ("--sam", "3")])
-    def test_lemma_rejects_unread_flags(self, flag, value, capsys):
-        code = cli.main(["verify", "--theorem", "l2.3", flag, value])
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
+        ("--k", "5"), ("--delta", "9"), ("--samples", "3"), ("--seed", "4"),
+        ("--sam", "3"), ("--tol", "0.5"), ("--exhaustive-limit", "3")])
+    def test_lemma_rejects_unread_flags(self, flag, value, tmp_path, capsys):
+        # the lemma sweeps are fixed: no sample, tolerance or search limit
         named = "--samples" if flag == "--sam" else flag
-        assert captured.err.rstrip().endswith(f"does not read {named}")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{named[2:]}={value}\n")
+        for extra in ([flag, value], ["--config", str(cfg)]):
+            code = cli.main(["verify", "--theorem", "l2.3"] + extra)
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert captured.err.rstrip() == (
+                f"error: verify --theorem l2.3 does not read {named}")
 
     def test_hamiltonian_rejects_k(self, tmp_path, capsys):
         f = tmp_path / "in.g6"
@@ -702,11 +726,11 @@ class TestEntryValidation:
         (["verify", "--theorem", "t4.3", "--n", "8", "--k", "3"], "--k"),
         (["verify", "--theorem", "t1.3", "--n", "8", "--k", "2", "--delta",
           "3"], "--delta"),
-        (["verify", "--theorem", "t1.1", "--n", "10", "--k", "1",
-          "--delta", "2", "--s", "1"], "--s"),
+        (["verify", "--theorem", "t4.3", "--n", "8", "--delta", "3"],
+         "--delta"),
         (["scan", "--theorem", "t4.3", "--n", "8", "--k", "3"], "--k"),
-        (["scan", "--theorem", "t4.5", "--n", "15", "--k", "1", "--delta",
-          "2", "--s", "2"], "--s"),
+        (["scan", "--theorem", "t1.3", "--n", "8", "--k", "2", "--delta",
+          "2"], "--delta"),
         (["construct", "--family", "hamilton-bipartite", "--k", "3"], "--k"),
         (["construct", "--family", "kfactor-bipartite", "--n", "8", "--k",
           "2", "--delta", "1"], "--delta"),
@@ -727,8 +751,8 @@ class TestEntryValidation:
         assert code == 2 and "t4.3 does not read --k" in captured.err
 
     @pytest.mark.parametrize("argv", [
-        ["verify", "--theorem", "t1.2", "--n", "10", "--k", "1", "--s", "1",
-         "--samples", "0"],
+        ["verify", "--theorem", "t1.1", "--n", "10", "--k", "1", "--delta",
+         "2", "--samples", "0"],
         ["verify", "--theorem", "t1.2", "--n", "10", "--k", "1", "--delta",
          "1", "--samples", "0"],
         ["verify", "--theorem", "t4.3", "--n", "8", "--samples", "0"],
@@ -739,20 +763,24 @@ class TestEntryValidation:
         assert run_main(argv)[0] == 0
 
     @pytest.mark.parametrize("argv", [
-        ["verify", "--theorem", "t1.2", "--n", "16", "--k", "1", "--delta",
-         "2", "--s", "3"],
-        ["scan", "--theorem", "t1.2", "--n", "16", "--k", "1", "--s", "3",
-         "--delta", "2"],
-        ["construct", "--family", "kext-bipartite", "--n", "16", "--k", "1",
-         "--delta", "2", "--s", "3"],
+        ["verify", "--theorem", "t1.2", "--n", "16", "--k", "1"],
+        ["scan", "--theorem", "t1.2", "--n", "16", "--k", "1"],
+        ["construct", "--family", "kext-bipartite", "--n", "16", "--k", "1"],
     ])
-    def test_s_and_delta_name_one_parameter(self, argv, capsys):
-        # t1.2's minimum degree is its overlay's s
-        code = cli.main(argv)
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert captured.err.rstrip() == (
-            "error: --s and --delta name one parameter; give one")
+    def test_s_is_no_parameter(self, argv, tmp_path, capsys):
+        # the overlay size is read as --delta only: argparse takes --s for
+        # an ambiguous prefix, and a config file has no key s
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("s=3\n")
+        for extra, err in ((["--s", "3"], "ambiguous option: --s"),
+                           (["--config", str(cfg)], "unknown key 's'")):
+            try:
+                code = cli.main(argv + extra)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert err in captured.err and "Traceback" not in captured.err
 
     @pytest.mark.parametrize("mode", list(FLAG_MATRIX))
     def test_flag_matrix(self, mode, tmp_path):

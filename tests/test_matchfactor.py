@@ -588,7 +588,7 @@ def _balanced_bipartite_graphs(max_half: int):
 class TestMatchingReferences:
     """The one augmenting-path routine and Ore's criterion on the shared
     violating-set search give exactly the reference copies' outputs:
-    maximum matchings, surplus-route certificates (``enum_limit=0`` leaves
+    maximum matchings, surplus-route certificates (``limit=0`` leaves
     the surplus route alone) and Ore certificates, on every balanced
     bipartite graph with n <= 6 and on seeded draws with halves 3-8."""
 
@@ -606,7 +606,7 @@ class TestMatchingReferences:
 
     def test_surplus_route(self):
         def surplus(h, j):
-            return is_k_extendable_plummer(h, j, enum_limit=0)
+            return is_k_extendable_plummer(h, j, limit=0)
 
         def reference(h, j):
             return ref_is_k_extendable_plummer(h, j, enum_limit=0)
@@ -662,9 +662,9 @@ def _relabel_invariant(search, g, k):
 RECOGNIZE_CASES = [
     ("kext-general", FamilyParams(n=10, k=1, delta=2)),
     ("kext-general", FamilyParams(n=16, k=2, delta=4)),
-    ("kext-bipartite", FamilyParams(n=10, k=1, s=1)),
+    ("kext-bipartite", FamilyParams(n=10, k=1, delta=1)),
     ("kext-bipartite", FamilyParams(n=12, k=1, delta=2)),
-    ("kext-bipartite", FamilyParams(n=8, k=1, s=2)),
+    ("kext-bipartite", FamilyParams(n=8, k=1, delta=2)),
     ("kfactor-bipartite", FamilyParams(n=10, k=3)),
     ("kfc-general", FamilyParams(n=15, k=1, delta=2)),
     ("hamilton-bipartite", FamilyParams(n=8)),
