@@ -7,7 +7,7 @@ from .graph import (Graph, GraphError, bipartite_join, complete,
                     graph6_decode, graph6_encode, infer_bipartition,
                     is_connected, join, remove_star)
 from .spectra import (ConvergenceError, Partition, QuotientMatrix,
-                      SpectralResult, SymMatrix, adjacency_matrix,
+                      SpectralResult, adjacency_matrix,
                       charpoly_quartic, degree_sum_identity, fms_bound,
                       full_spectrum, quartic_largest_root, quotient,
                       refine_equitable, rho_dense, spectral_radius,

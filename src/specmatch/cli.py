@@ -58,7 +58,7 @@ _READ_BY_ALL = ("config", "jobs")
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="specmatch",
+        prog="specmatch", allow_abbrev=False,
         description="Spectral thresholds and exact matching/factor checkers "
                     "for (bipartite) graphs.")
     parser.add_argument("mode", choices=list(_MODES))

@@ -67,9 +67,9 @@ class BlowUp(NamedTuple):
                 clique = ((1 << z) - 1) << len(adj)
                 adj += [joined | (clique ^ 1 << v)
                         for v in range(len(adj), len(adj) + z)]
-        sides = None if self.sides is None else tuple(
-            self.sides[i] for i in self.labels for _ in bits(masks[i]))
-        return Graph(len(adj), tuple(adj), sides)
+        side_a = None if self.sides is None else sum(
+            mask for mask, side in zip(masks, self.sides) if side == SIDE_A)
+        return Graph(len(adj), tuple(adj), side_a)
 
     def quotient(self) -> QuotientMatrix:
         """Entry (i, j) is class j's size if i and j are joined, z-1 if
@@ -147,10 +147,12 @@ def member(family: str, p: FamilyParams) -> BlowUp:
 
     The one place that decides whether ``family`` has a member at ``p``:
     raises GraphError naming the first violated condition."""
+    if family not in READS:
+        raise GraphError(f"unknown family {family!r}")
+    _require(all(getattr(p, name) is not None for name in READS[family]),
+             f"{family} needs n, {', '.join(READS[family])}")
     n, k, delta = p.n, p.k, p.delta
     if family == "kext-general":
-        _require(k is not None and delta is not None,
-                 "kext-general needs n, k, delta")
         _require(k >= 1, f"k={k} violates k >= 1")
         _require(n % 2 == 0, f"n={n} violates even order")
         _require(delta >= 2 * k,
@@ -159,8 +161,6 @@ def member(family: str, p: FamilyParams) -> BlowUp:
         _require(sizes[0] >= 1, f"n-2*delta+2k-1={sizes[0]} violates >= 1")
         return join_cliques(delta, sizes)
     if family == "kext-bipartite":
-        _require(k is not None and delta is not None,
-                 "kext-bipartite needs n, k, delta")
         _require(k >= 1, f"k={k} violates k >= 1")
         _require(delta >= 1, f"delta={delta} violates delta >= 1")
         _require(n % 2 == 0, f"n={n} violates even order")
@@ -168,7 +168,6 @@ def member(family: str, p: FamilyParams) -> BlowUp:
         _require(q >= 0, f"n/2-delta-k-1={q} violates >= 0")
         return overlay(n, k, delta)
     if family == "kfactor-bipartite":
-        _require(k is not None, "kfactor-bipartite needs n, k")
         _require(n % 2 == 0, f"n={n} violates even order")
         _require(2 <= k <= n // 2 - 1,
                  f"k={k} violates 2 <= k <= n/2-1={n // 2 - 1}")
@@ -180,8 +179,6 @@ def member(family: str, p: FamilyParams) -> BlowUp:
                       (0b0100, 0b1100, 0b0011, 0b0010), (0, 1, 3, 2),
                       (SIDE_A, SIDE_A, SIDE_B, SIDE_B))
     if family == "kfc-general":
-        _require(k is not None and delta is not None,
-                 "kfc-general needs n, k, delta")
         _require(k >= 1, f"k={k} violates k >= 1")
         _require(n % 2 == k % 2, f"n={n} violates n = k (mod 2) for k={k}")
         _require(delta >= k, f"delta={delta} violates delta >= k={k}")
@@ -189,10 +186,9 @@ def member(family: str, p: FamilyParams) -> BlowUp:
         # n >= bound also keeps the large clique nonempty
         _require(n >= bound, f"n={n} violates n >= {bound}")
         return join_cliques(delta, join_sizes(n, k, delta))
-    if family == "hamilton-bipartite":
-        _require(n % 2 == 0 and n >= 8, f"n={n} violates even n >= 8")
-        return member("kfactor-bipartite", FamilyParams(n, 2))
-    raise GraphError(f"unknown family {family!r}")
+    # hamilton-bipartite
+    _require(n % 2 == 0 and n >= 8, f"n={n} violates even n >= 8")
+    return member("kfactor-bipartite", FamilyParams(n, 2))
 
 
 def construct_family(family: str, p: FamilyParams) -> Graph:

@@ -2,8 +2,9 @@
 structural queries and graph6 I/O.
 
 Vertices are always 0..n-1. ``adj[v]`` is an int whose bit ``u`` is set iff
-``u ~ v``. Graphs are immutable; every constructor validates symmetry,
-irreflexivity and (when present) the bipartition.
+``u ~ v``. A bipartition is one such vertex mask, ``side_a``: side A is its
+set bits, side B every other vertex. Graphs are immutable; every constructor
+validates symmetry, irreflexivity and (when present) the bipartition.
 """
 from __future__ import annotations
 
@@ -44,13 +45,13 @@ def mask_of(vertices: Iterable[int]) -> int:
 class Graph:
     """Undirected simple graph with an optional bipartition.
 
-    ``sides``, when not None, labels each vertex 0 (side A) or 1 (side B);
-    every edge must then join A to B.
+    ``side_a``, when not None, is the vertex mask of side A; side B is every
+    other vertex, and every edge must then join A to B.
     """
 
     n: int
     adj: tuple[int, ...]
-    sides: tuple[int, ...] | None = None
+    side_a: int | None = None
 
     def __post_init__(self):
         n = self.n
@@ -74,16 +75,18 @@ class Graph:
                 upper += 1
         if total != 2 * upper:
             raise GraphError("asymmetric adjacency")
-        if self.sides is not None:
-            if len(self.sides) != n:
-                raise GraphError("sides length != order")
-            if any(s not in (SIDE_A, SIDE_B) for s in self.sides):
-                raise GraphError("side labels must be 0 or 1")
-            for v in range(n):
-                for u in bits(self.adj[v] >> (v + 1)):
-                    if self.sides[v] == self.sides[v + 1 + u]:
-                        raise GraphError(
-                            f"edge ({v},{v + 1 + u}) inside one side")
+        side_a = self.side_a
+        if side_a is not None:
+            if side_a < 0 or side_a >> n:
+                raise GraphError("side A mask out of range")
+            side_b = ((1 << n) - 1) ^ side_a
+            for v, row in enumerate(self.adj):
+                # the rows are symmetric, so the first row with a bad bit
+                # meets its lowest pair here
+                bad = row & (side_a if side_a >> v & 1 else side_b)
+                if bad:
+                    u = (bad & -bad).bit_length() - 1
+                    raise GraphError(f"edge ({v},{u}) inside one side")
 
     # -- basic queries -------------------------------------------------
 
@@ -111,9 +114,10 @@ class Graph:
         return (1 << self.n) - 1
 
     def side_mask(self, side: int) -> int:
-        if self.sides is None:
+        side_a = self.side_a
+        if side_a is None:
             raise GraphError("graph carries no bipartition")
-        return mask_of(v for v in range(self.n) if self.sides[v] == side)
+        return side_a if side == SIDE_A else self.full_mask() ^ side_a
 
     def side_vertices(self, side: int) -> list[int]:
         return list(bits(self.side_mask(side)))
@@ -127,20 +131,21 @@ class Graph:
                 raise GraphError(f"edge ({u},{v}) not present")
             adj[u] &= ~(1 << v)
             adj[v] &= ~(1 << u)
-        return Graph(self.n, tuple(adj), self.sides)
+        return Graph(self.n, tuple(adj), self.side_a)
 
     def with_edge_toggled(self, u: int, v: int) -> "Graph":
         if u == v:
             raise GraphError("cannot toggle a loop")
-        if self.sides is not None and self.sides[u] == self.sides[v]:
+        if self.side_a is not None and not (self.side_a >> u
+                                            ^ self.side_a >> v) & 1:
             raise GraphError("toggle would break the bipartition")
         adj = list(self.adj)
         adj[u] ^= 1 << v
         adj[v] ^= 1 << u
-        return Graph(self.n, tuple(adj), self.sides)
+        return Graph(self.n, tuple(adj), self.side_a)
 
     def drop_bipartition(self) -> "Graph":
-        return Graph(self.n, self.adj, None) if self.sides is not None else self
+        return Graph(self.n, self.adj) if self.side_a is not None else self
 
     def induced(self, keep: Iterable[int]) -> "Graph":
         """Induced subgraph on ``keep``, relabeled densely in sorted order."""
@@ -154,17 +159,18 @@ class Graph:
                 j = pos.get(u)
                 if j is not None:
                     adj[i] |= 1 << j
-        sides = None
-        if self.sides is not None:
-            sides = tuple(self.sides[v] for v in order)
-        return Graph(len(order), tuple(adj), sides)
+        side_a = None
+        if self.side_a is not None:
+            side_a = mask_of(i for i, v in enumerate(order)
+                             if self.side_a >> v & 1)
+        return Graph(len(order), tuple(adj), side_a)
 
 
 # -- constructors ------------------------------------------------------
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]],
-               sides: Sequence[int] | None = None) -> Graph:
+               side_a: int | None = None) -> Graph:
     adj = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -173,7 +179,7 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]],
             raise GraphError(f"self-loop at {u}")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return Graph(n, tuple(adj), tuple(sides) if sides is not None else None)
+    return Graph(n, tuple(adj), side_a)
 
 
 def empty(n: int) -> Graph:
@@ -192,26 +198,25 @@ def complete_bipartite(p: int, q: int) -> Graph:
         raise GraphError("negative part size")
     a_mask = (1 << p) - 1
     b_mask = ((1 << q) - 1) << p
-    adj = [b_mask] * p + [a_mask] * q
-    sides = (SIDE_A,) * p + (SIDE_B,) * q
-    return Graph(p + q, tuple(adj), sides)
+    return Graph(p + q, (b_mask,) * p + (a_mask,) * q, a_mask)
 
 
 def cycle(n: int) -> Graph:
-    """Cycle C_n; bipartition by parity when n is even, none otherwise."""
+    """Cycle C_n; when n is even, side A is the even vertices, else there is
+    no bipartition."""
     if n < 3:
         raise GraphError("cycle needs at least 3 vertices")
     edges = [(v, (v + 1) % n) for v in range(n)]
-    sides = tuple(v & 1 for v in range(n)) if n % 2 == 0 else None
-    return from_edges(n, edges, sides)
+    # (4^(n/2) - 1) / 3 sets bits 0, 2, ..., n-2
+    return from_edges(n, edges, ((1 << n) - 1) // 3 if n % 2 == 0 else None)
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     adj = list(g.adj) + [row << g.n for row in h.adj]
-    sides = None
-    if g.sides is not None and h.sides is not None:
-        sides = g.sides + h.sides
-    return Graph(g.n + h.n, tuple(adj), sides)
+    side_a = None
+    if g.side_a is not None and h.side_a is not None:
+        side_a = g.side_a | h.side_a << g.n
+    return Graph(g.n + h.n, tuple(adj), side_a)
 
 
 def join(g: Graph, h: Graph) -> Graph:
@@ -229,17 +234,17 @@ def join(g: Graph, h: Graph) -> Graph:
 
 def bipartite_join(g1: Graph, g2: Graph) -> Graph:
     """Disjoint union plus all edges between side A of g1 and side B of g2."""
-    if g1.sides is None or g2.sides is None:
+    if g1.side_a is None or g2.side_a is None:
         raise GraphError("bipartite join needs bipartitions on both inputs")
     u = disjoint_union(g1, g2)
-    x1 = g1.side_mask(SIDE_A)
+    x1 = g1.side_a
     y2 = g2.side_mask(SIDE_B) << g1.n
     adj = list(u.adj)
     for v in bits(x1):
         adj[v] |= y2
     for v in bits(y2):
         adj[v] |= x1
-    return Graph(u.n, tuple(adj), u.sides)
+    return Graph(u.n, tuple(adj), u.side_a)
 
 
 def remove_star(g: Graph, center: int, leaf_count: int) -> Graph:
@@ -318,55 +323,52 @@ def edge_counts(g: Graph, x: Iterable[int], y: Iterable[int]) -> tuple[int, int]
 
 def infer_bipartition(g: Graph) -> Graph | None:
     """Two-color g if bipartite, flipping components so side A hits n//2
-    vertices when possible; returns None on an odd cycle."""
-    if g.sides is not None:
+    vertices when possible; returns None on an odd cycle.
+
+    Each component is colored by its BFS layers, its lowest vertex on side
+    A. Earlier components choose first, and a component is flipped only
+    when keeping it can no longer reach n//2."""
+    if g.side_a is not None:
         return g
-    color = [-1] * g.n
-    comp_choices = []  # (vertices, colors) per component
-    for comp in component_masks(g):
-        root = (comp & -comp).bit_length() - 1
-        color[root] = 0
-        frontier = [root]
+    adj = g.adj
+    comps = []  # (component, its vertices at even BFS depth)
+    rest = g.full_mask()
+    while rest:
+        comp = frontier = rest & -rest
+        layers = [frontier, 0]
+        depth = 0
         while frontier:
-            nxt = []
-            for v in frontier:
-                for u in bits(g.adj[v]):
-                    if color[u] == -1:
-                        color[u] = color[v] ^ 1
-                        nxt.append(u)
-                    elif color[u] == color[v]:
-                        return None
-            frontier = nxt
-        verts = list(bits(comp))
-        a_count = sum(1 for v in verts if color[v] == 0)
-        comp_choices.append((verts, a_count))
-    target = g.n // 2
-    # suffix-reachable side-A totals; prefer the unflipped orientation
-    reach = [set() for _ in range(len(comp_choices) + 1)]
-    reach[-1].add(0)
-    for i in range(len(comp_choices) - 1, -1, -1):
-        verts, a_count = comp_choices[i]
-        b_count = len(verts) - a_count
-        reach[i] = {a_count + r for r in reach[i + 1]}
-        reach[i] |= {b_count + r for r in reach[i + 1]}
-    flips = []
-    need = target
-    feasible = g.n % 2 == 0 and need in reach[0]
-    for i, (verts, a_count) in enumerate(comp_choices):
-        b_count = len(verts) - a_count
-        if feasible and need - a_count in reach[i + 1]:
-            flips.append(False)
-            need -= a_count
-        elif feasible and need - b_count in reach[i + 1]:
-            flips.append(True)
-            need -= b_count
-        else:
-            flips.append(False)
-    sides = [0] * g.n
-    for (verts, _), flip in zip(comp_choices, flips):
-        for v in verts:
-            sides[v] = color[v] ^ (1 if flip else 0)
-    return Graph(g.n, g.adj, tuple(sides))
+            nxt = 0
+            while frontier:
+                b = frontier & -frontier
+                nxt |= adj[b.bit_length() - 1]
+                frontier ^= b
+            frontier = nxt & rest & ~comp
+            comp |= frontier
+            depth ^= 1
+            layers[depth] |= frontier
+        comps.append((comp, layers[0]))
+        rest &= ~comp
+    side_a = sum(even for _, even in comps)
+    for v, row in enumerate(adj):
+        if row & (side_a if side_a >> v & 1 else ~side_a):
+            return None
+    # reach[i]: bit t is set when components i.. can put t vertices on A
+    reach = [1]
+    for comp, even in reversed(comps):
+        a = even.bit_count()
+        reach.append(reach[-1] << a | reach[-1] << comp.bit_count() - a)
+    reach.reverse()
+    need = g.n // 2
+    if g.n % 2 or not reach[0] >> need & 1:
+        return Graph(g.n, adj, side_a)
+    for (comp, even), after in zip(comps, reach[1:]):
+        a = even.bit_count()
+        if need < a or not after >> (need - a) & 1:
+            side_a ^= comp
+            a = comp.bit_count() - a
+        need -= a
+    return Graph(g.n, adj, side_a)
 
 
 # -- graph6 ------------------------------------------------------------

@@ -145,10 +145,6 @@ def random_bipartite_rows(rng: random.Random, p_side: int, q_side: int,
     return adj
 
 
-def _sides(p_side: int, q_side: int) -> tuple[int, ...]:
-    return (SIDE_A,) * p_side + (SIDE_B,) * q_side
-
-
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return Graph(n, tuple(random_rows(rng, n, p)))
 
@@ -157,7 +153,7 @@ def random_bipartite(rng: random.Random, p_side: int, q_side: int,
                      prob: float) -> Graph:
     return Graph(p_side + q_side,
                  tuple(random_bipartite_rows(rng, p_side, q_side, prob)),
-                 _sides(p_side, q_side))
+                 (1 << p_side) - 1)
 
 
 def random_regular_bipartite(rng: random.Random, half: int,
@@ -185,7 +181,7 @@ def random_regular_bipartite(rng: random.Random, half: int,
         for b, a in owner.items():
             adj[a] |= 1 << b
             adj[b] |= 1 << a
-    return Graph(2 * half, tuple(adj), _sides(half, half))
+    return Graph(2 * half, tuple(adj), (1 << half) - 1)
 
 
 # -- route, property, theorem and lemma tables ---------------------------
@@ -331,11 +327,11 @@ def _perturb(rng: random.Random, base: Graph, edits: int) -> list[int]:
     """Adjacency rows of ``base`` with ``edits`` random pairs toggled, across
     the bipartition when ``base`` carries one."""
     rows = list(base.adj)
-    if base.sides is not None:
+    if base.side_a is not None:
         a_side = base.side_vertices(SIDE_A)
         b_side = base.side_vertices(SIDE_B)
     for _ in range(edits):
-        if base.sides is not None:
+        if base.side_a is not None:
             u = a_side[rng.randrange(len(a_side))]
             v = b_side[rng.randrange(len(b_side))]
         else:
@@ -371,12 +367,12 @@ def sample_for_theorem(spec: TheoremSpec, p: fam.FamilyParams,
             else:
                 rows = random_rows(rng, p.n, prob)
             if _in_hypothesis_class(spec, rows, delta):
-                sides = _sides(half, half) if spec.bipartite else None
-                return Graph(len(rows), tuple(rows), sides)
+                side_a = (1 << half) - 1 if spec.bipartite else None
+                return Graph(len(rows), tuple(rows), side_a)
     for _ in range(SAMPLE_ATTEMPTS):
         rows = _perturb(rng, extremal, 1 + rng.randrange(3))
         if _in_hypothesis_class(spec, rows, delta):
-            return Graph(extremal.n, tuple(rows), extremal.sides)
+            return Graph(extremal.n, tuple(rows), extremal.side_a)
     return extremal
 
 
@@ -635,8 +631,7 @@ def _compare_on_graph(g: Graph, limit: int) -> list[str]:
             issues += _disagreement("chen!=definitional", k, chen, defn, g)
             issues += _failed_revalidations(g, g, (chen, defn))
     gb = infer_bipartition(g)
-    if gb is not None and gb.side_mask(SIDE_A).bit_count() * 2 == gb.n \
-            and gb.n >= 2:
+    if gb is not None and gb.side_a.bit_count() * 2 == gb.n and gb.n >= 2:
         if is_connected(gb) and gb.n % 2 == 0:
             for k in (1, 2):
                 plum = _search_result(
@@ -854,8 +849,4 @@ def cmd_scan(lines: Iterable[str], theorem: str, p: fam.FamilyParams,
 
 
 def cmd_construct(family: str, p: fam.FamilyParams) -> str:
-    try:
-        g = fam.construct_family(family, p)
-    except GraphError as exc:
-        raise UsageError(str(exc)) from exc
-    return graph6_encode(g)
+    return graph6_encode(fam.construct_family(family, p))

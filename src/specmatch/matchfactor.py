@@ -135,13 +135,12 @@ def max_matching_bipartite(g: Graph) -> Matching:
     """Maximum matching of a bipartite graph via augmenting paths from the
     side-A vertices in ascending order; a vertex without one stays
     unmatched."""
-    if g.sides is None:
+    if g.side_a is None:
         raise GraphError("bipartite matching needs a bipartition")
     cands = [list(bits(row)) for row in g.adj]
     owner: dict[int, int] = {}
-    for a in range(g.n):
-        if g.sides[a] == SIDE_A:
-            _augment(cands, owner, a, set())
+    for a in bits(g.side_a):
+        _augment(cands, owner, a, set())
     return matching_of([(a, b) for b, a in owner.items()])
 
 
@@ -218,7 +217,7 @@ def max_matching_general(g: Graph) -> Matching:
 
 
 def max_matching(g: Graph) -> Matching:
-    if g.sides is not None:
+    if g.side_a is not None:
         return max_matching_bipartite(g)
     return max_matching_general(g)
 
@@ -553,7 +552,7 @@ def _plummer_decided(g: Graph,
     """Validate the input and settle the cases that need no criterion:
     unbalanced sides (an immediate negative with a size certificate) and
     k >= |A|, where the only size-k matchings are perfect. None otherwise."""
-    if g.sides is None:
+    if g.side_a is None:
         raise GraphError("criterion needs a bipartition")
     if k < 1:
         raise GraphError(
@@ -690,7 +689,7 @@ def _factor_targets(g: Graph, f) -> tuple[int, ...]:
 
 
 def _ore_sides(g: Graph) -> tuple[list[int], list[int]]:
-    if g.sides is None:
+    if g.side_a is None:
         raise GraphError("factor criteria need a bipartition")
     return g.side_vertices(SIDE_A), g.side_vertices(SIDE_B)
 
@@ -965,14 +964,14 @@ def hamiltonian_cycle(
         limit: int = EXHAUSTIVE_LIMIT) -> tuple[bool, Certificate | None]:
     """Backtracking Hamilton-cycle search on balanced bipartite graphs with
     degree and connectivity pruning."""
-    if g.sides is None:
+    if g.side_a is None:
         raise GraphError("search expects a bipartite graph")
     if g.n > limit:
         raise GraphError(f"search limited to n <= {limit}")
     n = g.n
     if n < 4 or n % 2:
         return False, None
-    if len(g.side_vertices(SIDE_A)) != len(g.side_vertices(SIDE_B)):
+    if 2 * g.side_a.bit_count() != n:
         return False, None
     if min(g.degrees()) < 2:
         return False, None
@@ -1058,10 +1057,10 @@ def _certificate_holds(g: Graph, cert: Certificate) -> bool:
         nbh = _neighborhood_mask(g.adj, x_mask)
         if p["criterion"] == "extendability":
             k = p["k"]
+            # side_mask raises, so a host without sides is False
+            a_count = g.side_mask(SIDE_A).bit_count()
             if p.get("reason") == "unbalanced-sides":
-                a, b = g.side_vertices(SIDE_A), g.side_vertices(SIDE_B)
-                return len(a) != len(b)
-            a_count = len(g.side_vertices(SIDE_A))
+                return 2 * a_count != g.n
             return (nbh.bit_count() < len(x) + k
                     and len(x) <= a_count - k)
         targets = p["targets"]

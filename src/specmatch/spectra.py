@@ -50,23 +50,6 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
 
 
 @dataclass(eq=False)
-class SymMatrix:
-    """Real symmetric matrix with validated entries."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise GraphError("matrix must be square")
-        if not np.all(np.isfinite(m)):
-            raise GraphError("matrix entries must be finite")
-        if not np.array_equal(m, m.T):
-            raise GraphError("matrix must be symmetric")
-        self.entries = m
-
-
-@dataclass(eq=False)
 class SpectralResult:
     rho: float
     perron: np.ndarray
@@ -134,10 +117,16 @@ def spectral_radius(g: Graph, tol: float | None = None) -> SpectralResult:
                           tol=tol, matvecs=total_matvecs)
 
 
-def full_spectrum(m: SymMatrix | np.ndarray,
-                  tol: float | None = None) -> np.ndarray:
-    """All eigenvalues in descending order, residual-checked."""
-    a = m.entries if isinstance(m, SymMatrix) else SymMatrix(np.asarray(m)).entries
+def full_spectrum(m: np.ndarray, tol: float | None = None) -> np.ndarray:
+    """All eigenvalues of a real symmetric matrix in descending order,
+    residual-checked."""
+    a = np.asarray(m, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise GraphError("matrix must be square")
+    if not np.all(np.isfinite(a)):
+        raise GraphError("matrix entries must be finite")
+    if not np.array_equal(a, a.T):
+        raise GraphError("matrix must be symmetric")
     if a.shape[0] == 0:
         return np.zeros(0)
     if tol is None:
@@ -361,7 +350,7 @@ def degree_sum_identity(g: Graph, u: int) -> tuple[int, int]:
 def sqrt_m_bound(g: Graph) -> float:
     """sqrt(edge count): an upper bound on the spectral radius of a
     bipartite graph with at least one edge."""
-    if g.sides is None:
+    if g.side_a is None:
         raise GraphError("bound requires a bipartition")
     m = g.m
     if m < 1:

@@ -9,8 +9,9 @@ earlier Graph-per-draw sampler, its earlier matching routines (three
 separate augmenting-path copies and the subset loop of Ore's criterion),
 its earlier per-family recognizers, its earlier per-theorem hypotheses, and
 its earlier power iteration, identity (13), FMS bound and graph6 decoder,
-its earlier family graph builders and quotients, and its odd-set search
-before the per-subtree Tutte-Berge bound as differential baselines.
+its earlier family graph builders and quotients, its odd-set search
+before the per-subtree Tutte-Berge bound, and its bipartition inference
+on per-vertex side labels as differential baselines.
 ``path`` and ``isomorphic_small`` are graph helpers that only the tests
 use.
 """
@@ -255,7 +256,7 @@ def _ref_plummer_enumerate(g: Graph, a_verts: list[int], k: int):
 
 def ref_is_k_extendable_plummer(g: Graph, k: int,
                                 enum_limit: int = mf.EXHAUSTIVE_LIMIT):
-    if g.sides is None:
+    if g.side_a is None:
         raise GraphError("criterion needs a bipartition")
     if k < 1:
         raise GraphError(
@@ -451,7 +452,7 @@ def ref_unpruned_kfc_violating_set(g: Graph, k: int,
 
 
 def ref_max_matching_bipartite(g: Graph) -> mf.Matching:
-    if g.sides is None:
+    if g.side_a is None:
         raise GraphError("bipartite matching needs a bipartition")
     match = [-1] * g.n
 
@@ -467,10 +468,10 @@ def ref_max_matching_bipartite(g: Graph) -> mf.Matching:
         return False
 
     for a in range(g.n):
-        if g.sides[a] == SIDE_A and match[a] == -1:
+        if g.side_a >> a & 1 and match[a] == -1:
             augment(a, set())
     return mf.matching_of([(a, match[a]) for a in range(g.n)
-                           if g.sides[a] == SIDE_A and match[a] != -1])
+                           if g.side_a >> a & 1 and match[a] != -1])
 
 
 def _ref_subset_certificate(adj, k: int, x) -> mf.Certificate:
@@ -615,7 +616,7 @@ def ref_random_regular_bipartite(rng: random.Random, half: int,
             b = match[a]
             adj[a] |= 1 << b
             adj[b] |= 1 << a
-    return Graph(2 * half, tuple(adj), (SIDE_A,) * half + (SIDE_B,) * half)
+    return Graph(2 * half, tuple(adj), (1 << half) - 1)
 
 
 # -- reference sampler -----------------------------------------------------
@@ -644,8 +645,7 @@ def ref_random_bipartite(rng: random.Random, p_side: int, q_side: int,
             if rng.random() < prob:
                 adj[a] |= 1 << b
                 adj[b] |= 1 << a
-    sides = (SIDE_A,) * p_side + (SIDE_B,) * q_side
-    return Graph(n, tuple(adj), sides)
+    return Graph(n, tuple(adj), (1 << p_side) - 1)
 
 
 def _ref_in_hypothesis_class(spec, g: Graph, delta: int | None) -> bool:
@@ -659,7 +659,7 @@ def _ref_in_hypothesis_class(spec, g: Graph, delta: int | None) -> bool:
 def _ref_perturb(rng: random.Random, base: Graph, edits: int) -> Graph:
     g = base
     for _ in range(edits):
-        if base.sides is not None:
+        if base.side_a is not None:
             a_side = base.side_vertices(SIDE_A)
             b_side = base.side_vertices(SIDE_B)
             u = a_side[rng.randrange(len(a_side))]
@@ -737,7 +737,7 @@ def _ref_recognize_join_family(g: Graph, n: int, delta: int, a: int,
 
 
 def _ref_sides_or_inferred(g: Graph) -> Graph | None:
-    return g if g.sides is not None else infer_bipartition(g)
+    return g if g.side_a is not None else infer_bipartition(g)
 
 
 def _ref_recognize_kext_bipartite(g: Graph, n: int, k: int, s: int) -> bool:
@@ -1049,3 +1049,61 @@ def ref_graph6_decode(text: str) -> Graph:
         if pad:
             raise GraphError("nonzero graph6 padding bits")
     return Graph(n, tuple(adj), None)
+
+
+# -- reference bipartition inference ---------------------------------------
+# The library's bipartition inference before the side-A mask: a per-vertex
+# color list from a per-edge BFS, and a suffix DP over sets of side-A
+# totals. It returns the library's form, a Graph with its side-A mask.
+
+
+def ref_infer_bipartition(g: Graph) -> Graph | None:
+    if g.side_a is not None:
+        return g
+    color = [-1] * g.n
+    comp_choices = []  # (vertices, colors) per component
+    for comp in component_masks(g):
+        root = (comp & -comp).bit_length() - 1
+        color[root] = 0
+        frontier = [root]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for u in bits(g.adj[v]):
+                    if color[u] == -1:
+                        color[u] = color[v] ^ 1
+                        nxt.append(u)
+                    elif color[u] == color[v]:
+                        return None
+            frontier = nxt
+        verts = list(bits(comp))
+        a_count = sum(1 for v in verts if color[v] == 0)
+        comp_choices.append((verts, a_count))
+    target = g.n // 2
+    # suffix-reachable side-A totals; prefer the unflipped orientation
+    reach = [set() for _ in range(len(comp_choices) + 1)]
+    reach[-1].add(0)
+    for i in range(len(comp_choices) - 1, -1, -1):
+        verts, a_count = comp_choices[i]
+        b_count = len(verts) - a_count
+        reach[i] = {a_count + r for r in reach[i + 1]}
+        reach[i] |= {b_count + r for r in reach[i + 1]}
+    flips = []
+    need = target
+    feasible = g.n % 2 == 0 and need in reach[0]
+    for i, (verts, a_count) in enumerate(comp_choices):
+        b_count = len(verts) - a_count
+        if feasible and need - a_count in reach[i + 1]:
+            flips.append(False)
+            need -= a_count
+        elif feasible and need - b_count in reach[i + 1]:
+            flips.append(True)
+            need -= b_count
+        else:
+            flips.append(False)
+    sides = [0] * g.n
+    for (verts, _), flip in zip(comp_choices, flips):
+        for v in verts:
+            sides[v] = color[v] ^ (1 if flip else 0)
+    return Graph(g.n, g.adj, mask_of(v for v in range(g.n)
+                                     if sides[v] == SIDE_A))

@@ -175,7 +175,8 @@ class TestRecognize:
             for u in range(g.n):
                 for v in range(u + 1, g.n):
                     if not g.has_edge(u, v):
-                        if g.sides is not None and g.sides[u] == g.sides[v]:
+                        if g.side_a is not None and not (
+                                g.side_a >> u ^ g.side_a >> v) & 1:
                             continue
                         mutated = g.with_edge_toggled(u, v)
                         break
@@ -286,8 +287,8 @@ class TestBlowUpReference:
                 continue
             g, q = construct_family(family, p), family_quotient(family, p)
             ref_g, ref_q = ref_family_member(family, p)
-            assert (g.n, g.adj, g.sides) == (ref_g.n, ref_g.adj,
-                                             ref_g.sides), (family, p)
+            assert (g.n, g.adj, g.side_a) == (ref_g.n, ref_g.adj,
+                                              ref_g.side_a), (family, p)
             assert q == ref_q, (family, p)
             members += 1
         assert members == 1770
@@ -306,8 +307,8 @@ class TestBlowUpReference:
                 for n in range(4 * s + 2 * k + 2, LEMMA_MAX_N + 1, 2):
                     g, ref = overlay(n, k, s - 1).graph(), ref_overlay(
                         n, k, s - 1)
-                    assert (g.n, g.adj, g.sides) == (ref.n, ref.adj,
-                                                     ref.sides), (n, k, s)
+                    assert (g.n, g.adj, g.side_a) == (ref.n, ref.adj,
+                                                      ref.side_a), (n, k, s)
 
 
 class TestFamilyTable:
@@ -325,6 +326,22 @@ class TestFamilyTable:
                 assert not accepted, (family, p)
             else:
                 assert accepted and got == member(family, p), (family, p)
+
+    @pytest.mark.parametrize("family, params, err", [
+        ("kext-general", FamilyParams(10, k=1),
+         "kext-general needs n, k, delta"),
+        ("kext-bipartite", FamilyParams(10, delta=2),
+         "kext-bipartite needs n, k, delta"),
+        ("kfactor-bipartite", FamilyParams(10, delta=2),
+         "kfactor-bipartite needs n, k"),
+        ("kfc-general", FamilyParams(10),
+         "kfc-general needs n, k, delta"),
+        ("kfc-genera", FamilyParams(10), "unknown family 'kfc-genera'"),
+    ])
+    def test_missing_parameter_messages(self, family, params, err):
+        with pytest.raises(GraphError) as info:
+            member(family, params)
+        assert str(info.value) == err
 
     def test_kfc_at_2_is_kext_at_1(self):
         # both join a delta-clique to the same cliques (c = 2), so wherever

@@ -52,7 +52,7 @@ def _near_extremal(g, other, seed: int):
     the sides when ``g`` has them), each relabeled."""
     toggles = [g.with_edge_toggled(u, v) for u in range(g.n)
                for v in range(u + 1, g.n)
-               if g.sides is None or g.sides[u] != g.sides[v]]
+               if g.side_a is None or (g.side_a >> u ^ g.side_a >> v) & 1]
     return ([_relabeled(g, seed + i) for i in range(3)]
             + [_relabeled(h, seed + 3 + i)
                for i, h in enumerate([other] + toggles)])

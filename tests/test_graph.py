@@ -3,15 +3,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specmatch.graph import (Graph, GraphError, SIDE_A, bipartite_join, bits,
-                             complete, complete_bipartite, cycle,
-                             disjoint_union, edge_counts, empty, from_edges,
+from specmatch.graph import (Graph, GraphError, SIDE_A, SIDE_B,
+                             bipartite_join, bits, complete,
+                             complete_bipartite, cycle, disjoint_union,
+                             edge_counts, empty, from_edges,
                              graph6_decode, graph6_encode, infer_bipartition,
                              is_connected, join, remove_star)
 from specmatch.families import extremal_kfactor
 
 from conftest import (isomorphic_small, path, ref_graph6_decode,
-                      seeded_random_graph)
+                      ref_infer_bipartition, seeded_random_graph)
 
 
 class TestConstructors:
@@ -32,7 +33,7 @@ class TestConstructors:
         g = join(complete(2), disjoint_union(complete(7), empty(1)))
         assert g.n == 10
         assert min(g.degrees()) == 2
-        assert g.sides is None
+        assert g.side_a is None
 
     def test_join_identities(self):
         j = join(complete(1), complete(1))
@@ -80,14 +81,58 @@ class TestConstructors:
             Graph(2, (1, 0))  # self-loop at 0
         with pytest.raises(GraphError):
             Graph(2, (2, 0))  # asymmetric
-        with pytest.raises(GraphError):
-            Graph(2, (2, 1), (SIDE_A, SIDE_A))  # edge inside a side
+        with pytest.raises(GraphError, match=r"edge \(0,1\) inside one side"):
+            Graph(2, (2, 1), 0b11)
         with pytest.raises(GraphError):
             from_edges(2, [(0, 5)])
         for row in (1 << 2, -1):
             with pytest.raises(GraphError,
                                match="vertex 0: neighbor out of range"):
                 Graph(2, (row, 0))
+
+
+class TestSideMask:
+    def test_mask_out_of_range(self):
+        for side_a in (0b100, 0b101, 1 << 40, -1, -2):
+            with pytest.raises(GraphError, match="side A mask out of range"):
+                Graph(2, (2, 1), side_a)
+        with pytest.raises(GraphError, match="side A mask out of range"):
+            Graph(0, (), 1)
+
+    def test_edge_inside_a_side_names_the_first_pair(self):
+        # the pair named before the mask: the lowest v, then the lowest
+        # u > v, on the same side as v
+        rng = random.Random(15)
+        raised = 0
+        for i in range(300):
+            n = rng.randrange(2, 13)
+            g = seeded_random_graph(i, n, rng.choice((0.1, 0.3)))
+            side_a = rng.getrandbits(n)
+            pairs = [(v, u) for v in range(n) for u in bits(g.adj[v])
+                     if u > v and (side_a >> v ^ side_a >> u) & 1 == 0]
+            if not pairs:
+                assert Graph(n, g.adj, side_a).side_a == side_a
+                continue
+            with pytest.raises(GraphError) as info:
+                Graph(n, g.adj, side_a)
+            assert str(info.value) == (
+                f"edge ({pairs[0][0]},{pairs[0][1]}) inside one side")
+            raised += 1
+        assert raised > 100
+
+    def test_builders_set_the_mask(self):
+        assert cycle(6).side_a == 0b010101
+        assert cycle(5).side_a is None
+        k23 = complete_bipartite(2, 3)
+        assert (k23.side_a, k23.side_mask(SIDE_B)) == (0b00011, 0b11100)
+        u = disjoint_union(cycle(4), k23)
+        assert u.side_a == 0b000110101
+        assert u.induced([1, 2, 4, 5, 8]).side_a == 0b01110
+        assert bipartite_join(cycle(4), k23).side_a == u.side_a
+        assert u.drop_bipartition().side_a is None
+        with pytest.raises(GraphError, match="break the bipartition"):
+            u.with_edge_toggled(0, 2)
+        assert u.with_edge_toggled(0, 3).side_a == u.side_a
 
 
 class TestSizeInvariants:
@@ -256,6 +301,32 @@ class TestInferBipartition:
         gb = infer_bipartition(g)
         assert gb is not None
         assert gb.side_mask(SIDE_A).bit_count() == 3
+
+    def test_matches_reference(self):
+        # bipartite or not, connected or not, odd and even orders
+        rng = random.Random(2211)
+        bipartite = 0
+        for i in range(3000):
+            n = rng.randrange(0, 16)
+            label = rng.getrandbits(n)
+            prob = rng.choice((0.15, 0.3, 0.6))
+            adj = [0] * n
+            for u in range(n):
+                for v in range(u + 1, n):
+                    if (label >> u ^ label >> v) & 1 and rng.random() < prob:
+                        adj[u] |= 1 << v
+                        adj[v] |= 1 << u
+            if n >= 2 and rng.random() < 0.3:
+                u, v = rng.sample(range(n), 2)
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+            g = Graph(n, tuple(adj))
+            got, want = infer_bipartition(g), ref_infer_bipartition(g)
+            assert (got is None) == (want is None), i
+            if got is not None:
+                assert got.side_a == want.side_a, i
+                bipartite += 1
+        assert 2000 < bipartite < 3000
 
     def test_path_helper(self):
         assert path(4).m == 3

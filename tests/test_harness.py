@@ -437,8 +437,8 @@ class TestSampler:
                         spec, p, base, rng_for(seed, i), i)
                     got = sample_for_theorem(spec, p, base,
                                              rng_for(seed, i), i)
-                    assert (got.n, got.adj, got.sides) == (
-                        expected.n, expected.adj, expected.sides), \
+                    assert (got.n, got.adj, got.side_a) == (
+                        expected.n, expected.adj, expected.side_a), \
                         (name, seed, i, how)
                     exits[how] += 1
         assert all(exits.values()), exits
@@ -468,8 +468,8 @@ class TestSampler:
             k = i % (half + 1)
             got = random_regular_bipartite(rng_for(17, i), half, k)
             want = ref_random_regular_bipartite(rng_for(17, i), half, k)
-            assert (got.n, got.adj, got.sides) == (want.n, want.adj,
-                                                   want.sides), (half, k)
+            assert (got.n, got.adj, got.side_a) == (want.n, want.adj,
+                                                    want.side_a), (half, k)
 
 
 class TestCrossCheck:
@@ -695,16 +695,24 @@ class TestEntryValidation:
         ("--k", "5"), ("--delta", "9"), ("--samples", "3"), ("--seed", "4"),
         ("--sam", "3"), ("--tol", "0.5"), ("--exhaustive-limit", "3")])
     def test_lemma_rejects_unread_flags(self, flag, value, tmp_path, capsys):
-        # the lemma sweeps are fixed: no sample, tolerance or search limit
+        # the lemma sweeps are fixed: no sample, tolerance or search limit.
+        # argv, like a config, takes exact flag names: --sam is no flag
         named = "--samples" if flag == "--sam" else flag
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{named[2:]}={value}\n")
         for extra in ([flag, value], ["--config", str(cfg)]):
-            code = cli.main(["verify", "--theorem", "l2.3"] + extra)
+            try:
+                code = cli.main(["verify", "--theorem", "l2.3"] + extra)
+            except SystemExit as exc:
+                code = exc.code
             captured = capsys.readouterr()
             assert code == 2 and captured.out == ""
-            assert captured.err.rstrip() == (
-                f"error: verify --theorem l2.3 does not read {named}")
+            if extra[0] == "--sam":
+                assert "unrecognized arguments: --sam 3" in captured.err
+                assert "Traceback" not in captured.err
+            else:
+                assert captured.err.rstrip() == (
+                    f"error: verify --theorem l2.3 does not read {named}")
 
     def test_hamiltonian_rejects_k(self, tmp_path, capsys):
         f = tmp_path / "in.g6"
@@ -768,11 +776,11 @@ class TestEntryValidation:
         ["construct", "--family", "kext-bipartite", "--n", "16", "--k", "1"],
     ])
     def test_s_is_no_parameter(self, argv, tmp_path, capsys):
-        # the overlay size is read as --delta only: argparse takes --s for
-        # an ambiguous prefix, and a config file has no key s
+        # the overlay size is read as --delta only: --s is no flag, as
+        # argv takes no prefixes, and a config file has no key s
         cfg = tmp_path / "run.cfg"
         cfg.write_text("s=3\n")
-        for extra, err in ((["--s", "3"], "ambiguous option: --s"),
+        for extra, err in ((["--s", "3"], "unrecognized arguments: --s 3"),
                            (["--config", str(cfg)], "unknown key 's'")):
             try:
                 code = cli.main(argv + extra)

@@ -10,7 +10,8 @@ from specmatch import matchfactor as mf
 from specmatch.graph import (GraphError, SIDE_A, SIDE_B, bits, complete,
                              complete_bipartite, cycle, disjoint_union,
                              empty, from_edges, graph6_decode, graph6_encode,
-                             infer_bipartition, join, remove_star)
+                             infer_bipartition, join, mask_of,
+                             remove_star)
 from specmatch.matchfactor import (Certificate, FactorSpec,
                                    chen_violating_set,
                                    decompose_edge_disjoint_pms,
@@ -261,7 +262,7 @@ class TestDecomposition:
         k44 = complete_bipartite(4, 4)
         _, cert = find_k_factor_flow(k44, 3)
         h = from_edges(8, [tuple(e) for e in cert.payload["edges"]],
-                       sides=k44.sides)
+                       side_a=k44.side_a)
         pms = decompose_edge_disjoint_pms(h)
         assert len(pms) == 3
         seen = set()
@@ -579,10 +580,9 @@ def _balanced_bipartite_graphs(max_half: int):
     """Every graph on sides {0..h-1} and {h..2h-1}, for h <= max_half."""
     for h in range(1, max_half + 1):
         pairs = [(a, b) for a in range(h) for b in range(h, 2 * h)]
-        sides = (SIDE_A,) * h + (SIDE_B,) * h
         for mask in range(1 << len(pairs)):
             yield from_edges(2 * h, [e for i, e in enumerate(pairs)
-                                     if (mask >> i) & 1], sides)
+                                     if (mask >> i) & 1], (1 << h) - 1)
 
 
 class TestMatchingReferences:
@@ -638,13 +638,11 @@ class TestMatchingReferences:
 
 def _relabeled(g, perm):
     """g with vertex v renamed perm[v], sides carried along."""
-    sides = None
-    if g.sides is not None:
-        sides = [0] * g.n
-        for v in range(g.n):
-            sides[perm[v]] = g.sides[v]
+    side_a = None
+    if g.side_a is not None:
+        side_a = mask_of(perm[v] for v in bits(g.side_a))
     return from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()],
-                      sides)
+                      side_a)
 
 
 def _relabel_invariant(search, g, k):

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from specmatch.graph import (GraphError, complete, complete_bipartite, cycle,
                              disjoint_union, empty, is_connected)
 from specmatch.spectra import (ConvergenceError, Partition, QuotientMatrix,
-                               SymMatrix,
                                adjacency_matrix, charpoly_quartic,
                                degree_sum_identity, fms_bound, full_spectrum,
                                quartic_largest_root, quotient,
@@ -159,7 +158,7 @@ class TestFullSpectrum:
 
     def test_symmetry_required(self):
         with pytest.raises(GraphError):
-            SymMatrix(np.array([[0.0, 1.0], [0.5, 0.0]]))
+            full_spectrum(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
 
 class TestEquitableRefinement:
