@@ -219,7 +219,7 @@ def run(argv: list[str] | None = None) -> int:
         report = hz.cmd_scan(_read_lines(cfg), cfg["theorem"], _params(cfg),
                              tol=cfg["tol"], limit=cfg["exhaustive_limit"],
                              jobs=cfg["jobs"])
-    sys.stdout.write(hz.render(report, cfg["format"]))
+    hz.render(report, cfg["format"], sys.stdout)
     return report.exit_code()
 
 

@@ -20,7 +20,8 @@ import json
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable
+from itertools import islice
+from typing import Callable, Iterable, TextIO
 
 from . import families as fam
 from . import matchfactor as mf
@@ -37,6 +38,7 @@ DEFAULT_TOL = 1e-8
 MIN_TOL = 1e-12
 LEMMA_MARGIN = 1e-9
 DENSE_STRIDE = 25  # every DENSE_STRIDE-th lemma cell gets a dense recheck
+LEMMA_CHUNK = 2048  # lemma cells per stacked solve; bounds a sweep's memory
 LEMMA_MAX_N = 40  # the upper order of every lemma sweep
 
 PROPERTY_COLUMNS = ("graph", "rho", "rho_star", "margin", "verdict",
@@ -84,19 +86,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def render_csv(report: Report) -> str:
+def render_csv(report: Report, out: TextIO) -> None:
+    """Write the report to ``out`` as CSV, a row at a time, so that a long
+    report is never held as one string beside its rows."""
     import csv
-    import io
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(report.columns)
     for row in report.rows:
         writer.writerow([_fmt(row.get(c)) for c in report.columns])
     for key in sorted(report.summary):
-        buf.write(f"# {key}={report.summary[key]}\n")
+        out.write(f"# {key}={report.summary[key]}\n")
     for note in report.notes:
-        buf.write(f"# note: {note}\n")
-    return buf.getvalue()
+        out.write(f"# note: {note}\n")
 
 
 def render_json(report: Report) -> str:
@@ -109,9 +110,12 @@ def render_json(report: Report) -> str:
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
-def render(report: Report, fmt: str) -> str:
-    """The report as ``fmt``: "json", else CSV."""
-    return render_json(report) if fmt == "json" else render_csv(report)
+def render(report: Report, fmt: str, out: TextIO) -> None:
+    """Write the report to ``out`` as ``fmt``: "json", else CSV."""
+    if fmt == "json":
+        out.write(render_json(report))
+    else:
+        render_csv(report, out)
 
 
 # -- deterministic sampling ----------------------------------------------
@@ -552,46 +556,73 @@ def _cells_23() -> Iterable[tuple[str, tuple, tuple]]:
         for delta in range(2 * k + 1, 6):
             for n in range(8 * delta - 10 * k + 4, LEMMA_MAX_N + 1):
                 yield (f"l2.3 k={k} delta={delta} n={n}",
-                       (2 * k, [delta - 2 * k + 1, n - delta - 1]),
+                       (2 * k, (delta - 2 * k + 1, n - delta - 1)),
                        (delta, fam.join_sizes(n, 2 * k, delta)))
 
 
 def _clique_pair_rows(report: Report,
                       cells: Iterable[tuple[str, tuple, tuple]]) -> None:
-    """One row per (label, lhs, rhs) cell, each side a ``join_cliques``
-    argument pair: the lemma holds when rho(rhs) exceeds rho(lhs). Both
-    come from exact quotients, each distinct rhs (a hashable pair) solved
-    once; every DENSE_STRIDE-th cell also checks them against the dense
-    spectra of the graphs."""
+    """One row per (label, lhs, rhs) cell, each side a hashable
+    ``join_cliques`` argument pair: the lemma holds when rho(rhs) exceeds
+    rho(lhs). Both come from exact quotients; every DENSE_STRIDE-th cell
+    also checks them against the dense spectra of the graphs.
+
+    Cells are read LEMMA_CHUNK at a time. A chunk's lhs quotients are
+    solved in one stacked batch, and so are its rhs and its rechecked
+    sides that no earlier chunk solved; each distinct side is solved once
+    per sweep."""
     rhs_rho: dict[tuple, float] = {}
-    for cell, (label, lhs, rhs) in enumerate(cells):
-        lo = fam.join_cliques(*lhs).quotient().largest_eigenvalue()
-        if rhs not in rhs_rho:
-            rhs_rho[rhs] = (fam.join_cliques(*rhs).quotient()
-                            .largest_eigenvalue())
-        hi = rhs_rho[rhs]
-        margin = hi - lo
-        ok = margin > LEMMA_MARGIN
-        if cell % DENSE_STRIDE == 0:
-            lo_d, hi_d = (sp.rho_dense(fam.join_cliques(*side).graph())
-                          for side in (lhs, rhs))
-            ok = ok and abs(lo - lo_d) <= 1e-8 and abs(hi - hi_d) <= 1e-8
-        _lemma_row(report, label, lo, hi, margin, ok)
+    dense: dict[tuple, float] = {}
+    cells = iter(cells)
+    start = 0
+    while chunk := list(islice(cells, LEMMA_CHUNK)):
+        los = _quotient_rhos([lhs for _, lhs, _ in chunk])
+        _solve_new(rhs_rho, (rhs for _, _, rhs in chunk), _quotient_rhos)
+        checked = range(-start % DENSE_STRIDE, len(chunk), DENSE_STRIDE)
+        _solve_new(dense, (side for i in checked for side in chunk[i][1:]),
+                   _dense_rhos)
+        for i, ((label, lhs, rhs), lo) in enumerate(zip(chunk, los)):
+            hi = rhs_rho[rhs]
+            margin = hi - lo
+            ok = margin > LEMMA_MARGIN
+            if (start + i) % DENSE_STRIDE == 0:
+                ok = (ok and abs(lo - dense[lhs]) <= 1e-8
+                      and abs(hi - dense[rhs]) <= 1e-8)
+            _lemma_row(report, label, lo, hi, margin, ok)
+        start += len(chunk)
+
+
+def _quotient_rhos(sides: list[tuple]) -> list[float]:
+    return sp.largest_eigenvalues(
+        [fam.join_cliques(*side).quotient() for side in sides])
+
+
+def _dense_rhos(sides: list[tuple]) -> list[float]:
+    return sp.rho_dense_many([fam.join_cliques(*side).graph()
+                              for side in sides])
+
+
+def _solve_new(known: dict[tuple, float], sides: Iterable[tuple],
+               solve: Callable[[list[tuple]], list[float]]) -> None:
+    """Add to ``known`` the values of the sides it lacks, each solved once
+    in one ``solve`` call."""
+    new = list(dict.fromkeys(side for side in sides if side not in known))
+    known.update(zip(new, solve(new)))
 
 
 def _lemma_rows_26(report: Report) -> None:
-    for k in range(1, 5):
-        for s in range(1, 6):
-            for n in range(4 * s + 2 * k + 2, LEMMA_MAX_N + 1, 2):
-                lo = sp.quartic_largest_root(sp.charpoly_quartic(n, k, s))
-                hi = sp.quartic_largest_root(sp.charpoly_quartic(n, k, s - 1))
-                margin = hi - lo
-                lo_d = sp.rho_dense(fam.extremal_kext_bipartite(n, k, s))
-                hi_d = sp.rho_dense(fam.overlay(n, k, s - 1).graph())
-                ok = (margin > LEMMA_MARGIN
-                      and abs(lo - lo_d) <= 1e-8 and abs(hi - hi_d) <= 1e-8)
-                _lemma_row(report, f"l2.6 k={k} s={s} n={n}",
-                           lo, hi, margin, ok)
+    cells = [(n, k, s) for k in range(1, 5) for s in range(1, 6)
+             for n in range(4 * s + 2 * k + 2, LEMMA_MAX_N + 1, 2)]
+    dense = sp.rho_dense_many(
+        [g for n, k, s in cells for g in (fam.extremal_kext_bipartite(
+            n, k, s), fam.overlay(n, k, s - 1).graph())])
+    for (n, k, s), lo_d, hi_d in zip(cells, dense[::2], dense[1::2]):
+        lo = sp.quartic_largest_root(sp.charpoly_quartic(n, k, s))
+        hi = sp.quartic_largest_root(sp.charpoly_quartic(n, k, s - 1))
+        margin = hi - lo
+        ok = (margin > LEMMA_MARGIN
+              and abs(lo - lo_d) <= 1e-8 and abs(hi - hi_d) <= 1e-8)
+        _lemma_row(report, f"l2.6 k={k} s={s} n={n}", lo, hi, margin, ok)
 
 
 def _lemma_row(report: Report, label: str, lo: float, hi: float,

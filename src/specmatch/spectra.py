@@ -7,16 +7,24 @@ Two numeric routes to the spectral radius are kept on purpose.
 Perron vector and its residual; the ``rho`` mode and the re-solve of a
 counterexample candidate (``harness._reverify_candidate``) use it.
 ``rho_dense`` takes the top eigenvalue from LAPACK's ``eigvalsh`` and gives
-the spectral radius everywhere else: in verify, check and scan rows, and
-in the lemma sweeps, which compare it with quotient eigenvalues.
-``full_spectrum`` (all eigenvalues, residual-checked) serves the tests.
+the spectral radius everywhere else: in verify, check and scan rows, and,
+through ``rho_dense_many``, in the lemma sweeps, which compare it with
+quotient eigenvalues. ``full_spectrum`` (all eigenvalues, residual-checked)
+serves the tests.
+
+Many small problems are solved in stacks: ``largest_eigenvalues`` makes
+one ``eigvalsh`` call per quotient size and ``rho_dense_many`` one per
+graph order. LAPACK solves each matrix of a stack on its own, so a stacked
+value is bit-identical to the single solve (``largest_eigenvalue``,
+``rho_dense``). A quotient's symmetrization has one implementation,
+``_symmetrized``, which both the stacked and the single solve use.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -146,6 +154,31 @@ def rho_dense(g: Graph) -> float:
     return float(np.linalg.eigvalsh(adjacency_matrix(g))[-1])
 
 
+def _stacked_top(items: Sequence, size: Callable[..., int],
+                 stack: Callable[[list], np.ndarray]) -> list[float]:
+    """The largest eigenvalue of each item's symmetric matrix, with one
+    ``eigvalsh`` call per matrix size; ``stack`` gives the (m, size, size)
+    matrices of m items of one size."""
+    groups: dict[int, list[int]] = {}
+    for i, item in enumerate(items):
+        groups.setdefault(size(item), []).append(i)
+    out = [0.0] * len(items)
+    for idx in groups.values():
+        top = np.linalg.eigvalsh(stack([items[i] for i in idx]))[:, -1]
+        for i, value in zip(idx, top.tolist()):
+            out[i] = value
+    return out
+
+
+def rho_dense_many(graphs: Sequence[Graph]) -> list[float]:
+    """``rho_dense`` of each graph, bit for bit, in one stacked solve per
+    order."""
+    if any(g.n == 0 for g in graphs):
+        raise GraphError("spectral radius needs n >= 1")
+    return _stacked_top(graphs, lambda g: g.n, lambda group: np.stack(
+        [adjacency_matrix(g) for g in group]))
+
+
 # -- equitable partitions and quotients ---------------------------------
 
 
@@ -221,31 +254,47 @@ class QuotientMatrix:
     def size(self) -> int:
         return len(self.class_sizes)
 
-    def _symmetrized(self) -> np.ndarray:
-        # D B D^{-1} with D = diag(sqrt sizes) is symmetric: the entry
-        # (i,j) equals e(i,j)/sqrt(s_i s_j) with an integer numerator
-        # e(i,j) = b_ij s_i, which must equal e(j,i) = b_ji s_j.
-        k = self.size
-        s = self.class_sizes
-        b = self.entries
-        out = np.zeros((k, k))
-        for i in range(k):
-            for j in range(k):
-                num = b[i][j] * s[i]
-                if num != b[j][i] * s[j]:
-                    raise GraphError(
-                        f"quotient not symmetrizable at ({i},{j}): "
-                        f"b_ij*s_i={num} != b_ji*s_j={b[j][i] * s[j]}")
-                out[i, j] = num / (math.sqrt(s[i]) * math.sqrt(s[j]))
-        return out
-
     def eigenvalues(self) -> np.ndarray:
         if self.size == 0:
             return np.zeros(0)
-        return np.linalg.eigvalsh(self._symmetrized())[::-1].copy()
+        return np.linalg.eigvalsh(_symmetrized([self])[0])[::-1].copy()
 
     def largest_eigenvalue(self) -> float:
-        return float(self.eigenvalues()[0])
+        return largest_eigenvalues([self])[0]
+
+
+# entries and class sizes below this keep b_ij * s_i exact in int64
+_INT64_SAFE = 2 ** 31
+
+
+def _symmetrized(quotients: Sequence[QuotientMatrix]) -> np.ndarray:
+    """D B D^{-1} with D = diag(sqrt sizes), stacked over quotients of one
+    size. It is symmetric: the entry (i,j) equals e(i,j)/sqrt(s_i s_j)
+    with an integer numerator e(i,j) = b_ij s_i, which must equal
+    e(j,i) = b_ji s_j; the first pair that differs is named."""
+    b = np.array([q.entries for q in quotients])
+    s = np.array([q.class_sizes for q in quotients])
+    if b.dtype == object or s.dtype == object or max(
+            np.abs(b).max(), s.max()) >= _INT64_SAFE:
+        b, s = b.astype(object), s.astype(object)  # Python ints
+    num = b * s[:, :, None]
+    bad = np.argwhere(num != num.transpose(0, 2, 1))
+    if len(bad):
+        m, i, j = bad[0].tolist()
+        raise GraphError(
+            f"quotient not symmetrizable at ({i},{j}): "
+            f"b_ij*s_i={num[m, i, j]} != b_ji*s_j={num[m, j, i]}")
+    root = np.sqrt(s.astype(float))
+    return np.asarray(num / (root[:, :, None] * root[:, None, :]),
+                      dtype=float)
+
+
+def largest_eigenvalues(quotients: Sequence[QuotientMatrix]) -> list[float]:
+    """``largest_eigenvalue`` of each quotient, bit for bit, in one stacked
+    solve per quotient size."""
+    if any(q.size == 0 for q in quotients):
+        raise GraphError("a quotient without classes has no eigenvalue")
+    return _stacked_top(quotients, lambda q: q.size, _symmetrized)
 
 
 def quotient(g: Graph, p: Partition) -> QuotientMatrix:

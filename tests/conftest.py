@@ -10,8 +10,9 @@ separate augmenting-path copies and the subset loop of Ore's criterion),
 its earlier per-family recognizers, its earlier per-theorem hypotheses, and
 its earlier power iteration, identity (13), FMS bound and graph6 decoder,
 its earlier family graph builders and quotients, its odd-set search
-before the per-subtree Tutte-Berge bound, and its bipartition inference
-on per-vertex side labels as differential baselines.
+before the per-subtree Tutte-Berge bound, its bipartition inference
+on per-vertex side labels and its one-quotient-at-a-time symmetrization
+as differential baselines.
 ``path`` and ``isomorphic_small`` are graph helpers that only the tests
 use.
 """
@@ -1107,3 +1108,29 @@ def ref_infer_bipartition(g: Graph) -> Graph | None:
             sides[v] = color[v] ^ (1 if flip else 0)
     return Graph(g.n, g.adj, mask_of(v for v in range(g.n)
                                      if sides[v] == SIDE_A))
+
+
+# -- reference quotient symmetrization ----------------------------------
+# The scalar symmetrization of one quotient, from before quotients were
+# solved in stacks. Differential tests hold ``spectra.largest_eigenvalues``
+# to it bit for bit, and its error message names the same pair.
+
+
+def ref_symmetrized(q: sp.QuotientMatrix) -> np.ndarray:
+    k = q.size
+    s = q.class_sizes
+    b = q.entries
+    out = np.zeros((k, k))
+    for i in range(k):
+        for j in range(k):
+            num = b[i][j] * s[i]
+            if num != b[j][i] * s[j]:
+                raise GraphError(
+                    f"quotient not symmetrizable at ({i},{j}): "
+                    f"b_ij*s_i={num} != b_ji*s_j={b[j][i] * s[j]}")
+            out[i, j] = num / (math.sqrt(s[i]) * math.sqrt(s[j]))
+    return out
+
+
+def ref_largest_eigenvalue(q: sp.QuotientMatrix) -> float:
+    return float(np.linalg.eigvalsh(ref_symmetrized(q))[-1])

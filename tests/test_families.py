@@ -6,7 +6,8 @@ import pytest
 
 from specmatch.graph import (Graph, GraphError, bits, graph6_encode,
                              from_edges, infer_bipartition, is_connected)
-from specmatch.spectra import Partition, quotient, rho_dense
+from specmatch.spectra import (Partition, largest_eigenvalues, quotient,
+                               rho_dense)
 from specmatch.matchfactor import (find_k_factor_flow, hamiltonian_cycle,
                                    has_f_factor_ore, FactorSpec,
                                    is_k_extendable_chen,
@@ -23,7 +24,8 @@ from specmatch.harness import (LEMMA_MAX_N, THEOREMS, _cells_22, _cells_23,
                                rng_for, sample_for_theorem)
 
 from conftest import (isomorphic_small, ref_family_member,
-                      ref_join_cliques_quotient, ref_overlay, ref_recognize)
+                      ref_join_cliques_quotient, ref_largest_eigenvalue,
+                      ref_overlay, ref_recognize)
 
 
 def relabel(g, seed=0):
@@ -281,7 +283,7 @@ class TestBlowUpReference:
     order included, so rho* keeps its bits."""
 
     def test_family_members(self):
-        members = 0
+        quotients, thresholds = [], []
         for family, p, accepted in _param_grid(range(0, 61)):
             if not accepted:
                 continue
@@ -290,16 +292,25 @@ class TestBlowUpReference:
             assert (g.n, g.adj, g.side_a) == (ref_g.n, ref_g.adj,
                                               ref_g.side_a), (family, p)
             assert q == ref_q, (family, p)
-            members += 1
-        assert members == 1770
+            quotients.append(q)
+            thresholds.append(threshold_rho(family, p).rho_star)
+        assert len(quotients) == 1770
+        # every threshold, alone and in one stacked batch, is the scalar
+        # symmetrization's float
+        ref = [ref_largest_eigenvalue(q) for q in quotients]
+        assert thresholds == ref
+        assert largest_eigenvalues(quotients) == ref
 
     def test_lemma_22_23_quotients(self):
-        sides = {(s, tuple(sizes)) for cells in (_cells_22(), _cells_23())
-                 for _, *pair in cells for s, sizes in pair}
+        # every lhs and every distinct rhs of the l2.2 and l2.3 sweeps
+        sides = sorted({side for cells in (_cells_22(), _cells_23())
+                        for _, *pair in cells for side in pair})
         assert len(sides) > 25_000
-        for s, sizes in sides:
-            assert join_cliques(s, sizes).quotient() == (
-                ref_join_cliques_quotient(s, sizes)), (s, sizes)
+        quotients = [join_cliques(*side).quotient() for side in sides]
+        for side, q in zip(sides, quotients):
+            assert q == ref_join_cliques_quotient(*side), side
+        assert largest_eigenvalues(quotients) == [
+            ref_largest_eigenvalue(q) for q in quotients]
 
     def test_lemma_26_overlays(self):
         for k in range(1, 5):

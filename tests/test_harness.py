@@ -1,21 +1,26 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+from collections import Counter
+from itertools import islice
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from specmatch import cli
 from specmatch import harness as hz
 from specmatch import matchfactor as mf
+from specmatch import spectra as sp
 from specmatch.graph import (complete, complete_bipartite, cycle,
                              disjoint_union, from_edges, graph6_decode,
                              graph6_encode, infer_bipartition)
-from specmatch.families import (FamilyParams, construct_family,
+from specmatch.families import (FamilyParams, construct_family, join_cliques,
                                 extremal_kext_bipartite,
                                 extremal_kext_general, extremal_kfactor)
 from specmatch.matchfactor import Certificate, validate_certificate
@@ -41,6 +46,13 @@ def run_cli(args, stdin=""):
                                          os.environ.get("PYTHONPATH"))))
     return subprocess.run(CLI + args, input=stdin, capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+def csv_text(report):
+    """The report's CSV as one string."""
+    out = io.StringIO()
+    render_csv(report, out)
+    return out.getvalue()
 
 
 def run_main(argv):
@@ -135,8 +147,8 @@ class TestRho:
 
     def test_jobs_match_serial(self):
         lines = [graph6_encode(complete(n)) for n in range(2, 10)]
-        serial = render_csv(cmd_rho(lines, jobs=1))
-        parallel = render_csv(cmd_rho(lines, jobs=3))
+        serial = csv_text(cmd_rho(lines, jobs=1))
+        parallel = csv_text(cmd_rho(lines, jobs=3))
         assert serial == parallel
 
     def test_all_malformed_is_error(self):
@@ -202,7 +214,7 @@ class TestVerify:
                        samples=60, seed=5)
         b = cmd_verify("t1.1", FamilyParams(n=10, k=1, delta=2),
                        samples=60, seed=5)
-        assert render_csv(a) == render_csv(b)
+        assert csv_text(a) == csv_text(b)
         assert render_json(a) == render_json(b)
 
     def test_lemma_mode(self):
@@ -523,6 +535,92 @@ class TestCrossCheck:
                             and "FailingMatching" in row for row in rows)
 
 
+class TestLemmaSweeps:
+    """The clique-pair sweeps solve their cells in chunks of LEMMA_CHUNK;
+    the rows, and which cells the dense spectra recheck, must not depend
+    on where the chunks end."""
+
+    CHUNKS = (1, 7, hz.LEMMA_CHUNK)
+    L22_CELLS = 3000  # crosses the default chunk's end, off the stride
+
+    @staticmethod
+    def rows(cells):
+        report = hz.Report(mode="sweep", columns=hz.PROPERTY_COLUMNS)
+        hz._clique_pair_rows(report, cells)
+        return report.rows
+
+    def sweeps(self):
+        return {"l2.3": list(hz._cells_23()),
+                "l2.2": list(islice(hz._cells_22(), self.L22_CELLS))}
+
+    def test_rows_do_not_depend_on_chunks(self, monkeypatch):
+        for name, cells in self.sweeps().items():
+            runs = []
+            for chunk in self.CHUNKS:
+                monkeypatch.setattr(hz, "LEMMA_CHUNK", chunk)
+                runs.append(self.rows(cells))
+            assert len(runs[0]) == len(cells), name
+            assert runs[0] == runs[1] == runs[2], name
+            assert all(row["verdict"] is True for row in runs[0]), name
+
+    def test_dense_recheck_bites(self, monkeypatch):
+        cells = self.sweeps()["l2.2"]
+        checked = set(range(0, len(cells), hz.DENSE_STRIDE))
+        assert len(checked) == math.ceil(len(cells) / hz.DENSE_STRIDE)
+        # the side that the most rechecked cells compare
+        target = Counter(side for i in checked
+                         for side in cells[i][1:]).most_common(1)[0][0]
+        adj = join_cliques(*target).graph().adj
+        uses = {i for i in checked
+                if any(join_cliques(*side).graph().adj == adj
+                       for side in cells[i][1:])}
+        assert len(uses) > 1
+        solve = sp.rho_dense_many
+
+        def false_cells(chunk, moved):
+            # the dense value of each graph that ``moved`` picks, off by 1e-6
+            monkeypatch.setattr(hz, "LEMMA_CHUNK", chunk)
+            monkeypatch.setattr(sp, "rho_dense_many", lambda graphs: [
+                value + 1e-6 if moved(g) else value
+                for g, value in zip(graphs, solve(graphs))])
+            return {i for i, row in enumerate(self.rows(cells))
+                    if row["verdict"] is not True}
+
+        for chunk in self.CHUNKS:
+            assert false_cells(chunk, lambda g: True) == checked, chunk
+            assert false_cells(chunk, lambda g: g.adj == adj) == uses, chunk
+
+    def test_eigensolves_scale_with_chunks_not_cells(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: calls.append(a.shape) or eigvalsh(a))
+
+        def bound(cells):
+            # per chunk: one solve per quotient size (2 to 5 classes) for
+            # its lhs, one per size for its new rhs, one per order for its
+            # rechecked sides
+            orders = {(i // hz.LEMMA_CHUNK, s + sum(sizes))
+                      for i in range(0, len(cells), hz.DENSE_STRIDE)
+                      for s, sizes in cells[i][1:]}
+            return math.ceil(len(cells) / hz.LEMMA_CHUNK) * 2 * 4 + len(
+                orders)
+
+        for name, cells in self.sweeps().items():
+            calls.clear()
+            if name == "l2.3":
+                code, _ = run_main(["verify", "--theorem", "l2.3"])
+                assert code == 0
+            else:
+                self.rows(cells)
+            assert calls, name
+            assert len(calls) <= bound(cells) < len(cells), (name, calls)
+        calls.clear()
+        cmd_verify("l2.6", None, samples=0, seed=0)
+        # one dense solve per order of the 460 rechecked graphs
+        assert len(calls) == len(range(8, hz.LEMMA_MAX_N + 1, 2))
+
+
 class TestVerifyScanAgree:
     """verify's sample rows, fed back to scan as graph6 lines, give the same
     rows, categories and notes: both run ``_evaluate``. The samples of
@@ -576,7 +674,7 @@ class TestRendering:
     def test_csv_shape(self):
         report = cmd_scan([graph6_encode(complete_bipartite(4, 4))],
                           "t1.3", FamilyParams(n=8, k=2))
-        text = render_csv(report)
+        text = csv_text(report)
         header = text.splitlines()[0]
         assert header == "graph,rho,rho_star,margin,verdict,certificate,extremal"
         assert "# consistent=1" in text

@@ -10,14 +10,17 @@ from specmatch.graph import (GraphError, complete, complete_bipartite, cycle,
 from specmatch.spectra import (ConvergenceError, Partition, QuotientMatrix,
                                adjacency_matrix, charpoly_quartic,
                                degree_sum_identity, fms_bound, full_spectrum,
-                               quartic_largest_root, quotient,
-                               refine_equitable, rho_dense, spectral_radius,
-                               sqrt_m_bound)
-from specmatch.families import (extremal_kext_bipartite,
-                                extremal_kext_general, extremal_kfactor)
+                               largest_eigenvalues, quartic_largest_root,
+                               quotient, refine_equitable, rho_dense,
+                               rho_dense_many, spectral_radius, sqrt_m_bound)
+from specmatch.families import (FamilyParams, extremal_kext_bipartite,
+                                extremal_kext_general, extremal_kfactor,
+                                family_quotient)
 
 from conftest import (path, petersen, ref_degree_sum_identity,
-                      ref_fms_bound, ref_spectral_radius, seeded_random_graph)
+                      ref_fms_bound, ref_largest_eigenvalue,
+                      ref_spectral_radius, ref_symmetrized,
+                      seeded_random_graph)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -220,6 +223,18 @@ class TestQuotient:
         q = QuotientMatrix(((0, 2), (1, 0)), (1, 1))
         with pytest.raises(GraphError, match=r"\(0,1\)"):
             q.largest_eigenvalue()
+        # in a stack, the bad quotient's first pair is named, with the scalar
+        # symmetrization's message: (0,1) agrees, (0,2) does not
+        good = QuotientMatrix(((0, 1), (1, 0)), (1, 1))
+        bad = QuotientMatrix(((0, 1, 2), (1, 0, 0), (1, 1, 0)), (1, 1, 1))
+        for batch, culprit in (([q], q), ([bad], bad),
+                               ([good, bad, good], bad)):
+            with pytest.raises(GraphError) as got:
+                largest_eigenvalues(batch)
+            with pytest.raises(GraphError) as want:
+                ref_symmetrized(culprit)
+            assert str(got.value) == str(want.value)
+        assert "(0,2)" in str(want.value)
 
     def test_eigenvalue_containment(self):
         # every quotient eigenvalue appears in the dense spectrum
@@ -230,6 +245,38 @@ class TestQuotient:
             dense = full_spectrum(adjacency_matrix(g))
             for lam in q.eigenvalues():
                 assert min(abs(dense - lam)) <= 1e-8
+
+
+class TestStackedSolves:
+    """A stacked solve gives each matrix the float of its single solve."""
+
+    def test_quotients_match_scalar_reference(self):
+        graphs = [extremal_kext_general(12, 1, 3), extremal_kfactor(10, 3),
+                  extremal_kext_bipartite(12, 1, 2), complete(5), petersen(),
+                  path(7)] + [seeded_random_graph(s, 9, 0.5) for s in range(8)]
+        qs = [quotient(g, refine_equitable(g)) for g in graphs]
+        # sizes past int64 products and past int64 itself
+        qs += [family_quotient("kext-general", FamilyParams(n, 1, 3))
+               for n in (10 ** 12, 10 ** 30)]
+        ref = [ref_largest_eigenvalue(q) for q in qs]
+        assert len({q.size for q in qs}) > 3
+        assert largest_eigenvalues(qs) == ref
+        assert [q.largest_eigenvalue() for q in qs] == ref
+        for q in qs:
+            assert np.array_equal(
+                q.eigenvalues(), np.linalg.eigvalsh(ref_symmetrized(q))[::-1])
+        assert largest_eigenvalues([]) == []
+        with pytest.raises(GraphError):
+            largest_eigenvalues([QuotientMatrix((), ())])
+
+    def test_rho_dense_many_matches_rho_dense(self):
+        graphs = [complete(1), empty(3), cycle(6), petersen(), path(9),
+                  disjoint_union(complete(4), cycle(5))]
+        graphs += [seeded_random_graph(s, 6 + s % 5, 0.4) for s in range(20)]
+        assert rho_dense_many(graphs) == [rho_dense(g) for g in graphs]
+        assert rho_dense_many([]) == []
+        with pytest.raises(GraphError, match="n >= 1"):
+            rho_dense_many([cycle(4), empty(0)])
 
 
 class TestQuarticClosedForm:
