@@ -193,54 +193,52 @@ def random_regular_bipartite(rng: random.Random, half: int,
 
 @dataclass(frozen=True)
 class Route:
-    """A checker route and the oracle that confirms its counterexample
-    candidates, both called as (g, k, limit); they look ``mf`` functions up
-    at call time, so a patched or traced one runs."""
+    """A checker route and, where one exists, an oracle that is different
+    code: both are called as (g, k, limit) and look ``mf`` functions up at
+    call time, so a patched or traced one runs. The oracle returns whether
+    the property holds, or None (abstains) when it cannot take the graph."""
     prop: str
     bipartite: bool
     check: Callable[..., tuple[bool, mf.Certificate | None]]
-    oracle: Callable[..., bool]
+    oracle: Callable[..., bool | None] | None = None
 
 
-def _plummer_oracle(g: Graph, k: int, limit: int) -> bool:
+def _plummer_oracle(g: Graph, k: int, limit: int) -> bool | None:
     """The definitional scan on a connected graph of order
-    <= ``mf.GENERAL_MATCHING_LIMIT``, else the violating-subset search while
-    |A| <= ``limit``; neither is the surplus route that decides in
-    ``is_k_extendable_plummer``. Only when |A| exceeds ``limit`` (n > 40 at
-    the default limit) does it fall back to that primary route, which then
-    confirms nothing independently."""
+    <= ``mf.GENERAL_MATCHING_LIMIT``; abstains on any other graph."""
     if is_connected(g) and g.n <= mf.GENERAL_MATCHING_LIMIT:
         return mf.is_k_extendable_definitional(g, k)[0]
-    if g.side_mask(SIDE_A).bit_count() <= limit:
-        return mf.plummer_violating_subset(g, k, limit) is None
-    return mf.is_k_extendable_plummer(g, k, limit)[0]
+    return None
 
 
-# The chen and kfc oracles are the odd-component criteria, not the
-# definitional scans that decide; flow's is Ore's criterion. hamilton has
-# no independent route yet: its oracle reruns the search.
+def _ore_oracle(g: Graph, k: int, limit: int) -> bool | None:
+    """Ore's criterion while |A| <= ``limit``; abstains above it."""
+    if g.side_mask(SIDE_A).bit_count() > limit:
+        return None
+    return mf.has_f_factor_ore(g, mf.FactorSpec.constant(g.n, k), limit)[0]
+
+
+# An oracle is different code from its route's checker, or absent. chen and
+# kfc negatives are confirmed inside the route, where the definitional scan
+# and the odd-component search must agree. Plummer's only independent check
+# of its criterion is the definitional oracle; flow's is Ore's criterion.
 ROUTES = {
     "chen": Route(
         "k-extendable", False,
-        lambda g, k, limit: mf.is_k_extendable_chen(g, k, limit),
-        lambda g, k, limit: mf.chen_violating_set(g, k, limit) is None),
+        lambda g, k, limit: mf.is_k_extendable_chen(g, k, limit)),
     "plummer": Route(
         "k-extendable", True,
         lambda g, k, limit: mf.is_k_extendable_plummer(g, k, limit),
         _plummer_oracle),
     "flow": Route(
         "k-factor", True,
-        lambda g, k, limit: mf.find_k_factor_flow(g, k),
-        lambda g, k, limit: mf.has_f_factor_ore(
-            g, mf.FactorSpec.constant(g.n, k), limit)[0]),
+        lambda g, k, limit: mf.find_k_factor_flow(g, k), _ore_oracle),
     "hamilton": Route(
         "hamiltonian", True,
-        lambda g, k, limit: mf.hamiltonian_cycle(g, limit),
-        lambda g, k, limit: mf.hamiltonian_cycle(g, limit)[0]),
+        lambda g, k, limit: mf.hamiltonian_cycle(g, limit)),
     "kfc": Route(
         "k-factor-critical", False,
-        lambda g, k, limit: mf.is_k_factor_critical(g, k, limit),
-        lambda g, k, limit: mf.kfc_violating_set(g, k, limit) is None),
+        lambda g, k, limit: mf.is_k_factor_critical(g, k, limit)),
 }
 # (property, needs a bipartition) -> its route
 _ROUTE_OF = {(r.prop, r.bipartite): r for r in ROUTES.values()}
@@ -306,9 +304,11 @@ def check_property_for_theorem(name: str, g: Graph, p: fam.FamilyParams,
 
 
 def oracle_property_for_theorem(name: str, g: Graph, p: fam.FamilyParams,
-                                limit: int = mf.EXHAUSTIVE_LIMIT) -> bool:
-    """The oracle of the theorem's route."""
-    return ROUTES[THEOREMS[name].route].oracle(g, p.k, limit)
+                                limit: int = mf.EXHAUSTIVE_LIMIT
+                                ) -> bool | None:
+    """The oracle's verdict; None where the route has none or it abstains."""
+    oracle = ROUTES[THEOREMS[name].route].oracle
+    return None if oracle is None else oracle(g, p.k, limit)
 
 
 @lru_cache(maxsize=64)
@@ -502,6 +502,10 @@ def _revalidation_note(g: Graph, cert: mf.Certificate | None,
 def _reverify_candidate(theorem: str, g: Graph, p: fam.FamilyParams,
                         thr: fam.Threshold, tol: float,
                         limit: int) -> tuple[bool, str]:
+    """(confirmed, why dropped) for a counterexample candidate. rho is
+    solved again at tol/100, and a candidate below the threshold then is
+    dropped; so is one on which the route's oracle finds the property. Where
+    the oracle abstains (None), the re-solve alone confirms."""
     tight = tol / 100
     rho = sp.spectral_radius(g, tol=min(tight, sp.default_tol(g.n))).rho
     if rho - thr.rho_star < -tight:

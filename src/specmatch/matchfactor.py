@@ -9,10 +9,12 @@ One fast exact route gives the verdict: the definitional scan (every
 size-k matching, or every k-set deletion, leaves a perfect matching) for
 ``is_k_extendable_chen`` and ``is_k_factor_critical``, and the surplus
 route for ``is_k_extendable_plummer``. The violating-set search
-(``chen_violating_set``, ``plummer_violating_subset``, ``kfc_violating_set``)
-runs only on a negative, to find the certificate. The searches are public
-so that ``cross-check`` and the tests can run them as an independent
-oracle against the deciding routes.
+(``chen_violating_set``, ``plummer_violating_subset``, ``_kfc_search``)
+runs only on a negative, to find the certificate. So a Chen or
+factor-criticality negative is confirmed inside its route, where the
+definitional scan and the criterion search must agree. Plummer's only
+independent check of its criterion is the definitional scan: its oracle in
+``harness.ROUTES``, and its opponent in ``cross-check``.
 
 Violating-set certificates are excess-maximal: among all witnesses the one
 with the largest violation is returned, ties broken by the
@@ -912,20 +914,13 @@ def _require_kfc_input(g: Graph, k: int, limit: int) -> None:
         raise GraphError("k exceeds the order")
 
 
-def kfc_violating_set(g: Graph, k: int,
-                      limit: int = EXHAUSTIVE_LIMIT) -> Certificate | None:
+def _kfc_search(g: Graph, k: int, memo: dict[int, int]) -> Certificate | None:
     """Odd-component criterion for k-factor-criticality over the sets of
-    size >= k (order <= ``limit``): the excess-maximal, lex-least S with
+    size >= k, on input that ``_require_kfc_input`` passed, given a
+    matching-number memo: the excess-maximal, lex-least S with
     o(G-S) > |S|-k (``_odd_set_search``), or None when G is
     k-factor-critical. An odd n-k needs no special case: every k-set S then
     leaves an odd component, so o(G-S) > 0 = |S|-k."""
-    _require_kfc_input(g, k, limit)
-    return _kfc_search(g, k, {})
-
-
-def _kfc_search(g: Graph, k: int, memo: dict[int, int]) -> Certificate | None:
-    """``kfc_violating_set`` after its input checks, given a
-    matching-number memo."""
     mask = _odd_set_search(
         g, k, lambda: _max_matching_value(g.adj, g.full_mask(), memo), memo)
     if mask is None:
@@ -939,9 +934,9 @@ def is_k_factor_critical(
     """k-factor-criticality of a graph of order <= ``limit``.
 
     The definition decides: n-k is even and every size-k deletion leaves a
-    perfect matching. Only a negative runs the ``kfc_violating_set``
-    search, reusing the deletion tests' matching-number memo, and its
-    certificate is returned."""
+    perfect matching. Only a negative runs ``_kfc_search``, reusing the
+    deletion tests' matching-number memo, and its certificate is
+    returned."""
     _require_kfc_input(g, k, limit)
     memo: dict[int, int] = {}
     full = g.full_mask()

@@ -17,12 +17,14 @@ from specmatch import cli
 from specmatch import harness as hz
 from specmatch import matchfactor as mf
 from specmatch import spectra as sp
-from specmatch.graph import (complete, complete_bipartite, cycle,
-                             disjoint_union, from_edges, graph6_decode,
-                             graph6_encode, infer_bipartition)
-from specmatch.families import (FamilyParams, construct_family, join_cliques,
+from specmatch.graph import (SIDE_A, SIDE_B, complete, complete_bipartite,
+                             cycle, disjoint_union, from_edges,
+                             graph6_decode, graph6_encode, infer_bipartition)
+from specmatch.families import (BlowUp, FamilyParams, construct_family,
+                                join_cliques, extremal_hamilton,
                                 extremal_kext_bipartite,
-                                extremal_kext_general, extremal_kfactor)
+                                extremal_kext_general, extremal_kfactor,
+                                extremal_kfc, threshold_rho)
 from specmatch.matchfactor import Certificate, validate_certificate
 from specmatch.spectra import ConvergenceError
 from specmatch.harness import (THEOREMS, UsageError, cmd_check,
@@ -323,40 +325,132 @@ class TestTables:
 
 
 class TestOracle:
-    def test_t12_oracle_is_not_the_surplus_route(self, monkeypatch):
-        # Disconnected, or connected with 24 < n <= 40: the definitional
-        # scan does not apply, and the oracle must not rerun the surplus
-        # route that gave the primary verdict.
-        graphs = [disjoint_union(complete_bipartite(3, 3),
-                                 complete_bipartite(2, 2)),
-                  extremal_kext_bipartite(26, 1, 2),
-                  complete_bipartite(13, 13)]
-        expected = [mf.is_k_extendable_plummer(g, 1)[0] for g in graphs]
-        assert expected == [False, False, True]
+    """An oracle is different code from its route's checker, or absent:
+    with the route's own entry points stubbed to raise, it still answers
+    where it can take the graph, and elsewhere it abstains (None) without
+    running any route or checker."""
 
-        def primary(*args, **kwargs):
-            raise AssertionError("oracle reran the primary route")
+    ROUTE_ENTRIES = ("is_k_extendable_plummer", "plummer_violating_subset",
+                     "_plummer_surplus", "find_k_factor_flow",
+                     "_f_factor_flow")
+    CHECKERS = ("is_k_extendable_chen", "chen_violating_set", "_chen_search",
+                "is_k_factor_critical", "_kfc_search", "hamiltonian_cycle",
+                "is_k_extendable_definitional", "has_f_factor_ore")
 
-        monkeypatch.setattr(mf, "is_k_extendable_plummer", primary)
-        for g, want in zip(graphs, expected):
-            p = FamilyParams(n=g.n, k=1, delta=1)
-            assert oracle_property_for_theorem("t1.2", g, p) is want
+    @staticmethod
+    def stub(monkeypatch, names):
+        def called(*args, **kwargs):
+            raise AssertionError("the oracle ran a route or checker")
+
+        for name in names:
+            monkeypatch.setattr(mf, name, called)
+
+    def test_answers_without_its_route(self, monkeypatch):
+        # plummer: the definitional scan (connected, n <= 24); flow: Ore's
+        # criterion (|A| <= limit)
+        cases = [
+            ("t1.2", extremal_kext_bipartite(10, 1, 1),
+             FamilyParams(n=10, k=1, delta=1)),
+            ("t1.2", complete_bipartite(5, 5),
+             FamilyParams(n=10, k=1, delta=1)),
+            ("t1.2", extremal_kext_bipartite(24, 2, 3),
+             FamilyParams(n=24, k=2, delta=3)),
+            ("t1.3", extremal_kfactor(8, 2), FamilyParams(n=8, k=2)),
+            ("t1.3", complete_bipartite(4, 4), FamilyParams(n=8, k=2)),
+        ]
+        expected = [hz.check_property_for_theorem(name, g, p)[0]
+                    for name, g, p in cases]
+        assert expected == [False, True, False, False, True]
+        self.stub(monkeypatch, self.ROUTE_ENTRIES)
+        for (name, g, p), want in zip(cases, expected):
+            assert oracle_property_for_theorem(name, g, p) is want, (name, g)
+
+    def test_abstains_without_running_a_checker(self, monkeypatch):
+        cases = [
+            ("t1.1", extremal_kext_general(10, 1, 2),
+             FamilyParams(n=10, k=1, delta=2), mf.EXHAUSTIVE_LIMIT),
+            ("t1.1", complete(6), FamilyParams(n=6, k=1, delta=2),
+             mf.EXHAUSTIVE_LIMIT),
+            ("t1.1", cycle(8), FamilyParams(n=8, k=1, delta=2),
+             mf.EXHAUSTIVE_LIMIT),
+            ("t4.5", extremal_kfc(15, 1, 2), FamilyParams(n=15, k=1, delta=2),
+             mf.EXHAUSTIVE_LIMIT),
+            ("t4.3", extremal_hamilton(8), FamilyParams(n=8),
+             mf.EXHAUSTIVE_LIMIT),
+            # plummer on a disconnected graph, and above n = 24
+            ("t1.2", disjoint_union(complete_bipartite(3, 3),
+                                    complete_bipartite(2, 2)),
+             FamilyParams(n=10, k=1, delta=1), mf.EXHAUSTIVE_LIMIT),
+            ("t1.2", extremal_kext_bipartite(26, 1, 2),
+             FamilyParams(n=26, k=1, delta=2), mf.EXHAUSTIVE_LIMIT),
+            ("t1.2", complete_bipartite(13, 13),
+             FamilyParams(n=26, k=1, delta=1), mf.EXHAUSTIVE_LIMIT),
+            # flow with |A| above the limit
+            ("t1.3", extremal_kfactor(44, 2), FamilyParams(n=44, k=2),
+             mf.EXHAUSTIVE_LIMIT),
+            ("t1.3", complete_bipartite(4, 4), FamilyParams(n=8, k=2), 3),
+        ]
+        self.stub(monkeypatch, self.ROUTE_ENTRIES + self.CHECKERS)
+        for name, g, p, limit in cases:
+            assert oracle_property_for_theorem(name, g, p, limit) is None, (
+                name, g)
+
+    def test_t13_candidate_above_the_limit_stays_confirmed(self,
+                                                          monkeypatch):
+        # |A| = 22 > 20: Ore's criterion cannot take the graph, so the
+        # oracle abstains and the re-solve alone confirms the candidate; it
+        # must not end the run
+        g = extremal_kfactor(44, 2).with_edge_toggled(0, 23)
+        monkeypatch.setattr(mf, "find_k_factor_flow",
+                            lambda g, k: (False, None))
+        report = cmd_scan([graph6_encode(g)], "t1.3",
+                          FamilyParams(n=44, k=2))
+        assert report.summary == {"counterexample-candidate": 1}
+        assert report.rows[0]["margin"] > 1e-8
+        assert report.notes == [] and report.exit_code() == 1
 
 
-    def test_t11_oracle_is_not_the_definitional_scan(self, monkeypatch):
-        # the primary t1.1 checker decides by the definitional scan; the
-        # oracle must confirm by the odd-component criterion instead
-        graphs = [extremal_kext_general(10, 1, 2), complete(6), cycle(8)]
-        expected = [mf.is_k_extendable_chen(g, 1)[0] for g in graphs]
-        assert expected == [False, True, True]
+class TestHallDeficientMember:
+    """H: a set X of delta-k+1 side-A vertices with |N(X)| = delta, and
+    every other cross edge present. H has minimum degree delta and fails
+    Plummer's criterion at X, yet lies far above t1.2's rho* at each point
+    below; the values are (n, k, delta), rho(H) and rho*."""
 
-        def scan(*args, **kwargs):
-            raise AssertionError("oracle reran the definitional scan")
+    POINTS = [((10, 1, 1), 4.49536, 3.28207),
+              ((16, 1, 2), 7.00465, 5.86704),
+              ((24, 2, 3), 11.02532, 8.80057),
+              ((40, 1, 4), 17.98143, 16.88628),
+              ((60, 2, 3), 28.99317, 26.86710),
+              ((80, 3, 5), 38.49535, 35.29601)]
 
-        monkeypatch.setattr(mf, "_first_failing_k_matching", scan)
-        for g, want in zip(graphs, expected):
-            p = FamilyParams(n=g.n, k=1, delta=2)
-            assert oracle_property_for_theorem("t1.1", g, p) is want
+    @staticmethod
+    def blowup(n, k, delta):
+        x, half = delta - k + 1, n // 2
+        # classes X, A-X, N(X), B-N(X), joined X-N(X), (A-X)-N(X) and
+        # (A-X)-(B-N(X))
+        return BlowUp(((1, x), (1, half - x), (1, delta), (1, half - delta)),
+                      (0b0100, 0b1100, 0b0011, 0b0010), (0, 1, 2, 3),
+                      (SIDE_A, SIDE_A, SIDE_B, SIDE_B))
+
+    @pytest.mark.parametrize("point, rho_h, rho_star", POINTS)
+    def test_scan_certifies_it(self, point, rho_h, rho_star):
+        n, k, delta = point
+        blowup = self.blowup(n, k, delta)
+        g = blowup.graph()
+        assert min(g.degrees()) == delta
+        rho = blowup.quotient().largest_eigenvalue()
+        assert rho == pytest.approx(sp.rho_dense(g), abs=1e-8)
+        assert rho == pytest.approx(rho_h, abs=1e-5)
+        p = FamilyParams(n=n, k=k, delta=delta)
+        assert threshold_rho("kext-bipartite", p).rho_star == pytest.approx(
+            rho_star, abs=1e-5)
+        report = cmd_scan([graph6_encode(g)], "t1.2", p)
+        assert report.summary == {"counterexample-candidate": 1}
+        row = report.rows[0]
+        cert = Certificate(**json.loads(row["certificate"]))
+        assert cert.kind == "ViolatingSubsetX"
+        assert validate_certificate(
+            infer_bipartition(graph6_decode(row["graph"])), cert)
 
 
 class TestCertificateRevalidation:

@@ -20,7 +20,7 @@ from specmatch.matchfactor import (Certificate, FactorSpec,
                                    is_k_extendable_chen,
                                    is_k_extendable_definitional,
                                    is_k_extendable_plummer,
-                                   is_k_factor_critical, kfc_violating_set,
+                                   is_k_factor_critical,
                                    max_matching_bipartite,
                                    max_matching_general,
                                    plummer_violating_subset,
@@ -44,6 +44,13 @@ from conftest import (brute_is_k_extendable, brute_max_matching_size,
 
 def random_balanced_bipartite(seed: int, half: int, p: float):
     return random_bipartite(rng_for(seed, 0), half, half, p)
+
+
+def kfc_search(g, k, limit=mf.EXHAUSTIVE_LIMIT):
+    """The factor-criticality search on its own: the checker's input
+    checks, then ``_kfc_search`` from an empty memo."""
+    mf._require_kfc_input(g, k, limit)
+    return mf._kfc_search(g, k, {})
 
 
 class TestMaxMatching:
@@ -374,7 +381,7 @@ class TestDecideThenCertify:
 
     ROUTES = (
         (is_k_extendable_chen, chen_violating_set, ref_is_k_extendable_chen),
-        (is_k_factor_critical, kfc_violating_set, ref_is_k_factor_critical),
+        (is_k_factor_critical, kfc_search, ref_is_k_factor_critical),
     )
     PLUMMER = (is_k_extendable_plummer, plummer_violating_subset,
                ref_is_k_extendable_plummer)
@@ -407,7 +414,7 @@ class TestDecideThenCertify:
         # by exhausting the tree (positives, and negatives below the bound).
         searches = (
             (chen_violating_set, ref_chen_violating_set, False),
-            (kfc_violating_set, ref_kfc_violating_set, False),
+            (kfc_search, ref_kfc_violating_set, False),
             (plummer_violating_subset, _plummer_reference_search, True),
         )
         exits = {search: Counter() for search, _, _ in searches}
@@ -502,7 +509,7 @@ class TestSubtreeBound:
 
     SEARCHES = (
         (chen_violating_set, ref_unpruned_chen_violating_set, (1, 2)),
-        (kfc_violating_set, ref_unpruned_kfc_violating_set, (1, 2, 3)),
+        (kfc_search, ref_unpruned_kfc_violating_set, (1, 2, 3)),
     )
     # graph6-stream seed 7, round 0: n = 17, m = 38, not 1-factor-critical,
     # certified by the single vertex 4 (two odd components); the search
@@ -567,7 +574,7 @@ class TestSubtreeBound:
         g = graph6_decode(self.KFC_LINE)
         assert (g.n, g.m) == (17, 38)
         calls = self.count_scans(monkeypatch)
-        cert = kfc_violating_set(g, 1)
+        cert = kfc_search(g, 1)
         assert (cert.payload["set"], cert.payload["odd_components"]) == (
             [4], 2)
         assert calls[0] <= 20
@@ -681,7 +688,7 @@ class TestRelabeling:
         g = seeded_random_graph(seed, n, p)
         perm = data.draw(st.permutations(range(n)))
         gb = infer_bipartition(g)
-        for search, host in ((chen_violating_set, g), (kfc_violating_set, g),
+        for search, host in ((chen_violating_set, g), (kfc_search, g),
                              (plummer_violating_subset, gb)):
             if host is None:
                 continue
