@@ -367,24 +367,10 @@ class TestOracle:
 
     def test_abstains_without_running_a_checker(self, monkeypatch):
         cases = [
-            ("t1.1", extremal_kext_general(10, 1, 2),
-             FamilyParams(n=10, k=1, delta=2), mf.EXHAUSTIVE_LIMIT),
-            ("t1.1", complete(6), FamilyParams(n=6, k=1, delta=2),
-             mf.EXHAUSTIVE_LIMIT),
-            ("t1.1", cycle(8), FamilyParams(n=8, k=1, delta=2),
-             mf.EXHAUSTIVE_LIMIT),
             ("t4.5", extremal_kfc(15, 1, 2), FamilyParams(n=15, k=1, delta=2),
              mf.EXHAUSTIVE_LIMIT),
             ("t4.3", extremal_hamilton(8), FamilyParams(n=8),
              mf.EXHAUSTIVE_LIMIT),
-            # plummer on a disconnected graph, and above n = 24
-            ("t1.2", disjoint_union(complete_bipartite(3, 3),
-                                    complete_bipartite(2, 2)),
-             FamilyParams(n=10, k=1, delta=1), mf.EXHAUSTIVE_LIMIT),
-            ("t1.2", extremal_kext_bipartite(26, 1, 2),
-             FamilyParams(n=26, k=1, delta=2), mf.EXHAUSTIVE_LIMIT),
-            ("t1.2", complete_bipartite(13, 13),
-             FamilyParams(n=26, k=1, delta=1), mf.EXHAUSTIVE_LIMIT),
             # flow with |A| above the limit
             ("t1.3", extremal_kfactor(44, 2), FamilyParams(n=44, k=2),
              mf.EXHAUSTIVE_LIMIT),
@@ -394,6 +380,34 @@ class TestOracle:
         for name, g, p, limit in cases:
             assert oracle_property_for_theorem(name, g, p, limit) is None, (
                 name, g)
+
+    def test_t12_oracle_is_not_the_surplus_route(self, monkeypatch):
+        # Disconnected, or connected with n > 24: the definitional scan
+        # does not apply, and the oracle abstains instead of rerunning the
+        # surplus route or its search, which gave the primary verdict.
+        graphs = [disjoint_union(complete_bipartite(3, 3),
+                                 complete_bipartite(2, 2)),
+                  extremal_kext_bipartite(26, 1, 2),
+                  complete_bipartite(13, 13)]
+        expected = [mf.is_k_extendable_plummer(g, 1)[0] for g in graphs]
+        assert expected == [False, False, True]
+        self.stub(monkeypatch, self.ROUTE_ENTRIES + self.CHECKERS)
+        for g in graphs:
+            p = FamilyParams(n=g.n, k=1, delta=1)
+            assert oracle_property_for_theorem("t1.2", g, p) is None, g
+
+    def test_t11_oracle_is_not_the_definitional_scan(self, monkeypatch):
+        # the primary t1.1 checker decides by the definitional scan and
+        # certifies by the odd-component search; the oracle reruns neither
+        # and abstains
+        graphs = [extremal_kext_general(10, 1, 2), complete(6), cycle(8)]
+        expected = [mf.is_k_extendable_chen(g, 1)[0] for g in graphs]
+        assert expected == [False, True, True]
+        self.stub(monkeypatch,
+                  self.CHECKERS + ("_first_failing_k_matching",))
+        for g in graphs:
+            p = FamilyParams(n=g.n, k=1, delta=2)
+            assert oracle_property_for_theorem("t1.1", g, p) is None, g
 
     def test_t13_candidate_above_the_limit_stays_confirmed(self,
                                                           monkeypatch):
