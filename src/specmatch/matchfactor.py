@@ -28,10 +28,23 @@ Tutte-Berge formula; Konig's theorem for Plummer), and skip the subtrees
 in which no set can beat the best excess found. ``hopeless(mask, size,
 nbh, best)`` decides the skip from the set itself: for the odd-component
 search it is the Tutte-Berge formula on G-S, so a subtree goes as soon as
-nu(G-S) shows that no superset of S can beat the best excess. Its matching
-numbers come from the memo of the checker's deciding scan. Ore's search
+nu(G-S) shows that no superset of S can beat the best excess. Ore's search
 prunes nothing, so it stays independent of the flow route it is checked
 against.
+
+General matchings come from Edmonds' blossom algorithm on the bitset rows
+(``_blossom_augment``: one search from an exposed root inside an ``alive``
+mask, augmenting a partner list in place). Each Chen, definitional and
+factor-criticality call finds one maximum matching of G and warm-starts
+every later question from it: a test on G-D (a size-k matching's
+vertices, a k-set, or the set S of the odd-set search) drops the pairs
+that leave G-D and augments only from the vertices left exposed
+(``_reaching``). The perfect-matching tests of the deciding scans and the
+pruning test nu(G-S) >= b of ``hopeless`` are such tests. The edge list of
+``max_matching_general`` (smallest active vertex, smallest partner) is
+rebuilt the same way, one test per candidate partner; the checkers read
+only the matching number and build that list only for a
+``no-size-k-matching`` certificate.
 
 One augmenting-path routine, ``_augment`` (Kuhn), serves every bipartite
 matching: maximum matchings, the surplus route's replicated Hall test and
@@ -146,74 +159,201 @@ def max_matching_bipartite(g: Graph) -> Matching:
     return matching_of([(a, b) for b, a in owner.items()])
 
 
-def _max_matching_value(adj: Sequence[int], mask: int,
-                        memo: dict[int, int]) -> int:
-    cached = memo.get(mask)
-    if cached is not None:
-        return cached
-    v = -1
-    m = mask
-    while m:
-        b = m & -m
-        cand = b.bit_length() - 1
-        if adj[cand] & mask:
-            v = cand
+def _blossom_lca(base: list[int], parent: list[int], match: list[int],
+                 a: int, b: int) -> int:
+    """The base of the blossom that the tree edge (a, b) closes: the first
+    base on b's path to the root that a's path also meets."""
+    seen = 0
+    while True:
+        a = base[a]
+        seen |= 1 << a
+        if match[a] < 0:  # the root
             break
-        m ^= b
-        mask ^= b  # drop isolated vertices from the state
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-    if v == -1:
-        memo[mask] = 0
-        return 0
-    cap = mask.bit_count() // 2
-    best = 0
-    nb = adj[v] & mask
-    while nb:
-        b = nb & -nb
-        nb ^= b
-        r = 1 + _max_matching_value(adj, mask ^ (1 << v) ^ b, memo)
-        if r > best:
-            best = r
-            if best == cap:
-                memo[mask] = best
-                return best
-    r = _max_matching_value(adj, mask ^ (1 << v), memo)
-    if r > best:
-        best = r
-    memo[mask] = best
-    return best
+        a = parent[match[a]]
+    while True:
+        b = base[b]
+        if seen >> b & 1:
+            return b
+        b = parent[match[b]]
+
+
+def _blossom_mark(base: list[int], parent: list[int], match: list[int],
+                  v: int, top: int, child: int) -> int:
+    """Walk from the outer vertex ``v`` up to the blossom base ``top``,
+    pointing each outer vertex's ``parent`` back along the cycle (starting
+    at ``child``); returns the mask of the bases met."""
+    mask = 0
+    while base[v] != top:
+        mask |= 1 << base[v] | 1 << base[match[v]]
+        parent[v] = child
+        child = match[v]
+        v = parent[child]
+    return mask
+
+
+def _blossom_augment(adj: Sequence[int], alive: int, match: list[int],
+                     root: int) -> bool:
+    """Edmonds' blossom search (Edmonds 1965, "Paths, trees, and flowers")
+    from the exposed vertex ``root`` of G[alive]: an alternating tree that
+    contracts each odd cycle it closes into its base. When it reaches an
+    exposed vertex, ``match`` (each vertex's partner, or -1) is augmented
+    along the path in place and True returned; False when no augmenting
+    path starts at ``root``. Only entries of vertices in ``alive`` are read
+    or written.
+
+    The tree grows breadth-first from every outer vertex before any edge
+    between two outer vertices is examined, so a plain alternating path to
+    an exposed vertex ends the search without a contraction. Edmonds'
+    search may examine the edges at outer vertices in any order."""
+    n = len(match)
+    # each inner vertex's tree predecessor; a contraction also links the
+    # outer vertices of the odd cycle, so that paths can pass through it
+    parent = [-1] * n
+    base = list(range(n))
+    outer = tree = 1 << root
+    queue = [root]  # outer vertices, in the order they turned outer
+    grown = 0  # queue[:grown] had their edges out of the tree examined
+    scanned = 0  # queue[:scanned] had their edges to outer vertices examined
+    while True:
+        if grown < len(queue):
+            v = queue[grown]
+            grown += 1
+            part = adj[v] & alive & ~tree
+            while part:
+                b = part & -part
+                part ^= b
+                if tree & b:  # joined as the mate of an earlier neighbor
+                    continue
+                to = b.bit_length() - 1
+                parent[to] = v
+                mate = match[to]
+                if mate < 0:
+                    while to >= 0:
+                        v = parent[to]
+                        mate = match[v]
+                        match[to] = v
+                        match[v] = to
+                        to = mate
+                    return True
+                tree |= b | 1 << mate
+                outer |= 1 << mate
+                queue.append(mate)
+            continue
+        if scanned == len(queue):
+            return False
+        # the tree cannot grow: contract the odd cycle that an edge between
+        # two outer vertices closes, which turns its inner vertices outer
+        v = queue[scanned]
+        scanned += 1
+        part = adj[v] & alive & outer
+        while part:
+            b = part & -part
+            part ^= b
+            to = b.bit_length() - 1
+            if base[v] == base[to]:
+                continue
+            top = _blossom_lca(base, parent, match, v, to)
+            blossom = (_blossom_mark(base, parent, match, v, top, to)
+                       | _blossom_mark(base, parent, match, to, top, v))
+            rest = tree
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                u = b.bit_length() - 1
+                if blossom >> base[u] & 1:
+                    base[u] = top
+                    if not outer & b:
+                        outer |= b
+                        queue.append(u)
+
+
+def _reaching(adj: Sequence[int], alive: int, match: Sequence[int],
+              need: int) -> list[int] | None:
+    """A matching of G[alive] with at least ``need`` pairs, or None when
+    nu(G[alive]) < ``need``. Warm start: a copy of ``match`` without the
+    pairs that leave ``alive``, augmented from the vertices it leaves
+    exposed, ascending, until ``need`` pairs are matched. A vertex whose
+    search fails never gains an augmenting path by later augmentations, so
+    it stays exposed: the search stops once those vertices leave too few
+    to hold ``need`` pairs (for a perfect matching, at the first
+    failure)."""
+    out = list(match)
+    exposed = []
+    rest = alive
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        v = b.bit_length() - 1
+        p = out[v]
+        if p < 0 or not alive >> p & 1:
+            out[v] = -1
+            exposed.append(v)
+    room = alive.bit_count()
+    pairs = (room - len(exposed)) // 2
+    for v in exposed:
+        if pairs >= need:
+            return out
+        if out[v] >= 0:
+            continue
+        if _blossom_augment(adj, alive, out, v):
+            pairs += 1
+        else:
+            room -= 1
+            if room // 2 < need:
+                return None
+    return out if pairs >= need else None
+
+
+def _has_perfect_on(adj: Sequence[int], alive: int,
+                    match: Sequence[int]) -> bool:
+    size = alive.bit_count()
+    return size % 2 == 0 and _reaching(adj, alive, match,
+                                       size // 2) is not None
+
+
+def _blossom_matching(g: Graph) -> list[int]:
+    """A maximum matching of ``g`` from scratch, as each vertex's partner
+    (or -1); the warm start of every later test on ``g``. One search from
+    each vertex still exposed at its turn suffices, since a failed search
+    stays failed."""
+    match = [-1] * g.n
+    full = g.full_mask()
+    for v in range(g.n):
+        if match[v] < 0:
+            _blossom_augment(g.adj, full, match, v)
+    return match
+
+
+def _pairs(match: Sequence[int]) -> int:
+    """The size of a matching given on every vertex of its graph."""
+    return sum(p >= 0 for p in match) // 2
 
 
 def max_matching_general(g: Graph) -> Matching:
-    """Exact maximum matching of any graph by memoized branch and bound."""
+    """Exact maximum matching of any graph: Edmonds' blossom algorithm,
+    then a deterministic reconstruction (smallest active vertex, smallest
+    partner). An edge (v, u) is taken when G-v-u keeps all but one pair,
+    tested by augmenting from the current maximum matching."""
     if g.n > GENERAL_MATCHING_LIMIT:
         raise GraphError(
             f"general matching limited to n <= {GENERAL_MATCHING_LIMIT}")
-    memo: dict[int, int] = {}
     adj = g.adj
-    best = _max_matching_value(adj, g.full_mask(), memo)
-    # deterministic reconstruction: smallest active vertex, smallest partner
+    match = _blossom_matching(g)
+    remaining = _pairs(match)
     edges = []
     mask = g.full_mask()
-    remaining = best
     while remaining:
-        v = -1
-        for cand in bits(mask):
-            if adj[cand] & mask:
-                v = cand
-                break
-        matched = False
+        v = next(c for c in bits(mask) if adj[c] & mask)
         for u in bits(adj[v] & mask):
             nxt = mask ^ (1 << v) ^ (1 << u)
-            if 1 + _max_matching_value(adj, nxt, memo) == remaining:
+            trial = _reaching(adj, nxt, match, remaining - 1)
+            if trial is not None:
                 edges.append((v, u))
-                mask = nxt
+                mask, match = nxt, trial
                 remaining -= 1
-                matched = True
                 break
-        if not matched:
+        else:
+            # no maximum matching covers v, so ``match`` leaves it exposed
             mask ^= 1 << v
     return matching_of(edges)
 
@@ -228,13 +368,6 @@ def has_perfect_matching(g: Graph) -> bool:
     if g.n % 2:
         return False
     return 2 * max_matching(g).size == g.n
-
-
-def _has_pm_mask(adj: Sequence[int], mask: int, memo: dict[int, int]) -> bool:
-    size = mask.bit_count()
-    if size % 2:
-        return False
-    return _max_matching_value(adj, mask, memo) * 2 == size
 
 
 def _k_disjoint_edges(adj: Sequence[int], mask: int,
@@ -357,7 +490,7 @@ def _lex_max_excess(verts: Sequence[int], adj: Sequence[int], excess,
     return best_set
 
 
-def _odd_set_search(g: Graph, c: int, nu, memo: dict[int, int],
+def _odd_set_search(g: Graph, c: int, match: Sequence[int],
                     spans=None) -> int | None:
     """Odd-component criterion with offset ``c`` (2k for extendability, k
     for factor-criticality): the mask of the excess-maximal, lex-least
@@ -365,20 +498,22 @@ def _odd_set_search(g: Graph, c: int, nu, memo: dict[int, int],
     ``spans(S)``; None when there is none.
 
     The sets are searched by ``_lex_max_excess``. By the Tutte-Berge
-    formula no excess o(G-S)-|S|+c exceeds n-2*nu(G)+c (``nu()`` is the
-    matching number), so the search stops once a set reaches that bound.
-    The same formula on H = G-S bounds every set T >= S:
+    formula no excess o(G-S)-|S|+c exceeds n-2*nu(G)+c (``match`` is a
+    maximum matching of G), so the search stops once a set reaches that
+    bound. The same formula on H = G-S bounds every set T >= S:
     o(G-T)-|T|+c <= n-2|S|-2*nu(G-S)+c. A subtree is skipped when that
     bound, or the bound n-2(|S|+1)+c of its smallest proper superset,
     cannot beat the best excess found. nu(G-S) is computed only when it
     can pay: when a near-perfect nu(G-S) would prune (c-|S| plus the
     parity of n-|S| is at most the best excess) and at least
-    ``_SUBTREE_MIN`` vertices follow the last vertex of S. It comes from
-    ``_max_matching_value`` with ``memo``, which the caller shares with
-    its deciding scan."""
+    ``_SUBTREE_MIN`` vertices follow the last vertex of S. Only whether
+    nu(G-S) reaches the pruning bound is asked: ``_reaching`` warm-starts
+    from ``match`` restricted to G-S and augments from the vertices it
+    leaves exposed, until the bound is reached or cannot be."""
     n = g.n
     adj = g.adj
     full = g.full_mask()
+    nu = _pairs(match)
 
     def excess(mask: int, size: int, nbh: int, best: int) -> int:
         if size < c or n - 2 * size + c <= best:
@@ -394,11 +529,12 @@ def _odd_set_search(g: Graph, c: int, nu, memo: dict[int, int],
         if (c - size + ((n - size) & 1) > best
                 or n - mask.bit_length() < _SUBTREE_MIN):
             return False
-        rest = _max_matching_value(adj, full ^ mask, memo)
-        return n - 2 * size - 2 * rest + c <= best
+        # n-2|S|-2*nu(G-S)+c <= best, solved for nu(G-S)
+        need = (n - 2 * size + c - best + 1) // 2
+        return _reaching(adj, full ^ mask, match, need) is not None
 
     found = _lex_max_excess(
-        range(n), adj, excess, hopeless, lambda: n - 2 * nu() + c)
+        range(n), adj, excess, hopeless, lambda: n - 2 * nu + c)
     return None if found is None else found[0]
 
 
@@ -444,15 +580,17 @@ def _require_enumerable(size: int, limit: int, of: str = "n") -> None:
 
 def _first_failing_k_matching(
         g: Graph, k: int,
-        memo: dict[int, int]) -> tuple[tuple[int, int], ...] | None:
+        match: Sequence[int]) -> tuple[tuple[int, int], ...] | None:
     """The lex-first size-k matching whose removal leaves no perfect
-    matching, or None; all perfect-matching tests share ``memo``."""
+    matching, or None. Each test warm-starts from the maximum matching
+    ``match`` of ``g``: the partners of the removed vertices lose their
+    pairs, and only the vertices left exposed are augmented from."""
     full = g.full_mask()
     for m_edges in iter_k_matchings(g, k):
         used = 0
         for u, v in m_edges:
             used |= (1 << u) | (1 << v)
-        if not _has_pm_mask(g.adj, full ^ used, memo):
+        if not _has_perfect_on(g.adj, full ^ used, match):
             return m_edges
     return None
 
@@ -465,10 +603,10 @@ def is_k_extendable_definitional(
     if g.n > GENERAL_MATCHING_LIMIT:
         raise GraphError(
             f"definitional check limited to n <= {GENERAL_MATCHING_LIMIT}")
-    mm = max_matching(g)
-    if mm.size < k:
-        return False, _no_k_matching_certificate(k, mm)
-    m_edges = _first_failing_k_matching(g, k, {})
+    match = _blossom_matching(g)
+    if _pairs(match) < k:
+        return False, _no_k_matching_certificate(k, max_matching(g))
+    m_edges = _first_failing_k_matching(g, k, match)
     if m_edges is None:
         return True, None
     return False, Certificate("FailingMatching", {
@@ -477,15 +615,16 @@ def is_k_extendable_definitional(
     })
 
 
-def _chen_search(g: Graph, k: int, mm: Matching,
-                 memo: dict[int, int]) -> Certificate | None:
+def _chen_search(g: Graph, k: int,
+                 match: Sequence[int]) -> Certificate | None:
     """``chen_violating_set`` after its input checks, given a maximum
-    matching ``mm`` of ``g`` and a matching-number memo."""
-    if mm.size < k:
-        return _no_k_matching_certificate(k, mm)
+    matching ``match`` of ``g`` (each vertex's partner, or -1). The
+    ``no-size-k-matching`` certificate lists ``max_matching(g)``."""
+    if _pairs(match) < k:
+        return _no_k_matching_certificate(k, max_matching(g))
     adj = g.adj
     mask = _odd_set_search(
-        g, 2 * k, lambda: mm.size, memo,
+        g, 2 * k, match,
         lambda s: _k_disjoint_edges(adj, s, k) is not None)
     if mask is None:
         return None
@@ -503,7 +642,7 @@ def chen_violating_set(g: Graph, k: int,
     ``no-size-k-matching`` certificate."""
     _require_extendable_input(g, k)
     _require_enumerable(g.n, limit)
-    return _chen_search(g, k, max_matching(g), {})
+    return _chen_search(g, k, _blossom_matching(g))
 
 
 def is_k_extendable_chen(
@@ -512,16 +651,17 @@ def is_k_extendable_chen(
     """k-extendability of a connected graph of even order <= ``limit``.
 
     The definitional scan decides: a size-k matching exists and every one
-    leaves a perfect matching. Only a negative runs the
-    ``chen_violating_set`` search, reusing the scan's maximum matching and
-    matching-number memo, and its certificate is returned."""
+    leaves a perfect matching. One maximum matching of G, found by
+    Edmonds' blossom algorithm, warm-starts every perfect-matching test of
+    the scan (``_first_failing_k_matching``). Only a negative runs the
+    ``chen_violating_set`` search, on the same matching, and its
+    certificate is returned."""
     _require_extendable_input(g, k)
     _require_enumerable(g.n, limit)
-    mm = max_matching(g)
-    memo: dict[int, int] = {}
-    if mm.size >= k and _first_failing_k_matching(g, k, memo) is None:
+    match = _blossom_matching(g)
+    if _pairs(match) >= k and _first_failing_k_matching(g, k, match) is None:
         return True, None
-    cert = _chen_search(g, k, mm, memo)
+    cert = _chen_search(g, k, match)
     if cert is None:
         raise RuntimeError(
             "internal: definitional scan and odd-component criterion disagree")
@@ -914,15 +1054,15 @@ def _require_kfc_input(g: Graph, k: int, limit: int) -> None:
         raise GraphError("k exceeds the order")
 
 
-def _kfc_search(g: Graph, k: int, memo: dict[int, int]) -> Certificate | None:
+def _kfc_search(g: Graph, k: int,
+                match: Sequence[int]) -> Certificate | None:
     """Odd-component criterion for k-factor-criticality over the sets of
     size >= k, on input that ``_require_kfc_input`` passed, given a
-    matching-number memo: the excess-maximal, lex-least S with
+    maximum matching ``match`` of ``g``: the excess-maximal, lex-least S with
     o(G-S) > |S|-k (``_odd_set_search``), or None when G is
     k-factor-critical. An odd n-k needs no special case: every k-set S then
     leaves an odd component, so o(G-S) > 0 = |S|-k."""
-    mask = _odd_set_search(
-        g, k, lambda: _max_matching_value(g.adj, g.full_mask(), memo), memo)
+    mask = _odd_set_search(g, k, match)
     if mask is None:
         return None
     return _odd_set_certificate(g, "factor-critical", k, mask)
@@ -934,17 +1074,19 @@ def is_k_factor_critical(
     """k-factor-criticality of a graph of order <= ``limit``.
 
     The definition decides: n-k is even and every size-k deletion leaves a
-    perfect matching. Only a negative runs ``_kfc_search``, reusing the
-    deletion tests' matching-number memo, and its certificate is
-    returned."""
+    perfect matching. One maximum matching of G, found by Edmonds' blossom
+    algorithm, warm-starts every deletion test: the partners of the deleted
+    vertices lose their pairs, and only the vertices left exposed are
+    augmented from. Only a negative runs ``_kfc_search``, on the same
+    matching, and its certificate is returned."""
     _require_kfc_input(g, k, limit)
-    memo: dict[int, int] = {}
+    match = _blossom_matching(g)
     full = g.full_mask()
     if g.n % 2 == k % 2 and all(
-            _has_pm_mask(g.adj, full ^ mask_of(comb), memo)
+            _has_perfect_on(g.adj, full ^ mask_of(comb), match)
             for comb in combinations(range(g.n), k)):
         return True, None
-    cert = _kfc_search(g, k, memo)
+    cert = _kfc_search(g, k, match)
     if cert is None:
         raise RuntimeError(
             "internal: criterion and definitional routes disagree")
@@ -1090,12 +1232,12 @@ def _certificate_holds(g: Graph, cert: Certificate) -> bool:
     if cert.kind == "FailingMatching":
         k = p["k"]
         if p.get("reason") == "no-size-k-matching":
-            return max_matching(g).size < k
+            return _pairs(_blossom_matching(g)) < k
         edges = [tuple(e) for e in p["matching"]]
         used = _vertex_mask(g, [v for e in edges for v in e])
         if (used is None or len(edges) != k
                 or any(len(e) != 2 or not g.has_edge(*e) for e in edges)):
             return False
-        memo: dict[int, int] = {}
-        return not _has_pm_mask(g.adj, g.full_mask() ^ used, memo)
+        return not _has_perfect_on(g.adj, g.full_mask() ^ used,
+                                   [-1] * g.n)
     return False

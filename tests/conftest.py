@@ -9,6 +9,7 @@ earlier Graph-per-draw sampler, its earlier matching routines (three
 separate augmenting-path copies and the subset loop of Ore's criterion),
 its earlier per-family recognizers, its earlier per-theorem hypotheses, and
 its earlier power iteration, identity (13), FMS bound and graph6 decoder,
+its earlier memoized general matching search (before Edmonds' blossom),
 its earlier family graph builders and quotients, its odd-set search
 before the per-subtree Tutte-Berge bound, its bipartition inference
 on per-vertex side labels and its one-quotient-at-a-time symmetrization
@@ -185,8 +186,8 @@ def ref_chen_violating_set(g: Graph, k: int,
     mf._require_extendable_input(g, k)
     if g.n > limit:
         raise GraphError(f"criterion enumeration limited to n <= {limit}")
-    if mf.max_matching(g).size < k:
-        mm = mf.max_matching(g)
+    mm = ref_max_matching(g)
+    if mm.size < k:
         return mf.Certificate("FailingMatching", {
             "reason": "no-size-k-matching",
             "k": k,
@@ -279,7 +280,7 @@ def ref_is_k_extendable_plummer(g: Graph, k: int,
     if q == 0:
         raise GraphError("empty graph")
     if k >= q:
-        mm = mf.max_matching_bipartite(g)
+        mm = ref_max_matching_bipartite(g)
         if k == q and mm.size == q:
             return True, None
         return False, mf.Certificate("FailingMatching", {
@@ -342,7 +343,7 @@ def ref_is_k_factor_critical(g: Graph, k: int,
     full = g.full_mask()
     memo: dict[int, int] = {}
     definitional = all(
-        mf._has_pm_mask(adj, full ^ mask_of(comb), memo)
+        ref_has_pm_mask(adj, full ^ mask_of(comb), memo)
         for comb in combinations(range(n), k))
     criterion = cert is None and n % 2 == k % 2
     if criterion != definitional:
@@ -422,7 +423,7 @@ def ref_unpruned_chen_violating_set(g: Graph, k: int,
                                     limit: int = mf.EXHAUSTIVE_LIMIT):
     mf._require_extendable_input(g, k)
     mf._require_enumerable(g.n, limit)
-    mm = mf.max_matching(g)
+    mm = ref_max_matching(g)
     if mm.size < k:
         return mf._no_k_matching_certificate(k, mm)
     adj = g.adj
@@ -439,7 +440,7 @@ def ref_unpruned_chen_violating_set(g: Graph, k: int,
 def ref_unpruned_kfc_violating_set(g: Graph, k: int,
                                    limit: int = mf.EXHAUSTIVE_LIMIT):
     mf._require_kfc_input(g, k, limit)
-    mask = ref_odd_set_search(g, k, lambda: mf.max_matching(g).size)
+    mask = ref_odd_set_search(g, k, lambda: ref_max_matching(g).size)
     if mask is None:
         return None
     return mf._odd_set_certificate(g, "factor-critical", k, mask)
@@ -449,7 +450,113 @@ def ref_unpruned_kfc_violating_set(g: Graph, k: int,
 # The library's matching routines before one augmenting-path function and
 # one violating-set search served them all: each kept its own copy of Kuhn's
 # augmenting path, and Ore's criterion ranked every subset of side A by its
-# own sort key. Differential tests hold the library's outputs to these.
+# own sort key. The general matching number is the memoized branch and bound
+# that Edmonds' blossom algorithm replaced, and ``ref_max_matching_general``
+# its reconstruction from matching numbers alone. Differential tests hold
+# the library's outputs to these.
+
+
+def ref_max_matching_value(adj, mask: int, memo: dict[int, int]) -> int:
+    """nu(G[mask]): the smallest non-isolated vertex v is either matched to
+    one of its neighbors or left out; results are memoized by mask."""
+    cached = memo.get(mask)
+    if cached is not None:
+        return cached
+    v = -1
+    m = mask
+    while m:
+        b = m & -m
+        cand = b.bit_length() - 1
+        if adj[cand] & mask:
+            v = cand
+            break
+        m ^= b
+        mask ^= b  # drop isolated vertices from the state
+        cached = memo.get(mask)
+        if cached is not None:
+            return cached
+    if v == -1:
+        memo[mask] = 0
+        return 0
+    cap = mask.bit_count() // 2
+    best = 0
+    nb = adj[v] & mask
+    while nb:
+        b = nb & -nb
+        nb ^= b
+        r = 1 + ref_max_matching_value(adj, mask ^ (1 << v) ^ b, memo)
+        if r > best:
+            best = r
+            if best == cap:
+                memo[mask] = best
+                return best
+    r = ref_max_matching_value(adj, mask ^ (1 << v), memo)
+    if r > best:
+        best = r
+    memo[mask] = best
+    return best
+
+
+def ref_has_pm_mask(adj, mask: int, memo: dict[int, int]) -> bool:
+    size = mask.bit_count()
+    if size % 2:
+        return False
+    return ref_max_matching_value(adj, mask, memo) * 2 == size
+
+
+def ref_max_matching_general(g: Graph) -> mf.Matching:
+    """The smallest active vertex, matched to its smallest partner that
+    keeps the matching number, until no pair is left."""
+    memo: dict[int, int] = {}
+    adj = g.adj
+    mask = g.full_mask()
+    remaining = ref_max_matching_value(adj, mask, memo)
+    edges = []
+    while remaining:
+        v = -1
+        for cand in bits(mask):
+            if adj[cand] & mask:
+                v = cand
+                break
+        matched = False
+        for u in bits(adj[v] & mask):
+            nxt = mask ^ (1 << v) ^ (1 << u)
+            if 1 + ref_max_matching_value(adj, nxt, memo) == remaining:
+                edges.append((v, u))
+                mask = nxt
+                remaining -= 1
+                matched = True
+                break
+        if not matched:
+            mask ^= 1 << v
+    return mf.matching_of(edges)
+
+
+def ref_max_matching(g: Graph) -> mf.Matching:
+    if g.side_a is not None:
+        return ref_max_matching_bipartite(g)
+    return ref_max_matching_general(g)
+
+
+def ref_first_failing_k_matching(g: Graph, k: int):
+    """The definitional scan with one memoized perfect-matching test per
+    size-k matching, in lex order."""
+    memo: dict[int, int] = {}
+    full = g.full_mask()
+    for m_edges in mf.iter_k_matchings(g, k):
+        used = mask_of(v for e in m_edges for v in e)
+        if not ref_has_pm_mask(g.adj, full ^ used, memo):
+            return m_edges
+    return None
+
+
+def ref_is_k_factor_critical_by_definition(g: Graph, k: int) -> bool:
+    """n-k is even and every size-k deletion leaves a perfect matching."""
+    memo: dict[int, int] = {}
+    full = g.full_mask()
+    return g.n % 2 == k % 2 and all(
+        ref_has_pm_mask(g.adj, full ^ mask_of(comb), memo)
+        for comb in combinations(range(g.n), k))
 
 
 def ref_max_matching_bipartite(g: Graph) -> mf.Matching:

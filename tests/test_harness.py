@@ -490,8 +490,8 @@ class TestCertificateRevalidation:
             cert = plummer(g, k, limit)
             return Certificate(cert.kind, dict(cert.payload, subset=[]))
 
-        def corrupted_set(g, k, mm, memo):
-            cert = chen(g, k, mm, memo)
+        def corrupted_set(g, k, match):
+            cert = chen(g, k, match)
             odd = cert.payload["odd_components"] + 1
             return Certificate(cert.kind,
                                dict(cert.payload, odd_components=odd))

@@ -35,10 +35,14 @@ from specmatch.spectra import rho_dense, spectral_radius
 
 from conftest import (brute_is_k_extendable, brute_max_matching_size,
                       petersen, ref_chen_violating_set,
-                      ref_has_f_factor_ore, ref_is_k_extendable_chen,
-                      ref_is_k_extendable_plummer, ref_is_k_factor_critical,
-                      ref_kfc_violating_set, ref_max_matching_bipartite,
-                      ref_recognize, ref_unpruned_chen_violating_set,
+                      ref_first_failing_k_matching, ref_has_f_factor_ore,
+                      ref_is_k_extendable_chen, ref_is_k_extendable_plummer,
+                      ref_is_k_factor_critical,
+                      ref_is_k_factor_critical_by_definition,
+                      ref_kfc_violating_set, ref_max_matching,
+                      ref_max_matching_bipartite, ref_max_matching_general,
+                      ref_max_matching_value, ref_recognize,
+                      ref_unpruned_chen_violating_set,
                       ref_unpruned_kfc_violating_set, seeded_random_graph)
 
 
@@ -48,9 +52,9 @@ def random_balanced_bipartite(seed: int, half: int, p: float):
 
 def kfc_search(g, k, limit=mf.EXHAUSTIVE_LIMIT):
     """The factor-criticality search on its own: the checker's input
-    checks, then ``_kfc_search`` from an empty memo."""
+    checks, then ``_kfc_search`` from a cold maximum matching."""
     mf._require_kfc_input(g, k, limit)
-    return mf._kfc_search(g, k, {})
+    return mf._kfc_search(g, k, mf._blossom_matching(g))
 
 
 class TestMaxMatching:
@@ -88,6 +92,209 @@ class TestMaxMatching:
         assert has_perfect_matching(complete(6))
         assert not has_perfect_matching(complete(5))
         assert not has_perfect_matching(complete_bipartite(1, 3))
+
+
+def _nu_on(g, alive, match=None):
+    """nu(G[alive]) by the blossom core, warm-started from ``match`` or
+    from scratch: the largest ``need`` that ``_reaching`` meets. Each
+    matching it returns must be a matching of G[alive] of that size."""
+    start = [-1] * g.n if match is None else match
+    nu = 0
+    while True:
+        got = mf._reaching(g.adj, alive, start, nu + 1)
+        if got is None:
+            return nu
+        covered = 0
+        for v in bits(alive):
+            p = got[v]
+            if p >= 0:
+                assert got[p] == v and alive >> p & 1 and g.has_edge(v, p)
+                covered += 1
+        assert covered // 2 > nu
+        nu += 1
+
+
+def _nu(g):
+    return mf._pairs(mf._blossom_matching(g))
+
+
+def odd_wheel(spokes: int):
+    """The hub 0 joined to every vertex of the odd cycle 1..spokes."""
+    rim = [(i, i % spokes + 1) for i in range(1, spokes + 1)]
+    return from_edges(spokes + 1, rim + [(0, i) for i in range(1, spokes + 1)])
+
+
+def triangle_chain(triangles: int, cycle_len: int, pendant: bool):
+    """Triangles t = 0, 1, ..., each joined to the next through an odd cycle
+    of ``cycle_len`` that passes through a vertex of each; with
+    ``pendant``, vertex 0 also gets a leaf. Every blossom search in it
+    contracts triangles inside larger odd cycles."""
+    edges = []
+    n = 3 * triangles
+    for t in range(triangles):
+        a = 3 * t
+        edges += [(a, a + 1), (a + 1, a + 2), (a, a + 2)]
+    for t in range(triangles - 1):
+        u, v = 3 * t + 2, 3 * t + 3
+        # u - x - v, then back from v to u over cycle_len - 2 edges
+        path = [u, n, v] + list(range(n + 1, n + cycle_len - 2)) + [u]
+        n += cycle_len - 2
+        edges += list(zip(path, path[1:]))
+    if pendant:
+        edges.append((0, n))
+        n += 1
+    return from_edges(n, edges)
+
+
+class TestBlossom:
+    """Edmonds' blossom core against the memoized search it replaced
+    (``ref_max_matching_value``), networkx, and relabeling; the
+    reconstruction and the warm-started decide scans against their
+    reference copies."""
+
+    def test_every_small_graph_and_submask(self):
+        for g in _all_graphs(6):
+            memo = {}
+            assert _nu(g) == ref_max_matching_value(g.adj, g.full_mask(),
+                                                    memo)
+            masks = range(1 << g.n) if g.n <= 5 else (g.full_mask(),)
+            for alive in masks:
+                assert _nu_on(g, alive) == ref_max_matching_value(
+                    g.adj, alive, memo), (g.adj, alive)
+
+    def test_seeded_submasks_cold_and_warm(self):
+        rng = random.Random(18)
+        for i, n in enumerate(tuple(range(7, 21)) * 3):
+            g = random_graph(rng_for(18, i), n, P_SWEEP[i % len(P_SWEEP)])
+            match = mf._blossom_matching(g)
+            memo = {}
+            for _ in range(6):
+                alive = rng.getrandbits(n)
+                nu = ref_max_matching_value(g.adj, alive, memo)
+                assert _nu_on(g, alive) == nu
+                assert _nu_on(g, alive, match) == nu
+                for need in (nu - 1, nu, nu + 1):
+                    got = mf._reaching(g.adj, alive, match, need)
+                    assert (got is not None) == (nu >= need), need
+
+    def nested(self):
+        yield petersen()
+        for spokes in (3, 5, 7, 9, 11):
+            yield odd_wheel(spokes)
+        for triangles in (1, 2, 3, 4):
+            for cycle_len in (3, 5, 7):
+                for pendant in (False, True):
+                    g = triangle_chain(triangles, cycle_len, pendant)
+                    if g.n <= mf.GENERAL_MATCHING_LIMIT:
+                        yield g
+
+    def test_nested_blossoms(self):
+        graphs = 0
+        for g in self.nested():
+            graphs += 1
+            full = g.full_mask()
+            match = mf._blossom_matching(g)
+            memo = {}
+            assert _nu(g) == ref_max_matching_value(g.adj, full, memo)
+            # every one- and two-vertex deletion, cold and warm
+            for u in range(g.n):
+                for v in range(u, g.n):
+                    alive = full & ~(1 << u | 1 << v)
+                    nu = ref_max_matching_value(g.adj, alive, memo)
+                    assert _nu_on(g, alive) == nu, (g.adj, u, v)
+                    assert _nu_on(g, alive, match) == nu, (g.adj, u, v)
+            assert (max_matching_general(g).edges
+                    == ref_max_matching_general(g).edges)
+        assert graphs == 28
+
+    def test_networkx_oracle(self):
+        nx = pytest.importorskip("networkx")
+        for i in range(60):
+            n = 20 + i % 21
+            g = random_graph(rng_for(19, i), n, (0.05, 0.1, 0.2, 0.5)[i % 4])
+            h = nx.Graph()
+            h.add_nodes_from(range(n))
+            h.add_edges_from(g.edges())
+            want = len(nx.max_weight_matching(h, maxcardinality=True))
+            assert _nu_on(g, g.full_mask()) == want, graph6_encode(g)
+
+    def test_reconstruction_is_the_reference_edge_list(self):
+        graphs = [random_graph(rng_for(20, i), 2 + i % 15,
+                               P_SWEEP[i % len(P_SWEEP)] / 2)
+                  for i in range(90)]
+        stars = [complete_bipartite(1, r).drop_bipartition()
+                 for r in (1, 3, 6)]
+        # K_4 on 0-3 whose vertex 3 is the center of a star on 4-9
+        star_clique = from_edges(
+            10, list(combinations(range(4), 2))
+            + [(3, leaf) for leaf in range(4, 10)])
+        for g in graphs + stars + [star_clique]:
+            assert (max_matching_general(g).edges
+                    == ref_max_matching_general(g).edges), graph6_encode(g)
+        # nu < k: the no-size-k-matching certificate lists those edges
+        hosts = [(stars[1], 2), (star_clique, 3)]
+        for host, k in hosts:
+            want = [list(e) for e in ref_max_matching(host).edges]
+            assert len(want) < k
+            for check in (is_k_extendable_chen, is_k_extendable_definitional):
+                ok, cert = check(host, k)
+                assert not ok
+                assert cert.payload == {"reason": "no-size-k-matching",
+                                        "k": k, "max_matching": want}
+                assert validate_certificate(host, cert)
+
+    def test_no_k_matching_revalidates_above_the_general_limit(self):
+        # re-validation reads nu from a cold blossom, which has no order
+        # limit: a star on 26 vertices without sides still shows nu = 1
+        star = complete_bipartite(1, 25).drop_bipartition()
+        for k, holds in ((2, True), (1, False)):
+            cert = Certificate("FailingMatching", {
+                "reason": "no-size-k-matching", "k": k,
+                "max_matching": [[0, 1]]})
+            assert validate_certificate(star, cert) is holds
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(st.integers(1, 24), st.integers(0, 123456),
+           st.sampled_from((0.1, 0.2) + P_SWEEP), st.data())
+    def test_nu_under_relabeling(self, n, seed, p, data):
+        g = seeded_random_graph(seed, n, p)
+        moved = _relabeled(g, data.draw(st.permutations(range(n))))
+        assert _nu(moved) == _nu(g)
+
+    @staticmethod
+    def scan_graphs():
+        """Seeded draws of order 8-18, denser where the graph is small, so
+        that the scans meet positives and late first failures."""
+        for i, n in enumerate(range(8, 19)):
+            for j, p in enumerate((0.3, 0.5, 0.8)):
+                if n > 12 and p > 0.5:
+                    continue
+                yield random_graph(rng_for(21, 3 * i + j), n, p)
+        yield complete(10)
+        yield cycle(12)
+        yield extremal_kext_general(16, 2, 4)
+        yield extremal_kfc(15, 1, 2)
+
+    def test_first_failing_k_matching(self):
+        verdicts = Counter()
+        for g in self.scan_graphs():
+            if g.n % 2:
+                continue
+            match = mf._blossom_matching(g)
+            for k in (1, 2, 3):
+                want = ref_first_failing_k_matching(g, k)
+                assert mf._first_failing_k_matching(g, k, match) == want
+                verdicts[want is None] += 1
+        assert verdicts[True] and verdicts[False]
+
+    def test_is_k_factor_critical(self):
+        verdicts = Counter()
+        for g in self.scan_graphs():
+            for k in (1, 2):
+                want = ref_is_k_factor_critical_by_definition(g, k)
+                assert is_k_factor_critical(g, k)[0] is want, (g.adj, k)
+                verdicts[want] += 1
+        assert verdicts[True] and verdicts[False]
 
 
 class TestDefinitional:
