@@ -12,7 +12,11 @@ checker routes of ``ROUTES``. Dispatch looks rows up.
 Determinism contract: identical configuration (seed included) produces a
 byte-identical report. Per-graph randomness is derived from
 (seed, sample index), so results do not depend on the worker count, and
-rows are emitted sorted by input index.
+rows are emitted sorted by input index. Random draws read the
+``random.Random`` stream in numpy blocks (``_uniforms``), word for word
+as scalar ``random()`` calls would, so every drawn graph is the one the
+scalar draws give; a sampler's stream is its sample's alone, and it may
+read past a kept draw before it is discarded.
 """
 from __future__ import annotations
 
@@ -21,7 +25,9 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice
-from typing import Callable, Iterable, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
+
+import numpy as np
 
 from . import families as fam
 from . import matchfactor as mf
@@ -32,6 +38,13 @@ from .graph import (Graph, GraphError, SIDE_A, SIDE_B, graph6_decode,
 
 P_SWEEP = (0.3, 0.5, 0.7, 0.9)
 SAMPLE_ATTEMPTS = 60
+# The draw branch draws its attempts in blocks of 1, 3, 9, ... attempts:
+# one numpy block costs about as much as a few hundred pair draws, so a
+# block grows while its draws are still likely to be needed, and the
+# first is one attempt, since many classes keep their first draw.
+# DRAW_BUDGET caps the pair draws of one block, which bounds its memory.
+DRAW_GROWTH = 3
+DRAW_BUDGET = 8192
 DEFAULT_TOL = 1e-8
 # re-verification asks power iteration for tol/100, which float64 reaches
 # down to about 1e-14 on the family members
@@ -125,38 +138,74 @@ def rng_for(seed: int, index: int) -> random.Random:
     return random.Random(((seed * 0x9E3779B97F4A7C15) ^ index) & (2**63 - 1))
 
 
-def random_rows(rng: random.Random, n: int, p: float) -> list[int]:
-    """Adjacency rows of a G(n, p) draw."""
-    adj = [0] * n
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < p:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-    return adj
+def _uniforms(rng: random.Random, count: int) -> np.ndarray:
+    """``[rng.random() for _ in range(count)]`` as an array, bit for bit,
+    and with the same words consumed. ``random()`` reads two MT19937 words
+    w0, w1 and returns ((w0 >> 5) * 2**26 + (w1 >> 6)) / 2**53;
+    ``getrandbits(64 * count)`` reads the same words, least significant
+    first, so each 64-bit little-endian value is w0 + w1 * 2**32."""
+    x = np.frombuffer(rng.getrandbits(64 * count).to_bytes(8 * count,
+                                                           "little"),
+                      dtype="<u8")
+    return (((x & 0xFFFFFFE0) << 21) | (x >> 38)) * (1.0 / 2**53)
 
 
-def random_bipartite_rows(rng: random.Random, p_side: int, q_side: int,
-                          prob: float) -> list[int]:
-    """Adjacency rows of a random bipartite draw, side A first."""
-    n = p_side + q_side
-    adj = [0] * n
-    for a in range(p_side):
-        for b in range(p_side, n):
-            if rng.random() < prob:
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
-    return adj
+@lru_cache(maxsize=64)
+def _pair_cells(n: int, side: int | None) -> np.ndarray:
+    """The flat cells u * n + v of the vertex pairs that a draw visits, in
+    stream order: every (u, v) with u < v, row by row; or, when ``side`` is
+    given, every (a, b) with a < side <= b, side A's rows first. Read-only:
+    every caller shares the cached array."""
+    if side is None:
+        pairs = np.triu(np.ones((n, n), dtype=bool), 1)
+    else:
+        pairs = np.zeros((n, n), dtype=bool)
+        pairs[:side, side:] = True
+    cells = np.flatnonzero(pairs)
+    cells.flags.writeable = False
+    return cells
+
+
+def _draw_block(rng: random.Random, n: int, side: int | None, prob: float,
+                attempts: int) -> np.ndarray:
+    """The boolean adjacency matrices, shape (attempts, n, n), of
+    ``attempts`` consecutive draws: each pair of ``_pair_cells`` is an edge
+    when its uniform is below ``prob``. Consumes exactly the stream of
+    ``attempts`` scalar draws."""
+    cells = _pair_cells(n, side)
+    adj = np.zeros((attempts, n, n), dtype=bool)
+    adj.reshape(attempts, n * n)[:, cells] = (
+        _uniforms(rng, attempts * len(cells)) < prob).reshape(attempts,
+                                                             len(cells))
+    return adj | adj.transpose(0, 2, 1)
+
+
+def _row_lists(adj: np.ndarray) -> Iterator[list[int]]:
+    """The bitset rows of each matrix of a stack of boolean adjacency
+    matrices, in stack order; the rows of one matrix are built only when
+    the iteration reaches it."""
+    count, n = adj.shape[:2]
+    packed = np.packbits(adj, axis=2, bitorder="little")
+    width = packed.shape[2]
+    data = packed.tobytes()
+    for j in range(count):
+        base = j * n * width
+        yield [int.from_bytes(data[base + i * width:base + (i + 1) * width],
+                              "little") for i in range(n)]
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
-    return Graph(n, tuple(random_rows(rng, n, p)))
+    """A G(n, p) draw: one attempt of the block draw."""
+    return Graph(n, tuple(next(_row_lists(_draw_block(rng, n, None, p, 1)))))
 
 
 def random_bipartite(rng: random.Random, p_side: int, q_side: int,
                      prob: float) -> Graph:
-    return Graph(p_side + q_side,
-                 tuple(random_bipartite_rows(rng, p_side, q_side, prob)),
+    """A random bipartite draw, side A first: one attempt of the block
+    draw."""
+    n = p_side + q_side
+    return Graph(n, tuple(next(_row_lists(_draw_block(rng, n, p_side, prob,
+                                                      1)))),
                  (1 << p_side) - 1)
 
 
@@ -348,6 +397,50 @@ def _perturb(rng: random.Random, base: Graph, edits: int) -> list[int]:
     return rows
 
 
+@lru_cache(maxsize=64)
+def _block_sizes(pairs: int) -> tuple[int, ...]:
+    """The attempts of each draw block, summing to ``SAMPLE_ATTEMPTS``:
+    1, then ``DRAW_GROWTH`` times the last, each cut to at most
+    ``DRAW_BUDGET`` pair draws (and at least one attempt)."""
+    cap = max(1, DRAW_BUDGET // max(1, pairs))
+    sizes, size, left = [], 1, SAMPLE_ATTEMPTS
+    while left:
+        sizes.append(min(size, cap, left))
+        left -= sizes[-1]
+        size *= DRAW_GROWTH
+    return tuple(sizes)
+
+
+def _drawn_sample(spec: TheoremSpec, n: int, delta: int | None,
+                  rng: random.Random, prob: float) -> Graph | None:
+    """The first of ``SAMPLE_ATTEMPTS`` random draws that lies in the
+    hypothesis class, or None when none does.
+
+    The attempts are drawn a block at a time (``_block_sizes``), and a
+    whole block is filtered at once by minimum degree: it must equal the
+    pinned ``delta``, or, in a connected class without one, be positive.
+    Rows are built only for the attempts that pass, and those are tested
+    for connectivity in attempt order, so the kept draw is the one the
+    attempts one by one would keep.
+
+    An exhausted branch leaves ``rng`` where ``SAMPLE_ATTEMPTS`` single
+    draws leave it. A kept draw may leave ``rng`` past its own words, by
+    the rest of its block."""
+    side = n // 2 if spec.bipartite else None
+    side_a = (1 << side) - 1 if spec.bipartite else None
+    for size in _block_sizes(len(_pair_cells(n, side))):
+        adj = _draw_block(rng, n, side, prob, size)
+        if delta is not None:
+            adj = adj[adj.sum(axis=2).min(axis=1) == delta]
+        elif spec.requires_connected and n > 1:
+            # a connected graph has no isolated vertex
+            adj = adj[adj.any(axis=2).all(axis=1)]
+        for rows in _row_lists(adj):
+            if not spec.requires_connected or rows_connected(rows):
+                return Graph(n, tuple(rows), side_a)
+    return None
+
+
 def sample_for_theorem(spec: TheoremSpec, p: fam.FamilyParams,
                        extremal: Graph, rng: random.Random,
                        index: int) -> Graph:
@@ -356,23 +449,23 @@ def sample_for_theorem(spec: TheoremSpec, p: fam.FamilyParams,
     (up to 3 edge edits); rejection until class membership, else the
     extremal graph itself.
 
+    Even indices first try ``SAMPLE_ATTEMPTS`` draws (``_drawn_sample``);
+    an exhausted draw branch, and every odd index, go on to the
+    perturbations, which read ``rng`` on from where the draws left it.
+    ``rng`` belongs to this one sample (the callers pass ``rng_for(seed,
+    index)``): past a kept draw it may have read further than the draw
+    itself, and it is discarded then.
+
     Draws and perturbations are adjacency rows, tested for class membership
     as rows; rejected ones never become ``Graph`` objects. Only the kept
     sample is built as a ``Graph``, and it is validated in full like every
     other."""
     delta = _pinned_degree(spec, p)
-    half = p.n // 2
-
     if index % 2 == 0:
         prob = P_SWEEP[(index // 2) % len(P_SWEEP)]
-        for _ in range(SAMPLE_ATTEMPTS):
-            if spec.bipartite:
-                rows = random_bipartite_rows(rng, half, half, prob)
-            else:
-                rows = random_rows(rng, p.n, prob)
-            if _in_hypothesis_class(spec, rows, delta):
-                side_a = (1 << half) - 1 if spec.bipartite else None
-                return Graph(len(rows), tuple(rows), side_a)
+        drawn = _drawn_sample(spec, p.n, delta, rng, prob)
+        if drawn is not None:
+            return drawn
     for _ in range(SAMPLE_ATTEMPTS):
         rows = _perturb(rng, extremal, 1 + rng.randrange(3))
         if _in_hypothesis_class(spec, rows, delta):

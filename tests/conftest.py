@@ -5,7 +5,9 @@ The oracles here deliberately use different algorithms from the library
 vertex masks) so that test expectations are computed independently.
 The reference checkers and the reference sampler at the end are the
 exception: they keep the library's earlier always-exhaustive checkers, its
-earlier Graph-per-draw sampler, its earlier matching routines (three
+earlier Graph-per-draw sampler and its scalar draws (one ``random()`` call
+per vertex pair, before the draws were read in numpy blocks), its earlier
+matching routines (three
 separate augmenting-path copies and the subset loop of Ore's criterion),
 its earlier per-family recognizers, its earlier per-theorem hypotheses, and
 its earlier power iteration, identity (13), FMS bound and graph6 decoder,
@@ -729,9 +731,10 @@ def ref_random_regular_bipartite(rng: random.Random, half: int,
 
 # -- reference sampler -----------------------------------------------------
 # The sampler the library ran before it drew adjacency rows: every draw and
-# every perturbation edit is a validated Graph. The one addition is the exit
-# label returned beside the sample ("draw", "perturb" or "extremal"), so a
-# differential test can show that it reached all three exits.
+# every perturbation edit is a validated Graph, and every draw reads one
+# ``random()`` per vertex pair. The one addition is the exit label returned
+# beside the sample ("draw", "perturb" or "extremal"), so a differential
+# test can show that it reached all three exits.
 
 
 def ref_random_graph(rng: random.Random, n: int, p: float) -> Graph:

@@ -7,7 +7,9 @@ way to one isomorphism test, the l2.2 sweep before l2.2 and l2.3 came to
 share one clique-pair evaluator, the two ``rho`` reports before power
 iteration, identity (13) and the graph6 decoder were made faster, the t1.1
 run at (20, 2, 4) and the ``kfc17`` check before the odd-set searches
-skipped subtrees by the Tutte-Berge bound on G-S, and none may change:
+skipped subtrees by the Tutte-Berge bound on G-S, the t1.1 run at
+(18, 1, 3) before the sampler drew its attempts in numpy blocks, and none
+may change:
 every certificate kind, every checker route and every family's
 ``extremal-hit`` rows that reach a report are covered. Graph6 input lines
 are built from the library's constructors, or decoded from graph6
@@ -154,6 +156,12 @@ GOLDEN = [
       "4", "--samples", "0"], None,
      "6fa9f81fc006ed120bda78a6a2d65eaf5cc2e36aef58e92aa8c4caaff91e5de8",
      0, "n20"),
+    # verify-check's point: at p = 0.7 and 0.9 no draw has minimum degree
+    # 3, so every such sample exhausts its draws and then perturbs
+    (["verify", "--theorem", "t1.1", "--n", "18", "--k", "1", "--delta",
+      "3", "--samples", "40", "--seed", "5"], None,
+     "40d3a3a8c1b8c24dd5726063e016e90ed9af9ddf2ef5dfa3641f0f72790016bc",
+     0, "n18"),
     (["verify", "--theorem", "l2.3", "--n", "40"], None,
      "2822c5e487c326b9b31d6df02eeedd405e31dd019da28349a1cfa41fdddd4ee3",
      0),

@@ -31,10 +31,12 @@ from specmatch.harness import (THEOREMS, UsageError, cmd_check,
                                cmd_construct, cmd_cross_check, cmd_rho,
                                cmd_scan, cmd_verify,
                                oracle_property_for_theorem,
+                               random_bipartite, random_graph,
                                random_regular_bipartite, render_csv,
                                render_json, rng_for, sample_for_theorem)
 
 from conftest import (_ref_theorem_delta, path, ref_hypotheses_hold,
+                      ref_random_bipartite, ref_random_graph,
                       ref_random_regular_bipartite, ref_sample_for_theorem)
 
 CLI = [sys.executable, "-m", "specmatch"]
@@ -541,27 +543,46 @@ class TestSampler:
     }
 
     def test_matches_reference_sampler(self):
-        cases = [(name, p, construct_family(THEOREMS[name].family, p))
+        cases = [(name, p, construct_family(THEOREMS[name].family, p), 200)
                  for name, p in self.PARAMS.items()]
         # No perturbation of 1-3 edits keeps these bases in the class
         # (minimum degree 2 is pinned), so odd indices take the extremal
         # fallback; the real extremal graphs never reach it.
-        cases += [("t1.1", self.PARAMS["t1.1"], complete(10)),
-                  ("t1.2", self.PARAMS["t1.2"], complete_bipartite(8, 8))]
+        cases += [("t1.1", self.PARAMS["t1.1"], complete(10), 200),
+                  ("t1.2", self.PARAMS["t1.2"], complete_bipartite(8, 8),
+                   200)]
+        # verify-check's point, where no draw at p = 0.7 or 0.9 has minimum
+        # degree 3, and the pinned t1.2 finding's point, where the scalar
+        # reference is slow, hence fewer indices
+        for name, p, count in (("t1.1", FamilyParams(n=18, k=1, delta=3),
+                                200),
+                               ("t1.2", FamilyParams(n=60, k=2, delta=3),
+                                40)):
+            cases.append((name, p, construct_family(THEOREMS[name].family,
+                                                    p), count))
         exits = {"draw": 0, "perturb": 0, "extremal": 0}
-        for name, p, base in cases:
+        exhausted_then_perturbed = 0
+        for name, p, base, count in cases:
             spec = THEOREMS[name]
             for seed in (3, 11, 2024):
-                for i in range(200):
+                for i in range(count):
+                    ref_rng, rng = rng_for(seed, i), rng_for(seed, i)
                     expected, how = ref_sample_for_theorem(
-                        spec, p, base, rng_for(seed, i), i)
-                    got = sample_for_theorem(spec, p, base,
-                                             rng_for(seed, i), i)
+                        spec, p, base, ref_rng, i)
+                    got = sample_for_theorem(spec, p, base, rng, i)
                     assert (got.n, got.adj, got.side_a) == (
                         expected.n, expected.adj, expected.side_a), \
                         (name, seed, i, how)
                     exits[how] += 1
+                    if how != "draw":
+                        # only a kept draw may read its stream ahead
+                        assert rng.getstate() == ref_rng.getstate(), \
+                            (name, seed, i, how)
+                    if (name, p.n, i % 2, how) == ("t1.1", 18, 0,
+                                                   "perturb"):
+                        exhausted_then_perturbed += 1
         assert all(exits.values()), exits
+        assert exhausted_then_perturbed > 0
 
     def test_pinned_degree_is_the_members(self):
         # the pinned minimum degree is read off the family member: delta
@@ -590,6 +611,45 @@ class TestSampler:
             want = ref_random_regular_bipartite(rng_for(17, i), half, k)
             assert (got.n, got.adj, got.side_a) == (want.n, want.adj,
                                                     want.side_a), (half, k)
+
+
+class TestDraws:
+    # rng_for seeds, negative ones included, and sample indices
+    STREAMS = [(seed, index) for seed in (-9, -1, 0, 7, 2**40)
+               for index in (0, 3)]
+
+    def test_uniforms_read_the_random_stream(self):
+        # the block draws rest on CPython's random() and getrandbits()
+        # reading the same MT19937 words in the same order
+        for seed, index in self.STREAMS:
+            for count in (0, 1, 2, 153, 9180, 46800):
+                rng, ref = rng_for(seed, index), rng_for(seed, index)
+                assert hz._uniforms(rng, count).tolist() == [
+                    ref.random() for _ in range(count)], (seed, count)
+                assert rng.getstate() == ref.getstate(), (seed, count)
+
+    def test_draws_match_reference(self):
+        # one stream per order across every draw at it, as cross-check and
+        # the benchmark's input generators share one: each draw must read
+        # exactly the words of its scalar reference
+        for n in [*range(21), 63, 64, 200, 300]:
+            rng, ref = rng_for(41, n), rng_for(41, n)
+            for p in hz.P_SWEEP + (0.0, 1.0):
+                got, want = random_graph(rng, n, p), ref_random_graph(ref,
+                                                                      n, p)
+                assert got.adj == want.adj, (n, p)
+                side = n // 2
+                got = random_bipartite(rng, side, n - side, p)
+                want = ref_random_bipartite(ref, side, n - side, p)
+                assert (got.adj, got.side_a) == (want.adj, want.side_a), \
+                    (n, p)
+                assert rng.getstate() == ref.getstate(), (n, p)
+
+    def test_blocks_cover_the_attempts_within_the_budget(self):
+        for pairs in (0, 1, 16, 153, 900, hz.DRAW_BUDGET, 44850):
+            sizes = hz._block_sizes(pairs)
+            assert sum(sizes) == hz.SAMPLE_ATTEMPTS and min(sizes) >= 1
+            assert max(sizes) * pairs <= max(pairs, hz.DRAW_BUDGET)
 
 
 class TestCrossCheck:
