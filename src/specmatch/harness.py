@@ -880,10 +880,9 @@ def _map_rows(items: list, worker, jobs: int) -> list:
         return list(pool.map(worker, items, chunksize=chunk))
 
 
-def _rho_row(item: tuple[int, str, Graph]) -> dict:
-    _, text, g = item
-    res = sp.spectral_radius(g) if g.n >= 1 else None
-    row = {"graph": text, "rho": res.rho if res else None,
+def _rho_row(item: tuple[str, Graph, float | None]) -> dict:
+    text, g, rho = item
+    row = {"graph": text, "rho": rho,
            "fms_bound": None, "sqrt_m": None, "identity13": ""}
     if g.n >= 2 and is_connected(g):
         row["fms_bound"] = sp.fms_bound(g)[0]
@@ -898,8 +897,16 @@ def _rho_row(item: tuple[int, str, Graph]) -> dict:
 
 
 def cmd_rho(lines: Iterable[str], jobs: int = 1) -> Report:
+    """One row per decoded line. The spectral radii of all lines are solved
+    here, in the calling process, by one ``spectral_radius_many`` call
+    (stacked power iterations); the workers of ``_map_rows`` get each
+    line's rho and add the bounds and identity (13)."""
     report = Report(mode="rho", columns=RHO_COLUMNS)
-    items = _decode_lines(lines, report)
+    decoded = _decode_lines(lines, report)
+    solved = iter(sp.spectral_radius_many(
+        [g for _, _, g in decoded if g.n >= 1]))
+    items = [(text, g, next(solved).rho if g.n >= 1 else None)
+             for _, text, g in decoded]
     report.rows.extend(_map_rows(items, _rho_row, jobs))
     for _ in items:
         report.count("consistent")

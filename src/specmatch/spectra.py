@@ -4,8 +4,10 @@ quotient matrices and adjacency spectral bounds.
 Two numeric routes to the spectral radius are kept on purpose.
 ``spectral_radius`` is a self-contained shifted power iteration
 (deterministic all-ones start, shift = max degree) that also returns the
-Perron vector and its residual; the ``rho`` mode and the re-solve of a
-counterexample candidate (``harness._reverify_candidate``) use it.
+Perron vector and its residual; the ``rho`` mode solves its lines with
+``spectral_radius_many``, which gives the ``spectral_radius`` of each
+graph, and the re-solve of a counterexample candidate
+(``harness._reverify_candidate``) calls ``spectral_radius``.
 ``rho_dense`` takes the top eigenvalue from LAPACK's ``eigvalsh`` and gives
 the spectral radius everywhere else: in verify, check and scan rows, and,
 through ``rho_dense_many``, in the lemma sweeps, which compare it with
@@ -18,6 +20,12 @@ graph order. LAPACK solves each matrix of a stack on its own, so a stacked
 value is bit-identical to the single solve (``largest_eigenvalue``,
 ``rho_dense``). A quotient's symmetrization has one implementation,
 ``_symmetrized``, which both the stacked and the single solve use.
+``spectral_radius_many`` runs one lockstep power iteration per stack of
+components of one order, at most STACK_CELLS matrix cells; ``matmul``
+multiplies a stack slice by slice with the BLAS call of the single
+product, so each result is ``spectral_radius``'s, Perron vector bytes
+and matvec count included. Graph stacks come from ``adjacency_matrices``,
+whose one-graph case is ``adjacency_matrix``.
 """
 from __future__ import annotations
 
@@ -32,6 +40,8 @@ from .graph import Graph, GraphError, bits, component_masks, mask_of
 
 MAX_MATVECS = 10 ** 6
 RESIDUAL_CHECK_EVERY = 4
+# matrix cells per stacked power iteration; bounds a stack's memory
+STACK_CELLS = 1 << 15
 
 
 class ConvergenceError(RuntimeError):
@@ -46,15 +56,23 @@ def default_tol(dim: int) -> float:
     return 1e-10 if dim <= 256 else 1e-8
 
 
-def adjacency_matrix(g: Graph) -> np.ndarray:
-    """Dense 0/1 float64 adjacency matrix: each row's bitset is written out
-    as little-endian bytes and unpacked bit by bit."""
-    n = g.n
+def adjacency_matrices(graphs: Sequence[Graph]) -> np.ndarray:
+    """Dense 0/1 float64 adjacency matrices of m >= 1 graphs of one order n,
+    as one C-contiguous (m, n, n) stack: each row's bitset is written out as
+    little-endian bytes and the stack is unpacked bit by bit in one call."""
+    n = graphs[0].n
     nb = (n + 7) // 8
     packed = np.frombuffer(b"".join(row.to_bytes(nb, "little")
-                                    for row in g.adj), dtype=np.uint8)
-    return np.unpackbits(packed.reshape(n, nb), axis=1, count=n,
-                         bitorder="little").astype(float)
+                                    for g in graphs for row in g.adj),
+                           dtype=np.uint8)
+    return np.unpackbits(packed.reshape(len(graphs), n, nb), axis=2,
+                         count=n, bitorder="little").astype(float)
+
+
+def adjacency_matrix(g: Graph) -> np.ndarray:
+    """Dense 0/1 float64 adjacency matrix, C-contiguous: the one-graph
+    stack of ``adjacency_matrices``."""
+    return adjacency_matrices([g])[0]
 
 
 @dataclass(eq=False)
@@ -125,6 +143,108 @@ def spectral_radius(g: Graph, tol: float | None = None) -> SpectralResult:
                           tol=tol, matvecs=total_matvecs)
 
 
+def _power_iterations(a: np.ndarray, tol: float) -> list:
+    """``_power_iteration`` on each matrix of an (m, n, n) stack, m, n >= 2,
+    in lockstep. ``matmul`` multiplies a stack slice by slice with the BLAS
+    call of the single product, so every slice sees the floats of its
+    single solve, bit for bit; a slice leaves the stack when it stops. A
+    slice still running after MAX_MATVECS products gets the
+    ConvergenceError of the single solve in place of its result."""
+    m, n, _ = a.shape
+    out: list = [None] * m
+    live = np.arange(m)
+    shift = a.sum(axis=1).max(axis=1, keepdims=True)
+    x = np.full((m, n), 1.0 / math.sqrt(n))
+    best = np.full(m, math.inf)
+    matvecs = 0
+    while matvecs < MAX_MATVECS:
+        y = np.matmul(a, x[:, :, None])[:, :, 0]
+        matvecs += 1
+        z = y + shift * x
+        norm = np.sqrt(np.matmul(z[:, None, :], z[:, :, None])[:, 0, 0])
+        stop = norm == 0.0  # edgeless
+        if matvecs % RESIDUAL_CHECK_EVERY == 0 or matvecs == 1:
+            rho = np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
+            res = np.abs(y - rho[:, None] * x).max(axis=1)
+            best = np.fmin(best, res)
+            stop |= res <= tol
+        if stop.any():
+            for i in np.flatnonzero(stop).tolist():
+                out[live[i]] = ((0.0, x[i].copy(), 0.0, matvecs)
+                                if norm[i] == 0.0 else
+                                (float(rho[i]), x[i].copy(), float(res[i]),
+                                 matvecs))
+            keep = ~stop
+            if not keep.any():
+                return out
+            a, live, shift, best = a[keep], live[keep], shift[keep], best[keep]
+            z, norm = z[keep], norm[keep]
+        x = z / norm[:, None]
+    for i, residual in zip(live.tolist(), best.tolist()):
+        out[i] = ConvergenceError(
+            f"power iteration exceeded {MAX_MATVECS} matrix-vector products",
+            residual)
+    return out
+
+
+def spectral_radius_many(graphs: Sequence[Graph],
+                         tol: float | None = None) -> list[SpectralResult]:
+    """``spectral_radius`` of each graph, bit for bit.
+
+    The graphs' components are grouped by (order, tolerance) and each
+    group is solved in stacks of at most STACK_CELLS matrix cells, built
+    when solved and dropped after: a stack of one matrix by
+    ``_power_iteration``, a larger one by ``_power_iterations``. A failed
+    solve raises the ConvergenceError that ``spectral_radius`` raises on
+    the first failing graph in input order."""
+    if any(g.n < 1 for g in graphs):
+        raise GraphError("spectral radius needs n >= 1")
+    tols = [default_tol(g.n) if tol is None else tol for g in graphs]
+    comps = [[list(bits(c)) for c in component_masks(g)] for g in graphs]
+    groups: dict[tuple[int, float], list[tuple[int, int]]] = {}
+    for i, verts_of in enumerate(comps):
+        for j, verts in enumerate(verts_of):
+            groups.setdefault((len(verts), tols[i]), []).append((i, j))
+    solved: dict[tuple[int, int], object] = {}
+    # the largest components first, while few results are held
+    for (order, group_tol), keys in sorted(groups.items(), reverse=True):
+        size = max(1, STACK_CELLS // (order * order)) if order > 1 else 1
+        for start in range(0, len(keys), size):
+            stack = keys[start:start + size]
+            subs = [graphs[i] if len(comps[i]) == 1
+                    else graphs[i].induced(comps[i][j]) for i, j in stack]
+            if len(stack) == 1:
+                try:
+                    results = [_power_iteration(adjacency_matrix(subs[0]),
+                                                group_tol)]
+                except ConvergenceError as exc:
+                    results = [exc]
+            else:
+                results = _power_iterations(adjacency_matrices(subs),
+                                            group_tol)
+            solved.update(zip(stack, results))
+    out = []
+    for i, g in enumerate(graphs):
+        best_rho = -math.inf
+        best = None
+        total_matvecs = 0
+        for j, verts in enumerate(comps[i]):
+            result = solved[i, j]
+            if isinstance(result, ConvergenceError):
+                raise result
+            rho, x, res, mv = result
+            total_matvecs += mv
+            if rho > best_rho + tols[i]:
+                best_rho = rho
+                best = (verts, x, res)
+        verts, x, res = best
+        perron = np.zeros(g.n)
+        perron[verts] = x
+        out.append(SpectralResult(rho=best_rho, perron=perron, residual=res,
+                                  tol=tols[i], matvecs=total_matvecs))
+    return out
+
+
 def full_spectrum(m: np.ndarray, tol: float | None = None) -> np.ndarray:
     """All eigenvalues of a real symmetric matrix in descending order,
     residual-checked."""
@@ -175,8 +295,7 @@ def rho_dense_many(graphs: Sequence[Graph]) -> list[float]:
     order."""
     if any(g.n == 0 for g in graphs):
         raise GraphError("spectral radius needs n >= 1")
-    return _stacked_top(graphs, lambda g: g.n, lambda group: np.stack(
-        [adjacency_matrix(g) for g in group]))
+    return _stacked_top(graphs, lambda g: g.n, adjacency_matrices)
 
 
 # -- equitable partitions and quotients ---------------------------------

@@ -19,7 +19,8 @@ from specmatch import matchfactor as mf
 from specmatch import spectra as sp
 from specmatch.graph import (SIDE_A, SIDE_B, complete, complete_bipartite,
                              cycle, disjoint_union, from_edges,
-                             graph6_decode, graph6_encode, infer_bipartition)
+                             graph6_decode, graph6_encode, infer_bipartition,
+                             is_connected)
 from specmatch.families import (BlowUp, FamilyParams, construct_family,
                                 join_cliques, extremal_hamilton,
                                 extremal_kext_bipartite,
@@ -150,10 +151,22 @@ class TestRho:
         assert all(r["identity13"] == "ok" for r in report.rows)
 
     def test_jobs_match_serial(self):
-        lines = [graph6_encode(complete(n)) for n in range(2, 10)]
-        serial = csv_text(cmd_rho(lines, jobs=1))
-        parallel = csv_text(cmd_rho(lines, jobs=3))
-        assert serial == parallel
+        """Several lines per order, so that rho is solved in stacks, with
+        disconnected lines among them: the CSV is the same for any worker
+        count, and each rho is the line's ``spectral_radius``."""
+        rng = rng_for(11, 0)
+        graphs = [complete(n) for n in range(1, 10)]
+        graphs += [random_graph(rng, 6 + i % 4, (0.2, 0.5)[i % 2])
+                   for i in range(24)]
+        graphs += [disjoint_union(complete(4), cycle(5)),
+                   disjoint_union(path(3), complete(1)),
+                   disjoint_union(cycle(6), cycle(3))]
+        assert sum(not is_connected(g) for g in graphs) >= 4
+        lines = [graph6_encode(g) for g in graphs]
+        report = cmd_rho(lines, jobs=1)
+        assert [row["rho"] for row in report.rows] == [
+            sp.spectral_radius(g).rho for g in graphs]
+        assert csv_text(report) == csv_text(cmd_rho(lines, jobs=3))
 
     def test_all_malformed_is_error(self):
         with pytest.raises(UsageError, match="all input lines were malformed"):

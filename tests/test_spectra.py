@@ -7,12 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from specmatch.graph import (GraphError, complete, complete_bipartite, cycle,
                              disjoint_union, empty, is_connected)
+from specmatch import spectra as sp
 from specmatch.spectra import (ConvergenceError, Partition, QuotientMatrix,
-                               adjacency_matrix, charpoly_quartic,
+                               adjacency_matrices, adjacency_matrix,
+                               charpoly_quartic,
                                degree_sum_identity, fms_bound, full_spectrum,
                                largest_eigenvalues, quartic_largest_root,
                                quotient, refine_equitable, rho_dense,
-                               rho_dense_many, spectral_radius, sqrt_m_bound)
+                               rho_dense_many, spectral_radius,
+                               spectral_radius_many, sqrt_m_bound)
 from specmatch.families import (FamilyParams, extremal_kext_bipartite,
                                 extremal_kext_general, extremal_kfactor,
                                 family_quotient)
@@ -43,6 +46,17 @@ class TestAdjacencyMatrix:
                 assert a.dtype == np.float64
                 assert a.flags.c_contiguous
                 assert np.array_equal(a, self.per_bit(g))
+
+    def test_stack_is_the_single_matrices(self):
+        for n in (1, 7, 8, 9, 17):
+            graphs = [seeded_random_graph(s, n, 0.4) for s in range(5)]
+            graphs += [complete(n), empty(n)]
+            a = adjacency_matrices(graphs)
+            assert a.shape == (len(graphs), n, n)
+            assert a.dtype == np.float64
+            assert a.flags.c_contiguous
+            for got, g in zip(a, graphs):
+                assert got.tobytes() == adjacency_matrix(g).tobytes()
 
 
 class TestSpectralRadius:
@@ -127,12 +141,75 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("tol", [None, 1e-12])
     def test_spectral_radius(self, pool, tol):
-        for g in pool:
-            got, want = spectral_radius(g, tol), ref_spectral_radius(g, tol)
-            assert (got.rho, got.residual, got.tol, got.matvecs) == (
-                want.rho, want.residual, want.tol, want.matvecs)
-            assert got.perron.dtype == want.perron.dtype
-            assert got.perron.tobytes() == want.perron.tobytes()
+        self.assert_same([spectral_radius(g, tol) for g in pool],
+                         [ref_spectral_radius(g, tol) for g in pool])
+
+    @staticmethod
+    def assert_same(got, want):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert (a.rho, a.residual, a.tol, a.matvecs) == (
+                b.rho, b.residual, b.tol, b.matvecs)
+            assert a.perron.dtype == b.perron.dtype
+            assert a.perron.tobytes() == b.perron.tobytes()
+
+    def test_spectral_radius_many(self, pool):
+        """The stacked solve gives each graph's ``spectral_radius`` bit for
+        bit, whatever the order of the stream; unmarked, so that it checks
+        numpy's slice-by-slice BLAS matmul on every interpreter."""
+        shuffled = random.Random(3).sample(pool, len(pool))
+        for tol in (None, 1e-12):
+            for graphs in (pool, shuffled):
+                self.assert_same(spectral_radius_many(graphs, tol),
+                                 [spectral_radius(g, tol) for g in graphs])
+        # more connected graphs of order 40 than one stack holds, and
+        # disconnected ones among them
+        crossing = [seeded_random_graph(s, 40, 0.05 + s % 5 * 0.1)
+                    for s in range(sp.STACK_CELLS // 40 ** 2 + 8)]
+        assert sum(map(is_connected, crossing)) > sp.STACK_CELLS // 40 ** 2
+        assert not all(map(is_connected, crossing))
+        # isolated vertices and edgeless components, tied components
+        crossing += [empty(1), empty(4), disjoint_union(empty(3), path(4)),
+                     disjoint_union(disjoint_union(complete(3), complete(3)),
+                                    empty(1)),
+                     disjoint_union(path(2), empty(2)), empty(1)]
+        self.assert_same(spectral_radius_many(crossing),
+                         [spectral_radius(g) for g in crossing])
+        assert spectral_radius_many([]) == []
+        with pytest.raises(GraphError, match="n >= 1"):
+            spectral_radius_many([cycle(4), empty(0)])
+
+    def test_spectral_radius_many_convergence_error(self, monkeypatch):
+        """Short of matvecs, the stacked solve raises what ``spectral_radius``
+        raises on the first graph of the stream that fails, wherever the
+        stream starts."""
+        monkeypatch.setattr(sp, "MAX_MATVECS", 9)
+        stream = [complete(9), empty(4), seeded_random_graph(1, 12, 0.5),
+                  complete(12), seeded_random_graph(2, 9, 0.4),
+                  disjoint_union(seeded_random_graph(3, 12, 0.6), empty(2)),
+                  seeded_random_graph(5, 300, 0.3),
+                  seeded_random_graph(4, 12, 0.3), empty(1), complete(20)]
+        failures = 0
+        for start in range(len(stream)):
+            graphs = stream[start:]
+            want = None
+            for g in graphs:
+                try:
+                    spectral_radius(g)
+                except ConvergenceError as exc:
+                    want = exc
+                    break
+            if want is None:
+                self.assert_same(spectral_radius_many(graphs),
+                                 [spectral_radius(g) for g in graphs])
+                continue
+            failures += 1
+            assert "exceeded 9 matrix-vector products" in str(want)
+            with pytest.raises(ConvergenceError) as got:
+                spectral_radius_many(graphs)
+            assert str(got.value) == str(want)
+            assert got.value.best_residual == want.best_residual
+        assert failures == 8
 
     def test_degree_sum_identity(self, pool):
         for g in pool:
