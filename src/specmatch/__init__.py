@@ -1,17 +1,14 @@
 """Spectral thresholds, matching extendability and regular-factor checkers
 for (bipartite) graphs, with machine-checkable certificates."""
 
-from .graph import (Graph, GraphError, bipartite_join, complete,
-                    complete_bipartite, component_masks, cycle,
-                    disjoint_union, edge_counts, empty, from_edges,
-                    graph6_decode, graph6_encode, infer_bipartition,
-                    is_connected, join, remove_star)
+from .graph import (Graph, GraphError, complete, complete_bipartite,
+                    component_masks, cycle, disjoint_union, empty,
+                    from_edges, graph6_decode, graph6_encode,
+                    infer_bipartition, is_connected, join)
 from .spectra import (ConvergenceError, Partition, QuotientMatrix,
-                      SpectralResult, adjacency_matrix,
-                      charpoly_quartic, degree_sum_identity, fms_bound,
-                      full_spectrum, quartic_largest_root, quotient,
-                      refine_equitable, rho_dense, spectral_radius,
-                      sqrt_m_bound)
+                      SpectralResult, adjacency_matrix, degree_sum_identity,
+                      fms_bound, full_spectrum, quotient, refine_equitable,
+                      rho_dense, spectral_radius, sqrt_m_bound)
 from .matchfactor import (Certificate, FactorSpec, Matching,
                           decompose_edge_disjoint_pms, find_k_factor_flow,
                           hamiltonian_cycle, has_f_factor_ore,

@@ -232,48 +232,7 @@ def join(g: Graph, h: Graph) -> Graph:
     return Graph(u.n, tuple(adj), None)
 
 
-def bipartite_join(g1: Graph, g2: Graph) -> Graph:
-    """Disjoint union plus all edges between side A of g1 and side B of g2."""
-    if g1.side_a is None or g2.side_a is None:
-        raise GraphError("bipartite join needs bipartitions on both inputs")
-    u = disjoint_union(g1, g2)
-    x1 = g1.side_a
-    y2 = g2.side_mask(SIDE_B) << g1.n
-    adj = list(u.adj)
-    for v in bits(x1):
-        adj[v] |= y2
-    for v in bits(y2):
-        adj[v] |= x1
-    return Graph(u.n, tuple(adj), u.side_a)
-
-
-def remove_star(g: Graph, center: int, leaf_count: int) -> Graph:
-    """Delete the edges from ``center`` to its ``leaf_count`` lowest neighbors."""
-    if not 0 <= center < g.n:
-        raise GraphError("center out of range")
-    if leaf_count < 0:
-        raise GraphError("negative leaf count")
-    if g.degree(center) < leaf_count:
-        raise GraphError(
-            f"center {center} has degree {g.degree(center)} < {leaf_count}")
-    leaves = []
-    for u in bits(g.adj[center]):
-        if len(leaves) == leaf_count:
-            break
-        leaves.append(u)
-    return g.without_edges((center, u) for u in leaves)
-
-
 # -- structural queries ------------------------------------------------
-
-
-def _check_vertex_set(g: Graph, s: Iterable[int]) -> int:
-    m = 0
-    for v in s:
-        if not 0 <= v < g.n:
-            raise GraphError(f"vertex {v} out of range")
-        m |= 1 << v
-    return m
 
 
 def row_components(adj: Sequence[int], alive: int) -> list[int]:
@@ -308,17 +267,6 @@ def component_masks(g: Graph) -> list[int]:
 
 def is_connected(g: Graph) -> bool:
     return rows_connected(g.adj)
-
-
-def edge_counts(g: Graph, x: Iterable[int], y: Iterable[int]) -> tuple[int, int]:
-    """(#edges inside x, #edges between x and y); x and y must be disjoint."""
-    x_mask = _check_vertex_set(g, x)
-    y_mask = _check_vertex_set(g, y)
-    if x_mask & y_mask:
-        raise GraphError("cross count needs disjoint sets")
-    inside = sum((g.adj[v] & x_mask).bit_count() for v in bits(x_mask)) // 2
-    cross = sum((g.adj[v] & y_mask).bit_count() for v in bits(x_mask))
-    return inside, cross
 
 
 def infer_bipartition(g: Graph) -> Graph | None:

@@ -10,9 +10,10 @@ graph, and the re-solve of a counterexample candidate
 (``harness._reverify_candidate``) calls ``spectral_radius``.
 ``rho_dense`` takes the top eigenvalue from LAPACK's ``eigvalsh`` and gives
 the spectral radius everywhere else: in verify, check and scan rows, and,
-through ``rho_dense_many``, in the lemma sweeps, which compare it with
-quotient eigenvalues. ``full_spectrum`` (all eigenvalues, residual-checked)
-serves the tests.
+through ``rho_dense_many``, in the dense rechecks of the lemma sweeps.
+Every lemma sweep (l2.2, l2.3 and l2.6) takes its printed values from
+exact blow-up quotients through ``largest_eigenvalues``. ``full_spectrum``
+(all eigenvalues, residual-checked) serves the tests.
 
 Many small problems are solved in stacks: ``largest_eigenvalues`` makes
 one ``eigvalsh`` call per quotient size and ``rho_dense_many`` one per
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -436,39 +436,6 @@ def quotient(g: Graph, p: Partition) -> QuotientMatrix:
                     f"neighbor counts {counts} vs {sig}")
         rows.append(counts)
     return QuotientMatrix(tuple(rows), tuple(len(c) for c in p.classes))
-
-
-# -- closed form for the balanced-bipartite overlay family ---------------
-
-
-def charpoly_quartic(n: int, k: int, s: int) -> tuple[Fraction, Fraction, Fraction]:
-    """Exact (c4, c2, c0) of the even quartic x^4 + c2 x^2 + c0 attached to
-    the 4-class quotient of the overlay family with parameters (n, k, s)."""
-    if n % 2:
-        raise GraphError("order must be even")
-    if s < 0 or k < 0:
-        raise GraphError("negative parameter")
-    half = n // 2
-    if half - s < 0 or half - s - k - 1 < 0:
-        raise GraphError(
-            f"part sizes negative for (n,k,s)=({n},{k},{s})")
-    c2 = Fraction((2 * k + 2 * s + 2 - n) * n, 4) - Fraction((s + k + 1) * s)
-    c0 = -Fraction(s * (n - 2 * s) * (s + k + 1) * (2 * s - n + 2 * k + 2), 4)
-    return Fraction(1), c2, c0
-
-
-def quartic_largest_root(coeffs: tuple[Fraction, Fraction, Fraction]) -> float:
-    """Largest real root of x^4 + c2 x^2 + c0 (c4 must be 1)."""
-    c4, c2, c0 = coeffs
-    if c4 != 1:
-        raise GraphError("leading coefficient must be 1")
-    disc = c2 * c2 - 4 * c0
-    if disc < 0:
-        raise GraphError("quartic has no real roots in x^2")
-    y = (-float(c2) + math.sqrt(float(disc))) / 2.0
-    if y < 0:
-        raise GraphError("quartic has no real roots")
-    return math.sqrt(y)
 
 
 # -- spectral bounds -----------------------------------------------------

@@ -16,16 +16,20 @@ its earlier family graph builders and quotients, its odd-set search
 before the per-subtree Tutte-Berge bound, its bipartition inference
 on per-vertex side labels and its one-quotient-at-a-time symmetrization
 as differential baselines.
-``path`` and ``isomorphic_small`` are graph helpers that only the tests
-use.
+``path``, ``isomorphic_small``, ``bipartite_join``, ``remove_star`` and
+``edge_counts`` are graph helpers that only the tests use, and
+``charpoly_quartic`` with ``quartic_largest_root`` is the closed form of
+the overlay family's rho, the oracle of the l2.6 sweep.
 """
 from __future__ import annotations
 
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 from functools import reduce
 from itertools import combinations
+from typing import Iterable
 
 import numpy as np
 import pytest
@@ -33,12 +37,10 @@ import pytest
 from specmatch import harness as hz
 from specmatch import matchfactor as mf
 from specmatch import spectra as sp
-from specmatch.graph import (Graph, GraphError, SIDE_A, SIDE_B,
-                             bipartite_join, bits, complete,
-                             complete_bipartite, component_masks,
-                             disjoint_union, edge_counts, empty, from_edges,
-                             infer_bipartition, is_connected, join, mask_of,
-                             remove_star)
+from specmatch.graph import (Graph, GraphError, SIDE_A, SIDE_B, bits,
+                             complete, complete_bipartite, component_masks,
+                             disjoint_union, empty, from_edges,
+                             infer_bipartition, is_connected, join, mask_of)
 
 
 def brute_max_matching_size(g: Graph) -> int:
@@ -169,6 +171,58 @@ def isomorphic_small(g: Graph, h: Graph, limit: int = ISO_LIMIT) -> bool:
         return False
 
     return extend(0)
+
+
+def bipartite_join(g1: Graph, g2: Graph) -> Graph:
+    """Disjoint union plus all edges between side A of g1 and side B of g2."""
+    if g1.side_a is None or g2.side_a is None:
+        raise GraphError("bipartite join needs bipartitions on both inputs")
+    u = disjoint_union(g1, g2)
+    x1 = g1.side_a
+    y2 = g2.side_mask(SIDE_B) << g1.n
+    adj = list(u.adj)
+    for v in bits(x1):
+        adj[v] |= y2
+    for v in bits(y2):
+        adj[v] |= x1
+    return Graph(u.n, tuple(adj), u.side_a)
+
+
+def remove_star(g: Graph, center: int, leaf_count: int) -> Graph:
+    """Delete the edges from ``center`` to its ``leaf_count`` lowest neighbors."""
+    if not 0 <= center < g.n:
+        raise GraphError("center out of range")
+    if leaf_count < 0:
+        raise GraphError("negative leaf count")
+    if g.degree(center) < leaf_count:
+        raise GraphError(
+            f"center {center} has degree {g.degree(center)} < {leaf_count}")
+    leaves = []
+    for u in bits(g.adj[center]):
+        if len(leaves) == leaf_count:
+            break
+        leaves.append(u)
+    return g.without_edges((center, u) for u in leaves)
+
+
+def _check_vertex_set(g: Graph, s: Iterable[int]) -> int:
+    m = 0
+    for v in s:
+        if not 0 <= v < g.n:
+            raise GraphError(f"vertex {v} out of range")
+        m |= 1 << v
+    return m
+
+
+def edge_counts(g: Graph, x: Iterable[int], y: Iterable[int]) -> tuple[int, int]:
+    """(#edges inside x, #edges between x and y); x and y must be disjoint."""
+    x_mask = _check_vertex_set(g, x)
+    y_mask = _check_vertex_set(g, y)
+    if x_mask & y_mask:
+        raise GraphError("cross count needs disjoint sets")
+    inside = sum((g.adj[v] & x_mask).bit_count() for v in bits(x_mask)) // 2
+    cross = sum((g.adj[v] & y_mask).bit_count() for v in bits(x_mask))
+    return inside, cross
 
 
 # -- reference checkers ----------------------------------------------------
@@ -1045,6 +1099,43 @@ def ref_family_member(family: str, p) -> tuple[Graph, sp.QuotientMatrix]:
         return ref_overlay(*args), ref_overlay_quotient(*args)
     args = (p.n, 2 if family == "hamilton-bipartite" else p.k)
     return ref_minus_star(*args), ref_minus_star_quotient(*args)
+
+
+# -- closed form for the overlay family -----------------------------------
+# The 4-class overlay quotient's characteristic polynomial is an even
+# quartic, so its largest root has a closed form. The l2.6 sweep once
+# printed these values; it now solves the overlay quotients like every other
+# lemma sweep, and tests hold those values to this form.
+
+
+def charpoly_quartic(n: int, k: int, s: int) -> tuple[Fraction, Fraction, Fraction]:
+    """Exact (c4, c2, c0) of the even quartic x^4 + c2 x^2 + c0 attached to
+    the 4-class quotient of the overlay family with parameters (n, k, s)."""
+    if n % 2:
+        raise GraphError("order must be even")
+    if s < 0 or k < 0:
+        raise GraphError("negative parameter")
+    half = n // 2
+    if half - s < 0 or half - s - k - 1 < 0:
+        raise GraphError(
+            f"part sizes negative for (n,k,s)=({n},{k},{s})")
+    c2 = Fraction((2 * k + 2 * s + 2 - n) * n, 4) - Fraction((s + k + 1) * s)
+    c0 = -Fraction(s * (n - 2 * s) * (s + k + 1) * (2 * s - n + 2 * k + 2), 4)
+    return Fraction(1), c2, c0
+
+
+def quartic_largest_root(coeffs: tuple[Fraction, Fraction, Fraction]) -> float:
+    """Largest real root of x^4 + c2 x^2 + c0 (c4 must be 1)."""
+    c4, c2, c0 = coeffs
+    if c4 != 1:
+        raise GraphError("leading coefficient must be 1")
+    disc = c2 * c2 - 4 * c0
+    if disc < 0:
+        raise GraphError("quartic has no real roots in x^2")
+    y = (-float(c2) + math.sqrt(float(disc))) / 2.0
+    if y < 0:
+        raise GraphError("quartic has no real roots")
+    return math.sqrt(y)
 
 
 # -- reference spectra and graph6 decoder ----------------------------------

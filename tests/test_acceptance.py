@@ -13,9 +13,8 @@ import pytest
 
 from specmatch.graph import (SIDE_A, bits, complete, complete_bipartite,
                              from_edges, graph6_encode, is_connected)
-from specmatch.spectra import (adjacency_matrix, charpoly_quartic,
-                               degree_sum_identity, fms_bound, full_spectrum,
-                               quartic_largest_root, quotient,
+from specmatch.spectra import (adjacency_matrix, degree_sum_identity,
+                               fms_bound, full_spectrum, quotient,
                                refine_equitable, rho_dense, spectral_radius,
                                sqrt_m_bound)
 from specmatch.matchfactor import (FactorSpec, decompose_edge_disjoint_pms,
@@ -32,6 +31,8 @@ from specmatch.families import (FamilyParams, construct_family,
 from specmatch.harness import (cmd_cross_check, cmd_verify, random_bipartite,
                                random_graph, random_regular_bipartite,
                                rng_for)
+
+from conftest import charpoly_quartic, quartic_largest_root
 
 
 def _report(num: int, detail: str) -> None:
@@ -111,7 +112,7 @@ def test_criterion_4_lemma_26_monotonicity():
     assert cells == expected
     elapsed = time.monotonic() - t0
     assert elapsed < 60
-    _report(4, f"{cells} grid cells, strict margins via quartic and dense "
+    _report(4, f"{cells} grid cells, strict margins via quotient and dense "
                f"routes, {elapsed:.1f}s")
 
 

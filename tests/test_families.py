@@ -17,13 +17,14 @@ from specmatch.families import (FAMILIES, READS, FamilyParams,
                                 construct_family, extremal_hamilton,
                                 extremal_kext_bipartite,
                                 extremal_kext_general, extremal_kfactor,
-                                extremal_kfc, family_quotient, join_cliques,
-                                member, overlay, recognize, threshold_F,
+                                extremal_kfc, family_quotient, member,
+                                overlay, recognize, threshold_F,
                                 threshold_rho)
 from specmatch.harness import (LEMMA_MAX_N, THEOREMS, _cells_22, _cells_23,
                                rng_for, sample_for_theorem)
 
-from conftest import (isomorphic_small, ref_family_member,
+from conftest import (charpoly_quartic, isomorphic_small,
+                      quartic_largest_root, ref_family_member,
                       ref_join_cliques_quotient, ref_largest_eigenvalue,
                       ref_overlay, ref_recognize)
 
@@ -116,7 +117,6 @@ class TestThresholdRho:
 
     def test_overlay_quartic(self):
         thr = threshold_rho("kext-bipartite", FamilyParams(n=10, k=1, delta=1))
-        from specmatch.spectra import charpoly_quartic, quartic_largest_root
         want = quartic_largest_root(charpoly_quartic(10, 1, 1))
         assert abs(thr.rho_star - want) <= 1e-10
 
@@ -306,9 +306,12 @@ class TestBlowUpReference:
         sides = sorted({side for cells in (_cells_22(), _cells_23())
                         for _, *pair in cells for side in pair})
         assert len(sides) > 25_000
-        quotients = [join_cliques(*side).quotient() for side in sides]
+        quotients = [side.quotient() for side in sides]
         for side, q in zip(sides, quotients):
-            assert q == ref_join_cliques_quotient(*side), side
+            # the s-clique, then each clique size as often as it occurs
+            (s, _), *cliques = side.classes
+            sizes = [z for z, copies in cliques for _ in range(copies)]
+            assert q == ref_join_cliques_quotient(s, sizes), side
         assert largest_eigenvalues(quotients) == [
             ref_largest_eigenvalue(q) for q in quotients]
 

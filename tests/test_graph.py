@@ -3,16 +3,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specmatch.graph import (Graph, GraphError, SIDE_A, SIDE_B,
-                             bipartite_join, bits, complete,
-                             complete_bipartite, cycle, disjoint_union,
-                             edge_counts, empty, from_edges,
+from specmatch.graph import (Graph, GraphError, SIDE_A, SIDE_B, bits,
+                             complete, complete_bipartite, cycle,
+                             disjoint_union, empty, from_edges,
                              graph6_decode, graph6_encode, infer_bipartition,
-                             is_connected, join, remove_star)
+                             is_connected, join)
 from specmatch.families import extremal_kfactor
 
-from conftest import (isomorphic_small, path, ref_graph6_decode,
-                      ref_infer_bipartition, seeded_random_graph)
+from conftest import (bipartite_join, edge_counts, isomorphic_small, path,
+                      ref_graph6_decode, ref_infer_bipartition, remove_star,
+                      seeded_random_graph)
 
 
 class TestConstructors:

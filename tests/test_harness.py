@@ -22,7 +22,7 @@ from specmatch.graph import (SIDE_A, SIDE_B, complete, complete_bipartite,
                              graph6_decode, graph6_encode, infer_bipartition,
                              is_connected)
 from specmatch.families import (BlowUp, FamilyParams, construct_family,
-                                join_cliques, extremal_hamilton,
+                                extremal_hamilton,
                                 extremal_kext_bipartite,
                                 extremal_kext_general, extremal_kfactor,
                                 extremal_kfc, threshold_rho)
@@ -717,59 +717,81 @@ class TestCrossCheck:
 
 
 class TestLemmaSweeps:
-    """The clique-pair sweeps solve their cells in chunks of LEMMA_CHUNK;
-    the rows, and which cells the dense spectra recheck, must not depend
-    on where the chunks end."""
+    """The lemma sweeps solve their cells in chunks of LEMMA_CHUNK; the
+    rows, and which cells the dense spectra recheck, must not depend on
+    where the chunks end."""
 
     CHUNKS = (1, 7, hz.LEMMA_CHUNK)
     L22_CELLS = 3000  # crosses the default chunk's end, off the stride
 
     @staticmethod
-    def rows(cells):
+    def rows(cells, stride):
         report = hz.Report(mode="sweep", columns=hz.PROPERTY_COLUMNS)
-        hz._clique_pair_rows(report, cells)
+        hz._sweep_rows(report, cells, stride)
         return report.rows
 
     def sweeps(self):
-        return {"l2.3": list(hz._cells_23()),
-                "l2.2": list(islice(hz._cells_22(), self.L22_CELLS))}
+        # name -> (cells, dense-recheck stride, whether the cells are the
+        # whole sweep)
+        return {"l2.3": (list(hz._cells_23()), hz.DENSE_STRIDE, True),
+                "l2.2": (list(islice(hz._cells_22(), self.L22_CELLS)),
+                         hz.DENSE_STRIDE, False),
+                "l2.6": (list(hz._cells_26()), 1, True)}
 
     def test_rows_do_not_depend_on_chunks(self, monkeypatch):
-        for name, cells in self.sweeps().items():
+        for name, (cells, stride, whole) in self.sweeps().items():
             runs = []
             for chunk in self.CHUNKS:
                 monkeypatch.setattr(hz, "LEMMA_CHUNK", chunk)
-                runs.append(self.rows(cells))
+                runs.append(self.rows(cells, stride))
             assert len(runs[0]) == len(cells), name
             assert runs[0] == runs[1] == runs[2], name
             assert all(row["verdict"] is True for row in runs[0]), name
+            if whole:
+                assert runs[0] == cmd_verify(name, None, 0, 0).rows, name
 
     def test_dense_recheck_bites(self, monkeypatch):
-        cells = self.sweeps()["l2.2"]
-        checked = set(range(0, len(cells), hz.DENSE_STRIDE))
-        assert len(checked) == math.ceil(len(cells) / hz.DENSE_STRIDE)
-        # the side that the most rechecked cells compare
-        target = Counter(side for i in checked
-                         for side in cells[i][1:]).most_common(1)[0][0]
-        adj = join_cliques(*target).graph().adj
-        uses = {i for i in checked
-                if any(join_cliques(*side).graph().adj == adj
-                       for side in cells[i][1:])}
-        assert len(uses) > 1
         solve = sp.rho_dense_many
+        sweeps = self.sweeps()
+        # l2.3's three rechecked cells share no side
+        for name in ("l2.2", "l2.6"):
+            cells, stride, _ = sweeps[name]
+            checked = set(range(0, len(cells), stride))
+            assert len(checked) == math.ceil(len(cells) / stride), name
+            # the side that the most rechecked cells compare
+            target = Counter(side for i in checked
+                             for side in cells[i][1:]).most_common(1)[0][0]
+            adj = target.graph().adj
+            uses = {i for i in checked
+                    if any(side.graph().adj == adj for side in cells[i][1:])}
+            assert len(uses) > 1, name
 
-        def false_cells(chunk, moved):
-            # the dense value of each graph that ``moved`` picks, off by 1e-6
-            monkeypatch.setattr(hz, "LEMMA_CHUNK", chunk)
-            monkeypatch.setattr(sp, "rho_dense_many", lambda graphs: [
-                value + 1e-6 if moved(g) else value
-                for g, value in zip(graphs, solve(graphs))])
-            return {i for i, row in enumerate(self.rows(cells))
-                    if row["verdict"] is not True}
+            def false_cells(chunk, moved):
+                # the dense value of each graph that ``moved`` picks, off
+                # by 1e-6
+                monkeypatch.setattr(hz, "LEMMA_CHUNK", chunk)
+                monkeypatch.setattr(sp, "rho_dense_many", lambda graphs: [
+                    value + 1e-6 if moved(g) else value
+                    for g, value in zip(graphs, solve(graphs))])
+                return {i for i, row in enumerate(self.rows(cells, stride))
+                        if row["verdict"] is not True}
 
-        for chunk in self.CHUNKS:
-            assert false_cells(chunk, lambda g: True) == checked, chunk
-            assert false_cells(chunk, lambda g: g.adj == adj) == uses, chunk
+            for chunk in self.CHUNKS:
+                assert false_cells(chunk, lambda g: True) == checked, (
+                    name, chunk)
+                assert false_cells(chunk, lambda g: g.adj == adj) == uses, (
+                    name, chunk)
+        # verify's own sweeps recheck every cell of their stride: l2.6
+        # every one of its 230 cells
+        monkeypatch.setattr(sp, "rho_dense_many", lambda graphs: [
+            value + 1e-6 for value in solve(graphs)])
+        for name, (cells, stride, whole) in sweeps.items():
+            if whole:
+                rows = cmd_verify(name, None, 0, 0).rows
+                assert {i for i, row in enumerate(rows)
+                        if row["verdict"] is not True} == set(
+                            range(0, len(cells), stride)), name
+        assert len(sweeps["l2.6"][0]) == 230
 
     def test_eigensolves_scale_with_chunks_not_cells(self, monkeypatch):
         calls = []
@@ -777,29 +799,27 @@ class TestLemmaSweeps:
         monkeypatch.setattr(np.linalg, "eigvalsh",
                             lambda a: calls.append(a.shape) or eigvalsh(a))
 
-        def bound(cells):
+        def bound(cells, stride):
             # per chunk: one solve per quotient size (2 to 5 classes) for
             # its lhs, one per size for its new rhs, one per order for its
             # rechecked sides
-            orders = {(i // hz.LEMMA_CHUNK, s + sum(sizes))
-                      for i in range(0, len(cells), hz.DENSE_STRIDE)
-                      for s, sizes in cells[i][1:]}
+            orders = {(i // hz.LEMMA_CHUNK,
+                       sum(z * copies for z, copies in side.classes))
+                      for i in range(0, len(cells), stride)
+                      for side in cells[i][1:]}
             return math.ceil(len(cells) / hz.LEMMA_CHUNK) * 2 * 4 + len(
                 orders)
 
-        for name, cells in self.sweeps().items():
+        for name, (cells, stride, whole) in self.sweeps().items():
             calls.clear()
-            if name == "l2.3":
-                code, _ = run_main(["verify", "--theorem", "l2.3"])
+            if whole:
+                code, _ = run_main(["verify", "--theorem", name])
                 assert code == 0
             else:
-                self.rows(cells)
+                self.rows(cells, stride)
             assert calls, name
-            assert len(calls) <= bound(cells) < len(cells), (name, calls)
-        calls.clear()
-        cmd_verify("l2.6", None, samples=0, seed=0)
-        # one dense solve per order of the 460 rechecked graphs
-        assert len(calls) == len(range(8, hz.LEMMA_MAX_N + 1, 2))
+            assert len(calls) <= bound(cells, stride) < len(cells), (
+                name, calls)
 
 
 class TestVerifyScanAgree:

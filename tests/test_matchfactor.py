@@ -10,8 +10,7 @@ from specmatch import matchfactor as mf
 from specmatch.graph import (GraphError, SIDE_A, SIDE_B, bits, complete,
                              complete_bipartite, cycle, disjoint_union,
                              empty, from_edges, graph6_decode, graph6_encode,
-                             infer_bipartition, join, mask_of,
-                             remove_star)
+                             infer_bipartition, join, mask_of)
 from specmatch.matchfactor import (Certificate, FactorSpec,
                                    chen_violating_set,
                                    decompose_edge_disjoint_pms,
@@ -43,7 +42,8 @@ from conftest import (brute_is_k_extendable, brute_max_matching_size,
                       ref_max_matching_bipartite, ref_max_matching_general,
                       ref_max_matching_value, ref_recognize,
                       ref_unpruned_chen_violating_set,
-                      ref_unpruned_kfc_violating_set, seeded_random_graph)
+                      ref_unpruned_kfc_violating_set, remove_star,
+                      seeded_random_graph)
 
 
 def random_balanced_bipartite(seed: int, half: int, p: float):

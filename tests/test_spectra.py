@@ -10,17 +10,18 @@ from specmatch.graph import (GraphError, complete, complete_bipartite, cycle,
 from specmatch import spectra as sp
 from specmatch.spectra import (ConvergenceError, Partition, QuotientMatrix,
                                adjacency_matrices, adjacency_matrix,
-                               charpoly_quartic,
                                degree_sum_identity, fms_bound, full_spectrum,
-                               largest_eigenvalues, quartic_largest_root,
-                               quotient, refine_equitable, rho_dense,
-                               rho_dense_many, spectral_radius,
-                               spectral_radius_many, sqrt_m_bound)
+                               largest_eigenvalues, quotient,
+                               refine_equitable, rho_dense, rho_dense_many,
+                               spectral_radius, spectral_radius_many,
+                               sqrt_m_bound)
 from specmatch.families import (FamilyParams, extremal_kext_bipartite,
                                 extremal_kext_general, extremal_kfactor,
                                 family_quotient)
+from specmatch.harness import LEMMA_MAX_N, cmd_verify
 
-from conftest import (path, petersen, ref_degree_sum_identity,
+from conftest import (charpoly_quartic, path, petersen,
+                      quartic_largest_root, ref_degree_sum_identity,
                       ref_fms_bound, ref_largest_eigenvalue,
                       ref_spectral_radius, ref_symmetrized,
                       seeded_random_graph)
@@ -357,6 +358,9 @@ class TestStackedSolves:
 
 
 class TestQuarticClosedForm:
+    """The overlay quotient's closed form (in conftest), the oracle of the
+    l2.6 sweep."""
+
     def test_exact_coefficients(self):
         c4, c2, c0 = charpoly_quartic(10, 1, 1)
         assert (c4, c2, c0) == (1, -13, 24)
@@ -391,6 +395,18 @@ class TestQuarticClosedForm:
             charpoly_quartic(10, 1, 4)  # n/2 - s - k - 1 < 0
         with pytest.raises(GraphError):
             charpoly_quartic(11, 1, 1)
+
+    def test_lemma_26_sweep(self):
+        # both sides of every l2.6 cell, solved on the overlay quotient
+        cells = [(n, k, s) for k in range(1, 5) for s in range(1, 6)
+                 for n in range(4 * s + 2 * k + 2, LEMMA_MAX_N + 1, 2)]
+        rows = cmd_verify("l2.6", None, samples=0, seed=0).rows
+        assert len(rows) == len(cells) == 230
+        for row, (n, k, s) in zip(rows, cells):
+            assert row["graph"] == f"l2.6 k={k} s={s} n={n}"
+            for value, side in ((row["rho"], s), (row["rho_star"], s - 1)):
+                want = quartic_largest_root(charpoly_quartic(n, k, side))
+                assert abs(value - want) <= 1e-13, (row["graph"], side)
 
 
 class TestBounds:
