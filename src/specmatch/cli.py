@@ -22,8 +22,9 @@ hamiltonian`` reads no ``--k``, and a theorem or family reads only the
 parameters of its family (``families.READS``). For kext-bipartite (t1.2)
 ``--delta`` is the overlay size s, the member's minimum degree only from
 t1.2's least order 4*delta+2k+2 up. ``--config`` and ``--jobs`` are read by
-every mode: every benchmark command passes ``--jobs 1``, verify and
-cross-check too.
+every mode. specmatch runs in one process, so ``--jobs`` accepts only 1
+(from argv or the config file; any other value exits 2); the flag stays
+because every benchmark command passes ``--jobs 1``.
 """
 from __future__ import annotations
 
@@ -52,7 +53,8 @@ _MODES = {
     "scan": ("theorem", ("theorem", "n") + _FAMILY_FIELDS + (
         "tol", "exhaustive_limit", "format", "input")),
 }
-# read by every mode; every benchmark command passes --jobs 1
+# read by every mode; --jobs accepts only 1, and stays because every
+# benchmark command passes --jobs 1
 _READ_BY_ALL = ("config", "jobs")
 
 
@@ -136,10 +138,13 @@ def _resolve(parser: argparse.ArgumentParser, argv: list[str] | None) -> dict:
     if not (math.isfinite(cfg["tol"]) and cfg["tol"] >= hz.MIN_TOL):
         raise hz.UsageError(f"--tol must be a finite number >= {hz.MIN_TOL}, "
                             f"got {cfg['tol']}")
-    for key, least in (("samples", 0), ("exhaustive_limit", 0), ("jobs", 1)):
-        if cfg[key] < least:
-            raise hz.UsageError(f"--{key.replace('_', '-')} must be >= "
-                                f"{least}, got {cfg[key]}")
+    for key in ("samples", "exhaustive_limit"):
+        if cfg[key] < 0:
+            raise hz.UsageError(f"--{key.replace('_', '-')} must be >= 0, "
+                                f"got {cfg[key]}")
+    if cfg["jobs"] != 1:
+        raise hz.UsageError(f"--jobs must be 1, got {cfg['jobs']}: "
+                            "specmatch runs in one process")
     mode, n = cfg["mode"], cfg["n"]
     if mode == "cross-check" and n is not None and not 2 <= n <= 8:
         raise hz.UsageError(f"cross-check --n must be in 2..8, got {n}")
@@ -192,11 +197,10 @@ def run(argv: list[str] | None = None) -> int:
         print(hz.cmd_construct(cfg["family"], _params(cfg)))
         return 0
     if mode == "rho":
-        report = hz.cmd_rho(_read_lines(cfg), jobs=cfg["jobs"])
+        report = hz.cmd_rho(_read_lines(cfg))
     elif mode == "check":
         report = hz.cmd_check(_read_lines(cfg), cfg["property"], cfg["k"],
-                              limit=cfg["exhaustive_limit"],
-                              jobs=cfg["jobs"])
+                              limit=cfg["exhaustive_limit"])
     elif mode == "verify":
         if cfg["theorem"] not in hz.LEMMAS:
             p = _params(cfg)
@@ -217,8 +221,7 @@ def run(argv: list[str] | None = None) -> int:
                                     limit=cfg["exhaustive_limit"])
     else:  # scan
         report = hz.cmd_scan(_read_lines(cfg), cfg["theorem"], _params(cfg),
-                             tol=cfg["tol"], limit=cfg["exhaustive_limit"],
-                             jobs=cfg["jobs"])
+                             tol=cfg["tol"], limit=cfg["exhaustive_limit"])
     hz.render(report, cfg["format"], sys.stdout)
     return report.exit_code()
 

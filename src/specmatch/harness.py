@@ -11,8 +11,8 @@ checker routes of ``ROUTES``. Dispatch looks rows up.
 
 Determinism contract: identical configuration (seed included) produces a
 byte-identical report. Per-graph randomness is derived from
-(seed, sample index), so results do not depend on the worker count, and
-rows are emitted sorted by input index. Random draws read the
+(seed, sample index), so each sample's stream is its own, and rows are
+emitted in input order. Random draws read the
 ``random.Random`` stream in numpy blocks (``_uniforms``), word for word
 as scalar ``random()`` calls would, so every drawn graph is the one the
 scalar draws give; a sampler's stream is its sample's alone, and it may
@@ -497,8 +497,8 @@ def _row(graph: str, verdict, rho: float | None = None,
             "certificate": certificate, "extremal": extremal}
 
 
-def _add_row(report: Report, row: dict, category: str, note: str | None,
-             bad: str | None) -> None:
+def _add_row(report: Report, row: dict, category: str,
+             note: str | None = None, bad: str | None = None) -> None:
     """Append a row with its category, its note (if any) and its failed
     re-validation (if any)."""
     report.rows.append(row)
@@ -508,16 +508,17 @@ def _add_row(report: Report, row: dict, category: str, note: str | None,
     report.flag(bad)
 
 
-def _evaluate(item) -> tuple[dict, str, str | None, str | None]:
+def _evaluate(report: Report, where: str, text: str, g: Graph, theorem: str,
+              p: fam.FamilyParams, thr: fam.Threshold, tol: float,
+              limit: int) -> None:
     """The one pipeline that verify's samples and scan's lines run: spectral
     margin, recognizer, checker (only at or above the threshold, and only
     off the extremal family), classification, re-verification of a
     counterexample candidate and certificate re-validation.
 
-    ``item`` is (where, text, g, theorem, p, thr, tol, limit); ``where``
-    prefixes both notes. Returns (row, category, note, revalidation note).
-    A checker that cannot take ``g`` skips the row."""
-    where, text, g, theorem, p, thr, tol, limit = item
+    Appends the row of ``g`` (shown as ``text``) to ``report``; ``where``
+    prefixes both of its notes. A checker that cannot take ``g`` skips the
+    row."""
     spec = THEOREMS[theorem]
     rho = sp.rho_dense(g)
     margin = rho - thr.rho_star
@@ -528,8 +529,9 @@ def _evaluate(item) -> tuple[dict, str, str | None, str | None]:
         try:
             holds, cert = check_property_for_theorem(theorem, g, p, limit)
         except GraphError as exc:
-            return (_row(text, f"skipped: {exc}", rho, thr.rho_star, margin),
-                    "skipped", None, None)
+            _add_row(report, _row(text, f"skipped: {exc}", rho, thr.rho_star,
+                                  margin), "skipped")
+            return
     category = _classify_row(holds, recognized, margin, tol)
     note = None
     if category == "counterexample-candidate":
@@ -539,7 +541,7 @@ def _evaluate(item) -> tuple[dict, str, str | None, str | None]:
             note = f"{where} {why}"
     row = _row(text, "" if holds is None else holds, rho, thr.rho_star,
                margin, cert.to_json() if cert else "", recognized)
-    return row, category, note, _revalidation_note(g, cert, where)
+    _add_row(report, row, category, note, _revalidation_note(g, cert, where))
 
 
 def cmd_verify(theorem: str, p: fam.FamilyParams | None, samples: int,
@@ -577,8 +579,8 @@ def cmd_verify(theorem: str, p: fam.FamilyParams | None, samples: int,
 
     for i in range(samples):
         g = sample_for_theorem(spec, p, extremal, rng_for(seed, i), i)
-        _add_row(report, *_evaluate((f"sample {i}:", graph6_encode(g), g,
-                                     theorem, p, thr, tol, limit)))
+        _evaluate(report, f"sample {i}:", graph6_encode(g), g, theorem, p,
+                  thr, tol, limit)
     return report
 
 
@@ -875,18 +877,7 @@ def _decode_lines(lines: Iterable[str], report: Report,
     return out
 
 
-def _map_rows(items: list, worker, jobs: int) -> list:
-    """Order-preserving map; a process pool when jobs > 1."""
-    if jobs <= 1 or len(items) <= 1:
-        return [worker(it) for it in items]
-    from concurrent.futures import ProcessPoolExecutor
-    chunk = max(1, len(items) // (4 * jobs))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, items, chunksize=chunk))
-
-
-def _rho_row(item: tuple[str, Graph, float | None]) -> dict:
-    text, g, rho = item
+def _rho_row(text: str, g: Graph, rho: float | None) -> dict:
     row = {"graph": text, "rho": rho,
            "fms_bound": None, "sqrt_m": None, "identity13": ""}
     if g.n >= 2 and is_connected(g):
@@ -901,29 +892,25 @@ def _rho_row(item: tuple[str, Graph, float | None]) -> dict:
     return row
 
 
-def cmd_rho(lines: Iterable[str], jobs: int = 1) -> Report:
-    """One row per decoded line. The spectral radii of all lines are solved
-    here, in the calling process, by one ``spectral_radius_many`` call
-    (stacked power iterations); the workers of ``_map_rows`` get each
-    line's rho and add the bounds and identity (13)."""
+def cmd_rho(lines: Iterable[str]) -> Report:
+    """One row per decoded line: its spectral radius, the bounds and
+    identity (13). The spectral radii of all lines are solved first, by one
+    ``spectral_radius_many`` call (stacked power iterations)."""
     report = Report(mode="rho", columns=RHO_COLUMNS)
     decoded = _decode_lines(lines, report)
     solved = iter(sp.spectral_radius_many(
         [g for _, _, g in decoded if g.n >= 1]))
-    items = [(text, g, next(solved).rho if g.n >= 1 else None)
-             for _, text, g in decoded]
-    report.rows.extend(_map_rows(items, _rho_row, jobs))
-    for _ in items:
-        report.count("consistent")
+    for _, text, g in decoded:
+        rho = next(solved).rho if g.n >= 1 else None
+        _add_row(report, _rho_row(text, g, rho), "consistent")
     return report
 
 
-def _check_row(item: tuple[int, str, Graph, str, int | None, int]
-               ) -> tuple[dict, str, None, str | None]:
+def _check_row(report: Report, idx: int, text: str, g: Graph, prop: str,
+               k: int | None, limit: int) -> None:
     """The property's bipartite route on the bipartite form of the line when
     it has one, else its general route on the line; a line that no route
     takes, or that its route cannot take, is skipped."""
-    idx, text, g, prop, k, limit = item
     route = _ROUTE_OF.get((prop, True))
     host = infer_bipartition(g) if route else None
     if host is None:
@@ -938,12 +925,13 @@ def _check_row(item: tuple[int, str, Graph, str, int | None, int]
             verdict = f"skipped: {exc}"
     row = _row(text, verdict, sp.rho_dense(g) if g.n else None,
                certificate=cert.to_json() if cert else "")
-    return (row, "skipped" if isinstance(verdict, str) else "consistent",
-            None, _revalidation_note(host, cert, f"line {idx + 1}:"))
+    _add_row(report, row,
+             "skipped" if isinstance(verdict, str) else "consistent",
+             bad=_revalidation_note(host, cert, f"line {idx + 1}:"))
 
 
 def cmd_check(lines: Iterable[str], prop: str, k: int | None,
-              limit: int = mf.EXHAUSTIVE_LIMIT, jobs: int = 1) -> Report:
+              limit: int = mf.EXHAUSTIVE_LIMIT) -> Report:
     if prop not in PROPERTIES:
         raise UsageError(f"unknown property {prop!r}; properties are "
                          f"{', '.join(PROPERTIES)}")
@@ -952,39 +940,38 @@ def cmd_check(lines: Iterable[str], prop: str, k: int | None,
         raise UsageError(f"property {prop} needs --k >= {least}, "
                          f"got --k {k}")
     report = Report(mode=f"check {prop}", columns=PROPERTY_COLUMNS)
-    items = [(idx, text, g, prop, k, limit) for idx, text, g
-             in _decode_lines(lines, report, strict=True)]
-    for result in _map_rows(items, _check_row, jobs):
-        _add_row(report, *result)
+    for idx, text, g in _decode_lines(lines, report, strict=True):
+        _check_row(report, idx, text, g, prop, k, limit)
     return report
 
 
-def _scan_row(item) -> tuple[dict, str, str | None, str | None]:
+def _scan_row(report: Report, idx: int, text: str, g: Graph, theorem: str,
+              p: fam.FamilyParams, thr: fam.Threshold, tol: float,
+              limit: int) -> None:
     """Skip a line of the wrong order, or a non-bipartite line for a
     bipartite theorem; run ``_evaluate`` on the rest."""
-    idx, text, g, theorem, p, thr, tol, limit = item
     if g.n != p.n:
-        return (_row(text, f"skipped: order {g.n} != {p.n}",
-                     rho_star=thr.rho_star), "skipped", None, None)
+        _add_row(report, _row(text, f"skipped: order {g.n} != {p.n}",
+                              rho_star=thr.rho_star), "skipped")
+        return
     if THEOREMS[theorem].bipartite:
         g = infer_bipartition(g)
         if g is None:
-            return (_row(text, "skipped: not bipartite",
-                         rho_star=thr.rho_star), "skipped", None, None)
-    return _evaluate((f"line {idx + 1}:", text, g, theorem, p, thr, tol,
-                      limit))
+            _add_row(report, _row(text, "skipped: not bipartite",
+                                  rho_star=thr.rho_star), "skipped")
+            return
+    _evaluate(report, f"line {idx + 1}:", text, g, theorem, p, thr, tol,
+              limit)
 
 
 def cmd_scan(lines: Iterable[str], theorem: str, p: fam.FamilyParams,
-             tol: float = DEFAULT_TOL, limit: int = mf.EXHAUSTIVE_LIMIT,
-             jobs: int = 1) -> Report:
+             tol: float = DEFAULT_TOL,
+             limit: int = mf.EXHAUSTIVE_LIMIT) -> Report:
     validate_hypotheses(theorem, p)
     thr = fam.threshold_rho(THEOREMS[theorem].family, p)
     report = Report(mode=f"scan {theorem}", columns=PROPERTY_COLUMNS)
-    items = [(idx, text, g, theorem, p, thr, tol, limit) for idx, text, g
-             in _decode_lines(lines, report)]
-    for result in _map_rows(items, _scan_row, jobs):
-        _add_row(report, *result)
+    for idx, text, g in _decode_lines(lines, report):
+        _scan_row(report, idx, text, g, theorem, p, thr, tol, limit)
     return report
 
 

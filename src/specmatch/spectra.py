@@ -2,12 +2,11 @@
 quotient matrices and adjacency spectral bounds.
 
 Two numeric routes to the spectral radius are kept on purpose.
-``spectral_radius`` is a self-contained shifted power iteration
-(deterministic all-ones start, shift = max degree) that also returns the
-Perron vector and its residual; the ``rho`` mode solves its lines with
-``spectral_radius_many``, which gives the ``spectral_radius`` of each
-graph, and the re-solve of a counterexample candidate
-(``harness._reverify_candidate``) calls ``spectral_radius``.
+``spectral_radius_many`` is a shifted power iteration (deterministic
+all-ones start, shift = max degree) that also returns each Perron vector
+and its residual; the ``rho`` mode solves its lines with it, and the
+re-solve of a counterexample candidate (``harness._reverify_candidate``)
+calls ``spectral_radius``, its one-graph case.
 ``rho_dense`` takes the top eigenvalue from LAPACK's ``eigvalsh`` and gives
 the spectral radius everywhere else: in verify, check and scan rows, and,
 through ``rho_dense_many``, in the dense rechecks of the lemma sweeps.
@@ -24,8 +23,9 @@ value is bit-identical to the single solve (``largest_eigenvalue``,
 ``spectral_radius_many`` runs one lockstep power iteration per stack of
 components of one order, at most STACK_CELLS matrix cells; ``matmul``
 multiplies a stack slice by slice with the BLAS call of the single
-product, so each result is ``spectral_radius``'s, Perron vector bytes
-and matvec count included. Graph stacks come from ``adjacency_matrices``,
+product, so each result is that of the graph solved alone
+(``_power_iteration`` on each component), Perron vector bytes and matvec
+count included. Graph stacks come from ``adjacency_matrices``,
 whose one-graph case is ``adjacency_matrix``.
 """
 from __future__ import annotations
@@ -115,32 +115,9 @@ def _power_iteration(a: np.ndarray,
 
 
 def spectral_radius(g: Graph, tol: float | None = None) -> SpectralResult:
-    """Largest adjacency eigenvalue with its Perron vector.
-
-    Disconnected graphs are solved per component; the returned vector is
-    supported on the first component attaining the maximum.
-    """
-    if g.n < 1:
-        raise GraphError("spectral radius needs n >= 1")
-    if tol is None:
-        tol = default_tol(g.n)
-    comps = component_masks(g)
-    best_rho = -math.inf
-    best = None
-    total_matvecs = 0
-    for comp in comps:
-        verts = list(bits(comp))
-        sub = g if len(comps) == 1 else g.induced(verts)
-        rho, x, res, mv = _power_iteration(adjacency_matrix(sub), tol)
-        total_matvecs += mv
-        if rho > best_rho + tol:
-            best_rho = rho
-            best = (verts, x, res)
-    verts, x, res = best
-    perron = np.zeros(g.n)
-    perron[verts] = x
-    return SpectralResult(rho=best_rho, perron=perron, residual=res,
-                          tol=tol, matvecs=total_matvecs)
+    """Largest adjacency eigenvalue with its Perron vector: the one-graph
+    case of ``spectral_radius_many``."""
+    return spectral_radius_many([g], tol)[0]
 
 
 def _power_iterations(a: np.ndarray, tol: float) -> list:
@@ -189,14 +166,18 @@ def _power_iterations(a: np.ndarray, tol: float) -> list:
 
 def spectral_radius_many(graphs: Sequence[Graph],
                          tol: float | None = None) -> list[SpectralResult]:
-    """``spectral_radius`` of each graph, bit for bit.
+    """Largest adjacency eigenvalue of each graph, with its Perron vector,
+    by shifted power iteration (all-ones start, shift = max degree) at
+    ``tol`` (default ``default_tol`` of the graph's order).
 
-    The graphs' components are grouped by (order, tolerance) and each
-    group is solved in stacks of at most STACK_CELLS matrix cells, built
-    when solved and dropped after: a stack of one matrix by
-    ``_power_iteration``, a larger one by ``_power_iterations``. A failed
-    solve raises the ConvergenceError that ``spectral_radius`` raises on
-    the first failing graph in input order."""
+    Disconnected graphs are solved per component; a graph's vector is
+    supported on its first component attaining the maximum. The graphs'
+    components are grouped by (order, tolerance) and each group is solved
+    in stacks of at most STACK_CELLS matrix cells, built when solved and
+    dropped after: a stack of one matrix by ``_power_iteration``, a larger
+    one by ``_power_iterations``, which gives each slice the floats of its
+    single solve. A failed solve raises the ConvergenceError of the first
+    failing graph in input order, at its first failing component."""
     if any(g.n < 1 for g in graphs):
         raise GraphError("spectral radius needs n >= 1")
     tols = [default_tol(g.n) if tol is None else tol for g in graphs]

@@ -8,11 +8,9 @@ import math
 import time
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from specmatch.graph import (SIDE_A, bits, complete, complete_bipartite,
-                             from_edges, graph6_encode, is_connected)
+from specmatch.graph import complete, complete_bipartite, is_connected
 from specmatch.spectra import (adjacency_matrix, degree_sum_identity,
                                fms_bound, full_spectrum, quotient,
                                refine_equitable, rho_dense, spectral_radius,
@@ -26,8 +24,8 @@ from specmatch.matchfactor import (FactorSpec, decompose_edge_disjoint_pms,
 from specmatch.families import (FamilyParams, construct_family,
                                 extremal_hamilton, extremal_kext_bipartite,
                                 extremal_kext_general, extremal_kfactor,
-                                extremal_kfc, family_quotient, recognize,
-                                threshold_F, threshold_rho)
+                                extremal_kfc, family_quotient, threshold_F,
+                                threshold_rho)
 from specmatch.harness import (cmd_cross_check, cmd_verify, random_bipartite,
                                random_graph, random_regular_bipartite,
                                rng_for)

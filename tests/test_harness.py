@@ -150,10 +150,10 @@ class TestRho:
         assert p4["rho"] < p4["fms_bound"]
         assert all(r["identity13"] == "ok" for r in report.rows)
 
-    def test_jobs_match_serial(self):
+    def test_rho_is_spectral_radius(self):
         """Several lines per order, so that rho is solved in stacks, with
-        disconnected lines among them: the CSV is the same for any worker
-        count, and each rho is the line's ``spectral_radius``."""
+        disconnected lines among them: each rho is the line's
+        ``spectral_radius``."""
         rng = rng_for(11, 0)
         graphs = [complete(n) for n in range(1, 10)]
         graphs += [random_graph(rng, 6 + i % 4, (0.2, 0.5)[i % 2])
@@ -163,10 +163,9 @@ class TestRho:
                    disjoint_union(cycle(6), cycle(3))]
         assert sum(not is_connected(g) for g in graphs) >= 4
         lines = [graph6_encode(g) for g in graphs]
-        report = cmd_rho(lines, jobs=1)
+        report = cmd_rho(lines)
         assert [row["rho"] for row in report.rows] == [
             sp.spectral_radius(g).rho for g in graphs]
-        assert csv_text(report) == csv_text(cmd_rho(lines, jobs=3))
 
     def test_all_malformed_is_error(self):
         with pytest.raises(UsageError, match="all input lines were malformed"):
@@ -952,6 +951,7 @@ class TestEntryValidation:
         (["rho", "--jobs", "0"], "--jobs"),
         (["cross-check", "--n", "1"], "--n"),
         (["cross-check", "--n", "9"], "--n"),
+        (["rho", "--jobs", "2"], "--jobs"),
     ])
     def test_counts(self, argv, flag, tmp_path, capsys):
         f = tmp_path / "in.g6"
@@ -968,6 +968,14 @@ class TestEntryValidation:
                          "2", "--config", str(cfg)])
         captured = capsys.readouterr()
         assert code == 2 and "--samples" in captured.err
+
+    def test_jobs_from_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("jobs=2\n")
+        code = cli.main(["rho", "--input", os.devnull, "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "--jobs" in captured.err
 
     def test_convergence_failure_exits_2(self, monkeypatch, capsys):
         def fail(*_args, **_kwargs):

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from specmatch import matchfactor as mf
 from specmatch.graph import (GraphError, SIDE_A, SIDE_B, bits, complete,
                              complete_bipartite, cycle, disjoint_union,
-                             empty, from_edges, graph6_decode, graph6_encode,
-                             infer_bipartition, join, mask_of)
+                             from_edges, graph6_decode, graph6_encode,
+                             infer_bipartition, mask_of)
 from specmatch.matchfactor import (Certificate, FactorSpec,
                                    chen_violating_set,
                                    decompose_edge_disjoint_pms,
