@@ -895,13 +895,13 @@ def _rho_row(text: str, g: Graph, rho: float | None) -> dict:
 def cmd_rho(lines: Iterable[str]) -> Report:
     """One row per decoded line: its spectral radius, the bounds and
     identity (13). The spectral radii of all lines are solved first, by one
-    ``spectral_radius_many`` call (stacked power iterations)."""
+    ``rho_dense_many`` call (stacked ``eigvalsh``), so each row's rho is the
+    line's ``rho_dense``, as in verify, check and scan rows."""
     report = Report(mode="rho", columns=RHO_COLUMNS)
     decoded = _decode_lines(lines, report)
-    solved = iter(sp.spectral_radius_many(
-        [g for _, _, g in decoded if g.n >= 1]))
+    solved = iter(sp.rho_dense_many([g for _, _, g in decoded if g.n >= 1]))
     for _, text, g in decoded:
-        rho = next(solved).rho if g.n >= 1 else None
+        rho = next(solved) if g.n >= 1 else None
         _add_row(report, _rho_row(text, g, rho), "consistent")
     return report
 

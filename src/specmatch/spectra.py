@@ -1,32 +1,26 @@
 """Dense symmetric eigensolving, Perron vectors, equitable partitions,
 quotient matrices and adjacency spectral bounds.
 
-Two numeric routes to the spectral radius are kept on purpose.
-``spectral_radius_many`` is a shifted power iteration (deterministic
-all-ones start, shift = max degree) that also returns each Perron vector
-and its residual; the ``rho`` mode solves its lines with it, and the
-re-solve of a counterexample candidate (``harness._reverify_candidate``)
-calls ``spectral_radius``, its one-graph case.
-``rho_dense`` takes the top eigenvalue from LAPACK's ``eigvalsh`` and gives
-the spectral radius everywhere else: in verify, check and scan rows, and,
-through ``rho_dense_many``, in the dense rechecks of the lemma sweeps.
+Every printed spectral radius comes from one route: ``rho_dense`` takes the
+top eigenvalue from LAPACK's ``eigvalsh``. It gives the spectral radius in
+verify, check and scan rows, and, through ``rho_dense_many``, in the ``rho``
+mode and in the dense rechecks of the lemma sweeps. ``spectral_radius``, a
+shifted power iteration (deterministic all-ones start, shift = max degree)
+that also returns the Perron vector and its residual, is kept only as a
+second, independent route: the re-solve of a counterexample candidate
+(``harness._reverify_candidate``) and the oracle of the acceptance tests.
 Every lemma sweep (l2.2, l2.3 and l2.6) takes its printed values from
 exact blow-up quotients through ``largest_eigenvalues``. ``full_spectrum``
 (all eigenvalues, residual-checked) serves the tests.
 
-Many small problems are solved in stacks: ``largest_eigenvalues`` makes
-one ``eigvalsh`` call per quotient size and ``rho_dense_many`` one per
-graph order. LAPACK solves each matrix of a stack on its own, so a stacked
-value is bit-identical to the single solve (``largest_eigenvalue``,
-``rho_dense``). A quotient's symmetrization has one implementation,
-``_symmetrized``, which both the stacked and the single solve use.
-``spectral_radius_many`` runs one lockstep power iteration per stack of
-components of one order, at most STACK_CELLS matrix cells; ``matmul``
-multiplies a stack slice by slice with the BLAS call of the single
-product, so each result is that of the graph solved alone
-(``_power_iteration`` on each component), Perron vector bytes and matvec
-count included. Graph stacks come from ``adjacency_matrices``,
-whose one-graph case is ``adjacency_matrix``.
+Many small problems are solved in stacks: ``largest_eigenvalues`` and
+``rho_dense_many`` make one ``eigvalsh`` call per stack of matrices of one
+size, at most STACK_CELLS matrix cells a stack. LAPACK solves each matrix
+of a stack on its own, so a stacked value is bit-identical to the single
+solve (``largest_eigenvalue``, ``rho_dense``). A quotient's symmetrization
+has one implementation, ``_symmetrized``, which both the stacked and the
+single solve use. Graph stacks come from ``adjacency_matrices``, whose
+one-graph case is ``adjacency_matrix``.
 """
 from __future__ import annotations
 
@@ -40,7 +34,7 @@ from .graph import Graph, GraphError, bits, component_masks, mask_of
 
 MAX_MATVECS = 10 ** 6
 RESIDUAL_CHECK_EVERY = 4
-# matrix cells per stacked power iteration; bounds a stack's memory
+# matrix cells per stacked eigvalsh call; bounds a stack's memory
 STACK_CELLS = 1 << 15
 
 
@@ -115,115 +109,34 @@ def _power_iteration(a: np.ndarray,
 
 
 def spectral_radius(g: Graph, tol: float | None = None) -> SpectralResult:
-    """Largest adjacency eigenvalue with its Perron vector: the one-graph
-    case of ``spectral_radius_many``."""
-    return spectral_radius_many([g], tol)[0]
+    """Largest adjacency eigenvalue with its Perron vector, by shifted power
+    iteration (all-ones start, shift = max degree) at ``tol`` (default
+    ``default_tol`` of the graph's order).
 
-
-def _power_iterations(a: np.ndarray, tol: float) -> list:
-    """``_power_iteration`` on each matrix of an (m, n, n) stack, m, n >= 2,
-    in lockstep. ``matmul`` multiplies a stack slice by slice with the BLAS
-    call of the single product, so every slice sees the floats of its
-    single solve, bit for bit; a slice leaves the stack when it stops. A
-    slice still running after MAX_MATVECS products gets the
-    ConvergenceError of the single solve in place of its result."""
-    m, n, _ = a.shape
-    out: list = [None] * m
-    live = np.arange(m)
-    shift = a.sum(axis=1).max(axis=1, keepdims=True)
-    x = np.full((m, n), 1.0 / math.sqrt(n))
-    best = np.full(m, math.inf)
-    matvecs = 0
-    while matvecs < MAX_MATVECS:
-        y = np.matmul(a, x[:, :, None])[:, :, 0]
-        matvecs += 1
-        z = y + shift * x
-        norm = np.sqrt(np.matmul(z[:, None, :], z[:, :, None])[:, 0, 0])
-        stop = norm == 0.0  # edgeless
-        if matvecs % RESIDUAL_CHECK_EVERY == 0 or matvecs == 1:
-            rho = np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
-            res = np.abs(y - rho[:, None] * x).max(axis=1)
-            best = np.fmin(best, res)
-            stop |= res <= tol
-        if stop.any():
-            for i in np.flatnonzero(stop).tolist():
-                out[live[i]] = ((0.0, x[i].copy(), 0.0, matvecs)
-                                if norm[i] == 0.0 else
-                                (float(rho[i]), x[i].copy(), float(res[i]),
-                                 matvecs))
-            keep = ~stop
-            if not keep.any():
-                return out
-            a, live, shift, best = a[keep], live[keep], shift[keep], best[keep]
-            z, norm = z[keep], norm[keep]
-        x = z / norm[:, None]
-    for i, residual in zip(live.tolist(), best.tolist()):
-        out[i] = ConvergenceError(
-            f"power iteration exceeded {MAX_MATVECS} matrix-vector products",
-            residual)
-    return out
-
-
-def spectral_radius_many(graphs: Sequence[Graph],
-                         tol: float | None = None) -> list[SpectralResult]:
-    """Largest adjacency eigenvalue of each graph, with its Perron vector,
-    by shifted power iteration (all-ones start, shift = max degree) at
-    ``tol`` (default ``default_tol`` of the graph's order).
-
-    Disconnected graphs are solved per component; a graph's vector is
-    supported on its first component attaining the maximum. The graphs'
-    components are grouped by (order, tolerance) and each group is solved
-    in stacks of at most STACK_CELLS matrix cells, built when solved and
-    dropped after: a stack of one matrix by ``_power_iteration``, a larger
-    one by ``_power_iterations``, which gives each slice the floats of its
-    single solve. A failed solve raises the ConvergenceError of the first
-    failing graph in input order, at its first failing component."""
-    if any(g.n < 1 for g in graphs):
+    Disconnected graphs are solved per component; the returned vector is
+    supported on the first component attaining the maximum.
+    """
+    if g.n < 1:
         raise GraphError("spectral radius needs n >= 1")
-    tols = [default_tol(g.n) if tol is None else tol for g in graphs]
-    comps = [[list(bits(c)) for c in component_masks(g)] for g in graphs]
-    groups: dict[tuple[int, float], list[tuple[int, int]]] = {}
-    for i, verts_of in enumerate(comps):
-        for j, verts in enumerate(verts_of):
-            groups.setdefault((len(verts), tols[i]), []).append((i, j))
-    solved: dict[tuple[int, int], object] = {}
-    # the largest components first, while few results are held
-    for (order, group_tol), keys in sorted(groups.items(), reverse=True):
-        size = max(1, STACK_CELLS // (order * order)) if order > 1 else 1
-        for start in range(0, len(keys), size):
-            stack = keys[start:start + size]
-            subs = [graphs[i] if len(comps[i]) == 1
-                    else graphs[i].induced(comps[i][j]) for i, j in stack]
-            if len(stack) == 1:
-                try:
-                    results = [_power_iteration(adjacency_matrix(subs[0]),
-                                                group_tol)]
-                except ConvergenceError as exc:
-                    results = [exc]
-            else:
-                results = _power_iterations(adjacency_matrices(subs),
-                                            group_tol)
-            solved.update(zip(stack, results))
-    out = []
-    for i, g in enumerate(graphs):
-        best_rho = -math.inf
-        best = None
-        total_matvecs = 0
-        for j, verts in enumerate(comps[i]):
-            result = solved[i, j]
-            if isinstance(result, ConvergenceError):
-                raise result
-            rho, x, res, mv = result
-            total_matvecs += mv
-            if rho > best_rho + tols[i]:
-                best_rho = rho
-                best = (verts, x, res)
-        verts, x, res = best
-        perron = np.zeros(g.n)
-        perron[verts] = x
-        out.append(SpectralResult(rho=best_rho, perron=perron, residual=res,
-                                  tol=tols[i], matvecs=total_matvecs))
-    return out
+    if tol is None:
+        tol = default_tol(g.n)
+    comps = component_masks(g)
+    best_rho = -math.inf
+    best = None
+    total_matvecs = 0
+    for comp in comps:
+        verts = list(bits(comp))
+        sub = g if len(comps) == 1 else g.induced(verts)
+        rho, x, res, mv = _power_iteration(adjacency_matrix(sub), tol)
+        total_matvecs += mv
+        if rho > best_rho + tol:
+            best_rho = rho
+            best = (verts, x, res)
+    verts, x, res = best
+    perron = np.zeros(g.n)
+    perron[verts] = x
+    return SpectralResult(rho=best_rho, perron=perron, residual=res,
+                          tol=tol, matvecs=total_matvecs)
 
 
 def full_spectrum(m: np.ndarray, tol: float | None = None) -> np.ndarray:
@@ -258,22 +171,26 @@ def rho_dense(g: Graph) -> float:
 def _stacked_top(items: Sequence, size: Callable[..., int],
                  stack: Callable[[list], np.ndarray]) -> list[float]:
     """The largest eigenvalue of each item's symmetric matrix, with one
-    ``eigvalsh`` call per matrix size; ``stack`` gives the (m, size, size)
-    matrices of m items of one size."""
+    ``eigvalsh`` call per stack of items of one matrix size: at most
+    STACK_CELLS matrix cells, and at least one matrix, a stack. ``stack``
+    gives the (m, size, size) matrices of m items of one size."""
     groups: dict[int, list[int]] = {}
     for i, item in enumerate(items):
         groups.setdefault(size(item), []).append(i)
     out = [0.0] * len(items)
-    for idx in groups.values():
-        top = np.linalg.eigvalsh(stack([items[i] for i in idx]))[:, -1]
-        for i, value in zip(idx, top.tolist()):
-            out[i] = value
+    for dim, idx in groups.items():
+        step = max(1, STACK_CELLS // (dim * dim))
+        for start in range(0, len(idx), step):
+            part = idx[start:start + step]
+            top = np.linalg.eigvalsh(stack([items[i] for i in part]))[:, -1]
+            for i, value in zip(part, top.tolist()):
+                out[i] = value
     return out
 
 
 def rho_dense_many(graphs: Sequence[Graph]) -> list[float]:
-    """``rho_dense`` of each graph, bit for bit, in one stacked solve per
-    order."""
+    """``rho_dense`` of each graph, bit for bit, in stacked solves of graphs
+    of one order."""
     if any(g.n == 0 for g in graphs):
         raise GraphError("spectral radius needs n >= 1")
     return _stacked_top(graphs, lambda g: g.n, adjacency_matrices)
@@ -390,8 +307,8 @@ def _symmetrized(quotients: Sequence[QuotientMatrix]) -> np.ndarray:
 
 
 def largest_eigenvalues(quotients: Sequence[QuotientMatrix]) -> list[float]:
-    """``largest_eigenvalue`` of each quotient, bit for bit, in one stacked
-    solve per quotient size."""
+    """``largest_eigenvalue`` of each quotient, bit for bit, in stacked
+    solves of quotients of one size."""
     if any(q.size == 0 for q in quotients):
         raise GraphError("a quotient without classes has no eigenvalue")
     return _stacked_top(quotients, lambda q: q.size, _symmetrized)

@@ -150,10 +150,10 @@ class TestRho:
         assert p4["rho"] < p4["fms_bound"]
         assert all(r["identity13"] == "ok" for r in report.rows)
 
-    def test_rho_is_spectral_radius(self):
+    def test_rho_is_rho_dense(self):
         """Several lines per order, so that rho is solved in stacks, with
         disconnected lines among them: each rho is the line's
-        ``spectral_radius``."""
+        ``rho_dense`` bit for bit, and its ``spectral_radius`` to 1e-9."""
         rng = rng_for(11, 0)
         graphs = [complete(n) for n in range(1, 10)]
         graphs += [random_graph(rng, 6 + i % 4, (0.2, 0.5)[i % 2])
@@ -164,8 +164,20 @@ class TestRho:
         assert sum(not is_connected(g) for g in graphs) >= 4
         lines = [graph6_encode(g) for g in graphs]
         report = cmd_rho(lines)
-        assert [row["rho"] for row in report.rows] == [
-            sp.spectral_radius(g).rho for g in graphs]
+        rhos = [row["rho"] for row in report.rows]
+        assert rhos == [sp.rho_dense(g) for g in graphs]
+        for rho, g in zip(rhos, graphs):
+            assert abs(rho - sp.spectral_radius(g).rho) <= 1e-9
+
+    @pytest.mark.parametrize("n", [300, 400])
+    def test_long_path_prints_its_closed_form(self, n):
+        """P_n converges slowly under power iteration; its printed rho is
+        2 cos(pi/(n+1)) to 1e-12 relative."""
+        line = graph6_encode(path(n))
+        text = csv_text(cmd_rho([line]))
+        printed = float(text.splitlines()[1].split(",")[1])
+        want = 2 * math.cos(math.pi / (n + 1))
+        assert abs(printed - want) <= 1e-12 * want
 
     def test_all_malformed_is_error(self):
         with pytest.raises(UsageError, match="all input lines were malformed"):

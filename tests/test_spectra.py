@@ -13,8 +13,7 @@ from specmatch.spectra import (ConvergenceError, Partition, QuotientMatrix,
                                degree_sum_identity, fms_bound, full_spectrum,
                                largest_eigenvalues, quotient,
                                refine_equitable, rho_dense, rho_dense_many,
-                               spectral_radius, spectral_radius_many,
-                               sqrt_m_bound)
+                               spectral_radius, sqrt_m_bound)
 from specmatch.families import (FamilyParams, extremal_kext_bipartite,
                                 extremal_kext_general, extremal_kfactor,
                                 family_quotient)
@@ -154,66 +153,31 @@ class TestAgainstReference:
             assert a.perron.dtype == b.perron.dtype
             assert a.perron.tobytes() == b.perron.tobytes()
 
-    def test_spectral_radius_many(self, pool):
-        """The stacked solve gives each graph's reference power iteration
-        bit for bit, whatever the order of the stream; unmarked, so that it
-        checks numpy's slice-by-slice BLAS matmul on every interpreter."""
-        shuffled = random.Random(3).sample(pool, len(pool))
-        for tol in (None, 1e-12):
-            for graphs in (pool, shuffled):
-                self.assert_same(spectral_radius_many(graphs, tol),
-                                 [ref_spectral_radius(g, tol)
-                                  for g in graphs])
-        # more connected graphs of order 40 than one stack holds, and
-        # disconnected ones among them
-        crossing = [seeded_random_graph(s, 40, 0.05 + s % 5 * 0.1)
-                    for s in range(sp.STACK_CELLS // 40 ** 2 + 8)]
-        assert sum(map(is_connected, crossing)) > sp.STACK_CELLS // 40 ** 2
-        assert not all(map(is_connected, crossing))
-        # isolated vertices and edgeless components, tied components
-        crossing += [empty(1), empty(4), disjoint_union(empty(3), path(4)),
-                     disjoint_union(disjoint_union(complete(3), complete(3)),
-                                    empty(1)),
-                     disjoint_union(path(2), empty(2)), empty(1)]
-        self.assert_same(spectral_radius_many(crossing),
-                         [ref_spectral_radius(g) for g in crossing])
-        assert spectral_radius_many([]) == []
-        with pytest.raises(GraphError, match="n >= 1"):
-            spectral_radius_many([cycle(4), empty(0)])
-
-    def test_spectral_radius_many_convergence_error(self, monkeypatch):
-        """Short of matvecs, the stacked solve raises the ConvergenceError
-        of the first graph of the stream on which the reference power
-        iteration fails, with its best residual, wherever the stream
-        starts."""
+    def test_spectral_radius_convergence_error(self, monkeypatch):
+        """Short of matvecs, ``spectral_radius`` raises on each graph on
+        which the reference power iteration fails, with its best residual,
+        and gives the reference's result on every other graph."""
         monkeypatch.setattr(sp, "MAX_MATVECS", 9)
-        stream = [complete(9), empty(4), seeded_random_graph(1, 12, 0.5),
+        graphs = [complete(9), empty(4), seeded_random_graph(1, 12, 0.5),
                   complete(12), seeded_random_graph(2, 9, 0.4),
                   disjoint_union(seeded_random_graph(3, 12, 0.6), empty(2)),
                   seeded_random_graph(5, 300, 0.3),
                   seeded_random_graph(4, 12, 0.3), empty(1), complete(20)]
         failures = 0
-        for start in range(len(stream)):
-            graphs = stream[start:]
-            want = None
-            for g in graphs:
-                try:
-                    ref_spectral_radius(g)
-                except ConvergenceError as exc:
-                    want = exc
-                    break
-            if want is None:
-                self.assert_same(spectral_radius_many(graphs),
-                                 [ref_spectral_radius(g) for g in graphs])
-                continue
-            failures += 1
-            with pytest.raises(ConvergenceError) as got:
-                spectral_radius_many(graphs)
-            assert str(got.value) == (
-                f"power iteration exceeded 9 matrix-vector products "
-                f"(best residual {want.best_residual:.3e})")
-            assert got.value.best_residual == want.best_residual
-        assert failures == 8
+        for g in graphs:
+            try:
+                want = ref_spectral_radius(g)
+            except ConvergenceError as exc:
+                failures += 1
+                with pytest.raises(ConvergenceError) as got:
+                    spectral_radius(g)
+                assert str(got.value) == (
+                    f"power iteration exceeded 9 matrix-vector products "
+                    f"(best residual {exc.best_residual:.3e})")
+                assert got.value.best_residual == exc.best_residual
+            else:
+                self.assert_same([spectral_radius(g)], [want])
+        assert failures == 5
 
     def test_degree_sum_identity(self, pool):
         for g in pool:
@@ -350,11 +314,36 @@ class TestStackedSolves:
         with pytest.raises(GraphError):
             largest_eigenvalues([QuotientMatrix((), ())])
 
-    def test_rho_dense_many_matches_rho_dense(self):
+    def test_rho_dense_many_matches_rho_dense(self, monkeypatch):
         graphs = [complete(1), empty(3), cycle(6), petersen(), path(9),
                   disjoint_union(complete(4), cycle(5))]
         graphs += [seeded_random_graph(s, 6 + s % 5, 0.4) for s in range(20)]
-        assert rho_dense_many(graphs) == [rho_dense(g) for g in graphs]
+        # more graphs of order 40 than one stack holds, disconnected ones
+        # among them, and orders whose one matrix exceeds STACK_CELLS
+        per_stack = sp.STACK_CELLS // 40 ** 2
+        crossing = [seeded_random_graph(s, 40, 0.05 + s % 5 * 0.1)
+                    for s in range(per_stack + 8)]
+        assert not all(map(is_connected, crossing))
+        graphs += crossing
+        graphs += [seeded_random_graph(s, 200, 0.05) for s in range(2)]
+        # isolated vertices and edgeless components, tied components
+        graphs += [empty(1), empty(4), disjoint_union(empty(3), path(4)),
+                   disjoint_union(disjoint_union(complete(3), complete(3)),
+                                  empty(1)),
+                   disjoint_union(path(2), empty(2)), empty(1)]
+        want = [rho_dense(g) for g in graphs]
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(a):
+            shapes.append(a.shape)
+            return eigvalsh(a)
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        assert rho_dense_many(graphs) == want
+        # every stack is one matrix or at most STACK_CELLS cells
+        assert all(m == 1 or m * n * n <= sp.STACK_CELLS
+                   for m, n, _ in shapes)
+        assert (per_stack, 40, 40) in shapes and (1, 200, 200) in shapes
         assert rho_dense_many([]) == []
         with pytest.raises(GraphError, match="n >= 1"):
             rho_dense_many([cycle(4), empty(0)])
