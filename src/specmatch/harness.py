@@ -877,32 +877,37 @@ def _decode_lines(lines: Iterable[str], report: Report,
     return out
 
 
-def _rho_row(text: str, g: Graph, rho: float | None) -> dict:
-    row = {"graph": text, "rho": rho,
+def _rho_row(text: str, g: Graph, cols: sp.RhoRow | None) -> dict:
+    """A ``rho`` row from the line's ``sp.RhoRow`` (None when n = 0): rho
+    and identity (13) when n >= 1, the FMS bound when the line is
+    connected with n >= 2, and sqrt(m) when it is bipartite with an
+    edge."""
+    row = {"graph": text, "rho": None,
            "fms_bound": None, "sqrt_m": None, "identity13": ""}
-    if g.n >= 2 and is_connected(g):
-        row["fms_bound"] = sp.fms_bound(g)[0]
+    if cols is not None:
+        row["rho"] = cols.rho
+        if g.n >= 2 and is_connected(g):
+            row["fms_bound"] = cols.fms[0]
+        row["identity13"] = ("ok" if np.array_equal(cols.lhs, cols.rhs)
+                             else "fail")
     gb = infer_bipartition(g)
     if gb is not None and gb.m >= 1:
         row["sqrt_m"] = sp.sqrt_m_bound(gb)
-    if g.n >= 1:
-        row["identity13"] = "ok" if all(
-            lhs == rhs for lhs, rhs in
-            (sp.degree_sum_identity(g, u) for u in range(g.n))) else "fail"
     return row
 
 
 def cmd_rho(lines: Iterable[str]) -> Report:
     """One row per decoded line: its spectral radius, the bounds and
-    identity (13). The spectral radii of all lines are solved first, by one
-    ``rho_dense_many`` call (stacked ``eigvalsh``), so each row's rho is the
-    line's ``rho_dense``, as in verify, check and scan rows."""
+    identity (13). One ``sp.rho_rows`` call gives the spectral radius, the
+    FMS bound and both sides of identity (13) of every line with n >= 1,
+    from one adjacency stack per stack of lines of one order; each row's
+    rho is the line's ``rho_dense``, as in verify, check and scan rows."""
     report = Report(mode="rho", columns=RHO_COLUMNS)
     decoded = _decode_lines(lines, report)
-    solved = iter(sp.rho_dense_many([g for _, _, g in decoded if g.n >= 1]))
+    solved = iter(sp.rho_rows([g for _, _, g in decoded if g.n >= 1]))
     for _, text, g in decoded:
-        rho = next(solved) if g.n >= 1 else None
-        _add_row(report, _rho_row(text, g, rho), "consistent")
+        cols = next(solved) if g.n >= 1 else None
+        _add_row(report, _rho_row(text, g, cols), "consistent")
     return report
 
 

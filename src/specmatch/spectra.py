@@ -3,24 +3,34 @@ quotient matrices and adjacency spectral bounds.
 
 Every printed spectral radius comes from one route: ``rho_dense`` takes the
 top eigenvalue from LAPACK's ``eigvalsh``. It gives the spectral radius in
-verify, check and scan rows, and, through ``rho_dense_many``, in the ``rho``
-mode and in the dense rechecks of the lemma sweeps. ``spectral_radius``, a
-shifted power iteration (deterministic all-ones start, shift = max degree)
-that also returns the Perron vector and its residual, is kept only as a
-second, independent route: the re-solve of a counterexample candidate
-(``harness._reverify_candidate``) and the oracle of the acceptance tests.
+verify, check and scan rows, through ``rho_rows`` in ``rho`` rows, and
+through ``rho_dense_many`` in the dense rechecks of the lemma sweeps.
+``spectral_radius``, a shifted power iteration (deterministic all-ones
+start, shift = max degree) that also returns the Perron vector and its
+residual, is kept only as a second, independent route: the re-solve of
+a counterexample candidate (``harness._reverify_candidate``) and the
+oracle of the acceptance tests.
 Every lemma sweep (l2.2, l2.3 and l2.6) takes its printed values from
 exact blow-up quotients through ``largest_eigenvalues``. ``full_spectrum``
 (all eigenvalues, residual-checked) serves the tests.
 
-Many small problems are solved in stacks: ``largest_eigenvalues`` and
-``rho_dense_many`` make one ``eigvalsh`` call per stack of matrices of one
-size, at most STACK_CELLS matrix cells a stack. LAPACK solves each matrix
-of a stack on its own, so a stacked value is bit-identical to the single
-solve (``largest_eigenvalue``, ``rho_dense``). A quotient's symmetrization
-has one implementation, ``_symmetrized``, which both the stacked and the
-single solve use. Graph stacks come from ``adjacency_matrices``, whose
-one-graph case is ``adjacency_matrix``.
+Many small problems are solved in stacks: ``largest_eigenvalues``,
+``rho_dense_many`` and ``rho_rows`` hand each stack of matrices of one size,
+at most STACK_CELLS matrix cells a stack, to one solver call. LAPACK solves
+each matrix of a stack on its own, so a stacked value is bit-identical to
+the single solve (``largest_eigenvalue``, ``rho_dense``). A quotient's
+symmetrization has one implementation, ``_symmetrized``, which both the
+stacked and the single solve use. Graph stacks come from
+``adjacency_matrices``, whose one-graph case is ``adjacency_matrix``.
+
+One adjacency stack per order gives the three spectral columns of a
+``rho`` row (``rho_rows``): the spectral radius, the Favaron-Maheo-Sacle
+bound max_v sqrt(sum of the degrees of v's neighbours), and both sides of
+identity (13) at each vertex u,
+sum_{v~u} d(v) = d(u) + 2 e(N(u)) + e(N(u), V minus N[u]).
+The two sides come from separate exact integer matrix products, formed in
+row blocks of at most about PRODUCT_MADDS multiply-adds. ``fms_bound``
+and ``degree_sum_identity`` are their one-graph case.
 """
 from __future__ import annotations
 
@@ -30,12 +40,16 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .graph import Graph, GraphError, bits, component_masks, mask_of
+from .graph import Graph, GraphError, bits, component_masks
 
 MAX_MATVECS = 10 ** 6
 RESIDUAL_CHECK_EVERY = 4
 # matrix cells per stacked eigvalsh call; bounds a stack's memory
 STACK_CELLS = 1 << 15
+# multiply-adds per matmul call of the identity (13) products, one row at
+# least: at order 300 such blocks stayed on one OpenBLAS thread and one gemm
+# buffer, where the whole product went multithreaded and grew the RSS
+PRODUCT_MADDS = 1 << 20
 
 
 class ConvergenceError(RuntimeError):
@@ -168,24 +182,30 @@ def rho_dense(g: Graph) -> float:
     return float(np.linalg.eigvalsh(adjacency_matrix(g))[-1])
 
 
-def _stacked_top(items: Sequence, size: Callable[..., int],
-                 stack: Callable[[list], np.ndarray]) -> list[float]:
-    """The largest eigenvalue of each item's symmetric matrix, with one
-    ``eigvalsh`` call per stack of items of one matrix size: at most
+def _stacked(items: Sequence, size: Callable[..., int],
+             stack: Callable[[list], np.ndarray],
+             solve: Callable[[np.ndarray], list]) -> list:
+    """``solve``'s per-matrix results for each item's matrix, with one
+    ``solve`` call per stack of items of one matrix size: at most
     STACK_CELLS matrix cells, and at least one matrix, a stack. ``stack``
-    gives the (m, size, size) matrices of m items of one size."""
+    gives the (m, size, size) matrices of m items of one size, and
+    ``solve`` a list of m results from such a stack."""
     groups: dict[int, list[int]] = {}
     for i, item in enumerate(items):
         groups.setdefault(size(item), []).append(i)
-    out = [0.0] * len(items)
+    out = [None] * len(items)
     for dim, idx in groups.items():
         step = max(1, STACK_CELLS // (dim * dim))
         for start in range(0, len(idx), step):
             part = idx[start:start + step]
-            top = np.linalg.eigvalsh(stack([items[i] for i in part]))[:, -1]
-            for i, value in zip(part, top.tolist()):
+            for i, value in zip(part, solve(stack([items[i] for i in part]))):
                 out[i] = value
     return out
+
+
+def _top_eigenvalues(a: np.ndarray) -> list[float]:
+    """The largest eigenvalue of each symmetric matrix of a stack."""
+    return np.linalg.eigvalsh(a)[:, -1].tolist()
 
 
 def rho_dense_many(graphs: Sequence[Graph]) -> list[float]:
@@ -193,7 +213,76 @@ def rho_dense_many(graphs: Sequence[Graph]) -> list[float]:
     of one order."""
     if any(g.n == 0 for g in graphs):
         raise GraphError("spectral radius needs n >= 1")
-    return _stacked_top(graphs, lambda g: g.n, adjacency_matrices)
+    return _stacked(graphs, lambda g: g.n, adjacency_matrices,
+                    _top_eigenvalues)
+
+
+def _degree_sums(a: np.ndarray, start: int = 0,
+                 stop: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of identity (13) at vertices start..stop-1 (default all)
+    of each graph of a 0/1 adjacency stack (m, n, n), as int64 arrays of
+    m rows: lhs = A d with d = A 1, and rhs = d + 2 (inside // 2) + cross
+    with inside = rowsum(A^2 * A) and cross = rowsum(A^2 * (J - A - I)).
+
+    A^2 is formed in row blocks of at most PRODUCT_MADDS multiply-adds
+    (one row at least), and J - A - I only on a block's rows. Every entry
+    is an integer below 2^53, so the float sums are exact in any order."""
+    m, n, _ = a.shape
+    stop = n if stop is None else stop
+    d = a.sum(axis=2)
+    lhs = np.empty((m, stop - start))
+    inside = np.empty_like(lhs)
+    cross = np.empty_like(lhs)
+    step = max(1, PRODUCT_MADDS // (m * n * n))
+    for lo in range(start, stop, step):
+        hi = min(lo + step, stop)
+        rows = a[:, lo:hi]
+        out = slice(lo - start, hi - start)
+        square = np.matmul(rows, a)  # rows lo..hi-1 of A^2
+        lhs[:, out] = np.matmul(rows, d[:, :, None])[:, :, 0]
+        inside[:, out] = np.einsum("mij,mij->mi", square, rows)
+        rest = 1.0 - rows
+        rest[:, np.arange(hi - lo), np.arange(lo, hi)] = 0.0
+        cross[:, out] = np.einsum("mij,mij->mi", square, rest)
+    rhs = d[:, start:stop] + 2 * (inside // 2) + cross
+    return lhs.astype(np.int64), rhs.astype(np.int64)
+
+
+def _fms(lhs: np.ndarray) -> tuple[float, int]:
+    """(sqrt of the largest neighbour degree sum, the first vertex with
+    it) from one graph's row of ``_degree_sums``'s lhs."""
+    v = int(lhs.argmax())
+    return math.sqrt(int(lhs[v])), v
+
+
+@dataclass(frozen=True, eq=False)
+class RhoRow:
+    """The spectral columns of one graph's ``rho`` row: the spectral radius
+    (``rho_dense``'s float), the FMS bound with its vertex (``fms_bound``'s
+    value, also computed for a disconnected graph), and both sides of
+    identity (13) at each vertex (``degree_sum_identity``'s integers)."""
+
+    rho: float
+    fms: tuple[float, int]
+    lhs: np.ndarray
+    rhs: np.ndarray
+
+
+def _rho_rows(a: np.ndarray) -> list[RhoRow]:
+    """The ``RhoRow`` of each graph of an adjacency stack."""
+    top = _top_eigenvalues(a)
+    lhs, rhs = _degree_sums(a)
+    return [RhoRow(rho, _fms(lhs[i]), lhs[i], rhs[i])
+            for i, rho in enumerate(top)]
+
+
+def rho_rows(graphs: Sequence[Graph]) -> list[RhoRow]:
+    """The ``RhoRow`` of each graph, from one adjacency stack per stack of
+    graphs of one order: rho is ``rho_dense``'s float bit for bit, as in
+    ``rho_dense_many``."""
+    if any(g.n == 0 for g in graphs):
+        raise GraphError("spectral radius needs n >= 1")
+    return _stacked(graphs, lambda g: g.n, adjacency_matrices, _rho_rows)
 
 
 # -- equitable partitions and quotients ---------------------------------
@@ -311,7 +400,8 @@ def largest_eigenvalues(quotients: Sequence[QuotientMatrix]) -> list[float]:
     solves of quotients of one size."""
     if any(q.size == 0 for q in quotients):
         raise GraphError("a quotient without classes has no eigenvalue")
-    return _stacked_top(quotients, lambda q: q.size, _symmetrized)
+    return _stacked(quotients, lambda q: q.size, _symmetrized,
+                    _top_eigenvalues)
 
 
 def quotient(g: Graph, p: Partition) -> QuotientMatrix:
@@ -341,43 +431,23 @@ def quotient(g: Graph, p: Partition) -> QuotientMatrix:
 
 def fms_bound(g: Graph) -> tuple[float, int]:
     """max_v sqrt(sum of neighbor degrees): an upper bound on the spectral
-    radius of a connected graph; returns (bound, attaining vertex)."""
+    radius of a connected graph; returns (bound, first attaining vertex).
+    The one-graph case of ``rho_rows``'s FMS value."""
     if g.n < 2:
         raise GraphError("bound needs n >= 2")
     if len(component_masks(g)) != 1:
         raise GraphError("bound requires a connected graph")
-    deg = g.degrees()
-    # plane b holds the vertices whose degree has bit b set, so a row's
-    # neighbor degree sum is the sum of its popcount in plane b times 2^b
-    planes = [mask_of(u for u in range(g.n) if deg[u] >> b & 1)
-              for b in range(max(deg).bit_length())]
-    best_val = -1
-    best_v = 0
-    for v, row in enumerate(g.adj):
-        r = sum((row & plane).bit_count() << b
-                for b, plane in enumerate(planes))
-        if r > best_val:
-            best_val = r
-            best_v = v
-    return math.sqrt(best_val), best_v
+    return _fms(_degree_sums(adjacency_matrices([g]))[0][0])
 
 
 def degree_sum_identity(g: Graph, u: int) -> tuple[int, int]:
-    """Both sides of: sum of neighbor degrees at u equals
-    d(u) + 2 e(N(u)) + e(N(u), V minus (N(u) + u)); computed independently."""
+    """Both sides of identity (13) at u: the sum of u's neighbor degrees,
+    and d(u) + 2 e(N(u)) + e(N(u), V minus N[u]); computed independently.
+    The one-graph case of ``rho_rows``'s lhs and rhs."""
     if not 0 <= u < g.n:
         raise GraphError("vertex out of range")
-    adj = g.adj
-    nbrs = adj[u]
-    rest = g.full_mask() & ~nbrs & ~(1 << u)
-    lhs = inside_ends = cross = 0
-    for v in bits(nbrs):
-        row = adj[v]
-        lhs += row.bit_count()
-        inside_ends += (row & nbrs).bit_count()  # both ends of each edge
-        cross += (row & rest).bit_count()
-    rhs = nbrs.bit_count() + 2 * (inside_ends // 2) + cross
-    return lhs, rhs
+    lhs, rhs = _degree_sums(adjacency_matrices([g]), u, u + 1)
+    return int(lhs[0, 0]), int(rhs[0, 0])
 
 
 def sqrt_m_bound(g: Graph) -> float:

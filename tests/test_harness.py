@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -168,6 +169,26 @@ class TestRho:
         assert rhos == [sp.rho_dense(g) for g in graphs]
         for rho, g in zip(rhos, graphs):
             assert abs(rho - sp.spectral_radius(g).rho) <= 1e-9
+
+    def test_identity_fail_prints_on_its_line_only(self, monkeypatch):
+        """A row pass whose rhs is off at one vertex of one line prints
+        identity13 = fail on that line; every other cell is unchanged."""
+        lines = [graph6_encode(g) for g in (complete(4), path(5), cycle(6))]
+        want = csv_text(cmd_rho(lines)).splitlines()
+        solve = sp.rho_rows
+
+        def corrupted(graphs):
+            rows = solve(graphs)
+            rhs = rows[1].rhs.copy()
+            rhs[2] += 1
+            rows[1] = dataclasses.replace(rows[1], rhs=rhs)
+            return rows
+        monkeypatch.setattr(sp, "rho_rows", corrupted)
+        got = csv_text(cmd_rho(lines)).splitlines()
+        assert [line.rsplit(",", 1)[1] for line in got[1:4]] == [
+            "ok", "fail", "ok"]
+        assert got[:2] + got[3:] == want[:2] + want[3:]
+        assert got[2].rsplit(",", 1)[0] == want[2].rsplit(",", 1)[0]
 
     @pytest.mark.parametrize("n", [300, 400])
     def test_long_path_prints_its_closed_form(self, n):

@@ -13,7 +13,7 @@ from specmatch.spectra import (ConvergenceError, Partition, QuotientMatrix,
                                degree_sum_identity, fms_bound, full_spectrum,
                                largest_eigenvalues, quotient,
                                refine_equitable, rho_dense, rho_dense_many,
-                               spectral_radius, sqrt_m_bound)
+                               rho_rows, spectral_radius, sqrt_m_bound)
 from specmatch.families import (FamilyParams, extremal_kext_bipartite,
                                 extremal_kext_general, extremal_kfactor,
                                 family_quotient)
@@ -347,6 +347,61 @@ class TestStackedSolves:
         assert rho_dense_many([]) == []
         with pytest.raises(GraphError, match="n >= 1"):
             rho_dense_many([cycle(4), empty(0)])
+
+    def test_rho_rows_match_references(self, monkeypatch):
+        """Each row's rho is ``rho_dense`` bit for bit, its FMS value and
+        vertex are the reference loop's, and both sides of identity (13)
+        are the reference counts at every vertex."""
+        graphs = [complete(1), empty(3), cycle(6), petersen(), path(9),
+                  disjoint_union(complete(4), cycle(5)), empty(1),
+                  disjoint_union(empty(3), path(4))]
+        graphs += [seeded_random_graph(s, 6 + s % 5, 0.4) for s in range(12)]
+        # more graphs of order 40 than one stack holds, disconnected ones
+        # among them, and orders whose A^2 is formed in row blocks
+        per_stack = sp.STACK_CELLS // 40 ** 2
+        crossing = [seeded_random_graph(s, 40, 0.05 + s % 5 * 0.1)
+                    for s in range(per_stack + 8)]
+        assert not all(map(is_connected, crossing))
+        graphs += crossing
+        graphs += [seeded_random_graph(s, n, 0.05)
+                   for n in (200, 300) for s in range(2)]
+        stacks, products = [], []
+        eigvalsh, matmul = np.linalg.eigvalsh, np.matmul
+
+        def recording_eigvalsh(a):
+            stacks.append(a.shape)
+            return eigvalsh(a)
+
+        def recording_matmul(x, y):
+            products.append((x.shape, y.shape))
+            return matmul(x, y)
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+        monkeypatch.setattr(np, "matmul", recording_matmul)
+        rows = rho_rows(graphs)
+        monkeypatch.undo()
+        assert len(rows) == len(graphs)
+        for g, row in zip(graphs, rows):
+            assert row.rho == rho_dense(g)
+            if g.n >= 2 and is_connected(g):
+                assert row.fms == ref_fms_bound(g)
+            assert [(int(lhs), int(rhs)) for lhs, rhs in
+                    zip(row.lhs, row.rhs)] == [
+                ref_degree_sum_identity(g, u) for u in range(g.n)]
+        # every stack is one matrix or at most STACK_CELLS cells
+        assert all(m == 1 or m * n * n <= sp.STACK_CELLS
+                   for m, n, _ in stacks)
+        assert (per_stack, 40, 40) in stacks and (1, 300, 300) in stacks
+        # every product is at most PRODUCT_MADDS multiply-adds, and the
+        # orders 200 and 300 take several row blocks
+        assert all(m * r * k * c <= sp.PRODUCT_MADDS
+                   for (m, r, k), (_, _, c) in products)
+        for n in (200, 300):
+            blocks = [r for (m, r, k), (_, _, c) in products
+                      if k == c == n]
+            assert len(blocks) > 1 and sum(blocks) == 2 * n
+        assert rho_rows([]) == []
+        with pytest.raises(GraphError, match="n >= 1"):
+            rho_rows([cycle(4), empty(0)])
 
 
 class TestQuarticClosedForm:
