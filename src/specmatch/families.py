@@ -69,7 +69,11 @@ class BlowUp(NamedTuple):
                         for v in range(len(adj), len(adj) + z)]
         side_a = None if self.sides is None else sum(
             mask for mask, side in zip(masks, self.sides) if side == SIDE_A)
-        return Graph(len(adj), tuple(adj), side_a)
+        # valid by construction: a clique row drops its own bit, and the
+        # joins of every library blow-up are symmetric; its sided ones (the
+        # overlay, the k-factor member) have single-vertex cliques and join
+        # only classes on opposite sides
+        return Graph._trusted(len(adj), tuple(adj), side_a)
 
     def quotient(self) -> QuotientMatrix:
         """Entry (i, j) is class j's size if i and j are joined, z-1 if

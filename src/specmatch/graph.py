@@ -3,8 +3,16 @@ structural queries and graph6 I/O.
 
 Vertices are always 0..n-1. ``adj[v]`` is an int whose bit ``u`` is set iff
 ``u ~ v``. A bipartition is one such vertex mask, ``side_a``: side A is its
-set bits, side B every other vertex. Graphs are immutable; every constructor
-validates symmetry, irreflexivity and (when present) the bipartition.
+set bits, side B every other vertex. Graphs are immutable.
+
+A graph is validated once, where it enters the library: ``Graph(...)``
+checks the range, symmetry and irreflexivity of its rows and (when present)
+the bipartition, and so do the public constructors built on it
+(``from_edges`` and the derived graphs). ``graph6_decode``'s text checks
+validate a graph6 line. Builders whose rows are valid by construction (the
+graph6 decoder after those checks, ``infer_bipartition``, the samplers and
+the family blow-ups) make their graph with ``Graph._trusted``, which skips
+the row checks.
 """
 from __future__ import annotations
 
@@ -12,14 +20,13 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 SIDE_A = 0
 SIDE_B = 1
 
 GRAPH6_MAX_N = 258047  # largest order of the 4-byte long form
 _GRAPH6_BAD_CHAR = re.compile(r"[^?-~]")
-# the graph6 character of code 63 + v as the six bits of v, least
-# significant first, indexed by code
-_GRAPH6_BITS_REVERSED = [""] * 63 + [f"{v:06b}"[::-1] for v in range(64)]
 
 
 class GraphError(ValueError):
@@ -47,6 +54,10 @@ class Graph:
 
     ``side_a``, when not None, is the vertex mask of side A; side B is every
     other vertex, and every edge must then join A to B.
+
+    ``Graph(...)`` validates its fields (``__post_init__``) and raises
+    GraphError naming the first fault. ``Graph._trusted`` builds a graph
+    from rows that are valid by construction, without that check.
     """
 
     n: int
@@ -87,6 +98,17 @@ class Graph:
                 if bad:
                     u = (bad & -bad).bit_length() - 1
                     raise GraphError(f"edge ({v},{u}) inside one side")
+
+    @classmethod
+    def _trusted(cls, n: int, adj: tuple[int, ...],
+                 side_a: int | None = None) -> "Graph":
+        """The graph with these fields, set without ``__post_init__``'s
+        checks: for library builders whose rows are symmetric, loop-free
+        and in range, and whose ``side_a`` is a bipartition of them, by
+        construction."""
+        g = object.__new__(cls)
+        vars(g).update(n=n, adj=adj, side_a=side_a)
+        return g
 
     # -- basic queries -------------------------------------------------
 
@@ -232,6 +254,20 @@ def join(g: Graph, h: Graph) -> Graph:
     return Graph(u.n, tuple(adj), None)
 
 
+def bitset_rows(adj: np.ndarray) -> Iterator[list[int]]:
+    """The bitset rows of each matrix of a stack of boolean adjacency
+    matrices, in stack order; the rows of one matrix are built only when
+    the iteration reaches it."""
+    count, n = adj.shape[:2]
+    packed = np.packbits(adj, axis=2, bitorder="little")
+    width = packed.shape[2]
+    data = packed.tobytes()
+    for j in range(count):
+        base = j * n * width
+        yield [int.from_bytes(data[base + i * width:base + (i + 1) * width],
+                              "little") for i in range(n)]
+
+
 # -- structural queries ------------------------------------------------
 
 
@@ -309,14 +345,14 @@ def infer_bipartition(g: Graph) -> Graph | None:
     reach.reverse()
     need = g.n // 2
     if g.n % 2 or not reach[0] >> need & 1:
-        return Graph(g.n, adj, side_a)
+        return Graph._trusted(g.n, adj, side_a)
     for (comp, even), after in zip(comps, reach[1:]):
         a = even.bit_count()
         if need < a or not after >> (need - a) & 1:
             side_a ^= comp
             a = comp.bit_count() - a
         need -= a
-    return Graph(g.n, adj, side_a)
+    return Graph._trusted(g.n, adj, side_a)
 
 
 # -- graph6 ------------------------------------------------------------
@@ -349,6 +385,17 @@ def graph6_encode(g: Graph) -> str:
 
 
 def graph6_decode(text: str) -> Graph:
+    """The graph of one graph6 line (surrounding whitespace ignored).
+
+    The text checks are the line's validation, and each raises GraphError:
+    every character lies in '?'..'~', the header is a short or 4-byte long
+    form, the body has exactly the characters that n(n-1)/2 bits need, and
+    the padding bits are zero. Each body character is 63 plus six bits,
+    most significant first; the bit stream lists the pairs (i, j), i < j,
+    column by column: (0,1), (0,2), (1,2), (0,3), ... That is the row-major
+    order of the strictly lower triangle, entry (j, i), so the stream is
+    written there in one pass and mirrored. Rows so built are symmetric
+    and loop-free, and the graph is made without further checks."""
     s = text.strip()
     if not s:
         raise GraphError("empty graph6 string")
@@ -371,16 +418,12 @@ def graph6_decode(text: str) -> Graph:
     if len(body) != need:
         raise GraphError(
             f"graph6 bit stream has {len(body)} chars, expected {need}")
-    # bit i of ``stream`` is bit i of the body's bit stream
-    stream = int("".join(map(_GRAPH6_BITS_REVERSED.__getitem__,
-                             reversed(body))) or "0", 2)
-    if stream >> nbits:
+    if need and (body[-1] - 63) & ((1 << (6 * need - nbits)) - 1):
         raise GraphError("nonzero graph6 padding bits")
-    adj = [0] * n
-    for j in range(1, n):
-        col = stream & ((1 << j) - 1)  # the pairs (i, j) with i < j
-        stream >>= j
-        adj[j] = col
-        for i in bits(col):
-            adj[i] |= 1 << j
-    return Graph(n, tuple(adj), None)
+    # each character's six bits: the low six of the eight of its value
+    groups = np.frombuffer(body, dtype=np.uint8) - np.uint8(63)
+    stream = np.unpackbits(groups[:, None], axis=1)[:, 2:].reshape(-1)
+    lower = np.zeros((n, n), dtype=bool)
+    lower[np.tri(n, k=-1, dtype=bool)] = stream[:nbits]
+    adj = (lower | lower.T)[None]
+    return Graph._trusted(n, tuple(next(bitset_rows(adj))))

@@ -32,9 +32,9 @@ import numpy as np
 from . import families as fam
 from . import matchfactor as mf
 from . import spectra as sp
-from .graph import (Graph, GraphError, SIDE_A, SIDE_B, graph6_decode,
-                    graph6_encode, infer_bipartition, is_connected,
-                    rows_connected)
+from .graph import (Graph, GraphError, SIDE_A, SIDE_B, bitset_rows,
+                    graph6_decode, graph6_encode, infer_bipartition,
+                    is_connected, rows_connected)
 
 P_SWEEP = (0.3, 0.5, 0.7, 0.9)
 SAMPLE_ATTEMPTS = 60
@@ -180,23 +180,10 @@ def _draw_block(rng: random.Random, n: int, side: int | None, prob: float,
     return adj | adj.transpose(0, 2, 1)
 
 
-def _row_lists(adj: np.ndarray) -> Iterator[list[int]]:
-    """The bitset rows of each matrix of a stack of boolean adjacency
-    matrices, in stack order; the rows of one matrix are built only when
-    the iteration reaches it."""
-    count, n = adj.shape[:2]
-    packed = np.packbits(adj, axis=2, bitorder="little")
-    width = packed.shape[2]
-    data = packed.tobytes()
-    for j in range(count):
-        base = j * n * width
-        yield [int.from_bytes(data[base + i * width:base + (i + 1) * width],
-                              "little") for i in range(n)]
-
-
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     """A G(n, p) draw: one attempt of the block draw."""
-    return Graph(n, tuple(next(_row_lists(_draw_block(rng, n, None, p, 1)))))
+    rows = next(bitset_rows(_draw_block(rng, n, None, p, 1)))
+    return Graph._trusted(n, tuple(rows))
 
 
 def random_bipartite(rng: random.Random, p_side: int, q_side: int,
@@ -204,9 +191,8 @@ def random_bipartite(rng: random.Random, p_side: int, q_side: int,
     """A random bipartite draw, side A first: one attempt of the block
     draw."""
     n = p_side + q_side
-    return Graph(n, tuple(next(_row_lists(_draw_block(rng, n, p_side, prob,
-                                                      1)))),
-                 (1 << p_side) - 1)
+    rows = next(bitset_rows(_draw_block(rng, n, p_side, prob, 1)))
+    return Graph._trusted(n, tuple(rows), (1 << p_side) - 1)
 
 
 def random_regular_bipartite(rng: random.Random, half: int,
@@ -435,9 +421,9 @@ def _drawn_sample(spec: TheoremSpec, n: int, delta: int | None,
         elif spec.requires_connected and n > 1:
             # a connected graph has no isolated vertex
             adj = adj[adj.any(axis=2).all(axis=1)]
-        for rows in _row_lists(adj):
+        for rows in bitset_rows(adj):
             if not spec.requires_connected or rows_connected(rows):
-                return Graph(n, tuple(rows), side_a)
+                return Graph._trusted(n, tuple(rows), side_a)
     return None
 
 
@@ -458,8 +444,10 @@ def sample_for_theorem(spec: TheoremSpec, p: fam.FamilyParams,
 
     Draws and perturbations are adjacency rows, tested for class membership
     as rows; rejected ones never become ``Graph`` objects. Only the kept
-    sample is built as a ``Graph``, and it is validated in full like every
-    other."""
+    sample is built as a ``Graph``, with ``Graph._trusted``: a draw sets
+    each pair in both rows and only across the sides of a bipartite draw,
+    and a perturbation toggles a pair of distinct vertices in both rows,
+    across the extremal graph's sides when it has them."""
     delta = _pinned_degree(spec, p)
     if index % 2 == 0:
         prob = P_SWEEP[(index // 2) % len(P_SWEEP)]
@@ -469,7 +457,7 @@ def sample_for_theorem(spec: TheoremSpec, p: fam.FamilyParams,
     for _ in range(SAMPLE_ATTEMPTS):
         rows = _perturb(rng, extremal, 1 + rng.randrange(3))
         if _in_hypothesis_class(spec, rows, delta):
-            return Graph(extremal.n, tuple(rows), extremal.side_a)
+            return Graph._trusted(extremal.n, tuple(rows), extremal.side_a)
     return extremal
 
 
@@ -810,6 +798,20 @@ def _cert_str(cert: mf.Certificate | None) -> str:
     return cert.to_json() if cert is not None else "-"
 
 
+def _enumerated_graphs(max_n: int) -> Iterator[Graph]:
+    """Every labeled graph of order 2..min(max_n, 6): by order, then by the
+    mask whose bit i is the i-th pair (u, v), u < v, in row order."""
+    for n in range(2, min(max_n, 6) + 1):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for mask in range(1 << len(pairs)):
+            adj = [0] * n
+            for i, (u, v) in enumerate(pairs):
+                if (mask >> i) & 1:
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+            yield Graph._trusted(n, tuple(adj))
+
+
 def cmd_cross_check(max_n: int, samples: int, seed: int,
                     limit: int = mf.EXHAUSTIVE_LIMIT,
                     bipartite_extra: int = 0) -> Report:
@@ -825,15 +827,8 @@ def cmd_cross_check(max_n: int, samples: int, seed: int,
             report.rows.append(_row(graph6_encode(g), False,
                                     certificate=issue))
 
-    for n in range(2, min(max_n, 6) + 1):
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        for mask in range(1 << len(pairs)):
-            adj = [0] * n
-            for i, (u, v) in enumerate(pairs):
-                if (mask >> i) & 1:
-                    adj[u] |= 1 << v
-                    adj[v] |= 1 << u
-            handle(Graph(n, tuple(adj)))
+    for g in _enumerated_graphs(max_n):
+        handle(g)
     idx = 0
     for n in range(7, max_n + 1):
         for _ in range(samples):
@@ -911,11 +906,13 @@ def cmd_rho(lines: Iterable[str]) -> Report:
     return report
 
 
-def _check_row(report: Report, idx: int, text: str, g: Graph, prop: str,
-               k: int | None, limit: int) -> None:
+def _check_row(report: Report, idx: int, text: str, g: Graph,
+               rho: float | None, prop: str, k: int | None,
+               limit: int) -> None:
     """The property's bipartite route on the bipartite form of the line when
     it has one, else its general route on the line; a line that no route
-    takes, or that its route cannot take, is skipped."""
+    takes, or that its route cannot take, is skipped. ``rho`` is the
+    line's ``rho_dense`` (None when n = 0)."""
     route = _ROUTE_OF.get((prop, True))
     host = infer_bipartition(g) if route else None
     if host is None:
@@ -928,7 +925,7 @@ def _check_row(report: Report, idx: int, text: str, g: Graph, prop: str,
             verdict, cert = route.check(host, k, limit)
         except GraphError as exc:
             verdict = f"skipped: {exc}"
-    row = _row(text, verdict, sp.rho_dense(g) if g.n else None,
+    row = _row(text, verdict, rho,
                certificate=cert.to_json() if cert else "")
     _add_row(report, row,
              "skipped" if isinstance(verdict, str) else "consistent",
@@ -945,8 +942,12 @@ def cmd_check(lines: Iterable[str], prop: str, k: int | None,
         raise UsageError(f"property {prop} needs --k >= {least}, "
                          f"got --k {k}")
     report = Report(mode=f"check {prop}", columns=PROPERTY_COLUMNS)
-    for idx, text, g in _decode_lines(lines, report, strict=True):
-        _check_row(report, idx, text, g, prop, k, limit)
+    decoded = _decode_lines(lines, report, strict=True)
+    # one stacked rho_dense solve for every line with n >= 1, as in cmd_rho
+    rhos = iter(sp.rho_dense_many([g for _, _, g in decoded if g.n >= 1]))
+    for idx, text, g in decoded:
+        _check_row(report, idx, text, g, next(rhos) if g.n >= 1 else None,
+                   prop, k, limit)
     return report
 
 

@@ -3,8 +3,9 @@ quotient matrices and adjacency spectral bounds.
 
 Every printed spectral radius comes from one route: ``rho_dense`` takes the
 top eigenvalue from LAPACK's ``eigvalsh``. It gives the spectral radius in
-verify, check and scan rows, through ``rho_rows`` in ``rho`` rows, and
-through ``rho_dense_many`` in the dense rechecks of the lemma sweeps.
+verify and scan rows, through ``rho_rows`` in ``rho`` rows, and through
+``rho_dense_many`` in ``check`` rows and the dense rechecks of the lemma
+sweeps.
 ``spectral_radius``, a shifted power iteration (deterministic all-ones
 start, shift = max degree) that also returns the Perron vector and its
 residual, is kept only as a second, independent route: the re-solve of
@@ -29,8 +30,9 @@ bound max_v sqrt(sum of the degrees of v's neighbours), and both sides of
 identity (13) at each vertex u,
 sum_{v~u} d(v) = d(u) + 2 e(N(u)) + e(N(u), V minus N[u]).
 The two sides come from separate exact integer matrix products, formed in
-row blocks of at most about PRODUCT_MADDS multiply-adds. ``fms_bound``
-and ``degree_sum_identity`` are their one-graph case.
+row blocks of at most about PRODUCT_MADDS multiply-adds through order
+PRODUCT_BLOCK_ORDER and of at least PRODUCT_MIN_ROWS rows above it.
+``fms_bound`` and ``degree_sum_identity`` are their one-graph case.
 """
 from __future__ import annotations
 
@@ -47,9 +49,15 @@ RESIDUAL_CHECK_EVERY = 4
 # matrix cells per stacked eigvalsh call; bounds a stack's memory
 STACK_CELLS = 1 << 15
 # multiply-adds per matmul call of the identity (13) products, one row at
-# least: at order 300 such blocks stayed on one OpenBLAS thread and one gemm
-# buffer, where the whole product went multithreaded and grew the RSS
+# least, through order PRODUCT_BLOCK_ORDER: at order 300 such blocks stayed
+# on one OpenBLAS thread and one gemm buffer, where the whole product went
+# multithreaded and grew the RSS
 PRODUCT_MADDS = 1 << 20
+PRODUCT_BLOCK_ORDER = 300
+# rows per block, at least, above PRODUCT_BLOCK_ORDER: every matmul call
+# re-reads the whole n x n matrix, so blocks of the few rows that
+# PRODUCT_MADDS allows there leave the product memory-bound
+PRODUCT_MIN_ROWS = 32
 
 
 class ConvergenceError(RuntimeError):
@@ -225,15 +233,18 @@ def _degree_sums(a: np.ndarray, start: int = 0,
     with inside = rowsum(A^2 * A) and cross = rowsum(A^2 * (J - A - I)).
 
     A^2 is formed in row blocks of at most PRODUCT_MADDS multiply-adds
-    (one row at least), and J - A - I only on a block's rows. Every entry
-    is an integer below 2^53, so the float sums are exact in any order."""
+    (one row at least) through order PRODUCT_BLOCK_ORDER, and of at least
+    PRODUCT_MIN_ROWS rows above it; J - A - I is formed only on a block's
+    rows. Every entry is an integer below 2^53, so the float sums are
+    exact in any order."""
     m, n, _ = a.shape
     stop = n if stop is None else stop
     d = a.sum(axis=2)
     lhs = np.empty((m, stop - start))
     inside = np.empty_like(lhs)
     cross = np.empty_like(lhs)
-    step = max(1, PRODUCT_MADDS // (m * n * n))
+    least = 1 if n <= PRODUCT_BLOCK_ORDER else PRODUCT_MIN_ROWS
+    step = max(least, PRODUCT_MADDS // (m * n * n))
     for lo in range(start, stop, step):
         hi = min(lo + step, stop)
         rows = a[:, lo:hi]

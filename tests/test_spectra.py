@@ -357,7 +357,8 @@ class TestStackedSolves:
                   disjoint_union(empty(3), path(4))]
         graphs += [seeded_random_graph(s, 6 + s % 5, 0.4) for s in range(12)]
         # more graphs of order 40 than one stack holds, disconnected ones
-        # among them, and orders whose A^2 is formed in row blocks
+        # among them, orders whose A^2 is formed in row blocks, and one
+        # order above PRODUCT_BLOCK_ORDER
         per_stack = sp.STACK_CELLS // 40 ** 2
         crossing = [seeded_random_graph(s, 40, 0.05 + s % 5 * 0.1)
                     for s in range(per_stack + 8)]
@@ -365,6 +366,7 @@ class TestStackedSolves:
         graphs += crossing
         graphs += [seeded_random_graph(s, n, 0.05)
                    for n in (200, 300) for s in range(2)]
+        graphs.append(seeded_random_graph(0, 400, 0.02))
         stacks, products = [], []
         eigvalsh, matmul = np.linalg.eigvalsh, np.matmul
 
@@ -391,14 +393,21 @@ class TestStackedSolves:
         assert all(m == 1 or m * n * n <= sp.STACK_CELLS
                    for m, n, _ in stacks)
         assert (per_stack, 40, 40) in stacks and (1, 300, 300) in stacks
-        # every product is at most PRODUCT_MADDS multiply-adds, and the
-        # orders 200 and 300 take several row blocks
+        # through order PRODUCT_BLOCK_ORDER every product is at most
+        # PRODUCT_MADDS multiply-adds, and the orders 200 and 300 take
+        # several row blocks; above it every block but the last has
+        # PRODUCT_MIN_ROWS rows
         assert all(m * r * k * c <= sp.PRODUCT_MADDS
-                   for (m, r, k), (_, _, c) in products)
+                   for (m, r, k), (_, _, c) in products
+                   if k <= sp.PRODUCT_BLOCK_ORDER)
         for n in (200, 300):
             blocks = [r for (m, r, k), (_, _, c) in products
                       if k == c == n]
             assert len(blocks) > 1 and sum(blocks) == 2 * n
+        blocks = [r for (m, r, k), (_, _, c) in products if k == c == 400]
+        assert sp.PRODUCT_BLOCK_ORDER < 400
+        assert sum(blocks) == 400 and len(blocks) > 1
+        assert all(r == sp.PRODUCT_MIN_ROWS for r in blocks[:-1])
         assert rho_rows([]) == []
         with pytest.raises(GraphError, match="n >= 1"):
             rho_rows([cycle(4), empty(0)])
