@@ -3,7 +3,13 @@
 ``verify`` (on its samples) and ``scan`` (on its input lines) run every
 graph through one pipeline, ``_evaluate``: spectral margin, recognizer,
 checker, classification, re-verification of counterexample candidates and
-certificate re-validation.
+certificate re-validation. Every mode takes its graphs' spectral radii
+from stacked solves: ``rho`` from ``sp.rho_rows``; ``check`` and ``scan``
+from one ``sp.rho_dense_many`` call over their lines; ``verify`` from one
+such call per chunk of samples, a chunk being one eigensolve stack; the
+lemma sweeps' dense rechecks from one per chunk of cells. Only verify's
+extremal row solves alone (``sp.rho_dense``); every stacked value is its
+single solve bit for bit.
 
 Each theorem, lemma and property the CLI accepts is one row of
 ``THEOREMS``, ``LEMMAS`` or ``PROPERTIES``; theorems and properties run the
@@ -496,19 +502,19 @@ def _add_row(report: Report, row: dict, category: str,
     report.flag(bad)
 
 
-def _evaluate(report: Report, where: str, text: str, g: Graph, theorem: str,
-              p: fam.FamilyParams, thr: fam.Threshold, tol: float,
-              limit: int) -> None:
+def _evaluate(report: Report, where: str, text: str, g: Graph, rho: float,
+              theorem: str, p: fam.FamilyParams, thr: fam.Threshold,
+              tol: float, limit: int) -> None:
     """The one pipeline that verify's samples and scan's lines run: spectral
     margin, recognizer, checker (only at or above the threshold, and only
     off the extremal family), classification, re-verification of a
     counterexample candidate and certificate re-validation.
 
     Appends the row of ``g`` (shown as ``text``) to ``report``; ``where``
-    prefixes both of its notes. A checker that cannot take ``g`` skips the
-    row."""
+    prefixes both of its notes. ``rho`` is ``g``'s ``rho_dense``, which
+    the callers solve in stacks (``sp.rho_dense_many``), bit for bit the
+    single solve. A checker that cannot take ``g`` skips the row."""
     spec = THEOREMS[theorem]
-    rho = sp.rho_dense(g)
     margin = rho - thr.rho_star
     recognized = fam.recognize(spec.family, p, g)
     holds: bool | None = None
@@ -536,7 +542,15 @@ def cmd_verify(theorem: str, p: fam.FamilyParams | None, samples: int,
                seed: int, tol: float = DEFAULT_TOL,
                limit: int = mf.EXHAUSTIVE_LIMIT) -> Report:
     """A theorem's report (its extremal row, then ``samples`` samples), or
-    a lemma's sweep, which takes no parameters: ``p`` may be None."""
+    a lemma's sweep, which takes no parameters: ``p`` may be None.
+
+    The samples are drawn a chunk at a time, and one ``sp.rho_dense_many``
+    call solves a chunk's rho before its rows are evaluated in index
+    order. A chunk is one eigensolve stack (``sp.stack_size(n)`` samples:
+    327 at n = 10, 101 at n = 18), so the chunk's solve is a single
+    ``eigvalsh`` call and the samples held at once stay bounded for any
+    ``samples``. Each sample draws from its own ``rng_for(seed, i)``, so
+    the chunking changes no row."""
     report = Report(mode=f"verify {theorem}", columns=PROPERTY_COLUMNS)
     if theorem in LEMMAS:
         LEMMAS[theorem](report)
@@ -565,10 +579,14 @@ def cmd_verify(theorem: str, p: fam.FamilyParams | None, samples: int,
         report.flag("extremal graph unexpectedly has the property")
     report.flag(_revalidation_note(extremal, cert, "extremal"))
 
-    for i in range(samples):
-        g = sample_for_theorem(spec, p, extremal, rng_for(seed, i), i)
-        _evaluate(report, f"sample {i}:", graph6_encode(g), g, theorem, p,
-                  thr, tol, limit)
+    chunk = sp.stack_size(p.n)
+    for start in range(0, samples, chunk):
+        indices = range(start, min(start + chunk, samples))
+        graphs = [sample_for_theorem(spec, p, extremal, rng_for(seed, i), i)
+                  for i in indices]
+        for i, g, rho in zip(indices, graphs, sp.rho_dense_many(graphs)):
+            _evaluate(report, f"sample {i}:", graph6_encode(g), g, rho,
+                      theorem, p, thr, tol, limit)
     return report
 
 
@@ -951,33 +969,39 @@ def cmd_check(lines: Iterable[str], prop: str, k: int | None,
     return report
 
 
-def _scan_row(report: Report, idx: int, text: str, g: Graph, theorem: str,
-              p: fam.FamilyParams, thr: fam.Threshold, tol: float,
-              limit: int) -> None:
-    """Skip a line of the wrong order, or a non-bipartite line for a
-    bipartite theorem; run ``_evaluate`` on the rest."""
+def _scan_host(g: Graph, theorem: str, p: fam.FamilyParams) -> Graph | str:
+    """The graph that scan evaluates for a line: the line itself, or its
+    bipartite form for a bipartite theorem; or, for a line of the wrong
+    order or a non-bipartite line for a bipartite theorem, the verdict that
+    skips it."""
     if g.n != p.n:
-        _add_row(report, _row(text, f"skipped: order {g.n} != {p.n}",
-                              rho_star=thr.rho_star), "skipped")
-        return
+        return f"skipped: order {g.n} != {p.n}"
     if THEOREMS[theorem].bipartite:
-        g = infer_bipartition(g)
-        if g is None:
-            _add_row(report, _row(text, "skipped: not bipartite",
-                                  rho_star=thr.rho_star), "skipped")
-            return
-    _evaluate(report, f"line {idx + 1}:", text, g, theorem, p, thr, tol,
-              limit)
+        host = infer_bipartition(g)
+        return "skipped: not bipartite" if host is None else host
+    return g
 
 
 def cmd_scan(lines: Iterable[str], theorem: str, p: fam.FamilyParams,
              tol: float = DEFAULT_TOL,
              limit: int = mf.EXHAUSTIVE_LIMIT) -> Report:
+    """One row per decoded line, in line order: ``_evaluate`` on the lines
+    that pass the order and bipartiteness filters, whose rho comes from one
+    ``sp.rho_dense_many`` call, as in ``cmd_check``; a skipped row for each
+    other line."""
     validate_hypotheses(theorem, p)
     thr = fam.threshold_rho(THEOREMS[theorem].family, p)
     report = Report(mode=f"scan {theorem}", columns=PROPERTY_COLUMNS)
-    for idx, text, g in _decode_lines(lines, report):
-        _scan_row(report, idx, text, g, theorem, p, thr, tol, limit)
+    decoded = _decode_lines(lines, report)
+    hosts = [_scan_host(g, theorem, p) for _, _, g in decoded]
+    rhos = iter(sp.rho_dense_many([h for h in hosts if isinstance(h, Graph)]))
+    for (idx, text, _), host in zip(decoded, hosts):
+        if isinstance(host, str):
+            _add_row(report, _row(text, host, rho_star=thr.rho_star),
+                     "skipped")
+        else:
+            _evaluate(report, f"line {idx + 1}:", text, host, next(rhos),
+                      theorem, p, thr, tol, limit)
     return report
 
 

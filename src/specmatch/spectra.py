@@ -2,10 +2,10 @@
 quotient matrices and adjacency spectral bounds.
 
 Every printed spectral radius comes from one route: ``rho_dense`` takes the
-top eigenvalue from LAPACK's ``eigvalsh``. It gives the spectral radius in
-verify and scan rows, through ``rho_rows`` in ``rho`` rows, and through
-``rho_dense_many`` in ``check`` rows and the dense rechecks of the lemma
-sweeps.
+top eigenvalue from LAPACK's ``eigvalsh``. It gives the spectral radius of
+verify's extremal row, through ``rho_rows`` in ``rho`` rows, and through
+``rho_dense_many`` in verify's sample rows, in ``check`` and ``scan`` rows
+and in the dense rechecks of the lemma sweeps.
 ``spectral_radius``, a shifted power iteration (deterministic all-ones
 start, shift = max degree) that also returns the Perron vector and its
 residual, is kept only as a second, independent route: the re-solve of
@@ -17,7 +17,8 @@ exact blow-up quotients through ``largest_eigenvalues``. ``full_spectrum``
 
 Many small problems are solved in stacks: ``largest_eigenvalues``,
 ``rho_dense_many`` and ``rho_rows`` hand each stack of matrices of one size,
-at most STACK_CELLS matrix cells a stack, to one solver call. LAPACK solves
+``stack_size`` matrices (at most STACK_CELLS matrix cells) a stack, to one
+solver call; verify draws its samples in chunks of that size. LAPACK solves
 each matrix of a stack on its own, so a stacked value is bit-identical to
 the single solve (``largest_eigenvalue``, ``rho_dense``). A quotient's
 symmetrization has one implementation, ``_symmetrized``, which both the
@@ -190,20 +191,25 @@ def rho_dense(g: Graph) -> float:
     return float(np.linalg.eigvalsh(adjacency_matrix(g))[-1])
 
 
+def stack_size(dim: int) -> int:
+    """Matrices of order ``dim`` in one stacked solve: at most STACK_CELLS
+    matrix cells, and at least one matrix."""
+    return max(1, STACK_CELLS // (dim * dim))
+
+
 def _stacked(items: Sequence, size: Callable[..., int],
              stack: Callable[[list], np.ndarray],
              solve: Callable[[np.ndarray], list]) -> list:
     """``solve``'s per-matrix results for each item's matrix, with one
-    ``solve`` call per stack of items of one matrix size: at most
-    STACK_CELLS matrix cells, and at least one matrix, a stack. ``stack``
-    gives the (m, size, size) matrices of m items of one size, and
-    ``solve`` a list of m results from such a stack."""
+    ``solve`` call per stack of items of one matrix size (``stack_size``
+    items at most). ``stack`` gives the (m, size, size) matrices of m items
+    of one size, and ``solve`` a list of m results from such a stack."""
     groups: dict[int, list[int]] = {}
     for i, item in enumerate(items):
         groups.setdefault(size(item), []).append(i)
     out = [None] * len(items)
     for dim, idx in groups.items():
-        step = max(1, STACK_CELLS // (dim * dim))
+        step = stack_size(dim)
         for start in range(0, len(idx), step):
             part = idx[start:start + step]
             for i, value in zip(part, solve(stack([items[i] for i in part]))):

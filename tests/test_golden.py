@@ -8,11 +8,14 @@ share one clique-pair evaluator, the two ``rho`` reports before power
 iteration, identity (13) and the graph6 decoder were made faster, the t1.1
 run at (20, 2, 4) and the ``kfc17`` check before the odd-set searches
 skipped subtrees by the Tutte-Berge bound on G-S, the t1.1 run at
-(18, 1, 3) before the sampler drew its attempts in numpy blocks, and none
-may change. The l2.6 digest alone was recorded again, when that sweep moved
-from the overlay's closed-form quartic to its exact quotient: one printed
-margin digit moved, and the closed form's digit was the correctly rounded
-one. Every certificate kind, every checker route and every family's
+(18, 1, 3) before the sampler drew its attempts in numpy blocks, the five
+verify runs with more samples than two eigensolve stacks hold and the
+``scanmix`` scan (lines of another order and non-bipartite lines between
+evaluated ones) before verify and scan took rho from stacked solves, and
+none may change. The l2.6 digest alone was recorded again, when that sweep
+moved from the overlay's closed-form quartic to its exact quotient: one
+printed margin digit moved, and the closed form's digit was the correctly
+rounded one. Every certificate kind, every checker route and every family's
 ``extremal-hit`` rows that reach a report are covered. Graph6 input lines
 are built from the library's constructors and the tests' graph helpers,
 or decoded from graph6 literals, and passed with ``--input``.
@@ -62,6 +65,13 @@ def _near_extremal(g, other, seed: int):
     return ([_relabeled(g, seed + i) for i in range(3)]
             + [_relabeled(h, seed + 3 + i)
                for i, h in enumerate([other] + toggles)])
+
+
+def _interleaved(first, second):
+    """first[0], second[0], first[1], ...; the longer list's rest last."""
+    out = [g for pair in zip(first, second) for g in pair]
+    rest = len(min(first, second, key=len))
+    return out + first[rest:] + second[rest:]
 
 
 def _lines():
@@ -123,6 +133,18 @@ def _lines():
                + [random_graph(rng_for(40, i), 12 + i % 9,
                                (0.1, 0.3, 0.5, 0.8)[i % 4])
                   for i in range(24)],
+        # t1.3 at n = 10: evaluated lines (three relabelings of the extremal
+        # graph; K_{5,5} and three toggles of the extremal graph, which reach
+        # the checker; draws below the threshold) between lines of another
+        # order (n = 0 among them) and non-bipartite lines
+        "scanmix": _interleaved(
+            _near_extremal(extremal_kfactor(10, 3), complete_bipartite(5, 5),
+                           43)[:7]
+            + [random_bipartite(rng_for(44, i), 5, 5, 0.5).drop_bipartition()
+               for i in range(3)],
+            [empty(0), complete(10), cycle(8),
+             disjoint_union(cycle(5), cycle(5)), complete_bipartite(4, 4),
+             join(complete(1), cycle(9))]),
     }
 
 
@@ -166,6 +188,29 @@ GOLDEN = [
       "3", "--samples", "40", "--seed", "5"], None,
      "40d3a3a8c1b8c24dd5726063e016e90ed9af9ddf2ef5dfa3641f0f72790016bc",
      0, "n18"),
+    # more samples than two eigensolve stacks of their order hold
+    # (STACK_CELLS // n^2: 327 at n = 10, 512 at 8, 128 at 16, 145 at 15,
+    # 101 at 18)
+    (["verify", "--theorem", "t1.1", "--n", "10", "--k", "1", "--delta",
+      "2", "--samples", "700", "--seed", "9"], None,
+     "d6c81a77ed84fbf07671a8499a8fa4a74b737948b280bfb4a24f792408a295c7",
+     0, "chunks"),
+    (["verify", "--theorem", "t1.3", "--n", "8", "--k", "2", "--samples",
+      "1100", "--seed", "9"], None,
+     "9c9264e1fcde90aec91d4db46729ee3aad2a88e0c42972d2f9ce8a2c11b6e323",
+     0, "chunks"),
+    (["verify", "--theorem", "t1.2", "--n", "16", "--k", "1", "--delta",
+      "2", "--samples", "300", "--seed", "9"], None,
+     "b01f988eaf043bb724aa55cfd1ecfb33cc44c1649dfef39b87f48ac9e900f7da",
+     1, "chunks"),
+    (["verify", "--theorem", "t4.5", "--n", "15", "--k", "1", "--delta",
+      "2", "--samples", "320", "--seed", "9"], None,
+     "87c2bc1285c90fd8f40e3e67d5827ba01c6fd7c966eea4812ed0c42a1ce29c6b",
+     0, "chunks"),
+    (["verify", "--theorem", "t1.1", "--n", "18", "--k", "1", "--delta",
+      "3", "--samples", "250", "--seed", "9"], None,
+     "8e085c0c465c40c739de7cdbc5ad5067dbf76ff5b22f76b7f3338a1fc6fa342c",
+     0, "n18", "chunks"),
     (["verify", "--theorem", "l2.3", "--n", "40"], None,
      "2822c5e487c326b9b31d6df02eeedd405e31dd019da28349a1cfa41fdddd4ee3",
      0),
@@ -220,6 +265,9 @@ GOLDEN = [
     (["scan", "--theorem", "t4.5", "--n", "15", "--k", "1", "--delta", "2"],
      "scan45",
      "6c7f7e7d5401f45884be7e7a40fc028f1e076c9e07ee77c778bf89ac4da504de",
+     0),
+    (["scan", "--theorem", "t1.3", "--n", "10", "--k", "3"], "scanmix",
+     "6de3b5f25ae983178a791b556b8551c029bd5a5e11814801eed0dfe6fe4f63c7",
      0),
     (["rho"], "rho",
      "d2d1aa401633129b4e5389536db007ca0fd9cac81742e5ccb16c3b640602f3ad", 0),

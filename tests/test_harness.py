@@ -19,7 +19,7 @@ from specmatch import harness as hz
 from specmatch import matchfactor as mf
 from specmatch import spectra as sp
 from specmatch.graph import (SIDE_A, SIDE_B, complete, complete_bipartite,
-                             cycle, disjoint_union, from_edges,
+                             cycle, disjoint_union, empty, from_edges,
                              graph6_decode, graph6_encode, infer_bipartition,
                              is_connected)
 from specmatch.families import (BlowUp, FamilyParams, construct_family,
@@ -880,6 +880,79 @@ class TestVerifyScanAgree:
                           lambda m: f"line {int(m[1]) + 1}:", note)
                    for note in verify.notes if note.startswith("sample ")]
         assert scan.notes == renamed
+
+
+class TestStackedEvaluation:
+    """verify solves its samples' rho one chunk at a time, a chunk being
+    one eigensolve stack (``sp.stack_size(n)`` samples), and scan solves
+    its evaluated lines' rho in one call; neither the chunking nor the
+    stacking changes a byte of the report."""
+
+    CASES = [("t1.1", FamilyParams(n=10, k=1, delta=2), 60),
+             ("t1.2", FamilyParams(n=16, k=1, delta=2), 40),
+             ("t1.3", FamilyParams(n=8, k=2), 60),
+             ("t4.5", FamilyParams(n=15, k=1, delta=2), 40)]
+
+    @staticmethod
+    def skipped_lines(n):
+        # another order (n = 0 among them) and a non-bipartite line
+        return [graph6_encode(g) for g in (
+            empty(0), complete(n - 1), complete(n),
+            disjoint_union(cycle(3), complete_bipartite(1, n - 4)))]
+
+    @pytest.mark.parametrize("theorem, p, samples", CASES,
+                             ids=[c[0] for c in CASES])
+    def test_reports_do_not_depend_on_chunks(self, theorem, p, samples,
+                                             monkeypatch):
+        solve = sp.rho_dense_many
+        sizes = []
+        monkeypatch.setattr(sp, "rho_dense_many", lambda graphs: (
+            sizes.append(len(graphs)) or solve(graphs)))
+        verify, scan = [], []
+        # chunks of 1 sample, of 3 and of the default count
+        for cells in (p.n ** 2, 4 * p.n ** 2 - 1, sp.STACK_CELLS):
+            monkeypatch.setattr(sp, "STACK_CELLS", cells)
+            chunk = cells // p.n ** 2
+            sizes.clear()
+            report = cmd_verify(theorem, p, samples, seed=9)
+            verify.append((csv_text(report), report.exit_code()))
+            assert sizes == [chunk] * (samples // chunk) + (
+                [samples % chunk] if samples % chunk else [])
+            lines = [row["graph"] for row in report.rows[1:]]
+            skipped = self.skipped_lines(p.n)
+            mixed = [text for i, line in enumerate(lines)
+                     for text in [line] + skipped[i:i + 1]]
+            sizes.clear()
+            report = cmd_scan(mixed, theorem, p)
+            assert len(sizes) == 1
+            scan.append((csv_text(report), report.exit_code()))
+            # the lines of another order; for a bipartite theorem, also
+            # complete(n) and the line with a triangle
+            assert report.summary["skipped"] >= (
+                4 if THEOREMS[theorem].bipartite else 2)
+        assert verify[0] == verify[1] == verify[2]
+        assert scan[0] == scan[1] == scan[2]
+
+    def test_rho_is_rho_dense(self):
+        """Samples of one order across three default chunks (327 at
+        n = 10), rescanned with skipped lines among them: each row's rho
+        is its graph's ``rho_dense`` bit for bit, and its
+        ``spectral_radius`` to 1e-9."""
+        p = FamilyParams(n=10, k=1, delta=2)
+        assert sp.STACK_CELLS // p.n ** 2 == 327
+        verify = cmd_verify("t1.1", p, samples=700, seed=9)
+        lines = [row["graph"] for row in verify.rows[1:]]
+        scan = cmd_scan(lines + self.skipped_lines(p.n), "t1.1", p)
+        assert scan.summary["skipped"] == 2
+        rows = verify.rows[1:] + scan.rows
+        assert len(rows) == 1404
+        for row in rows:
+            g = graph6_decode(row["graph"])
+            if g.n != p.n:
+                assert row["rho"] is None
+                continue
+            assert row["rho"] == sp.rho_dense(g), row["graph"]
+            assert abs(row["rho"] - sp.spectral_radius(g).rho) <= 1e-9
 
 
 class TestBenchHooks:
