@@ -31,6 +31,7 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice
+from math import comb
 from typing import Callable, Iterable, Iterator, TextIO
 
 import numpy as np
@@ -44,11 +45,14 @@ from .graph import (Graph, GraphError, SIDE_A, SIDE_B, bitset_rows,
 
 P_SWEEP = (0.3, 0.5, 0.7, 0.9)
 SAMPLE_ATTEMPTS = 60
-# The draw branch draws its attempts in blocks of 1, 3, 9, ... attempts:
+# The draw branch draws its attempts in blocks that grow by DRAW_GROWTH:
 # one numpy block costs about as much as a few hundred pair draws, so a
-# block grows while its draws are still likely to be needed, and the
-# first is one attempt, since many classes keep their first draw.
-# DRAW_BUDGET caps the pair draws of one block, which bounds its memory.
+# block grows while its draws are still likely to be needed. The first
+# holds about the attempts that can hold one keep, by an upper bound on
+# the keep rate (``_block_sizes``): one attempt for an unpinned class,
+# which often keeps its first draw, and every attempt for a branch that
+# cannot keep. DRAW_BUDGET caps the pair draws of one block, which bounds
+# its memory.
 DRAW_GROWTH = 3
 DRAW_BUDGET = 8192
 DEFAULT_TOL = 1e-8
@@ -172,23 +176,44 @@ def _pair_cells(n: int, side: int | None) -> np.ndarray:
     return cells
 
 
-def _draw_block(rng: random.Random, n: int, side: int | None, prob: float,
-                attempts: int) -> np.ndarray:
-    """The boolean adjacency matrices, shape (attempts, n, n), of
-    ``attempts`` consecutive draws: each pair of ``_pair_cells`` is an edge
-    when its uniform is below ``prob``. Consumes exactly the stream of
-    ``attempts`` scalar draws."""
+@lru_cache(maxsize=64)
+def _pair_ends(n: int, side: int | None) -> np.ndarray:
+    """The incidence matrix, shape (pairs, n), of the pairs of
+    ``_pair_cells``: row i is 1 at both ends of pair i. A block of pair
+    bits times it gives each attempt's degrees; the float32 sums of 0/1
+    terms are exact integers, since no degree reaches 2**24. Read-only,
+    like ``_pair_cells``."""
     cells = _pair_cells(n, side)
-    adj = np.zeros((attempts, n, n), dtype=bool)
-    adj.reshape(attempts, n * n)[:, cells] = (
-        _uniforms(rng, attempts * len(cells)) < prob).reshape(attempts,
-                                                             len(cells))
+    ends = np.zeros((len(cells), n), dtype=np.float32)
+    rows = np.arange(len(cells))
+    ends[rows, cells // n] = 1
+    ends[rows, cells % n] = 1
+    ends.flags.writeable = False
+    return ends
+
+
+def _pair_bits(rng: random.Random, n: int, side: int | None, prob: float,
+               attempts: int) -> np.ndarray:
+    """The pair bits, shape (attempts, pairs), of ``attempts`` consecutive
+    draws: each pair of ``_pair_cells`` is an edge when its uniform is
+    below ``prob``. Consumes exactly the stream of ``attempts`` scalar
+    draws."""
+    pairs = len(_pair_cells(n, side))
+    return (_uniforms(rng, attempts * pairs) < prob).reshape(attempts, pairs)
+
+
+def _adjacency(bits: np.ndarray, n: int, side: int | None) -> np.ndarray:
+    """The boolean adjacency matrices, shape (attempts, n, n), of the draws
+    whose pair bits are the rows of ``bits``."""
+    adj = np.zeros((len(bits), n, n), dtype=bool)
+    adj.reshape(len(bits), n * n)[:, _pair_cells(n, side)] = bits
     return adj | adj.transpose(0, 2, 1)
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     """A G(n, p) draw: one attempt of the block draw."""
-    rows = next(bitset_rows(_draw_block(rng, n, None, p, 1)))
+    bits = _pair_bits(rng, n, None, p, 1)
+    rows = next(bitset_rows(_adjacency(bits, n, None)))
     return Graph._trusted(n, tuple(rows))
 
 
@@ -197,7 +222,8 @@ def random_bipartite(rng: random.Random, p_side: int, q_side: int,
     """A random bipartite draw, side A first: one attempt of the block
     draw."""
     n = p_side + q_side
-    rows = next(bitset_rows(_draw_block(rng, n, p_side, prob, 1)))
+    bits = _pair_bits(rng, n, p_side, prob, 1)
+    rows = next(bitset_rows(_adjacency(bits, n, p_side)))
     return Graph._trusted(n, tuple(rows), (1 << p_side) - 1)
 
 
@@ -260,7 +286,7 @@ def _ore_oracle(g: Graph, k: int, limit: int) -> bool | None:
 
 
 # An oracle is different code from its route's checker, or absent. chen and
-# kfc negatives are confirmed inside the route, where the definitional scan
+# kfc negatives are confirmed inside the route, where the outer-set decision
 # and the odd-component search must agree. Plummer's only independent check
 # of its criterion is the definitional oracle; flow's is Ore's criterion.
 ROUTES = {
@@ -389,13 +415,35 @@ def _perturb(rng: random.Random, base: Graph, edits: int) -> list[int]:
     return rows
 
 
-@lru_cache(maxsize=64)
-def _block_sizes(pairs: int) -> tuple[int, ...]:
-    """The attempts of each draw block, summing to ``SAMPLE_ATTEMPTS``:
-    1, then ``DRAW_GROWTH`` times the last, each cut to at most
-    ``DRAW_BUDGET`` pair draws (and at least one attempt)."""
-    cap = max(1, DRAW_BUDGET // max(1, pairs))
-    sizes, size, left = [], 1, SAMPLE_ATTEMPTS
+def _keep_bound(n: int, side: int | None, delta: int | None,
+                prob: float) -> float:
+    """An upper bound on the share of draws that keep: 1 without a pinned
+    ``delta``; else the sum over the vertices v of P(Bin(d_v, prob) =
+    delta), since a kept draw has a vertex of degree exactly ``delta``;
+    d_v is v's number of candidate neighbours, n-1, or the other side's
+    size."""
+    if delta is None:
+        return 1.0
+    cands = ([n - 1] * n if side is None
+             else [n - side] * side + [side] * (n - side))
+    return sum(comb(d, delta) * prob ** delta * (1 - prob) ** (d - delta)
+               for d in cands if d >= delta)
+
+
+@lru_cache(maxsize=256)
+def _block_sizes(n: int, side: int | None, delta: int | None,
+                 prob: float) -> tuple[int, ...]:
+    """The attempts of each draw block, summing to ``SAMPLE_ATTEMPTS``: a
+    first block of floor(1/q) attempts, q being ``_keep_bound`` (at least
+    one; all ``SAMPLE_ATTEMPTS`` when q * SAMPLE_ATTEMPTS <= 1, so that
+    even a whole branch likely keeps nothing), then ``DRAW_GROWTH`` times
+    the last; each cut to at most ``DRAW_BUDGET`` pair draws (and at least
+    one attempt)."""
+    cap = max(1, DRAW_BUDGET // max(1, len(_pair_cells(n, side))))
+    rate = _keep_bound(n, side, delta, prob)
+    size = (max(1, int(1 / rate)) if rate * SAMPLE_ATTEMPTS > 1
+            else SAMPLE_ATTEMPTS)
+    sizes, left = [], SAMPLE_ATTEMPTS
     while left:
         sizes.append(min(size, cap, left))
         left -= sizes[-1]
@@ -408,26 +456,31 @@ def _drawn_sample(spec: TheoremSpec, n: int, delta: int | None,
     """The first of ``SAMPLE_ATTEMPTS`` random draws that lies in the
     hypothesis class, or None when none does.
 
-    The attempts are drawn a block at a time (``_block_sizes``), and a
-    whole block is filtered at once by minimum degree: it must equal the
-    pinned ``delta``, or, in a connected class without one, be positive.
-    Rows are built only for the attempts that pass, and those are tested
-    for connectivity in attempt order, so the kept draw is the one the
-    attempts one by one would keep.
+    The attempts are drawn a block at a time (``_block_sizes``): a first
+    block of about the attempts that can hold one keep, so a branch that
+    cannot keep reads its attempts in as few blocks as the budget allows,
+    and an unpinned class starts with one attempt. A whole block is
+    filtered at once by minimum degree, from degrees summed over its pair
+    bits: it must equal the pinned ``delta``, or, in a connected class
+    without one, be positive. Adjacency matrices and rows are built only
+    for the attempts that pass, and those are tested for connectivity in
+    attempt order, so the kept draw is the one the attempts one by one
+    would keep, whatever the blocks.
 
     An exhausted branch leaves ``rng`` where ``SAMPLE_ATTEMPTS`` single
     draws leave it. A kept draw may leave ``rng`` past its own words, by
     the rest of its block."""
     side = n // 2 if spec.bipartite else None
     side_a = (1 << side) - 1 if spec.bipartite else None
-    for size in _block_sizes(len(_pair_cells(n, side))):
-        adj = _draw_block(rng, n, side, prob, size)
-        if delta is not None:
-            adj = adj[adj.sum(axis=2).min(axis=1) == delta]
-        elif spec.requires_connected and n > 1:
+    for size in _block_sizes(n, side, delta, prob):
+        bits = _pair_bits(rng, n, side, prob, size)
+        if delta is not None or (spec.requires_connected and n > 1):
+            low = (bits @ _pair_ends(n, side)).min(axis=1)
             # a connected graph has no isolated vertex
-            adj = adj[adj.any(axis=2).all(axis=1)]
-        for rows in bitset_rows(adj):
+            bits = bits[low == delta] if delta is not None else bits[low > 0]
+            if not len(bits):
+                continue
+        for rows in bitset_rows(_adjacency(bits, n, side)):
             if not spec.requires_connected or rows_connected(rows):
                 return Graph._trusted(n, tuple(rows), side_a)
     return None
@@ -761,9 +814,9 @@ def _compare_on_graph(g: Graph, limit: int) -> list[str]:
     """All applicable oracle equivalences on one graph; returns mismatch
     descriptions (empty when everything agrees).
 
-    The violating-set searches run here on every graph, against
-    the routes that decide in the library: the definitional scan, and for
-    bipartite graphs also the surplus route."""
+    The violating-set searches run here on every graph, against the
+    definitional scan, which no checker runs, and for bipartite graphs
+    also against the surplus route, which decides Plummer's verdicts."""
     issues = []
     if g.n % 2 == 0 and g.n >= 2 and is_connected(g):
         for k in (1, 2):

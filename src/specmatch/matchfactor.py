@@ -5,16 +5,20 @@ Every negative verdict carries a certificate that re-validates against the
 host graph by an independent recomputation (see ``validate_certificate``).
 
 The extendability and factor-criticality checkers decide, then certify.
-One fast exact route gives the verdict: the definitional scan (every
-size-k matching, or every k-set deletion, leaves a perfect matching) for
-``is_k_extendable_chen`` and ``is_k_factor_critical``, and the surplus
-route for ``is_k_extendable_plummer``. The violating-set search
-(``chen_violating_set``, ``plummer_violating_subset``, ``_kfc_search``)
-runs only on a negative, to find the certificate. So a Chen or
-factor-criticality negative is confirmed inside its route, where the
-definitional scan and the criterion search must agree. Plummer's only
-independent check of its criterion is the definitional scan: its oracle in
-``harness.ROUTES``, and its opponent in ``cross-check``.
+One fast exact route gives the verdict: Gallai-Edmonds outer sets for
+``is_k_extendable_chen`` and ``is_k_factor_critical`` (whether every
+size-k matching, or every k-set deletion, leaves a perfect matching,
+decided by one blossom search per (k-1)-prefix, and for Chen per vertex
+of it; ``_chen_decides``, ``_kfc_decides``), and the surplus route for
+``is_k_extendable_plummer``.
+The violating-set search (``chen_violating_set``,
+``plummer_violating_subset``, ``_kfc_search``) runs only on a negative, to
+find the certificate. So a Chen or factor-criticality negative is
+confirmed inside its route, where the outer-set decision and the
+criterion search must agree. The literal definitional scan, one
+perfect-matching test per size-k matching
+(``is_k_extendable_definitional``), is an oracle only: Plummer's in
+``harness.ROUTES``, and every criterion's opponent in ``cross-check``.
 
 Violating-set certificates are excess-maximal: among all witnesses the one
 with the largest violation is returned, ties broken by the
@@ -34,13 +38,15 @@ against.
 
 General matchings come from Edmonds' blossom algorithm on the bitset rows
 (``_blossom_augment``: one search from an exposed root inside an ``alive``
-mask, augmenting a partner list in place). Each Chen, definitional and
-factor-criticality call finds one maximum matching of G and warm-starts
-every later question from it: a test on G-D (a size-k matching's
-vertices, a k-set, or the set S of the odd-set search) drops the pairs
-that leave G-D and augments only from the vertices left exposed
-(``_reaching``). The perfect-matching tests of the deciding scans and the
-pruning test nu(G-S) >= b of ``hopeless`` are such tests. The edge list of
+mask, augmenting a partner list in place, or else returning its tree's
+outer vertices). Each Chen, definitional and factor-criticality call
+finds one maximum matching of G and warm-starts every later question from
+it: a test on G-D (a (k-1)-matching's or a size-k matching's vertices, a
+set of deleted vertices, or the set S of the odd-set search) drops the
+pairs that leave G-D and augments only from the vertices left exposed
+(``_reaching``). The (near-)perfect matchings of the outer-set decisions,
+the tests of the definitional scan and the pruning test nu(G-S) >= b of
+``hopeless`` are such tests. The edge list of
 ``max_matching_general`` (smallest active vertex, smallest partner) is
 rebuilt the same way, one test per candidate partner; the checkers read
 only the matching number and build that list only for a
@@ -192,14 +198,24 @@ def _blossom_mark(base: list[int], parent: list[int], match: list[int],
 
 
 def _blossom_augment(adj: Sequence[int], alive: int, match: list[int],
-                     root: int) -> bool:
+                     root: int, target: int = -1) -> int:
     """Edmonds' blossom search (Edmonds 1965, "Paths, trees, and flowers")
     from the exposed vertex ``root`` of G[alive]: an alternating tree that
     contracts each odd cycle it closes into its base. When it reaches an
     exposed vertex, ``match`` (each vertex's partner, or -1) is augmented
-    along the path in place and True returned; False when no augmenting
-    path starts at ``root``. Only entries of vertices in ``alive`` are read
-    or written.
+    along the path in place and 0 returned. Only entries of vertices in
+    ``alive`` are read or written.
+
+    Otherwise the mask of the tree's outer vertices is returned (never 0:
+    the root is outer). Each ends an even alternating path from ``root``,
+    so a matching of the same size misses it. When no augmenting path
+    starts at ``root``, the tree is completed, and if ``root`` is the only
+    vertex of G[alive] that ``match`` leaves exposed, its outer vertices
+    are exactly the Gallai-Edmonds set D(G[alive]): the vertices v with
+    nu(G[alive]-v) = nu(G[alive]) (Lovasz-Plummer, *Matching Theory*).
+    Given a ``target`` mask, the search ends early, returning the outer
+    vertices found so far, once they include all of it; the default -1
+    names no target.
 
     The tree grows breadth-first from every outer vertex before any edge
     between two outer vertices is examined, so a plain alternating path to
@@ -215,6 +231,8 @@ def _blossom_augment(adj: Sequence[int], alive: int, match: list[int],
     grown = 0  # queue[:grown] had their edges out of the tree examined
     scanned = 0  # queue[:scanned] had their edges to outer vertices examined
     while True:
+        if target >= 0 and not target & ~outer:
+            return outer
         if grown < len(queue):
             v = queue[grown]
             grown += 1
@@ -234,13 +252,13 @@ def _blossom_augment(adj: Sequence[int], alive: int, match: list[int],
                         match[to] = v
                         match[v] = to
                         to = mate
-                    return True
+                    return 0
                 tree |= b | 1 << mate
                 outer |= 1 << mate
                 queue.append(mate)
             continue
         if scanned == len(queue):
-            return False
+            return outer
         # the tree cannot grow: contract the odd cycle that an edge between
         # two outer vertices closes, which turns its inner vertices outer
         v = queue[scanned]
@@ -295,7 +313,7 @@ def _reaching(adj: Sequence[int], alive: int, match: Sequence[int],
             return out
         if out[v] >= 0:
             continue
-        if _blossom_augment(adj, alive, out, v):
+        if not _blossom_augment(adj, alive, out, v):  # 0: augmented
             pairs += 1
         else:
             room -= 1
@@ -582,9 +600,13 @@ def _first_failing_k_matching(
         g: Graph, k: int,
         match: Sequence[int]) -> tuple[tuple[int, int], ...] | None:
     """The lex-first size-k matching whose removal leaves no perfect
-    matching, or None. Each test warm-starts from the maximum matching
-    ``match`` of ``g``: the partners of the removed vertices lose their
-    pairs, and only the vertices left exposed are augmented from."""
+    matching, or None: the literal scan of the definition, one
+    perfect-matching test per size-k matching, which only
+    ``is_k_extendable_definitional`` (the oracle that ``cross-check`` and
+    the t1.2 route hold the criteria to) runs. Each test warm-starts from
+    the maximum matching ``match`` of ``g``: the partners of the removed
+    vertices lose their pairs, and only the vertices left exposed are
+    augmented from."""
     full = g.full_mask()
     for m_edges in iter_k_matchings(g, k):
         used = 0
@@ -593,6 +615,59 @@ def _first_failing_k_matching(
         if not _has_perfect_on(g.adj, full ^ used, match):
             return m_edges
     return None
+
+
+def _outer_covers(adj: Sequence[int], alive: int, match: list[int],
+                  root: int, target: int) -> bool:
+    """Whether every vertex of ``target`` lies in D(G[alive]), the
+    vertices that some maximum matching of G[alive] misses, given a
+    matching ``match`` of G[alive] that leaves only ``root`` exposed
+    (``match[root]`` may name a partner outside ``alive``: it is read as
+    -1 and restored on return). One blossom search from ``root`` decides
+    all of ``target``: it ends once they are all outer, or with the
+    completed tree, whose outer vertices are D."""
+    mate = match[root]
+    match[root] = -1
+    outer = _blossom_augment(adj, alive, match, root, target)
+    match[root] = mate
+    return not target & ~outer
+
+
+def _chen_decides(g: Graph, k: int, match: Sequence[int]) -> bool:
+    """Whether every size-k matching of ``g`` leaves a perfect matching,
+    given a maximum matching ``match`` of ``g`` with at least k pairs.
+
+    A size-k matching is a (k-1)-matching P and an edge uv of
+    G' = G - V(P). For each P, in lex order, a perfect matching M' of G'
+    is warm-started from ``match``. Without one, P and any edge of G'
+    fail (G'-u-v has no perfect matching either), so a G' with an edge is
+    a negative; a G' without one extends P to no size-k matching. With
+    M', G'-u-v has a perfect matching exactly when v is in D(G'-u), in
+    which M' leaves only M'(u) exposed; so one search from M'(u) decides
+    every edge from u to a later vertex v other than M'(u)
+    (``_outer_covers``), and a v that never turns outer is a negative."""
+    adj = g.adj
+    full = g.full_mask()
+    for prefix in iter_k_matchings(g, k - 1):
+        alive = full
+        for u, v in prefix:
+            alive ^= 1 << u | 1 << v
+        perfect = _reaching(adj, alive, match, alive.bit_count() // 2)
+        if perfect is None:
+            if any(adj[v] & alive for v in bits(alive)):
+                return False
+            continue
+        later = alive
+        while later:
+            b = later & -later
+            later ^= b
+            u = b.bit_length() - 1
+            root = perfect[u]
+            target = adj[u] & later & ~(1 << root)
+            if target and not _outer_covers(adj, alive ^ b, perfect, root,
+                                            target):
+                return False
+    return True
 
 
 def is_k_extendable_definitional(
@@ -650,21 +725,23 @@ def is_k_extendable_chen(
         limit: int = EXHAUSTIVE_LIMIT) -> tuple[bool, Certificate | None]:
     """k-extendability of a connected graph of even order <= ``limit``.
 
-    The definitional scan decides: a size-k matching exists and every one
-    leaves a perfect matching. One maximum matching of G, found by
-    Edmonds' blossom algorithm, warm-starts every perfect-matching test of
-    the scan (``_first_failing_k_matching``). Only a negative runs the
-    ``chen_violating_set`` search, on the same matching, and its
-    certificate is returned."""
+    Outer sets decide (``_chen_decides``): a size-k matching exists, and
+    for every (k-1)-matching P and vertex u of G' = G - V(P), every later
+    neighbor v of u lies in the Gallai-Edmonds set D(G'-u), so that
+    G'-u-v keeps a perfect matching. One maximum matching of G, found by
+    Edmonds' blossom algorithm, warm-starts the perfect matching of every
+    G'. Only a negative runs the ``chen_violating_set`` search, on the
+    same matching, and its certificate is returned."""
     _require_extendable_input(g, k)
     _require_enumerable(g.n, limit)
     match = _blossom_matching(g)
-    if _pairs(match) >= k and _first_failing_k_matching(g, k, match) is None:
+    if _pairs(match) >= k and _chen_decides(g, k, match):
         return True, None
     cert = _chen_search(g, k, match)
     if cert is None:
         raise RuntimeError(
-            "internal: definitional scan and odd-component criterion disagree")
+            "internal: outer-set decision and odd-component criterion "
+            "disagree")
     return False, cert
 
 
@@ -752,7 +829,12 @@ def _plummer_surplus(g: Graph, a_verts: list[int], b_verts: list[int],
                      k: int):
     """Polynomial surplus route: neighborhood expansion by at least k for
     every admissible subset of side A, tested by saturating matchings with
-    one A-vertex replicated k extra times inside each co-neighborhood."""
+    one A-vertex replicated k extra times inside each co-neighborhood.
+
+    The units of a test are the co-neighborhood's vertices, ascending,
+    then the k replicas, matched in that order (``_hall_failure``). So the
+    pool is matched once per side-B vertex, and each special vertex only
+    augments its replicas, on a copy of that matching."""
     q = len(a_verts)
     adj = g.adj
     for b in b_verts:
@@ -762,27 +844,31 @@ def _plummer_surplus(g: Graph, a_verts: list[int], b_verts: list[int],
     nbrs = [list(bits(row)) for row in adj]
     for b in b_verts:
         a_pool = [a for a in a_verts if not (adj[b] >> a) & 1]
+        cands = [nbrs[a] for a in a_pool]
+        owner: dict[int, int] = {}  # b vertex -> unit index
+        bad = _hall_failure(cands, a_pool, owner, 0)
         for a in a_pool:
-            bad = _replicated_hall_failure(nbrs, a_pool, a, k)
             if bad is not None:
-                cert = _surplus_certificate(adj, k, bad)
-                if len(cert.payload["neighborhood"]) >= len(bad) + k:
-                    raise RuntimeError(
-                        "internal: replicated Hall failure is not a "
-                        "violating subset")
-                return False, cert
+                break
+            bad = _hall_failure(cands + [nbrs[a]] * k, a_pool + [a] * k,
+                                dict(owner), len(a_pool))
+        if bad is not None:
+            cert = _surplus_certificate(adj, k, bad)
+            if len(cert.payload["neighborhood"]) >= len(bad) + k:
+                raise RuntimeError(
+                    "internal: replicated Hall failure is not a "
+                    "violating subset")
+            return False, cert
     return True, None
 
 
-def _replicated_hall_failure(nbrs: Sequence[list[int]], a_pool: list[int],
-                             special: int, k: int) -> list[int] | None:
-    """Try to match every unit of ``a_pool`` (with ``special`` counted k+1
-    times) to distinct neighbors; on failure return the deficient A-set,
-    ascending."""
-    units = a_pool + [special] * k
-    cands = [nbrs[a] for a in units]
-    owner: dict[int, int] = {}  # b vertex -> unit index
-    for i in range(len(units)):
+def _hall_failure(cands: Sequence[list[int]], units: list[int],
+                  owner: dict[int, int], start: int) -> list[int] | None:
+    """Match ``units[start:]`` (side-A vertices, repeats allowed; unit i
+    takes the candidates ``cands[i]``) into ``owner``, whose matching of
+    the earlier units it extends, one unit at a time in order; on a
+    failure return the deficient A-set, ascending, else None."""
+    for i in range(start, len(units)):
         seen: set[int] = set()
         if not _augment(cands, owner, i, seen):
             return sorted({units[i]} | {units[owner[b]] for b in seen})
@@ -1068,28 +1154,54 @@ def _kfc_search(g: Graph, k: int,
     return _odd_set_certificate(g, "factor-critical", k, mask)
 
 
+def _kfc_decides(g: Graph, k: int, match: Sequence[int]) -> bool:
+    """Whether n-k is even and every k-set T leaves a perfect matching,
+    given a maximum matching ``match`` of ``g``.
+
+    A k-set is a (k-1)-set prefix T' and a later vertex t. For each T', in
+    lex order, a near-perfect matching of the odd-order G - T' is
+    warm-started from ``match``; without one no t works. With it, G-T'-t
+    has a perfect matching exactly when t is in D(G-T'), and one search
+    from the exposed vertex decides every later t (``_outer_covers``)."""
+    n = g.n
+    if n % 2 != k % 2:
+        return False
+    adj = g.adj
+    full = g.full_mask()
+    # a prefix whose last vertex is n-1 has no later vertex
+    for prefix in combinations(range(n - 1), k - 1):
+        alive = full ^ mask_of(prefix)
+        near = _reaching(adj, alive, match, alive.bit_count() // 2)
+        if near is None:
+            return False
+        root = next(v for v in bits(alive) if near[v] < 0)
+        target = (full & -(2 << prefix[-1]) if prefix else full) & ~(1 << root)
+        if target and not _outer_covers(adj, alive, near, root, target):
+            return False
+    return True
+
+
 def is_k_factor_critical(
         g: Graph, k: int,
         limit: int = EXHAUSTIVE_LIMIT) -> tuple[bool, Certificate | None]:
     """k-factor-criticality of a graph of order <= ``limit``.
 
-    The definition decides: n-k is even and every size-k deletion leaves a
-    perfect matching. One maximum matching of G, found by Edmonds' blossom
-    algorithm, warm-starts every deletion test: the partners of the deleted
-    vertices lose their pairs, and only the vertices left exposed are
-    augmented from. Only a negative runs ``_kfc_search``, on the same
-    matching, and its certificate is returned."""
+    Outer sets decide (``_kfc_decides``): n-k is even, and for every
+    (k-1)-set T', every vertex after T' lies in the Gallai-Edmonds set
+    D(G-T'), so that deleting it too leaves a perfect matching. One
+    maximum matching of G, found by Edmonds' blossom algorithm,
+    warm-starts the near-perfect matching of every G-T'. Only a negative
+    runs ``_kfc_search``, on the same matching, and its certificate is
+    returned."""
     _require_kfc_input(g, k, limit)
     match = _blossom_matching(g)
-    full = g.full_mask()
-    if g.n % 2 == k % 2 and all(
-            _has_perfect_on(g.adj, full ^ mask_of(comb), match)
-            for comb in combinations(range(g.n), k)):
+    if _kfc_decides(g, k, match):
         return True, None
     cert = _kfc_search(g, k, match)
     if cert is None:
         raise RuntimeError(
-            "internal: criterion and definitional routes disagree")
+            "internal: outer-set decision and odd-component criterion "
+            "disagree")
     return False, cert
 
 

@@ -444,14 +444,15 @@ class TestOracle:
             assert oracle_property_for_theorem("t1.2", g, p) is None, g
 
     def test_t11_oracle_is_not_the_definitional_scan(self, monkeypatch):
-        # the primary t1.1 checker decides by the definitional scan and
-        # certifies by the odd-component search; the oracle reruns neither
-        # and abstains
+        # the primary t1.1 checker decides by outer sets and certifies by
+        # the odd-component search; the oracle runs neither, nor the
+        # definitional scan, and abstains
         graphs = [extremal_kext_general(10, 1, 2), complete(6), cycle(8)]
         expected = [mf.is_k_extendable_chen(g, 1)[0] for g in graphs]
         assert expected == [False, True, True]
         self.stub(monkeypatch,
-                  self.CHECKERS + ("_first_failing_k_matching",))
+                  self.CHECKERS + ("_chen_decides", "_outer_covers",
+                                   "_first_failing_k_matching"))
         for g in graphs:
             p = FamilyParams(n=g.n, k=1, delta=2)
             assert oracle_property_for_theorem("t1.1", g, p) is None, g
@@ -690,11 +691,94 @@ class TestDraws:
                     (n, p)
                 assert rng.getstate() == ref.getstate(), (n, p)
 
+    @staticmethod
+    def branches() -> set:
+        """(n, side, delta, prob) of every draw branch that a theorem
+        reaches with n <= 64 (and 200, 300), k <= 4 and delta <= 6."""
+        out = set()
+        for name, spec in THEOREMS.items():
+            for n in [*range(2, 65), 200, 300]:
+                for k in range(1, 5):
+                    for d in range(1, 7):
+                        p = FamilyParams(n=n, k=k, delta=d)
+                        try:
+                            hz.validate_hypotheses(name, p)
+                        except UsageError:
+                            continue
+                        side = n // 2 if spec.bipartite else None
+                        delta = hz._pinned_degree(spec, p)
+                        out.update((n, side, delta, prob)
+                                   for prob in hz.P_SWEEP)
+        return out
+
     def test_blocks_cover_the_attempts_within_the_budget(self):
-        for pairs in (0, 1, 16, 153, 900, hz.DRAW_BUDGET, 44850):
-            sizes = hz._block_sizes(pairs)
+        branches = self.branches()
+        # both kinds of side, pinned and unpinned, above and below budget
+        assert {side is None for _, side, _, _ in branches} == {True, False}
+        assert {delta is None for _, _, delta, _ in branches} == {True,
+                                                                  False}
+        assert any(len(hz._pair_cells(n, side)) > hz.DRAW_BUDGET
+                   for n, side, _, _ in branches)
+        for n, side, delta, prob in branches:
+            pairs = len(hz._pair_cells(n, side))
+            sizes = hz._block_sizes(n, side, delta, prob)
             assert sum(sizes) == hz.SAMPLE_ATTEMPTS and min(sizes) >= 1
             assert max(sizes) * pairs <= max(pairs, hz.DRAW_BUDGET)
+        # an unpinned class keeps 1, 3, 9, ...; a branch that cannot keep
+        # (verify-check's at p = 0.9, t1.1 (10, 1, 2) at 0.9) reads its
+        # attempts in as few blocks as the budget allows
+        assert hz._block_sizes(8, 4, None, 0.5) == (1, 3, 9, 27, 20)
+        assert hz._block_sizes(18, None, 3, 0.9) == (53, 7)
+        assert hz._block_sizes(10, None, 2, 0.9) == (60,)
+
+    def test_keep_bound_bounds_the_keep_rate(self):
+        # the exact share of draws with minimum degree delta, over every
+        # graph of a draw with n <= 6, never exceeds the bound
+        for n, side in [(n, None) for n in range(2, 7)] + [(4, 2), (6, 3)]:
+            cells = hz._pair_cells(n, side)
+            ends = hz._pair_ends(n, side)
+            graphs = np.array([[mask >> i & 1 for i in range(len(cells))]
+                               for mask in range(1 << len(cells))],
+                              dtype=bool)
+            low = (graphs @ ends).min(axis=1)
+            edges = graphs.sum(axis=1)
+            for prob in hz.P_SWEEP:
+                weight = prob ** edges * (1 - prob) ** (len(cells) - edges)
+                for delta in range(n):
+                    share = weight[low == delta].sum()
+                    assert share <= hz._keep_bound(n, side, delta, prob) \
+                        + 1e-12, (n, side, delta, prob)
+
+    def test_blocks_change_no_draw(self, monkeypatch):
+        # any block boundaries keep the same draw, and an exhausted branch
+        # leaves the stream where 60 single draws leave it
+        cases = [(THEOREMS["t1.1"], 18, 3), (THEOREMS["t1.1"], 10, 2),
+                 (THEOREMS["t4.5"], 15, 2), (THEOREMS["t1.2"], 16, 2),
+                 (THEOREMS["t1.3"], 8, None)]
+        schedules = [(1,) * hz.SAMPLE_ATTEMPTS, (hz.SAMPLE_ATTEMPTS,),
+                     (7, 53)]
+        kept = exhausted = 0
+        for spec, n, delta in cases:
+            for prob in hz.P_SWEEP:
+                for seed in range(6):
+                    rng = rng_for(seed, n)
+                    want = hz._drawn_sample(spec, n, delta, rng, prob)
+                    state = rng.getstate()
+                    for sizes in schedules:
+                        monkeypatch.setattr(hz, "_block_sizes",
+                                            lambda *args: sizes)
+                        other = rng_for(seed, n)
+                        got = hz._drawn_sample(spec, n, delta, other, prob)
+                        monkeypatch.undo()
+                        assert (got is None) == (want is None)
+                        if want is None:
+                            assert other.getstate() == state
+                        else:
+                            assert (got.adj, got.side_a) == (want.adj,
+                                                             want.side_a)
+                    kept += want is not None
+                    exhausted += want is None
+        assert kept and exhausted
 
 
 class TestCrossCheck:

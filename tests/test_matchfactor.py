@@ -297,6 +297,84 @@ class TestBlossom:
         assert verdicts[True] and verdicts[False]
 
 
+def _brute_outer_set(g, alive: int, memo: dict) -> int:
+    """D(G[alive]) by its definition: the vertices v of ``alive`` with
+    nu(G[alive]-v) = nu(G[alive])."""
+    nu = ref_max_matching_value(g.adj, alive, memo)
+    return mask_of(v for v in bits(alive)
+                   if ref_max_matching_value(g.adj, alive ^ 1 << v,
+                                             memo) == nu)
+
+
+class TestOuterSet:
+    """The blossom search's outer set. From the only vertex that a maximum
+    matching of G[alive] leaves exposed, the completed tree's outer set is
+    the Gallai-Edmonds set D(G[alive]); with several exposed vertices, D is
+    the union of the searches from each. A search that ends once a target
+    is outer returns part of D covering the target; a target outside D
+    gets the completed tree."""
+
+    @staticmethod
+    def cases():
+        """(graph, alive): every induced subgraph of every graph on <= 5
+        vertices, then seeded graphs of odd order 7-15 and the odd-order
+        kfc-general members to n = 15, whole."""
+        for g in _all_graphs(5):
+            for alive in range(1, 1 << g.n):
+                yield g, alive
+        for i, n in enumerate(tuple(range(7, 16, 2)) * 8):
+            g = random_graph(rng_for(22, i), n, (0.2, 0.3, 0.5, 0.7)[i % 4])
+            yield g, g.full_mask()
+        for g in _join_members("kfc-general", 15):
+            if g.n % 2:
+                yield g, g.full_mask()
+
+    def test_outer_set_is_d(self):
+        single = several = 0
+        for g, alive in self.cases():
+            memo = {}
+            want = _brute_outer_set(g, alive, memo)
+            nu = ref_max_matching_value(g.adj, alive, memo)
+            match = mf._reaching(g.adj, alive, [-1] * g.n, nu)
+            exposed = [v for v in bits(alive) if match[v] < 0]
+            got = 0
+            for root in exposed:
+                trial = list(match)
+                got |= mf._blossom_augment(g.adj, alive, trial, root)
+                assert trial == match  # a maximum matching: no augmenting
+            assert got == want, (g.adj, alive, exposed)
+            single += len(exposed) == 1
+            several += len(exposed) > 1
+        assert single > 1000 and several > 1000
+
+    def test_target_ends_the_search(self):
+        checked = [0, 0]
+        for g, alive in self.cases():
+            if alive.bit_count() % 2 == 0:
+                continue
+            memo = {}
+            nu = ref_max_matching_value(g.adj, alive, memo)
+            if 2 * nu + 1 != alive.bit_count():
+                continue
+            d = _brute_outer_set(g, alive, memo)
+            match = mf._reaching(g.adj, alive, [-1] * g.n, nu)
+            root = next(v for v in bits(alive) if match[v] < 0)
+            for t in bits(alive & ~(1 << root)):
+                got = mf._blossom_augment(g.adj, alive, list(match), root,
+                                          1 << t)
+                inside = bool(d >> t & 1)
+                if inside:
+                    assert got >> t & 1 and not got & ~d, (g.adj, alive, t)
+                else:
+                    assert got == d, (g.adj, alive, t)
+                assert mf._outer_covers(g.adj, alive, match, root,
+                                        1 << t) is inside
+                # the root's entry is restored
+                assert match[root] == -1
+                checked[inside] += 1
+        assert all(c > 1000 for c in checked), checked
+
+
 class TestDefinitional:
     def test_small_positives(self):
         ok, cert = is_k_extendable_definitional(complete_bipartite(2, 2), 1)
@@ -548,6 +626,13 @@ def _all_graphs(max_n: int, min_n: int = 1):
                                  if (mask >> i) & 1])
 
 
+@pytest.fixture(scope="module")
+def graphs_on_six():
+    """The 32,768 labeled graphs on six vertices, built once for the two
+    slow tests that take every one."""
+    return tuple(_all_graphs(6, min_n=6))
+
+
 def _excess(cert, k: int):
     """The violation a search certificate shows: o(G-S)-|S|+2k (Chen),
     o(G-S)-|S|+k (factor-criticality), |X|+k-|N(X)| (Plummer); the reason
@@ -614,28 +699,36 @@ class TestDecideThenCertify:
         assert graphs == 1 + 2 + 8 + 64 + 1024
 
     @pytest.mark.slow
-    def test_all_graphs_on_six_vertices(self):
-        # The searches alone: the checkers take their certificates from
-        # them, and the test above holds the checkers to the references.
-        # Each search must also end both ways: at the matching bound, and
-        # by exhausting the tree (positives, and negatives below the bound).
+    def test_all_graphs_on_six_vertices(self, graphs_on_six):
+        # The searches, and the Chen and factor-criticality checkers, which
+        # take their certificates from them, against the reference
+        # searches; ref_is_k_extendable_chen and ref_is_k_factor_critical
+        # give their searches' outcomes, so those are the checkers'
+        # references too. Each search must also end both ways: at the
+        # matching bound, and by exhausting the tree (positives, and
+        # negatives below the bound).
         searches = (
-            (chen_violating_set, ref_chen_violating_set, False),
-            (kfc_search, ref_kfc_violating_set, False),
-            (plummer_violating_subset, _plummer_reference_search, True),
+            (chen_violating_set, ref_chen_violating_set, False,
+             is_k_extendable_chen),
+            (kfc_search, ref_kfc_violating_set, False, is_k_factor_critical),
+            (plummer_violating_subset, _plummer_reference_search, True,
+             None),
         )
-        exits = {search: Counter() for search, _, _ in searches}
-        graphs = 0
-        for g in _all_graphs(6, min_n=6):
-            graphs += 1
+        exits = {search: Counter() for search, _, _, _ in searches}
+        verdicts = Counter()
+        for g in graphs_on_six:
             gb = infer_bipartition(g)
             nu = brute_max_matching_size(g)
-            for search, reference, bipartite in searches:
+            for search, reference, bipartite, checker in searches:
                 host = gb if bipartite else g
                 if host is None:
                     continue
                 for k in (1, 2, 3):
                     expected = _search_outcome(reference, host, k)
+                    if checker is not None:
+                        assert _outcome(checker, host, k) == expected, (
+                            checker, k)
+                        verdicts[checker, expected[0]] += 1
                     try:
                         cert = search(host, k)
                     except GraphError as exc:
@@ -645,10 +738,12 @@ class TestDecideThenCertify:
                         cert is None, cert.to_json() if cert else None), (
                         search, k)
                     exits[search][_search_exit(host, k, cert, nu)] += 1
-        assert graphs == 1 << 15
+        assert len(graphs_on_six) == 1 << 15
         for search, seen in exits.items():
             assert all(seen[how] for how in
                        ("positive", "stopped", "below-bound")), (search, seen)
+        for checker in (is_k_extendable_chen, is_k_factor_critical):
+            assert verdicts[checker, True] and verdicts[checker, False]
 
     def test_seeded_random_graphs(self):
         for i, n in enumerate(tuple(range(6, 17)) * 2):
@@ -681,6 +776,28 @@ class TestDecideThenCertify:
         for i in range(12):
             g = sample_for_theorem(spec, p, extremal, rng_for(14, i), i)
             self.assert_same(self.ROUTES[1:], g, (1, 3))
+
+    def test_decisions_on_theorem_samples(self):
+        # the outer-set decisions against the literal scans (every size-k
+        # matching, every k-set deletion) on 300 samples at verify-check's
+        # point and at t4.5's point
+        for name, p in (("t1.1", FamilyParams(n=18, k=1, delta=3)),
+                        ("t4.5", FamilyParams(n=15, k=1, delta=2))):
+            spec = THEOREMS[name]
+            extremal = construct_family(spec.family, p)
+            verdicts = Counter()
+            for i in range(300):
+                g = sample_for_theorem(spec, p, extremal, rng_for(31, i), i)
+                match = mf._blossom_matching(g)
+                if name == "t1.1":
+                    want = mf._first_failing_k_matching(g, 1, match) is None
+                    got = mf._chen_decides(g, 1, match)
+                else:
+                    want = ref_is_k_factor_critical_by_definition(g, 1)
+                    got = mf._kfc_decides(g, 1, match)
+                assert got is want, (name, i)
+                verdicts[want] += 1
+            assert verdicts[True] and verdicts[False], (name, verdicts)
 
     def test_extremal_families(self):
         for n, k, d in ((10, 1, 2), (12, 1, 3), (16, 2, 4), (18, 1, 3)):
@@ -734,8 +851,8 @@ class TestSubtreeBound:
             self.assert_same(g)
 
     @pytest.mark.slow
-    def test_all_graphs_on_six_vertices(self):
-        for g in _all_graphs(6, min_n=6):
+    def test_all_graphs_on_six_vertices(self, graphs_on_six):
+        for g in graphs_on_six:
             self.assert_same(g)
 
     def test_seeded_random_graphs(self):
