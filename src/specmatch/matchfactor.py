@@ -30,11 +30,14 @@ search ``_odd_set_search``. The first three stop as soon as a set reaches
 an upper bound on the excess that one maximum matching gives (the
 Tutte-Berge formula; Konig's theorem for Plummer), and skip the subtrees
 in which no set can beat the best excess found. ``hopeless(mask, size,
-nbh, best)`` decides the skip from the set itself: for the odd-component
+nbh, best)`` decides the skip from the set itself. For the odd-component
 search it is the Tutte-Berge formula on G-S, so a subtree goes as soon as
-nu(G-S) shows that no superset of S can beat the best excess. Ore's search
-prunes nothing, so it stays independent of the flow route it is checked
-against.
+nu(G-S) shows that no superset of S can beat the best excess. For
+Plummer's it is Konig's deficiency formula on the bipartite graph between
+the side-A vertices after the last one of X and the side-B vertices
+outside N(X): its matching number bounds how much any vertices added to
+X can raise the excess. Ore's search prunes nothing, so it stays
+independent of the flow route it is checked against.
 
 General matchings come from Edmonds' blossom algorithm on the bitset rows
 (``_blossom_augment``: one search from an exposed root inside an ``alive``
@@ -46,14 +49,15 @@ set of deleted vertices, or the set S of the odd-set search) drops the
 pairs that leave G-D and augments only from the vertices left exposed
 (``_reaching``). The (near-)perfect matchings of the outer-set decisions,
 the tests of the definitional scan and the pruning test nu(G-S) >= b of
-``hopeless`` are such tests. The edge list of
+the odd-set ``hopeless`` are such tests. The edge list of
 ``max_matching_general`` (smallest active vertex, smallest partner) is
 rebuilt the same way, one test per candidate partner; the checkers read
 only the matching number and build that list only for a
 ``no-size-k-matching`` certificate.
 
 One augmenting-path routine, ``_augment`` (Kuhn), serves every bipartite
-matching: maximum matchings, the surplus route's replicated Hall test and
+matching: maximum matchings, the surplus route's replicated Hall test,
+the subtree bound of Plummer's search and
 ``harness.random_regular_bipartite``; each caller keeps its own unit
 order, candidate order and failure policy.
 """
@@ -69,8 +73,9 @@ from .graph import (Graph, GraphError, SIDE_A, SIDE_B, bits, is_connected,
 
 EXHAUSTIVE_LIMIT = 20
 GENERAL_MATCHING_LIMIT = 24
-# the odd-set search solves nu(G-S) only for subtrees over at least this
-# many vertices; below it a matching costs more than the sets it prunes
+# the odd-set and Plummer searches solve a subtree's matching number only
+# for subtrees over at least this many vertices; below it a matching costs
+# more than the sets it prunes
 _SUBTREE_MIN = 5
 
 CERTIFICATE_KINDS = frozenset({
@@ -805,24 +810,55 @@ def plummer_violating_subset(
 
     The subsets are searched by ``_lex_max_excess``, carrying N(X) down
     the tree. By Konig's theorem no excess |X|+k-|N(X)| exceeds
-    k+|A|-nu(G), so the search stops once a subset reaches that bound; a
+    k+|A|-nu(G), so the search stops once a subset reaches that bound. A
     subtree is skipped when |X| >= |A|-k or |A|-|N(X)| cannot beat the
-    best excess found."""
+    best excess found, and otherwise by Konig's deficiency formula: with L
+    the side-A vertices after the last vertex of X, every X+Z with Z <= L
+    has excess at most |X|+k-|N(X)|+|L|-nu(G[L, B-N(X)]). That matching
+    number is computed only when it can pay: when a matching saturating
+    L or B-N(X) would prune, and L has at least ``_SUBTREE_MIN``
+    vertices. Only whether it reaches the pruning bound is asked: Kuhn's
+    augmenting paths (``_augment``) from the vertices of L, ascending,
+    stop once the bound is reached or cannot be."""
     decided = _plummer_decided(g, k)
     if decided is not None:
         return decided[1]
     a_verts = g.side_vertices(SIDE_A)
     q = len(a_verts)
     _require_enumerable(q, limit, "|A|")
+    adj = g.adj
+    side_a = g.side_a
+
+    def hopeless(mask: int, size: int, nbh: int, best: int) -> bool:
+        free = q - nbh.bit_count()  # |B-N(X)|
+        if size >= q - k or free <= best:
+            return True
+        later = side_a & -(1 << mask.bit_length())
+        room = later.bit_count()
+        # size+k-|N(X)|+|L|-nu <= best, solved for nu
+        need = size + k - q + free + room - best
+        if need <= 0:
+            return True
+        if need > min(room, free) or room < _SUBTREE_MIN:
+            return False
+        cands = [list(bits(adj[a] & ~nbh)) for a in bits(later)]
+        owner: dict[int, int] = {}
+        for unit in range(len(cands)):
+            if len(owner) >= need:
+                return True
+            if not _augment(cands, owner, unit, set()):
+                room -= 1
+                if room < need:
+                    return False
+        return len(owner) >= need
+
     found = _lex_max_excess(
-        a_verts, g.adj,
+        a_verts, adj,
         lambda mask, size, nbh, best: size + k - nbh.bit_count(),
-        lambda mask, size, nbh, best: (size >= q - k
-                                       or q - nbh.bit_count() <= best),
-        lambda: k + q - max_matching_bipartite(g).size)
+        hopeless, lambda: k + q - max_matching_bipartite(g).size)
     if found is None:
         return None
-    return _surplus_certificate(g.adj, k, list(bits(found[0])))
+    return _surplus_certificate(adj, k, list(bits(found[0])))
 
 
 def _plummer_surplus(g: Graph, a_verts: list[int], b_verts: list[int],

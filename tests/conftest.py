@@ -425,8 +425,9 @@ def ref_is_k_factor_critical(g: Graph, k: int,
 # beat the best excess, and the ceiling's matching number is computed on
 # its own. The Chen and factor-criticality searches on top of it
 # (``ref_unpruned_chen_violating_set``, ``ref_unpruned_kfc_violating_set``)
-# are the baseline the pruned searches must match certificate for
-# certificate.
+# and Plummer's search before a subtree could be skipped by Konig's
+# deficiency formula (``ref_unpruned_plummer_violating_subset``) are the
+# baseline the pruned searches must match certificate for certificate.
 
 
 def _ref_lex_max_excess(verts, adj, excess, hopeless, ceiling):
@@ -500,6 +501,26 @@ def ref_unpruned_kfc_violating_set(g: Graph, k: int,
     if mask is None:
         return None
     return mf._odd_set_certificate(g, "factor-critical", k, mask)
+
+
+def ref_unpruned_plummer_violating_subset(g: Graph, k: int,
+                                          limit: int = mf.EXHAUSTIVE_LIMIT):
+    """Plummer's search with the cheap subtree tests only: a subtree goes
+    when |X| >= |A|-k or |A|-|N(X)| cannot beat the best excess."""
+    decided = mf._plummer_decided(g, k)
+    if decided is not None:
+        return decided[1]
+    a_verts = g.side_vertices(SIDE_A)
+    q = len(a_verts)
+    mf._require_enumerable(q, limit, "|A|")
+    found = _ref_lex_max_excess(
+        a_verts, g.adj,
+        lambda mask, size, nbh, best: size + k - nbh.bit_count(),
+        lambda size, nbh, best: size >= q - k or q - nbh.bit_count() <= best,
+        lambda: k + q - ref_max_matching_bipartite(g).size)
+    if found is None:
+        return None
+    return mf._surplus_certificate(g.adj, k, list(bits(found[0])))
 
 
 # -- reference matching routines -------------------------------------------

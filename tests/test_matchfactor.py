@@ -42,7 +42,8 @@ from conftest import (brute_is_k_extendable, brute_max_matching_size,
                       ref_max_matching_bipartite, ref_max_matching_general,
                       ref_max_matching_value, ref_recognize,
                       ref_unpruned_chen_violating_set,
-                      ref_unpruned_kfc_violating_set, remove_star,
+                      ref_unpruned_kfc_violating_set,
+                      ref_unpruned_plummer_violating_subset, remove_star,
                       seeded_random_graph)
 
 
@@ -826,25 +827,44 @@ def _join_members(family: str, max_n: int):
 class TestSubtreeBound:
     """The Chen and factor-criticality searches skip a subtree when the
     Tutte-Berge bound on G-S shows that no superset of S beats the best
-    excess. Skipping may only save work: every certificate equals the one
-    the search gives without that bound (``ref_unpruned_*``), and the slow
-    negatives the bound was made for stay cheap, counted in
-    ``_odd_components`` calls rather than in seconds."""
+    excess, and Plummer's search when Konig's deficiency formula on
+    G[L, B-N(X)] (L the side-A vertices after X's last one) shows that no
+    superset of X does. Skipping may only save work: every verdict and
+    certificate equals the one the search gives without that bound
+    (``ref_unpruned_*``; Plummer's on the bipartite form of each graph that
+    has one), and the slow negatives the bound was made for stay cheap,
+    counted in ``_odd_components`` calls or ``excess`` evaluations rather
+    than in seconds."""
 
     SEARCHES = (
         (chen_violating_set, ref_unpruned_chen_violating_set, (1, 2)),
         (kfc_search, ref_unpruned_kfc_violating_set, (1, 2, 3)),
     )
+    PLUMMER = (plummer_violating_subset,
+               ref_unpruned_plummer_violating_subset, (1, 2, 3))
     # graph6-stream seed 7, round 0: n = 17, m = 38, not 1-factor-critical,
     # certified by the single vertex 4 (two odd components); the search
     # without the bound makes 58,439 odd-component scans on it
     KFC_LINE = "POQ@@aaL??PEMRCwOBcD?ASW"
+    # graph6-stream seed 7, round 0: n = 32 (|A| = 16), m = 69, not
+    # 1-extendable, certified by X = [2] with N(X) = [24]; the search
+    # without the bound makes 40,621 excess evaluations on it at k = 1 and
+    # 27,159 at k = 2, with it 80 at each
+    PLUMMER_LINE = ("_????????????????????@?CEB?ChaOG?FioEI??D{_AAC?GPC?O?K?@aq"
+                    "??_O_?`JW?@@C???R???CH@???")
+
+    @staticmethod
+    def assert_same_search(g, search, reference, ks):
+        for k in ks:
+            assert (_search_outcome(search, g, k)
+                    == _search_outcome(reference, g, k)), (search, k)
 
     def assert_same(self, g):
         for search, reference, ks in self.SEARCHES:
-            for k in ks:
-                assert (_search_outcome(search, g, k)
-                        == _search_outcome(reference, g, k)), (search, k)
+            self.assert_same_search(g, search, reference, ks)
+        gb = infer_bipartition(g)
+        if gb is not None:
+            self.assert_same_search(gb, *self.PLUMMER)
 
     def test_all_graphs_up_to_five_vertices(self):
         for g in _all_graphs(5):
@@ -859,6 +879,20 @@ class TestSubtreeBound:
         for i, n in enumerate(tuple(range(7, 17)) * 3):
             self.assert_same(random_graph(rng_for(16, i), n,
                                           P_SWEEP[i % len(P_SWEEP)]))
+
+    def test_seeded_random_bipartite(self):
+        # balanced sides of 6-18 vertices: the bound runs its matchings
+        # only on subtrees over at least _SUBTREE_MIN side-A vertices
+        search, reference, ks = self.PLUMMER
+        verdicts = Counter()
+        for i, half in enumerate(tuple(range(6, 19)) * 3):
+            g = random_bipartite(rng_for(28, i), half, half,
+                                 P_SWEEP[i % len(P_SWEEP)])
+            for k in ks:
+                got = _search_outcome(search, g, k)
+                assert got == _search_outcome(reference, g, k), (i, k)
+                verdicts[got[0]] += 1
+        assert verdicts[True] and verdicts[False], verdicts
 
     def test_extremal_members(self):
         members = 0
@@ -893,6 +927,34 @@ class TestSubtreeBound:
         calls[0] = 0
         assert is_k_extendable_chen(g, 2) == (False, cert)
         assert calls[0] <= 1000
+
+    @staticmethod
+    def count_excess(monkeypatch):
+        calls = [0]
+        search = mf._lex_max_excess
+
+        def counted(verts, adj, excess, hopeless, ceiling):
+            def scored(*args):
+                calls[0] += 1
+                return excess(*args)
+            return search(verts, adj, scored, hopeless, ceiling)
+
+        monkeypatch.setattr(mf, "_lex_max_excess", counted)
+        return calls
+
+    def test_plummer_stream_line_work(self, monkeypatch):
+        g = infer_bipartition(graph6_decode(self.PLUMMER_LINE))
+        assert (g.n, g.m, g.side_a.bit_count()) == (32, 69, 16)
+        calls = self.count_excess(monkeypatch)
+        for k in (1, 2):
+            calls[0] = 0
+            cert = plummer_violating_subset(g, k)
+            assert (cert.payload["subset"],
+                    cert.payload["neighborhood"]) == ([2], [24])
+            assert calls[0] <= 100
+            calls[0] = 0
+            assert is_k_extendable_plummer(g, k) == (False, cert)
+            assert calls[0] <= 100
 
     def test_kfc_single_vertex_line_work(self, monkeypatch):
         g = graph6_decode(self.KFC_LINE)
