@@ -16,6 +16,12 @@ config file names outside that row exits 2 ("<mode> does not read --x"):
   scan          --theorem --n --k --delta --tol --exhaustive-limit
                 --format --input
 
+``--exhaustive-limit`` bounds the two exhaustive searches only: the
+order of the Hamilton search (t4.3, ``check --property hamiltonian``) and
+side A of Ore's criterion, which re-checks t1.3 candidates and, in
+cross-check, the flow route. The extendability, factor and
+factor-criticality routes are polynomial and never read it.
+
 The name a mode needs narrows its row: a lemma's fixed sweep reads no
 family parameter, sample, tolerance or search limit, ``--property
 hamiltonian`` reads no ``--k``, and a theorem or family reads only the
@@ -78,7 +84,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
     parser.add_argument("--config", metavar="PATH")
     parser.add_argument("--exhaustive-limit", type=int,
-                        dest="exhaustive_limit", default=EXHAUSTIVE_LIMIT)
+                        dest="exhaustive_limit", default=EXHAUSTIVE_LIMIT,
+                        help="largest order of the Hamilton search and "
+                             "largest side A of Ore's criterion")
     parser.add_argument("--input", metavar="PATH",
                         help="graph6 file, one graph per line (default stdin)")
     return parser

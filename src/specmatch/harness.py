@@ -285,17 +285,20 @@ def _ore_oracle(g: Graph, k: int, limit: int) -> bool | None:
     return mf.has_f_factor_ore(g, mf.FactorSpec.constant(g.n, k), limit)[0]
 
 
-# An oracle is different code from its route's checker, or absent. chen and
-# kfc negatives are confirmed inside the route, where the outer-set decision
-# and the odd-component search must agree. Plummer's only independent check
-# of its criterion is the definitional oracle; flow's is Ore's criterion.
+# An oracle is different code from its route's checker, or absent. Each
+# route certifies a negative with its own witness, which the emitting mode
+# re-validates (``_revalidation_note``): chen and kfc with the barrier of
+# the failing matching's or set's remainder, plummer with the surplus
+# route's Hall failure. Plummer's only independent check of its verdict is
+# the definitional oracle; flow's is Ore's criterion. Of the routes only
+# hamilton reads ``limit``.
 ROUTES = {
     "chen": Route(
         "k-extendable", False,
-        lambda g, k, limit: mf.is_k_extendable_chen(g, k, limit)),
+        lambda g, k, limit: mf.is_k_extendable_chen(g, k)),
     "plummer": Route(
         "k-extendable", True,
-        lambda g, k, limit: mf.is_k_extendable_plummer(g, k, limit),
+        lambda g, k, limit: mf.is_k_extendable_plummer(g, k),
         _plummer_oracle),
     "flow": Route(
         "k-factor", True,
@@ -305,7 +308,7 @@ ROUTES = {
         lambda g, k, limit: mf.hamiltonian_cycle(g, limit)),
     "kfc": Route(
         "k-factor-critical", False,
-        lambda g, k, limit: mf.is_k_factor_critical(g, k, limit)),
+        lambda g, k, limit: mf.is_k_factor_critical(g, k)),
 }
 # (property, needs a bipartition) -> its route
 _ROUTE_OF = {(r.prop, r.bipartite): r for r in ROUTES.values()}
@@ -366,7 +369,8 @@ def validate_hypotheses(name: str, p: fam.FamilyParams) -> None:
 def check_property_for_theorem(name: str, g: Graph, p: fam.FamilyParams,
                                limit: int = mf.EXHAUSTIVE_LIMIT
                                ) -> tuple[bool, mf.Certificate | None]:
-    """The theorem's route; ``limit`` bounds the exhaustive searches."""
+    """The theorem's route; ``limit`` bounds the Hamilton search, the only
+    route that is exhaustive."""
     return ROUTES[THEOREMS[name].route].check(g, p.k, limit)
 
 
@@ -805,22 +809,17 @@ LEMMAS: dict[str, Callable[[Report], None]] = {
 # -- cross-check mode ------------------------------------------------------
 
 
-def _search_result(cert: mf.Certificate | None
-                   ) -> tuple[bool, mf.Certificate | None]:
-    return cert is None, cert
-
-
 def _compare_on_graph(g: Graph, limit: int) -> list[str]:
     """All applicable oracle equivalences on one graph; returns mismatch
     descriptions (empty when everything agrees).
 
-    The violating-set searches run here on every graph, against the
-    definitional scan, which no checker runs, and for bipartite graphs
-    also against the surplus route, which decides Plummer's verdicts."""
+    The Chen and Plummer routes run here on every graph that they take,
+    against the definitional scan, which neither runs; Ore's criterion
+    (|A| <= ``limit``) runs against the flow route."""
     issues = []
     if g.n % 2 == 0 and g.n >= 2 and is_connected(g):
         for k in (1, 2):
-            chen = _search_result(mf.chen_violating_set(g, k, limit))
+            chen = mf.is_k_extendable_chen(g, k)
             defn = mf.is_k_extendable_definitional(g, k)
             issues += _disagreement("chen!=definitional", k, chen, defn, g)
             issues += _failed_revalidations(g, g, (chen, defn))
@@ -828,16 +827,11 @@ def _compare_on_graph(g: Graph, limit: int) -> list[str]:
     if gb is not None and gb.side_a.bit_count() * 2 == gb.n and gb.n >= 2:
         if is_connected(gb) and gb.n % 2 == 0:
             for k in (1, 2):
-                plum = _search_result(
-                    mf.plummer_violating_subset(gb, k, limit))
-                # limit=0 leaves the surplus route alone
-                surplus = mf.is_k_extendable_plummer(gb, k, limit=0)
+                plum = mf.is_k_extendable_plummer(gb, k)
                 defn = mf.is_k_extendable_definitional(gb, k)
                 issues += _disagreement("plummer!=definitional", k, plum,
                                         defn, g)
-                issues += _disagreement("plummer!=surplus", k, plum,
-                                        surplus, g)
-                issues += _failed_revalidations(gb, g, (plum, surplus, defn))
+                issues += _failed_revalidations(gb, g, (plum, defn))
         for k in (1, 2, 3):
             ore = mf.has_f_factor_ore(gb, mf.FactorSpec.constant(gb.n, k),
                                       limit)

@@ -4,60 +4,46 @@ construction, perfect-matching decomposition and Hamilton-cycle search.
 Every negative verdict carries a certificate that re-validates against the
 host graph by an independent recomputation (see ``validate_certificate``).
 
-The extendability and factor-criticality checkers decide, then certify.
-One fast exact route gives the verdict: Gallai-Edmonds outer sets for
-``is_k_extendable_chen`` and ``is_k_factor_critical`` (whether every
-size-k matching, or every k-set deletion, leaves a perfect matching,
-decided by one blossom search per (k-1)-prefix, and for Chen per vertex
-of it; ``_chen_decides``, ``_kfc_decides``), and the surplus route for
-``is_k_extendable_plummer``.
-The violating-set search (``chen_violating_set``,
-``plummer_violating_subset``, ``_kfc_search``) runs only on a negative, to
-find the certificate. So a Chen or factor-criticality negative is
-confirmed inside its route, where the outer-set decision and the
-criterion search must agree. The literal definitional scan, one
-perfect-matching test per size-k matching
+Each extendability and factor-criticality checker runs one route, and a
+negative's certificate is that route's own witness.
+``is_k_extendable_chen`` and ``is_k_factor_critical`` decide from
+Gallai-Edmonds outer sets whether every size-k matching, or every k-set
+deletion, leaves a perfect matching: one blossom search per
+(k-1)-prefix, and for Chen per vertex of it (``_chen_decides``,
+``_kfc_decides``), which is polynomial for fixed k. A negative decision
+stops at its first failing size-k matching M, or k-set T. The remainder
+G'' = G-V(M), or G-T, has no perfect matching, and its Gallai-Edmonds
+barrier A (``_barrier``) completes the certificate: S = V(M)+A, or T+A,
+leaves |A| plus the deficiency of G'' odd components, so it violates the
+odd-component criterion by exactly that deficiency.
+``is_k_extendable_plummer`` decides by the surplus route, whose failing
+replicated Hall test is a violating subset of side A. The literal
+definitional scan, one perfect-matching test per size-k matching
 (``is_k_extendable_definitional``), is an oracle only: Plummer's in
-``harness.ROUTES``, and every criterion's opponent in ``cross-check``.
-
-Violating-set certificates are excess-maximal: among all witnesses the one
-with the largest violation is returned, ties broken by the
-lexicographically least vertex list. The four searches (the three above
-and Ore's criterion in ``has_f_factor_ore``) run on one lexicographic
-branch and bound (``_lex_max_excess``), which visits the vertex sets in
-that tie-break order; Chen and factor-criticality share the odd-component
-search ``_odd_set_search``. The first three stop as soon as a set reaches
-an upper bound on the excess that one maximum matching gives (the
-Tutte-Berge formula; Konig's theorem for Plummer), and skip the subtrees
-in which no set can beat the best excess found. ``hopeless(mask, size,
-nbh, best)`` decides the skip from the set itself. For the odd-component
-search it is the Tutte-Berge formula on G-S, so a subtree goes as soon as
-nu(G-S) shows that no superset of S can beat the best excess. For
-Plummer's it is Konig's deficiency formula on the bipartite graph between
-the side-A vertices after the last one of X and the side-B vertices
-outside N(X): its matching number bounds how much any vertices added to
-X can raise the excess. Ore's search prunes nothing, so it stays
-independent of the flow route it is checked against.
+``harness.ROUTES``, and the opponent of both extendability routes in
+``cross-check``. Ore's criterion (``has_f_factor_ore``), the flow route's
+oracle, searches the subsets of side A in lexicographic order without
+pruning (``_lex_max_excess``) and certifies with the excess-maximal,
+lex-least one.
 
 General matchings come from Edmonds' blossom algorithm on the bitset rows
 (``_blossom_augment``: one search from an exposed root inside an ``alive``
 mask, augmenting a partner list in place, or else returning its tree's
 outer vertices). Each Chen, definitional and factor-criticality call
 finds one maximum matching of G and warm-starts every later question from
-it: a test on G-D (a (k-1)-matching's or a size-k matching's vertices, a
-set of deleted vertices, or the set S of the odd-set search) drops the
-pairs that leave G-D and augments only from the vertices left exposed
-(``_reaching``). The (near-)perfect matchings of the outer-set decisions,
-the tests of the definitional scan and the pruning test nu(G-S) >= b of
-the odd-set ``hopeless`` are such tests. The edge list of
+it: a matching of G-D (D a (k-1)-matching's or a size-k matching's
+vertices, or a set of deleted vertices) keeps the pairs that stay inside
+G-D and augments only from the vertices left exposed (``_reaching``,
+``_barrier``). The (near-)perfect matchings of the outer-set decisions,
+the tests of the definitional scan and the maximum matching of a
+barrier's remainder are such matchings. The edge list of
 ``max_matching_general`` (smallest active vertex, smallest partner) is
 rebuilt the same way, one test per candidate partner; the checkers read
 only the matching number and build that list only for a
 ``no-size-k-matching`` certificate.
 
 One augmenting-path routine, ``_augment`` (Kuhn), serves every bipartite
-matching: maximum matchings, the surplus route's replicated Hall test,
-the subtree bound of Plummer's search and
+matching: maximum matchings, the surplus route's replicated Hall test and
 ``harness.random_regular_bipartite``; each caller keeps its own unit
 order, candidate order and failure policy.
 """
@@ -71,12 +57,10 @@ from typing import Iterator, Sequence
 from .graph import (Graph, GraphError, SIDE_A, SIDE_B, bits, is_connected,
                     mask_of, row_components)
 
+# the largest order of the Hamilton search, and side A of Ore's criterion
 EXHAUSTIVE_LIMIT = 20
+# the largest order of the definitional scan
 GENERAL_MATCHING_LIMIT = 24
-# the odd-set and Plummer searches solve a subtree's matching number only
-# for subtrees over at least this many vertices; below it a matching costs
-# more than the sets it prunes
-_SUBTREE_MIN = 5
 
 CERTIFICATE_KINDS = frozenset({
     "ViolatingSetS", "ViolatingSubsetX", "FactorSubgraph", "HamCycle",
@@ -290,16 +274,10 @@ def _blossom_augment(adj: Sequence[int], alive: int, match: list[int],
                         queue.append(u)
 
 
-def _reaching(adj: Sequence[int], alive: int, match: Sequence[int],
-              need: int) -> list[int] | None:
-    """A matching of G[alive] with at least ``need`` pairs, or None when
-    nu(G[alive]) < ``need``. Warm start: a copy of ``match`` without the
-    pairs that leave ``alive``, augmented from the vertices it leaves
-    exposed, ascending, until ``need`` pairs are matched. A vertex whose
-    search fails never gains an augmenting path by later augmentations, so
-    it stays exposed: the search stops once those vertices leave too few
-    to hold ``need`` pairs (for a perfect matching, at the first
-    failure)."""
+def _restricted(match: Sequence[int],
+                alive: int) -> tuple[list[int], list[int]]:
+    """A copy of ``match`` without the pairs that leave ``alive``, and the
+    vertices of ``alive`` that it leaves exposed, ascending."""
     out = list(match)
     exposed = []
     rest = alive
@@ -311,6 +289,19 @@ def _reaching(adj: Sequence[int], alive: int, match: Sequence[int],
         if p < 0 or not alive >> p & 1:
             out[v] = -1
             exposed.append(v)
+    return out, exposed
+
+
+def _reaching(adj: Sequence[int], alive: int, match: Sequence[int],
+              need: int) -> list[int] | None:
+    """A matching of G[alive] with at least ``need`` pairs, or None when
+    nu(G[alive]) < ``need``. Warm start: ``match`` restricted to ``alive``
+    (``_restricted``), augmented from the vertices it leaves exposed,
+    ascending, until ``need`` pairs are matched. A vertex whose search
+    fails never gains an augmenting path by later augmentations, so it
+    stays exposed: the search stops once those vertices leave too few to
+    hold ``need`` pairs (for a perfect matching, at the first failure)."""
+    out, exposed = _restricted(match, alive)
     room = alive.bit_count()
     pairs = (room - len(exposed)) // 2
     for v in exposed:
@@ -357,9 +348,6 @@ def max_matching_general(g: Graph) -> Matching:
     then a deterministic reconstruction (smallest active vertex, smallest
     partner). An edge (v, u) is taken when G-v-u keeps all but one pair,
     tested by augmenting from the current maximum matching."""
-    if g.n > GENERAL_MATCHING_LIMIT:
-        raise GraphError(
-            f"general matching limited to n <= {GENERAL_MATCHING_LIMIT}")
     adj = g.adj
     match = _blossom_matching(g)
     remaining = _pairs(match)
@@ -439,7 +427,7 @@ def iter_k_matchings(g: Graph, k: int) -> Iterator[tuple[tuple[int, int], ...]]:
     yield from rec(0, [], 0)
 
 
-# -- odd components on raw bitsets (hot path) ----------------------------
+# -- odd components and Gallai-Edmonds barriers --------------------------
 
 
 def _odd_components(adj: Sequence[int], alive: int) -> int:
@@ -464,101 +452,32 @@ def _odd_components(adj: Sequence[int], alive: int) -> int:
     return cnt
 
 
-# -- excess-maximal violating sets ---------------------------------------
+def _neighborhood_mask(adj: Sequence[int], x_mask: int) -> int:
+    out = 0
+    for v in bits(x_mask):
+        out |= adj[v]
+    return out
 
 
-def _lex_max_excess(verts: Sequence[int], adj: Sequence[int], excess,
-                    hopeless, ceiling) -> tuple[int, int] | None:
-    """Lexicographic branch and bound: the excess-maximal, lex-least
-    nonempty subset of ``verts`` (ascending), as (mask, neighborhood), or
-    None when no subset has a positive excess.
+def _barrier(adj: Sequence[int], alive: int, match: Sequence[int]) -> int:
+    """The Gallai-Edmonds barrier A = N(D)-D of G[alive], D being the
+    vertices that some maximum matching of G[alive] misses (Lovasz-Plummer,
+    *Matching Theory*). The odd components of G[alive]-A are those of
+    G[D], |A| plus the deficiency |alive|-2*nu(G[alive]) of them; the rest
+    of G[alive]-A has a perfect matching.
 
-    A pre-order DFS over ascending vertex tuples, children in ascending
-    order, meets the sets in the lexicographic order of their sorted vertex
-    lists. So the first set met at an excess is the lex-least one at it,
-    and a later set replaces the best only at a strictly greater excess.
-
-    ``excess(mask, size, nbh, best)`` scores a set with neighborhood
-    ``nbh``: its excess when that beats ``best`` and the set is a witness,
-    else any value <= ``best``. ``hopeless(mask, size, nbh, best)`` is true
-    when no proper superset of the set ``mask`` (``size`` vertices) can
-    beat ``best``; its subtree, the sets that add vertices after the
-    set's last one, is then skipped. ``ceiling()`` bounds every excess; it
-    is called once, at the first witness, and the search stops when the
-    best excess reaches it."""
-    last = len(verts)
-    best = 0
-    best_set = None
-    stop = None
-    # each entry resumes a level: (next index into verts, the parent's
-    # mask, the size of the sets met there, the parent's neighborhood)
-    stack = [(0, 0, 1, 0)]
-    while stack:
-        i, mask, size, nbh = stack.pop()
-        while i < last:
-            v = verts[i]
-            i += 1
-            m = mask | 1 << v
-            nb = nbh | adj[v]
-            e = excess(m, size, nb, best)
-            if e > best:
-                best, best_set = e, (m, nb)
-                if stop is None:
-                    stop = ceiling()
-                if e >= stop:
-                    return best_set
-            if i < last and not hopeless(m, size, nb, best):
-                stack.append((i, mask, size, nbh))
-                mask, size, nbh = m, size + 1, nb
-    return best_set
-
-
-def _odd_set_search(g: Graph, c: int, match: Sequence[int],
-                    spans=None) -> int | None:
-    """Odd-component criterion with offset ``c`` (2k for extendability, k
-    for factor-criticality): the mask of the excess-maximal, lex-least
-    vertex set S with |S| >= c, o(G-S) > |S|-c and, when given,
-    ``spans(S)``; None when there is none.
-
-    The sets are searched by ``_lex_max_excess``. By the Tutte-Berge
-    formula no excess o(G-S)-|S|+c exceeds n-2*nu(G)+c (``match`` is a
-    maximum matching of G), so the search stops once a set reaches that
-    bound. The same formula on H = G-S bounds every set T >= S:
-    o(G-T)-|T|+c <= n-2|S|-2*nu(G-S)+c. A subtree is skipped when that
-    bound, or the bound n-2(|S|+1)+c of its smallest proper superset,
-    cannot beat the best excess found. nu(G-S) is computed only when it
-    can pay: when a near-perfect nu(G-S) would prune (c-|S| plus the
-    parity of n-|S| is at most the best excess) and at least
-    ``_SUBTREE_MIN`` vertices follow the last vertex of S. Only whether
-    nu(G-S) reaches the pruning bound is asked: ``_reaching`` warm-starts
-    from ``match`` restricted to G-S and augments from the vertices it
-    leaves exposed, until the bound is reached or cannot be."""
-    n = g.n
-    adj = g.adj
-    full = g.full_mask()
-    nu = _pairs(match)
-
-    def excess(mask: int, size: int, nbh: int, best: int) -> int:
-        if size < c or n - 2 * size + c <= best:
-            return 0  # o(G-S) <= n-|S| caps the excess
-        e = _odd_components(adj, full ^ mask) - size + c
-        if e > best and spans is not None and not spans(mask):
-            return 0
-        return e
-
-    def hopeless(mask: int, size: int, nbh: int, best: int) -> bool:
-        if n - 2 * (size + 1) + c <= best:
-            return True
-        if (c - size + ((n - size) & 1) > best
-                or n - mask.bit_length() < _SUBTREE_MIN):
-            return False
-        # n-2|S|-2*nu(G-S)+c <= best, solved for nu(G-S)
-        need = (n - 2 * size + c - best + 1) // 2
-        return _reaching(adj, full ^ mask, match, need) is not None
-
-    found = _lex_max_excess(
-        range(n), adj, excess, hopeless, lambda: n - 2 * nu + c)
-    return None if found is None else found[0]
+    A maximum matching is warm-started from ``match`` (``_restricted``),
+    with one blossom search from each vertex still exposed at its turn,
+    and D is the union of the outer sets of the searches that fail. A
+    failed search completes its tree, no later augmenting path enters it
+    and no edge leaves its outer vertices (Edmonds' Hungarian tree), so
+    its outer set is the same under the final maximum matching."""
+    out, exposed = _restricted(match, alive)
+    d = 0
+    for v in exposed:
+        if out[v] < 0:
+            d |= _blossom_augment(adj, alive, out, v)  # 0 when it augments
+    return _neighborhood_mask(adj, d) & alive & ~d
 
 
 def _odd_set_certificate(g: Graph, criterion: str, k: int, mask: int,
@@ -571,6 +490,21 @@ def _odd_set_certificate(g: Graph, criterion: str, k: int, mask: int,
         "odd_components": _odd_components(g.adj, g.full_mask() ^ mask),
         **extra,
     })
+
+
+def _barrier_certificate(g: Graph, criterion: str, k: int, removed: int,
+                         match: Sequence[int], **extra) -> Certificate:
+    """The ``ViolatingSetS`` S = ``removed`` + A for a set ``removed`` (the
+    vertices of a size-k matching, or k vertices) whose deletion leaves no
+    perfect matching, A being the barrier of G'' = G-``removed``
+    (``_barrier``, warm-started from the maximum matching ``match`` of G).
+    G-S = G''-A has |A| + def(G'') odd components, so the excess
+    o(G-S)-|S|+c is def(G'') >= 1, c being |``removed``| (2k for
+    extendability, k for factor-criticality)."""
+    alive = g.full_mask() ^ removed
+    return _odd_set_certificate(g, criterion, k,
+                                removed | _barrier(g.adj, alive, match),
+                                **extra)
 
 
 # -- k-extendability -----------------------------------------------------
@@ -622,35 +556,42 @@ def _first_failing_k_matching(
     return None
 
 
-def _outer_covers(adj: Sequence[int], alive: int, match: list[int],
-                  root: int, target: int) -> bool:
-    """Whether every vertex of ``target`` lies in D(G[alive]), the
-    vertices that some maximum matching of G[alive] misses, given a
-    matching ``match`` of G[alive] that leaves only ``root`` exposed
-    (``match[root]`` may name a partner outside ``alive``: it is read as
-    -1 and restored on return). One blossom search from ``root`` decides
-    all of ``target``: it ends once they are all outer, or with the
-    completed tree, whose outer vertices are D."""
+def _outer_misses(adj: Sequence[int], alive: int, match: list[int],
+                  root: int, target: int) -> int:
+    """The vertices of ``target`` outside D(G[alive]), the vertices that
+    some maximum matching of G[alive] misses (0 when D holds all of
+    ``target``), given a matching ``match`` of G[alive] that leaves only
+    ``root`` exposed (``match[root]`` may name a partner outside ``alive``:
+    it is read as -1 and restored on return). One blossom search from
+    ``root`` decides all of ``target``: it ends once they are all outer,
+    or with the completed tree, whose outer vertices are D."""
     mate = match[root]
     match[root] = -1
     outer = _blossom_augment(adj, alive, match, root, target)
     match[root] = mate
-    return not target & ~outer
+    return target & ~outer
 
 
-def _chen_decides(g: Graph, k: int, match: Sequence[int]) -> bool:
-    """Whether every size-k matching of ``g`` leaves a perfect matching,
-    given a maximum matching ``match`` of ``g`` with at least k pairs.
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def _chen_decides(g: Graph, k: int, match: Sequence[int]
+                  ) -> tuple[tuple[int, int], ...] | None:
+    """The first size-k matching of ``g`` whose removal leaves no perfect
+    matching, or None when every size-k matching leaves one, given a
+    maximum matching ``match`` of ``g`` with at least k pairs.
 
     A size-k matching is a (k-1)-matching P and an edge uv of
     G' = G - V(P). For each P, in lex order, a perfect matching M' of G'
-    is warm-started from ``match``. Without one, P and any edge of G'
-    fail (G'-u-v has no perfect matching either), so a G' with an edge is
-    a negative; a G' without one extends P to no size-k matching. With
-    M', G'-u-v has a perfect matching exactly when v is in D(G'-u), in
-    which M' leaves only M'(u) exposed; so one search from M'(u) decides
-    every edge from u to a later vertex v other than M'(u)
-    (``_outer_covers``), and a v that never turns outer is a negative."""
+    is warm-started from ``match``. Without one, P and any edge of G' fail
+    (G'-u-v has no perfect matching either), so P with the lex-first edge
+    of G' is returned; a G' without an edge extends P to no size-k
+    matching. With M', G'-u-v has a perfect matching exactly when v is in
+    D(G'-u), in which M' leaves only M'(u) exposed; so one search from
+    M'(u) decides every edge from u to a later vertex v other than M'(u)
+    (``_outer_misses``), and P with uv, v the least vertex it misses, is
+    returned."""
     adj = g.adj
     full = g.full_mask()
     for prefix in iter_k_matchings(g, k - 1):
@@ -659,8 +600,9 @@ def _chen_decides(g: Graph, k: int, match: Sequence[int]) -> bool:
             alive ^= 1 << u | 1 << v
         perfect = _reaching(adj, alive, match, alive.bit_count() // 2)
         if perfect is None:
-            if any(adj[v] & alive for v in bits(alive)):
-                return False
+            for u in bits(alive):
+                if adj[u] & alive:
+                    return prefix + ((u, _lowest(adj[u] & alive)),)
             continue
         later = alive
         while later:
@@ -669,10 +611,11 @@ def _chen_decides(g: Graph, k: int, match: Sequence[int]) -> bool:
             u = b.bit_length() - 1
             root = perfect[u]
             target = adj[u] & later & ~(1 << root)
-            if target and not _outer_covers(adj, alive ^ b, perfect, root,
-                                            target):
-                return False
-    return True
+            missed = target and _outer_misses(adj, alive ^ b, perfect, root,
+                                              target)
+            if missed:
+                return prefix + ((u, _lowest(missed)),)
+    return None
 
 
 def is_k_extendable_definitional(
@@ -695,66 +638,31 @@ def is_k_extendable_definitional(
     })
 
 
-def _chen_search(g: Graph, k: int,
-                 match: Sequence[int]) -> Certificate | None:
-    """``chen_violating_set`` after its input checks, given a maximum
-    matching ``match`` of ``g`` (each vertex's partner, or -1). The
-    ``no-size-k-matching`` certificate lists ``max_matching(g)``."""
-    if _pairs(match) < k:
-        return _no_k_matching_certificate(k, max_matching(g))
-    adj = g.adj
-    mask = _odd_set_search(
-        g, 2 * k, match,
-        lambda s: _k_disjoint_edges(adj, s, k) is not None)
-    if mask is None:
-        return None
-    witness = _k_disjoint_edges(adj, mask, k)
-    return _odd_set_certificate(g, "extendability", k, mask,
-                                witness_edges=[sorted(e) for e in witness])
-
-
-def chen_violating_set(g: Graph, k: int,
-                       limit: int = EXHAUSTIVE_LIMIT) -> Certificate | None:
-    """Odd-component criterion over the vertex sets S spanning k disjoint
-    edges (order <= ``limit``): the excess-maximal, lex-least S with
-    o(G-S) > |S|-2k (``_odd_set_search``), or None when G is
-    k-extendable. A graph without a size-k matching gets a
-    ``no-size-k-matching`` certificate."""
-    _require_extendable_input(g, k)
-    _require_enumerable(g.n, limit)
-    return _chen_search(g, k, _blossom_matching(g))
-
-
-def is_k_extendable_chen(
-        g: Graph, k: int,
-        limit: int = EXHAUSTIVE_LIMIT) -> tuple[bool, Certificate | None]:
-    """k-extendability of a connected graph of even order <= ``limit``.
+def is_k_extendable_chen(g: Graph,
+                         k: int) -> tuple[bool, Certificate | None]:
+    """k-extendability of a connected graph of even order.
 
     Outer sets decide (``_chen_decides``): a size-k matching exists, and
     for every (k-1)-matching P and vertex u of G' = G - V(P), every later
     neighbor v of u lies in the Gallai-Edmonds set D(G'-u), so that
     G'-u-v keeps a perfect matching. One maximum matching of G, found by
     Edmonds' blossom algorithm, warm-starts the perfect matching of every
-    G'. Only a negative runs the ``chen_violating_set`` search, on the
-    same matching, and its certificate is returned."""
+    G'. A negative is certified by the failing size-k matching M that the
+    decision stops at: S = V(M) plus the barrier of G - V(M)
+    (``_barrier_certificate``), with M's edges as its witness. A graph
+    without a size-k matching gets a ``no-size-k-matching`` certificate
+    that lists ``max_matching(g)``."""
     _require_extendable_input(g, k)
-    _require_enumerable(g.n, limit)
     match = _blossom_matching(g)
-    if _pairs(match) >= k and _chen_decides(g, k, match):
+    if _pairs(match) < k:
+        return False, _no_k_matching_certificate(k, max_matching(g))
+    m_edges = _chen_decides(g, k, match)
+    if m_edges is None:
         return True, None
-    cert = _chen_search(g, k, match)
-    if cert is None:
-        raise RuntimeError(
-            "internal: outer-set decision and odd-component criterion "
-            "disagree")
-    return False, cert
-
-
-def _neighborhood_mask(adj: Sequence[int], x_mask: int) -> int:
-    out = 0
-    for v in bits(x_mask):
-        out |= adj[v]
-    return out
+    removed = mask_of(v for e in m_edges for v in e)
+    return False, _barrier_certificate(
+        g, "extendability", k, removed, match,
+        witness_edges=[list(e) for e in m_edges])
 
 
 def _surplus_certificate(adj: Sequence[int], k: int, subset: list[int],
@@ -797,68 +705,6 @@ def _plummer_decided(g: Graph,
             return True, None
         return False, _no_k_matching_certificate(k, mm)
     return None
-
-
-def plummer_violating_subset(
-        g: Graph, k: int,
-        limit: int = EXHAUSTIVE_LIMIT) -> Certificate | None:
-    """Neighborhood-surplus criterion for bipartite graphs, over the
-    subsets X of side A (|A| <= ``limit``) with |X| <= |A|-k: the
-    excess-maximal, lex-least X with |N(X)| < |X|+k, or None when G is
-    k-extendable. Unbalanced sides and k >= |A| are settled as in
-    ``is_k_extendable_plummer``.
-
-    The subsets are searched by ``_lex_max_excess``, carrying N(X) down
-    the tree. By Konig's theorem no excess |X|+k-|N(X)| exceeds
-    k+|A|-nu(G), so the search stops once a subset reaches that bound. A
-    subtree is skipped when |X| >= |A|-k or |A|-|N(X)| cannot beat the
-    best excess found, and otherwise by Konig's deficiency formula: with L
-    the side-A vertices after the last vertex of X, every X+Z with Z <= L
-    has excess at most |X|+k-|N(X)|+|L|-nu(G[L, B-N(X)]). That matching
-    number is computed only when it can pay: when a matching saturating
-    L or B-N(X) would prune, and L has at least ``_SUBTREE_MIN``
-    vertices. Only whether it reaches the pruning bound is asked: Kuhn's
-    augmenting paths (``_augment``) from the vertices of L, ascending,
-    stop once the bound is reached or cannot be."""
-    decided = _plummer_decided(g, k)
-    if decided is not None:
-        return decided[1]
-    a_verts = g.side_vertices(SIDE_A)
-    q = len(a_verts)
-    _require_enumerable(q, limit, "|A|")
-    adj = g.adj
-    side_a = g.side_a
-
-    def hopeless(mask: int, size: int, nbh: int, best: int) -> bool:
-        free = q - nbh.bit_count()  # |B-N(X)|
-        if size >= q - k or free <= best:
-            return True
-        later = side_a & -(1 << mask.bit_length())
-        room = later.bit_count()
-        # size+k-|N(X)|+|L|-nu <= best, solved for nu
-        need = size + k - q + free + room - best
-        if need <= 0:
-            return True
-        if need > min(room, free) or room < _SUBTREE_MIN:
-            return False
-        cands = [list(bits(adj[a] & ~nbh)) for a in bits(later)]
-        owner: dict[int, int] = {}
-        for unit in range(len(cands)):
-            if len(owner) >= need:
-                return True
-            if not _augment(cands, owner, unit, set()):
-                room -= 1
-                if room < need:
-                    return False
-        return len(owner) >= need
-
-    found = _lex_max_excess(
-        a_verts, adj,
-        lambda mask, size, nbh, best: size + k - nbh.bit_count(),
-        hopeless, lambda: k + q - max_matching_bipartite(g).size)
-    if found is None:
-        return None
-    return _surplus_certificate(adj, k, list(bits(found[0])))
 
 
 def _plummer_surplus(g: Graph, a_verts: list[int], b_verts: list[int],
@@ -912,29 +758,16 @@ def _hall_failure(cands: Sequence[list[int]], units: list[int],
 
 
 def is_k_extendable_plummer(
-        g: Graph, k: int,
-        limit: int = EXHAUSTIVE_LIMIT) -> tuple[bool, Certificate | None]:
+        g: Graph, k: int) -> tuple[bool, Certificate | None]:
     """k-extendability of a bipartite graph by the neighborhood-surplus
-    criterion.
-
-    The polynomial surplus route decides. On a negative with side A of at
-    most ``limit`` vertices, the ``plummer_violating_subset`` search
-    supplies the excess-maximal certificate; above that size the
-    surplus route's own certificate is returned. Unbalanced sides yield an
-    immediate negative with a size certificate.
-    """
+    criterion: the polynomial surplus route (``_plummer_surplus``) decides,
+    and its failing Hall test certifies a negative. Unbalanced sides yield
+    an immediate negative with a size certificate."""
     decided = _plummer_decided(g, k)
     if decided is not None:
         return decided
-    a_verts = g.side_vertices(SIDE_A)
-    verdict, cert = _plummer_surplus(g, a_verts, g.side_vertices(SIDE_B), k)
-    if verdict or len(a_verts) > limit:
-        return verdict, cert
-    cert = plummer_violating_subset(g, k, limit)
-    if cert is None:
-        raise RuntimeError(
-            "internal: surplus and enumeration routes disagree")
-    return False, cert
+    return _plummer_surplus(g, g.side_vertices(SIDE_A),
+                            g.side_vertices(SIDE_B), k)
 
 
 # -- bipartite f-factors -------------------------------------------------
@@ -985,12 +818,49 @@ def _deficiency_certificate(adj: Sequence[int], criterion: str, targets,
     })
 
 
+def _lex_max_excess(verts: Sequence[int], adj: Sequence[int], excess,
+                    ceiling: int) -> int | None:
+    """The excess-maximal, lex-least nonempty subset of ``verts``
+    (ascending), as a mask, or None when no subset has a positive excess.
+
+    A pre-order DFS over ascending vertex tuples, children in ascending
+    order, meets the sets in the lexicographic order of their sorted vertex
+    lists. So the first set met at an excess is the lex-least one at it,
+    and a later set replaces the best only at a strictly greater excess.
+
+    ``excess(mask, nbh, best)`` scores a set with neighborhood ``nbh``: its
+    excess when that beats ``best``, else any value <= ``best``. No excess
+    exceeds ``ceiling``, and the search stops when the best reaches it."""
+    last = len(verts)
+    best = 0
+    best_set = None
+    # each entry resumes a level: (next index into verts, the parent's
+    # mask, the parent's neighborhood)
+    stack = [(0, 0, 0)]
+    while stack:
+        i, mask, nbh = stack.pop()
+        while i < last:
+            v = verts[i]
+            i += 1
+            m = mask | 1 << v
+            nb = nbh | adj[v]
+            e = excess(m, nb, best)
+            if e > best:
+                best, best_set = e, m
+                if e >= ceiling:
+                    return best_set
+            if i < last:
+                stack.append((i, mask, nbh))
+                mask, nbh = m, nb
+    return best_set
+
+
 def has_f_factor_ore(g: Graph, f,
                      limit: int = EXHAUSTIVE_LIMIT
                      ) -> tuple[bool, Certificate | None]:
     """Degree-prescribed spanning subgraph criterion for bipartite graphs
-    (Ore), exhaustive over the subsets X of side A: the excess-maximal,
-    lex-least X with lhs > rhs certifies a negative.
+    (Ore), exhaustive over the subsets X of side A (|A| <= ``limit``): the
+    excess-maximal, lex-least X with lhs > rhs certifies a negative.
 
     The subsets are searched by ``_lex_max_excess`` without pruning, and
     the search stops early only at the trivial bound sum of f over A, so
@@ -1012,20 +882,18 @@ def has_f_factor_ore(g: Graph, f,
     _require_enumerable(len(a_verts), limit, "|A|")
     adj = g.adj
 
-    def excess(mask: int, size: int, nbh: int, best: int) -> int:
+    def excess(mask: int, nbh: int, best: int) -> int:
         lhs = sum(targets[v] for v in bits(mask))
         if lhs <= best:
             return 0
         return lhs - sum(min(targets[y], (adj[y] & mask).bit_count())
                          for y in bits(nbh))
 
-    found = _lex_max_excess(a_verts, adj, excess,
-                            lambda mask, size, nbh, best: False,
-                            lambda: sum_a)
+    found = _lex_max_excess(a_verts, adj, excess, sum_a)
     if found is None:
         return True, None
     return False, _deficiency_certificate(adj, "f-factor", targets,
-                                          list(bits(found[0])))
+                                          list(bits(found)))
 
 
 class _Dinic:
@@ -1167,78 +1035,68 @@ def decompose_edge_disjoint_pms(h: Graph) -> list[Matching]:
 # -- factor criticality --------------------------------------------------
 
 
-def _require_kfc_input(g: Graph, k: int, limit: int) -> None:
+def _require_kfc_input(g: Graph, k: int) -> None:
     if k < 1:
         raise GraphError(
             "k must be >= 1; use has_perfect_matching for the base case")
-    _require_enumerable(g.n, limit)
     if k > g.n:
         raise GraphError("k exceeds the order")
 
 
-def _kfc_search(g: Graph, k: int,
-                match: Sequence[int]) -> Certificate | None:
-    """Odd-component criterion for k-factor-criticality over the sets of
-    size >= k, on input that ``_require_kfc_input`` passed, given a
-    maximum matching ``match`` of ``g``: the excess-maximal, lex-least S with
-    o(G-S) > |S|-k (``_odd_set_search``), or None when G is
-    k-factor-critical. An odd n-k needs no special case: every k-set S then
-    leaves an odd component, so o(G-S) > 0 = |S|-k."""
-    mask = _odd_set_search(g, k, match)
-    if mask is None:
-        return None
-    return _odd_set_certificate(g, "factor-critical", k, mask)
-
-
-def _kfc_decides(g: Graph, k: int, match: Sequence[int]) -> bool:
-    """Whether n-k is even and every k-set T leaves a perfect matching,
-    given a maximum matching ``match`` of ``g``.
+def _kfc_decides(g: Graph, k: int,
+                 match: Sequence[int]) -> tuple[int, ...] | None:
+    """The first k-set T of ``g`` whose deletion leaves no perfect
+    matching, or None when every k-set leaves one, given a maximum matching
+    ``match`` of ``g``. When n-k is odd every k-set fails, and T is
+    {0, ..., k-1}.
 
     A k-set is a (k-1)-set prefix T' and a later vertex t. For each T', in
     lex order, a near-perfect matching of the odd-order G - T' is
-    warm-started from ``match``; without one no t works. With it, G-T'-t
-    has a perfect matching exactly when t is in D(G-T'), and one search
-    from the exposed vertex decides every later t (``_outer_covers``)."""
+    warm-started from ``match``; without one every t fails, and T' with
+    the least later t is returned. With it, G-T'-t has a perfect matching
+    exactly when t is in D(G-T'), and one search from the exposed vertex
+    decides every later t (``_outer_misses``); T' with the least t it
+    misses is returned."""
     n = g.n
     if n % 2 != k % 2:
-        return False
+        return tuple(range(k))
     adj = g.adj
     full = g.full_mask()
     # a prefix whose last vertex is n-1 has no later vertex
     for prefix in combinations(range(n - 1), k - 1):
         alive = full ^ mask_of(prefix)
+        later = full & -(2 << prefix[-1]) if prefix else full
         near = _reaching(adj, alive, match, alive.bit_count() // 2)
         if near is None:
-            return False
-        root = next(v for v in bits(alive) if near[v] < 0)
-        target = (full & -(2 << prefix[-1]) if prefix else full) & ~(1 << root)
-        if target and not _outer_covers(adj, alive, near, root, target):
-            return False
-    return True
+            missed = later
+        else:
+            root = next(v for v in bits(alive) if near[v] < 0)
+            target = later & ~(1 << root)
+            missed = target and _outer_misses(adj, alive, near, root,
+                                              target)
+        if missed:
+            return prefix + (_lowest(missed),)
+    return None
 
 
-def is_k_factor_critical(
-        g: Graph, k: int,
-        limit: int = EXHAUSTIVE_LIMIT) -> tuple[bool, Certificate | None]:
-    """k-factor-criticality of a graph of order <= ``limit``.
+def is_k_factor_critical(g: Graph,
+                         k: int) -> tuple[bool, Certificate | None]:
+    """k-factor-criticality of a graph.
 
     Outer sets decide (``_kfc_decides``): n-k is even, and for every
     (k-1)-set T', every vertex after T' lies in the Gallai-Edmonds set
     D(G-T'), so that deleting it too leaves a perfect matching. One
     maximum matching of G, found by Edmonds' blossom algorithm,
-    warm-starts the near-perfect matching of every G-T'. Only a negative
-    runs ``_kfc_search``, on the same matching, and its certificate is
-    returned."""
-    _require_kfc_input(g, k, limit)
+    warm-starts the near-perfect matching of every G-T'. A negative is
+    certified by the failing k-set T that the decision stops at: S = T
+    plus the barrier of G - T (``_barrier_certificate``)."""
+    _require_kfc_input(g, k)
     match = _blossom_matching(g)
-    if _kfc_decides(g, k, match):
+    failing = _kfc_decides(g, k, match)
+    if failing is None:
         return True, None
-    cert = _kfc_search(g, k, match)
-    if cert is None:
-        raise RuntimeError(
-            "internal: outer-set decision and odd-component criterion "
-            "disagree")
-    return False, cert
+    return False, _barrier_certificate(g, "factor-critical", k,
+                                       mask_of(failing), match)
 
 
 # -- Hamilton cycles -----------------------------------------------------

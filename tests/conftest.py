@@ -229,12 +229,13 @@ def edge_counts(g: Graph, x: Iterable[int], y: Iterable[int]) -> tuple[int, int]
 # The always-exhaustive checkers the library ran before it decided each
 # verdict with one fast route: every call runs the full excess-maximal
 # search, and Plummer and factor-criticality also run their second route and
-# require agreement. Differential tests hold the library's verdicts and
-# certificates to these. The one deliberate change is the unbalanced-sides
-# neighborhood, which is the set N(larger side), not a multiset. The Chen
-# and factor-criticality searches are also kept on their own
-# (``ref_chen_violating_set``, ``ref_kfc_violating_set``): the scans of all
-# 2^n vertex sets that the library's searches replaced.
+# require agreement. Differential tests hold the library's verdicts to
+# these; the library now certifies with each route's own witness, so its
+# certificates are held to re-validation instead. The one deliberate change
+# is the unbalanced-sides neighborhood, which is the set N(larger side), not
+# a multiset. The Chen and factor-criticality searches are also kept on
+# their own (``ref_chen_violating_set``, ``ref_kfc_violating_set``): the
+# scans of all 2^n vertex sets that the library's searches replaced.
 
 
 def ref_chen_violating_set(g: Graph, k: int,
@@ -426,8 +427,10 @@ def ref_is_k_factor_critical(g: Graph, k: int,
 # its own. The Chen and factor-criticality searches on top of it
 # (``ref_unpruned_chen_violating_set``, ``ref_unpruned_kfc_violating_set``)
 # and Plummer's search before a subtree could be skipped by Konig's
-# deficiency formula (``ref_unpruned_plummer_violating_subset``) are the
-# baseline the pruned searches must match certificate for certificate.
+# deficiency formula (``ref_unpruned_plummer_violating_subset``) give the
+# excess-maximal, lex-least certificates that the library's searches gave
+# before each route came to certify with its own witness; the tests compare
+# the routes' certificates with them on extremal graphs.
 
 
 def _ref_lex_max_excess(verts, adj, excess, hopeless, ceiling):
@@ -496,7 +499,8 @@ def ref_unpruned_chen_violating_set(g: Graph, k: int,
 
 def ref_unpruned_kfc_violating_set(g: Graph, k: int,
                                    limit: int = mf.EXHAUSTIVE_LIMIT):
-    mf._require_kfc_input(g, k, limit)
+    mf._require_kfc_input(g, k)
+    mf._require_enumerable(g.n, limit)
     mask = ref_odd_set_search(g, k, lambda: ref_max_matching(g).size)
     if mask is None:
         return None

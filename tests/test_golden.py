@@ -6,16 +6,23 @@ the three t1.3, t4.3 and t4.5 scans before the per-family recognizers gave
 way to one isomorphism test, the l2.2 sweep before l2.2 and l2.3 came to
 share one clique-pair evaluator, the two ``rho`` reports before power
 iteration, identity (13) and the graph6 decoder were made faster, the t1.1
-run at (20, 2, 4) and the ``kfc17`` check before the odd-set searches
-skipped subtrees by the Tutte-Berge bound on G-S, the t1.1 run at
-(18, 1, 3) before the sampler drew its attempts in numpy blocks, the five
-verify runs with more samples than two eigensolve stacks hold and the
-``scanmix`` scan (lines of another order and non-bipartite lines between
-evaluated ones) before verify and scan took rho from stacked solves, and
-none may change. The l2.6 digest alone was recorded again, when that sweep
-moved from the overlay's closed-form quartic to its exact quotient: one
-printed margin digit moved, and the closed form's digit was the correctly
-rounded one. Every certificate kind, every checker route and every family's
+run at (20, 2, 4) before the odd-set searches skipped subtrees by the
+Tutte-Berge bound on G-S, the t1.1 run at (18, 1, 3) before the sampler
+drew its attempts in numpy blocks, the five verify runs with more samples
+than two eigensolve stacks hold and the ``scanmix`` scan (lines of another
+order and non-bipartite lines between evaluated ones) before verify and
+scan took rho from stacked solves, and none may change. Two changes
+recorded digests again. The l2.6 sweep moved from the overlay's
+closed-form quartic to its exact quotient: one printed margin digit moved,
+and the closed form's digit was the correctly rounded one. The Chen,
+factor-criticality and Plummer routes came to certify a negative with
+their own witness (the barrier of the failing matching's or k-set's
+remainder; the surplus route's Hall failure) instead of an excess-maximal,
+lex-least set: the t1.2 runs at (10, 1, 1) and at (16, 1, 2) over 300
+samples and the ``ext1``, ``kfc``, ``kfc17`` and ``kfcbip`` checks were
+recorded again. In them only the certificates of negative rows moved, and
+the n = 22 line of ``kfcbip``, skipped while factor-criticality stopped
+at n = 20, is now certified. Every certificate kind, every checker route and every family's
 ``extremal-hit`` rows that reach a report are covered. Graph6 input lines
 are built from the library's constructors and the tests' graph helpers,
 or decoded from graph6 literals, and passed with ``--input``.
@@ -158,7 +165,7 @@ GOLDEN = [
      0),
     (["verify", "--theorem", "t1.2", "--n", "10", "--k", "1", "--delta",
       "1", "--samples", "40", "--seed", "2"], None,
-     "d12587b7e860f2cf13216758807ef776fb220dfdf61abc683b84937d3383c560",
+     "500c140625df0a42d9d533c7800c93cbcc5f894361761dae9735674f058ed806",
      1),
     (["verify", "--theorem", "t1.2", "--n", "16", "--k", "1", "--delta",
       "2", "--samples", "40", "--seed", "5", "--exhaustive-limit", "4"],
@@ -201,7 +208,7 @@ GOLDEN = [
      0, "chunks"),
     (["verify", "--theorem", "t1.2", "--n", "16", "--k", "1", "--delta",
       "2", "--samples", "300", "--seed", "9"], None,
-     "b01f988eaf043bb724aa55cfd1ecfb33cc44c1649dfef39b87f48ac9e900f7da",
+     "e7e6c20347cd86e623b1cfd591dd1f69b84004854e0f1edfcbf170bb3397d28b",
      1, "chunks"),
     (["verify", "--theorem", "t4.5", "--n", "15", "--k", "1", "--delta",
       "2", "--samples", "320", "--seed", "9"], None,
@@ -220,7 +227,7 @@ GOLDEN = [
      "89e6d9242c0ce4b9129cbc8c9b7bc4a88de7e5832ff51d83646bbe93f2e8d409",
      0),
     (["check", "--property", "k-extendable", "--k", "1"], "ext1",
-     "146a582db013e42607621a18eb2077dfc73c349965125cdc2f69f3a73e83dc12",
+     "d7172d73bb04c8cdb1e26e86e52f90673b287725e68bb1f1ea9d34c50b6f7516",
      0),
     (["check", "--property", "k-extendable", "--k", "2"], "ext2",
      "9e4c4c5b0807860ff5dcdbc9d90306c1554e8b666c6faea1f1ab8977c0f89b66",
@@ -237,13 +244,13 @@ GOLDEN = [
      "7ea272f0d623a9e1a3e947850d9cbf73490cb056e1ca18dc1100b991957b12a0",
      0),
     (["check", "--property", "k-factor-critical", "--k", "1"], "kfc",
-     "f22912491f231347601b2eee91844dffc181919f770962c5d62dd0e901ab619f",
+     "8ee54680f4d9bae4d20e7f5ed00adaea344890f3fa99c9ac0d96f4e7c5bbb7fb",
      0),
     (["check", "--property", "k-factor-critical", "--k", "1"], "kfc17",
-     "1369f69ddfe9dfa6fa93917b158d427b679edcbd34bc11dfa38b2a95818b0afd",
+     "fbb5589f7386c6e02b96355cbad5dd41254d01bacef6c6868bb882b3e7e4c0b3",
      0),
     (["check", "--property", "k-factor-critical", "--k", "1"], "kfcbip",
-     "0edb1ba0aaf5f2dfb0ab6e9c403bde07f35ba68578dbf862ed17d5bd7aea0584",
+     "9581066b688c5c8b1cbef6b9a2dcb87822b032097209ebb146428cddb71fe569",
      0),
     (["check", "--property", "hamiltonian"], "ham",
      "87b52a219ece6e91da4b782801a1d9dc31610a613c78a175d5e4de3e1f95da21",

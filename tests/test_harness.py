@@ -134,6 +134,24 @@ class TestCheck:
         with pytest.raises(UsageError):
             cmd_check(["!!notgraph6"], "k-factor", 2)
 
+    def test_exhaustive_limit_leaves_polynomial_routes_alone(self, tmp_path,
+                                                             capsys):
+        # only the Hamilton search and Ore's criterion read the limit: the
+        # Chen, Plummer and factor-criticality rows of two n = 10
+        # negatives, one of them bipartite, are the same under any limit
+        path = tmp_path / "lines.g6"
+        path.write_text(graph6_encode(extremal_kext_general(10, 1, 2))
+                        + "\nI??FA@?{?\n", encoding="utf-8")
+        for prop in ("k-extendable", "k-factor-critical"):
+            argv = ["check", "--property", prop, "--k", "1",
+                    "--input", str(path)]
+            outs = []
+            for extra in ([], ["--exhaustive-limit", "4"]):
+                assert cli.main(argv + extra) == 0
+                outs.append(capsys.readouterr().out)
+            assert outs[0] == outs[1], prop
+            assert outs[0].count(",false,") == 2, outs[0]
+
 
 class TestRho:
     def test_bound_columns(self):
@@ -377,11 +395,11 @@ class TestOracle:
     where it can take the graph, and elsewhere it abstains (None) without
     running any route or checker."""
 
-    ROUTE_ENTRIES = ("is_k_extendable_plummer", "plummer_violating_subset",
-                     "_plummer_surplus", "find_k_factor_flow",
-                     "_f_factor_flow")
-    CHECKERS = ("is_k_extendable_chen", "chen_violating_set", "_chen_search",
-                "is_k_factor_critical", "_kfc_search", "hamiltonian_cycle",
+    ROUTE_ENTRIES = ("is_k_extendable_plummer", "_plummer_surplus",
+                     "find_k_factor_flow", "_f_factor_flow")
+    CHECKERS = ("is_k_extendable_chen", "_chen_decides",
+                "is_k_factor_critical", "_kfc_decides",
+                "_barrier_certificate", "hamiltonian_cycle",
                 "is_k_extendable_definitional", "has_f_factor_ore")
 
     @staticmethod
@@ -431,7 +449,7 @@ class TestOracle:
     def test_t12_oracle_is_not_the_surplus_route(self, monkeypatch):
         # Disconnected, or connected with n > 24: the definitional scan
         # does not apply, and the oracle abstains instead of rerunning the
-        # surplus route or its search, which gave the primary verdict.
+        # surplus route, which gave the primary verdict.
         graphs = [disjoint_union(complete_bipartite(3, 3),
                                  complete_bipartite(2, 2)),
                   extremal_kext_bipartite(26, 1, 2),
@@ -445,13 +463,13 @@ class TestOracle:
 
     def test_t11_oracle_is_not_the_definitional_scan(self, monkeypatch):
         # the primary t1.1 checker decides by outer sets and certifies by
-        # the odd-component search; the oracle runs neither, nor the
-        # definitional scan, and abstains
+        # the barrier of the failing matching's remainder; the oracle runs
+        # neither, nor the definitional scan, and abstains
         graphs = [extremal_kext_general(10, 1, 2), complete(6), cycle(8)]
         expected = [mf.is_k_extendable_chen(g, 1)[0] for g in graphs]
         assert expected == [False, True, True]
         self.stub(monkeypatch,
-                  self.CHECKERS + ("_chen_decides", "_outer_covers",
+                  self.CHECKERS + ("_outer_misses",
                                    "_first_failing_k_matching"))
         for g in graphs:
             p = FamilyParams(n=g.n, k=1, delta=2)
@@ -531,21 +549,21 @@ class TestCertificateRevalidation:
 
     @pytest.mark.parametrize("mode", ["verify", "check", "scan"])
     def test_corrupted_certificate_is_flagged(self, mode, monkeypatch):
-        plummer = mf.plummer_violating_subset
-        chen = mf._chen_search
+        surplus = mf._plummer_surplus
+        barrier = mf._barrier_certificate
 
-        def corrupted_subset(g, k, limit=mf.EXHAUSTIVE_LIMIT):
-            cert = plummer(g, k, limit)
-            return Certificate(cert.kind, dict(cert.payload, subset=[]))
+        def corrupted_subset(*args):
+            ok, cert = surplus(*args)
+            return ok, Certificate(cert.kind, dict(cert.payload, subset=[]))
 
-        def corrupted_set(g, k, match):
-            cert = chen(g, k, match)
+        def corrupted_set(*args, **extra):
+            cert = barrier(*args, **extra)
             odd = cert.payload["odd_components"] + 1
             return Certificate(cert.kind,
                                dict(cert.payload, odd_components=odd))
 
-        monkeypatch.setattr(mf, "plummer_violating_subset", corrupted_subset)
-        monkeypatch.setattr(mf, "_chen_search", corrupted_set)
+        monkeypatch.setattr(mf, "_plummer_surplus", corrupted_subset)
+        monkeypatch.setattr(mf, "_barrier_certificate", corrupted_set)
         if mode == "verify":
             monkeypatch.setattr(hz, "sample_for_theorem",
                                 lambda *args: self.G12)
@@ -789,15 +807,15 @@ class TestCrossCheck:
         assert report.exit_code() == 0
 
     def test_plummer_certificates_revalidated(self, monkeypatch, capsys):
-        search = mf.plummer_violating_subset
+        surplus = mf._plummer_surplus
 
-        def corrupted(g, k, limit=mf.EXHAUSTIVE_LIMIT):
-            cert = search(g, k, limit)
-            if cert is not None and cert.kind == "ViolatingSubsetX":
-                return Certificate(cert.kind, {**cert.payload, "subset": []})
-            return cert
+        def corrupted(*args):
+            ok, cert = surplus(*args)
+            if cert is not None:
+                cert = Certificate(cert.kind, {**cert.payload, "subset": []})
+            return ok, cert
 
-        monkeypatch.setattr(mf, "plummer_violating_subset", corrupted)
+        monkeypatch.setattr(mf, "_plummer_surplus", corrupted)
         code = cli.main(["cross-check", "--n", "4", "--samples", "0",
                          "--seed", "1"])
         lines = capsys.readouterr().out.splitlines()
