@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from collections import Counter
 from itertools import combinations
 
@@ -921,6 +922,51 @@ class TestBarrier:
             [4], 2)
 
 
+
+def _violation(cert, k: int) -> int | None:
+    """How far a ``ViolatingSetS`` misses Chen's or the factor-criticality
+    bound (``_excess``), or a ``ViolatingSubsetX`` Plummer's: |X|+k-|N(X)|.
+    None for the size certificates (no size-k matching, unbalanced
+    sides), which measure nothing."""
+    p = cert.payload
+    if cert.kind == "ViolatingSetS":
+        return _excess(cert, k)
+    if cert.kind == "ViolatingSubsetX" and "reason" not in p:
+        return len(p["subset"]) + k - len(p["neighborhood"])
+    return None
+
+
+class TestSubtreeBound:
+    """The bound that Plummer's subset search pruned its subtrees by:
+    Konig's deficiency formula caps every subset's excess |X|+k-|N(X)| at
+    k+|A|-nu(G). The surplus route certifies with its failing Hall test
+    instead of a search, so its certificate is held to that cap and to the
+    best excess of the reference subset search
+    (``ref_unpruned_plummer_violating_subset``), whose verdict it must
+    share."""
+
+    def test_seeded_random_bipartite(self):
+        # balanced sides of 6-18 vertices, k = 1-3
+        verdicts = Counter()
+        for i, half in enumerate(tuple(range(6, 19)) * 3):
+            g = random_bipartite(rng_for(28, i), half, half,
+                                 P_SWEEP[i % len(P_SWEEP)])
+            ceiling = half - ref_max_matching_bipartite(g).size
+            for k in (1, 2, 3):
+                ok, cert = is_k_extendable_plummer(g, k)
+                want = ref_unpruned_plummer_violating_subset(g, k)
+                assert ok is (want is None), (i, k)
+                verdicts[ok] += 1
+                if ok:
+                    continue
+                assert validate_certificate(g, cert), (i, k)
+                assert cert.kind == want.kind, (i, k)
+                got = _violation(cert, k)
+                if got is not None:
+                    best = _violation(want, k)
+                    assert 0 < got <= best <= k + ceiling, (i, k)
+        assert verdicts[True] and verdicts[False], verdicts
+
 def _balanced_bipartite_graphs(max_half: int):
     """Every graph on sides {0..h-1} and {h..2h-1}, for h <= max_half."""
     for h in range(1, max_half + 1):
@@ -1003,6 +1049,47 @@ class TestRelabeling:
     """Metamorphic: each checker gives the same verdict after a
     relabeling, and its certificate re-validates on the relabeled
     graph."""
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(st.integers(2, 10), st.integers(0, 123456),
+           st.sampled_from(P_SWEEP), st.integers(1, 3), st.data())
+    def test_searches_under_relabeling(self, n, seed, p, k, data):
+        # the witness searches behind each negative (the first failing
+        # size-k matching or k-set and the barrier of what it leaves, the
+        # failing Hall test): the relabeled graph's certificates are
+        # barriers of its own remainders; in both labelings each verdict is
+        # the excess-maximal reference search's, whose best excess does not
+        # move, and no certificate re-validates with a larger one
+        g = seeded_random_graph(seed, n, p)
+        perm = data.draw(st.permutations(range(n)))
+        TestBarrier.assert_barriers(_relabeled(g, perm), (k,))
+        searches = [(is_k_extendable_chen, ref_unpruned_chen_violating_set,
+                     g),
+                    (is_k_factor_critical, ref_unpruned_kfc_violating_set,
+                     g)]
+        gb = infer_bipartition(g)
+        if gb is not None:
+            searches.append((is_k_extendable_plummer,
+                             ref_unpruned_plummer_violating_subset, gb))
+        for checker, reference, host in searches:
+            best = []
+            for h in (host, _relabeled(host, perm)):
+                try:
+                    want = reference(h, k)
+                except GraphError as exc:
+                    with pytest.raises(GraphError, match=re.escape(str(exc))):
+                        checker(h, k)
+                    continue
+                ok, cert = checker(h, k)
+                assert ok is (want is None), checker
+                if ok:
+                    continue
+                assert validate_certificate(h, cert), checker
+                assert cert.kind == want.kind, checker
+                best.append(_violation(want, k))
+                got = _violation(cert, k)
+                assert got is None or 0 < got <= best[-1], checker
+            assert len(set(best)) <= 1, checker
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(st.integers(2, 10), st.integers(0, 123456),
