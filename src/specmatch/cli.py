@@ -98,7 +98,7 @@ def _load_config(path: str, flags: dict[str, argparse.Action]) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = [line.strip() for line in fh]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise hz.UsageError(f"cannot read config {path}: {exc}") from exc
     out = {}
     for lineno, line in enumerate(lines, 1):
@@ -187,7 +187,7 @@ def _read_lines(cfg: dict) -> list[str]:
         try:
             with open(cfg["input"], encoding="utf-8") as fh:
                 return fh.readlines()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise hz.UsageError(f"cannot read {cfg['input']}: {exc}") from exc
     return sys.stdin.readlines()
 

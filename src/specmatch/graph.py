@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -254,6 +255,20 @@ def join(g: Graph, h: Graph) -> Graph:
     return Graph(u.n, tuple(adj), None)
 
 
+def adjacency_bits(graphs: Sequence[Graph]) -> np.ndarray:
+    """The 0/1 uint8 adjacency matrices of m >= 1 graphs of one order n, as
+    one C-contiguous (m, n, n) stack: each row's bitset is written out as
+    little-endian bytes and the stack is unpacked bit by bit in one call.
+    ``bitset_rows`` is its inverse."""
+    n = graphs[0].n
+    nb = (n + 7) // 8
+    packed = np.frombuffer(b"".join(row.to_bytes(nb, "little")
+                                    for g in graphs for row in g.adj),
+                           dtype=np.uint8)
+    return np.unpackbits(packed.reshape(len(graphs), n, nb), axis=2,
+                         count=n, bitorder="little")
+
+
 def bitset_rows(adj: np.ndarray) -> Iterator[list[int]]:
     """The bitset rows of each matrix of a stack of boolean adjacency
     matrices, in stack order; the rows of one matrix are built only when
@@ -358,8 +373,42 @@ def infer_bipartition(g: Graph) -> Graph | None:
 # -- graph6 ------------------------------------------------------------
 
 
+@lru_cache(maxsize=64)
+def _graph6_cells(n: int) -> np.ndarray:
+    """The flat cells u * n + v of an n x n adjacency matrix whose bits,
+    packed eight at a time, are a graph6 body's characters less 63: each
+    character's two high bits and the last one's padding read cell 0, the
+    diagonal entry (0, 0), which is zero in every graph; its six low bits
+    read the next six of the strictly lower triangle, row-major. Read-only:
+    every caller shares the cached array."""
+    lower = np.flatnonzero(np.tri(n, k=-1, dtype=bool))
+    at = np.arange(len(lower))
+    cells = np.zeros(8 * ((len(lower) + 5) // 6), dtype=np.intp)
+    cells[at // 6 * 8 + 2 + at % 6] = lower
+    cells.flags.writeable = False
+    return cells
+
+
 def graph6_encode(g: Graph) -> str:
-    n = g.n
+    """The graph6 line of ``g``: the one-graph case of
+    ``graph6_encode_many``."""
+    return graph6_encode_many([g])[0]
+
+
+def graph6_encode_many(graphs: Sequence[Graph]) -> list[str]:
+    """The graph6 line of each of the graphs, all of one order n, in order.
+
+    The graphs are encoded in stacks of at most ``spectra.stack_size(n)``.
+    A stack's rows are unpacked into one 0/1 stack (``adjacency_bits``).
+    Each graph's bit stream is its strictly lower triangle read row-major,
+    the order ``graph6_decode`` describes, zero-padded to whole six-bit
+    groups; each group, most significant bit first, plus 63 is one body
+    character (``_graph6_cells`` reads the groups off the stack). One
+    ASCII decode makes a stack's bodies text."""
+    from .spectra import stack_size  # spectra imports this module
+    if not graphs:
+        return []
+    n = graphs[0].n
     if n <= 62:
         head = chr(n + 63)
     elif n <= GRAPH6_MAX_N:
@@ -367,21 +416,17 @@ def graph6_encode(g: Graph) -> str:
             + chr(63 + (n & 63))
     else:
         raise GraphError(f"graph6 supports n <= {GRAPH6_MAX_N}")
-    chunks = []
-    acc = 0
-    nb = 0
-    for j in range(1, n):
-        col = g.adj[j]
-        for i in range(j):
-            acc = (acc << 1) | ((col >> i) & 1)
-            nb += 1
-            if nb == 6:
-                chunks.append(chr(acc + 63))
-                acc = 0
-                nb = 0
-    if nb:
-        chunks.append(chr((acc << (6 - nb)) + 63))
-    return head + "".join(chunks)
+    cells = _graph6_cells(n)
+    need = len(cells) // 8
+    step = stack_size(max(n, 1))
+    lines = []
+    for start in range(0, len(graphs), step):
+        adj = adjacency_bits(graphs[start:start + step])
+        m = len(adj)
+        body = np.packbits(adj.reshape(m, n * n)[:, cells], axis=1)
+        text = (body + np.uint8(63)).tobytes().decode("ascii")
+        lines += [head + text[i * need:(i + 1) * need] for i in range(m)]
+    return lines
 
 
 def graph6_decode(text: str) -> Graph:

@@ -9,7 +9,8 @@ from one ``sp.rho_dense_many`` call over their lines; ``verify`` from one
 such call per chunk of samples, a chunk being one eigensolve stack; the
 lemma sweeps' dense rechecks from one per chunk of cells. Only verify's
 extremal row solves alone (``sp.rho_dense``); every stacked value is its
-single solve bit for bit.
+single solve bit for bit. ``verify`` also writes a chunk's graph6 column
+with one ``graph6_encode_many`` call, whose lines are ``graph6_encode``'s.
 
 Each theorem, lemma and property the CLI accepts is one row of
 ``THEOREMS``, ``LEMMAS`` or ``PROPERTIES``; theorems and properties run the
@@ -19,10 +20,11 @@ Determinism contract: identical configuration (seed included) produces a
 byte-identical report. Per-graph randomness is derived from
 (seed, sample index), so each sample's stream is its own, and rows are
 emitted in input order. Random draws read the
-``random.Random`` stream in numpy blocks (``_uniforms``), word for word
-as scalar ``random()`` calls would, so every drawn graph is the one the
-scalar draws give; a sampler's stream is its sample's alone, and it may
-read past a kept draw before it is discarded.
+``random.Random`` stream in numpy blocks (``_pair_bits``), word for word
+as scalar ``random()`` calls would, and each pair bit is the scalar
+draw's ``random() < prob``, so every drawn graph is the one the scalar
+draws give; a sampler's stream is its sample's alone, and it may read
+past a kept draw before it is discarded.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice
-from math import comb
+from math import ceil, comb
 from typing import Callable, Iterable, Iterator, TextIO
 
 import numpy as np
@@ -40,8 +42,8 @@ from . import families as fam
 from . import matchfactor as mf
 from . import spectra as sp
 from .graph import (Graph, GraphError, SIDE_A, SIDE_B, bitset_rows,
-                    graph6_decode, graph6_encode, infer_bipartition,
-                    is_connected, rows_connected)
+                    graph6_decode, graph6_encode, graph6_encode_many,
+                    infer_bipartition, is_connected, rows_connected)
 
 P_SWEEP = (0.3, 0.5, 0.7, 0.9)
 SAMPLE_ATTEMPTS = 60
@@ -148,18 +150,6 @@ def rng_for(seed: int, index: int) -> random.Random:
     return random.Random(((seed * 0x9E3779B97F4A7C15) ^ index) & (2**63 - 1))
 
 
-def _uniforms(rng: random.Random, count: int) -> np.ndarray:
-    """``[rng.random() for _ in range(count)]`` as an array, bit for bit,
-    and with the same words consumed. ``random()`` reads two MT19937 words
-    w0, w1 and returns ((w0 >> 5) * 2**26 + (w1 >> 6)) / 2**53;
-    ``getrandbits(64 * count)`` reads the same words, least significant
-    first, so each 64-bit little-endian value is w0 + w1 * 2**32."""
-    x = np.frombuffer(rng.getrandbits(64 * count).to_bytes(8 * count,
-                                                           "little"),
-                      dtype="<u8")
-    return (((x & 0xFFFFFFE0) << 21) | (x >> 38)) * (1.0 / 2**53)
-
-
 @lru_cache(maxsize=64)
 def _pair_cells(n: int, side: int | None) -> np.ndarray:
     """The flat cells u * n + v of the vertex pairs that a draw visits, in
@@ -197,9 +187,22 @@ def _pair_bits(rng: random.Random, n: int, side: int | None, prob: float,
     """The pair bits, shape (attempts, pairs), of ``attempts`` consecutive
     draws: each pair of ``_pair_cells`` is an edge when its uniform is
     below ``prob``. Consumes exactly the stream of ``attempts`` scalar
-    draws."""
+    draws, and each bit is that draw's ``rng.random() < prob``.
+
+    ``random()`` reads two MT19937 words w0, w1 and returns K / 2**53, K
+    being ((w0 >> 5) << 26) | (w1 >> 6); ``getrandbits(64 * count)`` reads
+    the same words, least significant first, so each 64-bit little-endian
+    value is w0 + w1 * 2**32. K / 2**53 < prob exactly when the integer K
+    is below ceil(prob * 2**53), a product that is exact in float64, so
+    the bits come from K without forming the uniforms."""
     pairs = len(_pair_cells(n, side))
-    return (_uniforms(rng, attempts * pairs) < prob).reshape(attempts, pairs)
+    count = attempts * pairs
+    x = np.frombuffer(rng.getrandbits(64 * count).to_bytes(8 * count,
+                                                           "little"),
+                      dtype="<u8")
+    below = np.uint64(ceil(prob * 2**53))
+    return ((((x & 0xFFFFFFE0) << 21) | (x >> 38)) < below).reshape(
+        attempts, pairs)
 
 
 def _adjacency(bits: np.ndarray, n: int, side: int | None) -> np.ndarray:
@@ -601,13 +604,14 @@ def cmd_verify(theorem: str, p: fam.FamilyParams | None, samples: int,
     """A theorem's report (its extremal row, then ``samples`` samples), or
     a lemma's sweep, which takes no parameters: ``p`` may be None.
 
-    The samples are drawn a chunk at a time, and one ``sp.rho_dense_many``
-    call solves a chunk's rho before its rows are evaluated in index
-    order. A chunk is one eigensolve stack (``sp.stack_size(n)`` samples:
-    327 at n = 10, 101 at n = 18), so the chunk's solve is a single
-    ``eigvalsh`` call and the samples held at once stay bounded for any
-    ``samples``. Each sample draws from its own ``rng_for(seed, i)``, so
-    the chunking changes no row."""
+    The samples are drawn a chunk at a time. One ``sp.rho_dense_many``
+    call solves a chunk's rho and one ``graph6_encode_many`` call writes
+    its graph6 column before its rows are evaluated in index order. A
+    chunk is one eigensolve stack (``sp.stack_size(n)`` samples: 327 at
+    n = 10, 101 at n = 18), so the chunk's solve is a single ``eigvalsh``
+    call, its encoding a single stack, and the samples held at once stay
+    bounded for any ``samples``. Each sample draws from its own
+    ``rng_for(seed, i)``, so the chunking changes no row."""
     report = Report(mode=f"verify {theorem}", columns=PROPERTY_COLUMNS)
     if theorem in LEMMAS:
         LEMMAS[theorem](report)
@@ -641,9 +645,11 @@ def cmd_verify(theorem: str, p: fam.FamilyParams | None, samples: int,
         indices = range(start, min(start + chunk, samples))
         graphs = [sample_for_theorem(spec, p, extremal, rng_for(seed, i), i)
                   for i in indices]
-        for i, g, rho in zip(indices, graphs, sp.rho_dense_many(graphs)):
-            _evaluate(report, f"sample {i}:", graph6_encode(g), g, rho,
-                      theorem, p, thr, tol, limit)
+        for i, g, text, rho in zip(indices, graphs,
+                                   graph6_encode_many(graphs),
+                                   sp.rho_dense_many(graphs)):
+            _evaluate(report, f"sample {i}:", text, g, rho, theorem, p, thr,
+                      tol, limit)
     return report
 
 

@@ -43,7 +43,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .graph import Graph, GraphError, bits, component_masks
+from .graph import (Graph, GraphError, adjacency_bits, bits,
+                    component_masks)
 
 MAX_MATVECS = 10 ** 6
 RESIDUAL_CHECK_EVERY = 4
@@ -75,15 +76,8 @@ def default_tol(dim: int) -> float:
 
 def adjacency_matrices(graphs: Sequence[Graph]) -> np.ndarray:
     """Dense 0/1 float64 adjacency matrices of m >= 1 graphs of one order n,
-    as one C-contiguous (m, n, n) stack: each row's bitset is written out as
-    little-endian bytes and the stack is unpacked bit by bit in one call."""
-    n = graphs[0].n
-    nb = (n + 7) // 8
-    packed = np.frombuffer(b"".join(row.to_bytes(nb, "little")
-                                    for g in graphs for row in g.adj),
-                           dtype=np.uint8)
-    return np.unpackbits(packed.reshape(len(graphs), n, nb), axis=2,
-                         count=n, bitorder="little").astype(float)
+    as one C-contiguous (m, n, n) stack: ``adjacency_bits`` as floats."""
+    return adjacency_bits(graphs).astype(float)
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:

@@ -10,7 +10,8 @@ per vertex pair, before the draws were read in numpy blocks), its earlier
 matching routines (three
 separate augmenting-path copies and the subset loop of Ore's criterion),
 its earlier per-family recognizers, its earlier per-theorem hypotheses, and
-its earlier power iteration, identity (13), FMS bound and graph6 decoder,
+its earlier power iteration, identity (13), FMS bound, graph6 encoder
+(one bit at a time) and graph6 decoder,
 its earlier memoized general matching search (before Edmonds' blossom),
 its earlier family graph builders and quotients, its odd-set search
 before the per-subtree Tutte-Berge bound, its bipartition inference
@@ -37,10 +38,11 @@ import pytest
 from specmatch import harness as hz
 from specmatch import matchfactor as mf
 from specmatch import spectra as sp
-from specmatch.graph import (Graph, GraphError, SIDE_A, SIDE_B, bits,
-                             complete, complete_bipartite, component_masks,
-                             disjoint_union, empty, from_edges,
-                             infer_bipartition, is_connected, join, mask_of)
+from specmatch.graph import (GRAPH6_MAX_N, Graph, GraphError, SIDE_A,
+                             SIDE_B, bits, complete, complete_bipartite,
+                             component_masks, disjoint_union, empty,
+                             from_edges, infer_bipartition, is_connected,
+                             join, mask_of)
 
 
 def brute_max_matching_size(g: Graph) -> int:
@@ -1236,6 +1238,32 @@ def ref_fms_bound(g: Graph) -> tuple[float, int]:
         if r > best_val:
             best_val, best_v = r, v
     return math.sqrt(best_val), best_v
+
+
+def ref_graph6_encode(g: Graph) -> str:
+    n = g.n
+    if n <= 62:
+        head = chr(n + 63)
+    elif n <= GRAPH6_MAX_N:
+        head = "~" + chr(63 + ((n >> 12) & 63)) + chr(63 + ((n >> 6) & 63)) \
+            + chr(63 + (n & 63))
+    else:
+        raise GraphError(f"graph6 supports n <= {GRAPH6_MAX_N}")
+    chunks = []
+    acc = 0
+    nb = 0
+    for j in range(1, n):
+        col = g.adj[j]
+        for i in range(j):
+            acc = (acc << 1) | ((col >> i) & 1)
+            nb += 1
+            if nb == 6:
+                chunks.append(chr(acc + 63))
+                acc = 0
+                nb = 0
+    if nb:
+        chunks.append(chr((acc << (6 - nb)) + 63))
+    return head + "".join(chunks)
 
 
 def ref_graph6_decode(text: str) -> Graph:

@@ -6,13 +6,14 @@ from hypothesis import given, settings, strategies as st
 from specmatch.graph import (Graph, GraphError, SIDE_A, SIDE_B, bits,
                              complete, complete_bipartite, cycle,
                              disjoint_union, empty, from_edges,
-                             graph6_decode, graph6_encode, infer_bipartition,
+                             graph6_decode, graph6_encode,
+                             graph6_encode_many, infer_bipartition,
                              is_connected, join)
 from specmatch.families import extremal_kfactor
 
 from conftest import (bipartite_join, edge_counts, isomorphic_small, path,
-                      ref_graph6_decode, ref_infer_bipartition, remove_star,
-                      seeded_random_graph)
+                      ref_graph6_decode, ref_graph6_encode,
+                      ref_infer_bipartition, remove_star, seeded_random_graph)
 
 
 class TestConstructors:
@@ -257,6 +258,48 @@ class TestGraph6AgainstReference:
                          "malformed graph6 character",
                          "graph6 long-long form", "truncated graph6 header",
                          "graph6 bit stream", "nonzero graph6 padding"}
+
+
+class TestGraph6EncodeAgainstReference:
+    """The stacked encoder and its one-graph case write the per-bit
+    reference encoder's line for every graph, and the decoder reads it
+    back."""
+
+    @staticmethod
+    def every_graph(n):
+        pairs = [(u, v) for v in range(n) for u in range(v)]
+        for mask in range(1 << len(pairs)):
+            yield from_edges(n, [pair for i, pair in enumerate(pairs)
+                                 if mask >> i & 1])
+
+    @staticmethod
+    def seeded_graphs(n):
+        rng = random.Random(n)
+        return [seeded_random_graph(rng.randrange(1 << 30), n, p)
+                for p in (0.0, 0.02, 0.3, 0.5, 0.9, 1.0)]
+
+    def assert_encodes(self, graphs):
+        want = [ref_graph6_encode(g) for g in graphs]
+        assert graph6_encode_many(graphs) == want
+        assert [graph6_encode(g) for g in graphs] == want
+        for g, text in zip(graphs, want):
+            d = graph6_decode(text)
+            assert (d.n, d.adj) == (g.n, g.adj), text
+
+    def test_every_small_graph(self):
+        # order 6 spans several encoding stacks (stack_size(6) = 910)
+        for n in range(7):
+            self.assert_encodes(list(self.every_graph(n)))
+
+    def test_seeded_graphs(self):
+        # both header forms: one byte through n = 62, "~" and three above
+        for n in [*range(7, 21), 62, 63, 64, 200, 300]:
+            graphs = self.seeded_graphs(n)
+            self.assert_encodes(graphs)
+            assert graph6_encode(graphs[0]).startswith("~") == (n > 62)
+
+    def test_no_graphs(self):
+        assert graph6_encode_many([]) == []
 
 
 class TestIsomorphism:

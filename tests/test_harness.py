@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -684,13 +685,61 @@ class TestDraws:
 
     def test_uniforms_read_the_random_stream(self):
         # the block draws rest on CPython's random() and getrandbits()
-        # reading the same MT19937 words in the same order
+        # reading the same MT19937 words in the same order, and on the
+        # integer compare giving random() < prob bit for bit: 0.25 makes
+        # prob * 2**53 integral, 0.0 and 1.0 are the ends
+        probs = hz.P_SWEEP + (0.25, 1 / 3, 0.0, 1.0)
+        # (n, side, attempts): 0, 1, 2, 153, 3,840, 9,180 and 46,800 draws
+        blocks = [(2, None, 0), (2, None, 1), (2, 1, 2), (18, None, 1),
+                  (16, 8, 60), (18, None, 60), (40, None, 60)]
         for seed, index in self.STREAMS:
-            for count in (0, 1, 2, 153, 9180, 46800):
-                rng, ref = rng_for(seed, index), rng_for(seed, index)
-                assert hz._uniforms(rng, count).tolist() == [
-                    ref.random() for _ in range(count)], (seed, count)
-                assert rng.getstate() == ref.getstate(), (seed, count)
+            for n, side, attempts in blocks:
+                ref = rng_for(seed, index)
+                pairs = len(hz._pair_cells(n, side))
+                uniforms = [ref.random() for _ in range(attempts * pairs)]
+                for prob in probs:
+                    rng = rng_for(seed, index)
+                    got = hz._pair_bits(rng, n, side, prob, attempts)
+                    assert got.shape == (attempts, pairs)
+                    assert got.reshape(-1).tolist() == [
+                        u < prob for u in uniforms], (seed, n, prob)
+                    assert rng.getstate() == ref.getstate(), (seed, n, prob)
+
+    @staticmethod
+    def stream_of(words) -> random.Random:
+        """A generator whose next MT19937 outputs are ``words``: each word
+        untempered into the state, read from position 0 without a twist."""
+        def untemper(y):
+            for shift, mask in ((-18, 0xFFFFFFFF), (15, 0xEFC60000),
+                                (7, 0x9D2C5680), (-11, 0xFFFFFFFF)):
+                x = y
+                for _ in range(32):  # fixed after 32 / |shift| rounds
+                    step = x << shift if shift > 0 else x >> -shift
+                    x = y ^ (step & mask & 0xFFFFFFFF)
+                y = x
+            return y
+        state = [untemper(w) for w in words]
+        state += [0x9908B0DF] * (624 - len(state))
+        rng = random.Random()
+        rng.setstate((3, (*state, 0), None))
+        return rng
+
+    def test_pair_bits_at_the_threshold(self):
+        # draws whose K = ((w0 >> 5) << 26) | (w1 >> 6) sits at and next to
+        # ceil(prob * 2**53), where < against <= and ceil against floor
+        # part; the low bits that random() drops are set
+        for prob in hz.P_SWEEP + (0.25, 1 / 3, 0.0, 1.0):
+            top = math.ceil(prob * 2**53)
+            ks = [k for k in (top - 1, top, top + 1) if 0 <= k < 2**53]
+            words = [w for k in ks
+                     for w in ((k >> 26) << 5 | 31, (k & (2**26 - 1)) << 6
+                               | 63)]
+            rng, ref = self.stream_of(words), self.stream_of(words)
+            uniforms = [ref.random() for _ in ks]
+            assert uniforms == [k / 2**53 for k in ks]
+            got = hz._pair_bits(rng, 2, None, prob, len(ks))
+            assert got.reshape(-1).tolist() == [u < prob for u in uniforms]
+            assert rng.getstate() == ref.getstate()
 
     def test_draws_match_reference(self):
         # one stream per order across every draw at it, as cross-check and
@@ -985,10 +1034,11 @@ class TestVerifyScanAgree:
 
 
 class TestStackedEvaluation:
-    """verify solves its samples' rho one chunk at a time, a chunk being
-    one eigensolve stack (``sp.stack_size(n)`` samples), and scan solves
-    its evaluated lines' rho in one call; neither the chunking nor the
-    stacking changes a byte of the report."""
+    """verify solves its samples' rho and encodes their graph6 column one
+    chunk at a time, a chunk being one eigensolve stack
+    (``sp.stack_size(n)`` samples), and scan solves its evaluated lines'
+    rho in one call; neither the chunking nor the stacking changes a byte
+    of the report."""
 
     CASES = [("t1.1", FamilyParams(n=10, k=1, delta=2), 60),
              ("t1.2", FamilyParams(n=16, k=1, delta=2), 40),
@@ -1006,19 +1056,23 @@ class TestStackedEvaluation:
                              ids=[c[0] for c in CASES])
     def test_reports_do_not_depend_on_chunks(self, theorem, p, samples,
                                              monkeypatch):
-        solve = sp.rho_dense_many
-        sizes = []
+        solve, encode = sp.rho_dense_many, hz.graph6_encode_many
+        sizes, encoded = [], []
         monkeypatch.setattr(sp, "rho_dense_many", lambda graphs: (
             sizes.append(len(graphs)) or solve(graphs)))
+        monkeypatch.setattr(hz, "graph6_encode_many", lambda graphs: (
+            encoded.append(len(graphs)) or encode(graphs)))
         verify, scan = [], []
         # chunks of 1 sample, of 3 and of the default count
         for cells in (p.n ** 2, 4 * p.n ** 2 - 1, sp.STACK_CELLS):
             monkeypatch.setattr(sp, "STACK_CELLS", cells)
             chunk = cells // p.n ** 2
             sizes.clear()
+            encoded.clear()
             report = cmd_verify(theorem, p, samples, seed=9)
             verify.append((csv_text(report), report.exit_code()))
-            assert sizes == [chunk] * (samples // chunk) + (
+            # one solve and one encoding per chunk
+            assert sizes == encoded == [chunk] * (samples // chunk) + (
                 [samples % chunk] if samples % chunk else [])
             lines = [row["graph"] for row in report.rows[1:]]
             skipped = self.skipped_lines(p.n)
@@ -1168,6 +1222,17 @@ class TestEntryValidation:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert flag in captured.err
+
+    @pytest.mark.parametrize("flag", ["--input", "--config"])
+    def test_non_utf8_file(self, flag, tmp_path, capsys):
+        # a file that is not UTF-8 is unreadable input: exit 2, naming it
+        f = tmp_path / "latin1.txt"
+        f.write_bytes(b"\xff\n")
+        code = cli.main(["rho", flag, str(f)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: cannot read ")
+        assert str(f) in captured.err and "Traceback" not in captured.err
 
     def test_counts_from_config(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
