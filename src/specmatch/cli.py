@@ -12,15 +12,16 @@ config file names outside that row exits 2 ("<mode> does not read --x"):
   check         --property --k --exhaustive-limit --format --input
   verify        --theorem --n --k --delta --samples --seed --tol
                 --exhaustive-limit --format
-  cross-check   --n --samples --seed --exhaustive-limit --format
+  cross-check   --n --samples --seed --format
   scan          --theorem --n --k --delta --tol --exhaustive-limit
                 --format --input
 
 ``--exhaustive-limit`` bounds the two exhaustive searches only: the
 order of the Hamilton search (t4.3, ``check --property hamiltonian``) and
-side A of Ore's criterion, which re-checks t1.3 candidates and, in
-cross-check, the flow route. The extendability, factor and
-factor-criticality routes are polynomial and never read it.
+side A of Ore's criterion, which re-checks t1.3 candidates. The
+extendability, factor and factor-criticality routes are polynomial and
+never read it. cross-check does not read it: its bipartite hosts have
+|A| <= 4, and Ore's criterion runs there at its default limit.
 
 The name a mode needs narrows its row: a lemma's fixed sweep reads no
 family parameter, sample, tolerance or search limit, ``--property
@@ -54,8 +55,7 @@ _MODES = {
                            "input")),
     "verify": ("theorem", ("theorem", "n") + _FAMILY_FIELDS + (
         "samples", "seed", "tol", "exhaustive_limit", "format")),
-    "cross-check": (None, ("n", "samples", "seed", "exhaustive_limit",
-                           "format")),
+    "cross-check": (None, ("n", "samples", "seed", "format")),
     "scan": ("theorem", ("theorem", "n") + _FAMILY_FIELDS + (
         "tol", "exhaustive_limit", "format", "input")),
 }
@@ -225,8 +225,7 @@ def run(argv: list[str] | None = None) -> int:
     elif mode == "cross-check":
         max_n = cfg["n"] if cfg["n"] is not None else 6
         report = hz.cmd_cross_check(max_n, samples=cfg["samples"],
-                                    seed=cfg["seed"],
-                                    limit=cfg["exhaustive_limit"])
+                                    seed=cfg["seed"])
     else:  # scan
         report = hz.cmd_scan(_read_lines(cfg), cfg["theorem"], _params(cfg),
                              tol=cfg["tol"], limit=cfg["exhaustive_limit"])

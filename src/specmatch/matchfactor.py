@@ -23,8 +23,7 @@ definitional scan, one perfect-matching test per size-k matching
 ``harness.ROUTES``, and the opponent of both extendability routes in
 ``cross-check``. Ore's criterion (``has_f_factor_ore``), the flow route's
 oracle, searches the subsets of side A in lexicographic order without
-pruning (``_lex_max_excess``) and certifies with the excess-maximal,
-lex-least one.
+pruning and certifies with the excess-maximal, lex-least one.
 
 General matchings come from Edmonds' blossom algorithm on the bitset rows
 (``_blossom_augment``: one search from an exposed root inside an ``alive``
@@ -431,25 +430,9 @@ def iter_k_matchings(g: Graph, k: int) -> Iterator[tuple[tuple[int, int], ...]]:
 
 
 def _odd_components(adj: Sequence[int], alive: int) -> int:
-    cnt = 0
-    rest = alive
-    while rest:
-        comp = rest & -rest
-        frontier = comp
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                b = f & -f
-                nxt |= adj[b.bit_length() - 1]
-                f ^= b
-            nxt &= rest & ~comp
-            comp |= nxt
-            frontier = nxt
-        rest &= ~comp
-        if comp.bit_count() & 1:
-            cnt += 1
-    return cnt
+    """The number of odd components of the subgraph that ``adj`` induces
+    on ``alive``."""
+    return sum(c.bit_count() & 1 for c in row_components(adj, alive))
 
 
 def _neighborhood_mask(adj: Sequence[int], x_mask: int) -> int:
@@ -818,53 +801,26 @@ def _deficiency_certificate(adj: Sequence[int], criterion: str, targets,
     })
 
 
-def _lex_max_excess(verts: Sequence[int], adj: Sequence[int], excess,
-                    ceiling: int) -> int | None:
-    """The excess-maximal, lex-least nonempty subset of ``verts``
-    (ascending), as a mask, or None when no subset has a positive excess.
-
-    A pre-order DFS over ascending vertex tuples, children in ascending
-    order, meets the sets in the lexicographic order of their sorted vertex
-    lists. So the first set met at an excess is the lex-least one at it,
-    and a later set replaces the best only at a strictly greater excess.
-
-    ``excess(mask, nbh, best)`` scores a set with neighborhood ``nbh``: its
-    excess when that beats ``best``, else any value <= ``best``. No excess
-    exceeds ``ceiling``, and the search stops when the best reaches it."""
-    last = len(verts)
-    best = 0
-    best_set = None
-    # each entry resumes a level: (next index into verts, the parent's
-    # mask, the parent's neighborhood)
-    stack = [(0, 0, 0)]
-    while stack:
-        i, mask, nbh = stack.pop()
-        while i < last:
-            v = verts[i]
-            i += 1
-            m = mask | 1 << v
-            nb = nbh | adj[v]
-            e = excess(m, nb, best)
-            if e > best:
-                best, best_set = e, m
-                if e >= ceiling:
-                    return best_set
-            if i < last:
-                stack.append((i, mask, nbh))
-                mask, nbh = m, nb
-    return best_set
-
-
 def has_f_factor_ore(g: Graph, f,
                      limit: int = EXHAUSTIVE_LIMIT
                      ) -> tuple[bool, Certificate | None]:
     """Degree-prescribed spanning subgraph criterion for bipartite graphs
-    (Ore), exhaustive over the subsets X of side A (|A| <= ``limit``): the
-    excess-maximal, lex-least X with lhs > rhs certifies a negative.
+    (Ore), exhaustive over the nonempty subsets X of side A
+    (|A| <= ``limit``): the excess-maximal, lex-least X with lhs > rhs
+    certifies a negative, lhs being the sum of f over X and rhs the sum
+    over y in N(X) of min(f(y), |N(y) & X|).
 
-    The subsets are searched by ``_lex_max_excess`` without pruning, and
-    the search stops early only at the trivial bound sum of f over A, so
-    the criterion stays independent of the flow route."""
+    The subsets are met by a pre-order DFS over ascending tuples of side-A
+    vertices, children in ascending order, which meets them in the
+    lexicographic order of their sorted vertex lists: a tuple comes right
+    after its parent (a prefix, so smaller) and before its later siblings
+    (a larger vertex at the first difference). So the first set met at an
+    excess is the lex-least one at it, and a later set replaces the best
+    only at a strictly greater excess. Nothing is pruned: rhs is skipped
+    for a set whose lhs cannot beat the best (rhs >= 0), and the search
+    stops early only when the best reaches the sum of f over A, which no
+    excess exceeds. So the criterion stays independent of the flow
+    route."""
     targets = _factor_targets(g, f)
     a_verts, b_verts = _ore_sides(g)
     sum_a = sum(targets[v] for v in a_verts)
@@ -881,19 +837,35 @@ def has_f_factor_ore(g: Graph, f,
         })
     _require_enumerable(len(a_verts), limit, "|A|")
     adj = g.adj
-
-    def excess(mask: int, nbh: int, best: int) -> int:
-        lhs = sum(targets[v] for v in bits(mask))
-        if lhs <= best:
-            return 0
-        return lhs - sum(min(targets[y], (adj[y] & mask).bit_count())
-                         for y in bits(nbh))
-
-    found = _lex_max_excess(a_verts, adj, excess, sum_a)
-    if found is None:
+    last = len(a_verts)
+    best = 0
+    best_set = 0
+    # each entry resumes a level: (next index into a_verts, the parent's
+    # mask, neighborhood and lhs)
+    stack = [(0, 0, 0, 0)]
+    while stack:
+        i, mask, nbh, lhs = stack.pop()
+        while i < last:
+            v = a_verts[i]
+            i += 1
+            m = mask | 1 << v
+            nb = nbh | adj[v]
+            s = lhs + targets[v]
+            if s > best:
+                e = s - sum(min(targets[y], (adj[y] & m).bit_count())
+                            for y in bits(nb))
+                if e > best:
+                    best, best_set = e, m
+                    if e >= sum_a:
+                        stack.clear()
+                        break
+            if i < last:
+                stack.append((i, mask, nbh, lhs))
+                mask, nbh, lhs = m, nb, s
+    if not best_set:
         return True, None
     return False, _deficiency_certificate(adj, "f-factor", targets,
-                                          list(bits(found)))
+                                          list(bits(best_set)))
 
 
 class _Dinic:
@@ -1176,6 +1148,14 @@ def validate_certificate(g: Graph, cert: Certificate) -> bool:
         return False
 
 
+def _k_of(p: dict, least: int = 1) -> int:
+    """The payload's k, which must be an int (not a bool) >= ``least``."""
+    k = p["k"]
+    if not isinstance(k, int) or isinstance(k, bool) or k < least:
+        raise ValueError(f"k must be an int >= {least}, got {k!r}")
+    return k
+
+
 def _certificate_holds(g: Graph, cert: Certificate) -> bool:
     p = cert.payload
     if cert.kind == "ViolatingSetS":
@@ -1186,7 +1166,7 @@ def _certificate_holds(g: Graph, cert: Certificate) -> bool:
         o = _odd_components(g.adj, g.full_mask() & ~mask)
         if o != p.get("odd_components", o):
             return False
-        k = p["k"]
+        k = _k_of(p)
         if p["criterion"] == "extendability":
             if _k_disjoint_edges(g.adj, mask, k) is None:
                 return False
@@ -1199,7 +1179,7 @@ def _certificate_holds(g: Graph, cert: Certificate) -> bool:
             return False
         nbh = _neighborhood_mask(g.adj, x_mask)
         if p["criterion"] == "extendability":
-            k = p["k"]
+            k = _k_of(p)
             # side_mask raises, so a host without sides is False
             a_count = g.side_mask(SIDE_A).bit_count()
             if p.get("reason") == "unbalanced-sides":
@@ -1216,7 +1196,7 @@ def _certificate_holds(g: Graph, cert: Certificate) -> bool:
                   for y in bits(nbh))
         return lhs > rhs
     if cert.kind == "FactorSubgraph":
-        k = p["k"]
+        k = _k_of(p, 0)
         deg = [0] * g.n
         seen: set[tuple[int, int]] = set()
         for u, v in p["edges"]:
@@ -1236,7 +1216,7 @@ def _certificate_holds(g: Graph, cert: Certificate) -> bool:
         return all(g.has_edge(cyc[i], cyc[(i + 1) % g.n])
                    for i in range(g.n))
     if cert.kind == "FailingMatching":
-        k = p["k"]
+        k = _k_of(p)
         if p.get("reason") == "no-size-k-matching":
             return _pairs(_blossom_matching(g)) < k
         edges = [tuple(e) for e in p["matching"]]

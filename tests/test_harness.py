@@ -1161,7 +1161,7 @@ FLAG_MATRIX = {
     "rho":         ".   .   .   .  .  .   .   .   .   +   +   +   .   +",
     "check":       ".   .   +   .  +  .   .   .   .   +   +   +   +   +",
     "verify":      ".   +   .   +  +  +   +   +   +   +   +   +   +   .",
-    "cross-check": ".   .   .   +  .  .   +   +   .   +   +   +   +   .",
+    "cross-check": ".   .   .   +  .  .   +   +   .   +   +   +   .   .",
     "scan":        ".   +   .   +  +  +   .   .   +   +   +   +   +   +",
 }
 # each mode's argv names what it needs by a name that narrows nothing

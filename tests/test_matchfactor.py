@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from specmatch import matchfactor as mf
-from specmatch.graph import (GraphError, SIDE_B, bits, complete,
-                             complete_bipartite, cycle, disjoint_union,
+from specmatch.graph import (GraphError, SIDE_A, SIDE_B, bits, complete,
+                             complete_bipartite, cycle, disjoint_union, empty,
                              from_edges, graph6_decode, graph6_encode,
                              infer_bipartition, is_connected, mask_of)
 from specmatch.matchfactor import (Certificate, FactorSpec,
@@ -565,6 +565,81 @@ class TestOreAndFlow:
                 assert (has_f_factor_ore(g, FactorSpec.constant(8, k))[0]
                         == find_k_factor_flow(g, k)[0])
 
+    @staticmethod
+    def brute_ore(g, targets):
+        """(subset, lhs, rhs) of the first nonempty subset X of side A, in
+        the lexicographic order of sorted tuples, at the largest positive
+        excess lhs - rhs; None when no subset has one."""
+        a_verts = g.side_vertices(SIDE_A)
+        best = None
+        for x in sorted(tuple(c) for r in range(1, len(a_verts) + 1)
+                        for c in combinations(a_verts, r)):
+            nbh = {y for v in x for y in range(g.n) if g.has_edge(v, y)}
+            lhs = sum(targets[v] for v in x)
+            rhs = sum(min(targets[y], sum(g.has_edge(v, y) for v in x))
+                      for y in nbh)
+            if lhs - rhs > 0 and (best is None
+                                  or lhs - rhs > best[1] - best[2]):
+                best = (list(x), lhs, rhs)
+        return best
+
+    def test_ore_against_brute_force(self):
+        """Every balanced bipartite graph with |A| <= 3, and seeded draws
+        with |A| 4-7; constant targets 1-3 and seeded targets 0-3 with
+        equal side sums."""
+        graphs = list(_balanced_bipartite_graphs(3))
+        graphs += [random_bipartite(rng_for(27, i), 4 + i % 4, 4 + i % 4,
+                                    P_SWEEP[i % len(P_SWEEP)])
+                   for i in range(120)]
+        negatives = 0
+        for i, g in enumerate(graphs):
+            half = g.n // 2
+            rng = random.Random(i)
+            a_targets = [rng.randrange(4) for _ in range(half)]
+            specs = [FactorSpec.constant(g.n, k) for k in (1, 2, 3)]
+            specs.append(FactorSpec(tuple(a_targets) + tuple(
+                rng.sample(a_targets, half))))
+            for spec in specs:
+                ok, cert = has_f_factor_ore(g, spec)
+                want = self.brute_ore(g, spec.targets)
+                assert ok == (want is None), (g.adj, spec)
+                if want is not None:
+                    p = cert.payload
+                    assert (p["subset"], p["lhs"], p["rhs"]) == want
+                    assert validate_certificate(g, cert)
+                    negatives += 1
+        assert negatives > 500
+
+
+class TestOddComponents:
+    """``_odd_components`` against a union-find count, on every graph with
+    n <= 5 and every vertex mask of it."""
+
+    @staticmethod
+    def union_find_odd(g, alive):
+        parent = list(range(g.n))
+
+        def find(v):
+            while parent[v] != v:
+                v = parent[v]
+            return v
+
+        for u, v in g.edges():
+            if (alive >> u) & 1 and (alive >> v) & 1:
+                parent[find(u)] = find(v)
+        sizes = Counter(find(v) for v in range(g.n) if (alive >> v) & 1)
+        return sum(size % 2 for size in sizes.values())
+
+    def test_every_graph_and_mask(self):
+        for n in range(6):
+            pairs = list(combinations(range(n), 2))
+            for emask in range(1 << len(pairs)):
+                g = from_edges(n, [e for i, e in enumerate(pairs)
+                                   if (emask >> i) & 1])
+                for alive in range(1 << n):
+                    assert (mf._odd_components(g.adj, alive)
+                            == self.union_find_odd(g, alive)), (g.adj, alive)
+
 
 class TestDecomposition:
     def test_complete_bipartite(self):
@@ -977,11 +1052,11 @@ def _balanced_bipartite_graphs(max_half: int):
 
 
 class TestMatchingReferences:
-    """The one augmenting-path routine and Ore's criterion on the shared
-    violating-set search give exactly the reference copies' outputs:
-    maximum matchings, surplus-route certificates (the reference's
-    ``enum_limit=0`` leaves its surplus route alone) and Ore certificates, on every balanced
-    bipartite graph with n <= 6 and on seeded draws with halves 3-8."""
+    """The one augmenting-path routine and Ore's criterion give exactly the
+    reference copies' outputs: maximum matchings, surplus-route
+    certificates (the reference's ``enum_limit=0`` leaves its surplus route
+    alone) and Ore certificates, on every balanced bipartite graph with
+    n <= 6 and on seeded draws with halves 3-8."""
 
     @staticmethod
     def graphs():
@@ -1281,6 +1356,17 @@ class TestMalformedCertificates:
         "matching-out-of-range": (C6, "FailingMatching", {
             "k": 1, "matching": [[5, 6]]}),
         "matching-missing": (C6, "FailingMatching", {"k": 1}),
+        # k must be an int, at least 1 (0 for a factor)
+        "set-negative-k": (empty(6), "ViolatingSetS", {
+            "criterion": "factor-critical", "k": -5, "set": []}),
+        "set-zero-k": (empty(6), "ViolatingSetS", {
+            "criterion": "factor-critical", "k": 0, "set": []}),
+        "matching-fractional-k": (complete(3), "FailingMatching", {
+            "reason": "no-size-k-matching", "k": 2.5, "max_matching": []}),
+        "matching-bool-k": (empty(2), "FailingMatching", {
+            "reason": "no-size-k-matching", "k": True, "max_matching": []}),
+        "factor-negative-k": (empty(0), "FactorSubgraph", {
+            "k": -1, "edges": []}),
         "payload-not-a-dict": (C6, "HamCycle", [0, 1, 2, 3, 4, 5]),
     }
 
