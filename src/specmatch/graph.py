@@ -398,14 +398,14 @@ def graph6_encode(g: Graph) -> str:
 def graph6_encode_many(graphs: Sequence[Graph]) -> list[str]:
     """The graph6 line of each of the graphs, all of one order n, in order.
 
-    The graphs are encoded in stacks of at most ``spectra.stack_size(n)``.
-    A stack's rows are unpacked into one 0/1 stack (``adjacency_bits``).
+    The graphs' rows are unpacked into one 0/1 stack (``adjacency_bits``),
+    so a caller passes at most one stack's worth of graphs at a time
+    (verify passes one eigensolve stack, ``spectra.stack_size(n)``).
     Each graph's bit stream is its strictly lower triangle read row-major,
     the order ``graph6_decode`` describes, zero-padded to whole six-bit
     groups; each group, most significant bit first, plus 63 is one body
     character (``_graph6_cells`` reads the groups off the stack). One
-    ASCII decode makes a stack's bodies text."""
-    from .spectra import stack_size  # spectra imports this module
+    ASCII decode makes the bodies text."""
     if not graphs:
         return []
     n = graphs[0].n
@@ -418,15 +418,11 @@ def graph6_encode_many(graphs: Sequence[Graph]) -> list[str]:
         raise GraphError(f"graph6 supports n <= {GRAPH6_MAX_N}")
     cells = _graph6_cells(n)
     need = len(cells) // 8
-    step = stack_size(max(n, 1))
-    lines = []
-    for start in range(0, len(graphs), step):
-        adj = adjacency_bits(graphs[start:start + step])
-        m = len(adj)
-        body = np.packbits(adj.reshape(m, n * n)[:, cells], axis=1)
-        text = (body + np.uint8(63)).tobytes().decode("ascii")
-        lines += [head + text[i * need:(i + 1) * need] for i in range(m)]
-    return lines
+    m = len(graphs)
+    body = np.packbits(adjacency_bits(graphs).reshape(m, n * n)[:, cells],
+                       axis=1)
+    text = (body + np.uint8(63)).tobytes().decode("ascii")
+    return [head + text[i * need:(i + 1) * need] for i in range(m)]
 
 
 def graph6_decode(text: str) -> Graph:

@@ -9,8 +9,9 @@ from one ``sp.rho_dense_many`` call over their lines; ``verify`` from one
 such call per chunk of samples, a chunk being one eigensolve stack; the
 lemma sweeps' dense rechecks from one per chunk of cells. Only verify's
 extremal row solves alone (``sp.rho_dense``); every stacked value is its
-single solve bit for bit. ``verify`` also writes a chunk's graph6 column
-with one ``graph6_encode_many`` call, whose lines are ``graph6_encode``'s.
+single solve bit for bit. ``verify`` also encodes a chunk's graph6 column
+as one bit stack (``graph6_encode_many``), whose lines are
+``graph6_encode``'s.
 
 Each theorem, lemma and property the CLI accepts is one row of
 ``THEOREMS``, ``LEMMAS`` or ``PROPERTIES``; theorems and properties run the
@@ -335,8 +336,9 @@ class TheoremSpec:
 
     @property
     def pins_min_degree(self) -> bool:
-        """Whether the samples keep the member's minimum degree: exactly
-        when the family reads delta."""
+        """Whether the samples keep minimum degree ``p.delta``: exactly
+        when the family reads delta. That is the member's minimum degree at
+        every point that ``validate_hypotheses`` accepts."""
         return "delta" in fam.READS[self.family]
 
 
@@ -383,15 +385,6 @@ def oracle_property_for_theorem(name: str, g: Graph, p: fam.FamilyParams,
     """The oracle's verdict; None where the route has none or it abstains."""
     oracle = ROUTES[THEOREMS[name].route].oracle
     return None if oracle is None else oracle(g, p.k, limit)
-
-
-@lru_cache(maxsize=64)
-def _pinned_degree(spec: TheoremSpec, p: fam.FamilyParams) -> int | None:
-    """The minimum degree that the theorem's samples keep: that of its
-    family's member at ``p``; None when the theorem pins none."""
-    if not spec.pins_min_degree:
-        return None
-    return min(fam.construct_family(spec.family, p).degrees())
 
 
 def _in_hypothesis_class(spec: TheoremSpec, rows: list[int],
@@ -499,7 +492,9 @@ def sample_for_theorem(spec: TheoremSpec, p: fam.FamilyParams,
     """One graph from the theorem's hypothesis class: random graphs over an
     edge-probability sweep, alternating with near-extremal perturbations
     (up to 3 edge edits); rejection until class membership, else the
-    extremal graph itself.
+    extremal graph itself. A class that ``spec.pins_min_degree`` keeps
+    minimum degree ``p.delta``, exactly the member's: only points where the
+    two agree pass ``validate_hypotheses``.
 
     Even indices first try ``SAMPLE_ATTEMPTS`` draws (``_drawn_sample``);
     an exhausted draw branch, and every odd index, go on to the
@@ -514,7 +509,7 @@ def sample_for_theorem(spec: TheoremSpec, p: fam.FamilyParams,
     each pair in both rows and only across the sides of a bipartite draw,
     and a perturbation toggles a pair of distinct vertices in both rows,
     across the extremal graph's sides when it has them."""
-    delta = _pinned_degree(spec, p)
+    delta = p.delta if spec.pins_min_degree else None
     if index % 2 == 0:
         prob = P_SWEEP[(index // 2) % len(P_SWEEP)]
         drawn = _drawn_sample(spec, p.n, delta, rng, prob)

@@ -128,15 +128,30 @@ def _augment(cands: Sequence[Sequence[int]], owner: dict[int, int],
     is taken when that unit can move on. On success ``owner`` maps each
     candidate on the path to its new unit; ``seen`` collects every
     candidate visited, so on failure the units owning them, with ``unit``,
-    have too few candidates between them (Hall's condition fails)."""
-    for b in cands[unit]:
-        if b in seen:
-            continue
-        seen.add(b)
-        other = owner.get(b)
-        if other is None or _augment(cands, owner, other, seen):
-            owner[b] = unit
-            return True
+    have too few candidates between them (Hall's condition fails). The
+    path is kept on an explicit stack, not on the interpreter's, so its
+    length is not bounded by the recursion limit."""
+    path: list[int] = []  # the candidate that each unit on the path takes
+    tries = [iter(cands[unit])]  # each such unit's candidates not yet tried
+    while tries:
+        for b in tries[-1]:
+            if b in seen:
+                continue
+            seen.add(b)
+            path.append(b)
+            other = owner.get(b)
+            if other is None:
+                # each unit takes its candidate from the next one
+                for taken in path:
+                    owner[taken], unit = unit, owner.get(taken)
+                return True
+            tries.append(iter(cands[other]))
+            break
+        else:
+            # the last unit cannot move on: the one before it tries on
+            tries.pop()
+            if path:
+                path.pop()
     return False
 
 
@@ -493,10 +508,14 @@ def _barrier_certificate(g: Graph, criterion: str, k: int, removed: int,
 # -- k-extendability -----------------------------------------------------
 
 
-def _require_extendable_input(g: Graph, k: int) -> None:
+def _require_positive_k(k: int) -> None:
     if k < 1:
         raise GraphError(
             "k must be >= 1; use has_perfect_matching for the base case")
+
+
+def _require_extendable_input(g: Graph, k: int) -> None:
+    _require_positive_k(k)
     if g.n % 2:
         raise GraphError("extendability needs even order")
     if not is_connected(g):
@@ -669,9 +688,7 @@ def _plummer_decided(g: Graph,
     k >= |A|, where the only size-k matchings are perfect. None otherwise."""
     if g.side_a is None:
         raise GraphError("criterion needs a bipartition")
-    if k < 1:
-        raise GraphError(
-            "k must be >= 1; use has_perfect_matching for the base case")
+    _require_positive_k(k)
     a_verts = g.side_vertices(SIDE_A)
     b_verts = g.side_vertices(SIDE_B)
     if len(a_verts) != len(b_verts):
@@ -757,15 +774,13 @@ def is_k_extendable_plummer(
 
 
 def _factor_targets(g: Graph, f) -> tuple[int, ...]:
-    if isinstance(f, FactorSpec):
-        targets = f.targets
-    else:
-        targets = tuple(int(t) for t in f)
+    """The targets of ``f``: a ``FactorSpec`` is taken as it is, and any
+    other iterable becomes one once its length is checked."""
+    spec = isinstance(f, FactorSpec)
+    targets = f.targets if spec else tuple(int(t) for t in f)
     if len(targets) != g.n:
         raise GraphError("factor spec length != order")
-    if any(t < 0 for t in targets):
-        raise GraphError("factor targets must be nonnegative")
-    return targets
+    return targets if spec else FactorSpec(targets).targets
 
 
 def _ore_sides(g: Graph) -> tuple[list[int], list[int]]:
@@ -1008,9 +1023,7 @@ def decompose_edge_disjoint_pms(h: Graph) -> list[Matching]:
 
 
 def _require_kfc_input(g: Graph, k: int) -> None:
-    if k < 1:
-        raise GraphError(
-            "k must be >= 1; use has_perfect_matching for the base case")
+    _require_positive_k(k)
     if k > g.n:
         raise GraphError("k exceeds the order")
 

@@ -130,21 +130,21 @@ def spectral_radius(g: Graph, tol: float | None = None) -> SpectralResult:
     iteration (all-ones start, shift = max degree) at ``tol`` (default
     ``default_tol`` of the graph's order).
 
-    Disconnected graphs are solved per component; the returned vector is
-    supported on the first component attaining the maximum.
+    Disconnected graphs are solved per component, on its vertices' rows
+    and columns of the adjacency matrix; the returned vector is supported
+    on the first component attaining the maximum.
     """
     if g.n < 1:
         raise GraphError("spectral radius needs n >= 1")
     if tol is None:
         tol = default_tol(g.n)
-    comps = component_masks(g)
+    a = adjacency_matrix(g)
     best_rho = -math.inf
     best = None
     total_matvecs = 0
-    for comp in comps:
+    for comp in component_masks(g):
         verts = list(bits(comp))
-        sub = g if len(comps) == 1 else g.induced(verts)
-        rho, x, res, mv = _power_iteration(adjacency_matrix(sub), tol)
+        rho, x, res, mv = _power_iteration(a[np.ix_(verts, verts)], tol)
         total_matvecs += mv
         if rho > best_rho + tol:
             best_rho = rho

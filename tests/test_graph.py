@@ -287,7 +287,7 @@ class TestGraph6EncodeAgainstReference:
             assert (d.n, d.adj) == (g.n, g.adj), text
 
     def test_every_small_graph(self):
-        # order 6 spans several encoding stacks (stack_size(6) = 910)
+        # order 6: all 32,768 graphs in one encoding stack
         for n in range(7):
             self.assert_encodes(list(self.every_graph(n)))
 

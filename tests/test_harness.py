@@ -38,9 +38,9 @@ from specmatch.harness import (THEOREMS, UsageError, cmd_check,
                                random_regular_bipartite, render_csv,
                                render_json, rng_for, sample_for_theorem)
 
-from conftest import (_ref_theorem_delta, path, ref_hypotheses_hold,
-                      ref_random_bipartite, ref_random_graph,
-                      ref_random_regular_bipartite, ref_sample_for_theorem)
+from conftest import (path, ref_hypotheses_hold, ref_random_bipartite,
+                      ref_random_graph, ref_random_regular_bipartite,
+                      ref_sample_for_theorem)
 
 CLI = [sys.executable, "-m", "specmatch"]
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -650,10 +650,13 @@ class TestSampler:
         assert exhausted_then_perturbed > 0
 
     def test_pinned_degree_is_the_members(self):
-        # the pinned minimum degree is read off the family member: delta
-        # for t1.1 and t4.5, s (else delta) for t1.2
+        # the sampler pins p.delta, exact because every accepted point's
+        # family member has minimum degree delta (t1.2's overlay only from
+        # its least order up); t1.3 and t4.3 pin no degree
         checked = 0
         for name, spec in THEOREMS.items():
+            assert spec.pins_min_degree == (name in ("t1.1", "t1.2",
+                                                     "t4.5")), name
             for n in range(2, 41):
                 for k in range(1, 5):
                     for d in range(1, 7):
@@ -662,8 +665,10 @@ class TestSampler:
                             hz.validate_hypotheses(name, p)
                         except UsageError:
                             continue
-                        assert hz._pinned_degree(spec, p) == \
-                            _ref_theorem_delta(spec, p), (name, p)
+                        if spec.pins_min_degree:
+                            member = construct_family(spec.family, p)
+                            assert min(member.degrees()) == p.delta, \
+                                (name, p)
                         checked += 1
         assert checked > 200
 
@@ -773,7 +778,7 @@ class TestDraws:
                         except UsageError:
                             continue
                         side = n // 2 if spec.bipartite else None
-                        delta = hz._pinned_degree(spec, p)
+                        delta = p.delta if spec.pins_min_degree else None
                         out.update((n, side, delta, prob)
                                    for prob in hz.P_SWEEP)
         return out

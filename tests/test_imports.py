@@ -32,3 +32,33 @@ def test_no_module_imports_a_name_it_never_reads():
     unused = {path.relative_to(ROOT).as_posix(): names for path in MODULES
               if (names := unused_imports(path.read_text(encoding="utf-8")))}
     assert unused == {}
+
+
+def package_imports(source: str) -> list[str]:
+    """Each import statement of ``source``, at any level (function bodies
+    included), that reads a module of the package: a relative import or
+    an absolute ``specmatch`` one."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            top = (node.module or "").partition(".")[0]
+            if node.level or top == "specmatch":
+                found.append(ast.unparse(node))
+        elif isinstance(node, ast.Import):
+            if any(alias.name.partition(".")[0] == "specmatch"
+                   for alias in node.names):
+                found.append(ast.unparse(node))
+    return found
+
+
+def test_graph_imports_no_other_module_of_the_package():
+    # spectra, families, matchfactor, harness and cli import graph, so an
+    # import back from graph closes a cycle
+    assert package_imports(
+        "import numpy\nfrom . import spectra\nfrom os import path\n"
+        "def f():\n    from .spectra import stack_size\n"
+        "    import specmatch.harness as hz\n") == [
+        "from . import spectra", "from .spectra import stack_size",
+        "import specmatch.harness as hz"]
+    graph = ROOT / "src" / "specmatch" / "graph.py"
+    assert package_imports(graph.read_text(encoding="utf-8")) == []

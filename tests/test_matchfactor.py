@@ -1,6 +1,8 @@
+import inspect
 import json
 import random
 import re
+import sys
 from collections import Counter
 from itertools import combinations
 
@@ -477,6 +479,18 @@ class TestPlummer:
 
     def test_cycle(self):
         assert is_k_extendable_plummer(cycle(8), 1)[0]
+
+    def test_long_augmenting_paths(self):
+        # the replicated Hall tests at cycle(100) augment along paths
+        # through 49 units; Kuhn's search must not recurse once per unit,
+        # so 30 frames above this one are enough
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 30)
+        try:
+            ok, cert = is_k_extendable_plummer(cycle(100), 1)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert ok and cert is None
 
     def test_unbalanced_sides(self):
         for g in (complete_bipartite(3, 5), complete_bipartite(2, 3),
