@@ -45,6 +45,10 @@ One augmenting-path routine, ``_augment`` (Kuhn), serves every bipartite
 matching: maximum matchings, the surplus route's replicated Hall test and
 ``harness.random_regular_bipartite``; each caller keeps its own unit
 order, candidate order and failure policy.
+
+No search recurses, so the recursion limit bounds no input: Kuhn's
+(``_augment``), the blossom search, Dinic's (``_Dinic``), Ore's DFS, the
+Hamilton search and ``iter_k_matchings`` each keep an explicit stack.
 """
 from __future__ import annotations
 
@@ -390,55 +394,39 @@ def max_matching(g: Graph) -> Matching:
 
 
 def has_perfect_matching(g: Graph) -> bool:
-    if g.n % 2:
-        return False
-    return 2 * max_matching(g).size == g.n
-
-
-def _k_disjoint_edges(adj: Sequence[int], mask: int,
-                      k: int) -> list[tuple[int, int]] | None:
-    """Some k pairwise disjoint edges inside ``mask``, or None."""
-    if k == 0:
-        return []
-    m = mask
-    while m:
-        b = m & -m
-        v = b.bit_length() - 1
-        if adj[v] & mask:
-            break
-        m ^= b
-        mask ^= b
-    else:
-        return None
-    nb = adj[v] & mask
-    while nb:
-        b = nb & -nb
-        nb ^= b
-        rest = _k_disjoint_edges(adj, mask ^ (1 << v) ^ b, k - 1)
-        if rest is not None:
-            return [(v, b.bit_length() - 1)] + rest
-    return _k_disjoint_edges(adj, mask ^ (1 << v), k)
+    return 2 * _pairs(_blossom_matching(g)) == g.n
 
 
 def iter_k_matchings(g: Graph, k: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """All matchings of size k, in lexicographic order of their edge lists."""
+    """All matchings of size k: the k-combinations of ``g.edges()`` whose
+    edges share no vertex, in lexicographic order. The chosen edges are an
+    explicit stack, each with an iterator of the later edges that may
+    follow it; an edge that meets them is skipped."""
+    if k == 0:
+        yield ()
+        return
     edges = g.edges()
-    m = len(edges)
-
-    def rec(start: int, chosen: list, used: int):
-        if len(chosen) == k:
-            yield tuple(chosen)
-            return
-        for i in range(start, m - (k - len(chosen)) + 1):
-            u, v = edges[i]
-            pair = (1 << u) | (1 << v)
-            if used & pair:
-                continue
-            chosen.append(edges[i])
-            yield from rec(i + 1, chosen, used | pair)
-            chosen.pop()
-
-    yield from rec(0, [], 0)
+    pairs = [1 << u | 1 << v for u, v in edges]
+    stop = len(edges) - k + 1  # the edge at depth d has index < stop + d
+    chosen: list[tuple[int, int]] = []
+    # per depth d: the indices left to try there, and the vertices that
+    # chosen[:d] cover
+    tries = [(iter(range(stop)), 0)]
+    while tries:
+        left, used = tries[-1]
+        for i in left:
+            if not used & pairs[i]:
+                chosen.append(edges[i])
+                if len(chosen) == k:
+                    yield tuple(chosen)
+                    chosen.pop()
+                    continue
+                tries.append((iter(range(i + 1, stop + len(chosen))),
+                              used | pairs[i]))
+                break
+        else:
+            tries.pop()
+            del chosen[-1:]  # the edge that opened this depth, if any
 
 
 # -- odd components and Gallai-Edmonds barriers --------------------------
@@ -885,7 +873,6 @@ def has_f_factor_ore(g: Graph, f,
 
 class _Dinic:
     def __init__(self, n: int):
-        self.n = n
         self.head: list[list[int]] = [[] for _ in range(n)]
         self.to: list[int] = []
         self.cap: list[int] = []
@@ -901,52 +888,53 @@ class _Dinic:
         return idx
 
     def max_flow(self, s: int, t: int) -> int:
+        """Dinic's maximum flow from ``s`` to ``t``. A phase levels the
+        residual arcs breadth-first from ``s``, then walks up the levels on
+        an explicit path of arcs, each vertex resuming at its current arc,
+        and pushes the path's least capacity whenever it reaches ``t``.
+        The last ``level`` is kept: its vertices >= 0 are the residual
+        reach from ``s``, the source side of a minimum cut."""
+        head, to, cap = self.head, self.to, self.cap
         flow = 0
         while True:
-            level = [-1] * self.n
+            level = [-1] * len(head)
             level[s] = 0
             queue = [s]
             for u in queue:
-                for e in self.head[u]:
-                    v = self.to[e]
-                    if self.cap[e] > 0 and level[v] == -1:
+                for e in head[u]:
+                    v = to[e]
+                    if cap[e] > 0 and level[v] == -1:
                         level[v] = level[u] + 1
                         queue.append(v)
+            self.level = level
             if level[t] == -1:
                 return flow
-            it = [0] * self.n
-
-            def dfs(u: int, pushed: int) -> int:
-                if u == t:
-                    return pushed
-                while it[u] < len(self.head[u]):
-                    e = self.head[u][it[u]]
-                    v = self.to[e]
-                    if self.cap[e] > 0 and level[v] == level[u] + 1:
-                        got = dfs(v, min(pushed, self.cap[e]))
-                        if got:
-                            self.cap[e] -= got
-                            self.cap[e ^ 1] += got
-                            return got
-                    it[u] += 1
-                return 0
-
+            it = [0] * len(head)
+            path: list[int] = []  # the arcs from s to u
+            u = s
             while True:
-                pushed = dfs(s, 1 << 60)
-                if not pushed:
+                arcs, up = head[u], level[u] + 1
+                i = it[u]
+                while i < len(arcs) and not (cap[arcs[i]] > 0
+                                             and level[to[arcs[i]]] == up):
+                    i += 1
+                it[u] = i
+                if i < len(arcs):
+                    path.append(arcs[i])
+                    u = to[arcs[i]]
+                elif path:  # a dead end: retire the arc into it
+                    u = to[path.pop() ^ 1]
+                    it[u] += 1
+                else:
                     break
-                flow += pushed
-
-    def reachable_from(self, s: int) -> set[int]:
-        seen = {s}
-        queue = [s]
-        for u in queue:
-            for e in self.head[u]:
-                v = self.to[e]
-                if self.cap[e] > 0 and v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return seen
+                if u == t:
+                    pushed = min(cap[e] for e in path)
+                    for e in path:
+                        cap[e] -= pushed
+                        cap[e ^ 1] += pushed
+                    flow += pushed
+                    path.clear()
+                    u = s
 
 
 def _f_factor_flow(g: Graph, targets) -> tuple[bool, list[tuple[int, int]] | list[int]]:
@@ -963,15 +951,10 @@ def _f_factor_flow(g: Graph, targets) -> tuple[bool, list[tuple[int, int]] | lis
             edge_arcs.append((a, b, net.add(1 + pos[a], 1 + pos[b], 1)))
     for b in b_verts:
         net.add(1 + pos[b], t, targets[b])
-    want = sum(targets[a] for a in a_verts)
-    got = net.max_flow(s, t)
-    if got == want:
-        edges = sorted((min(a, b), max(a, b))
-                       for a, b, e in edge_arcs if net.cap[e] == 0)
-        return True, edges
-    reach = net.reachable_from(s)
-    x = sorted(a for a in a_verts if 1 + pos[a] in reach)
-    return False, x
+    if net.max_flow(s, t) == sum(targets[a] for a in a_verts):
+        return True, sorted((min(a, b), max(a, b))
+                            for a, b, e in edge_arcs if net.cap[e] == 0)
+    return False, [a for a in a_verts if net.level[1 + pos[a]] >= 0]
 
 
 def find_k_factor_flow(g: Graph, k: int) -> tuple[bool, Certificate | None]:
@@ -1091,48 +1074,45 @@ def hamiltonian_cycle(
         g: Graph,
         limit: int = EXHAUSTIVE_LIMIT) -> tuple[bool, Certificate | None]:
     """Backtracking Hamilton-cycle search on balanced bipartite graphs with
-    degree and connectivity pruning."""
+    degree and connectivity pruning: a path from vertex 0 tries the
+    neighbours of its end in ascending order, one iterator per path vertex
+    on an explicit stack, and steps back once its end has none left."""
     if g.side_a is None:
         raise GraphError("search expects a bipartite graph")
     if g.n > limit:
         raise GraphError(f"search limited to n <= {limit}")
     n = g.n
-    if n < 4 or n % 2:
-        return False, None
-    if 2 * g.side_a.bit_count() != n:
-        return False, None
-    if min(g.degrees()) < 2:
-        return False, None
-    if not is_connected(g):
+    if (n < 4 or n % 2 or 2 * g.side_a.bit_count() != n
+            or min(g.degrees()) < 2 or not is_connected(g)):
         return False, None
     adj = g.adj
     full = g.full_mask()
-    path = [0]
 
     def feasible(visited: int, current: int) -> bool:
-        open_mask = (full & ~visited) | (1 << current) | 1
         rest = full & ~visited
-        for v in bits(rest):
-            if (adj[v] & open_mask).bit_count() < 2:
-                return False
+        open_mask = rest | (1 << current) | 1
+        if any((adj[v] & open_mask).bit_count() < 2 for v in bits(rest)):
+            return False
         # unvisited region plus the current endpoint must stay connected
         return len(row_components(adj, rest | (1 << current))) == 1
 
-    def extend(visited: int) -> bool:
-        current = path[-1]
-        if len(path) == n:
-            return bool((adj[current] >> 0) & 1)
-        if not feasible(visited, current):
-            return False
-        for u in bits(adj[current] & ~visited):
+    path, visited = [0], 1
+    # each path vertex's neighbours not yet tried as its successor
+    tries = [bits(adj[0])] if feasible(1, 0) else []
+    while tries:
+        u = next(tries[-1], None)
+        if u is None:
+            tries.pop()  # the path's end has no neighbour left: step back
+        else:
             path.append(u)
-            if extend(visited | (1 << u)):
-                return True
-            path.pop()
-        return False
-
-    if extend(1):
-        return True, Certificate("HamCycle", {"cycle": list(path)})
+            visited |= 1 << u
+            if len(path) == n:
+                if adj[u] & 1:
+                    return True, Certificate("HamCycle", {"cycle": path})
+            elif feasible(visited, u):
+                tries.append(bits(adj[u] & ~visited))
+                continue
+        visited ^= 1 << path.pop()
     return False, None
 
 
@@ -1181,7 +1161,7 @@ def _certificate_holds(g: Graph, cert: Certificate) -> bool:
             return False
         k = _k_of(p)
         if p["criterion"] == "extendability":
-            if _k_disjoint_edges(g.adj, mask, k) is None:
+            if _reaching(g.adj, mask, [-1] * g.n, k) is None:
                 return False
             return o > len(s) - 2 * k
         return len(s) >= k and o > len(s) - k

@@ -16,11 +16,12 @@ its earlier memoized general matching search (before Edmonds' blossom),
 its earlier family graph builders and quotients, its odd-set search
 before the per-subtree Tutte-Berge bound, its bipartition inference
 on per-vertex side labels and its one-quotient-at-a-time symmetrization
-as differential baselines.
-``path``, ``isomorphic_small``, ``bipartite_join``, ``remove_star`` and
-``edge_counts`` are graph helpers that only the tests use, and
-``charpoly_quartic`` with ``quartic_largest_root`` is the closed form of
-the overlay family's rho, the oracle of the l2.6 sweep.
+as differential baselines, and so are its earlier recursive searches
+(Dinic's blocking flow, the Hamilton search and the size-k matchings).
+``path``, ``falling_path``, ``isomorphic_small``, ``bipartite_join``,
+``remove_star`` and ``edge_counts`` are graph helpers that only the tests
+use, and ``charpoly_quartic`` with ``quartic_largest_root`` is the closed
+form of the overlay family's rho, the oracle of the l2.6 sweep.
 """
 from __future__ import annotations
 
@@ -42,7 +43,7 @@ from specmatch.graph import (GRAPH6_MAX_N, Graph, GraphError, SIDE_A,
                              SIDE_B, bits, complete, complete_bipartite,
                              component_masks, disjoint_union, empty,
                              from_edges, infer_bipartition, is_connected,
-                             join, mask_of)
+                             join, mask_of, row_components)
 
 
 def brute_max_matching_size(g: Graph) -> int:
@@ -97,6 +98,16 @@ def path(n: int) -> Graph:
     if n < 1:
         raise GraphError("path needs at least 1 vertex")
     return from_edges(n, [(v, v + 1) for v in range(n - 1)])
+
+
+def falling_path(q: int) -> Graph:
+    """The path on 2q vertices whose odd positions are side A, labelled
+    0..q-1 in path order, and whose even positions are side B, labelled
+    2q-1 down to q. Each A-vertex's lower neighbour is the next B-vertex,
+    so taking lower neighbours first matches all but the last A-vertex,
+    whose augmenting path then runs back along the whole path."""
+    label = [p // 2 if p % 2 else 2 * q - 1 - p // 2 for p in range(2 * q)]
+    return from_edges(2 * q, zip(label, label[1:]), (1 << q) - 1)
 
 
 def petersen() -> Graph:
@@ -265,7 +276,7 @@ def ref_chen_violating_set(g: Graph, k: int,
         excess = o - (size - 2 * k)
         if excess <= 0:
             continue
-        if mf._k_disjoint_edges(adj, mask, k) is None:
+        if _k_disjoint_edges(adj, mask, k) is None:
             continue
         key = (-excess, tuple(bits(mask)))
         if best_key is None or key < best_key:
@@ -274,7 +285,7 @@ def ref_chen_violating_set(g: Graph, k: int,
     if best is None:
         return None
     mask, o = best
-    witness = mf._k_disjoint_edges(adj, mask, k)
+    witness = _k_disjoint_edges(adj, mask, k)
     return mf.Certificate("ViolatingSetS", {
         "criterion": "extendability",
         "k": k,
@@ -491,10 +502,10 @@ def ref_unpruned_chen_violating_set(g: Graph, k: int,
     adj = g.adj
     mask = ref_odd_set_search(
         g, 2 * k, lambda: mm.size,
-        lambda s: mf._k_disjoint_edges(adj, s, k) is not None)
+        lambda s: _k_disjoint_edges(adj, s, k) is not None)
     if mask is None:
         return None
-    witness = mf._k_disjoint_edges(adj, mask, k)
+    witness = _k_disjoint_edges(adj, mask, k)
     return mf._odd_set_certificate(g, "extendability", k, mask,
                                    witness_edges=[sorted(e) for e in witness])
 
@@ -770,6 +781,193 @@ def ref_has_f_factor_ore(g: Graph, f, enum_limit: int = mf.EXHAUSTIVE_LIMIT):
         "y_saturated": y1,
         "y_deficient": y2,
     })
+
+
+# -- reference recursive searches ----------------------------------------
+# The library's searches before each kept its own stack: Dinic's blocking
+# flow as one recursive call per arc of its path, with the cut read by a
+# second residual BFS; the Hamilton search as one recursive call per path
+# vertex; the size-k matchings as nested generators, one per edge. The
+# differential tests hold the stack-based searches to their exact outputs.
+# ``_k_disjoint_edges`` is also the witness of the reference odd-set
+# searches above.
+
+
+def _k_disjoint_edges(adj, mask: int, k: int) -> list[tuple[int, int]] | None:
+    """Some k pairwise disjoint edges inside ``mask``, or None."""
+    if k == 0:
+        return []
+    m = mask
+    while m:
+        b = m & -m
+        v = b.bit_length() - 1
+        if adj[v] & mask:
+            break
+        m ^= b
+        mask ^= b
+    else:
+        return None
+    nb = adj[v] & mask
+    while nb:
+        b = nb & -nb
+        nb ^= b
+        rest = _k_disjoint_edges(adj, mask ^ (1 << v) ^ b, k - 1)
+        if rest is not None:
+            return [(v, b.bit_length() - 1)] + rest
+    return _k_disjoint_edges(adj, mask ^ (1 << v), k)
+
+
+class _RefDinic:
+    def __init__(self, n: int):
+        self.n = n
+        self.head: list[list[int]] = [[] for _ in range(n)]
+        self.to: list[int] = []
+        self.cap: list[int] = []
+
+    def add(self, u: int, v: int, c: int) -> int:
+        idx = len(self.to)
+        self.head[u].append(idx)
+        self.to.append(v)
+        self.cap.append(c)
+        self.head[v].append(idx + 1)
+        self.to.append(u)
+        self.cap.append(0)
+        return idx
+
+    def max_flow(self, s: int, t: int) -> int:
+        flow = 0
+        while True:
+            level = [-1] * self.n
+            level[s] = 0
+            queue = [s]
+            for u in queue:
+                for e in self.head[u]:
+                    v = self.to[e]
+                    if self.cap[e] > 0 and level[v] == -1:
+                        level[v] = level[u] + 1
+                        queue.append(v)
+            if level[t] == -1:
+                return flow
+            it = [0] * self.n
+
+            def dfs(u: int, pushed: int) -> int:
+                if u == t:
+                    return pushed
+                while it[u] < len(self.head[u]):
+                    e = self.head[u][it[u]]
+                    v = self.to[e]
+                    if self.cap[e] > 0 and level[v] == level[u] + 1:
+                        got = dfs(v, min(pushed, self.cap[e]))
+                        if got:
+                            self.cap[e] -= got
+                            self.cap[e ^ 1] += got
+                            return got
+                    it[u] += 1
+                return 0
+
+            while True:
+                pushed = dfs(s, 1 << 60)
+                if not pushed:
+                    break
+                flow += pushed
+
+    def reachable_from(self, s: int) -> set[int]:
+        seen = {s}
+        queue = [s]
+        for u in queue:
+            for e in self.head[u]:
+                v = self.to[e]
+                if self.cap[e] > 0 and v not in seen:
+                    seen.add(v)
+                    queue.append(v)
+        return seen
+
+
+def ref_f_factor_flow(g: Graph, targets):
+    """(True, factor edges) or (False, the cut's side-A set X)."""
+    a_verts, b_verts = mf._ore_sides(g)
+    pos = {v: i for i, v in enumerate(a_verts + b_verts)}
+    net = _RefDinic(2 + g.n)
+    s, t = 0, 1 + g.n
+    for a in a_verts:
+        net.add(s, 1 + pos[a], targets[a])
+    edge_arcs = []
+    for a in a_verts:
+        for b in bits(g.adj[a]):
+            edge_arcs.append((a, b, net.add(1 + pos[a], 1 + pos[b], 1)))
+    for b in b_verts:
+        net.add(1 + pos[b], t, targets[b])
+    want = sum(targets[a] for a in a_verts)
+    if net.max_flow(s, t) == want:
+        return True, sorted((min(a, b), max(a, b))
+                            for a, b, e in edge_arcs if net.cap[e] == 0)
+    reach = net.reachable_from(s)
+    return False, sorted(a for a in a_verts if 1 + pos[a] in reach)
+
+
+def ref_hamiltonian_cycle(g: Graph, limit: int = mf.EXHAUSTIVE_LIMIT):
+    if g.side_a is None:
+        raise GraphError("search expects a bipartite graph")
+    if g.n > limit:
+        raise GraphError(f"search limited to n <= {limit}")
+    n = g.n
+    if n < 4 or n % 2:
+        return False, None
+    if 2 * g.side_a.bit_count() != n:
+        return False, None
+    if min(g.degrees()) < 2:
+        return False, None
+    if not is_connected(g):
+        return False, None
+    adj = g.adj
+    full = g.full_mask()
+    path = [0]
+
+    def feasible(visited: int, current: int) -> bool:
+        open_mask = (full & ~visited) | (1 << current) | 1
+        rest = full & ~visited
+        for v in bits(rest):
+            if (adj[v] & open_mask).bit_count() < 2:
+                return False
+        # unvisited region plus the current endpoint must stay connected
+        return len(row_components(adj, rest | (1 << current))) == 1
+
+    def extend(visited: int) -> bool:
+        current = path[-1]
+        if len(path) == n:
+            return bool((adj[current] >> 0) & 1)
+        if not feasible(visited, current):
+            return False
+        for u in bits(adj[current] & ~visited):
+            path.append(u)
+            if extend(visited | (1 << u)):
+                return True
+            path.pop()
+        return False
+
+    if extend(1):
+        return True, mf.Certificate("HamCycle", {"cycle": list(path)})
+    return False, None
+
+
+def ref_iter_k_matchings(g: Graph, k: int):
+    edges = g.edges()
+    m = len(edges)
+
+    def rec(start: int, chosen: list, used: int):
+        if len(chosen) == k:
+            yield tuple(chosen)
+            return
+        for i in range(start, m - (k - len(chosen)) + 1):
+            u, v = edges[i]
+            pair = (1 << u) | (1 << v)
+            if used & pair:
+                continue
+            chosen.append(edges[i])
+            yield from rec(i + 1, chosen, used | pair)
+            chosen.pop()
+
+    yield from rec(0, [], 0)
 
 
 def ref_random_regular_bipartite(rng: random.Random, half: int,

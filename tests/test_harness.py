@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import dataclasses
 import io
 import json
@@ -38,9 +39,9 @@ from specmatch.harness import (THEOREMS, UsageError, cmd_check,
                                random_regular_bipartite, render_csv,
                                render_json, rng_for, sample_for_theorem)
 
-from conftest import (path, ref_hypotheses_hold, ref_random_bipartite,
-                      ref_random_graph, ref_random_regular_bipartite,
-                      ref_sample_for_theorem)
+from conftest import (falling_path, path, ref_hypotheses_hold,
+                      ref_random_bipartite, ref_random_graph,
+                      ref_random_regular_bipartite, ref_sample_for_theorem)
 
 CLI = [sys.executable, "-m", "specmatch"]
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -152,6 +153,24 @@ class TestCheck:
                 outs.append(capsys.readouterr().out)
             assert outs[0] == outs[1], prop
             assert outs[0].count(",false,") == 2, outs[0]
+
+    @pytest.mark.parametrize("graph, argv", [
+        (falling_path(600), ["--property", "k-factor", "--k", "1"]),
+        (cycle(1200), ["--property", "hamiltonian",
+                       "--exhaustive-limit", "3000"]),
+    ], ids=["flow-falling-path", "hamilton-cycle"])
+    def test_long_paths(self, graph, argv):
+        # the flow route's last augmenting path and the Hamilton search's
+        # path run through all 1,200 vertices, far past the recursion limit
+        line = graph6_encode(graph)
+        r = run_cli(["check"] + argv, line + "\n")
+        assert (r.returncode, r.stderr) == (0, "")
+        rows = list(csv.DictReader(text for text in r.stdout.splitlines()
+                                   if not text.startswith("#")))
+        assert [row["verdict"] for row in rows] == ["true"]
+        cert = json.loads(rows[0]["certificate"])
+        assert validate_certificate(infer_bipartition(graph6_decode(line)),
+                                    Certificate(**cert))
 
 
 class TestRho:

@@ -1,3 +1,4 @@
+import ast
 import inspect
 import json
 import random
@@ -33,13 +34,14 @@ from specmatch.harness import (P_SWEEP, ROUTES, THEOREMS, random_bipartite,
                                random_graph, rng_for, sample_for_theorem)
 from specmatch.spectra import rho_dense, spectral_radius
 
-from conftest import (brute_is_k_extendable, brute_max_matching_size,
-                      petersen,
-                      ref_first_failing_k_matching, ref_has_f_factor_ore,
+from conftest import (_k_disjoint_edges, brute_is_k_extendable,
+                      brute_max_matching_size, falling_path, petersen,
+                      ref_f_factor_flow, ref_first_failing_k_matching,
+                      ref_hamiltonian_cycle, ref_has_f_factor_ore,
                       ref_is_k_extendable_chen, ref_is_k_extendable_plummer,
                       ref_is_k_factor_critical,
                       ref_is_k_factor_critical_by_definition,
-                      ref_max_matching,
+                      ref_iter_k_matchings, ref_max_matching,
                       ref_max_matching_bipartite, ref_max_matching_general,
                       ref_max_matching_value, ref_recognize,
                       ref_unpruned_chen_violating_set,
@@ -50,6 +52,18 @@ from conftest import (brute_is_k_extendable, brute_max_matching_size,
 
 def random_balanced_bipartite(seed: int, half: int, p: float):
     return random_bipartite(rng_for(seed, 0), half, half, p)
+
+
+def _shallow(call):
+    """``call()`` under a recursion limit 30 frames above the current
+    depth, so that a search that recurses once per step of a long path
+    raises RecursionError."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 30)
+    try:
+        return call()
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 class TestMaxMatching:
@@ -482,14 +496,8 @@ class TestPlummer:
 
     def test_long_augmenting_paths(self):
         # the replicated Hall tests at cycle(100) augment along paths
-        # through 49 units; Kuhn's search must not recurse once per unit,
-        # so 30 frames above this one are enough
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(len(inspect.stack(0)) + 30)
-        try:
-            ok, cert = is_k_extendable_plummer(cycle(100), 1)
-        finally:
-            sys.setrecursionlimit(limit)
+        # through 49 units; Kuhn's search must not recurse once per unit
+        ok, cert = _shallow(lambda: is_k_extendable_plummer(cycle(100), 1))
         assert ok and cert is None
 
     def test_unbalanced_sides(self):
@@ -1113,6 +1121,110 @@ class TestMatchingReferences:
                         == _outcome(ref_has_f_factor_ore, g, spec)), spec
 
 
+class TestStackSearches:
+    """The searches that keep their own stacks give exactly the outputs of
+    the reference copies of their recursive forms."""
+
+    def test_flow_route(self):
+        # every balanced bipartite graph with |A| <= 3, then seeded draws
+        # with |A| 2-10, half of them relabeled so that the sides interleave
+        graphs = list(_balanced_bipartite_graphs(3))
+        rng = random.Random(33)
+        for i in range(300):
+            half = 2 + i % 9
+            g = random_bipartite(rng_for(33, i), half, half,
+                                 P_SWEEP[i % len(P_SWEEP)])
+            graphs.append(_relabeled(g, rng.sample(range(g.n), g.n))
+                          if i % 2 else g)
+        cuts = 0
+        for g in graphs:
+            for k in (1, 2, 3):
+                targets = FactorSpec.constant(g.n, k).targets
+                got = mf._f_factor_flow(g, targets)
+                assert got == ref_f_factor_flow(g, targets), (g, k)
+                cuts += not got[0]
+        assert cuts > 500
+
+    def test_hamilton(self):
+        found = 0
+        for g in _balanced_bipartite_graphs(4):
+            got = hamiltonian_cycle(g)
+            assert got == ref_hamiltonian_cycle(g), g
+            found += got[0]
+        assert found > 1000
+
+    def test_k_matchings(self, graphs_on_six):
+        for g in (*_all_graphs(5), *graphs_on_six):
+            for k in (0, 1, 2, 3):
+                assert (list(mf.iter_k_matchings(g, k))
+                        == list(ref_iter_k_matchings(g, k))), (g, k)
+
+    def test_validator_spans(self):
+        # both read only the edges inside the mask, so the graphs whose
+        # edges all lie inside it stand for every graph with n <= 6
+        for n in range(7):
+            for mask in range(1 << n):
+                pairs = list(combinations(bits(mask), 2))
+                for emask in range(1 << len(pairs)):
+                    adj = from_edges(n, [e for i, e in enumerate(pairs)
+                                         if emask >> i & 1]).adj
+                    for k in (0, 1, 2, 3):
+                        assert ((mf._reaching(adj, mask, [-1] * n, k) is None)
+                                == (_k_disjoint_edges(adj, mask, k) is None)
+                                ), (adj, mask, k)
+
+
+def _self_calls(source: str) -> list[str]:
+    """The functions of ``source``, closures and methods included, that call
+    themselves by name (``f(...)`` or ``obj.f(...)``), sorted."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and any(
+                isinstance(call, ast.Call)
+                and node.name in (getattr(call.func, "id", None),
+                                  getattr(call.func, "attr", None))
+                for call in ast.walk(node)):
+            found.append(node.name)
+    return sorted(found)
+
+
+class TestShallowStack:
+    """Each search of ``matchfactor`` keeps its own stack, so input of any
+    size stays within the recursion limit: every case fails when a search
+    recurses once per step."""
+
+    def test_flow_route(self):
+        # the last A-vertex's augmenting path runs back along all 200
+        g = falling_path(100)
+        ok, cert = _shallow(lambda: find_k_factor_flow(g, 1))
+        assert ok and validate_certificate(g, cert)
+
+    def test_hamilton(self):
+        ok, cert = _shallow(lambda: hamiltonian_cycle(cycle(60), 60))
+        assert ok and cert.payload["cycle"] == list(range(60))
+
+    def test_k_matchings(self):
+        first = _shallow(lambda: next(mf.iter_k_matchings(cycle(80), 39)))
+        assert first == ((0, 1),) + tuple((v, v + 1) for v in range(2, 78, 2))
+
+    def test_validator(self):
+        # every vertex of a star with 100 leaves, centre last: the set
+        # spans no two disjoint edges
+        g = from_edges(101, [(v, 100) for v in range(100)])
+        cert = Certificate("ViolatingSetS", {
+            "criterion": "extendability", "k": 2, "set": list(range(101))})
+        assert _shallow(lambda: validate_certificate(g, cert)) is False
+
+    def test_no_function_calls_itself(self):
+        assert _self_calls(
+            "def f(n):\n    return f(n - 1)\n"
+            "def g():\n    def rec():\n        yield from rec()\n"
+            "class C:\n    def m(self):\n        return self.m()\n"
+            "def h():\n    return f(1)\n") == ["f", "m", "rec"]
+        source = inspect.getsource(mf)
+        assert _self_calls(source) == []
+
+
 def _relabeled(g, perm):
     """g with vertex v renamed perm[v], sides carried along."""
     side_a = None
@@ -1320,6 +1432,11 @@ class TestChecksAgainstEachOther:
         _, cert = is_k_extendable_chen(extremal_kext_general(10, 1, 2), 1)
         bad = Certificate(cert.kind, dict(cert.payload, set=[2, 3]))
         assert not validate_certificate(extremal_kext_general(10, 1, 2), bad)
+        # the centre of K_{1,3} leaves three odd components, but a set that
+        # spans no edge holds no size-1 matching
+        bad = Certificate("ViolatingSetS", {
+            "criterion": "extendability", "k": 1, "set": [0]})
+        assert not validate_certificate(complete_bipartite(1, 3), bad)
 
 
 C6 = cycle(6)  # bipartition by parity: A = {0, 2, 4}
